@@ -176,6 +176,24 @@ pub struct SupervisorReport {
     pub safe_mode_entries: u64,
 }
 
+impl SupervisorReport {
+    /// The highest escalation rung reached: 0 none, 1 retry, 2 channel
+    /// restart, 3 micro-reboot, 4 monitor restart, 5 safe mode.
+    pub fn rung(&self) -> u8 {
+        let ladder = [
+            self.retries,
+            self.channel_restarts,
+            self.micro_reboots,
+            self.monitor_restarts,
+            self.safe_mode_entries,
+        ];
+        ladder
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |i| i as u8 + 1)
+    }
+}
+
 /// The monitor's watchdog and degradation governor.
 ///
 /// Drive it with [`Supervisor::observe`] (before pumping, so the
@@ -378,6 +396,68 @@ mod tests {
 
     fn sup() -> Supervisor {
         Supervisor::new(SupervisorConfig::default())
+    }
+
+    #[test]
+    fn rung_0_when_nothing_escalated() {
+        let report = SupervisorReport {
+            heartbeats: 40,
+            stalls: 0,
+            overloads: 3,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 0);
+    }
+
+    #[test]
+    fn rung_1_after_a_retry() {
+        let report = SupervisorReport {
+            retries: 2,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 1);
+    }
+
+    #[test]
+    fn rung_2_after_a_channel_restart() {
+        let report = SupervisorReport {
+            retries: 1,
+            channel_restarts: 1,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 2);
+    }
+
+    #[test]
+    fn rung_3_after_a_micro_reboot() {
+        let report = SupervisorReport {
+            micro_reboots: 1,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 3);
+    }
+
+    #[test]
+    fn rung_4_after_a_monitor_restart() {
+        let report = SupervisorReport {
+            retries: 5,
+            micro_reboots: 1,
+            monitor_restarts: 1,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 4);
+    }
+
+    #[test]
+    fn rung_5_in_safe_mode() {
+        let report = SupervisorReport {
+            retries: 1,
+            channel_restarts: 2,
+            monitor_restarts: 1,
+            safe_mode_entries: 1,
+            ..SupervisorReport::default()
+        };
+        assert_eq!(report.rung(), 5);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use chaos::scorecard::{run_scorecard, RecoveryStyle, ScorecardConfig};
 use observe::{ObsValue, Observation, ObservationKind};
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
-use trader::{ProbesConfig, TimedScenario, TvDependabilityLoop};
+use trader::{TimedScenario, TvDependabilityLoop};
 
 fn ms(x: u64) -> SimTime {
     SimTime::from_millis(x)
@@ -90,7 +90,7 @@ proptest! {
         let scenario = scenario(kind, len);
         let passive = TvDependabilityLoop::closed(seed).run(&scenario);
         let mut probed_loop = TvDependabilityLoop::closed(seed);
-        probed_loop.active_probes(ProbesConfig::standard());
+        probed_loop.active_probes();
         let probed = probed_loop.run(&scenario);
 
         prop_assert_eq!(passive.failure_steps, 0);

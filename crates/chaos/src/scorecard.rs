@@ -32,7 +32,7 @@ use simkit::{SimDuration, SimRng, SimTime};
 use telemetry::MetricsRegistry;
 use trader::experiments::e18_scorecard::{E18Cell, E18Config, E18Report, WindowDetection};
 use trader::experiments::e19_active_probes::{E19Config, E19Report};
-use trader::{ProbesConfig, TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
+use trader::{TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
 use tvsim::TvFault;
 
 use awareness::SupervisorConfig;
@@ -251,7 +251,7 @@ impl CellSpec {
         }
         self.recovery.configure(&mut looped);
         if self.probes {
-            looped.active_probes(ProbesConfig::standard());
+            looped.active_probes();
         }
         looped
     }

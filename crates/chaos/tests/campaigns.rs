@@ -200,6 +200,10 @@ fn fleet_of_256_campaigns_is_worker_count_invariant_and_clean() {
         fingerprint,
         specs.len()
     );
+    assert_eq!(
+        fingerprint, 0x519d_c41c_8707_8e72,
+        "committed fleet fingerprint"
+    );
     for workers in [2usize, 4, 8] {
         let fleet = chaos::run_fleet(&specs, workers);
         assert_eq!(

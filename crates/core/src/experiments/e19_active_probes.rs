@@ -27,7 +27,7 @@
 //! a closure mapping `(workers, probes)` to the grid's cell summaries.
 
 use crate::experiments::e18_scorecard::{matrix_fingerprint, render_matrix, E18Cell};
-use crate::loop_::{LoopOutcome, ProbesConfig, TvDependabilityLoop};
+use crate::loop_::{LoopOutcome, TvDependabilityLoop, PROBE_PLANS};
 use crate::scenario::TimedScenario;
 use faults::Schedule;
 use observe::{BudgetVerdict, ProbeBudget};
@@ -206,7 +206,7 @@ fn probed_reference_loop(telemetry: Telemetry) -> TvDependabilityLoop {
     );
     looped.set_channel_loss(0.05);
     looped.use_reliable(true);
-    looped.active_probes(ProbesConfig::standard());
+    looped.active_probes();
     looped.set_telemetry(telemetry);
     looped
 }
@@ -249,9 +249,9 @@ fn run_probe_effect(config: &E19Config) -> ProbeEffectLeg {
         last_telemetry = telemetry;
     }
 
-    let probe_bursts = crate::loop_::PROBE_FIRED
+    let probe_bursts = PROBE_PLANS
         .iter()
-        .map(|name| last_telemetry.counter(name))
+        .map(|plan| last_telemetry.counter(plan.fired))
         .sum();
     ProbeEffectLeg {
         verdict: budget.judge(baseline_ns, instrumented_ns),

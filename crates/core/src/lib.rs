@@ -58,8 +58,7 @@ pub mod report;
 pub mod scenario;
 
 pub use loop_::{
-    ChannelAudit, LoopOutcome, ProbesConfig, TvDependabilityLoop, UnitRecoveryConfig,
-    UnitRecoveryStyle,
+    ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig, UnitRecoveryStyle,
 };
 pub use scenario::TimedScenario;
 
@@ -81,8 +80,7 @@ pub use tvsim;
 /// Convenient imports for examples and experiment code.
 pub mod prelude {
     pub use crate::loop_::{
-        ChannelAudit, LoopOutcome, ProbesConfig, TvDependabilityLoop, UnitRecoveryConfig,
-        UnitRecoveryStyle,
+        ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig, UnitRecoveryStyle,
     };
     pub use crate::scenario::TimedScenario;
     pub use crate::{experiments, faults};

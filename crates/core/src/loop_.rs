@@ -7,8 +7,8 @@
 //! correction strategy.
 
 use awareness::{
-    AwarenessMonitor, CompareSpec, Configuration, DeadlineMonitor, DetectedError, DiagnosisConfig,
-    MonitorBuilder, ProbeConfig, ProbeFiring, ProbeScheduler, SupervisorConfig,
+    AwarenessMonitor, CompareSpec, Configuration, DeadlineMonitor, DiagnosisConfig, MonitorBuilder,
+    ProbeConfig, ProbeScheduler, SupervisorConfig,
 };
 use detect::{ConsistencyRule, Detector, ErrorEvent, ModeConsistencyDetector};
 use faults::injector::Transition;
@@ -124,88 +124,65 @@ impl UnitRecoveryConfig {
     }
 }
 
-/// Configuration for the active observability layer (the health
-/// observatory): synthetic self-check probes fired into idle windows,
-/// the sleep-timer deadline monitor, and the menu/swivel mode
-/// witnesses. Installed via [`TvDependabilityLoop::active_probes`];
-/// closed loop only (the open loop has no monitor to raise verdicts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProbesConfig {
-    /// Maximum heartbeat silence from the armed sleep-timer service
-    /// before the deadline monitor alarms.
-    pub heartbeat_deadline: SimDuration,
-    /// Slack past the announced sleep-timer fire time before a missed
-    /// expiry alarms.
-    pub fire_grace: SimDuration,
-    /// Fire a probe every Nth idle window (1 = every window).
-    pub every_windows: usize,
+/// Settle window after a press, or after a probe burst's last key:
+/// channel deliveries and comparisons happen before the loop reads the
+/// verdicts.
+const SETTLE: SimDuration = SimDuration::from_millis(20);
+
+/// Settle window after a repair burst.
+const REPAIR_SETTLE: SimDuration = SimDuration::from_millis(5);
+
+/// A closed-loop step's extent (settle plus repair settle): the step
+/// span closes there and the next idle window opens.
+const STEP: SimDuration = SimDuration::from_millis(25);
+
+/// The observatory's heartbeat deadline: maximum silence from the armed
+/// sleep-timer service (three idle windows) before the deadline monitor
+/// alarms.
+const HEARTBEAT_DEADLINE: SimDuration = SimDuration::from_millis(300);
+
+/// Slack past the announced sleep-timer fire time before a missed
+/// expiry alarms.
+const FIRE_GRACE: SimDuration = SimDuration::from_secs(1);
+
+/// One registered self-check: a key sequence that nudges a dormant
+/// function and restores (or symmetrically perturbs) its state, so the
+/// model executor tracks the SUO exactly and only a fault produces a
+/// verdict.
+pub(crate) struct ProbePlan {
+    kind: &'static str,
+    keys: &'static [Key],
+    /// Fired counter (flight-recorder names must be `'static`).
+    pub(crate) fired: &'static str,
+    /// Verdict transition stream.
+    verdict: &'static str,
 }
 
-impl ProbesConfig {
-    /// Standard observatory: 300 ms heartbeat deadline (three idle
-    /// windows of silence), 1 s fire grace, a probe in every window.
-    pub fn standard() -> Self {
-        ProbesConfig {
-            heartbeat_deadline: SimDuration::from_millis(300),
-            fire_grace: SimDuration::from_secs(1),
-            every_windows: 1,
+/// A [`ProbePlan`] whose telemetry names derive from its kind.
+macro_rules! probe_plan {
+    ($kind:literal => $($key:expr),+) => {
+        ProbePlan {
+            kind: $kind,
+            keys: &[$($key),+],
+            fired: concat!("core.probes.fired.", $kind),
+            verdict: concat!("core.probes.verdict.", $kind),
         }
-    }
+    };
 }
 
-impl Default for ProbesConfig {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-/// The registered self-check sequences, in rotation order. Each probe
-/// nudges a dormant function and restores (or symmetrically perturbs)
-/// its state, so the model executor tracks the SUO exactly and only a
-/// fault produces a comparator verdict.
-const PROBE_PLANS: &[(&str, &[Key])] = &[
-    ("sleep-timer", &[Key::Sleep]),
-    (
-        "volume-nudge",
-        &[Key::VolUp, Key::VolDown, Key::Mute, Key::Mute],
-    ),
-    (
-        "teletext-roundtrip",
-        &[
-            Key::Teletext,
-            Key::Digit(1),
-            Key::Digit(2),
-            Key::Digit(3),
-            Key::Teletext,
-        ],
-    ),
-    ("menu-toggle", &[Key::Menu, Key::Back]),
-    ("swivel-jog", &[Key::SwivelRight, Key::SwivelLeft]),
-    ("channel-flip", &[Key::ChannelUp, Key::ChannelDown]),
-];
-
-/// Per-kind fired counters (flight-recorder names must be `'static`).
-pub const PROBE_FIRED: [&str; 6] = [
-    "core.probes.fired.sleep-timer",
-    "core.probes.fired.volume-nudge",
-    "core.probes.fired.teletext-roundtrip",
-    "core.probes.fired.menu-toggle",
-    "core.probes.fired.swivel-jog",
-    "core.probes.fired.channel-flip",
-];
-
-/// Per-kind verdict transition streams.
-const PROBE_VERDICT: [&str; 6] = [
-    "core.probes.verdict.sleep-timer",
-    "core.probes.verdict.volume-nudge",
-    "core.probes.verdict.teletext-roundtrip",
-    "core.probes.verdict.menu-toggle",
-    "core.probes.verdict.swivel-jog",
-    "core.probes.verdict.channel-flip",
+/// The registered self-checks, in rotation order.
+pub(crate) static PROBE_PLANS: [ProbePlan; 6] = [
+    probe_plan!("sleep-timer" => Key::Sleep),
+    probe_plan!("volume-nudge" => Key::VolUp, Key::VolDown, Key::Mute, Key::Mute),
+    probe_plan!("teletext-roundtrip" =>
+        Key::Teletext, Key::Digit(1), Key::Digit(2), Key::Digit(3), Key::Teletext),
+    probe_plan!("menu-toggle" => Key::Menu, Key::Back),
+    probe_plan!("swivel-jog" => Key::SwivelRight, Key::SwivelLeft),
+    probe_plan!("channel-flip" => Key::ChannelUp, Key::ChannelDown),
 ];
 
 /// The outcome of running a scenario through the loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LoopOutcome {
     /// Presses processed.
     pub steps: usize,
@@ -342,124 +319,70 @@ fn mirror_output(state: &mut BTreeMap<String, ObsValue>, name: &str, value: &Obs
     }
 }
 
-/// Reusable per-run scratch buffers for the press loop. One instance
-/// lives across the whole scenario: buffers are cleared, never dropped,
-/// so steady-state presses run without allocating them anew (the fleet
-/// executor multiplies every per-step allocation by the campaign
-/// population — see `chaos::fleet`).
-#[derive(Debug, Default)]
-struct StepScratch {
-    /// Detector-raised errors for the current press.
-    detector_errors: Vec<ErrorEvent>,
-    /// Repair observations (targeted repairs or reboot announcements)
-    /// for the current press.
-    repair_obs: Vec<Observation>,
-    /// Oracle output records drained after each press.
-    oracle_outputs: Vec<OutputRecord>,
-}
-
-/// Maps a comparator observable to the pipeline unit it indicts.
-fn observable_unit(observable: &str) -> Option<&'static str> {
-    match observable {
-        "volume" | "audio.muted" => Some("audio"),
-        "channel" => Some("tuner"),
-        "screen.mode" | "source" => Some("screen"),
-        "swivel.angle" => Some("swivel"),
-        "sleep.minutes" => Some("sleep"),
-        o if o.starts_with("teletext.") => Some("teletext"),
-        _ => None,
+/// Whether the SUO's `actual` output deviates from the oracle's
+/// `expected` one: `ObsValue::distance(expected, actual) > 1e-9` with
+/// the model value converted the way the monitor converts it (text stays
+/// text, anything else becomes a number), without materializing the
+/// conversion. Text mismatch or a cross-kind comparison deviates, a
+/// numeric difference beyond the epsilon deviates, and a NaN on either
+/// side never does.
+fn deviates(expected: &Value, actual: &ObsValue) -> bool {
+    match expected {
+        Value::Str(s) => actual.as_text() != Some(s.as_str()),
+        other => {
+            let expected = other.as_f64().unwrap_or(f64::NAN);
+            actual.as_num().is_none_or(|a| (expected - a).abs() > 1e-9)
+        }
     }
 }
 
-/// Maps a detector-raised error to the pipeline unit it indicts: mode
+/// A targeted repair: the correction strategy when no structural unit
+/// recovery is installed.
+#[derive(Clone, Copy)]
+enum Repair {
+    /// Force the audio unit to the oracle's mute state.
+    ForceAudio,
+    /// Re-synchronize the teletext decoder (at most once per settle).
+    ResyncTeletext,
+}
+
+/// Error attribution, keyed by the comparator observable or the
+/// detector that raised the error: the pipeline unit it indicts (the
+/// structural recovery target) and the targeted repair, if any. Mode
 /// witnesses name their subsystem, the legacy teletext sync rule the
-/// decoder, and the sleep-timer watchdog/deadline alarms the timer
+/// decoder, and the sleep-timer watchdog and deadline alarms the timer
 /// service.
-fn detector_unit(detector: &str) -> Option<&'static str> {
-    match detector {
-        "mode-consistency:menu-witness" => Some("screen"),
-        "mode-consistency:swivel-witness" => Some("swivel"),
-        d if d.starts_with("mode-consistency") => Some("teletext"),
-        d if d.starts_with("watchdog:sleep.timer") || d.starts_with("deadline:sleep.timer") => {
-            Some("sleep")
-        }
-        _ => None,
-    }
+const INDICTMENTS: [(&str, &str, Option<Repair>); 13] = [
+    ("volume", "audio", Some(Repair::ForceAudio)),
+    ("audio.muted", "audio", Some(Repair::ForceAudio)),
+    ("channel", "tuner", None),
+    ("screen.mode", "screen", Some(Repair::ResyncTeletext)),
+    ("source", "screen", None),
+    ("swivel.angle", "swivel", None),
+    ("sleep.minutes", "sleep", None),
+    ("teletext.page", "teletext", Some(Repair::ResyncTeletext)),
+    (
+        "mode-consistency:txt-sync",
+        "teletext",
+        Some(Repair::ResyncTeletext),
+    ),
+    ("mode-consistency:menu-witness", "screen", None),
+    ("mode-consistency:swivel-witness", "swivel", None),
+    ("watchdog:sleep.timer", "sleep", None),
+    ("deadline:sleep.timer", "sleep", None),
+];
+
+/// The unit and targeted repair an error named `name` indicts.
+fn indictment(name: &str) -> Option<(&'static str, Option<Repair>)> {
+    INDICTMENTS
+        .iter()
+        .find(|(key, ..)| *key == name)
+        .map(|&(_, unit, repair)| (unit, repair))
 }
 
-/// The correction strategy, shared by the user-press path and the probe
-/// bursts: attribute every error to the pipeline unit it indicts, then
-/// either reboot structurally ([`RecoveryState`]) or apply the targeted
-/// repairs. Repair/announcement observations are appended to
-/// `repair_obs` for the caller to mirror and re-offer.
-#[allow(clippy::too_many_arguments)]
-fn correct_errors(
-    detector_errors: &[ErrorEvent],
-    comparator_errors: &[DetectedError],
-    settle: SimTime,
-    tv: &mut TvSystem,
-    recovery: &mut Option<RecoveryState>,
-    ref_state: &BTreeMap<String, Value>,
-    repair_obs: &mut Vec<Observation>,
-    outcome: &mut LoopOutcome,
-    telemetry: &Telemetry,
-) {
-    if let Some(rs) = recovery.as_mut() {
-        // Structural recovery: reboot the faulty unit (micro) or the
-        // whole TV (full restart).
-        let mut faulty: BTreeSet<&'static str> = BTreeSet::new();
-        for err in detector_errors {
-            if let Some(unit) = detector_unit(&err.detector) {
-                faulty.insert(unit);
-            }
-        }
-        for err in comparator_errors {
-            if let Some(unit) = observable_unit(&err.observable) {
-                faulty.insert(unit);
-            }
-        }
-        // Indicted units are no longer checkpoint-clean.
-        for unit in &faulty {
-            rs.dirty.insert(unit);
-        }
-        if let Some(&unit) = faulty.iter().next() {
-            if settle >= rs.next_allowed {
-                rs.recover(tv, settle, unit, outcome, telemetry, repair_obs);
-            }
-        }
-    } else {
-        let mut resynced = false;
-        for err in detector_errors {
-            if err.detector == "mode-consistency:txt-sync" && !resynced {
-                repair_obs.extend(tv.resync_teletext(settle));
-                resynced = true;
-                outcome.recoveries += 1;
-            }
-        }
-        for err in comparator_errors {
-            match err.observable.as_str() {
-                "audio.muted" | "volume" => {
-                    let want_muted = ref_state
-                        .get("audio.muted")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false);
-                    repair_obs.extend(tv.force_audio(settle, want_muted));
-                    outcome.recoveries += 1;
-                }
-                "teletext.page" | "screen.mode" if !resynced => {
-                    repair_obs.extend(tv.resync_teletext(settle));
-                    resynced = true;
-                    outcome.recoveries += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Per-run state of the active health observatory: the probe rotation,
-/// the sleep-timer deadline monitor, and the last verdict per probe
-/// kind (for telemetry verdict-transition streams).
+/// Per-run state of the active health observatory: the probe rotation
+/// (a probe in every idle window), the sleep-timer deadline monitor, and
+/// the last verdict per probe kind (for the verdict-transition streams).
 struct ProbeRuntime {
     scheduler: ProbeScheduler<Key>,
     deadline: DeadlineMonitor,
@@ -467,24 +390,19 @@ struct ProbeRuntime {
 }
 
 impl ProbeRuntime {
-    fn new(config: &ProbesConfig) -> Self {
-        let mut scheduler = ProbeScheduler::new(ProbeConfig {
-            every_windows: config.every_windows,
-            ..ProbeConfig::default()
-        });
-        for (kind, keys) in PROBE_PLANS {
-            scheduler.register(kind, keys.to_vec());
+    fn new() -> Self {
+        let mut scheduler = ProbeScheduler::new(ProbeConfig::default());
+        for plan in &PROBE_PLANS {
+            scheduler.register(plan.kind, plan.keys.to_vec());
         }
         ProbeRuntime {
             scheduler,
-            deadline: DeadlineMonitor::new(config.heartbeat_deadline, config.fire_grace),
+            deadline: DeadlineMonitor::new(HEARTBEAT_DEADLINE, FIRE_GRACE),
             verdicts: ["pass"; 6],
         }
     }
 }
 
-/// Builds a mode-witness observation (fed to the consistency detector
-/// only — witnesses are in-situ samples, not boundary traffic).
 /// True when firing `kind` right now would disturb a foreground mode
 /// the user currently has active (teletext page state, an open menu).
 /// An idle-time prober must leave foreground state alone: a deferred
@@ -498,6 +416,8 @@ fn probe_disturbs(tv: &TvSystem, kind: &str) -> bool {
     }
 }
 
+/// Builds a mode-witness observation (fed to the consistency detector
+/// only — witnesses are in-situ samples, not boundary traffic).
 fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
     Observation::new(
         at,
@@ -507,145 +427,6 @@ fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
             mode: mode.to_owned(),
         },
     )
-}
-
-/// Runs one probe burst inside an idle window: presses the synthetic
-/// keys through both the SUO and the oracle, samples the mode
-/// witnesses and the timer heartbeat, lets the comparator settle,
-/// corrects exactly like the user-press path, and finally scrubs the
-/// burst's block coverage and error baseline out of the spectra record
-/// so diagnosis ranking stays probe-free. Returns the errors detected
-/// and the burst's settle time.
-#[allow(clippy::too_many_arguments)]
-fn run_probe_burst(
-    firing: &ProbeFiring<Key>,
-    deadline: &mut DeadlineMonitor,
-    tv: &mut TvSystem,
-    oracle: &mut Executor<'_>,
-    monitor: &mut AwarenessMonitor,
-    mode_detector: &mut ModeConsistencyDetector,
-    recovery: &mut Option<RecoveryState>,
-    ref_state: &mut BTreeMap<String, Value>,
-    sys_state: &mut BTreeMap<String, ObsValue>,
-    scratch: &mut StepScratch,
-    outcome: &mut LoopOutcome,
-    telemetry: &Telemetry,
-) -> (usize, SimTime) {
-    scratch.detector_errors.clear();
-    for (at, key) in &firing.keys {
-        // A probe aimed at a unit inside a reboot outage is skipped on
-        // *both* the SUO and the oracle — symmetric, so the comparator
-        // sees no synthetic divergence from the outage itself.
-        let serving = tv.serving_unit(*key);
-        if recovery.as_ref().is_some_and(|rs| rs.is_down(*at, serving)) {
-            telemetry.count(*at, "core.probes.skipped_keys", 1);
-            continue;
-        }
-        let observations = tv.press(*at, *key);
-        if let Some(rs) = recovery.as_mut() {
-            // Journaled like user presses: a later micro-reboot must
-            // replay probe-caused state onto the restored checkpoint.
-            rs.journal.entry(serving).or_default().push(*key);
-        }
-        for obs in &observations {
-            if let Some((name, value)) = obs.as_output() {
-                mirror_output(sys_state, name, value);
-            }
-        }
-        let event = match key.payload() {
-            Some(p) => Event::with_payload(key.event_name(), p),
-            None => Event::plain(key.event_name()),
-        };
-        oracle.step_at(*at, &event);
-        scratch.oracle_outputs.clear();
-        oracle.drain_outputs_into(&mut scratch.oracle_outputs);
-        for rec in scratch.oracle_outputs.drain(..) {
-            match ref_state.get_mut(&rec.name) {
-                Some(slot) => *slot = rec.value,
-                None => {
-                    ref_state.insert(rec.name, rec.value);
-                }
-            }
-        }
-        for obs in &observations {
-            monitor.offer(obs);
-            scratch.detector_errors.extend(mode_detector.observe(obs));
-            deadline.observe(obs);
-        }
-    }
-    let last_at = firing.keys.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO);
-    let settle = last_at + SimDuration::from_millis(20);
-
-    // Mode witnesses: assert the probe's postcondition against the live
-    // mode map, then retire the assertion so unrelated later mode
-    // traffic cannot re-trigger it.
-    match firing.kind {
-        "menu-toggle" => {
-            // The open/close round-trip must leave no OSD on screen.
-            scratch
-                .detector_errors
-                .extend(mode_detector.observe(&witness_obs(settle, "osd.intent", "closed")));
-            let _ = mode_detector.observe(&witness_obs(settle, "osd.intent", "idle"));
-        }
-        "swivel-jog" => {
-            for obs in tv.witness_swivel(settle) {
-                scratch.detector_errors.extend(mode_detector.observe(&obs));
-                deadline.observe(&obs);
-            }
-            let _ = mode_detector.observe(&witness_obs(settle, "swivel.motor", "busy"));
-        }
-        _ => {}
-    }
-
-    // Timer-service liveness: sample the heartbeat and check the armed
-    // obligations, unless the timer unit is itself inside an outage.
-    let sleep_up = recovery
-        .as_ref()
-        .is_none_or(|rs| !rs.is_down(settle, "sleep"));
-    if sleep_up {
-        for hb in tv.timer_heartbeat(settle) {
-            deadline.observe(&hb);
-        }
-        scratch.detector_errors.extend(deadline.tick(settle));
-    }
-
-    monitor.advance_to(settle);
-    let comparator_errors = monitor.drain_errors();
-    let n_errors = comparator_errors.len() + scratch.detector_errors.len();
-    if n_errors > 0 {
-        outcome.detected_errors += n_errors;
-        telemetry.count(settle, "core.probes.detections", n_errors as i64);
-    }
-    scratch.repair_obs.clear();
-    correct_errors(
-        &scratch.detector_errors,
-        &comparator_errors,
-        settle,
-        tv,
-        recovery,
-        ref_state,
-        &mut scratch.repair_obs,
-        outcome,
-        telemetry,
-    );
-    for obs in scratch.repair_obs.iter() {
-        if let Some((name, value)) = obs.as_output() {
-            mirror_output(sys_state, name, value);
-        }
-        monitor.offer(obs);
-        let _ = mode_detector.observe(obs);
-        deadline.observe(obs);
-    }
-    if !scratch.repair_obs.is_empty() {
-        monitor.advance_to(settle + SimDuration::from_millis(5));
-        let _ = monitor.drain_errors();
-    }
-    // Spectra hygiene: probe presses are synthetic traffic. Drop their
-    // block coverage and absorb their error count, so the next user
-    // press's spectrum step reflects only its own behaviour.
-    let _ = tv.take_coverage();
-    monitor.absorb_synthetic_errors();
-    (n_errors, settle)
 }
 
 /// Per-run bookkeeping for structural unit recovery: the checkpoint
@@ -811,6 +592,437 @@ impl RecoveryState {
     }
 }
 
+/// Where a press comes from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// The scenario's user.
+    User,
+    /// The health observatory's synthetic self-checks.
+    Probe,
+}
+
+/// Steps the ground-truth oracle — the desired behaviour, evaluated
+/// with zero delay and full observability (only the harness has this).
+/// The loop reads only the oracle's latest value per output
+/// ([`Executor::last_output`]), so the output records are drained into
+/// `scratch` and dropped, keeping both buffers' capacity.
+fn step_oracle(oracle: &mut Executor<'_>, scratch: &mut Vec<OutputRecord>, at: SimTime, key: Key) {
+    let event = match key.payload() {
+        Some(p) => Event::with_payload(key.event_name(), p),
+        None => Event::plain(key.event_name()),
+    };
+    oracle.step_at(at, &event);
+    oracle.drain_outputs_into(scratch);
+    scratch.clear();
+}
+
+/// Everything the closed loop adds to the open one: the awareness
+/// monitor, the mode-consistency detector, and, when installed, the
+/// health observatory and structural unit recovery.
+struct ClosedLoop<'m> {
+    monitor: AwarenessMonitor<'m>,
+    mode_detector: ModeConsistencyDetector,
+    probes: Option<ProbeRuntime>,
+    recovery: Option<RecoveryState>,
+}
+
+impl ClosedLoop<'_> {
+    /// Feeds one SUO observation to the monitor, the mode detector and
+    /// the deadline monitor, returning the detector's errors.
+    fn observe(&mut self, obs: &Observation) -> Vec<ErrorEvent> {
+        self.monitor.offer(obs);
+        let errors = self.mode_detector.observe(obs);
+        if let Some(pr) = self.probes.as_mut() {
+            pr.deadline.observe(obs);
+        }
+        errors
+    }
+}
+
+/// One run of the loop over a scenario. User presses and probe bursts
+/// drive it through the same two steps: [`press`](Self::press) each
+/// key, then [`settle`](Self::settle) once.
+///
+/// Scratch buffers are cleared, never dropped, so steady-state presses
+/// run without allocating them anew (the fleet executor multiplies
+/// every per-step allocation by the campaign population — see
+/// `chaos::fleet`).
+struct Session<'m> {
+    telemetry: &'m Telemetry,
+    tv: TvSystem,
+    oracle: Executor<'m>,
+    /// The SUO's latest value of each output.
+    sys_state: BTreeMap<String, ObsValue>,
+    /// `None` in open loop.
+    closed: Option<ClosedLoop<'m>>,
+    outcome: LoopOutcome,
+    first_fault_at: Option<SimTime>,
+    first_detect_at: Option<SimTime>,
+    /// Detector-raised errors awaiting the next settle.
+    detector_errors: Vec<ErrorEvent>,
+    /// Repair observations (targeted repairs or reboot announcements).
+    repair_obs: Vec<Observation>,
+    /// Drained oracle output records.
+    oracle_outputs: Vec<OutputRecord>,
+}
+
+impl<'m> Session<'m> {
+    fn new(
+        machine: &'m Machine,
+        telemetry: &'m Telemetry,
+        tv: TvSystem,
+        closed: Option<ClosedLoop<'m>>,
+    ) -> Self {
+        let mut oracle = Executor::new(machine);
+        oracle.start();
+        Session {
+            telemetry,
+            tv,
+            oracle,
+            sys_state: BTreeMap::new(),
+            closed,
+            outcome: LoopOutcome::default(),
+            first_fault_at: None,
+            first_detect_at: None,
+            detector_errors: Vec::new(),
+            repair_obs: Vec::new(),
+            oracle_outputs: Vec::new(),
+        }
+    }
+
+    /// Applies one fault-schedule edge to the SUO.
+    fn fault_edge(&mut self, at: SimTime, edge: Transition<TvFault>) {
+        match edge {
+            Transition::Activated(f) => {
+                self.tv.inject_fault(f);
+                self.outcome.fault_activations += 1;
+                self.first_fault_at.get_or_insert(at);
+                self.telemetry
+                    .transition(at, "core.loop.fault", "dormant", f.name());
+            }
+            Transition::Deactivated(f) => {
+                self.tv.clear_fault(f);
+                self.telemetry
+                    .transition(at, "core.loop.fault", f.name(), "dormant");
+            }
+        }
+    }
+
+    /// Presses `key` on the SUO and the oracle and feeds the SUO's
+    /// observations to the closed loop. Returns false when a reboot
+    /// outage swallowed the press: a lost user press still advances the
+    /// desired behaviour, so the loss is user-visible; a probe key is
+    /// skipped on both sides, so the comparator sees no synthetic
+    /// divergence from the outage itself.
+    fn press(&mut self, at: SimTime, key: Key, origin: Origin) -> bool {
+        if let Some(rs) = self.closed.as_mut().and_then(|cl| cl.recovery.as_mut()) {
+            let unit = self.tv.serving_unit(key);
+            if rs.is_down(at, unit) {
+                match origin {
+                    Origin::User => {
+                        self.outcome.lost_presses += 1;
+                        if rs.outage_unit != Some(unit) {
+                            self.outcome.lost_presses_unaffected += 1;
+                        }
+                        self.telemetry.count(at, "core.reboot.lost_press", 1);
+                        step_oracle(&mut self.oracle, &mut self.oracle_outputs, at, key);
+                    }
+                    Origin::Probe => self.telemetry.count(at, "core.probes.skipped_keys", 1),
+                }
+                return false;
+            }
+            // Journaled, probe keys included: a later micro-reboot
+            // replays every press served since the checkpoint.
+            rs.journal.entry(unit).or_default().push(key);
+        }
+        let observations = self.tv.press(at, key);
+        for obs in &observations {
+            if let Some((name, value)) = obs.as_output() {
+                mirror_output(&mut self.sys_state, name, value);
+            }
+        }
+        step_oracle(&mut self.oracle, &mut self.oracle_outputs, at, key);
+        if let Some(cl) = self.closed.as_mut() {
+            for obs in &observations {
+                self.detector_errors.extend(cl.observe(obs));
+            }
+        }
+        true
+    }
+
+    /// Lets the monitor settle after a press, or after a probe burst's
+    /// last key at `at`, then counts and corrects everything the
+    /// comparator and the detectors flagged. A user press becomes one
+    /// spectrum step; a probe burst's coverage is dropped and its errors
+    /// absorbed, so diagnosis ranking stays probe-free. Returns the
+    /// number of errors detected.
+    fn settle(&mut self, at: SimTime, origin: Origin) -> usize {
+        let Some(cl) = self.closed.as_mut() else {
+            return 0;
+        };
+        let settle = at + SETTLE;
+        // Timer-service liveness rides every settle, so obligations are
+        // checked even between probe windows — unless the timer unit is
+        // itself inside an outage.
+        let sleep_down = cl
+            .recovery
+            .as_ref()
+            .is_some_and(|rs| rs.is_down(settle, "sleep"));
+        if let (Some(pr), false) = (cl.probes.as_mut(), sleep_down) {
+            for hb in self.tv.timer_heartbeat(settle) {
+                pr.deadline.observe(&hb);
+            }
+            self.detector_errors.extend(pr.deadline.tick(settle));
+        }
+        cl.monitor.advance_to(settle);
+        let comparator_errors = cl.monitor.drain_errors();
+        // One spectrum step per user press: snapshot the coverage now so
+        // the step reflects the SUO's response to the press alone —
+        // repair bursts below are monitor-commanded and would otherwise
+        // correlate perfectly with failing verdicts and crowd out the
+        // true fault block.
+        let coverage = (origin == Origin::User).then(|| self.tv.take_coverage());
+        let n_errors = comparator_errors.len() + self.detector_errors.len();
+        if n_errors > 0 {
+            self.outcome.detected_errors += n_errors;
+            self.first_detect_at.get_or_insert(settle);
+            let name = match origin {
+                Origin::User => "core.loop.detections",
+                Origin::Probe => "core.probes.detections",
+            };
+            self.telemetry.count(settle, name, n_errors as i64);
+        }
+
+        // Correction: attribute every error to the unit it indicts, then
+        // reboot structurally or apply the targeted repairs.
+        let recoveries_before = self.outcome.recoveries;
+        let indicted = self
+            .detector_errors
+            .iter()
+            .map(|err| err.detector.as_str())
+            .chain(comparator_errors.iter().map(|err| err.observable.as_str()))
+            .filter_map(indictment);
+        if let Some(rs) = cl.recovery.as_mut() {
+            // Indicted units are no longer checkpoint-clean; the first
+            // reboots (micro) or bounces the whole TV (full restart).
+            let first = indicted
+                .map(|(unit, _)| unit)
+                .inspect(|unit| {
+                    rs.dirty.insert(*unit);
+                })
+                .min();
+            if let Some(unit) = first.filter(|_| settle >= rs.next_allowed) {
+                rs.recover(
+                    &mut self.tv,
+                    settle,
+                    unit,
+                    &mut self.outcome,
+                    self.telemetry,
+                    &mut self.repair_obs,
+                );
+            }
+        } else {
+            let mut resynced = false;
+            for (_, repair) in indicted {
+                let obs = match repair {
+                    Some(Repair::ForceAudio) => {
+                        let want_muted = self
+                            .oracle
+                            .last_output("audio.muted")
+                            .and_then(Value::as_bool)
+                            .unwrap_or(false);
+                        self.tv.force_audio(settle, want_muted)
+                    }
+                    Some(Repair::ResyncTeletext) if !resynced => {
+                        resynced = true;
+                        self.tv.resync_teletext(settle)
+                    }
+                    _ => continue,
+                };
+                self.repair_obs.extend(obs);
+                self.outcome.recoveries += 1;
+            }
+        }
+        for obs in &self.repair_obs {
+            if let Some((name, value)) = obs.as_output() {
+                mirror_output(&mut self.sys_state, name, value);
+            }
+            let _ = cl.observe(obs);
+        }
+        let repairs = (self.outcome.recoveries - recoveries_before) as i64;
+        if origin == Origin::User && repairs > 0 {
+            self.telemetry.count(settle, "core.loop.repairs", repairs);
+        }
+        if !self.repair_obs.is_empty() {
+            cl.monitor.advance_to(settle + REPAIR_SETTLE);
+            // Post-repair comparisons should now match; drop any
+            // residual transient error raised by the repair burst, and
+            // the repair-path block coverage with it.
+            let _ = cl.monitor.drain_errors();
+            if coverage.is_some() {
+                let _ = self.tv.take_coverage();
+            }
+        }
+        match coverage {
+            // Comparator errors since the last snapshot mark the step
+            // failing and re-rank the in-loop suspect window. Recording
+            // after the residual drain keeps repair transients from
+            // spilling a failing verdict onto the next step.
+            Some(coverage) => cl.monitor.record_coverage(&coverage),
+            // Probe presses are synthetic traffic: drop their block
+            // coverage and absorb their error count, so the next user
+            // press's spectrum step reflects only its own behaviour.
+            None => {
+                let _ = self.tv.take_coverage();
+                cl.monitor.absorb_synthetic_errors();
+            }
+        }
+        self.detector_errors.clear();
+        self.repair_obs.clear();
+        n_errors
+    }
+
+    /// Ends the user step at `at`: the user-visible failure check
+    /// against the oracle, then the checkpoint cadence (after the step's
+    /// detections, so a unit flagged dirty just now is never sealed).
+    fn end_step(&mut self, at: SimTime) {
+        self.outcome.steps += 1;
+        let failed = self.sys_state.iter().any(|(name, actual)| {
+            self.oracle
+                .last_output(name)
+                .is_some_and(|expected| deviates(expected, actual))
+        });
+        if failed {
+            self.outcome.failure_steps += 1;
+            self.telemetry
+                .metric_incr("core.loop.user_visible_failures", 1);
+        }
+        if let Some(rs) = self.closed.as_mut().and_then(|cl| cl.recovery.as_mut()) {
+            rs.maybe_checkpoint(&self.tv, at, self.telemetry);
+        }
+    }
+
+    /// Fires the observatory's next self-check into the idle window
+    /// from `start` to `end`: its keys are pressed like user keys and
+    /// the burst settles once, after its last key, with the mode
+    /// witnesses.
+    fn probe_window(&mut self, start: SimTime, end: SimTime) {
+        let telemetry = self.telemetry;
+        let Some(pr) = self.closed.as_mut().and_then(|cl| cl.probes.as_mut()) else {
+            return;
+        };
+        let Some(firing) = pr.scheduler.plan_window(start, end) else {
+            return;
+        };
+        let plan = &PROBE_PLANS[firing.plan];
+        let fired_at = firing.keys[0].0;
+        if probe_disturbs(&self.tv, plan.kind) {
+            telemetry.count(fired_at, "core.probes.deferred", 1);
+            return;
+        }
+        telemetry.span_enter(fired_at, "core.probes.burst");
+        for &(at, key) in &firing.keys {
+            self.press(at, key, Origin::Probe);
+        }
+        let last_at = firing.keys.last().map_or(SimTime::ZERO, |&(at, _)| at);
+        let settle = last_at + SETTLE;
+        self.witness(plan.kind, settle);
+        let n_errors = self.settle(last_at, Origin::Probe);
+        telemetry.count(settle, plan.fired, 1);
+        telemetry.observe_ns("core.probes.latency_ns", settle.since(fired_at).as_nanos());
+        let verdict = if n_errors > 0 { "divergent" } else { "pass" };
+        if let Some(pr) = self.closed.as_mut().and_then(|cl| cl.probes.as_mut()) {
+            let last = &mut pr.verdicts[firing.plan];
+            if *last != verdict {
+                telemetry.transition(settle, plan.verdict, last, verdict);
+                *last = verdict;
+            }
+        }
+        telemetry.span_exit(settle, "core.probes.burst");
+    }
+
+    /// Mode witnesses at a probe burst's settle time: assert the
+    /// probe's postcondition against the live mode map, then retire the
+    /// assertion so unrelated later mode traffic cannot re-trigger it.
+    fn witness(&mut self, kind: &str, settle: SimTime) {
+        let Some(cl) = self.closed.as_mut() else {
+            return;
+        };
+        let detector = &mut cl.mode_detector;
+        match kind {
+            "menu-toggle" => {
+                // The open/close round-trip must leave no OSD on screen.
+                let closed = witness_obs(settle, "osd.intent", "closed");
+                self.detector_errors.extend(detector.observe(&closed));
+                let _ = detector.observe(&witness_obs(settle, "osd.intent", "idle"));
+            }
+            "swivel-jog" => {
+                for obs in self.tv.witness_swivel(settle) {
+                    self.detector_errors.extend(detector.observe(&obs));
+                    if let Some(pr) = cl.probes.as_mut() {
+                        pr.deadline.observe(&obs);
+                    }
+                }
+                let _ = detector.observe(&witness_obs(settle, "swivel.motor", "busy"));
+            }
+            _ => {}
+        }
+    }
+
+    /// Ends the run: the obligation epilogue, then the end-of-run
+    /// accounting.
+    fn finish(mut self) -> LoopOutcome {
+        // An armed sleep timer must still fire past the last press. The
+        // expiry is driven on the TV alone and fed only to the deadline
+        // monitor — the spec machine does not model autonomous
+        // power-down, so routing it through the comparator would raise
+        // a phantom divergence on healthy twins.
+        if let Some(pr) = self.closed.as_mut().and_then(|cl| cl.probes.as_mut()) {
+            if let Some(due) = pr.deadline.fire_deadline() {
+                for obs in self.tv.tick(due) {
+                    pr.deadline.observe(&obs);
+                }
+                let late = due + SimDuration::from_millis(1);
+                let missed = pr.deadline.tick(late).len();
+                if missed > 0 {
+                    self.outcome.detected_errors += missed;
+                    self.first_detect_at.get_or_insert(late);
+                    self.telemetry
+                        .count(late, "core.probes.detections", missed as i64);
+                }
+            }
+        }
+
+        let mut outcome = self.outcome;
+        outcome.detection_latency = match (self.first_fault_at, self.first_detect_at) {
+            (Some(f), Some(d)) if d >= f => Some(d.since(f)),
+            _ => None,
+        };
+        if let Some(cl) = &self.closed {
+            let (input, output) = (cl.monitor.input_channel(), cl.monitor.output_channel());
+            outcome.channels = Some(ChannelAudit {
+                sent: input.sent() + output.sent(),
+                delivered: input.delivered() + output.delivered(),
+                lost: input.lost() + output.lost(),
+                in_flight: (input.in_flight() + output.in_flight()) as u64,
+            });
+            if let Some(report) = cl.monitor.supervisor_report() {
+                outcome.safe_mode_entries = report.safe_mode_entries;
+                outcome.ladder_rung = report.rung();
+            }
+            if let Some(diag) = cl.monitor.diagnosis() {
+                outcome.diagnoses_triggered = diag.triggered_diagnoses();
+                outcome.top_suspects = diag.top_suspects().iter().map(|e| e.block).collect();
+            }
+            if let Some(rs) = &cl.recovery {
+                outcome.checkpoint_generations = rs.vault.latest_generations();
+                outcome.reboot_mttr = rs.mean_mttr();
+            }
+        }
+        outcome
+    }
+}
+
 /// Runs a [`TvSystem`] open- or closed-loop against a scenario.
 #[derive(Debug)]
 pub struct TvDependabilityLoop {
@@ -825,7 +1037,7 @@ pub struct TvDependabilityLoop {
     supervision: Option<SupervisorConfig>,
     online_diagnosis_k: Option<usize>,
     unit_recovery: Option<UnitRecoveryConfig>,
-    probes: Option<ProbesConfig>,
+    probes: bool,
     telemetry: Telemetry,
 }
 
@@ -853,7 +1065,7 @@ impl TvDependabilityLoop {
             supervision: None,
             online_diagnosis_k: None,
             unit_recovery: None,
-            probes: None,
+            probes: false,
             telemetry: Telemetry::off(),
         }
     }
@@ -907,15 +1119,16 @@ impl TvDependabilityLoop {
         self.unit_recovery = Some(config);
     }
 
-    /// Installs the active health observatory: deterministic self-check
-    /// probes in the idle windows between presses, the sleep-timer
-    /// deadline monitor, and mode witnesses for the menu and swivel
-    /// subsystems. Probe divergence raises normal comparator/detector
-    /// verdicts and feeds the same correction strategy as user-visible
-    /// errors; probe block coverage and probe-raised errors are kept
-    /// out of the spectra diagnosis. Closed loop only.
-    pub fn active_probes(&mut self, config: ProbesConfig) {
-        self.probes = Some(config);
+    /// Installs the active health observatory: a deterministic
+    /// self-check probe in every idle window between presses, the
+    /// sleep-timer deadline monitor (300 ms heartbeat deadline, 1 s fire
+    /// grace), and mode witnesses for the menu and swivel subsystems.
+    /// Probe divergence raises normal comparator/detector verdicts and
+    /// feeds the same correction strategy as user-visible errors; probe
+    /// block coverage and probe-raised errors are kept out of the
+    /// spectra diagnosis. Closed loop only.
+    pub fn active_probes(&mut self) {
+        self.probes = true;
     }
 
     /// Enables in-loop spectrum diagnosis with a `top_k`-sized suspect
@@ -926,441 +1139,108 @@ impl TvDependabilityLoop {
         self.online_diagnosis_k = Some(top_k);
     }
 
-    /// Runs the scenario to completion.
-    pub fn run(&mut self, scenario: &TimedScenario) -> LoopOutcome {
-        let machine = self.machine.clone();
-        let mut tv = TvSystem::new();
-
-        // Ground-truth oracle: the desired behaviour, evaluated with
-        // zero delay and full observability (only the harness has this).
-        let mut oracle = Executor::new(&machine);
-        oracle.start();
-        let mut ref_state: BTreeMap<String, Value> = BTreeMap::new();
-        let mut sys_state: BTreeMap<String, ObsValue> = BTreeMap::new();
-
-        // The run-time awareness monitor (closed loop only).
+    /// The closed-loop machinery for one run over `machine`.
+    fn closed_loop<'m>(&self, machine: &'m Machine, n_blocks: u32) -> ClosedLoop<'m> {
         let cfg =
             Configuration::new().with_default_spec(CompareSpec::exact().with_max_consecutive(0));
-        let mut monitor = self.closed.then(|| {
-            let mut builder = MonitorBuilder::new(&machine)
-                .configuration(cfg)
-                .output_delay(self.output_delay)
-                .jitter(self.jitter)
-                .loss(self.loss)
-                .reliable(self.reliable)
-                .seed(self.seed)
-                .telemetry(self.telemetry.clone());
-            if let Some(config) = self.supervision {
-                builder = builder.supervised(config);
-            }
-            if let Some(top_k) = self.online_diagnosis_k {
-                builder = builder.diagnosis(DiagnosisConfig::new(tv.n_blocks()).with_top_k(top_k));
-            }
-            builder.build()
-        });
-        let mut mode_detector = self.closed.then(|| {
-            let mut d = ModeConsistencyDetector::new();
-            d.add_rule(ConsistencyRule::new(
-                "txt-sync",
-                "ui",
-                "teletext",
-                "decoder",
-                ["teletext"],
+        let mut builder = MonitorBuilder::new(machine)
+            .configuration(cfg)
+            .output_delay(self.output_delay)
+            .jitter(self.jitter)
+            .loss(self.loss)
+            .reliable(self.reliable)
+            .seed(self.seed)
+            .telemetry(self.telemetry.clone());
+        if let Some(config) = self.supervision {
+            builder = builder.supervised(config);
+        }
+        if let Some(top_k) = self.online_diagnosis_k {
+            builder = builder.diagnosis(DiagnosisConfig::new(n_blocks).with_top_k(top_k));
+        }
+        let mut mode_detector = ModeConsistencyDetector::new();
+        mode_detector.add_rule(ConsistencyRule::new(
+            "txt-sync",
+            "ui",
+            "teletext",
+            "decoder",
+            ["teletext"],
+        ));
+        if self.probes {
+            // Witness rules are only consulted when the observatory
+            // emits its witness observations, so they ride the same
+            // detector without changing probe-free behaviour.
+            mode_detector.add_rule(ConsistencyRule::new(
+                "menu-witness",
+                "osd.intent",
+                "closed",
+                "scaler",
+                [
+                    "video",
+                    "teletext",
+                    "dual",
+                    "dual+teletext",
+                    "pip",
+                    "epg",
+                    "off",
+                ],
             ));
-            if self.probes.is_some() {
-                // Witness rules are only consulted when the observatory
-                // emits its witness observations, so they ride the same
-                // detector without changing probe-free behaviour.
-                d.add_rule(ConsistencyRule::new(
-                    "menu-witness",
-                    "osd.intent",
-                    "closed",
-                    "scaler",
-                    [
-                        "video",
-                        "teletext",
-                        "dual",
-                        "dual+teletext",
-                        "pip",
-                        "epg",
-                        "off",
-                    ],
-                ));
-                d.add_rule(ConsistencyRule::new(
-                    "swivel-witness",
-                    "swivel.motor",
-                    "idle",
-                    "swivel.cmd",
-                    ["converged"],
-                ));
-            }
-            d
-        });
+            mode_detector.add_rule(ConsistencyRule::new(
+                "swivel-witness",
+                "swivel.motor",
+                "idle",
+                "swivel.cmd",
+                ["converged"],
+            ));
+        }
+        ClosedLoop {
+            monitor: builder.build(),
+            mode_detector,
+            probes: self.probes.then(ProbeRuntime::new),
+            recovery: self
+                .unit_recovery
+                .map(|cfg| RecoveryState::new(cfg, self.seed)),
+        }
+    }
 
-        // The active health observatory (closed loop only).
-        let mut probes = self
+    /// Runs the scenario to completion.
+    pub fn run(&mut self, scenario: &TimedScenario) -> LoopOutcome {
+        let machine = &self.machine;
+        let tv = TvSystem::new();
+        let closed = self
             .closed
-            .then(|| self.probes.as_ref().map(ProbeRuntime::new))
-            .flatten();
-
-        // Structural unit recovery (closed loop only): checkpoint vault,
-        // press journals, outage tracking.
-        let mut recovery = self
-            .closed
-            .then(|| {
-                self.unit_recovery
-                    .map(|cfg| RecoveryState::new(cfg, self.seed))
-            })
-            .flatten();
-
-        let mut outcome = LoopOutcome {
-            steps: 0,
-            failure_steps: 0,
-            detected_errors: 0,
-            recoveries: 0,
-            detection_latency: None,
-            fault_activations: 0,
-            channels: None,
-            safe_mode_entries: 0,
-            diagnoses_triggered: 0,
-            top_suspects: Vec::new(),
-            lost_presses: 0,
-            lost_presses_unaffected: 0,
-            micro_reboots: 0,
-            full_restarts: 0,
-            reboot_mttr: None,
-            checkpoint_generations: Vec::new(),
-            ladder_rung: 0,
-        };
-        let mut first_fault_at: Option<SimTime> = None;
-        let mut first_detect_at: Option<SimTime> = None;
-        // Hoisted hot-path scratch: one allocation for the whole run
-        // instead of fresh vectors on every press.
-        let mut scratch = StepScratch::default();
-
-        let mut prev_press_at: Option<SimTime> = None;
-        for (i, (at, key)) in scenario.presses().iter().enumerate() {
+            .then(|| self.closed_loop(machine, tv.n_blocks()));
+        let mut session = Session::new(machine, &self.telemetry, tv, closed);
+        let mut prev_press_at = None;
+        for (i, &(at, key)) in scenario.presses().iter().enumerate() {
             // Idle-window probing: the observatory fires its next
             // self-check into the settled gap left by the previous
             // press, before this press's fault edges and traffic.
-            if let (Some(prev), Some(pr), Some(monitor), Some(mode_detector)) = (
-                prev_press_at,
-                probes.as_mut(),
-                monitor.as_mut(),
-                mode_detector.as_mut(),
-            ) {
-                let window_start = prev + SimDuration::from_millis(25);
-                if let Some(firing) = pr.scheduler.plan_window(window_start, *at) {
-                    let fired_at = firing.keys[0].0;
-                    if probe_disturbs(&tv, firing.kind) {
-                        self.telemetry.count(fired_at, "core.probes.deferred", 1);
-                    } else {
-                        self.telemetry.span_enter(fired_at, "core.probes.burst");
-                        let (n_errors, settle) = run_probe_burst(
-                            &firing,
-                            &mut pr.deadline,
-                            &mut tv,
-                            &mut oracle,
-                            monitor,
-                            mode_detector,
-                            &mut recovery,
-                            &mut ref_state,
-                            &mut sys_state,
-                            &mut scratch,
-                            &mut outcome,
-                            &self.telemetry,
-                        );
-                        if n_errors > 0 {
-                            first_detect_at.get_or_insert(settle);
-                        }
-                        self.telemetry.count(settle, PROBE_FIRED[firing.plan], 1);
-                        self.telemetry.observe_ns(
-                            "core.probes.latency_ns",
-                            settle.since(fired_at).as_nanos(),
-                        );
-                        let verdict = if n_errors > 0 { "divergent" } else { "pass" };
-                        if pr.verdicts[firing.plan] != verdict {
-                            self.telemetry.transition(
-                                settle,
-                                PROBE_VERDICT[firing.plan],
-                                pr.verdicts[firing.plan],
-                                verdict,
-                            );
-                            pr.verdicts[firing.plan] = verdict;
-                        }
-                        self.telemetry.span_exit(settle, "core.probes.burst");
-                    }
-                }
+            if let Some(prev) = prev_press_at {
+                session.probe_window(prev + STEP, at);
             }
-            prev_press_at = Some(*at);
-            self.telemetry.span_enter(*at, "core.loop.step");
-            // Fault schedule edges.
-            for edge in self.injector.poll(*at, i as u64) {
-                match edge {
-                    Transition::Activated(f) => {
-                        tv.inject_fault(f);
-                        outcome.fault_activations += 1;
-                        first_fault_at.get_or_insert(*at);
-                        self.telemetry
-                            .transition(*at, "core.loop.fault", "dormant", f.name());
-                    }
-                    Transition::Deactivated(f) => {
-                        tv.clear_fault(f);
-                        self.telemetry
-                            .transition(*at, "core.loop.fault", f.name(), "dormant");
-                    }
-                }
+            prev_press_at = Some(at);
+            self.telemetry.span_enter(at, "core.loop.step");
+            for edge in self.injector.poll(at, i as u64) {
+                session.fault_edge(at, edge);
             }
-
-            // A reboot outage swallows presses aimed at a down unit:
-            // the SUO never sees them and neither does the monitor (the
-            // desired behaviour still advances below, so the loss is
-            // user-visible).
-            let serving = recovery.as_ref().map(|_| tv.serving_unit(*key));
-            let dropped = match (recovery.as_mut(), serving) {
-                (Some(rs), Some(unit)) if rs.is_down(*at, unit) => {
-                    outcome.lost_presses += 1;
-                    if rs.outage_unit != Some(unit) {
-                        outcome.lost_presses_unaffected += 1;
-                    }
-                    self.telemetry.count(*at, "core.reboot.lost_press", 1);
-                    true
-                }
-                _ => false,
-            };
-
-            // Drive the SUO.
-            let observations = if dropped {
-                Vec::new()
-            } else {
-                tv.press(*at, *key)
-            };
-            if !dropped {
-                if let (Some(rs), Some(unit)) = (recovery.as_mut(), serving) {
-                    // Journal the press for post-restore reconciliation.
-                    rs.journal.entry(unit).or_default().push(*key);
-                }
+            // A press swallowed by a reboot outage skips the whole
+            // closed-loop step: the monitor never sees it.
+            if session.press(at, key, Origin::User) {
+                session.settle(at, Origin::User);
             }
-            for obs in &observations {
-                if let Some((name, value)) = obs.as_output() {
-                    mirror_output(&mut sys_state, name, value);
-                }
-            }
-
-            // Drive the oracle.
-            let event = match key.payload() {
-                Some(p) => Event::with_payload(key.event_name(), p),
-                None => Event::plain(key.event_name()),
-            };
-            oracle.step_at(*at, &event);
-            scratch.oracle_outputs.clear();
-            oracle.drain_outputs_into(&mut scratch.oracle_outputs);
-            for rec in scratch.oracle_outputs.drain(..) {
-                // In-place overwrite keeps the established key `String`s;
-                // inserts only happen the first time an output appears.
-                match ref_state.get_mut(&rec.name) {
-                    Some(slot) => *slot = rec.value,
-                    None => {
-                        ref_state.insert(rec.name, rec.value);
-                    }
-                }
-            }
-
-            // Closed loop: observation, detection, correction.
-            if let (false, Some(monitor), Some(mode_detector)) =
-                (dropped, monitor.as_mut(), mode_detector.as_mut())
-            {
-                scratch.detector_errors.clear();
-                for obs in &observations {
-                    monitor.offer(obs);
-                    scratch.detector_errors.extend(mode_detector.observe(obs));
-                    if let Some(pr) = probes.as_mut() {
-                        pr.deadline.observe(obs);
-                    }
-                }
-                // Let channel deliveries and comparisons happen before the
-                // next press.
-                let settle = *at + SimDuration::from_millis(20);
-                // Timer-service liveness rides every settled press too,
-                // so obligations are checked even between probe windows.
-                if let Some(pr) = probes.as_mut() {
-                    let sleep_up = recovery
-                        .as_ref()
-                        .is_none_or(|rs| !rs.is_down(settle, "sleep"));
-                    if sleep_up {
-                        for hb in tv.timer_heartbeat(settle) {
-                            pr.deadline.observe(&hb);
-                        }
-                        scratch.detector_errors.extend(pr.deadline.tick(settle));
-                    }
-                }
-                let detector_errors = &scratch.detector_errors;
-                monitor.advance_to(settle);
-                let comparator_errors = monitor.drain_errors();
-                // One spectrum step per press: snapshot the coverage now so
-                // the step reflects the SUO's response to the press alone —
-                // repair bursts below are monitor-commanded and would
-                // otherwise correlate perfectly with failing verdicts and
-                // crowd out the true fault block.
-                let press_coverage = tv.take_coverage();
-                let n_errors = comparator_errors.len() + detector_errors.len();
-                if n_errors > 0 {
-                    outcome.detected_errors += n_errors;
-                    first_detect_at.get_or_insert(settle);
-                    self.telemetry
-                        .count(settle, "core.loop.detections", n_errors as i64);
-                }
-                let recoveries_before = outcome.recoveries;
-                // Correction strategy: map errors to SUO repair actions
-                // (shared with the probe-burst path).
-                scratch.repair_obs.clear();
-                correct_errors(
-                    &scratch.detector_errors,
-                    &comparator_errors,
-                    settle,
-                    &mut tv,
-                    &mut recovery,
-                    &ref_state,
-                    &mut scratch.repair_obs,
-                    &mut outcome,
-                    &self.telemetry,
-                );
-                let repair_obs = &mut scratch.repair_obs;
-                for obs in repair_obs.iter() {
-                    if let Some((name, value)) = obs.as_output() {
-                        mirror_output(&mut sys_state, name, value);
-                    }
-                    monitor.offer(obs);
-                    let _ = mode_detector.observe(obs);
-                    if let Some(pr) = probes.as_mut() {
-                        pr.deadline.observe(obs);
-                    }
-                }
-                let repairs = (outcome.recoveries - recoveries_before) as i64;
-                if repairs > 0 {
-                    self.telemetry.count(settle, "core.loop.repairs", repairs);
-                }
-                if !repair_obs.is_empty() {
-                    monitor.advance_to(settle + SimDuration::from_millis(5));
-                    // Post-repair comparisons should now match; drop any
-                    // residual transient error raised by the repair burst,
-                    // and the repair-path block coverage with it.
-                    let _ = monitor.drain_errors();
-                    let _ = tv.take_coverage();
-                }
-                // Comparator errors since the last snapshot mark the step
-                // failing and re-rank the in-loop suspect window. Recording
-                // after the residual drain keeps repair transients from
-                // spilling a failing verdict onto the next step.
-                monitor.record_coverage(&press_coverage);
-            }
-
-            // User-visible failure check against the oracle.
-            outcome.steps += 1;
-            // Allocation-free deviation check (semantics of
-            // `ObsValue::distance` against the would-be expected value,
-            // without materializing it: text mismatch or cross-kind
-            // comparison deviates; numeric deviation beyond the epsilon
-            // deviates; a NaN expectation never does).
-            let deviates = ref_state.iter().any(|(name, expected)| {
-                sys_state.get(name).is_some_and(|actual| match expected {
-                    Value::Str(s) => actual.as_text() != Some(s.as_str()),
-                    other => {
-                        let expected_num = other.as_f64().unwrap_or(f64::NAN);
-                        match actual.as_num() {
-                            Some(a) => (expected_num - a).abs() > 1e-9,
-                            None => true,
-                        }
-                    }
-                })
-            });
-            if deviates {
-                outcome.failure_steps += 1;
-                self.telemetry
-                    .metric_incr("core.loop.user_visible_failures", 1);
-            }
-            // Checkpoint cadence runs after this step's detections so a
-            // unit flagged dirty just now is never sealed.
-            if let Some(rs) = recovery.as_mut() {
-                rs.maybe_checkpoint(&tv, *at, &self.telemetry);
-            }
-            // Close the step span after everything the step stamped (the
-            // closed-loop settle window reaches `at + 25 ms`).
-            let step_end = if self.closed {
-                *at + SimDuration::from_millis(25)
-            } else {
-                *at
-            };
+            session.end_step(at);
+            // Close the step span after everything the step stamped.
+            let step_end = if self.closed { at + STEP } else { at };
             self.telemetry.span_exit(step_end, "core.loop.step");
         }
-
-        // Obligation epilogue: an armed sleep timer must still fire past
-        // the last press. The expiry is driven on the TV alone and fed
-        // only to the deadline monitor — the spec machine does not model
-        // autonomous power-down, so routing it through the comparator
-        // would raise a phantom divergence on healthy twins.
-        if let Some(pr) = probes.as_mut() {
-            if let Some(due) = pr.deadline.fire_deadline() {
-                for obs in tv.tick(due) {
-                    pr.deadline.observe(&obs);
-                }
-                let late = due + SimDuration::from_millis(1);
-                let missed = pr.deadline.tick(late);
-                if !missed.is_empty() {
-                    outcome.detected_errors += missed.len();
-                    first_detect_at.get_or_insert(late);
-                    self.telemetry
-                        .count(late, "core.probes.detections", missed.len() as i64);
-                }
-            }
-        }
-
-        outcome.detection_latency = match (first_fault_at, first_detect_at) {
-            (Some(f), Some(d)) if d >= f => Some(d.since(f)),
-            _ => None,
-        };
-        if let Some(monitor) = monitor.as_ref() {
-            let (input, output) = (monitor.input_channel(), monitor.output_channel());
-            outcome.channels = Some(ChannelAudit {
-                sent: input.sent() + output.sent(),
-                delivered: input.delivered() + output.delivered(),
-                lost: input.lost() + output.lost(),
-                in_flight: (input.in_flight() + output.in_flight()) as u64,
-            });
-            outcome.safe_mode_entries = monitor
-                .supervisor_report()
-                .map_or(0, |report| report.safe_mode_entries);
-            outcome.ladder_rung = monitor.supervisor_report().map_or(0, |report| {
-                if report.safe_mode_entries > 0 {
-                    5
-                } else if report.monitor_restarts > 0 {
-                    4
-                } else if report.micro_reboots > 0 {
-                    3
-                } else if report.channel_restarts > 0 {
-                    2
-                } else if report.retries > 0 {
-                    1
-                } else {
-                    0
-                }
-            });
-            if let Some(diag) = monitor.diagnosis() {
-                outcome.diagnoses_triggered = diag.triggered_diagnoses();
-                outcome.top_suspects = diag.top_suspects().iter().map(|e| e.block).collect();
-            }
-        }
-        if let Some(rs) = recovery.as_ref() {
-            outcome.checkpoint_generations = rs.vault.latest_generations();
-            outcome.reboot_mttr = rs.mean_mttr();
-        }
-        outcome
+        session.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn teletext_scenario() -> TimedScenario {
         TimedScenario::teletext_session(30)
@@ -1472,21 +1352,7 @@ mod tests {
         let o = LoopOutcome {
             steps: 10,
             failure_steps: 3,
-            detected_errors: 0,
-            recoveries: 0,
-            detection_latency: None,
-            fault_activations: 0,
-            channels: None,
-            safe_mode_entries: 0,
-            diagnoses_triggered: 0,
-            top_suspects: Vec::new(),
-            lost_presses: 0,
-            lost_presses_unaffected: 0,
-            micro_reboots: 0,
-            full_restarts: 0,
-            reboot_mttr: None,
-            checkpoint_generations: Vec::new(),
-            ladder_rung: 0,
+            ..LoopOutcome::default()
         };
         assert!((o.failure_ratio() - 0.3).abs() < 1e-12);
         let line = o.summary();
@@ -1677,17 +1543,24 @@ mod tests {
         let telemetry = Telemetry::recording(16_384);
         let mut looped = TvDependabilityLoop::closed(1);
         looped.set_telemetry(telemetry.clone());
-        looped.active_probes(ProbesConfig::standard());
+        looped.active_probes();
         let outcome = looped.run(&TimedScenario::idle_session(30));
         // The observatory exercised the set but a healthy TV and its
         // model agree on every synthetic press: zero verdict changes.
         assert_eq!(outcome.failure_steps, 0, "{outcome:?}");
         assert_eq!(outcome.detected_errors, 0, "{outcome:?}");
         assert_eq!(outcome.recoveries, 0);
-        let fired: i64 = PROBE_FIRED.iter().map(|name| telemetry.counter(name)).sum();
+        let fired: i64 = PROBE_PLANS
+            .iter()
+            .map(|plan| telemetry.counter(plan.fired))
+            .sum();
         assert!(fired >= 24, "expected a probe per idle window, got {fired}");
-        for name in PROBE_FIRED {
-            assert!(telemetry.counter(name) >= 1, "{name} never fired");
+        for plan in &PROBE_PLANS {
+            assert!(
+                telemetry.counter(plan.fired) >= 1,
+                "{} never fired",
+                plan.kind
+            );
         }
         assert_eq!(telemetry.counter("core.probes.detections"), 0);
     }
@@ -1708,7 +1581,7 @@ mod tests {
 
         let mut probed = TvDependabilityLoop::closed(3);
         probed.schedule_fault(schedule(), TvFault::SleepTimerLost);
-        probed.active_probes(ProbesConfig::standard());
+        probed.active_probes();
         let probed_out = probed.run(&TimedScenario::idle_session(30));
         assert!(probed_out.detected_errors > 0, "{probed_out:?}");
         assert!(probed_out.detection_latency.is_some());
@@ -1723,7 +1596,7 @@ mod tests {
 
         let mut probed = TvDependabilityLoop::closed(4);
         probed.schedule_fault(Schedule::Always, TvFault::SwivelStuck);
-        probed.active_probes(ProbesConfig::standard());
+        probed.active_probes();
         let probed_out = probed.run(&TimedScenario::idle_session(30));
         assert!(probed_out.detected_errors > 0, "{probed_out:?}");
     }
@@ -1732,7 +1605,7 @@ mod tests {
     fn probes_detect_menu_freeze_in_idle() {
         let mut probed = TvDependabilityLoop::closed(5);
         probed.schedule_fault(Schedule::Always, TvFault::MenuFreeze);
-        probed.active_probes(ProbesConfig::standard());
+        probed.active_probes();
         let probed_out = probed.run(&TimedScenario::idle_session(30));
         assert!(probed_out.detected_errors > 0, "{probed_out:?}");
     }
@@ -1750,7 +1623,7 @@ mod tests {
                 },
                 TvFault::SleepTimerLost,
             );
-            looped.active_probes(ProbesConfig::standard());
+            looped.active_probes();
             let outcome = looped.run(&TimedScenario::idle_session(30));
             (outcome, telemetry.events_jsonl())
         };
@@ -1770,7 +1643,7 @@ mod tests {
         let mut looped = TvDependabilityLoop::closed(1);
         looped.schedule_fault(Schedule::Always, TvFault::TeletextRenderFault);
         looped.diagnose_online(128);
-        looped.active_probes(ProbesConfig::standard());
+        looped.active_probes();
         let outcome = looped.run(&teletext_scenario());
         assert!(outcome.diagnoses_triggered >= 1, "{outcome:?}");
         let fault_block = tvsim::TvSystem::new().bank().teletext_fault_block();
@@ -1779,5 +1652,58 @@ mod tests {
             "fault block {fault_block} crowded out of suspects {:?}",
             outcome.top_suspects
         );
+    }
+
+    /// The model value as the monitor converts it (text stays text,
+    /// anything else becomes a number).
+    fn as_obs(value: &Value) -> ObsValue {
+        match value {
+            Value::Str(s) => ObsValue::Text(s.clone()),
+            other => ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
+        }
+    }
+
+    fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1e3..1e3f64,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(0.0),
+            Just(1e-10),
+        ]
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        (0usize..4).prop_map(|i| ["", "a", "b", "ab"][i].to_owned())
+    }
+
+    fn expected_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (-3i64..3).prop_map(Value::Int),
+            any::<bool>().prop_map(Value::Bool),
+            float().prop_map(Value::Float),
+            text().prop_map(Value::Str),
+        ]
+    }
+
+    fn actual_value() -> impl Strategy<Value = ObsValue> {
+        prop_oneof![
+            (-3i64..3).prop_map(|n| ObsValue::Num(n as f64)),
+            float().prop_map(ObsValue::Num),
+            text().prop_map(ObsValue::Text),
+        ]
+    }
+
+    proptest! {
+        /// The allocation-free deviation check and the comparator's
+        /// distance are two implementations of one rule: pinned equal.
+        #[test]
+        fn deviation_check_matches_distance(
+            expected in expected_value(),
+            actual in actual_value(),
+        ) {
+            let by_distance = as_obs(&expected).distance(&actual) > 1e-9;
+            prop_assert_eq!(deviates(&expected, &actual), by_distance);
+        }
     }
 }

@@ -12,6 +12,9 @@ cargo build --release
 echo "== test (workspace) =="
 cargo test -q
 
+echo "== test (dbench, its own package and lock file) =="
+cargo test -q --offline --locked --manifest-path crates/bench/src/bin/dbench/Cargo.toml
+
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
