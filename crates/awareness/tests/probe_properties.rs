@@ -166,11 +166,19 @@ fn probed_scorecard_grid_is_worker_invariant() {
     let oracle = run_scorecard(&config, 1);
     for workers in [2, 4, 8] {
         let again = run_scorecard(&config, workers);
+        assert_eq!(again.cells.len(), oracle.cells.len());
+        for (cell, expected) in again.cells.iter().zip(&oracle.cells) {
+            assert_eq!(
+                cell.fingerprint(),
+                expected.fingerprint(),
+                "cell {:?} diverged at {workers} workers",
+                expected.spec
+            );
+        }
         assert_eq!(
             again.fingerprint(),
             oracle.fingerprint(),
             "probed grid diverged at {workers} workers"
         );
-        assert_eq!(again.to_cells(), oracle.to_cells());
     }
 }

@@ -11,9 +11,9 @@
 
 use bench::json::{write_bench_json, Json};
 use bench::quick_criterion;
-use chaos::{e16_campaign_from_seed, e16_campaigns};
+use chaos::experiments::e16_microreboot_mttr::{self, E16Report, MTTR_IMPROVEMENT_FLOOR};
+use chaos::CampaignSpec;
 use std::hint::black_box;
-use trader::experiments::e16_microreboot_mttr::{self, E16Report, MTTR_IMPROVEMENT_FLOOR};
 
 /// The CI-sized subset: seed 14 is the regression set's single-unit
 /// compared campaign; the other two keep multi-unit coverage in the
@@ -71,13 +71,10 @@ fn report_json(report: &E16Report, quick: bool) -> Json {
 
 fn main() {
     let quick = std::env::var_os("E16_QUICK").is_some();
-    let campaigns = if quick {
-        QUICK_SEEDS
-            .iter()
-            .map(|&s| e16_campaign_from_seed(s))
-            .collect()
+    let campaigns: Vec<CampaignSpec> = if quick {
+        QUICK_SEEDS.map(CampaignSpec::from_seed).to_vec()
     } else {
-        e16_campaigns(24)
+        (0..24).map(CampaignSpec::from_seed).collect()
     };
     let report = e16_microreboot_mttr::run(&campaigns);
     println!("{report}");
@@ -99,7 +96,7 @@ fn main() {
 
     let mut c = quick_criterion();
     let mut group = c.benchmark_group("e16_microreboot_mttr");
-    let cell = vec![e16_campaign_from_seed(14)];
+    let cell = [CampaignSpec::from_seed(14)];
     group.bench_function("single_unit_campaign_both_arms", |b| {
         b.iter(|| black_box(e16_microreboot_mttr::run(&cell)))
     });

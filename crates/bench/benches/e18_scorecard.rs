@@ -20,73 +20,52 @@
 
 use bench::json::{workspace_root, write_bench_json, Json};
 use bench::quick_criterion;
-use chaos::scorecard::{e18_report, CellSpec, RecoveryStyle, ScenarioKind};
-use std::hint::black_box;
-use trader::experiments::e18_scorecard::{
-    baseline_json, compare_with_baseline, BaselineVerdict, E18Config, E18Report,
+use chaos::experiments::e18_scorecard::{
+    baseline_json, cell_json, compare_with_baseline, e18_report, BaselineVerdict, E18Config,
+    E18Report,
 };
+use chaos::scorecard::{CellOutcome, CellSpec, RecoveryStyle, ScenarioKind, ScorecardConfig};
+use std::hint::black_box;
 use tvsim::TvFault;
 
-fn report_json(report: &E18Report, quick: bool, verdict: &BaselineVerdict) -> Json {
-    let cells: Vec<Json> = report
-        .cells
-        .iter()
-        .map(|cell| {
-            Json::object()
-                .field("fault", cell.fault.as_str().into())
-                .field("scenario", cell.scenario.as_str().into())
-                .field("recovery", cell.recovery.as_str().into())
-                .field("reps", cell.reps.into())
-                .field("detected", cell.detected.into())
-                .field("detection_rate", cell.detection_rate.into())
-                .field("mttd_p50_ns", cell.mttd_p50_ns.into())
-                .field("mttd_p95_ns", cell.mttd_p95_ns.into())
-                .field("mttr_p50_ns", cell.mttr_p50_ns.into())
-                .field("mttr_p95_ns", cell.mttr_p95_ns.into())
-                .field(
-                    "collateral_lost_presses",
-                    cell.collateral_lost_presses.into(),
-                )
-                .field("twin_detections", cell.twin_detections.into())
-                .field(
-                    "window_detections",
-                    cell.window_detections
-                        .iter()
-                        .map(|w| {
-                            Json::object()
-                                .field("window_from", w.window_from.into())
-                                .field("detected", w.detected.into())
-                        })
-                        .collect::<Vec<Json>>()
-                        .into(),
-                )
-                .field("fingerprint", format!("{:016x}", cell.fingerprint).into())
-        })
-        .collect();
+fn report_json(
+    report: &E18Report,
+    grid: &ScorecardConfig,
+    quick: bool,
+    verdict: &BaselineVerdict,
+) -> Json {
+    let sc = &report.scorecard;
     Json::object()
         .field("experiment", "e18_scorecard".into())
         .field("quick", quick.into())
-        .field("reps", report.reps.into())
-        .field("scenario_len", report.scenario_len.into())
+        .field("reps", grid.reps.into())
+        .field("scenario_len", grid.scenario_len.into())
         .field("hardware_threads", report.hardware_threads.into())
-        .field("total_cells", report.total_cells.into())
-        .field("covered_cells", report.covered_cells.into())
-        .field("partial_cells", report.partial_cells.into())
-        .field("missed_cells", report.missed_cells.into())
+        .field("total_cells", sc.cells.len().into())
+        .field("covered_cells", sc.covered_cells().into())
+        .field("partial_cells", sc.partial_cells().into())
+        .field("missed_cells", sc.missed_cells().into())
         .field("detection_coverage", report.detection_coverage.into())
-        .field("twin_false_alarms", report.twin_false_alarms.into())
+        .field("twin_false_alarms", sc.twin_false_alarms().into())
         .field(
             "collateral_lost_presses",
-            report.collateral_lost_presses.into(),
+            sc.cells
+                .iter()
+                .map(CellOutcome::collateral_lost_presses)
+                .sum::<u64>()
+                .into(),
         )
         .field(
             "matrix_fingerprint",
-            format!("{:016x}", report.matrix_fingerprint).into(),
+            format!("{:016x}", sc.fingerprint()).into(),
         )
         .field("matrix_deterministic", report.matrix_deterministic.into())
         .field("baseline_compared", verdict.compared.into())
         .field("scorecard_regressions", verdict.failures().into())
-        .field("cells", cells.into())
+        .field(
+            "cells",
+            sc.cells.iter().map(cell_json).collect::<Vec<Json>>().into(),
+        )
 }
 
 fn main() {
@@ -100,10 +79,11 @@ fn main() {
     let report = e18_report(&config);
     println!("{report}");
 
+    let cells = &report.scorecard.cells;
     assert!(
-        report.total_cells >= 40,
+        cells.len() >= 40,
         "the matrix must enumerate at least 40 cells, got {}",
-        report.total_cells
+        cells.len()
     );
     assert!(
         report.matrix_deterministic,
@@ -111,15 +91,19 @@ fn main() {
         report.worker_counts
     );
     assert_eq!(
-        report.twin_false_alarms, 0,
+        report.scorecard.twin_false_alarms(),
+        0,
         "fault-free twin cells reported detections — false alarms"
     );
 
     let baseline_path = workspace_root().join("scorecard_baseline.json");
     if write_baseline {
         assert!(!quick, "write the baseline from the full grid only");
-        std::fs::write(&baseline_path, baseline_json(&report).render() + "\n")
-            .expect("write scorecard_baseline.json");
+        std::fs::write(
+            &baseline_path,
+            baseline_json(&report.scorecard).render() + "\n",
+        )
+        .expect("write scorecard_baseline.json");
         println!("wrote {}", baseline_path.display());
     }
     let verdict = match std::fs::read_to_string(&baseline_path) {
@@ -127,7 +111,7 @@ fn main() {
             let baseline = Json::parse(&text).expect("scorecard_baseline.json is valid JSON");
             // The quick grid covers one recovery layer of the full
             // baseline; only a full run can vouch for every cell.
-            compare_with_baseline(&report.cells, &baseline, !quick)
+            compare_with_baseline(cells, &baseline, !quick)
         }
         Err(_) => {
             println!(
@@ -152,7 +136,7 @@ fn main() {
         eprintln!("  REGRESSION {line}");
     }
 
-    let path = write_bench_json("e18", &report_json(&report, quick, &verdict))
+    let path = write_bench_json("e18", &report_json(&report, &config.grid, quick, &verdict))
         .expect("write BENCH_e18.json");
     println!("wrote {}", path.display());
     let matrix_path = workspace_root().join("BENCH_e18_matrix.txt");

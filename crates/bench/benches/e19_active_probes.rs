@@ -16,36 +16,38 @@
 
 use bench::json::{workspace_root, write_bench_json, Json};
 use bench::quick_criterion;
-use chaos::scorecard::{e19_report, CellSpec, RecoveryStyle, ScenarioKind};
+use chaos::experiments::e19_active_probes::{e19_report, E19Config, E19Report};
+use chaos::scorecard::{CellSpec, DependabilityScorecard, RecoveryStyle, ScenarioKind};
 use std::hint::black_box;
-use trader::experiments::e19_active_probes::{E19Config, E19Report};
 use tvsim::TvFault;
 
-fn cells_json(cells: &[trader::experiments::e18_scorecard::E18Cell]) -> Json {
-    cells
+fn cells_json(scorecard: &DependabilityScorecard) -> Json {
+    scorecard
+        .cells
         .iter()
         .map(|cell| {
             Json::object()
-                .field("fault", cell.fault.as_str().into())
-                .field("scenario", cell.scenario.as_str().into())
-                .field("recovery", cell.recovery.as_str().into())
-                .field("reps", cell.reps.into())
-                .field("detected", cell.detected.into())
-                .field("detection_rate", cell.detection_rate.into())
+                .field("fault", cell.spec.fault.name().into())
+                .field("scenario", cell.spec.scenario.name().into())
+                .field("recovery", cell.spec.recovery.name().into())
+                .field("reps", cell.reps.len().into())
+                .field("detected", cell.detected().into())
+                .field("detection_rate", cell.detection_rate().into())
                 .field("twin_detections", cell.twin_detections.into())
-                .field("fingerprint", format!("{:016x}", cell.fingerprint).into())
+                .field("fingerprint", format!("{:016x}", cell.fingerprint()).into())
         })
         .collect::<Vec<Json>>()
         .into()
 }
 
-fn report_json(report: &E19Report, quick: bool) -> Json {
+fn report_json(config: &E19Config, report: &E19Report, quick: bool) -> Json {
+    let sc = &report.scorecard;
     let columns: Vec<Json> = report
         .columns
         .iter()
         .map(|col| {
             Json::object()
-                .field("scenario", col.scenario.as_str().into())
+                .field("scenario", col.scenario.name().into())
                 .field("cells", col.cells.into())
                 .field("baseline_covered", col.baseline_covered.into())
                 .field("probed_covered", col.probed_covered.into())
@@ -54,18 +56,18 @@ fn report_json(report: &E19Report, quick: bool) -> Json {
     Json::object()
         .field("experiment", "e19_active_probes".into())
         .field("quick", quick.into())
-        .field("reps", report.reps.into())
-        .field("scenario_len", report.scenario_len.into())
+        .field("reps", config.grid.reps.into())
+        .field("scenario_len", config.grid.scenario_len.into())
         .field("hardware_threads", report.hardware_threads.into())
-        .field("total_cells", report.total_cells.into())
+        .field("total_cells", sc.cells.len().into())
         .field("baseline_coverage", report.baseline_coverage.into())
         .field(
             "baseline_covered_cells",
-            report.baseline_covered_cells.into(),
+            report.baseline.covered_cells().into(),
         )
-        .field("covered_cells", report.covered_cells.into())
-        .field("partial_cells", report.partial_cells.into())
-        .field("missed_cells", report.missed_cells.into())
+        .field("covered_cells", sc.covered_cells().into())
+        .field("partial_cells", sc.partial_cells().into())
+        .field("missed_cells", sc.missed_cells().into())
         .field("detection_coverage", report.detection_coverage.into())
         .field("coverage_lift_ok", report.coverage_lift_ok.into())
         .field("idle_covered_cells", report.idle_covered_cells.into())
@@ -75,10 +77,10 @@ fn report_json(report: &E19Report, quick: bool) -> Json {
             report.sleep_timer_lost_detected_workloads.into(),
         )
         .field("sleep_timer_lost_ok", report.sleep_timer_lost_ok.into())
-        .field("probe_false_alarms", report.probe_false_alarms.into())
+        .field("probe_false_alarms", sc.twin_false_alarms().into())
         .field(
             "matrix_fingerprint",
-            format!("{:016x}", report.matrix_fingerprint).into(),
+            format!("{:016x}", sc.fingerprint()).into(),
         )
         .field("matrix_deterministic", report.matrix_deterministic.into())
         .field(
@@ -99,8 +101,8 @@ fn report_json(report: &E19Report, quick: bool) -> Json {
             report.probe_effect.events_recorded.into(),
         )
         .field("columns", columns.into())
-        .field("cells", cells_json(&report.cells))
-        .field("baseline_cells", cells_json(&report.baseline_cells))
+        .field("cells", cells_json(sc))
+        .field("baseline_cells", cells_json(&report.baseline))
 }
 
 fn main() {
@@ -114,9 +116,9 @@ fn main() {
     println!("{report}");
 
     assert!(
-        report.total_cells >= 40,
+        report.scorecard.cells.len() >= 40,
         "the probed matrix must enumerate at least 40 cells, got {}",
-        report.total_cells
+        report.scorecard.cells.len()
     );
     assert!(
         report.matrix_deterministic,
@@ -124,7 +126,8 @@ fn main() {
         report.worker_counts
     );
     assert_eq!(
-        report.probe_false_alarms, 0,
+        report.scorecard.twin_false_alarms(),
+        0,
         "active probes raised detections on fault-free twins"
     );
     assert!(
@@ -153,7 +156,8 @@ fn main() {
         report.probe_effect.verdict.overhead_fraction * 100.0
     );
 
-    let path = write_bench_json("e19", &report_json(&report, quick)).expect("write BENCH_e19.json");
+    let path = write_bench_json("e19", &report_json(&config, &report, quick))
+        .expect("write BENCH_e19.json");
     println!("wrote {}", path.display());
     let matrix_path = workspace_root().join("BENCH_e19_matrix.txt");
     std::fs::write(&matrix_path, report.to_string()).expect("write BENCH_e19_matrix.txt");

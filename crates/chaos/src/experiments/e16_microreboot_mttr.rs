@@ -7,9 +7,11 @@
 //! remedy of bouncing the whole TV — and it must not punish the user at
 //! the remote control for faults in components they are not using.
 //!
-//! Each campaign (derived from a seed by the chaos engine and handed in
-//! here as an [`E16Campaign`] — this crate stays chaos-agnostic) runs
-//! the closed loop twice over the same scenario and fault plan:
+//! Each seed-derived [`CampaignSpec`] runs the closed loop twice over
+//! the same scenario, fault plan and boundary disturbance — the spec's
+//! supervision and stress legs are left out, so only SUO unit recovery
+//! is measured (supervision's own micro-reboot rung is measured by the
+//! awareness tests):
 //!
 //! * **full-restart arm** — every detection-triggered recovery rolls
 //!   all units back to their latest checkpoints and takes the whole TV
@@ -24,47 +26,24 @@
 //! [`MTTR_IMPROVEMENT_FLOOR`]× better, with **zero** presses lost on
 //! unaffected units across every micro-reboot arm.
 
-use crate::loop_::{LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig};
-use crate::report::{f2, render_table};
-use crate::scenario::TimedScenario;
-use faults::Schedule;
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::collections::BTreeSet;
 use std::fmt;
-use tvsim::TvFault;
+use trader::report::{f2, render_table};
+use trader::{LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig};
+
+use crate::campaign::CampaignSpec;
 
 /// The required MTTR ratio (full-restart mean over micro-reboot mean)
 /// on single-unit campaigns.
 pub const MTTR_IMPROVEMENT_FLOOR: f64 = 2.0;
 
-/// One campaign, expressed in loop-level terms (the chaos crate's
-/// seed-derived specs map onto this — `chaos::mttr`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct E16Campaign {
-    /// Seed for the loop's channels and checkpoint chaos.
-    pub seed: u64,
-    /// Presses in the teletext scenario.
-    pub scenario_len: usize,
-    /// The fault plan.
-    pub faults: Vec<(Schedule, TvFault)>,
-    /// SUO→monitor output channel base delay.
-    pub output_delay: SimDuration,
-    /// Uniform jitter on the boundary channels.
-    pub jitter: SimDuration,
-    /// Per-message boundary loss probability.
-    pub loss: f64,
-    /// Whether the monitor runs the reliable protocol.
-    pub reliable: bool,
-}
-
-impl E16Campaign {
-    /// Whether every fault in the plan lands on the same pipeline unit.
-    pub fn single_unit(&self) -> bool {
-        let units: BTreeSet<&'static str> =
-            self.faults.iter().map(|(_, fault)| fault.unit()).collect();
-        units.len() == 1
-    }
+/// Whether every fault in the campaign's plan lands on the same
+/// pipeline unit.
+fn single_unit(spec: &CampaignSpec) -> bool {
+    let units: BTreeSet<&'static str> = spec.faults.iter().map(|plan| plan.fault.unit()).collect();
+    units.len() == 1
 }
 
 /// One recovery arm's relevant numbers.
@@ -104,7 +83,7 @@ impl E16Arm {
 
 /// Both arms of one campaign.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct E16CampaignResult {
+pub struct E16Result {
     /// The campaign seed.
     pub seed: u64,
     /// Whether the fault plan hits a single unit.
@@ -115,7 +94,7 @@ pub struct E16CampaignResult {
     pub micro: E16Arm,
 }
 
-impl E16CampaignResult {
+impl E16Result {
     /// Full-restart MTTR over micro-reboot MTTR, when both arms had
     /// episodes.
     pub fn mttr_ratio(&self) -> Option<f64> {
@@ -132,7 +111,7 @@ impl E16CampaignResult {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct E16Report {
     /// Per-campaign results, in input order.
-    pub results: Vec<E16CampaignResult>,
+    pub results: Vec<E16Result>,
     /// Campaigns whose fault plan hits a single unit.
     pub single_unit_campaigns: usize,
     /// Single-unit campaigns where both arms ran at least one episode
@@ -207,40 +186,36 @@ impl fmt::Display for E16Report {
     }
 }
 
-/// Runs one campaign arm with the given recovery config.
-fn run_arm(campaign: &E16Campaign, recovery: UnitRecoveryConfig) -> LoopOutcome {
-    let scenario = TimedScenario::teletext_session(campaign.scenario_len);
-    let mut looped = TvDependabilityLoop::closed(campaign.seed);
-    for (schedule, fault) in &campaign.faults {
-        looped.schedule_fault(schedule.clone(), *fault);
+/// Runs one campaign arm with the given recovery config: the spec's
+/// fault plan and boundary disturbance, without supervision or the
+/// stress leg.
+fn run_arm(spec: &CampaignSpec, recovery: UnitRecoveryConfig) -> LoopOutcome {
+    let mut looped = TvDependabilityLoop::closed(spec.seed);
+    CampaignSpec {
+        supervised: false,
+        ..spec.clone()
     }
-    looped.set_output_delay(campaign.output_delay);
-    looped.set_jitter(campaign.jitter);
-    looped.set_channel_loss(campaign.loss);
-    looped.use_reliable(campaign.reliable);
+    .configure(&mut looped);
     looped.unit_recovery(recovery);
-    looped.run(&scenario)
+    looped.run(&spec.scenario())
 }
 
-/// Runs E16 over `campaigns` — any iterator of campaigns works, so the
-/// sweep can run over the regression list (`&Vec<E16Campaign>`) or a
-/// lazily generated fleet population alike.
-pub fn run<'a, I>(campaigns: I) -> E16Report
-where
-    I: IntoIterator<Item = &'a E16Campaign>,
-{
-    let results: Vec<E16CampaignResult> = campaigns
-        .into_iter()
-        .map(|campaign| E16CampaignResult {
-            seed: campaign.seed,
-            single_unit: campaign.single_unit(),
-            full: E16Arm::from_outcome(&run_arm(campaign, UnitRecoveryConfig::full_restart())),
-            micro: E16Arm::from_outcome(&run_arm(campaign, UnitRecoveryConfig::micro_reboot())),
+/// Runs E16 over `campaigns` — the regression list
+/// (`CampaignSpec::from_seed` over seeds 0..24) or any generated fleet
+/// population (`chaos::fleet::fleet_specs`).
+pub fn run(campaigns: &[CampaignSpec]) -> E16Report {
+    let results: Vec<E16Result> = campaigns
+        .iter()
+        .map(|spec| E16Result {
+            seed: spec.seed,
+            single_unit: single_unit(spec),
+            full: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryConfig::full_restart())),
+            micro: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryConfig::micro_reboot())),
         })
         .collect();
 
     let single_unit_campaigns = results.iter().filter(|r| r.single_unit).count();
-    let compared: Vec<&E16CampaignResult> = results
+    let compared: Vec<&E16Result> = results
         .iter()
         .filter(|r| r.single_unit && r.full.episodes() > 0 && r.micro.episodes() > 0)
         .collect();
@@ -248,7 +223,7 @@ where
         .iter()
         .filter_map(|r| r.mttr_ratio())
         .min_by(|a, b| a.total_cmp(b));
-    let mean_over = |pick: fn(&E16CampaignResult) -> Option<SimDuration>| {
+    let mean_over = |pick: fn(&E16Result) -> Option<SimDuration>| {
         let samples: Vec<u64> = compared
             .iter()
             .filter_map(|r| pick(r).map(SimDuration::as_nanos))
@@ -279,42 +254,46 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::FaultPlan;
+    use faults::Schedule;
     use simkit::SimTime;
+    use tvsim::TvFault;
 
-    fn audio_campaign(seed: u64) -> E16Campaign {
-        E16Campaign {
+    fn audio_campaign(seed: u64) -> CampaignSpec {
+        CampaignSpec {
             seed,
             scenario_len: 30,
-            faults: vec![(
-                Schedule::Between {
+            faults: vec![FaultPlan {
+                fault: TvFault::MuteInversion,
+                schedule: Schedule::Between {
                     from: SimTime::from_millis(1650),
                     to: SimTime::from_millis(1750),
                 },
-                TvFault::MuteInversion,
-            )],
+            }],
             output_delay: SimDuration::from_micros(500),
             jitter: SimDuration::ZERO,
             loss: 0.0,
             reliable: false,
+            ..CampaignSpec::from_seed(seed)
         }
     }
 
-    fn mixed_campaign(seed: u64) -> E16Campaign {
+    fn mixed_campaign(seed: u64) -> CampaignSpec {
         let mut campaign = audio_campaign(seed);
-        campaign.faults.push((
-            Schedule::Between {
+        campaign.faults.push(FaultPlan {
+            fault: TvFault::TeletextSyncLoss,
+            schedule: Schedule::Between {
                 from: SimTime::from_millis(250),
                 to: SimTime::from_millis(350),
             },
-            TvFault::TeletextSyncLoss,
-        ));
+        });
         campaign
     }
 
     #[test]
     fn single_unit_detection_follows_fault_units() {
-        assert!(audio_campaign(1).single_unit());
-        assert!(!mixed_campaign(1).single_unit());
+        assert!(single_unit(&audio_campaign(1)));
+        assert!(!single_unit(&mixed_campaign(1)));
     }
 
     #[test]

@@ -6,51 +6,38 @@
 //! across **every** fault class × workload scenario × recovery style,
 //! does the awareness loop detect the fault, how fast, at what
 //! collateral cost — and does the fault-free twin of every cell stay
-//! silent? The harness is chaos-agnostic (this crate cannot depend on
-//! the chaos engine that depends on it): `chaos::scorecard` supplies a
-//! grid closure mapping a worker count to the full list of cell
-//! summaries, and the harness:
+//! silent? The harness runs the [`crate::scorecard`] grid through a
+//! closure mapping a worker count to the folded scorecard
+//! ([`e18_report`] wires it to [`run_scorecard`]), and:
 //!
 //! * runs the sequential pass (1 worker) first as the oracle,
 //! * re-runs the grid at every configured worker count and requires the
-//!   cell lists to be **equal** — the matrix analogue of the fleet
-//!   fingerprint invariant ([`E18Report::matrix_deterministic`]),
-//! * folds coverage accounting (covered / partial / missed cells,
-//!   detection coverage, twin false alarms) and renders the
-//!   human-readable coverage matrix (✓ detected with p95 MTTD, ◐
-//!   partial, ✗ missed).
+//!   matrix fingerprints to be **equal** — the matrix analogue of the
+//!   fleet fingerprint invariant ([`E18Report::matrix_deterministic`]),
+//! * renders the human-readable coverage matrix (✓ detected with p95
+//!   MTTD, ◐ partial, ✗ missed) from the oracle's coverage accounting.
 //!
 //! The committed `scorecard_baseline.json` plus
 //! [`compare_with_baseline`] turn the report into a CI gate: any cell
 //! regressing beyond its tolerance band (detection rate drop, MTTD/MTTR
 //! p95 inflation, any twin false alarm) fails the build loudly.
 
-use crate::report::render_table;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use telemetry::json::Json;
+use trader::report::render_table;
+
+use crate::scorecard::{
+    run_scorecard, CellOutcome, DependabilityScorecard, RecoveryStyle, ScorecardConfig,
+};
 
 /// Sweep configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E18Config {
     /// Worker counts to validate matrix determinism across.
     pub worker_counts: Vec<usize>,
-    /// Faulty runs per cell.
-    pub reps: usize,
-    /// Presses per run.
-    pub scenario_len: usize,
-    /// True selects the CI grid (one recovery layer); false the full
-    /// three-layer grid. Cell shape is identical either way, so quick
-    /// cells byte-match their full-grid counterparts.
-    pub quick: bool,
-    /// True runs every cell — faulty reps *and* the fault-free twin —
-    /// with the active health observatory enabled (idle-window probes,
-    /// deadline monitor, mode witnesses).
-    pub probes: bool,
-    /// True extends cells detecting in exactly one base rep with two
-    /// extra fault-window placements (reps 3 → 5) — the window-position
-    /// sensitivity sweep for partially-covered cells.
-    pub adaptive: bool,
+    /// The grid shape.
+    pub grid: ScorecardConfig,
 }
 
 impl E18Config {
@@ -59,202 +46,124 @@ impl E18Config {
     pub fn full() -> Self {
         E18Config {
             worker_counts: vec![1, 2, 4, 8],
-            reps: 3,
-            scenario_len: 32,
-            quick: false,
-            probes: false,
-            adaptive: true,
+            grid: ScorecardConfig::full(),
         }
     }
 
     /// The CI grid: 40 cells (micro-reboot layer only), determinism
-    /// checked at 1 and 4 workers. `reps` and `scenario_len` must match
-    /// [`full`](Self::full) so the cells stay baseline-comparable.
+    /// checked at 1 and 4 workers. Its cells are byte-identical to
+    /// their full-grid counterparts, so both gate against one baseline.
     pub fn quick() -> Self {
         E18Config {
             worker_counts: vec![1, 4],
-            quick: true,
-            ..Self::full()
+            grid: ScorecardConfig::quick(),
         }
     }
 }
 
-/// One rep's fault-window placement and verdict — the per-cell record
-/// of detection rate versus window position. For a ◐ partial cell this
-/// is the sensitivity evidence: *which* activation phases the loop
-/// catches and which slip past.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WindowDetection {
-    /// The fault window's start as a fraction of the run horizon.
-    pub window_from: f64,
-    /// Whether this rep's fault was detected.
-    pub detected: bool,
-}
-
-/// One cell's chaos-agnostic summary: the matrix coordinates (stable
-/// kebab-case names) and every per-cell metric the baseline gate
-/// compares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct E18Cell {
-    /// Fault-class name (matrix row).
-    pub fault: String,
-    /// Workload-scenario name (matrix column).
-    pub scenario: String,
-    /// Recovery-style name (matrix layer).
-    pub recovery: String,
-    /// Faulty runs executed.
-    pub reps: usize,
-    /// Faulty runs whose fault was detected.
-    pub detected: usize,
-    /// `detected / reps`.
-    pub detection_rate: f64,
-    /// MTTD p50 across reps, virtual ns (0 when never detected).
-    pub mttd_p50_ns: u64,
-    /// MTTD p95 across reps, virtual ns (0 when never detected).
-    pub mttd_p95_ns: u64,
-    /// MTTR p50 across reboot episodes, virtual ns (0 when none).
-    pub mttr_p50_ns: u64,
-    /// MTTR p95 across reboot episodes, virtual ns (0 when none).
-    pub mttr_p95_ns: u64,
-    /// Presses lost to reboots of non-faulty units, summed over reps.
-    pub collateral_lost_presses: u64,
-    /// Errors detected by the cell's fault-free twin (false alarms).
-    pub twin_detections: u64,
-    /// Per-rep window placement vs detection, in rep order — the
-    /// window-position sensitivity record.
-    pub window_detections: Vec<WindowDetection>,
-    /// The cell's 64-bit replay fingerprint.
-    pub fingerprint: u64,
-}
-
-impl E18Cell {
-    /// The cell's coordinate key, `fault/scenario/recovery`.
-    pub fn key(&self) -> String {
-        format!("{}/{}/{}", self.fault, self.scenario, self.recovery)
-    }
-}
-
-/// The E18 report: every cell, coverage accounting, and the matrix
+/// The E18 report: the oracle pass's scorecard and the matrix
 /// determinism verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E18Report {
-    /// Faulty runs per cell.
-    pub reps: usize,
-    /// Presses per run.
-    pub scenario_len: usize,
     /// Worker counts the matrix was validated across.
     pub worker_counts: Vec<usize>,
     /// Hardware threads available to the sweep.
     pub hardware_threads: usize,
-    /// The oracle pass's cells, canonical grid order.
-    pub cells: Vec<E18Cell>,
-    /// Cells in the grid.
-    pub total_cells: usize,
-    /// Cells where every rep detected the fault.
-    pub covered_cells: usize,
-    /// Cells where some but not all reps detected.
-    pub partial_cells: usize,
-    /// Cells where no rep detected — the revealed coverage gaps.
-    pub missed_cells: usize,
-    /// `covered_cells / total_cells`.
+    /// The sequential oracle pass, cells in canonical grid order.
+    pub scorecard: DependabilityScorecard,
+    /// Covered cells over all cells of the oracle pass.
     pub detection_coverage: f64,
-    /// Twin detections summed over the grid (the CI gate requires 0).
-    pub twin_false_alarms: u64,
-    /// Collateral presses lost, summed over the grid.
-    pub collateral_lost_presses: u64,
-    /// FNV-1a over the cell fingerprints in canonical order.
-    pub matrix_fingerprint: u64,
-    /// True iff every worker count reproduced the oracle's cells
-    /// exactly.
+    /// True iff every worker count reproduced the oracle's matrix
+    /// fingerprint.
     pub matrix_deterministic: bool,
 }
 
-/// FNV-1a fold of the cell fingerprints (the matrix fingerprint; E19
-/// reuses it for the probes-on grid).
-pub fn matrix_fingerprint(cells: &[E18Cell]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(cells.len() as u64);
-    for cell in cells {
-        mix(cell.fingerprint);
+/// Fully-covered cells over all cells (0.0 for an empty grid).
+pub(crate) fn detection_coverage(scorecard: &DependabilityScorecard) -> f64 {
+    if scorecard.cells.is_empty() {
+        0.0
+    } else {
+        scorecard.covered_cells() as f64 / scorecard.cells.len() as f64
     }
-    h
+}
+
+/// True iff every listed worker count other than 1 reproduces the
+/// sequential `oracle`'s matrix fingerprint.
+pub(crate) fn reproduces(
+    oracle: &DependabilityScorecard,
+    worker_counts: &[usize],
+    mut grid: impl FnMut(usize) -> DependabilityScorecard,
+) -> bool {
+    let fingerprint = oracle.fingerprint();
+    worker_counts
+        .iter()
+        .filter(|&&workers| workers != 1)
+        .all(|&workers| grid(workers).fingerprint() == fingerprint)
 }
 
 /// Runs the sweep over `grid`, a function executing the whole coverage
-/// matrix at a given worker count and returning the cell summaries in
-/// canonical order (`chaos::scorecard` wires this to
-/// `run_scorecard(&config, workers).to_cells()`).
+/// matrix at a given worker count ([`e18_report`] wires it to
+/// [`run_scorecard`]; tests substitute a fake).
 ///
 /// The sequential pass always runs first as the oracle, even when
 /// `worker_counts` does not list 1; every listed worker count must then
-/// reproduce the oracle's cells exactly for
+/// reproduce the oracle's matrix fingerprint for
 /// [`matrix_deterministic`](E18Report::matrix_deterministic) to hold.
 pub fn run<F>(config: &E18Config, mut grid: F) -> E18Report
 where
-    F: FnMut(usize) -> Vec<E18Cell>,
+    F: FnMut(usize) -> DependabilityScorecard,
 {
     let hardware_threads =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let cells = grid(1);
-    let mut matrix_deterministic = true;
-    for &workers in &config.worker_counts {
-        if workers == 1 {
-            continue;
-        }
-        matrix_deterministic &= grid(workers) == cells;
-    }
-
-    let total_cells = cells.len();
-    let covered_cells = cells
-        .iter()
-        .filter(|c| c.reps > 0 && c.detected == c.reps)
-        .count();
-    let partial_cells = cells
-        .iter()
-        .filter(|c| c.detected > 0 && c.detected < c.reps)
-        .count();
-    let missed_cells = cells.iter().filter(|c| c.detected == 0).count();
-
+    let scorecard = grid(1);
+    let matrix_deterministic = reproduces(&scorecard, &config.worker_counts, grid);
     E18Report {
-        reps: config.reps,
-        scenario_len: config.scenario_len,
         worker_counts: config.worker_counts.clone(),
         hardware_threads,
-        total_cells,
-        covered_cells,
-        partial_cells,
-        missed_cells,
-        detection_coverage: if total_cells == 0 {
-            0.0
-        } else {
-            covered_cells as f64 / total_cells as f64
-        },
-        twin_false_alarms: cells.iter().map(|c| c.twin_detections).sum(),
-        collateral_lost_presses: cells.iter().map(|c| c.collateral_lost_presses).sum(),
-        matrix_fingerprint: matrix_fingerprint(&cells),
+        detection_coverage: detection_coverage(&scorecard),
+        scorecard,
         matrix_deterministic,
-        cells,
     }
+}
+
+/// Runs the E18 coverage-matrix sweep over the scorecard grid.
+pub fn e18_report(config: &E18Config) -> E18Report {
+    run(config, |workers| run_scorecard(&config.grid, workers))
+}
+
+/// Every recovery layer present in `cells`, in order of first
+/// appearance, rendered by [`render_matrix`] one after another.
+pub(crate) fn render_layers(cells: &[CellOutcome]) -> String {
+    let mut recoveries = Vec::new();
+    for cell in cells {
+        if !recoveries.contains(&cell.spec.recovery) {
+            recoveries.push(cell.spec.recovery);
+        }
+    }
+    let layers: Vec<String> = recoveries
+        .into_iter()
+        .map(|recovery| render_matrix(cells, recovery))
+        .collect();
+    layers.join("\n")
 }
 
 /// Renders one recovery layer of the coverage matrix: fault rows ×
 /// scenario columns, each cell `✓ <p95 MTTD>` when every rep detected,
 /// `◐ d/r` when some did, `✗` when none did (`!n` flags twin false
 /// alarms — there should never be any).
-pub fn render_matrix(cells: &[E18Cell], recovery: &str) -> String {
-    let layer: Vec<&E18Cell> = cells.iter().filter(|c| c.recovery == recovery).collect();
+pub fn render_matrix(cells: &[CellOutcome], recovery: RecoveryStyle) -> String {
+    let layer: Vec<&CellOutcome> = cells
+        .iter()
+        .filter(|c| c.spec.recovery == recovery)
+        .collect();
     let mut faults: Vec<&str> = Vec::new();
     let mut scenarios: Vec<&str> = Vec::new();
     for cell in &layer {
-        if !faults.contains(&cell.fault.as_str()) {
-            faults.push(&cell.fault);
+        if !faults.contains(&cell.spec.fault.name()) {
+            faults.push(cell.spec.fault.name());
         }
-        if !scenarios.contains(&cell.scenario.as_str()) {
-            scenarios.push(&cell.scenario);
+        if !scenarios.contains(&cell.spec.scenario.name()) {
+            scenarios.push(cell.spec.scenario.name());
         }
     }
     let mut header: Vec<&str> = vec!["fault \\ scenario"];
@@ -266,14 +175,14 @@ pub fn render_matrix(cells: &[E18Cell], recovery: &str) -> String {
             for scenario in &scenarios {
                 let cell = layer
                     .iter()
-                    .find(|c| c.fault == *fault && c.scenario == *scenario);
+                    .find(|c| c.spec.fault.name() == *fault && c.spec.scenario.name() == *scenario);
                 row.push(match cell {
                     None => "·".to_owned(),
                     Some(c) => {
-                        let mut text = if c.reps > 0 && c.detected == c.reps {
-                            format!("✓ {:.1}ms", c.mttd_p95_ns as f64 / 1e6)
-                        } else if c.detected > 0 {
-                            format!("◐ {}/{}", c.detected, c.reps)
+                        let mut text = if c.covered() {
+                            format!("✓ {:.1}ms", c.mttd_percentile_ns(0.95) as f64 / 1e6)
+                        } else if c.detected() > 0 {
+                            format!("◐ {}/{}", c.detected(), c.reps.len())
                         } else {
                             "✗".to_owned()
                         };
@@ -287,41 +196,34 @@ pub fn render_matrix(cells: &[E18Cell], recovery: &str) -> String {
             row
         })
         .collect();
-    format!("recovery: {recovery}\n{}", render_table(&header, &rows))
+    format!(
+        "recovery: {}\n{}",
+        recovery.name(),
+        render_table(&header, &rows)
+    )
 }
 
 impl fmt::Display for E18Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sc = &self.scorecard;
         writeln!(
             f,
             "E18 dependability scorecard: {} cells ({} covered, {} partial, {} missed, \
              coverage {:.0}%), {} twin false alarm(s), fingerprint {:016x}, {}:",
-            self.total_cells,
-            self.covered_cells,
-            self.partial_cells,
-            self.missed_cells,
+            sc.cells.len(),
+            sc.covered_cells(),
+            sc.partial_cells(),
+            sc.missed_cells(),
             self.detection_coverage * 100.0,
-            self.twin_false_alarms,
-            self.matrix_fingerprint,
+            sc.twin_false_alarms(),
+            sc.fingerprint(),
             if self.matrix_deterministic {
                 "deterministic"
             } else {
                 "NONDETERMINISTIC"
             }
         )?;
-        let mut recoveries: Vec<&str> = Vec::new();
-        for cell in &self.cells {
-            if !recoveries.contains(&cell.recovery.as_str()) {
-                recoveries.push(&cell.recovery);
-            }
-        }
-        for (i, recovery) in recoveries.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{}", render_matrix(&self.cells, recovery))?;
-        }
-        Ok(())
+        write!(f, "{}", render_layers(&sc.cells))
     }
 }
 
@@ -390,8 +292,8 @@ impl BaselineVerdict {
 ///
 /// Baseline format: `{"format": "scorecard-baseline-v1", "tolerance":
 /// {...}, "class_tolerance": {"<fault>": {...}}, "cells": [...]}` where
-/// each baseline cell carries the same coordinate names and metrics as
-/// [`E18Cell`]. Per-fault-class entries in `class_tolerance` override
+/// each baseline cell carries the coordinate names and metrics
+/// [`cell_json`] writes. Per-fault-class entries in `class_tolerance` override
 /// the global band. Rules per matched cell:
 ///
 /// * `detection_rate >= baseline - detection_rate_drop`,
@@ -406,7 +308,7 @@ impl BaselineVerdict {
 /// own cells are judged. Current cells not in the baseline are always
 /// ignored (new cells are new evidence, not regressions).
 pub fn compare_with_baseline(
-    cells: &[E18Cell],
+    cells: &[CellOutcome],
     baseline: &Json,
     require_all: bool,
 ) -> BaselineVerdict {
@@ -440,10 +342,11 @@ pub fn compare_with_baseline(
             continue;
         };
         let key = format!("{fault}/{scenario}/{recovery}");
-        let Some(cell) = cells
-            .iter()
-            .find(|c| c.fault == fault && c.scenario == scenario && c.recovery == recovery)
-        else {
+        let Some(cell) = cells.iter().find(|c| {
+            c.spec.fault.name() == fault
+                && c.spec.scenario.name() == scenario
+                && c.spec.recovery.name() == recovery
+        }) else {
             if require_all {
                 verdict.missing.push(key);
             }
@@ -456,30 +359,33 @@ pub fn compare_with_baseline(
             .get("detection_rate")
             .and_then(Json::as_f64)
             .unwrap_or(0.0);
-        if cell.detection_rate < base_rate - tol.detection_rate_drop - 1e-9 {
+        let detection_rate = cell.detection_rate();
+        if detection_rate < base_rate - tol.detection_rate_drop - 1e-9 {
             verdict.regressions.push(format!(
                 "{key}: detection rate {:.2} fell below baseline {:.2} (tolerance -{:.2})",
-                cell.detection_rate, base_rate, tol.detection_rate_drop
+                detection_rate, base_rate, tol.detection_rate_drop
             ));
         }
         let base_mttd = base.get("mttd_p95_ns").and_then(Json::as_u64).unwrap_or(0);
+        let mttd_p95 = cell.mttd_percentile_ns(0.95);
         if base_mttd > 0
-            && cell.mttd_p95_ns > 0
-            && cell.mttd_p95_ns as f64 > base_mttd as f64 * tol.mttd_p95_inflate
+            && mttd_p95 > 0
+            && mttd_p95 as f64 > base_mttd as f64 * tol.mttd_p95_inflate
         {
             verdict.regressions.push(format!(
                 "{key}: MTTD p95 {}ns exceeds baseline {}ns × {:.2}",
-                cell.mttd_p95_ns, base_mttd, tol.mttd_p95_inflate
+                mttd_p95, base_mttd, tol.mttd_p95_inflate
             ));
         }
         let base_mttr = base.get("mttr_p95_ns").and_then(Json::as_u64).unwrap_or(0);
+        let mttr_p95 = cell.mttr_percentile_ns(0.95);
         if base_mttr > 0
-            && cell.mttr_p95_ns > 0
-            && cell.mttr_p95_ns as f64 > base_mttr as f64 * tol.mttr_p95_inflate
+            && mttr_p95 > 0
+            && mttr_p95 as f64 > base_mttr as f64 * tol.mttr_p95_inflate
         {
             verdict.regressions.push(format!(
                 "{key}: MTTR p95 {}ns exceeds baseline {}ns × {:.2}",
-                cell.mttr_p95_ns, base_mttr, tol.mttr_p95_inflate
+                mttr_p95, base_mttr, tol.mttr_p95_inflate
             ));
         }
         if cell.twin_detections > 0 {
@@ -492,42 +398,42 @@ pub fn compare_with_baseline(
     verdict
 }
 
-/// Renders a report's cells as the committed baseline document.
-pub fn baseline_json(report: &E18Report) -> Json {
-    let mut cells: Vec<Json> = Vec::with_capacity(report.cells.len());
-    for cell in &report.cells {
-        cells.push(
+/// One cell as JSON: its coordinate names and every metric the
+/// baseline gate compares — the cell record of both the committed
+/// baseline and `BENCH_e18.json`.
+pub fn cell_json(cell: &CellOutcome) -> Json {
+    let windows: Vec<Json> = cell
+        .reps
+        .iter()
+        .map(|rep| {
             Json::object()
-                .field("fault", cell.fault.as_str().into())
-                .field("scenario", cell.scenario.as_str().into())
-                .field("recovery", cell.recovery.as_str().into())
-                .field("reps", (cell.reps as u64).into())
-                .field("detected", (cell.detected as u64).into())
-                .field("detection_rate", cell.detection_rate.into())
-                .field("mttd_p50_ns", cell.mttd_p50_ns.into())
-                .field("mttd_p95_ns", cell.mttd_p95_ns.into())
-                .field("mttr_p50_ns", cell.mttr_p50_ns.into())
-                .field("mttr_p95_ns", cell.mttr_p95_ns.into())
-                .field(
-                    "collateral_lost_presses",
-                    cell.collateral_lost_presses.into(),
-                )
-                .field("twin_detections", cell.twin_detections.into())
-                .field("window_detections", {
-                    let windows: Vec<Json> = cell
-                        .window_detections
-                        .iter()
-                        .map(|w| {
-                            Json::object()
-                                .field("window_from", w.window_from.into())
-                                .field("detected", w.detected.into())
-                        })
-                        .collect();
-                    windows.into()
-                })
-                .field("fingerprint", format!("{:016x}", cell.fingerprint).into()),
-        );
-    }
+                .field("window_from", rep.window_from.into())
+                .field("detected", rep.detected.into())
+        })
+        .collect();
+    Json::object()
+        .field("fault", cell.spec.fault.name().into())
+        .field("scenario", cell.spec.scenario.name().into())
+        .field("recovery", cell.spec.recovery.name().into())
+        .field("reps", cell.reps.len().into())
+        .field("detected", cell.detected().into())
+        .field("detection_rate", cell.detection_rate().into())
+        .field("mttd_p50_ns", cell.mttd_percentile_ns(0.50).into())
+        .field("mttd_p95_ns", cell.mttd_percentile_ns(0.95).into())
+        .field("mttr_p50_ns", cell.mttr_percentile_ns(0.50).into())
+        .field("mttr_p95_ns", cell.mttr_percentile_ns(0.95).into())
+        .field(
+            "collateral_lost_presses",
+            cell.collateral_lost_presses().into(),
+        )
+        .field("twin_detections", cell.twin_detections.into())
+        .field("window_detections", windows.into())
+        .field("fingerprint", format!("{:016x}", cell.fingerprint()).into())
+}
+
+/// Renders a scorecard as the committed baseline document.
+pub fn baseline_json(scorecard: &DependabilityScorecard) -> Json {
+    let cells: Vec<Json> = scorecard.cells.iter().map(cell_json).collect();
     Json::object()
         .field("format", "scorecard-baseline-v1".into())
         .field(
@@ -540,78 +446,111 @@ pub fn baseline_json(report: &E18Report) -> Json {
         .field("class_tolerance", Json::object())
         .field(
             "matrix_fingerprint",
-            format!("{:016x}", report.matrix_fingerprint).into(),
+            format!("{:016x}", scorecard.fingerprint()).into(),
         )
         .field("cells", cells.into())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::scorecard::{CellSpec, RepResult, ScenarioKind};
+    use simkit::SimDuration;
+    use telemetry::MetricsRegistry;
+    use tvsim::TvFault;
 
-    fn cell(fault: &str, scenario: &str, detected: usize) -> E18Cell {
-        E18Cell {
-            fault: fault.to_owned(),
-            scenario: scenario.to_owned(),
-            recovery: "micro-reboot".to_owned(),
-            reps: 2,
-            detected,
-            detection_rate: detected as f64 / 2.0,
-            mttd_p50_ns: if detected > 0 { 1_000_000 } else { 0 },
-            mttd_p95_ns: if detected > 0 { 2_000_000 } else { 0 },
-            mttr_p50_ns: 0,
-            mttr_p95_ns: 0,
-            collateral_lost_presses: 0,
+    /// A fake micro-reboot cell: `detected` of `reps` reps detect, each
+    /// after 2 ms.
+    pub(crate) fn cell(
+        fault: TvFault,
+        scenario: ScenarioKind,
+        detected: usize,
+        reps: usize,
+    ) -> CellOutcome {
+        let spec = CellSpec {
+            fault,
+            scenario,
+            recovery: RecoveryStyle::MicroReboot,
+            reps,
+            scenario_len: 8,
+            probes: false,
+            adaptive: false,
+        };
+        let mut metrics = MetricsRegistry::new();
+        let reps = (0..reps)
+            .map(|rep| {
+                let hit = rep < detected;
+                let mttd = hit.then(|| SimDuration::from_millis(2));
+                if let Some(mttd) = mttd {
+                    metrics.observe("scorecard.mttd_ns", mttd.as_nanos());
+                }
+                RepResult {
+                    seed: spec.seed(rep),
+                    window_from: spec.window_from(rep),
+                    detected: hit,
+                    mttd,
+                    mttr: None,
+                    collateral_lost_presses: 0,
+                    micro_reboots: 0,
+                    full_restarts: 0,
+                    failure_steps: 0,
+                    ladder_rung: 0,
+                }
+            })
+            .collect();
+        CellOutcome {
+            spec,
+            reps,
             twin_detections: 0,
-            window_detections: (0..2)
-                .map(|rep| WindowDetection {
-                    window_from: 0.2 + 0.3 * (rep as f64 / 2.0),
-                    detected: rep < detected,
-                })
-                .collect(),
-            fingerprint: 0xABCD ^ fault.len() as u64 ^ (detected as u64) << 8,
+            stress: None,
+            metrics,
         }
     }
 
-    fn synthetic_grid(workers: usize) -> Vec<E18Cell> {
+    fn synthetic_grid(workers: usize) -> DependabilityScorecard {
         let _ = workers; // must NOT leak into the cells
-        vec![
-            cell("stuck-volume", "idle", 2),
-            cell("stuck-volume", "teletext", 1),
-            cell("menu-freeze", "idle", 0),
-            cell("menu-freeze", "teletext", 2),
-        ]
+        DependabilityScorecard {
+            cells: vec![
+                cell(TvFault::StuckVolume, ScenarioKind::Idle, 2, 2),
+                cell(TvFault::StuckVolume, ScenarioKind::Teletext, 1, 2),
+                cell(TvFault::MenuFreeze, ScenarioKind::Idle, 0, 2),
+                cell(TvFault::MenuFreeze, ScenarioKind::Teletext, 2, 2),
+            ],
+            workers: 1,
+        }
     }
 
     fn config() -> E18Config {
         E18Config {
             worker_counts: vec![1, 2],
-            reps: 2,
-            scenario_len: 8,
-            quick: true,
-            probes: false,
-            adaptive: false,
+            grid: ScorecardConfig::quick(),
         }
+    }
+
+    /// Doubles a cell's slowest detection: one more MTTD sample at 4 ms.
+    fn slow_down(cell: &mut CellOutcome) {
+        cell.metrics.observe("scorecard.mttd_ns", 4_000_000);
     }
 
     #[test]
     fn coverage_accounting_partitions_the_cells() {
         let report = run(&config(), synthetic_grid);
         assert!(report.matrix_deterministic);
-        assert_eq!(report.total_cells, 4);
-        assert_eq!(report.covered_cells, 2);
-        assert_eq!(report.partial_cells, 1);
-        assert_eq!(report.missed_cells, 1);
+        let sc = &report.scorecard;
+        assert_eq!(sc.cells.len(), 4);
+        assert_eq!(sc.covered_cells(), 2);
+        assert_eq!(sc.partial_cells(), 1);
+        assert_eq!(sc.missed_cells(), 1);
         assert!((report.detection_coverage - 0.5).abs() < 1e-12);
-        assert_eq!(report.twin_false_alarms, 0);
+        assert_eq!(sc.twin_false_alarms(), 0);
     }
 
     #[test]
     fn worker_dependent_cells_are_flagged() {
         let report = run(&config(), |workers| {
-            let mut cells = synthetic_grid(workers);
-            cells[0].fingerprint ^= workers as u64;
-            cells
+            let mut scorecard = synthetic_grid(workers);
+            scorecard.cells[0].reps[0].seed ^= workers as u64;
+            scorecard
         });
         assert!(!report.matrix_deterministic);
     }
@@ -635,9 +574,9 @@ mod tests {
     #[test]
     fn baseline_round_trip_passes_its_own_gate() {
         let report = run(&config(), synthetic_grid);
-        let baseline = baseline_json(&report).render();
+        let baseline = baseline_json(&report.scorecard).render();
         let parsed = Json::parse(&baseline).expect("baseline renders valid JSON");
-        let verdict = compare_with_baseline(&report.cells, &parsed, true);
+        let verdict = compare_with_baseline(&report.scorecard.cells, &parsed, true);
         assert!(verdict.passes(), "{:?}", verdict);
         assert_eq!(verdict.compared, 4);
         assert_eq!(verdict.failures(), 0);
@@ -646,10 +585,11 @@ mod tests {
     #[test]
     fn detection_drop_and_twin_alarms_regress() {
         let report = run(&config(), synthetic_grid);
-        let baseline = Json::parse(&baseline_json(&report).render()).unwrap();
-        let mut cells = report.cells.clone();
-        cells[0].detected = 0;
-        cells[0].detection_rate = 0.0;
+        let baseline = Json::parse(&baseline_json(&report.scorecard).render()).unwrap();
+        let mut cells = report.scorecard.cells.clone();
+        for rep in &mut cells[0].reps {
+            rep.detected = false;
+        }
         cells[3].twin_detections = 2;
         let verdict = compare_with_baseline(&cells, &baseline, true);
         assert_eq!(verdict.failures(), 2, "{:?}", verdict);
@@ -660,9 +600,9 @@ mod tests {
     #[test]
     fn latency_inflation_beyond_band_regresses() {
         let report = run(&config(), synthetic_grid);
-        let baseline = Json::parse(&baseline_json(&report).render()).unwrap();
-        let mut cells = report.cells.clone();
-        cells[0].mttd_p95_ns *= 2; // 2.0× > the 1.5× band
+        let baseline = Json::parse(&baseline_json(&report.scorecard).render()).unwrap();
+        let mut cells = report.scorecard.cells.clone();
+        slow_down(&mut cells[0]); // 2.0× > the 1.5× band
         let verdict = compare_with_baseline(&cells, &baseline, true);
         assert_eq!(verdict.failures(), 1, "{:?}", verdict);
         assert!(verdict.regressions[0].contains("MTTD p95"));
@@ -671,24 +611,24 @@ mod tests {
     #[test]
     fn class_tolerance_overrides_the_global_band() {
         let report = run(&config(), synthetic_grid);
-        let mut doc = baseline_json(&report).render();
+        let mut doc = baseline_json(&report.scorecard).render();
         doc = doc.replace(
             "\"class_tolerance\":{}",
             "\"class_tolerance\":{\"stuck-volume\":{\"mttd_p95_inflate\":3.0}}",
         );
         let baseline = Json::parse(&doc).unwrap();
-        let mut cells = report.cells.clone();
-        cells[0].mttd_p95_ns *= 2; // within the per-class 3.0× band
+        let mut cells = report.scorecard.cells.clone();
+        slow_down(&mut cells[0]); // within the per-class 3.0× band
         assert!(compare_with_baseline(&cells, &baseline, true).passes());
-        cells[3].mttd_p95_ns *= 2; // menu-freeze keeps the global 1.5×
+        slow_down(&mut cells[3]); // menu-freeze keeps the global 1.5×
         assert_eq!(compare_with_baseline(&cells, &baseline, true).failures(), 1);
     }
 
     #[test]
     fn vanished_cells_count_as_missing() {
         let report = run(&config(), synthetic_grid);
-        let baseline = Json::parse(&baseline_json(&report).render()).unwrap();
-        let cells = report.cells[1..].to_vec();
+        let baseline = Json::parse(&baseline_json(&report.scorecard).render()).unwrap();
+        let cells = report.scorecard.cells[1..].to_vec();
         let verdict = compare_with_baseline(&cells, &baseline, true);
         assert_eq!(verdict.missing.len(), 1);
         assert!(!verdict.passes());

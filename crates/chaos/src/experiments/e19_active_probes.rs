@@ -23,32 +23,31 @@
 //!    within the wall-clock budget of the same probed run with
 //!    telemetry off, and both arms must produce identical outcomes.
 //!
-//! Like E18 the harness is chaos-agnostic: `chaos::scorecard` supplies
-//! a closure mapping `(workers, probes)` to the grid's cell summaries.
+//! Like E18 the harness runs the [`crate::scorecard`] grid through a
+//! closure, here mapping `(workers, probes)` to the folded scorecard
+//! ([`e19_report`] wires it to [`run_scorecard`]).
 
-use crate::experiments::e18_scorecard::{matrix_fingerprint, render_matrix, E18Cell};
-use crate::loop_::{LoopOutcome, TvDependabilityLoop, PROBE_PLANS};
-use crate::scenario::TimedScenario;
 use faults::Schedule;
-use observe::{BudgetVerdict, ProbeBudget};
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 use std::time::Instant;
 use telemetry::Telemetry;
+use trader::observe::{BudgetVerdict, ProbeBudget};
+use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop};
 use tvsim::TvFault;
+
+use crate::experiments::e18_scorecard::{detection_coverage, render_layers, reproduces};
+use crate::scorecard::{run_scorecard, DependabilityScorecard, ScenarioKind, ScorecardConfig};
 
 /// E19 configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct E19Config {
     /// Worker counts to validate probes-on matrix determinism across.
     pub worker_counts: Vec<usize>,
-    /// Faulty runs per cell (base; adaptive cells extend to +2).
-    pub reps: usize,
-    /// Presses per run.
-    pub scenario_len: usize,
-    /// True selects the CI grid (micro-reboot layer only).
-    pub quick: bool,
+    /// The grid shape; the sweep runs it once passive and once probed,
+    /// whatever `grid.probes` says.
+    pub grid: ScorecardConfig,
     /// Minimum probes-on detection coverage (covered / total cells).
     pub coverage_floor: f64,
     /// Workloads (of 5) in which `sleep-timer-lost` must be detected.
@@ -68,9 +67,7 @@ impl E19Config {
     pub fn full() -> Self {
         E19Config {
             worker_counts: vec![1, 2, 4, 8],
-            reps: 3,
-            scenario_len: 32,
-            quick: false,
+            grid: ScorecardConfig::full(),
             coverage_floor: 0.55,
             sleep_timer_floor: 4,
             effect_scenario_len: 120,
@@ -85,7 +82,7 @@ impl E19Config {
     pub fn quick() -> Self {
         E19Config {
             worker_counts: vec![1, 4],
-            quick: true,
+            grid: ScorecardConfig::quick(),
             effect_scenario_len: 60,
             effect_trials: 5,
             effect_ring_capacity: 8_192,
@@ -105,16 +102,18 @@ pub struct ProbeEffectLeg {
     pub outcomes_agree: bool,
     /// Events captured by the instrumented arm's ring.
     pub events_recorded: usize,
-    /// Probe bursts the instrumented arm counted across all kinds.
-    pub probe_bursts: i64,
+    /// Probe bursts the instrumented arm fired across all kinds (the
+    /// samples in its `core.probes.latency_ns` histogram: one per
+    /// burst).
+    pub probe_bursts: u64,
 }
 
 /// One scenario column's before/after coverage, for the idle-blindness
 /// accounting and the report table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ColumnCoverage {
-    /// Scenario name.
-    pub scenario: String,
+    /// The scenario column.
+    pub scenario: ScenarioKind,
     /// Cells in this column.
     pub cells: usize,
     /// Fully-covered cells with passive monitoring only.
@@ -124,28 +123,18 @@ pub struct ColumnCoverage {
 }
 
 /// The E19 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E19Report {
-    /// Base faulty runs per cell.
-    pub reps: usize,
-    /// Presses per run.
-    pub scenario_len: usize,
     /// Worker counts the probed matrix was validated across.
     pub worker_counts: Vec<usize>,
     /// Hardware threads available to the sweep.
     pub hardware_threads: usize,
+    /// The passive baseline pass (sequential), canonical grid order.
+    pub baseline: DependabilityScorecard,
+    /// The probed oracle pass (sequential), canonical grid order.
+    pub scorecard: DependabilityScorecard,
     /// Passive-baseline detection coverage (covered / total).
     pub baseline_coverage: f64,
-    /// Passive-baseline fully-covered cells.
-    pub baseline_covered_cells: usize,
-    /// Probes-on fully-covered cells.
-    pub covered_cells: usize,
-    /// Probes-on partially-covered cells.
-    pub partial_cells: usize,
-    /// Probes-on blind cells.
-    pub missed_cells: usize,
-    /// Cells in the grid.
-    pub total_cells: usize,
     /// Probes-on detection coverage (covered / total).
     pub detection_coverage: f64,
     /// True iff probed coverage reaches the floor *and* beats the
@@ -162,28 +151,11 @@ pub struct E19Report {
     pub sleep_timer_lost_detected_workloads: usize,
     /// True iff the sleep-timer floor is met.
     pub sleep_timer_lost_ok: bool,
-    /// Twin detections summed over the probed grid — the probe
-    /// false-alarm count, which must be exactly zero.
-    pub probe_false_alarms: u64,
-    /// FNV-1a over the probed oracle pass's cell fingerprints.
-    pub matrix_fingerprint: u64,
     /// True iff every worker count reproduced the probed oracle's
-    /// cells exactly.
+    /// matrix fingerprint.
     pub matrix_deterministic: bool,
     /// The probe-effect leg.
     pub probe_effect: ProbeEffectLeg,
-    /// The probed oracle pass's cells, canonical grid order.
-    pub cells: Vec<E18Cell>,
-    /// The passive baseline pass's cells, canonical grid order.
-    pub baseline_cells: Vec<E18Cell>,
-}
-
-/// Fully-covered cells of a slice.
-fn covered(cells: &[E18Cell]) -> usize {
-    cells
-        .iter()
-        .filter(|c| c.reps > 0 && c.detected == c.reps)
-        .count()
 }
 
 /// Builds the probe-effect reference loop: the E15 reference shape
@@ -249,10 +221,10 @@ fn run_probe_effect(config: &E19Config) -> ProbeEffectLeg {
         last_telemetry = telemetry;
     }
 
-    let probe_bursts = PROBE_PLANS
-        .iter()
-        .map(|plan| last_telemetry.counter(plan.fired))
-        .sum();
+    let probe_bursts = last_telemetry
+        .snapshot_metrics()
+        .histogram("core.probes.latency_ns")
+        .map_or(0, |h| h.count());
     ProbeEffectLeg {
         verdict: budget.judge(baseline_ns, instrumented_ns),
         outcomes_agree: baseline_outcome == instrumented_outcome,
@@ -262,68 +234,47 @@ fn run_probe_effect(config: &E19Config) -> ProbeEffectLeg {
 }
 
 /// Runs the sweep. `grid` executes the whole coverage matrix at a given
-/// `(workers, probes)` pair and returns the cell summaries in canonical
-/// order (`chaos::scorecard` wires this to `run_scorecard`). The
-/// passive baseline and the probed oracle both run sequentially; every
-/// listed worker count must then reproduce the probed oracle exactly.
+/// `(workers, probes)` pair ([`e19_report`] wires it to
+/// [`run_scorecard`]; tests substitute a fake). The passive baseline
+/// and the probed oracle both run sequentially; every listed worker
+/// count must then reproduce the probed oracle's matrix fingerprint.
 pub fn run<F>(config: &E19Config, mut grid: F) -> E19Report
 where
-    F: FnMut(usize, bool) -> Vec<E18Cell>,
+    F: FnMut(usize, bool) -> DependabilityScorecard,
 {
     let hardware_threads =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let baseline_cells = grid(1, false);
-    let cells = grid(1, true);
-    let mut matrix_deterministic = true;
-    for &workers in &config.worker_counts {
-        if workers == 1 {
-            continue;
-        }
-        matrix_deterministic &= grid(workers, true) == cells;
-    }
+    let baseline = grid(1, false);
+    let scorecard = grid(1, true);
+    let matrix_deterministic = reproduces(&scorecard, &config.worker_counts, |workers| {
+        grid(workers, true)
+    });
+    let baseline_coverage = detection_coverage(&baseline);
+    let detection_coverage = detection_coverage(&scorecard);
 
-    let total_cells = cells.len();
-    let covered_cells = covered(&cells);
-    let partial_cells = cells
-        .iter()
-        .filter(|c| c.detected > 0 && c.detected < c.reps)
-        .count();
-    let missed_cells = cells.iter().filter(|c| c.detected == 0).count();
-    let detection_coverage = if total_cells == 0 {
-        0.0
-    } else {
-        covered_cells as f64 / total_cells as f64
+    let covered_in = |sc: &DependabilityScorecard, scenario: ScenarioKind| {
+        sc.cells
+            .iter()
+            .filter(|c| c.spec.scenario == scenario && c.covered())
+            .count()
     };
-    let baseline_covered_cells = covered(&baseline_cells);
-    let baseline_coverage = if baseline_cells.is_empty() {
-        0.0
-    } else {
-        baseline_covered_cells as f64 / baseline_cells.len() as f64
-    };
-
-    let mut columns: Vec<ColumnCoverage> = Vec::new();
-    for cell in &cells {
-        if !columns.iter().any(|c| c.scenario == cell.scenario) {
-            let in_column = |c: &&E18Cell| c.scenario == cell.scenario;
-            columns.push(ColumnCoverage {
-                scenario: cell.scenario.clone(),
-                cells: cells.iter().filter(in_column).count(),
-                baseline_covered: covered(
-                    &baseline_cells
-                        .iter()
-                        .filter(in_column)
-                        .cloned()
-                        .collect::<Vec<_>>(),
-                ),
-                probed_covered: covered(
-                    &cells.iter().filter(in_column).cloned().collect::<Vec<_>>(),
-                ),
-            });
-        }
-    }
+    let columns: Vec<ColumnCoverage> = ScenarioKind::ALL
+        .into_iter()
+        .map(|scenario| ColumnCoverage {
+            scenario,
+            cells: scorecard
+                .cells
+                .iter()
+                .filter(|c| c.spec.scenario == scenario)
+                .count(),
+            baseline_covered: covered_in(&baseline, scenario),
+            probed_covered: covered_in(&scorecard, scenario),
+        })
+        .filter(|col| col.cells > 0)
+        .collect();
     let (idle_covered_cells, idle_total_cells) = columns
         .iter()
-        .find(|c| c.scenario == "idle")
+        .find(|c| c.scenario == ScenarioKind::Idle)
         .map_or((0, 0), |c| (c.probed_covered, c.cells));
 
     // A workload counts for the sleep-timer row when every one of its
@@ -331,25 +282,21 @@ where
     let sleep_timer_lost_detected_workloads = columns
         .iter()
         .filter(|col| {
-            let layer: Vec<&E18Cell> = cells
+            let mut layer = scorecard
+                .cells
                 .iter()
-                .filter(|c| c.fault == "sleep-timer-lost" && c.scenario == col.scenario)
-                .collect();
-            !layer.is_empty() && layer.iter().all(|c| c.detected > 0)
+                .filter(|c| {
+                    c.spec.fault == TvFault::SleepTimerLost && c.spec.scenario == col.scenario
+                })
+                .peekable();
+            layer.peek().is_some() && layer.all(|c| c.detected() > 0)
         })
         .count();
 
     E19Report {
-        reps: config.reps,
-        scenario_len: config.scenario_len,
         worker_counts: config.worker_counts.clone(),
         hardware_threads,
         baseline_coverage,
-        baseline_covered_cells,
-        covered_cells,
-        partial_cells,
-        missed_cells,
-        total_cells,
         detection_coverage,
         coverage_lift_ok: detection_coverage >= config.coverage_floor
             && detection_coverage > baseline_coverage,
@@ -358,17 +305,29 @@ where
         idle_total_cells,
         sleep_timer_lost_detected_workloads,
         sleep_timer_lost_ok: sleep_timer_lost_detected_workloads >= config.sleep_timer_floor,
-        probe_false_alarms: cells.iter().map(|c| c.twin_detections).sum(),
-        matrix_fingerprint: matrix_fingerprint(&cells),
         matrix_deterministic,
         probe_effect: run_probe_effect(config),
-        cells,
-        baseline_cells,
+        baseline,
+        scorecard,
     }
+}
+
+/// Runs the E19 active-observatory sweep: the configured grid executed
+/// passive and observatory-on, plus worker-count determinism on the
+/// probed matrix.
+pub fn e19_report(config: &E19Config) -> E19Report {
+    run(config, |workers, probes| {
+        let grid = ScorecardConfig {
+            probes,
+            ..config.grid.clone()
+        };
+        run_scorecard(&grid, workers)
+    })
 }
 
 impl fmt::Display for E19Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sc = &self.scorecard;
         writeln!(
             f,
             "E19 active health observatory: coverage {:.0}% -> {:.0}% ({} -> {} of {} cells), \
@@ -376,14 +335,14 @@ impl fmt::Display for E19Report {
              fingerprint {:016x}, {}:",
             self.baseline_coverage * 100.0,
             self.detection_coverage * 100.0,
-            self.baseline_covered_cells,
-            self.covered_cells,
-            self.total_cells,
+            self.baseline.covered_cells(),
+            sc.covered_cells(),
+            sc.cells.len(),
             self.idle_covered_cells,
             self.idle_total_cells,
             self.sleep_timer_lost_detected_workloads,
-            self.probe_false_alarms,
-            self.matrix_fingerprint,
+            sc.twin_false_alarms(),
+            sc.fingerprint(),
             if self.matrix_deterministic {
                 "deterministic"
             } else {
@@ -394,7 +353,11 @@ impl fmt::Display for E19Report {
             writeln!(
                 f,
                 "  {:<20} {:>2}/{} -> {:>2}/{}",
-                col.scenario, col.baseline_covered, col.cells, col.probed_covered, col.cells
+                col.scenario.name(),
+                col.baseline_covered,
+                col.cells,
+                col.probed_covered,
+                col.cells
             )?;
         }
         writeln!(
@@ -410,63 +373,34 @@ impl fmt::Display for E19Report {
             self.probe_effect.probe_bursts,
             self.probe_effect.events_recorded
         )?;
-        let mut recoveries: Vec<&str> = Vec::new();
-        for cell in &self.cells {
-            if !recoveries.contains(&cell.recovery.as_str()) {
-                recoveries.push(&cell.recovery);
-            }
-        }
-        for (i, recovery) in recoveries.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{}", render_matrix(&self.cells, recovery))?;
-        }
-        Ok(())
+        write!(f, "{}", render_layers(&sc.cells))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::e18_scorecard::tests::cell;
 
-    fn cell(fault: &str, scenario: &str, detected: usize, reps: usize) -> E18Cell {
-        E18Cell {
-            fault: fault.to_owned(),
-            scenario: scenario.to_owned(),
-            recovery: "micro-reboot".to_owned(),
-            reps,
-            detected,
-            detection_rate: detected as f64 / reps.max(1) as f64,
-            mttd_p50_ns: if detected > 0 { 1_000_000 } else { 0 },
-            mttd_p95_ns: if detected > 0 { 2_000_000 } else { 0 },
-            mttr_p50_ns: 0,
-            mttr_p95_ns: 0,
-            collateral_lost_presses: 0,
-            twin_detections: 0,
-            window_detections: Vec::new(),
-            fingerprint: fault.len() as u64 ^ (detected as u64) << 8 ^ scenario.len() as u64,
-        }
-    }
-
-    fn synthetic_grid(_workers: usize, probes: bool) -> Vec<E18Cell> {
+    fn synthetic_grid(_workers: usize, probes: bool) -> DependabilityScorecard {
         // Passive: only teletext detects. Probed: idle and teletext
         // detect everywhere, sleep-timer-lost in both workloads.
         let hit = |probed_hit: usize| if probes { probed_hit } else { 0 };
-        vec![
-            cell("sleep-timer-lost", "idle", hit(2), 2),
-            cell("sleep-timer-lost", "teletext", hit(2), 2),
-            cell("menu-freeze", "idle", hit(2), 2),
-            cell("menu-freeze", "teletext", 2, 2),
-        ]
+        DependabilityScorecard {
+            cells: vec![
+                cell(TvFault::SleepTimerLost, ScenarioKind::Idle, hit(2), 2),
+                cell(TvFault::SleepTimerLost, ScenarioKind::Teletext, hit(2), 2),
+                cell(TvFault::MenuFreeze, ScenarioKind::Idle, hit(2), 2),
+                cell(TvFault::MenuFreeze, ScenarioKind::Teletext, 2, 2),
+            ],
+            workers: 1,
+        }
     }
 
     fn config() -> E19Config {
         E19Config {
             worker_counts: vec![1, 2],
-            reps: 2,
-            scenario_len: 8,
-            quick: true,
+            grid: ScorecardConfig::quick(),
             coverage_floor: 0.55,
             sleep_timer_floor: 2,
             effect_scenario_len: 20,
@@ -480,15 +414,15 @@ mod tests {
     fn coverage_lift_and_columns_are_accounted() {
         let report = run(&config(), synthetic_grid);
         assert!(report.matrix_deterministic);
-        assert_eq!(report.baseline_covered_cells, 1);
-        assert_eq!(report.covered_cells, 4);
+        assert_eq!(report.baseline.covered_cells(), 1);
+        assert_eq!(report.scorecard.covered_cells(), 4);
         assert!((report.detection_coverage - 1.0).abs() < 1e-12);
         assert!(report.coverage_lift_ok, "{report}");
         assert_eq!(report.idle_covered_cells, 2);
         assert_eq!(report.idle_total_cells, 2);
         assert_eq!(report.sleep_timer_lost_detected_workloads, 2);
         assert!(report.sleep_timer_lost_ok);
-        assert_eq!(report.probe_false_alarms, 0);
+        assert_eq!(report.scorecard.twin_false_alarms(), 0);
         assert!(report.probe_effect.outcomes_agree, "{report}");
         assert!(report.probe_effect.probe_bursts > 0, "{report}");
     }
@@ -496,11 +430,11 @@ mod tests {
     #[test]
     fn worker_dependent_probed_cells_are_flagged() {
         let report = run(&config(), |workers, probes| {
-            let mut cells = synthetic_grid(workers, probes);
+            let mut scorecard = synthetic_grid(workers, probes);
             if probes {
-                cells[0].fingerprint ^= workers as u64;
+                scorecard.cells[0].reps[0].seed ^= workers as u64;
             }
-            cells
+            scorecard
         });
         assert!(!report.matrix_deterministic);
     }

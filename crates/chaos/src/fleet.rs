@@ -170,7 +170,7 @@ pub fn regression_fleet() -> Vec<CampaignSpec> {
 
 /// Runs the E17 throughput sweep over a seed-derived fleet starting at
 /// [`FLEET_SEED_BASE`] — the chaos wiring for the chaos-agnostic
-/// `trader` harness (same split as E16 and `chaos::mttr`).
+/// `trader` harness, which only needs a fingerprint per pass.
 pub fn e17_report(
     config: &trader::experiments::e17_fleet_throughput::E17Config,
 ) -> trader::experiments::e17_fleet_throughput::E17Report {

@@ -52,16 +52,21 @@
 //! [`DependabilityScorecard`](scorecard::DependabilityScorecard) —
 //! detection rates, MTTD/MTTR histograms, collateral damage, and
 //! false-alarm twins, all worker-count-invariant.
+//!
+//! [`experiments`] holds the harnesses that run on this crate's data:
+//! E16 (micro-reboot MTTR over seed-derived campaigns), E18 (the
+//! scorecard sweep and its baseline gate) and E19 (the scorecard with
+//! the active health observatory on).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
 pub mod exec;
+pub mod experiments;
 pub mod fleet;
 pub mod forensics;
 pub mod invariants;
-pub mod mttr;
 pub mod replay;
 pub mod scorecard;
 pub mod stress;
@@ -71,9 +76,6 @@ pub use exec::scatter_map;
 pub use fleet::{fleet_specs, regression_fleet, run_fleet, FleetCampaignResult, FleetOutcome};
 pub use forensics::{assert_with_forensics, audit_with_forensics, ForensicReport};
 pub use invariants::{assert_invariants, check_invariants, detection_latency_bound};
-pub use mttr::{
-    e16_campaign_from_seed, e16_campaign_from_spec, e16_campaigns, e16_campaigns_from_seeds,
-};
 pub use replay::{replay_dump, ReplayReport};
 pub use scorecard::{
     run_scorecard, CellOutcome, CellSpec, DependabilityScorecard, RecoveryStyle, ScenarioKind,

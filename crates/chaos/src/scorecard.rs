@@ -30,8 +30,6 @@ use faults::Schedule;
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use telemetry::MetricsRegistry;
-use trader::experiments::e18_scorecard::{E18Cell, E18Config, E18Report, WindowDetection};
-use trader::experiments::e19_active_probes::{E19Config, E19Report};
 use trader::{TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
 use tvsim::TvFault;
 
@@ -382,6 +380,11 @@ impl CellOutcome {
         self.reps.iter().filter(|r| r.detected).count()
     }
 
+    /// Whether every rep detected the fault (false for an empty cell).
+    pub(crate) fn covered(&self) -> bool {
+        !self.reps.is_empty() && self.detected() == self.reps.len()
+    }
+
     /// Detected reps over total reps (0.0 for an empty cell).
     pub fn detection_rate(&self) -> f64 {
         if self.reps.is_empty() {
@@ -452,34 +455,6 @@ impl CellOutcome {
             mix(stress.deadlock_cycle_len as u64);
         }
         h
-    }
-
-    /// The chaos-agnostic cell summary the E18 harness and baseline
-    /// gate consume.
-    pub fn to_e18_cell(&self) -> E18Cell {
-        E18Cell {
-            fault: self.spec.fault.name().to_owned(),
-            scenario: self.spec.scenario.name().to_owned(),
-            recovery: self.spec.recovery.name().to_owned(),
-            reps: self.reps.len(),
-            detected: self.detected(),
-            detection_rate: self.detection_rate(),
-            mttd_p50_ns: self.mttd_percentile_ns(0.50),
-            mttd_p95_ns: self.mttd_percentile_ns(0.95),
-            mttr_p50_ns: self.mttr_percentile_ns(0.50),
-            mttr_p95_ns: self.mttr_percentile_ns(0.95),
-            collateral_lost_presses: self.collateral_lost_presses(),
-            twin_detections: self.twin_detections,
-            window_detections: self
-                .reps
-                .iter()
-                .map(|r| WindowDetection {
-                    window_from: r.window_from,
-                    detected: r.detected,
-                })
-                .collect(),
-            fingerprint: self.fingerprint(),
-        }
     }
 }
 
@@ -582,10 +557,7 @@ impl DependabilityScorecard {
 
     /// Cells where every rep detected the fault.
     pub fn covered_cells(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.detected() == c.reps.len() && !c.reps.is_empty())
-            .count()
+        self.cells.iter().filter(|c| c.covered()).count()
     }
 
     /// Cells where some but not all reps detected the fault.
@@ -610,11 +582,6 @@ impl DependabilityScorecard {
     pub fn twin_false_alarms(&self) -> u64 {
         self.cells.iter().map(|c| c.twin_detections).sum()
     }
-
-    /// The chaos-agnostic cell summaries in canonical order.
-    pub fn to_cells(&self) -> Vec<E18Cell> {
-        self.cells.iter().map(CellOutcome::to_e18_cell).collect()
-    }
 }
 
 /// Runs the whole grid across `workers` self-scheduling threads on the
@@ -626,45 +593,6 @@ pub fn run_scorecard(config: &ScorecardConfig, workers: usize) -> DependabilityS
         cells: scatter_map(&grid, workers, CellSpec::run),
         workers: crate::exec::effective_workers(grid.len(), workers),
     }
-}
-
-/// Runs the E18 coverage-matrix sweep — the chaos wiring for the
-/// chaos-agnostic `trader` harness (same split as E16/E17).
-pub fn e18_report(config: &E18Config) -> E18Report {
-    let sc = ScorecardConfig {
-        reps: config.reps,
-        scenario_len: config.scenario_len,
-        recoveries: if config.quick {
-            vec![RecoveryStyle::MicroReboot]
-        } else {
-            RecoveryStyle::ALL.to_vec()
-        },
-        probes: config.probes,
-        adaptive: config.adaptive,
-    };
-    trader::experiments::e18_scorecard::run(config, |workers| {
-        run_scorecard(&sc, workers).to_cells()
-    })
-}
-
-/// Runs the E19 active-observatory sweep: the same grid executed twice
-/// — passive baseline and observatory-on — plus worker-count
-/// determinism on the probed matrix (same split as E18).
-pub fn e19_report(config: &E19Config) -> E19Report {
-    let sc = |probes: bool| ScorecardConfig {
-        reps: config.reps,
-        scenario_len: config.scenario_len,
-        recoveries: if config.quick {
-            vec![RecoveryStyle::MicroReboot]
-        } else {
-            RecoveryStyle::ALL.to_vec()
-        },
-        probes,
-        adaptive: true,
-    };
-    trader::experiments::e19_active_probes::run(config, |workers, probes| {
-        run_scorecard(&sc(probes), workers).to_cells()
-    })
 }
 
 #[cfg(test)]
@@ -866,13 +794,6 @@ mod tests {
         assert_eq!(swept.reps.len(), 5, "1-of-3 cell must extend to 5 reps");
         assert!((swept.reps[3].window_from - 0.5).abs() < 1e-12);
         assert!((swept.reps[4].window_from - 0.6).abs() < 1e-12);
-        let e18 = swept.to_e18_cell();
-        assert_eq!(e18.reps, 5);
-        assert_eq!(e18.window_detections.len(), 5);
-        assert_eq!(
-            e18.window_detections.iter().filter(|w| w.detected).count(),
-            e18.detected
-        );
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! | E12 | §4.3    | real-time property monitoring |
 //! | E14 | §4.4    | streaming + sharded diagnosis scales past 60 000 blocks |
 //! | E15 | §4.1    | flight-recorder telemetry stays within the probe budget |
-//! | E16 | §4.5    | micro-reboot recovery beats whole-system restart MTTR ≥2x |
+//! | E16 | §4.5    | micro-reboot recovery beats whole-system restart MTTR ≥2x (in `chaos::experiments`) |
 //! | E17 | §4.7    | parallel campaign fleets scale throughput, fingerprint-identical |
-//! | E18 | §6      | dependability scorecard: fault × workload × recovery coverage matrix |
-//! | E19 | §4.1/§6 | active health observatory closes the scorecard's blind cells |
+//! | E18 | §6      | dependability scorecard: fault × workload × recovery coverage matrix (in `chaos::experiments`) |
+//! | E19 | §4.1/§6 | active health observatory closes the scorecard's blind cells (in `chaos::experiments`) |
 //!
 //! Every module exposes a `run(...)` returning a serializable report with
 //! a `Display` rendering the paper-style table; `crates/bench` wraps each
@@ -33,10 +33,7 @@ pub mod e11_memory_arbiter;
 pub mod e12_realtime_monitoring;
 pub mod e14_spectra_scale;
 pub mod e15_telemetry_overhead;
-pub mod e16_microreboot_mttr;
 pub mod e17_fleet_throughput;
-pub mod e18_scorecard;
-pub mod e19_active_probes;
 pub mod e1_spectra;
 pub mod e2_comparator;
 pub mod e3_mode_consistency;

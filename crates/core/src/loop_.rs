@@ -69,26 +69,14 @@ pub enum UnitRecoveryStyle {
 /// Configuration for structural unit recovery (checkpoints + reboot
 /// ladder). When installed via [`TvDependabilityLoop::unit_recovery`],
 /// it replaces the targeted repair strategy in the closed loop; the open
-/// loop ignores it (there is nothing to detect with).
+/// loop ignores it (there is nothing to detect with). The timings are
+/// fixed: a 500 ms checkpoint cadence, 4 generations per unit, a 4 s
+/// full-restart outage, a 50 ms micro-reboot outage plus 1 ms per
+/// replayed press, and a 200 ms cooldown between episodes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UnitRecoveryConfig {
     /// Which rung the loop reaches for first.
     pub style: UnitRecoveryStyle,
-    /// Healthy-window checkpoint cadence. A unit is only checkpointed
-    /// when no error has been attributed to it since its last
-    /// checkpoint — a crash-consistent snapshot, never a wedged one.
-    pub checkpoint_every: SimDuration,
-    /// Checkpoint generations kept per unit.
-    pub vault_capacity: usize,
-    /// Virtual-time outage of a full restart (all units down).
-    pub full_restart_outage: SimDuration,
-    /// Base virtual-time outage of a micro-reboot (one unit down).
-    pub micro_outage: SimDuration,
-    /// Added micro-reboot outage per journal entry replayed.
-    pub replay_cost: SimDuration,
-    /// Cooldown between recovery episodes — errors inside it are counted
-    /// but do not trigger another reboot.
-    pub min_between: SimDuration,
     /// Chance that chaos flips one bit in a just-saved checkpoint
     /// (exercises the fingerprint fallback). Seed-derived.
     pub corrupt_chance: f64,
@@ -97,24 +85,16 @@ pub struct UnitRecoveryConfig {
 }
 
 impl UnitRecoveryConfig {
-    /// Micro-reboot defaults: 500 ms checkpoint cadence, 4 generations,
-    /// 50 ms outage plus 1 ms per replayed press, 200 ms cooldown, no
-    /// checkpoint chaos.
+    /// Micro-reboot recovery with no checkpoint chaos.
     pub fn micro_reboot() -> Self {
         UnitRecoveryConfig {
             style: UnitRecoveryStyle::MicroReboot,
-            checkpoint_every: SimDuration::from_millis(500),
-            vault_capacity: 4,
-            full_restart_outage: SimDuration::from_secs(4),
-            micro_outage: SimDuration::from_millis(50),
-            replay_cost: SimDuration::from_millis(1),
-            min_between: SimDuration::from_millis(200),
             corrupt_chance: 0.0,
             tear_chance: 0.0,
         }
     }
 
-    /// Full-restart defaults: same checkpoint discipline, but every
+    /// Full-restart recovery: same checkpoint discipline, but every
     /// recovery bounces the whole TV for the 4 s outage.
     pub fn full_restart() -> Self {
         UnitRecoveryConfig {
@@ -123,6 +103,27 @@ impl UnitRecoveryConfig {
         }
     }
 }
+
+/// Healthy-window checkpoint cadence. A unit is only checkpointed when
+/// no error has been attributed to it since its last checkpoint — a
+/// crash-consistent snapshot, never a wedged one.
+const CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(500);
+
+/// Checkpoint generations kept per unit.
+const VAULT_CAPACITY: usize = 4;
+
+/// Virtual-time outage of a full restart (all units down).
+const FULL_RESTART_OUTAGE: SimDuration = SimDuration::from_secs(4);
+
+/// Base virtual-time outage of a micro-reboot (one unit down).
+const MICRO_OUTAGE: SimDuration = SimDuration::from_millis(50);
+
+/// Added micro-reboot outage per journal entry replayed.
+const REPLAY_COST: SimDuration = SimDuration::from_millis(1);
+
+/// Cooldown between recovery episodes — errors inside it are counted
+/// but do not trigger another reboot.
+const MIN_BETWEEN: SimDuration = SimDuration::from_millis(200);
 
 /// Settle window after a press, or after a probe burst's last key:
 /// channel deliveries and comparisons happen before the loop reads the
@@ -149,11 +150,11 @@ const FIRE_GRACE: SimDuration = SimDuration::from_secs(1);
 /// function and restores (or symmetrically perturbs) its state, so the
 /// model executor tracks the SUO exactly and only a fault produces a
 /// verdict.
-pub(crate) struct ProbePlan {
+struct ProbePlan {
     kind: &'static str,
     keys: &'static [Key],
     /// Fired counter (flight-recorder names must be `'static`).
-    pub(crate) fired: &'static str,
+    fired: &'static str,
     /// Verdict transition stream.
     verdict: &'static str,
 }
@@ -171,7 +172,7 @@ macro_rules! probe_plan {
 }
 
 /// The registered self-checks, in rotation order.
-pub(crate) static PROBE_PLANS: [ProbePlan; 6] = [
+static PROBE_PLANS: [ProbePlan; 6] = [
     probe_plan!("sleep-timer" => Key::Sleep),
     probe_plan!("volume-nudge" => Key::VolUp, Key::VolDown, Key::Mute, Key::Mute),
     probe_plan!("teletext-roundtrip" =>
@@ -429,9 +430,21 @@ fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
     )
 }
 
+/// The latest recovery episode's outage. One is enough: an episode
+/// starts only after the cooldown that follows the previous outage,
+/// so an older outage has always expired.
+#[derive(Debug, Clone, Copy)]
+struct Outage {
+    /// The unit the episode recovered.
+    unit: &'static str,
+    /// End of the outage.
+    until: SimTime,
+    /// True when the whole TV is down (full restart), not just `unit`.
+    whole_tv: bool,
+}
+
 /// Per-run bookkeeping for structural unit recovery: the checkpoint
-/// vault, the per-unit press journals, outage windows, and the MTTR
-/// ledger.
+/// vault, the per-unit press journals, the outage, and the MTTR ledger.
 #[derive(Debug)]
 struct RecoveryState {
     cfg: UnitRecoveryConfig,
@@ -439,9 +452,7 @@ struct RecoveryState {
     chaos: SimRng,
     journal: BTreeMap<&'static str, Vec<Key>>,
     dirty: BTreeSet<&'static str>,
-    unit_down_until: Option<(&'static str, SimTime)>,
-    all_down_until: Option<SimTime>,
-    outage_unit: Option<&'static str>,
+    outage: Option<Outage>,
     next_allowed: SimTime,
     last_checkpoint: Option<SimTime>,
     mttr_total_ns: u64,
@@ -455,13 +466,11 @@ impl RecoveryState {
             // The vault seed is derived from, not equal to, the loop
             // seed: a fingerprint must not collide with other
             // seed-keyed digests in the same run.
-            vault: CheckpointVault::new(seed ^ 0xC0DE_5EA1_ED00_0000, cfg.vault_capacity),
+            vault: CheckpointVault::new(seed ^ 0xC0DE_5EA1_ED00_0000, VAULT_CAPACITY),
             chaos: SimRng::seed(seed).derive(0xC8A0_55EE),
             journal: BTreeMap::new(),
             dirty: BTreeSet::new(),
-            unit_down_until: None,
-            all_down_until: None,
-            outage_unit: None,
+            outage: None,
             next_allowed: SimTime::ZERO,
             last_checkpoint: None,
             mttr_total_ns: 0,
@@ -472,22 +481,20 @@ impl RecoveryState {
     /// Whether a press served by `unit` at `at` falls inside a reboot
     /// outage (whole-TV or that unit's own).
     fn is_down(&self, at: SimTime, unit: &str) -> bool {
-        self.all_down_until.is_some_and(|until| at < until)
-            || self
-                .unit_down_until
-                .is_some_and(|(u, until)| u == unit && at < until)
+        self.outage
+            .is_some_and(|o| at < o.until && (o.whole_tv || o.unit == unit))
     }
 
     /// Saves one sealed checkpoint per clean, up unit when the cadence
     /// is due. Units with errors attributed since their last checkpoint
     /// are skipped — crash consistency over freshness.
     fn maybe_checkpoint(&mut self, tv: &TvSystem, at: SimTime, telemetry: &Telemetry) {
-        if self.all_down_until.is_some_and(|until| at < until) {
+        if self.outage.is_some_and(|o| o.whole_tv && at < o.until) {
             return;
         }
         let due = match self.last_checkpoint {
             None => true,
-            Some(last) => at.since(last) >= self.cfg.checkpoint_every,
+            Some(last) => at.since(last) >= CHECKPOINT_EVERY,
         };
         if !due {
             return;
@@ -542,9 +549,8 @@ impl RecoveryState {
                 for key in &entries {
                     let _ = tv.replay_unit_key(settle, unit, *key);
                 }
-                let outage = self.cfg.micro_outage + self.cfg.replay_cost * entries.len() as u64;
-                self.unit_down_until = Some((unit, settle + outage));
-                self.finish_episode(settle, outage, unit);
+                let outage = MICRO_OUTAGE + REPLAY_COST * entries.len() as u64;
+                self.finish_episode(settle, outage, unit, false);
                 self.dirty.remove(unit);
                 outcome.micro_reboots += 1;
                 outcome.recoveries += 1;
@@ -572,19 +578,27 @@ impl RecoveryState {
             self.journal.remove(u);
             announcements.extend(tv.announce_unit(settle, u));
         }
-        let outage = self.cfg.full_restart_outage;
-        self.all_down_until = Some(settle + outage);
-        self.finish_episode(settle, outage, unit);
+        self.finish_episode(settle, FULL_RESTART_OUTAGE, unit, true);
         outcome.full_restarts += 1;
         outcome.recoveries += 1;
         telemetry.count(settle, "core.reboot.full", 1);
     }
 
-    fn finish_episode(&mut self, settle: SimTime, outage: SimDuration, unit: &'static str) {
-        self.outage_unit = Some(unit);
+    fn finish_episode(
+        &mut self,
+        settle: SimTime,
+        outage: SimDuration,
+        unit: &'static str,
+        whole_tv: bool,
+    ) {
+        self.outage = Some(Outage {
+            unit,
+            until: settle + outage,
+            whole_tv,
+        });
         self.mttr_total_ns += outage.as_nanos();
         self.episodes += 1;
-        self.next_allowed = settle + outage + self.cfg.min_between;
+        self.next_allowed = settle + outage + MIN_BETWEEN;
     }
 
     fn mean_mttr(&self) -> Option<SimDuration> {
@@ -717,7 +731,7 @@ impl<'m> Session<'m> {
                 match origin {
                     Origin::User => {
                         self.outcome.lost_presses += 1;
-                        if rs.outage_unit != Some(unit) {
+                        if rs.outage.map(|o| o.unit) != Some(unit) {
                             self.outcome.lost_presses_unaffected += 1;
                         }
                         self.telemetry.count(at, "core.reboot.lost_press", 1);

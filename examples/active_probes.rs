@@ -14,8 +14,8 @@
 //! cargo run --release --example active_probes -- full   # probed matrix
 //! ```
 
-use chaos::scorecard::{e19_report, CellSpec, RecoveryStyle, ScenarioKind};
-use trader::experiments::e19_active_probes::E19Config;
+use chaos::experiments::e19_active_probes::{e19_report, E19Config};
+use chaos::scorecard::{CellSpec, RecoveryStyle, ScenarioKind};
 use tvsim::TvFault;
 
 fn cell(probes: bool) -> CellSpec {

@@ -13,8 +13,7 @@
 //! cargo run --example scorecard -- full    # all three recovery styles
 //! ```
 
-use chaos::scorecard::e18_report;
-use trader::experiments::e18_scorecard::E18Config;
+use chaos::experiments::e18_scorecard::{e18_report, E18Config};
 
 fn main() {
     let full = std::env::args().nth(1).as_deref() == Some("full");
@@ -28,7 +27,7 @@ fn main() {
     println!();
     println!(
         "matrix fingerprint {:016x} ({} across workers {:?})",
-        report.matrix_fingerprint,
+        report.scorecard.fingerprint(),
         if report.matrix_deterministic {
             "stable"
         } else {
@@ -37,10 +36,18 @@ fn main() {
         report.worker_counts,
     );
     let blind: Vec<String> = report
+        .scorecard
         .cells
         .iter()
-        .filter(|c| c.detected == 0)
-        .map(|c| c.key())
+        .filter(|c| c.detected() == 0)
+        .map(|c| {
+            format!(
+                "{}/{}/{}",
+                c.spec.fault.name(),
+                c.spec.scenario.name(),
+                c.spec.recovery.name()
+            )
+        })
         .collect();
     if !blind.is_empty() {
         println!(
@@ -52,7 +59,8 @@ fn main() {
         }
     }
     assert_eq!(
-        report.twin_false_alarms, 0,
+        report.scorecard.twin_false_alarms(),
+        0,
         "fault-free twins must stay silent"
     );
 }
