@@ -53,6 +53,6 @@ pub use message::Message;
 pub use model_executor::ModelExecutor;
 pub use monitor::{AwarenessMonitor, MonitorBuilder};
 pub use observers::{InputObserver, OutputObserver};
-pub use probes::{DeadlineMonitor, ProbeConfig, ProbeFiring, ProbePlan, ProbeScheduler};
+pub use probes::DeadlineMonitor;
 pub use reliable::{BoundaryChannel, ProbeNames, ReliableChannel, ReliableConfig, ReliableStats};
 pub use supervisor::{DegradationMode, Supervisor, SupervisorConfig, SupervisorReport};

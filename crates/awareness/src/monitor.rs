@@ -24,6 +24,62 @@ const MONITOR_VAULT_CAPACITY: usize = 4;
 /// The vault unit name the monitor checkpoints under.
 const MONITOR_UNIT: &str = "monitor";
 
+/// The boundary channels' settings, kept by the monitor so supervision
+/// can rebuild the channels.
+#[derive(Debug, Clone, Copy)]
+struct ChannelSettings {
+    input_delay: SimDuration,
+    output_delay: SimDuration,
+    /// Uniform jitter on every wire.
+    jitter: SimDuration,
+    /// Loss probability on the output wires.
+    loss: f64,
+    /// The builder's seed; epochs derive theirs from it.
+    seed: u64,
+    /// Ack/retransmit protocol over the wires.
+    reliable: bool,
+}
+
+impl ChannelSettings {
+    /// Builds the input and output channels from `seed`: the wires on
+    /// seed streams +1 (input) and +2 (output); a reliable channel adds
+    /// its acks on the wire's stream +0x10 and its protocol on +0x20.
+    fn build(
+        &self,
+        seed: u64,
+        telemetry: &Telemetry,
+    ) -> (BoundaryChannel<Message>, BoundaryChannel<Message>) {
+        let boundary = |delay: SimDuration, loss: f64, stream: u64| {
+            if self.reliable {
+                BoundaryChannel::Reliable(Box::new(ReliableChannel::over(
+                    self.wire(delay, loss, seed.wrapping_add(stream)),
+                    self.wire(delay, loss, seed.wrapping_add(stream + 0x10)),
+                    seed.wrapping_add(stream + 0x20),
+                )))
+            } else {
+                BoundaryChannel::Delay(self.wire(delay, loss, seed.wrapping_add(stream)))
+            }
+        };
+        let mut input = boundary(self.input_delay, 0.0, 1);
+        let mut output = boundary(self.output_delay, self.loss, 2);
+        input.set_telemetry(telemetry.clone(), ProbeNames::INPUT);
+        output.set_telemetry(telemetry.clone(), ProbeNames::OUTPUT);
+        (input, output)
+    }
+
+    /// A delay wire with this jitter (on seed stream `seed`) and `loss`.
+    fn wire<T>(&self, delay: SimDuration, loss: f64, seed: u64) -> DelayChannel<T> {
+        let mut wire = DelayChannel::new(delay);
+        if !self.jitter.is_zero() {
+            wire = wire.with_jitter(self.jitter, seed);
+        }
+        if loss > 0.0 {
+            wire = wire.with_loss(loss);
+        }
+        wire
+    }
+}
+
 /// Builds an [`AwarenessMonitor`].
 ///
 /// ```
@@ -49,12 +105,7 @@ const MONITOR_UNIT: &str = "monitor";
 pub struct MonitorBuilder<'m> {
     machine: &'m Machine,
     configuration: Configuration,
-    input_delay: SimDuration,
-    output_delay: SimDuration,
-    jitter: SimDuration,
-    loss: f64,
-    seed: u64,
-    reliable: bool,
+    channels: ChannelSettings,
     supervision: Option<SupervisorConfig>,
     diagnosis: Option<DiagnosisConfig>,
     telemetry: Telemetry,
@@ -66,12 +117,14 @@ impl<'m> MonitorBuilder<'m> {
         MonitorBuilder {
             machine,
             configuration: Configuration::new(),
-            input_delay: SimDuration::ZERO,
-            output_delay: SimDuration::ZERO,
-            jitter: SimDuration::ZERO,
-            loss: 0.0,
-            seed: 0,
-            reliable: false,
+            channels: ChannelSettings {
+                input_delay: SimDuration::ZERO,
+                output_delay: SimDuration::ZERO,
+                jitter: SimDuration::ZERO,
+                loss: 0.0,
+                seed: 0,
+                reliable: false,
+            },
             supervision: None,
             diagnosis: None,
             telemetry: Telemetry::off(),
@@ -95,19 +148,19 @@ impl<'m> MonitorBuilder<'m> {
 
     /// Base delay on the input-event channel.
     pub fn input_delay(mut self, delay: SimDuration) -> Self {
-        self.input_delay = delay;
+        self.channels.input_delay = delay;
         self
     }
 
     /// Base delay on the output-event channel.
     pub fn output_delay(mut self, delay: SimDuration) -> Self {
-        self.output_delay = delay;
+        self.channels.output_delay = delay;
         self
     }
 
     /// Uniform jitter added to both channels.
     pub fn jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
+        self.channels.jitter = jitter;
         self
     }
 
@@ -118,13 +171,13 @@ impl<'m> MonitorBuilder<'m> {
     /// (like the original's Unix-domain-socket transport) requires a
     /// reliable input path; only output observations may be lossy.
     pub fn loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
+        self.channels.loss = loss;
         self
     }
 
     /// Seed for channel jitter/loss determinism.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.channels.seed = seed;
         self
     }
 
@@ -133,7 +186,7 @@ impl<'m> MonitorBuilder<'m> {
     /// reordering become extra latency, and the channels' accounting can
     /// tell *late* from *lost*.
     pub fn reliable(mut self, reliable: bool) -> Self {
-        self.reliable = reliable;
+        self.channels.reliable = reliable;
         self
     }
 
@@ -154,65 +207,10 @@ impl<'m> MonitorBuilder<'m> {
         self
     }
 
-    fn make_channels(
-        input_delay: SimDuration,
-        output_delay: SimDuration,
-        jitter: SimDuration,
-        loss: f64,
-        seed: u64,
-        reliable: bool,
-        telemetry: &Telemetry,
-    ) -> (BoundaryChannel<Message>, BoundaryChannel<Message>) {
-        let (mut input, mut output) = if reliable {
-            let mk = |delay: SimDuration, loss: f64, stream: u64| {
-                let mut wire = DelayChannel::new(delay);
-                let mut acks = DelayChannel::new(delay);
-                if !jitter.is_zero() {
-                    wire = wire.with_jitter(jitter, seed.wrapping_add(stream));
-                    acks = acks.with_jitter(jitter, seed.wrapping_add(stream + 0x10));
-                }
-                if loss > 0.0 {
-                    wire = wire.with_loss(loss);
-                    acks = acks.with_loss(loss);
-                }
-                BoundaryChannel::Reliable(Box::new(ReliableChannel::over(
-                    wire,
-                    acks,
-                    seed.wrapping_add(stream + 0x20),
-                )))
-            };
-            (mk(input_delay, 0.0, 1), mk(output_delay, loss, 2))
-        } else {
-            let mut input_channel = DelayChannel::new(input_delay);
-            let mut output_channel = DelayChannel::new(output_delay);
-            if !jitter.is_zero() {
-                input_channel = input_channel.with_jitter(jitter, seed.wrapping_add(1));
-                output_channel = output_channel.with_jitter(jitter, seed.wrapping_add(2));
-            }
-            if loss > 0.0 {
-                output_channel = output_channel.with_loss(loss);
-            }
-            (
-                BoundaryChannel::Delay(input_channel),
-                BoundaryChannel::Delay(output_channel),
-            )
-        };
-        input.set_telemetry(telemetry.clone(), ProbeNames::INPUT);
-        output.set_telemetry(telemetry.clone(), ProbeNames::OUTPUT);
-        (input, output)
-    }
-
     /// Assembles and starts the monitor.
     pub fn build(self) -> AwarenessMonitor<'m> {
-        let (input_channel, output_channel) = Self::make_channels(
-            self.input_delay,
-            self.output_delay,
-            self.jitter,
-            self.loss,
-            self.seed,
-            self.reliable,
-            &self.telemetry,
-        );
+        let (input_channel, output_channel) =
+            self.channels.build(self.channels.seed, &self.telemetry);
         let mut controller = Controller::new();
         controller.start(SimTime::ZERO);
         let model = ModelExecutor::new(self.machine);
@@ -232,10 +230,12 @@ impl<'m> MonitorBuilder<'m> {
         // The vault exists only on the micro-reboot ladder; its seed is
         // derived from the channel seed so two monitors never validate
         // each other's checkpoints.
-        let vault = self
-            .supervision
-            .filter(|c| c.micro_reboot)
-            .map(|_| CheckpointVault::new(self.seed ^ 0x5EED_0FC0_DE00, MONITOR_VAULT_CAPACITY));
+        let vault = self.supervision.filter(|c| c.micro_reboot).map(|_| {
+            CheckpointVault::new(
+                self.channels.seed ^ 0x5EED_0FC0_DE00,
+                MONITOR_VAULT_CAPACITY,
+            )
+        });
         AwarenessMonitor {
             machine: self.machine,
             input_observer: InputObserver::over(input_channel),
@@ -248,10 +248,8 @@ impl<'m> MonitorBuilder<'m> {
             vault,
             last_vault_save: None,
             errors_total: 0,
-            channel_params: (self.input_delay, self.output_delay, self.jitter, self.loss),
-            channel_seed: self.seed,
+            channels: self.channels,
             channel_epoch: 0,
-            reliable: self.reliable,
             telemetry: self.telemetry,
             now: SimTime::ZERO,
         }
@@ -277,10 +275,8 @@ pub struct AwarenessMonitor<'m> {
     vault: Option<CheckpointVault>,
     last_vault_save: Option<SimTime>,
     errors_total: u64,
-    channel_params: (SimDuration, SimDuration, SimDuration, f64),
-    channel_seed: u64,
+    channels: ChannelSettings,
     channel_epoch: u64,
-    reliable: bool,
     telemetry: Telemetry,
     now: SimTime,
 }
@@ -429,7 +425,7 @@ impl<'m> AwarenessMonitor<'m> {
         state.insert("errors_total".to_string(), self.errors_total as f64);
         state.insert(
             "reliable".to_string(),
-            if self.reliable { 1.0 } else { 0.0 },
+            if self.channels.reliable { 1.0 } else { 0.0 },
         );
         vault.save(MONITOR_UNIT, now, state);
         self.last_vault_save = Some(now);
@@ -490,17 +486,12 @@ impl<'m> AwarenessMonitor<'m> {
     /// epoch) and the micro-reboot rung (which restores it from a
     /// checkpoint).
     fn rebuild_channels(&mut self) {
-        let (input_delay, output_delay, jitter, loss) = self.channel_params;
-        let (input, output) = MonitorBuilder::make_channels(
-            input_delay,
-            output_delay,
-            jitter,
-            loss,
+        let (input, output) = self.channels.build(
             // A fresh seed stream per epoch: the restarted channel must
             // not replay the exact disturbance pattern that killed it.
-            self.channel_seed
+            self.channels
+                .seed
                 .wrapping_add(self.channel_epoch.wrapping_mul(0x9E37_79B9)),
-            self.reliable,
             // Rebuilt channels inherit the same probes — a restart must
             // not silence the boundary.
             &self.telemetry,

@@ -1,169 +1,32 @@
-//! Active observability: idle-time probe scheduling and deadline
-//! monitoring.
+//! Active observability: the sleep-timer deadline monitor.
 //!
 //! The passive awareness loop only sees what user traffic exercises —
 //! the E18 scorecard's idle column is blind for every fault class
 //! because a dormant function never produces a comparator mismatch.
-//! This module makes the monitor *generate* observations instead of
-//! waiting for them, per the paper's §4.1 observation taxonomy
-//! (in-situ probing vs. passive output comparison):
+//! The closed loop's observatory (`TvDependabilityLoop::active_probes`
+//! in `trader`) therefore *generates* observations, per the paper's
+//! §4.1 observation taxonomy (in-situ probing vs. passive output
+//! comparison). Its probe table holds one row per self-check (volume
+//! nudge-and-restore, teletext round-trip, menu open/close, swivel jog,
+//! sleep-timer arm, channel flip): the keys, the telemetry names, the
+//! foreground guard and the mode witness. The loop fires the next row
+//! into each idle window between user presses, through both the SUO
+//! and the model executor, so divergence raises a *normal* comparator
+//! verdict — no new error path.
 //!
-//! * [`ProbeScheduler`] — plans deterministic synthetic key sequences
-//!   (volume nudge-and-restore, teletext round-trip, menu open/close,
-//!   swivel jog, sleep-timer arm) into the idle windows between user
-//!   presses on the simkit virtual clock. The loop driver runs each
-//!   probe through both the SUO and the model executor, so divergence
-//!   raises a *normal* comparator verdict — no new error path.
-//! * [`DeadlineMonitor`] — tracks *armed obligations* (the sleep-timer
-//!   fire time) on the E12 timed-property pattern: a
-//!   [`WatchdogDetector`] watches the timer service's heartbeat, and a
-//!   fire-time deadline alarms when virtual time passes the obligation
-//!   with no event. This catches `sleep-timer-lost`, which no output
-//!   comparison can see inside a short scenario.
-//!
-//! Both pieces are deliberately free of randomness and wall-clock
-//! state: a probe plan is a pure function of the window sequence, so
-//! the scorecard matrix stays byte-identical across worker counts.
+//! This module holds what a key sequence cannot check:
+//! [`DeadlineMonitor`] tracks *armed obligations* (the sleep-timer fire
+//! time) on the E12 timed-property pattern. A [`WatchdogDetector`]
+//! watches the timer service's heartbeat, and a fire-time deadline
+//! alarms when virtual time passes the obligation with no event. This
+//! catches `sleep-timer-lost`, which no output comparison can see
+//! inside a short scenario. Like the probe rotation it is free of
+//! randomness and wall-clock state, so the scorecard matrix stays
+//! byte-identical across worker counts.
 
 use detect::{Detector, ErrorEvent, ErrorSeverity, WatchdogDetector};
 use observe::{Observation, ObservationKind};
 use simkit::{SimDuration, SimTime};
-
-/// Timing knobs for the probe scheduler.
-#[derive(Debug, Clone)]
-pub struct ProbeConfig {
-    /// Delay from the start of an idle window to the first probe key.
-    pub fire_offset: SimDuration,
-    /// Spacing between consecutive keys of one probe sequence.
-    pub key_spacing: SimDuration,
-    /// Margin after the last probe key that must still fit inside the
-    /// window (comparator settle + repair time); a probe that would
-    /// spill past the window is skipped, not truncated.
-    pub settle_margin: SimDuration,
-    /// Fire a probe every Nth idle window (1 = every window).
-    pub every_windows: usize,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            fire_offset: SimDuration::from_millis(15),
-            key_spacing: SimDuration::from_millis(2),
-            settle_margin: SimDuration::from_millis(25),
-            every_windows: 1,
-        }
-    }
-}
-
-/// One registered self-check sequence.
-#[derive(Debug, Clone)]
-pub struct ProbePlan<K> {
-    /// Stable probe-kind name (telemetry counter suffix).
-    pub kind: &'static str,
-    /// The synthetic key sequence, pressed in order.
-    pub keys: Vec<K>,
-}
-
-/// A planned probe firing inside one idle window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeFiring<K> {
-    /// Index of the plan that fired (stable across runs).
-    pub plan: usize,
-    /// The probe kind name.
-    pub kind: &'static str,
-    /// The keys with their virtual press times.
-    pub keys: Vec<(SimTime, K)>,
-}
-
-/// Deterministic round-robin scheduler for synthetic self-checks.
-///
-/// The loop driver calls [`ProbeScheduler::plan_window`] once per idle
-/// window (the gap between two user presses, after the comparator has
-/// settled). The scheduler rotates through its registered plans; a
-/// plan that does not fit the window (with settle margin) is skipped
-/// without advancing the rotation, so a shorter later window still
-/// fires it. All state is per-run and integer-arithmetic only —
-/// byte-identical schedules regardless of thread count.
-#[derive(Debug, Clone)]
-pub struct ProbeScheduler<K> {
-    config: ProbeConfig,
-    plans: Vec<ProbePlan<K>>,
-    cursor: usize,
-    windows_seen: usize,
-    fired: u64,
-    skipped: u64,
-}
-
-impl<K: Clone> ProbeScheduler<K> {
-    /// Creates an empty scheduler with the given timing knobs.
-    pub fn new(config: ProbeConfig) -> Self {
-        assert!(config.every_windows > 0, "every_windows must be at least 1");
-        ProbeScheduler {
-            config,
-            plans: Vec::new(),
-            cursor: 0,
-            windows_seen: 0,
-            fired: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Registers a probe plan; plans fire in registration order.
-    pub fn register(&mut self, kind: &'static str, keys: Vec<K>) {
-        assert!(!keys.is_empty(), "probe plan must have at least one key");
-        self.plans.push(ProbePlan { kind, keys });
-    }
-
-    /// The registered plans, in rotation order.
-    pub fn plans(&self) -> &[ProbePlan<K>] {
-        &self.plans
-    }
-
-    /// Plans the probe for the idle window `[start, end)`, if one fits.
-    ///
-    /// Returns `None` when the window is off-cadence
-    /// ([`ProbeConfig::every_windows`]), no plans are registered, or
-    /// the next plan (plus settle margin) does not fit.
-    pub fn plan_window(&mut self, start: SimTime, end: SimTime) -> Option<ProbeFiring<K>> {
-        self.windows_seen += 1;
-        if self.plans.is_empty()
-            || !(self.windows_seen - 1).is_multiple_of(self.config.every_windows)
-        {
-            return None;
-        }
-        let index = self.cursor % self.plans.len();
-        let plan = &self.plans[index];
-        let first = start + self.config.fire_offset;
-        let mut at = first;
-        let mut keys = Vec::with_capacity(plan.keys.len());
-        for key in &plan.keys {
-            keys.push((at, key.clone()));
-            at += self.config.key_spacing;
-        }
-        let last = keys.last().map(|(t, _)| *t).unwrap_or(first);
-        if last + self.config.settle_margin > end {
-            self.skipped += 1;
-            return None;
-        }
-        self.cursor += 1;
-        self.fired += 1;
-        Some(ProbeFiring {
-            plan: index,
-            kind: plan.kind,
-            keys,
-        })
-    }
-
-    /// Probes fired so far this run.
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Probes skipped because the window was too short.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-}
 
 /// The sleep-timer obligation monitor: heartbeat watchdog plus an
 /// armed fire-time deadline.
@@ -331,51 +194,6 @@ mod tests {
                 value: 15.0,
             },
         )
-    }
-
-    #[test]
-    fn scheduler_rotates_and_is_deterministic() {
-        let mut a = ProbeScheduler::new(ProbeConfig::default());
-        a.register("volume", vec!["vol_up", "vol_down"]);
-        a.register("menu", vec!["menu", "back"]);
-        let mut b = a.clone();
-        for i in 0..6u64 {
-            let start = ms(100 * i + 25);
-            let end = ms(100 * (i + 1));
-            let fa = a.plan_window(start, end);
-            let fb = b.plan_window(start, end);
-            assert_eq!(fa, fb, "schedules must be deterministic");
-            let firing = fa.expect("window is wide enough");
-            assert_eq!(firing.plan, (i % 2) as usize);
-            assert_eq!(firing.keys[0].0, start + SimDuration::from_millis(15));
-        }
-        assert_eq!(a.fired(), 6);
-        assert_eq!(a.skipped(), 0);
-    }
-
-    #[test]
-    fn short_window_skips_without_losing_rotation() {
-        let mut s = ProbeScheduler::new(ProbeConfig::default());
-        s.register("volume", vec!["vol_up", "vol_down"]);
-        s.register("menu", vec!["menu", "back"]);
-        // Too short: 15ms offset + 2ms + 25ms margin > 30ms.
-        assert!(s.plan_window(ms(0), ms(30)).is_none());
-        assert_eq!(s.skipped(), 1);
-        // The skipped plan fires in the next adequate window.
-        let firing = s.plan_window(ms(100), ms(200)).unwrap();
-        assert_eq!(firing.kind, "volume");
-    }
-
-    #[test]
-    fn every_windows_cadence() {
-        let mut s = ProbeScheduler::new(ProbeConfig {
-            every_windows: 2,
-            ..ProbeConfig::default()
-        });
-        s.register("volume", vec!["vol_up"]);
-        assert!(s.plan_window(ms(0), ms(100)).is_some());
-        assert!(s.plan_window(ms(100), ms(200)).is_none());
-        assert!(s.plan_window(ms(200), ms(300)).is_some());
     }
 
     #[test]

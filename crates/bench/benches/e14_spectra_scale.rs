@@ -4,9 +4,9 @@
 //!
 //! Set `E14_QUICK=1` to run the CI-sized grid instead of the full sweep.
 
-use bench::json::{write_bench_json, Json};
 use bench::quick_criterion;
 use std::hint::black_box;
+use telemetry::json::{write_bench_json, Json};
 use trader::experiments::e14_spectra_scale::{self, E14Config, E14Report};
 
 fn report_json(report: &E14Report, quick: bool) -> Json {

@@ -6,9 +6,9 @@
 //! Set `E15_QUICK=1` to run the CI-sized measurement instead of the full
 //! one.
 
-use bench::json::{workspace_root, write_bench_json, Json};
 use bench::quick_criterion;
 use std::hint::black_box;
+use telemetry::json::{workspace_root, write_bench_json, Json};
 use trader::experiments::e15_telemetry_overhead::{self, E15Config, E15Report};
 
 fn report_json(report: &E15Report, quick: bool) -> Json {

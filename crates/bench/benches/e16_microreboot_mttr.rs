@@ -9,11 +9,11 @@
 //! campaign (seed 14 in the current derivation) or the verdict has no
 //! population to judge.
 
-use bench::json::{write_bench_json, Json};
 use bench::quick_criterion;
 use chaos::experiments::e16_microreboot_mttr::{self, E16Report, MTTR_IMPROVEMENT_FLOOR};
 use chaos::CampaignSpec;
 use std::hint::black_box;
+use telemetry::json::{write_bench_json, Json};
 
 /// The CI-sized subset: seed 14 is the regression set's single-unit
 /// compared campaign; the other two keep multi-unit coverage in the

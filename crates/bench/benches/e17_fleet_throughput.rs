@@ -12,10 +12,10 @@
 //! only when the host can physically express it — a single-core
 //! container reports ~1.0x and that is the truth, not a failure.
 
-use bench::json::{write_bench_json, Json};
 use bench::quick_criterion;
 use chaos::fleet::{self, fleet_specs, run_fleet, FLEET_SEED_BASE};
 use std::hint::black_box;
+use telemetry::json::{write_bench_json, Json};
 use trader::experiments::e17_fleet_throughput::{E17Config, E17Report};
 
 /// Minimum best-cell speedup demanded when the host has ≥2 hardware

@@ -18,7 +18,6 @@
 //! across worker counts, every fault-free twin must stay silent, and
 //! the baseline verdict must report zero regressions.
 
-use bench::json::{workspace_root, write_bench_json, Json};
 use bench::quick_criterion;
 use chaos::experiments::e18_scorecard::{
     baseline_json, cell_json, compare_with_baseline, e18_report, BaselineVerdict, E18Config,
@@ -26,6 +25,7 @@ use chaos::experiments::e18_scorecard::{
 };
 use chaos::scorecard::{CellOutcome, CellSpec, RecoveryStyle, ScenarioKind, ScorecardConfig};
 use std::hint::black_box;
+use telemetry::json::{workspace_root, write_bench_json, Json};
 use tvsim::TvFault;
 
 fn report_json(

@@ -14,11 +14,11 @@
 //! zero), the probed matrix must be byte-identical across worker
 //! counts, and the observatory must pass the E15 probe-effect budget.
 
-use bench::json::{workspace_root, write_bench_json, Json};
 use bench::quick_criterion;
 use chaos::experiments::e19_active_probes::{e19_report, E19Config, E19Report};
 use chaos::scorecard::{CellSpec, DependabilityScorecard, RecoveryStyle, ScenarioKind};
 use std::hint::black_box;
+use telemetry::json::{workspace_root, write_bench_json, Json};
 use tvsim::TvFault;
 
 fn cells_json(scorecard: &DependabilityScorecard) -> Json {

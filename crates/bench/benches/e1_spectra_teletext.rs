@@ -3,10 +3,10 @@
 //! Besides the Criterion timing, writes `BENCH_e1.json` so CI can assert
 //! the paper's anchor result — the faulty block ranks #1 — on every run.
 
-use bench::json::{write_bench_json, Json};
 use bench::quick_criterion;
 use criterion::Criterion;
 use std::hint::black_box;
+use telemetry::json::{write_bench_json, Json};
 use trader::experiments::e1_spectra;
 
 fn benches(c: &mut Criterion) {

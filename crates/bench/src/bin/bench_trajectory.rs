@@ -16,9 +16,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::json::workspace_root;
 use bench::trajectory::{collect, diff};
-use telemetry::json::Json;
+use telemetry::json::{workspace_root, Json};
 
 fn main() -> ExitCode {
     let mut root = workspace_root();

@@ -8,7 +8,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod json;
 pub mod trajectory;
 
 use criterion::Criterion;

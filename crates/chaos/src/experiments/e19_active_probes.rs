@@ -22,19 +22,17 @@
 //!    a probed reference run with the flight recorder on must stay
 //!    within the wall-clock budget of the same probed run with
 //!    telemetry off, and both arms must produce identical outcomes.
+//!    The leg calls E15's shared protocol
+//!    ([`measure_probe_effect`]) with the observatory on.
 //!
 //! Like E18 the harness runs the [`crate::scorecard`] grid through a
 //! closure, here mapping `(workers, probes)` to the folded scorecard
 //! ([`e19_report`] wires it to [`run_scorecard`]).
 
-use faults::Schedule;
 use serde::{Deserialize, Serialize};
-use simkit::SimTime;
 use std::fmt;
-use std::time::Instant;
-use telemetry::Telemetry;
-use trader::observe::{BudgetVerdict, ProbeBudget};
-use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop};
+use trader::experiments::e15_telemetry_overhead::{measure_probe_effect, E15Config};
+use trader::observe::BudgetVerdict;
 use tvsim::TvFault;
 
 use crate::experiments::e18_scorecard::{detection_coverage, render_layers, reproduces};
@@ -52,14 +50,9 @@ pub struct E19Config {
     pub coverage_floor: f64,
     /// Workloads (of 5) in which `sleep-timer-lost` must be detected.
     pub sleep_timer_floor: usize,
-    /// Probe-effect leg: presses in the probed reference scenario.
-    pub effect_scenario_len: usize,
-    /// Probe-effect leg: timed repetitions per arm (min is reported).
-    pub effect_trials: usize,
-    /// Probe-effect leg: flight-recorder ring capacity.
-    pub effect_ring_capacity: usize,
-    /// Probe-effect leg: wall-clock budget fraction.
-    pub budget_fraction: f64,
+    /// The probe-effect leg: E15's measurement, run with the
+    /// observatory on.
+    pub effect: E15Config,
 }
 
 impl E19Config {
@@ -70,22 +63,17 @@ impl E19Config {
             grid: ScorecardConfig::full(),
             coverage_floor: 0.55,
             sleep_timer_floor: 4,
-            effect_scenario_len: 120,
-            effect_trials: 7,
-            effect_ring_capacity: 16_384,
-            budget_fraction: ProbeBudget::DEFAULT_FRACTION,
+            effect: E15Config::full(),
         }
     }
 
     /// The CI measurement: the 40-cell micro-reboot layer, determinism
-    /// at 1 and 4 workers, a shorter probe-effect leg.
+    /// at 1 and 4 workers, E15's quick probe-effect leg.
     pub fn quick() -> Self {
         E19Config {
             worker_counts: vec![1, 4],
             grid: ScorecardConfig::quick(),
-            effect_scenario_len: 60,
-            effect_trials: 5,
-            effect_ring_capacity: 8_192,
+            effect: E15Config::quick(),
             ..Self::full()
         }
     }
@@ -158,77 +146,19 @@ pub struct E19Report {
     pub probe_effect: ProbeEffectLeg,
 }
 
-/// Builds the probe-effect reference loop: the E15 reference shape
-/// (closed, reliable over a lossy boundary, transient sync loss plus a
-/// persistent mute inversion) with the observatory switched on.
-fn probed_reference_loop(telemetry: Telemetry) -> TvDependabilityLoop {
-    let mut looped = TvDependabilityLoop::closed(42);
-    looped.schedule_fault(
-        Schedule::Between {
-            from: SimTime::from_millis(250),
-            to: SimTime::from_millis(350),
-        },
-        TvFault::TeletextSyncLoss,
-    );
-    looped.schedule_fault(
-        Schedule::From {
-            at: SimTime::from_millis(1650),
-        },
-        TvFault::MuteInversion,
-    );
-    looped.set_channel_loss(0.05);
-    looped.use_reliable(true);
-    looped.active_probes();
-    looped.set_telemetry(telemetry);
-    looped
-}
-
-fn run_effect_arm(scenario: &TimedScenario, telemetry: Telemetry) -> (u64, LoopOutcome) {
-    let mut looped = probed_reference_loop(telemetry);
-    let started = Instant::now();
-    let outcome = looped.run(scenario);
-    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    (elapsed, outcome)
-}
-
-/// Runs the probe-effect leg (the E15 protocol: warm-up, alternated
-/// arms, min-of-trials, escalation while over budget).
+/// Runs the probe-effect leg: E15's protocol on its reference loop,
+/// with the observatory on in both arms.
 fn run_probe_effect(config: &E19Config) -> ProbeEffectLeg {
-    let scenario = TimedScenario::teletext_session(config.effect_scenario_len);
-    let trials = config.effect_trials.max(1);
-    let budget = ProbeBudget::new(config.budget_fraction);
-
-    let mut baseline_ns = u64::MAX;
-    let mut instrumented_ns = u64::MAX;
-    let mut baseline_outcome = None;
-    let mut instrumented_outcome = None;
-    let mut last_telemetry = Telemetry::off();
-    let _ = run_effect_arm(&scenario, Telemetry::off());
-    let _ = run_effect_arm(&scenario, Telemetry::recording(config.effect_ring_capacity));
-    let max_trials = trials * 4;
-    for trial in 0..max_trials {
-        if trial >= trials && budget.judge(baseline_ns, instrumented_ns).within_budget {
-            break;
-        }
-        let (off_ns, off_out) = run_effect_arm(&scenario, Telemetry::off());
-        baseline_ns = baseline_ns.min(off_ns);
-        baseline_outcome = Some(off_out);
-
-        let telemetry = Telemetry::recording(config.effect_ring_capacity);
-        let (on_ns, on_out) = run_effect_arm(&scenario, telemetry.clone());
-        instrumented_ns = instrumented_ns.min(on_ns);
-        instrumented_outcome = Some(on_out);
-        last_telemetry = telemetry;
-    }
-
-    let probe_bursts = last_telemetry
+    let effect = measure_probe_effect(&config.effect, true);
+    let probe_bursts = effect
+        .telemetry
         .snapshot_metrics()
         .histogram("core.probes.latency_ns")
         .map_or(0, |h| h.count());
     ProbeEffectLeg {
-        verdict: budget.judge(baseline_ns, instrumented_ns),
-        outcomes_agree: baseline_outcome == instrumented_outcome,
-        events_recorded: last_telemetry.events_len(),
+        verdict: effect.verdict,
+        outcomes_agree: effect.outcomes_agree,
+        events_recorded: effect.telemetry.events_len(),
         probe_bursts,
     }
 }
@@ -403,10 +333,12 @@ mod tests {
             grid: ScorecardConfig::quick(),
             coverage_floor: 0.55,
             sleep_timer_floor: 2,
-            effect_scenario_len: 20,
-            effect_trials: 1,
-            effect_ring_capacity: 1_024,
-            budget_fraction: ProbeBudget::DEFAULT_FRACTION,
+            effect: E15Config {
+                scenario_len: 20,
+                trials: 1,
+                ring_capacity: 1_024,
+                ..E15Config::quick()
+            },
         }
     }
 

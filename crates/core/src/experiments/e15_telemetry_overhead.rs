@@ -10,6 +10,11 @@
 //! trials on each arm** (the standard noise floor estimator), and the
 //! overhead fraction is judged against the 5% [`ProbeBudget`].
 //!
+//! That protocol (warm-up pair, alternated arms, min-of-trials,
+//! escalation while over budget) lives in one place,
+//! [`measure_probe_effect`]; E19 reuses it with the active health
+//! observatory switched on in both arms.
+//!
 //! Two properties are checked beyond timing:
 //!
 //! 1. **Non-interference** — both arms must produce *identical*
@@ -128,8 +133,9 @@ impl fmt::Display for E15Report {
 
 /// Builds the reference loop: closed, reliable over a lossy boundary,
 /// with a transient sync-loss fault and a persistent mute inversion —
-/// enough activity that every instrumented component actually fires.
-fn reference_loop(telemetry: Telemetry) -> TvDependabilityLoop {
+/// enough activity that every instrumented component actually fires —
+/// and, when `probes` is set, the active health observatory.
+fn reference_loop(telemetry: Telemetry, probes: bool) -> TvDependabilityLoop {
     let mut looped = TvDependabilityLoop::closed(42);
     looped.schedule_fault(
         Schedule::Between {
@@ -146,69 +152,98 @@ fn reference_loop(telemetry: Telemetry) -> TvDependabilityLoop {
     );
     looped.set_channel_loss(0.05);
     looped.use_reliable(true);
+    if probes {
+        looped.active_probes();
+    }
     looped.set_telemetry(telemetry);
     looped
 }
 
 /// Runs one arm once, returning elapsed wall-clock nanoseconds and the
 /// outcome.
-fn run_arm(scenario: &TimedScenario, telemetry: Telemetry) -> (u64, LoopOutcome) {
-    let mut looped = reference_loop(telemetry);
+fn run_arm(scenario: &TimedScenario, telemetry: Telemetry, probes: bool) -> (u64, LoopOutcome) {
+    let mut looped = reference_loop(telemetry, probes);
     let started = Instant::now();
     let outcome = looped.run(scenario);
     let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     (elapsed, outcome)
 }
 
-/// Runs E15.
-pub fn run(config: &E15Config) -> E15Report {
+/// One probe-effect measurement of the flight recorder on the
+/// reference loop.
+#[derive(Debug, Clone)]
+pub struct ProbeEffect {
+    /// The budget verdict over the min-of-trials pair.
+    pub verdict: BudgetVerdict,
+    /// Whether the telemetry-off and telemetry-on arms produced
+    /// identical loop outcomes.
+    pub outcomes_agree: bool,
+    /// The last instrumented arm's outcome.
+    pub outcome: LoopOutcome,
+    /// The last instrumented arm's flight recorder.
+    pub telemetry: Telemetry,
+}
+
+/// Measures the flight recorder's probe effect on the reference loop
+/// (with the observatory on both arms when `probes` is set) by the
+/// shared protocol: a warm-up pair, then the arms alternated within
+/// each trial, the minimum over trials per arm judged against the
+/// budget, escalating to up to 4x the configured trials while over it.
+pub fn measure_probe_effect(config: &E15Config, probes: bool) -> ProbeEffect {
     let scenario = TimedScenario::teletext_session(config.scenario_len);
     let trials = config.trials.max(1);
-
     let budget = ProbeBudget::new(config.budget_fraction);
     let mut baseline_ns = u64::MAX;
     let mut instrumented_ns = u64::MAX;
     let mut baseline_outcome = None;
-    let mut instrumented_outcome = None;
-    let mut last_telemetry = Telemetry::off();
+    let mut last = None;
     // Warm caches and the allocator before timing anything.
-    let _ = run_arm(&scenario, Telemetry::off());
-    let _ = run_arm(&scenario, Telemetry::recording(config.ring_capacity));
+    let _ = run_arm(&scenario, Telemetry::off(), probes);
+    let _ = run_arm(
+        &scenario,
+        Telemetry::recording(config.ring_capacity),
+        probes,
+    );
     // Alternate the arms within each trial so slow drifts (thermal,
     // scheduler) hit both equally instead of biasing one side. After the
     // configured trials, escalate with up to 3x more while the verdict
     // is over budget: the minimum estimator only converges *from above*,
     // so extra samples can lower a noise-inflated arm toward its true
     // floor but never push a genuinely over-budget probe under it.
-    let max_trials = trials * 4;
-    for trial in 0..max_trials {
+    for trial in 0..trials * 4 {
         if trial >= trials && budget.judge(baseline_ns, instrumented_ns).within_budget {
             break;
         }
-        let (off_ns, off_out) = run_arm(&scenario, Telemetry::off());
+        let (off_ns, off_out) = run_arm(&scenario, Telemetry::off(), probes);
         baseline_ns = baseline_ns.min(off_ns);
         baseline_outcome = Some(off_out);
 
         let telemetry = Telemetry::recording(config.ring_capacity);
-        let (on_ns, on_out) = run_arm(&scenario, telemetry.clone());
+        let (on_ns, on_out) = run_arm(&scenario, telemetry.clone(), probes);
         instrumented_ns = instrumented_ns.min(on_ns);
-        instrumented_outcome = Some(on_out);
-        last_telemetry = telemetry;
+        last = Some((on_out, telemetry));
     }
+    let (outcome, telemetry) = last.expect("at least one trial");
+    ProbeEffect {
+        verdict: budget.judge(baseline_ns, instrumented_ns),
+        outcomes_agree: baseline_outcome.as_ref() == Some(&outcome),
+        outcome,
+        telemetry,
+    }
+}
 
-    let verdict = budget.judge(baseline_ns, instrumented_ns);
-    let baseline_outcome = baseline_outcome.expect("at least one trial");
-    let instrumented_outcome = instrumented_outcome.expect("at least one trial");
-    let metric_names = last_telemetry.snapshot_metrics().len();
-
+/// Runs E15.
+pub fn run(config: &E15Config) -> E15Report {
+    let effect = measure_probe_effect(config, false);
+    let telemetry = &effect.telemetry;
     E15Report {
         config: config.clone(),
-        verdict,
-        outcomes_agree: baseline_outcome == instrumented_outcome,
-        events_recorded: last_telemetry.events_len(),
-        events_overwritten: last_telemetry.overwritten(),
-        metric_names,
-        summary: instrumented_outcome.summary(),
+        verdict: effect.verdict,
+        outcomes_agree: effect.outcomes_agree,
+        events_recorded: telemetry.events_len(),
+        events_overwritten: telemetry.overwritten(),
+        metric_names: telemetry.snapshot_metrics().len(),
+        summary: effect.outcome.summary(),
     }
 }
 
@@ -218,7 +253,7 @@ pub fn run(config: &E15Config) -> E15Report {
 pub fn reference_trace(config: &E15Config) -> String {
     let scenario = TimedScenario::teletext_session(config.scenario_len);
     let telemetry = Telemetry::recording(config.ring_capacity);
-    let mut looped = reference_loop(telemetry.clone());
+    let mut looped = reference_loop(telemetry.clone(), false);
     let _ = looped.run(&scenario);
     telemetry.events_jsonl()
 }

@@ -8,7 +8,7 @@
 
 use awareness::{
     AwarenessMonitor, CompareSpec, Configuration, DeadlineMonitor, DiagnosisConfig, MonitorBuilder,
-    ProbeConfig, ProbeScheduler, SupervisorConfig,
+    SupervisorConfig,
 };
 use detect::{ConsistencyRule, Detector, ErrorEvent, ModeConsistencyDetector};
 use faults::injector::Transition;
@@ -146,40 +146,79 @@ const HEARTBEAT_DEADLINE: SimDuration = SimDuration::from_millis(300);
 /// expiry alarms.
 const FIRE_GRACE: SimDuration = SimDuration::from_secs(1);
 
-/// One registered self-check: a key sequence that nudges a dormant
+/// Delay from the start of an idle window to a probe's first key.
+const FIRE_OFFSET: SimDuration = SimDuration::from_millis(15);
+
+/// Spacing between consecutive keys of one probe burst.
+const KEY_SPACING: SimDuration = SimDuration::from_millis(2);
+
+/// One self-check, completely: a key sequence that nudges a dormant
 /// function and restores (or symmetrically perturbs) its state, so the
 /// model executor tracks the SUO exactly and only a fault produces a
 /// verdict.
 struct ProbePlan {
-    kind: &'static str,
     keys: &'static [Key],
     /// Fired counter (flight-recorder names must be `'static`).
     fired: &'static str,
     /// Verdict transition stream.
     verdict: &'static str,
+    /// True when firing now would disturb a foreground mode the user
+    /// has active (teletext page state, an open menu). An idle-time
+    /// prober must leave foreground state alone: the deferred slot is
+    /// consumed from the rotation (keeping the schedule deterministic)
+    /// but its keys are never pressed.
+    disturbs: fn(&TvSystem) -> bool,
+    /// The probe's postcondition, checked at the burst's settle time.
+    witness: Option<Witness>,
 }
 
-/// A [`ProbePlan`] whose telemetry names derive from its kind.
+/// A probe's postcondition: mode samples asserted against the live
+/// mode map, then one mode that retires the assertion so unrelated
+/// later mode traffic cannot re-trigger it.
+struct Witness {
+    sample: fn(&mut TvSystem, SimTime) -> Vec<Observation>,
+    /// `(component, mode)` fed after the samples.
+    retire: (&'static str, &'static str),
+}
+
+/// A [`ProbePlan`] whose telemetry names derive from its kind name.
 macro_rules! probe_plan {
-    ($kind:literal => $($key:expr),+) => {
+    ($kind:literal => [$($key:expr),+], $disturbs:expr, $witness:expr) => {
         ProbePlan {
-            kind: $kind,
             keys: &[$($key),+],
             fired: concat!("core.probes.fired.", $kind),
             verdict: concat!("core.probes.verdict.", $kind),
+            disturbs: $disturbs,
+            witness: $witness,
         }
     };
 }
 
-/// The registered self-checks, in rotation order.
+fn never(_: &TvSystem) -> bool {
+    false
+}
+
+fn teletext_on(tv: &TvSystem) -> bool {
+    tv.teletext().is_on()
+}
+
+/// The self-checks, in rotation order.
 static PROBE_PLANS: [ProbePlan; 6] = [
-    probe_plan!("sleep-timer" => Key::Sleep),
-    probe_plan!("volume-nudge" => Key::VolUp, Key::VolDown, Key::Mute, Key::Mute),
+    probe_plan!("sleep-timer" => [Key::Sleep], never, None),
+    probe_plan!("volume-nudge" => [Key::VolUp, Key::VolDown, Key::Mute, Key::Mute], never, None),
     probe_plan!("teletext-roundtrip" =>
-        Key::Teletext, Key::Digit(1), Key::Digit(2), Key::Digit(3), Key::Teletext),
-    probe_plan!("menu-toggle" => Key::Menu, Key::Back),
-    probe_plan!("swivel-jog" => Key::SwivelRight, Key::SwivelLeft),
-    probe_plan!("channel-flip" => Key::ChannelUp, Key::ChannelDown),
+        [Key::Teletext, Key::Digit(1), Key::Digit(2), Key::Digit(3), Key::Teletext],
+        teletext_on, None),
+    // The open/close round-trip must leave no OSD on screen.
+    probe_plan!("menu-toggle" => [Key::Menu, Key::Back], TvSystem::osd_has_focus, Some(Witness {
+        sample: |_, at| vec![witness_obs(at, "osd.intent", "closed")],
+        retire: ("osd.intent", "idle"),
+    })),
+    probe_plan!("swivel-jog" => [Key::SwivelRight, Key::SwivelLeft], never, Some(Witness {
+        sample: TvSystem::witness_swivel,
+        retire: ("swivel.motor", "busy"),
+    })),
+    probe_plan!("channel-flip" => [Key::ChannelUp, Key::ChannelDown], teletext_on, None),
 ];
 
 /// The outcome of running a scenario through the loop.
@@ -382,38 +421,38 @@ fn indictment(name: &str) -> Option<(&'static str, Option<Repair>)> {
 }
 
 /// Per-run state of the active health observatory: the probe rotation
-/// (a probe in every idle window), the sleep-timer deadline monitor, and
-/// the last verdict per probe kind (for the verdict-transition streams).
+/// over [`PROBE_PLANS`], the sleep-timer deadline monitor, and the last
+/// verdict per probe (for the verdict-transition streams).
 struct ProbeRuntime {
-    scheduler: ProbeScheduler<Key>,
+    /// Probes fired or deferred so far; the next probe is
+    /// `PROBE_PLANS[cursor % len]`.
+    cursor: usize,
     deadline: DeadlineMonitor,
-    verdicts: [&'static str; 6],
+    verdicts: [&'static str; PROBE_PLANS.len()],
 }
 
 impl ProbeRuntime {
     fn new() -> Self {
-        let mut scheduler = ProbeScheduler::new(ProbeConfig::default());
-        for plan in &PROBE_PLANS {
-            scheduler.register(plan.kind, plan.keys.to_vec());
-        }
         ProbeRuntime {
-            scheduler,
+            cursor: 0,
             deadline: DeadlineMonitor::new(HEARTBEAT_DEADLINE, FIRE_GRACE),
-            verdicts: ["pass"; 6],
+            verdicts: ["pass"; PROBE_PLANS.len()],
         }
     }
-}
 
-/// True when firing `kind` right now would disturb a foreground mode
-/// the user currently has active (teletext page state, an open menu).
-/// An idle-time prober must leave foreground state alone: a deferred
-/// slot is consumed from the rotation (keeping the schedule
-/// deterministic) but its keys are never pressed.
-fn probe_disturbs(tv: &TvSystem, kind: &str) -> bool {
-    match kind {
-        "teletext-roundtrip" | "channel-flip" => tv.teletext().is_on(),
-        "menu-toggle" => tv.osd_has_focus(),
-        _ => false,
+    /// The next probe's row index and first-key time in the idle window
+    /// from `start` to `end`, if its last key plus a step still fits.
+    /// A probe that does not fit leaves the rotation where it is, so a
+    /// later, wider window fires it.
+    fn next(&mut self, start: SimTime, end: SimTime) -> Option<(usize, SimTime)> {
+        let index = self.cursor % PROBE_PLANS.len();
+        let first = start + FIRE_OFFSET;
+        let last = first + KEY_SPACING * (PROBE_PLANS[index].keys.len() as u64 - 1);
+        if last + STEP > end {
+            return None;
+        }
+        self.cursor += 1;
+        Some((index, first))
     }
 }
 
@@ -914,35 +953,37 @@ impl<'m> Session<'m> {
 
     /// Fires the observatory's next self-check into the idle window
     /// from `start` to `end`: its keys are pressed like user keys and
-    /// the burst settles once, after its last key, with the mode
-    /// witnesses.
+    /// the burst settles once, after its last key, with the probe's
+    /// witness.
     fn probe_window(&mut self, start: SimTime, end: SimTime) {
         let telemetry = self.telemetry;
         let Some(pr) = self.closed.as_mut().and_then(|cl| cl.probes.as_mut()) else {
             return;
         };
-        let Some(firing) = pr.scheduler.plan_window(start, end) else {
+        let Some((index, fired_at)) = pr.next(start, end) else {
             return;
         };
-        let plan = &PROBE_PLANS[firing.plan];
-        let fired_at = firing.keys[0].0;
-        if probe_disturbs(&self.tv, plan.kind) {
+        let plan = &PROBE_PLANS[index];
+        if (plan.disturbs)(&self.tv) {
             telemetry.count(fired_at, "core.probes.deferred", 1);
             return;
         }
         telemetry.span_enter(fired_at, "core.probes.burst");
-        for &(at, key) in &firing.keys {
-            self.press(at, key, Origin::Probe);
+        let mut last_at = fired_at;
+        for (i, &key) in plan.keys.iter().enumerate() {
+            last_at = fired_at + KEY_SPACING * i as u64;
+            self.press(last_at, key, Origin::Probe);
         }
-        let last_at = firing.keys.last().map_or(SimTime::ZERO, |&(at, _)| at);
         let settle = last_at + SETTLE;
-        self.witness(plan.kind, settle);
+        if let Some(witness) = &plan.witness {
+            self.witness(witness, settle);
+        }
         let n_errors = self.settle(last_at, Origin::Probe);
         telemetry.count(settle, plan.fired, 1);
         telemetry.observe_ns("core.probes.latency_ns", settle.since(fired_at).as_nanos());
         let verdict = if n_errors > 0 { "divergent" } else { "pass" };
         if let Some(pr) = self.closed.as_mut().and_then(|cl| cl.probes.as_mut()) {
-            let last = &mut pr.verdicts[firing.plan];
+            let last = &mut pr.verdicts[index];
             if *last != verdict {
                 telemetry.transition(settle, plan.verdict, last, verdict);
                 *last = verdict;
@@ -951,32 +992,23 @@ impl<'m> Session<'m> {
         telemetry.span_exit(settle, "core.probes.burst");
     }
 
-    /// Mode witnesses at a probe burst's settle time: assert the
-    /// probe's postcondition against the live mode map, then retire the
-    /// assertion so unrelated later mode traffic cannot re-trigger it.
-    fn witness(&mut self, kind: &str, settle: SimTime) {
+    /// Feeds a probe's witness at its burst's settle time: the samples
+    /// to the mode detector (whose errors settle with the burst) and the
+    /// deadline monitor, then the retiring mode to the detector alone.
+    fn witness(&mut self, witness: &Witness, settle: SimTime) {
         let Some(cl) = self.closed.as_mut() else {
             return;
         };
-        let detector = &mut cl.mode_detector;
-        match kind {
-            "menu-toggle" => {
-                // The open/close round-trip must leave no OSD on screen.
-                let closed = witness_obs(settle, "osd.intent", "closed");
-                self.detector_errors.extend(detector.observe(&closed));
-                let _ = detector.observe(&witness_obs(settle, "osd.intent", "idle"));
+        for obs in (witness.sample)(&mut self.tv, settle) {
+            self.detector_errors.extend(cl.mode_detector.observe(&obs));
+            if let Some(pr) = cl.probes.as_mut() {
+                pr.deadline.observe(&obs);
             }
-            "swivel-jog" => {
-                for obs in self.tv.witness_swivel(settle) {
-                    self.detector_errors.extend(detector.observe(&obs));
-                    if let Some(pr) = cl.probes.as_mut() {
-                        pr.deadline.observe(&obs);
-                    }
-                }
-                let _ = detector.observe(&witness_obs(settle, "swivel.motor", "busy"));
-            }
-            _ => {}
         }
+        let (component, mode) = witness.retire;
+        let _ = cl
+            .mode_detector
+            .observe(&witness_obs(settle, component, mode));
     }
 
     /// Ends the run: the obligation epilogue, then the end-of-run
@@ -1568,13 +1600,83 @@ mod tests {
             .sum();
         assert!(fired >= 24, "expected a probe per idle window, got {fired}");
         for plan in &PROBE_PLANS {
-            assert!(
-                telemetry.counter(plan.fired) >= 1,
-                "{} never fired",
-                plan.kind
-            );
+            assert!(telemetry.counter(plan.fired) >= 1, "{} is 0", plan.fired);
         }
         assert_eq!(telemetry.counter("core.probes.detections"), 0);
+    }
+
+    fn ms(x: u64) -> SimTime {
+        SimTime::from_millis(x)
+    }
+
+    #[test]
+    fn probe_rotation_is_deterministic() {
+        let mut a = ProbeRuntime::new();
+        let mut b = ProbeRuntime::new();
+        for i in 0..12u64 {
+            let start = ms(100 * i + 25);
+            let end = ms(100 * (i + 1));
+            let fa = a.next(start, end);
+            assert_eq!(fa, b.next(start, end), "schedules must be deterministic");
+            let (index, first) = fa.expect("window is wide enough");
+            assert_eq!(index, i as usize % PROBE_PLANS.len());
+            assert_eq!(first, start + SimDuration::from_millis(15));
+        }
+        assert_eq!(a.cursor, 12);
+    }
+
+    #[test]
+    fn short_window_skips_without_losing_rotation() {
+        let mut rt = ProbeRuntime::new();
+        // Too short: 15 ms offset + 25 ms step > 30 ms.
+        assert_eq!(rt.next(ms(0), ms(30)), None);
+        // The skipped probe fires in the next adequate window.
+        assert_eq!(rt.next(ms(100), ms(200)), Some((0, ms(115))));
+        // The five-key teletext round-trip needs 15 + 4 * 2 + 25 ms.
+        rt.cursor = 2;
+        assert_eq!(rt.next(ms(0), ms(47)), None);
+        assert_eq!(rt.next(ms(0), ms(48)), Some((2, ms(15))));
+    }
+
+    /// Idle-window sequences: cumulative gaps of 30..160 ms.
+    fn windows() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        prop::collection::vec(30u64..160, 1..40).prop_map(|gaps| {
+            let mut at = 0u64;
+            gaps.iter()
+                .map(|gap| {
+                    let w = (at, at + gap);
+                    at += gap;
+                    w
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The rotation is a pure function of the window sequence: two
+        /// runtimes fed the same windows pick the same probes, the
+        /// cursor only moves when a probe fires, and every fired burst
+        /// (plus a step) fits its window.
+        #[test]
+        fn probe_schedule_is_a_pure_function_of_the_windows(windows in windows()) {
+            let mut a = ProbeRuntime::new();
+            let mut b = ProbeRuntime::new();
+            let mut fired = 0usize;
+            for &(start, end) in &windows {
+                let fa = a.next(ms(start), ms(end));
+                prop_assert_eq!(fa, b.next(ms(start), ms(end)), "schedules diverged");
+                if let Some((index, first)) = fa {
+                    prop_assert_eq!(index, fired % PROBE_PLANS.len());
+                    fired += 1;
+                    let keys = PROBE_PLANS[index].keys.len() as u64;
+                    let last = first + SimDuration::from_millis(2) * (keys - 1);
+                    prop_assert!(last + SimDuration::from_millis(25) <= ms(end));
+                }
+            }
+            prop_assert_eq!(a.cursor, fired);
+        }
     }
 
     #[test]

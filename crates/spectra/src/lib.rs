@@ -54,4 +54,4 @@ pub use matrix::SpectrumMatrix;
 pub use ranking::{Ranking, RankingEntry};
 pub use report::DiagnosisReport;
 pub use similarity::{Coefficient, Counts};
-pub use topk::{score_top_k, score_top_k_instrumented, TopK};
+pub use topk::{score_top_k, TopK};

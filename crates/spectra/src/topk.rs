@@ -32,8 +32,6 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::thread;
-use std::time::Instant;
-use telemetry::MetricsRegistry;
 
 /// Ranking order: descending score, then ascending block id.
 ///
@@ -234,81 +232,6 @@ pub fn score_top_k(
     }
 }
 
-/// [`score_top_k`] with per-shard timing merged into a caller-supplied
-/// [`MetricsRegistry`].
-///
-/// Each worker thread owns a private registry (registries are plain
-/// values — `Send`, no shared state), records its own wall-clock scoring
-/// time into the `spectra.topk.shard_score_ns` histogram and the block
-/// count into `spectra.topk.blocks_scored`, and the shards are merged
-/// after the join. Merging is order-insensitive, so the readout is
-/// deterministic in everything except the timing samples themselves.
-/// Ranking output is byte-identical to [`score_top_k`].
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn score_top_k_instrumented(
-    matrix: &CountsMatrix,
-    coefficient: Coefficient,
-    k: usize,
-    shards: usize,
-    metrics: &mut MetricsRegistry,
-) -> TopK {
-    assert!(shards > 0, "need at least one shard");
-    let n = matrix.n_blocks();
-    let shards = effective_shards(n, shards);
-    let bounds = cuts(n, shards);
-    let mut merged: Vec<RankingEntry> = if shards == 1 {
-        let started = Instant::now();
-        let kept = partition_top_k(matrix, coefficient, 0, n, k);
-        metrics.observe(
-            "spectra.topk.shard_score_ns",
-            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        metrics.incr("spectra.topk.blocks_scored", i64::from(n));
-        kept
-    } else {
-        let shard_results: Vec<(Vec<RankingEntry>, MetricsRegistry)> = thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0], w[1]);
-                    scope.spawn(move || {
-                        let mut shard_metrics = MetricsRegistry::new();
-                        let started = Instant::now();
-                        let kept = partition_top_k(matrix, coefficient, lo, hi, k);
-                        shard_metrics.observe(
-                            "spectra.topk.shard_score_ns",
-                            started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        );
-                        shard_metrics.incr("spectra.topk.blocks_scored", i64::from(hi - lo));
-                        (kept, shard_metrics)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scorer shard panicked"))
-                .collect()
-        });
-        let mut all = Vec::new();
-        for (kept, shard_metrics) in shard_results {
-            metrics.merge(&shard_metrics);
-            all.extend(kept);
-        }
-        all
-    };
-    merged.sort_by(rank_cmp);
-    merged.truncate(k);
-    TopK {
-        coefficient,
-        requested_k: k,
-        n_blocks: n,
-        entries: merged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,28 +301,6 @@ mod tests {
         assert!(t.entries().is_empty());
         assert_eq!(t.prime_suspect(), None);
         assert_eq!(t.requested_k(), 7);
-    }
-
-    #[test]
-    fn instrumented_matches_plain_and_fills_registry() {
-        // 257 blocks is below MIN_BLOCKS_PER_SHARD, so both requested
-        // shard counts run the inline single-shard path (one timing
-        // sample); the 40 960-block matrix genuinely shards.
-        for (n_blocks, shards, effective) in [(257u32, 1usize, 1u64), (257, 4, 1), (40_960, 4, 4)] {
-            let m = sample_matrix(n_blocks);
-            let mut metrics = MetricsRegistry::new();
-            let top = score_top_k_instrumented(&m, Coefficient::Ochiai, 5, shards, &mut metrics);
-            let plain = score_top_k(&m, Coefficient::Ochiai, 5, shards);
-            assert_eq!(top.entries(), plain.entries(), "shards={shards}");
-            assert_eq!(
-                metrics.counter("spectra.topk.blocks_scored"),
-                i64::from(n_blocks)
-            );
-            let h = metrics
-                .histogram("spectra.topk.shard_score_ns")
-                .expect("timing histogram");
-            assert_eq!(h.count(), effective, "n={n_blocks} shards={shards}");
-        }
     }
 
     #[test]
