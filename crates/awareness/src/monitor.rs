@@ -34,21 +34,26 @@ struct ChannelSettings {
     jitter: SimDuration,
     /// Loss probability on the output wires.
     loss: f64,
-    /// The builder's seed; epochs derive theirs from it.
+    /// The builder's seed; restart epochs derive theirs from it.
     seed: u64,
     /// Ack/retransmit protocol over the wires.
     reliable: bool,
 }
 
 impl ChannelSettings {
-    /// Builds the input and output channels from `seed`: the wires on
-    /// seed streams +1 (input) and +2 (output); a reliable channel adds
-    /// its acks on the wire's stream +0x10 and its protocol on +0x20.
+    /// Builds the input and output channels of restart epoch `epoch`:
+    /// the wires on seed streams +1 (input) and +2 (output); a reliable
+    /// channel adds its acks on the wire's stream +0x10 and its protocol
+    /// on +0x20. Both inherit `telemetry`'s probes — a restart must not
+    /// silence the boundary.
     fn build(
         &self,
-        seed: u64,
+        epoch: u64,
         telemetry: &Telemetry,
     ) -> (BoundaryChannel<Message>, BoundaryChannel<Message>) {
+        // A fresh seed stream per epoch: a restarted channel must not
+        // replay the exact disturbance pattern that killed it.
+        let seed = self.seed.wrapping_add(epoch.wrapping_mul(0x9E37_79B9));
         let boundary = |delay: SimDuration, loss: f64, stream: u64| {
             if self.reliable {
                 BoundaryChannel::Reliable(Box::new(ReliableChannel::over(
@@ -209,8 +214,7 @@ impl<'m> MonitorBuilder<'m> {
 
     /// Assembles and starts the monitor.
     pub fn build(self) -> AwarenessMonitor<'m> {
-        let (input_channel, output_channel) =
-            self.channels.build(self.channels.seed, &self.telemetry);
+        let (input_channel, output_channel) = self.channels.build(0, &self.telemetry);
         let mut controller = Controller::new();
         controller.start(SimTime::ZERO);
         let model = ModelExecutor::new(self.machine);
@@ -486,16 +490,7 @@ impl<'m> AwarenessMonitor<'m> {
     /// epoch) and the micro-reboot rung (which restores it from a
     /// checkpoint).
     fn rebuild_channels(&mut self) {
-        let (input, output) = self.channels.build(
-            // A fresh seed stream per epoch: the restarted channel must
-            // not replay the exact disturbance pattern that killed it.
-            self.channels
-                .seed
-                .wrapping_add(self.channel_epoch.wrapping_mul(0x9E37_79B9)),
-            // Rebuilt channels inherit the same probes — a restart must
-            // not silence the boundary.
-            &self.telemetry,
-        );
+        let (input, output) = self.channels.build(self.channel_epoch, &self.telemetry);
         *self.input_observer.channel_mut() = input;
         *self.output_observer.channel_mut() = output;
     }
