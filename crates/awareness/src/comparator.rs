@@ -70,14 +70,106 @@ impl Default for DegradationKnobs {
 #[derive(Debug, Clone)]
 pub struct Comparator {
     config: Configuration,
-    expected: BTreeMap<String, ObsValue>,
-    observed: BTreeMap<String, ObsValue>,
-    consecutive: BTreeMap<String, u32>,
-    last_time_compare: BTreeMap<String, SimTime>,
+    observables: BTreeMap<String, Observable>,
     enabled: bool,
     degradation: DegradationKnobs,
     stats: ComparatorStats,
     telemetry: Telemetry,
+}
+
+/// Everything the comparator keeps about one observable. A missing
+/// entry and one whose values are cleared behave the same.
+#[derive(Debug, Clone)]
+struct Observable {
+    /// Its spec, resolved from the configuration once.
+    spec: CompareSpec,
+    /// The model's latest expected value.
+    expected: Option<ObsValue>,
+    /// The system's latest observed value.
+    observed: Option<ObsValue>,
+    /// Deviations in a row since the last match or report.
+    consecutive: u32,
+    /// When a time-based spec last compared it.
+    last_compared: SimTime,
+}
+
+impl Observable {
+    fn new(spec: CompareSpec) -> Self {
+        Observable {
+            spec,
+            expected: None,
+            observed: None,
+            consecutive: 0,
+            last_compared: SimTime::ZERO,
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = Observable::new(self.spec);
+    }
+
+    /// Compares the expected with the observed value, counting into
+    /// `stats`; returns the error once the deviation streak exceeds the
+    /// (degraded) debounce.
+    fn compare(
+        &mut self,
+        now: SimTime,
+        name: &str,
+        enabled: bool,
+        degradation: &DegradationKnobs,
+        stats: &mut ComparatorStats,
+        telemetry: &Telemetry,
+    ) -> Option<DetectedError> {
+        if !enabled {
+            stats.skipped_disabled += 1;
+            return None;
+        }
+        let spec = self.spec;
+        if spec.priority < degradation.min_priority {
+            stats.skipped_shed += 1;
+            return None;
+        }
+        // Nothing to compare against yet.
+        let (Some(expected), Some(actual)) = (&self.expected, &self.observed) else {
+            return None;
+        };
+        stats.comparisons += 1;
+        telemetry.metric_incr("awareness.comparator.comparisons", 1);
+        let deviation = expected.distance(actual);
+        let threshold = if degradation.threshold_scale > 1.0 {
+            // Exact specs get an absolute slack of 0.5 per unit of scale
+            // above 1 so widening applies to them too.
+            spec.threshold * degradation.threshold_scale
+                + if spec.threshold == 0.0 {
+                    0.5 * (degradation.threshold_scale - 1.0)
+                } else {
+                    0.0
+                }
+        } else {
+            spec.threshold
+        };
+        if deviation <= threshold {
+            self.consecutive = 0;
+            return None;
+        }
+        stats.deviations += 1;
+        telemetry.metric_incr("awareness.comparator.deviations", 1);
+        self.consecutive += 1;
+        if self.consecutive <= spec.max_consecutive + degradation.extra_consecutive {
+            return None;
+        }
+        let consecutive = std::mem::take(&mut self.consecutive);
+        stats.errors += 1;
+        telemetry.count(now, "awareness.comparator.errors", 1);
+        Some(DetectedError {
+            time: now,
+            observable: name.to_owned(),
+            expected: expected.clone(),
+            actual: actual.clone(),
+            deviation,
+            consecutive,
+        })
+    }
 }
 
 impl Comparator {
@@ -85,10 +177,7 @@ impl Comparator {
     pub fn new(config: Configuration) -> Self {
         Comparator {
             config,
-            expected: BTreeMap::new(),
-            observed: BTreeMap::new(),
-            consecutive: BTreeMap::new(),
-            last_time_compare: BTreeMap::new(),
+            observables: BTreeMap::new(),
             enabled: true,
             degradation: DegradationKnobs::default(),
             stats: ComparatorStats::default(),
@@ -115,8 +204,8 @@ impl Comparator {
         &self.degradation
     }
 
-    /// Enables or disables comparison (`IEnableCompare`): the model
-    /// executor disables it while the model is in an unstable state.
+    /// Enables or disables comparison (`IEnableCompare`): the monitor
+    /// disables it while the model is in an unstable state.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -138,26 +227,47 @@ impl Comparator {
 
     /// Records the model's expected value for an observable.
     pub fn set_expected(&mut self, name: impl Into<String>, value: ObsValue) {
-        self.expected.insert(name.into(), value);
+        let name = name.into();
+        match self.observables.get_mut(&name) {
+            Some(record) => record.expected = Some(value),
+            None => {
+                let mut record = Observable::new(self.config.spec(&name));
+                record.expected = Some(value);
+                self.observables.insert(name, record);
+            }
+        }
     }
 
     /// The current expected value, if any.
     pub fn expected(&self, name: &str) -> Option<&ObsValue> {
-        self.expected.get(name)
+        self.observables.get(name)?.expected.as_ref()
     }
 
     /// The most recent observed value, if any.
     pub fn observed(&self, name: &str) -> Option<&ObsValue> {
-        self.observed.get(name)
+        self.observables.get(name)?.observed.as_ref()
     }
 
     /// Ingests an observed value; for event-based observables this
     /// performs a comparison and may report an error.
     pub fn observe(&mut self, now: SimTime, name: &str, value: ObsValue) -> Option<DetectedError> {
-        self.observed.insert(name.to_owned(), value);
-        let spec = self.config.spec(name);
-        match spec.mode {
-            CompareMode::EventBased => self.compare_one(now, name, spec),
+        let record = match self.observables.get_mut(name) {
+            Some(record) => record,
+            None => self
+                .observables
+                .entry(name.to_owned())
+                .or_insert_with(|| Observable::new(self.config.spec(name))),
+        };
+        record.observed = Some(value);
+        match record.spec.mode {
+            CompareMode::EventBased => record.compare(
+                now,
+                name,
+                self.enabled,
+                &self.degradation,
+                &mut self.stats,
+                &self.telemetry,
+            ),
             CompareMode::TimeBased { .. } => None,
         }
     }
@@ -165,106 +275,36 @@ impl Comparator {
     /// Performs due time-based comparisons at `now`.
     pub fn tick(&mut self, now: SimTime) -> Vec<DetectedError> {
         let mut out = Vec::new();
-        let names: Vec<String> = self
-            .config
-            .declared()
-            .filter_map(|(name, spec)| match spec.mode {
-                CompareMode::TimeBased { period } => {
-                    let last = self
-                        .last_time_compare
-                        .get(name)
-                        .copied()
-                        .unwrap_or(SimTime::ZERO);
-                    if now.since(last) >= period
-                        || (last == SimTime::ZERO && now >= SimTime::ZERO + period)
-                    {
-                        Some(name.to_owned())
-                    } else {
-                        None
-                    }
-                }
-                CompareMode::EventBased => None,
-            })
-            .collect();
-        for name in names {
-            let spec = self.config.spec(&name);
-            self.last_time_compare.insert(name.clone(), now);
-            if let Some(err) = self.compare_one(now, &name, spec) {
-                out.push(err);
+        for (name, spec) in self.config.declared() {
+            let CompareMode::TimeBased { period } = spec.mode else {
+                continue;
+            };
+            let record = match self.observables.get_mut(name) {
+                Some(record) => record,
+                None => self
+                    .observables
+                    .entry(name.to_owned())
+                    .or_insert_with(|| Observable::new(*spec)),
+            };
+            if now.since(record.last_compared) < period {
+                continue;
             }
+            record.last_compared = now;
+            out.extend(record.compare(
+                now,
+                name,
+                self.enabled,
+                &self.degradation,
+                &mut self.stats,
+                &self.telemetry,
+            ));
         }
         out
     }
 
     /// Clears deviation counters and cached values (after recovery).
     pub fn reset(&mut self) {
-        self.expected.clear();
-        self.observed.clear();
-        self.consecutive.clear();
-        self.last_time_compare.clear();
-    }
-
-    fn compare_one(
-        &mut self,
-        now: SimTime,
-        name: &str,
-        spec: CompareSpec,
-    ) -> Option<DetectedError> {
-        if !self.enabled {
-            self.stats.skipped_disabled += 1;
-            return None;
-        }
-        if spec.priority < self.degradation.min_priority {
-            self.stats.skipped_shed += 1;
-            return None;
-        }
-        let (expected, actual) = match (self.expected.get(name), self.observed.get(name)) {
-            (Some(e), Some(a)) => (e.clone(), a.clone()),
-            // Nothing to compare against yet.
-            _ => return None,
-        };
-        self.stats.comparisons += 1;
-        self.telemetry
-            .metric_incr("awareness.comparator.comparisons", 1);
-        let deviation = expected.distance(&actual);
-        let threshold = if self.degradation.threshold_scale > 1.0 {
-            // Exact specs get an absolute slack of 0.5 per unit of scale
-            // above 1 so widening applies to them too.
-            spec.threshold * self.degradation.threshold_scale
-                + if spec.threshold == 0.0 {
-                    0.5 * (self.degradation.threshold_scale - 1.0)
-                } else {
-                    0.0
-                }
-        } else {
-            spec.threshold
-        };
-        let max_consecutive = spec.max_consecutive + self.degradation.extra_consecutive;
-        if deviation <= threshold {
-            self.consecutive.insert(name.to_owned(), 0);
-            return None;
-        }
-        self.stats.deviations += 1;
-        self.telemetry
-            .metric_incr("awareness.comparator.deviations", 1);
-        let count = self.consecutive.entry(name.to_owned()).or_insert(0);
-        *count += 1;
-        if *count > max_consecutive {
-            let consecutive = *count;
-            self.consecutive.insert(name.to_owned(), 0);
-            self.stats.errors += 1;
-            self.telemetry.count(now, "awareness.comparator.errors", 1);
-            Some(DetectedError {
-                time: now,
-                observable: name.to_owned(),
-                expected,
-                actual,
-                deviation,
-                consecutive,
-            })
-        } else {
-            None
-        }
+        self.observables.values_mut().for_each(Observable::clear);
     }
 }
 

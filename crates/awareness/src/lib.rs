@@ -7,13 +7,19 @@
 //! (paper Fig. 1), with the component design of paper Fig. 2:
 //!
 //! ```text
-//!   SUO ──input events──► InputObserver ──► ModelExecutor ─┐ expected
-//!    │                                                     ▼
-//!    └───output events──► OutputObserver ──────────► Comparator ─► errors
-//!                                                        ▲
-//!                 Configuration (thresholds, modes) ──────┘
-//!                 Controller (lifecycle, error routing)
+//!   SUO ──input events──► input channel ──► model (Executor) ──┐ expected
+//!    │                                                         ▼
+//!    └───output events──► output channel ───────────────► Comparator ─► errors
+//!                                                              ▲
+//!                 Configuration (thresholds, modes) ───────────┘
 //! ```
+//!
+//! [`AwarenessMonitor`] is the one place the figure runs: its two
+//! boundary channels are the Input and Output Observers, a
+//! [`statemachine::Executor`] of the specification model is the Model
+//! Executor, the [`Comparator`] keeps one record per observable, and
+//! the monitor's own `running` flag and error list are the Controller
+//! (lifecycle, error routing).
 //!
 //! The SUO and the monitor live on opposite sides of a **process
 //! boundary** (Unix domain sockets in the original; a simulated
@@ -32,13 +38,10 @@
 pub mod channel;
 pub mod comparator;
 pub mod config;
-pub mod controller;
 pub mod diagnosis;
 pub mod error;
 pub mod message;
-pub mod model_executor;
 pub mod monitor;
-pub mod observers;
 pub mod probes;
 pub mod reliable;
 pub mod supervisor;
@@ -46,13 +49,10 @@ pub mod supervisor;
 pub use channel::DelayChannel;
 pub use comparator::{Comparator, ComparatorStats, DegradationKnobs};
 pub use config::{CheckPriority, CompareMode, CompareSpec, Configuration};
-pub use controller::Controller;
 pub use diagnosis::{DiagnosisConfig, OnlineDiagnosis};
 pub use error::DetectedError;
 pub use message::Message;
-pub use model_executor::ModelExecutor;
-pub use monitor::{AwarenessMonitor, MonitorBuilder};
-pub use observers::{InputObserver, OutputObserver};
+pub use monitor::{to_obs_value, AwarenessMonitor, MonitorBuilder};
 pub use probes::DeadlineMonitor;
 pub use reliable::{BoundaryChannel, ProbeNames, ReliableChannel, ReliableConfig, ReliableStats};
 pub use supervisor::{DegradationMode, Supervisor, SupervisorConfig, SupervisorReport};

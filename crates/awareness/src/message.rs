@@ -1,23 +1,19 @@
 //! The protocol spoken across the process boundary.
 //!
-//! Mirrors the interfaces of paper Fig. 2: `IInputEvent` (SUO → Input
-//! Observer), `IOutputEvent` (SUO → Output Observer), and `IControl`
-//! lifecycle messages.
+//! Mirrors the event interfaces of paper Fig. 2: `IInputEvent` (SUO →
+//! the monitor's input channel) and `IOutputEvent` (SUO → its output
+//! channel).
 
 use observe::ObsValue;
 use serde::{Deserialize, Serialize};
-use statemachine::Value;
+use statemachine::Event;
 
 /// A message crossing the SUO ↔ monitor boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// An input event observed at the SUO (e.g. a remote-control key).
-    Input {
-        /// Event name, matched against the specification model's triggers.
-        event: String,
-        /// Optional payload.
-        payload: Option<Value>,
-    },
+    /// An input event observed at the SUO (e.g. a remote-control key),
+    /// delivered to the specification model as is.
+    Input(Event),
     /// An output value observed at the SUO.
     Output {
         /// Observable name.
@@ -25,36 +21,12 @@ pub enum Message {
         /// Observed value.
         value: ObsValue,
     },
-    /// Lifecycle control.
-    Control(ControlMessage),
-}
-
-/// Lifecycle control messages (the `IControl` interface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ControlMessage {
-    /// Start monitoring.
-    Start,
-    /// Stop monitoring (messages are dropped while stopped).
-    Stop,
-    /// Reset comparator state (e.g. after a recovery action).
-    Reset,
 }
 
 impl Message {
-    /// Convenience constructor for an input message.
+    /// Convenience constructor for a payload-less input message.
     pub fn input(event: impl Into<String>) -> Self {
-        Message::Input {
-            event: event.into(),
-            payload: None,
-        }
-    }
-
-    /// Convenience constructor for an input message with payload.
-    pub fn input_with(event: impl Into<String>, payload: impl Into<Value>) -> Self {
-        Message::Input {
-            event: event.into(),
-            payload: Some(payload.into()),
-        }
+        Message::Input(Event::plain(event))
     }
 
     /// Convenience constructor for an output message.
@@ -74,17 +46,10 @@ mod tests {
     fn constructors() {
         assert_eq!(
             Message::input("power"),
-            Message::Input {
-                event: "power".into(),
+            Message::Input(Event {
+                name: "power".into(),
                 payload: None
-            }
-        );
-        assert_eq!(
-            Message::input_with("digit", 7),
-            Message::Input {
-                event: "digit".into(),
-                payload: Some(Value::Int(7))
-            }
+            })
         );
         assert_eq!(
             Message::output("volume", 10.0),

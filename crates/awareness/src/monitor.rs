@@ -1,23 +1,42 @@
-//! The assembled awareness monitor (paper Fig. 2, all components wired).
+//! The awareness monitor: paper Fig. 2 in one type.
+//!
+//! [`AwarenessMonitor`] holds each box of the figure as a field: the
+//! Input and Output Observers are its two boundary channels, the Model
+//! Executor is a [`statemachine::Executor`], the Comparator a
+//! [`Comparator`], and the Controller its `running` flag and error list.
 
 use crate::channel::DelayChannel;
 use crate::comparator::{Comparator, ComparatorStats};
 use crate::config::Configuration;
-use crate::controller::Controller;
 use crate::diagnosis::{DiagnosisConfig, OnlineDiagnosis};
 use crate::error::DetectedError;
 use crate::message::Message;
-use crate::model_executor::ModelExecutor;
-use crate::observers::{InputObserver, OutputObserver};
-use crate::reliable::{BoundaryChannel, ProbeNames, ReliableChannel, ReliableStats};
+use crate::reliable::{BoundaryChannel, ProbeNames, ReliableChannel};
 use crate::supervisor::{
     DegradationMode, Supervisor, SupervisorAction, SupervisorConfig, SupervisorReport,
 };
-use observe::Observation;
+use observe::{ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome, Snapshot};
 use simkit::{SimDuration, SimTime};
-use statemachine::Machine;
+use statemachine::{Event, Executor, Machine, OutputRecord, Value};
 use telemetry::Telemetry;
+
+/// Converts a model value to the observable value the comparator
+/// expects: text stays text, anything else becomes a number (NaN when
+/// it has no numeric view).
+pub fn to_obs_value(value: Value) -> ObsValue {
+    match value {
+        Value::Str(s) => ObsValue::Text(s),
+        other => ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
+    }
+}
+
+/// A started executor of `machine`.
+fn start_model(machine: &Machine) -> Executor<'_> {
+    let mut model = Executor::new(machine);
+    model.start();
+    model
+}
 
 /// Checkpoint generations kept for the monitor's own state.
 const MONITOR_VAULT_CAPACITY: usize = 4;
@@ -214,12 +233,10 @@ impl<'m> MonitorBuilder<'m> {
 
     /// Assembles and starts the monitor.
     pub fn build(self) -> AwarenessMonitor<'m> {
-        let (input_channel, output_channel) = self.channels.build(0, &self.telemetry);
-        let mut controller = Controller::new();
-        controller.start(SimTime::ZERO);
-        let model = ModelExecutor::new(self.machine);
+        let (input, output) = self.channels.build(0, &self.telemetry);
+        let model = start_model(self.machine);
         let mut comparator = Comparator::new(self.configuration);
-        comparator.set_enabled(model.compare_enabled());
+        comparator.set_enabled(!model.in_unstable_state());
         comparator.set_telemetry(self.telemetry.clone());
         let supervisor = self.supervision.map(|config| {
             let mut s = Supervisor::new(config);
@@ -242,11 +259,13 @@ impl<'m> MonitorBuilder<'m> {
         });
         AwarenessMonitor {
             machine: self.machine,
-            input_observer: InputObserver::over(input_channel),
-            output_observer: OutputObserver::over(output_channel),
+            input,
+            output,
             model,
+            model_outputs: Vec::new(),
             comparator,
-            controller,
+            running: true,
+            errors: Vec::new(),
             supervisor,
             diagnosis,
             vault,
@@ -260,8 +279,8 @@ impl<'m> MonitorBuilder<'m> {
     }
 }
 
-/// The run-time awareness monitor: observers + model executor + comparator
-/// + controller across a simulated process boundary.
+/// The run-time awareness monitor: the components of paper Fig. 2 across
+/// a simulated process boundary.
 ///
 /// Drive it by offering SUO observations ([`AwarenessMonitor::offer`]) and
 /// advancing time ([`AwarenessMonitor::advance_to`]); read back detected
@@ -269,11 +288,21 @@ impl<'m> MonitorBuilder<'m> {
 #[derive(Debug)]
 pub struct AwarenessMonitor<'m> {
     machine: &'m Machine,
-    input_observer: InputObserver,
-    output_observer: OutputObserver,
-    model: ModelExecutor<'m>,
+    /// Input Observer: SUO input events on their way to the model.
+    input: BoundaryChannel<Message>,
+    /// Output Observer: SUO output values on their way to the comparator.
+    output: BoundaryChannel<Message>,
+    /// Model Executor: the specification model, driven by the delivered
+    /// input events; its outputs are the comparator's expected values
+    /// and its unstable states switch comparison off.
+    model: Executor<'m>,
+    /// Reused buffer the model's outputs are drained through.
+    model_outputs: Vec<OutputRecord>,
     comparator: Comparator,
-    controller: Controller,
+    /// Controller: offered observations are dropped while stopped.
+    running: bool,
+    /// Controller: detected errors awaiting the caller (oldest first).
+    errors: Vec<DetectedError>,
     supervisor: Option<Supervisor>,
     diagnosis: Option<OnlineDiagnosis>,
     vault: Option<CheckpointVault>,
@@ -288,22 +317,38 @@ pub struct AwarenessMonitor<'m> {
 impl<'m> AwarenessMonitor<'m> {
     /// Offers one SUO observation to the observers.
     ///
-    /// Key presses go to the input channel, outputs to the output channel;
+    /// Key presses go to the input channel (the key code, if any, becomes
+    /// the model event's payload), outputs to the output channel;
     /// everything else is ignored by this monitor (other detectors may
     /// want it).
     pub fn offer(&mut self, observation: &Observation) {
-        if !self.controller.is_running() {
+        if !self.running {
             return;
         }
-        if !self.input_observer.offer(observation) {
-            self.output_observer.offer(observation);
+        match &observation.kind {
+            ObservationKind::KeyPress { key, code } => {
+                let event = Event {
+                    name: key.clone(),
+                    payload: code.map(Value::from),
+                };
+                self.input.send(observation.time, Message::Input(event));
+            }
+            ObservationKind::Output { name, value } => {
+                let message = Message::Output {
+                    name: name.clone(),
+                    value: value.clone(),
+                };
+                self.output.send(observation.time, message);
+            }
+            _ => {}
         }
     }
 
-    /// Sends an input event directly (bypassing observation conversion).
+    /// Sends an input event directly (for SUOs that report inputs
+    /// without an observation stream).
     pub fn offer_input(&mut self, now: SimTime, event: impl Into<String>) {
-        if self.controller.is_running() {
-            self.input_observer.send_input(now, event);
+        if self.running {
+            self.input.send(now, Message::input(event));
         }
     }
 
@@ -311,12 +356,12 @@ impl<'m> AwarenessMonitor<'m> {
     /// time order, drives the model, compares outputs, and collects errors.
     pub fn advance_to(&mut self, to: SimTime) {
         loop {
-            let t_in = self.input_observer.channel_mut().next_delivery();
-            let t_out = self.output_observer.channel_mut().next_delivery();
+            let t_in = self.input.next_delivery();
+            let t_out = self.output.next_delivery();
             let t_timer = self
                 .model
                 .next_timer_due()
-                .filter(|t| *t > self.model.executor().now());
+                .filter(|t| *t > self.model.now());
             // Earliest pending activity; tie-break input < output < timer.
             let candidates = [(t_in, 0u8), (t_out, 1u8), (t_timer, 2u8)];
             let next = candidates
@@ -328,51 +373,38 @@ impl<'m> AwarenessMonitor<'m> {
                 break;
             }
             self.now = t;
-            match kind {
-                0 => {
-                    let msgs = self.input_observer.channel_mut().deliver_due(t);
-                    for (at, msg) in msgs {
-                        self.handle_message(at, msg);
-                    }
-                }
-                1 => {
-                    let msgs = self.output_observer.channel_mut().deliver_due(t);
-                    for (at, msg) in msgs {
-                        self.handle_message(at, msg);
-                    }
-                }
+            let delivered = match kind {
+                0 => self.input.deliver_due(t),
+                1 => self.output.deliver_due(t),
                 _ => {
-                    let expected = self.model.advance_to(t);
-                    self.apply_expected(expected);
+                    self.advance_model(t);
+                    continue;
                 }
+            };
+            for (at, msg) in delivered {
+                self.handle_message(at, msg);
             }
         }
         self.now = to;
-        let expected = self.model.advance_to(to);
-        self.apply_expected(expected);
-        let errs = self.comparator.tick(to);
-        for e in errs {
-            self.errors_total += 1;
-            self.controller.notify(e);
+        self.advance_model(to);
+        for error in self.comparator.tick(to) {
+            self.report(error);
         }
         self.supervise(to);
     }
 
-    /// Runs one self-supervision assessment at `now` and applies any
-    /// resulting structural actions. Called automatically at the end of
-    /// [`AwarenessMonitor::advance_to`]; callers emulating monitor
-    /// starvation (e.g. chaos campaigns) may also invoke it directly.
+    /// Runs one self-supervision assessment at `now` and applies the
+    /// resulting structural action, if any. Called automatically at the
+    /// end of [`AwarenessMonitor::advance_to`].
     pub fn supervise(&mut self, now: SimTime) {
         let Some(mut supervisor) = self.supervisor.take() else {
             return;
         };
-        let backlog =
-            self.input_observer.channel().in_flight() + self.output_observer.channel().in_flight();
+        let backlog = self.input.in_flight() + self.output.in_flight();
         self.telemetry
             .metric_gauge("awareness.monitor.backlog", backlog as i64);
-        let actions = supervisor.observe(now, backlog);
-        let quiet = actions.is_empty();
-        for action in actions {
+        let action = supervisor.observe(now, backlog);
+        if let Some(action) = action {
             match action {
                 SupervisorAction::Retry => {
                     // Cheap resync: clear deviation streaks, keep state.
@@ -385,16 +417,16 @@ impl<'m> AwarenessMonitor<'m> {
                         // fall through to the full-restart rung at once.
                         self.telemetry
                             .count(now, "awareness.monitor.micro_reboot_escalations", 1);
-                        self.restart_monitor(now);
+                        self.restart_monitor();
                     }
                 }
-                SupervisorAction::RestartMonitor => self.restart_monitor(now),
+                SupervisorAction::RestartMonitor => self.restart_monitor(),
                 SupervisorAction::EnterSafeMode => {
                     // Structural part of safe mode: drop the backlog that
                     // can no longer be assessed. The knobs installed
                     // below restrict checking to critical observables.
-                    self.input_observer.channel_mut().clear();
-                    self.output_observer.channel_mut().clear();
+                    self.input.clear();
+                    self.output.clear();
                     self.comparator.reset();
                 }
             }
@@ -402,7 +434,7 @@ impl<'m> AwarenessMonitor<'m> {
         // Checkpoints are only worth keeping when taken from a window the
         // supervisor itself judged healthy — a snapshot of a wedged monitor
         // would just micro-reboot us back into the wedge.
-        if quiet && supervisor.mode() == DegradationMode::Normal {
+        if action.is_none() && supervisor.mode() == DegradationMode::Normal {
             self.maybe_checkpoint(now, supervisor.config().stall_after);
         }
         self.comparator.set_degradation(supervisor.knobs());
@@ -467,15 +499,14 @@ impl<'m> AwarenessMonitor<'m> {
         }
     }
 
-    /// The full-restart rung: fresh channels, fresh model executor, a
-    /// reset comparator and a bounced recovery controller.
-    fn restart_monitor(&mut self, now: SimTime) {
+    /// The full-restart rung: fresh channels, a fresh model, a reset
+    /// comparator, and the monitor running again.
+    fn restart_monitor(&mut self) {
         self.restart_channels();
         self.comparator.reset();
-        self.model = ModelExecutor::new(self.machine);
-        self.comparator.set_enabled(self.model.compare_enabled());
-        self.controller.stop();
-        self.controller.start(now);
+        self.model = start_model(self.machine);
+        self.comparator.set_enabled(!self.model.in_unstable_state());
+        self.running = true;
     }
 
     fn restart_channels(&mut self) {
@@ -490,36 +521,53 @@ impl<'m> AwarenessMonitor<'m> {
     /// epoch) and the micro-reboot rung (which restores it from a
     /// checkpoint).
     fn rebuild_channels(&mut self) {
-        let (input, output) = self.channels.build(self.channel_epoch, &self.telemetry);
-        *self.input_observer.channel_mut() = input;
-        *self.output_observer.channel_mut() = output;
+        (self.input, self.output) = self.channels.build(self.channel_epoch, &self.telemetry);
     }
 
     fn handle_message(&mut self, at: SimTime, msg: Message) {
         self.telemetry.metric_incr("awareness.monitor.messages", 1);
         match msg {
-            Message::Input { event, payload } => {
-                let expected = self.model.on_input(at, &event, payload);
-                self.apply_expected(expected);
+            Message::Input(event) => {
+                // A message may arrive stamped before the model's own
+                // time (reordering); model time never rewinds.
+                self.model.step_at(at.max(self.model.now()), &event);
+                self.apply_expected();
             }
             Message::Output { name, value } => {
                 // Keep the model (and its expected values) current first.
-                let expected = self.model.advance_to(at.max(self.model.executor().now()));
-                self.apply_expected(expected);
-                if let Some(err) = self.comparator.observe(at, &name, value) {
-                    self.errors_total += 1;
-                    self.controller.notify(err);
+                self.advance_model(at);
+                if let Some(error) = self.comparator.observe(at, &name, value) {
+                    self.report(error);
                 }
             }
-            Message::Control(_) => {}
         }
     }
 
-    fn apply_expected(&mut self, expected: Vec<(String, observe::ObsValue)>) {
-        for (name, value) in expected {
-            self.comparator.set_expected(name, value);
+    /// Fires the model's timers due by `to` (no-op for a time already
+    /// passed) and applies what they produced.
+    fn advance_model(&mut self, to: SimTime) {
+        if to > self.model.now() {
+            self.model.advance_to(to);
         }
-        self.comparator.set_enabled(self.model.compare_enabled());
+        self.apply_expected();
+    }
+
+    /// Hands the model's new outputs to the comparator as expected values
+    /// and gates comparison on the model being in a stable state
+    /// (`ISpecInfo` and `IEnableCompare`).
+    fn apply_expected(&mut self) {
+        self.model.drain_outputs_into(&mut self.model_outputs);
+        for record in self.model_outputs.drain(..) {
+            self.comparator
+                .set_expected(record.name, to_obs_value(record.value));
+        }
+        self.comparator.set_enabled(!self.model.in_unstable_state());
+    }
+
+    /// Controller: files a comparator error (`IErrorNotify`).
+    fn report(&mut self, error: DetectedError) {
+        self.errors_total += 1;
+        self.errors.push(error);
     }
 
     /// Folds one scenario step's coverage snapshot into the online
@@ -565,12 +613,12 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// Detected errors so far (oldest first).
     pub fn errors(&self) -> &[DetectedError] {
-        self.controller.errors()
+        &self.errors
     }
 
     /// Removes and returns detected errors.
     pub fn drain_errors(&mut self) -> Vec<DetectedError> {
-        self.controller.drain_errors()
+        std::mem::take(&mut self.errors)
     }
 
     /// Comparator activity counters.
@@ -580,23 +628,14 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// The input-side boundary channel (accounting, stats).
     pub fn input_channel(&self) -> &BoundaryChannel<Message> {
-        self.input_observer.channel()
+        &self.input
     }
 
-    /// The output-side boundary channel (accounting, stats).
+    /// The output-side boundary channel (accounting, stats; its
+    /// reliable-protocol counters when built with
+    /// [`MonitorBuilder::reliable`]).
     pub fn output_channel(&self) -> &BoundaryChannel<Message> {
-        self.output_observer.channel()
-    }
-
-    /// Reliable-protocol counters for the output channel, when the
-    /// monitor was built with [`MonitorBuilder::reliable`].
-    pub fn output_reliable_stats(&self) -> Option<&ReliableStats> {
-        self.output_observer.channel().reliable_stats()
-    }
-
-    /// The supervisor, when self-supervision is enabled.
-    pub fn supervisor(&self) -> Option<&Supervisor> {
-        self.supervisor.as_ref()
+        &self.output
     }
 
     /// Self-supervision counters, when supervision is enabled.
@@ -633,25 +672,15 @@ impl<'m> AwarenessMonitor<'m> {
         self.vault.as_ref()
     }
 
-    /// Mutable vault access — chaos campaigns use this to corrupt or tear
-    /// checkpoints and exercise the generation-by-generation fallback.
+    /// Mutable vault access — lets a test corrupt or tear checkpoints to
+    /// exercise the generation-by-generation fallback.
     pub fn checkpoint_vault_mut(&mut self) -> Option<&mut CheckpointVault> {
         self.vault.as_mut()
     }
 
-    /// The model executor (e.g. to inspect the model's state in tests).
-    pub fn model(&self) -> &ModelExecutor<'m> {
-        &self.model
-    }
-
-    /// The controller (lifecycle, notification counts).
-    pub fn controller(&self) -> &Controller {
-        &self.controller
-    }
-
     /// Stops the monitor; offered observations are dropped.
     pub fn stop(&mut self) {
-        self.controller.stop();
+        self.running = false;
     }
 
     /// Resets comparator state (e.g. after recovery).
@@ -669,7 +698,6 @@ impl<'m> AwarenessMonitor<'m> {
 mod tests {
     use super::*;
     use crate::config::CompareSpec;
-    use observe::{ObsValue, ObservationKind};
     use statemachine::MachineBuilder;
 
     fn toggle_machine() -> Machine {
@@ -772,9 +800,120 @@ mod tests {
         mon.stop();
         mon.offer(&key(10));
         mon.offer(&light(10, 55.0));
+        mon.offer_input(SimTime::from_millis(10), "press");
         mon.advance_to(SimTime::from_millis(20));
         assert!(mon.errors().is_empty());
         assert_eq!(mon.comparator_stats().comparisons, 0);
+        assert_eq!(mon.input_channel().sent(), 0);
+        assert_eq!(mon.output_channel().sent(), 0);
+    }
+
+    #[test]
+    fn offer_routes_keys_and_outputs_to_their_channels() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m)
+            .input_delay(SimDuration::from_millis(1))
+            .build();
+        let load = Observation::new(
+            SimTime::ZERO,
+            "cpu",
+            ObservationKind::Load {
+                resource: "cpu0".into(),
+                fraction: 0.5,
+            },
+        );
+        mon.offer(&key(0));
+        mon.offer(&light(0, 1.0));
+        mon.offer(&load);
+        mon.offer_input(SimTime::ZERO, "press");
+        assert_eq!(mon.input_channel().sent(), 2);
+        assert_eq!(mon.output_channel().sent(), 1);
+        // Both presses reach the model at 1 ms: the light is off again.
+        mon.offer(&light(2, 0.0));
+        mon.advance_to(SimTime::from_millis(3));
+        assert!(mon.errors().is_empty(), "{:?}", mon.errors());
+        assert_eq!(mon.comparator_stats().comparisons, 1);
+    }
+
+    #[test]
+    fn unstable_model_state_gates_comparison_until_its_timer_fires() {
+        let m = MachineBuilder::new("tv")
+            .state("standby")
+            .state("switching")
+            .state("on")
+            .unstable("switching")
+            .initial("standby")
+            .output("screen")
+            .on("standby", "press", "switching", |t| t)
+            .after("switching", SimDuration::from_millis(100), "on", |t| {
+                t.output_const("screen", "video")
+            })
+            .build()
+            .unwrap();
+        let screen = |at_ms, v: &str| {
+            Observation::new(
+                SimTime::from_millis(at_ms),
+                "suo",
+                ObservationKind::Output {
+                    name: "screen".into(),
+                    value: ObsValue::Text(v.into()),
+                },
+            )
+        };
+        let mut mon = MonitorBuilder::new(&m).build();
+        mon.offer(&key(0));
+        mon.offer(&screen(50, "noise"));
+        mon.advance_to(SimTime::from_millis(60));
+        assert_eq!(mon.comparator_stats().skipped_disabled, 1);
+        // The timer fires at 100 ms with no message pending; its output
+        // is the expected value and the stable state re-enables checks.
+        mon.offer(&screen(150, "video"));
+        mon.advance_to(SimTime::from_millis(200));
+        assert!(mon.errors().is_empty(), "{:?}", mon.errors());
+        assert_eq!(mon.comparator_stats().comparisons, 1);
+        mon.offer(&screen(250, "off"));
+        mon.advance_to(SimTime::from_millis(300));
+        assert_eq!(mon.errors().len(), 1);
+        assert_eq!(mon.errors()[0].expected, ObsValue::Text("video".into()));
+    }
+
+    #[test]
+    fn late_input_never_rewinds_the_model() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        mon.advance_to(SimTime::from_millis(50));
+        // Stamped before model time: stepped at the model's own now.
+        mon.offer_input(SimTime::from_millis(10), "press");
+        mon.offer(&light(60, 1.0));
+        mon.advance_to(SimTime::from_millis(70));
+        assert!(mon.errors().is_empty(), "{:?}", mon.errors());
+        assert_eq!(mon.comparator_stats().comparisons, 1);
+    }
+
+    #[test]
+    fn model_values_convert_to_observables() {
+        assert_eq!(to_obs_value(Value::Int(5)), ObsValue::Num(5.0));
+        assert_eq!(to_obs_value(Value::Bool(true)), ObsValue::Num(1.0));
+        assert_eq!(to_obs_value(Value::Float(0.5)), ObsValue::Num(0.5));
+        assert_eq!(
+            to_obs_value(Value::Str("video".into())),
+            ObsValue::Text("video".into())
+        );
+    }
+
+    #[test]
+    fn errors_accumulate_until_drained() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        mon.offer(&key(10));
+        mon.offer(&light(10, 0.0));
+        mon.offer(&key(20));
+        mon.offer(&light(20, 1.0));
+        mon.advance_to(SimTime::from_millis(30));
+        assert_eq!(mon.errors().len(), 2);
+        assert_eq!(mon.drain_errors().len(), 2);
+        assert!(mon.errors().is_empty());
+        assert_eq!(mon.errors_total(), 2);
     }
 
     #[test]
@@ -843,7 +982,7 @@ mod tests {
         assert_eq!(out.lost(), 0);
         assert_eq!(out.delivered(), 30);
         assert_eq!(out.sent(), out.delivered() + out.in_flight() as u64);
-        let stats = mon.output_reliable_stats().unwrap();
+        let stats = out.reliable_stats().unwrap();
         assert!(stats.wire_lost > 0, "loss must have struck: {stats:?}");
         assert!(stats.retransmits > 0);
     }

@@ -30,9 +30,9 @@ use simkit::{SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
-/// Telemetry names for one protocol instance, so the monitor's input,
-/// output, and timer channels stay distinguishable in a flight-recorder
-/// dump (names must be `&'static str` — recording never allocates).
+/// Telemetry names for one protocol instance, so the monitor's input and
+/// output channels stay distinguishable in a flight-recorder dump (names
+/// must be `&'static str` — recording never allocates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeNames {
     /// Counter event per retransmission (signal-level: each one is a
@@ -57,7 +57,7 @@ impl ProbeNames {
         reorder_dropped: "awareness.reliable.reorder_dropped",
         transmissions: "awareness.reliable.transmissions",
     };
-    /// Names for the observer → monitor input channel.
+    /// Names for the SUO → monitor input-event channel.
     pub const INPUT: ProbeNames = ProbeNames {
         retransmits: "awareness.reliable.input.retransmits",
         wire_lost: "awareness.reliable.input.wire_lost",
@@ -65,7 +65,7 @@ impl ProbeNames {
         reorder_dropped: "awareness.reliable.input.reorder_dropped",
         transmissions: "awareness.reliable.input.transmissions",
     };
-    /// Names for the monitor → SUO output channel.
+    /// Names for the SUO → monitor output-event channel.
     pub const OUTPUT: ProbeNames = ProbeNames {
         retransmits: "awareness.reliable.output.retransmits",
         wire_lost: "awareness.reliable.output.wire_lost",

@@ -198,9 +198,9 @@ impl SupervisorReport {
 ///
 /// Drive it with [`Supervisor::observe`] (before pumping, so the
 /// heartbeat gap is visible) and [`Supervisor::heartbeat`] (after a
-/// successful pump). `observe` returns the structural actions the caller
-/// must apply; the current [`DegradationMode`] tells it which comparator
-/// knobs to install.
+/// successful pump). `observe` returns the structural action, if any,
+/// the caller must apply; the current [`DegradationMode`] tells it which
+/// comparator knobs to install.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     config: SupervisorConfig,
@@ -276,16 +276,16 @@ impl Supervisor {
     }
 
     /// Assesses monitor health at `now` given the boundary backlog, and
-    /// returns the structural actions to apply, mildest first.
+    /// returns the structural action to apply, if any.
     ///
     /// Anomalies climb the ladder: the first anomaly after a healthy
     /// spell costs a cheap [`SupervisorAction::Retry`]; anomalies
     /// recurring within the restart window consume channel restarts,
     /// then a monitor restart; when even that keeps failing, the circuit
     /// breaker opens and the supervisor drops to sticky safe mode.
-    pub fn observe(&mut self, now: SimTime, backlog: usize) -> Vec<SupervisorAction> {
+    pub fn observe(&mut self, now: SimTime, backlog: usize) -> Option<SupervisorAction> {
         if self.mode == DegradationMode::SafeMode {
-            return Vec::new();
+            return None;
         }
         let stalled = match self.last_heartbeat {
             Some(last) => now.since(last) > self.config.stall_after,
@@ -309,7 +309,7 @@ impl Supervisor {
             self.consecutive_anomalies = 0;
             self.micro_attempted = false;
             self.set_mode(now, DegradationMode::Normal);
-            return Vec::new();
+            return None;
         }
         // Degrade first: overload sheds, a stall widens tolerances.
         self.set_mode(
@@ -322,14 +322,14 @@ impl Supervisor {
         );
         self.consecutive_anomalies += 1;
         if !self.breaker.allows(now) {
-            return vec![self.enter_safe_mode(now)];
+            return Some(self.enter_safe_mode(now));
         }
         self.breaker.record(now, false);
         if self.consecutive_anomalies == 1 {
             // First anomaly after a healthy spell: cheap resync only.
             self.report.retries += 1;
             self.telemetry.count(now, "awareness.supervisor.retries", 1);
-            return vec![SupervisorAction::Retry];
+            return Some(SupervisorAction::Retry);
         }
         if self.micro_attempted {
             // The micro-reboot rung already ran and the anomaly persists:
@@ -338,7 +338,7 @@ impl Supervisor {
             self.report.monitor_restarts += 1;
             self.telemetry
                 .count(now, "awareness.supervisor.monitor_restarts", 1);
-            return vec![SupervisorAction::RestartMonitor];
+            return Some(SupervisorAction::RestartMonitor);
         }
         let unit = if stalled { "monitor-loop" } else { "boundary" };
         match self.escalation.decide(now, unit) {
@@ -347,13 +347,13 @@ impl Supervisor {
                 self.report.micro_reboots += 1;
                 self.telemetry
                     .count(now, "awareness.supervisor.micro_reboots", 1);
-                vec![SupervisorAction::MicroRebootMonitor]
+                Some(SupervisorAction::MicroRebootMonitor)
             }
             RecoveryAction::RestartAll => {
                 self.report.monitor_restarts += 1;
                 self.telemetry
                     .count(now, "awareness.supervisor.monitor_restarts", 1);
-                vec![SupervisorAction::RestartMonitor]
+                Some(SupervisorAction::RestartMonitor)
             }
             // RestartUnit (and any future partial action) maps to the
             // channel-restart rung.
@@ -361,7 +361,7 @@ impl Supervisor {
                 self.report.channel_restarts += 1;
                 self.telemetry
                     .count(now, "awareness.supervisor.channel_restarts", 1);
-                vec![SupervisorAction::RestartChannels]
+                Some(SupervisorAction::RestartChannels)
             }
         }
     }
@@ -465,7 +465,7 @@ mod tests {
         let mut s = sup();
         for ms in (0..2000).step_by(100) {
             let t = SimTime::from_millis(ms);
-            assert!(s.observe(t, 0).is_empty());
+            assert_eq!(s.observe(t, 0), None);
             s.heartbeat(t);
         }
         assert_eq!(s.mode(), DegradationMode::Normal);
@@ -501,7 +501,7 @@ mod tests {
         assert_eq!(s.mode(), DegradationMode::SafeMode);
         assert_eq!(s.report().safe_mode_entries, 1);
         // Safe mode is sticky and quiet.
-        assert!(s.observe(SimTime::from_secs(60), 1000).is_empty());
+        assert_eq!(s.observe(SimTime::from_secs(60), 1000), None);
         assert_eq!(s.mode(), DegradationMode::SafeMode);
         // Only critical checks survive there.
         assert_eq!(s.knobs().min_priority, CheckPriority::Critical);
@@ -563,11 +563,11 @@ mod tests {
         // A healthy assessment resets the ladder and the micro attempt.
         s.heartbeat(t);
         t += SimDuration::from_millis(100);
-        assert!(s.observe(t, 0).is_empty());
+        assert_eq!(s.observe(t, 0), None);
         // A fresh anomaly starts back at the cheap rung, and the micro
         // rung is available again on the next climb.
         t += SimDuration::from_millis(600);
-        assert_eq!(s.observe(t, 0), vec![SupervisorAction::Retry]);
+        assert_eq!(s.observe(t, 0), Some(SupervisorAction::Retry));
         assert_eq!(s.report().micro_reboots, 1);
     }
 
@@ -577,14 +577,14 @@ mod tests {
         let t0 = SimTime::ZERO;
         s.heartbeat(t0);
         let t1 = SimTime::from_millis(100);
-        let actions = s.observe(t1, 1000);
-        assert_eq!(actions, vec![SupervisorAction::Retry]);
+        let action = s.observe(t1, 1000);
+        assert_eq!(action, Some(SupervisorAction::Retry));
         assert_eq!(s.mode(), DegradationMode::Shedding);
         assert_eq!(s.knobs().min_priority, CheckPriority::Normal);
         assert!(s.knobs().threshold_scale > 1.0);
         // Backlog drains: back to normal, ladder reset.
         s.heartbeat(t1);
-        assert!(s.observe(SimTime::from_millis(200), 0).is_empty());
+        assert_eq!(s.observe(SimTime::from_millis(200), 0), None);
         assert_eq!(s.mode(), DegradationMode::Normal);
         assert_eq!(s.knobs(), DegradationKnobs::default());
     }
@@ -593,12 +593,12 @@ mod tests {
     fn transient_stall_relaxes_then_heals() {
         let mut s = sup();
         s.heartbeat(SimTime::ZERO);
-        let actions = s.observe(SimTime::from_secs(2), 0);
-        assert_eq!(actions, vec![SupervisorAction::Retry]);
+        let action = s.observe(SimTime::from_secs(2), 0);
+        assert_eq!(action, Some(SupervisorAction::Retry));
         assert_eq!(s.mode(), DegradationMode::Relaxed);
         assert_eq!(s.knobs().min_priority, CheckPriority::Low);
         s.heartbeat(SimTime::from_secs(2));
-        assert!(s.observe(SimTime::from_millis(2100), 0).is_empty());
+        assert_eq!(s.observe(SimTime::from_millis(2100), 0), None);
         assert_eq!(s.mode(), DegradationMode::Normal);
     }
 
@@ -614,8 +614,8 @@ mod tests {
         assert_eq!(s.mode(), DegradationMode::Normal);
         // The ladder starts over from the cheap rung.
         s.heartbeat(SimTime::from_secs(100));
-        let actions = s.observe(SimTime::from_secs(102), 0);
-        assert_eq!(actions, vec![SupervisorAction::Retry]);
+        let action = s.observe(SimTime::from_secs(102), 0);
+        assert_eq!(action, Some(SupervisorAction::Retry));
     }
 
     #[test]
@@ -627,11 +627,11 @@ mod tests {
         // safe mode: every healthy assessment heals the breaker.
         for _ in 0..50 {
             t += SimDuration::from_millis(700);
-            let actions = s.observe(t, 0);
-            assert_eq!(actions, vec![SupervisorAction::Retry]);
+            let action = s.observe(t, 0);
+            assert_eq!(action, Some(SupervisorAction::Retry));
             s.heartbeat(t);
             t += SimDuration::from_millis(100);
-            assert!(s.observe(t, 0).is_empty());
+            assert_eq!(s.observe(t, 0), None);
         }
         assert_eq!(s.mode(), DegradationMode::Normal);
         assert_eq!(s.report().safe_mode_entries, 0);

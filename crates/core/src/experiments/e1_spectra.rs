@@ -8,9 +8,11 @@
 
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
+use awareness::to_obs_value;
+use observe::ObsValue;
 use serde::{Deserialize, Serialize};
 use spectra::{Coefficient, Diagnoser};
-use statemachine::{Executor, Value};
+use statemachine::Executor;
 use std::collections::BTreeMap;
 use std::fmt;
 use tvsim::{tv_spec_machine, TvFault, TvSystem};
@@ -87,23 +89,19 @@ pub fn run(key_presses: usize) -> E1Report {
     let mut diagnoser = Diagnoser::new(tv.n_blocks());
 
     let scenario = TimedScenario::teletext_session(key_presses);
-    let mut expected: BTreeMap<String, Value> = BTreeMap::new();
+    let mut expected: BTreeMap<String, ObsValue> = BTreeMap::new();
     for (at, key) in scenario.presses() {
         let observations = tv.press(*at, *key);
         oracle.step_at(*at, &key.event());
         for rec in oracle.drain_outputs() {
-            expected.insert(rec.name, rec.value);
+            expected.insert(rec.name, to_obs_value(rec.value));
         }
         // Error detection: any emitted output deviating from the model.
         let failed = observations.iter().any(|obs| {
             obs.as_output().is_some_and(|(name, actual)| {
-                expected.get(name).is_some_and(|want| {
-                    let want = match want {
-                        Value::Str(s) => observe::ObsValue::Text(s.clone()),
-                        other => observe::ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
-                    };
-                    want.distance(actual) > 1e-9
-                })
+                expected
+                    .get(name)
+                    .is_some_and(|want| want.distance(actual) > 1e-9)
             })
         });
         diagnoser.record_step(tv.take_coverage(), failed);

@@ -19,7 +19,7 @@
 //!    the render heartbeat detects the stall.
 
 use crate::report::render_table;
-use awareness::{CompareSpec, Configuration, MonitorBuilder};
+use awareness::{to_obs_value, CompareSpec, Configuration, MonitorBuilder};
 use detect::{Detector, WatchdogDetector};
 use mediasim::{player_spec_machine, MediaPlayer, MediaStream, PlayerConfig};
 use serde::{Deserialize, Serialize};
@@ -106,16 +106,12 @@ fn model_to_model(seed: u64) -> (usize, u64) {
         suo.step_at(at, &Event::plain(*cmd));
         monitor.offer_input(at, *cmd);
         for out in suo.drain_outputs() {
-            let value = match out.value {
-                statemachine::Value::Str(s) => observe::ObsValue::Text(s),
-                other => observe::ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
-            };
             monitor.offer(&observe::Observation::new(
                 at,
                 "suo",
                 observe::ObservationKind::Output {
                     name: out.name,
-                    value,
+                    value: to_obs_value(out.value),
                 },
             ));
         }

@@ -10,10 +10,10 @@
 
 use crate::report::render_table;
 use crate::scenario::TimedScenario;
-use awareness::{CompareSpec, Configuration, MonitorBuilder};
+use awareness::{to_obs_value, CompareSpec, Configuration, MonitorBuilder};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
-use statemachine::{Executor, Value};
+use statemachine::Executor;
 use std::fmt;
 use tvsim::tv_spec_machine;
 
@@ -49,13 +49,6 @@ impl fmt::Display for F2Report {
             vec!["messages lost".to_owned(), self.messages_lost.to_string()],
         ];
         write!(f, "{}", render_table(&["metric", "value"], &rows))
-    }
-}
-
-fn to_obs_value(v: Value) -> observe::ObsValue {
-    match v {
-        Value::Str(s) => observe::ObsValue::Text(s),
-        other => observe::ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
     }
 }
 

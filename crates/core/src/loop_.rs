@@ -361,9 +361,9 @@ fn mirror_output(state: &mut BTreeMap<String, ObsValue>, name: &str, value: &Obs
 
 /// Whether the SUO's `actual` output deviates from the oracle's
 /// `expected` one: `ObsValue::distance(expected, actual) > 1e-9` with
-/// the model value converted the way the monitor converts it (text stays
-/// text, anything else becomes a number), without materializing the
-/// conversion. Text mismatch or a cross-kind comparison deviates, a
+/// the model value converted the way the monitor converts it
+/// ([`awareness::to_obs_value`]: text stays text, anything else becomes
+/// a number), without materializing the conversion. Text mismatch or a cross-kind comparison deviates, a
 /// numeric difference beyond the epsilon deviates, and a NaN on either
 /// side never does.
 fn deviates(expected: &Value, actual: &ObsValue) -> bool {
@@ -1284,6 +1284,7 @@ impl TvDependabilityLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awareness::to_obs_value;
     use proptest::prelude::*;
 
     fn teletext_scenario() -> TimedScenario {
@@ -1768,15 +1769,6 @@ mod tests {
         );
     }
 
-    /// The model value as the monitor converts it (text stays text,
-    /// anything else becomes a number).
-    fn as_obs(value: &Value) -> ObsValue {
-        match value {
-            Value::Str(s) => ObsValue::Text(s.clone()),
-            other => ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
-        }
-    }
-
     fn float() -> impl Strategy<Value = f64> {
         prop_oneof![
             -1e3..1e3f64,
@@ -1809,14 +1801,15 @@ mod tests {
     }
 
     proptest! {
-        /// The allocation-free deviation check and the comparator's
-        /// distance are two implementations of one rule: pinned equal.
+        /// The allocation-free deviation check and the monitor's own
+        /// conversion plus the comparator's distance are two
+        /// implementations of one rule: pinned equal.
         #[test]
         fn deviation_check_matches_distance(
             expected in expected_value(),
             actual in actual_value(),
         ) {
-            let by_distance = as_obs(&expected).distance(&actual) > 1e-9;
+            let by_distance = to_obs_value(expected.clone()).distance(&actual) > 1e-9;
             prop_assert_eq!(deviates(&expected, &actual), by_distance);
         }
     }

@@ -21,4 +21,7 @@ cargo clippy --all-targets -- -D warnings
 echo "== chaos smoke: replay campaign seed 0 =="
 cargo run -q --release --example chaos_campaign -- 0
 
+echo "== awareness smoke: printer jam light (time-based comparison) =="
+cargo run -q --release --example printer_awareness
+
 echo "verify: OK"

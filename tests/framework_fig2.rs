@@ -1,18 +1,11 @@
 //! Integration test for paper Fig. 2: the awareness-framework components
 //! wired across a process boundary, validated model-to-model.
 
-use awareness::{CompareSpec, Configuration, MonitorBuilder};
+use awareness::{to_obs_value, CompareSpec, Configuration, MonitorBuilder};
 use observe::{ObsValue, Observation, ObservationKind};
 use simkit::{SimDuration, SimTime};
-use statemachine::{Executor, Value};
+use statemachine::Executor;
 use trader::prelude::*;
-
-fn to_obs(v: Value) -> ObsValue {
-    match v {
-        Value::Str(s) => ObsValue::Text(s),
-        other => ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
-    }
-}
 
 /// The full Fig. 2 wiring survives delay, jitter *and loss* on the output
 /// channel without false errors, given a suitably tuned comparator.
@@ -48,7 +41,7 @@ fn model_to_model_with_lossy_boundary() {
                 "suo",
                 ObservationKind::Output {
                     name: out.name,
-                    value: to_obs(out.value),
+                    value: to_obs_value(out.value),
                 },
             ));
         }
