@@ -727,6 +727,46 @@ mod tests {
         )
     }
 
+    fn load(at_ms: u64) -> Observation {
+        Observation::new(
+            SimTime::from_millis(at_ms),
+            "cpu",
+            ObservationKind::Load {
+                resource: "cpu0".into(),
+                fraction: 0.5,
+            },
+        )
+    }
+
+    /// A TV whose power key passes through an unstable `switching` state
+    /// that a 100 ms timer leaves, showing video.
+    fn tv_machine() -> Machine {
+        MachineBuilder::new("tv")
+            .state("standby")
+            .state("switching")
+            .state("on")
+            .unstable("switching")
+            .initial("standby")
+            .output("screen")
+            .on("standby", "press", "switching", |t| t)
+            .after("switching", SimDuration::from_millis(100), "on", |t| {
+                t.output_const("screen", "video")
+            })
+            .build()
+            .unwrap()
+    }
+
+    fn screen(at_ms: u64, v: &str) -> Observation {
+        Observation::new(
+            SimTime::from_millis(at_ms),
+            "suo",
+            ObservationKind::Output {
+                name: "screen".into(),
+                value: ObsValue::Text(v.into()),
+            },
+        )
+    }
+
     #[test]
     fn healthy_suo_raises_no_errors() {
         let m = toggle_machine();
@@ -800,66 +840,86 @@ mod tests {
         mon.stop();
         mon.offer(&key(10));
         mon.offer(&light(10, 55.0));
-        mon.offer_input(SimTime::from_millis(10), "press");
         mon.advance_to(SimTime::from_millis(20));
         assert!(mon.errors().is_empty());
         assert_eq!(mon.comparator_stats().comparisons, 0);
-        assert_eq!(mon.input_channel().sent(), 0);
-        assert_eq!(mon.output_channel().sent(), 0);
     }
 
     #[test]
-    fn offer_routes_keys_and_outputs_to_their_channels() {
+    fn monitor_runs_from_build_until_stopped() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        // Running from the start: the first press and output get through.
+        mon.offer(&key(10));
+        mon.offer(&light(10, 0.0));
+        mon.advance_to(SimTime::from_millis(20));
+        assert_eq!(mon.errors().len(), 1);
+        mon.stop();
+        mon.offer(&key(30));
+        mon.offer_input(SimTime::from_millis(30), "press");
+        mon.offer(&light(30, 55.0));
+        mon.advance_to(SimTime::from_millis(40));
+        assert_eq!(mon.input_channel().sent(), 1);
+        assert_eq!(mon.output_channel().sent(), 1);
+        assert_eq!(mon.errors().len(), 1);
+    }
+
+    #[test]
+    fn offer_forwards_only_keys_to_the_input_channel() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        mon.offer(&key(0));
+        mon.offer(&load(0));
+        assert_eq!(mon.input_channel().sent(), 1);
+        assert_eq!(mon.output_channel().sent(), 0);
+        mon.advance_to(SimTime::ZERO);
+        assert_eq!(mon.input_channel().delivered(), 1);
+        // The delivered press switched the model on: a lit light matches.
+        mon.offer(&light(1, 1.0));
+        mon.advance_to(SimTime::from_millis(2));
+        assert!(mon.errors().is_empty(), "{:?}", mon.errors());
+        assert_eq!(mon.comparator_stats().comparisons, 1);
+    }
+
+    #[test]
+    fn offer_forwards_only_outputs_to_the_output_channel() {
+        let m = toggle_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        mon.offer(&key(0));
+        mon.offer(&light(0, 3.0));
+        mon.offer(&load(0));
+        assert_eq!(mon.input_channel().sent(), 1);
+        assert_eq!(mon.output_channel().sent(), 1);
+        mon.advance_to(SimTime::from_millis(1));
+        assert_eq!(mon.output_channel().delivered(), 1);
+        // The output reached the comparator with its value intact.
+        let errs = mon.drain_errors();
+        assert_eq!(errs.len(), 1);
+        assert_eq!(errs[0].observable, "light");
+        assert_eq!(errs[0].actual, ObsValue::Num(3.0));
+    }
+
+    #[test]
+    fn offer_input_reaches_the_model_after_the_input_delay() {
         let m = toggle_machine();
         let mut mon = MonitorBuilder::new(&m)
             .input_delay(SimDuration::from_millis(1))
             .build();
-        let load = Observation::new(
-            SimTime::ZERO,
-            "cpu",
-            ObservationKind::Load {
-                resource: "cpu0".into(),
-                fraction: 0.5,
-            },
-        );
-        mon.offer(&key(0));
-        mon.offer(&light(0, 1.0));
-        mon.offer(&load);
         mon.offer_input(SimTime::ZERO, "press");
-        assert_eq!(mon.input_channel().sent(), 2);
-        assert_eq!(mon.output_channel().sent(), 1);
-        // Both presses reach the model at 1 ms: the light is off again.
-        mon.offer(&light(2, 0.0));
-        mon.advance_to(SimTime::from_millis(3));
+        assert_eq!(mon.input_channel().sent(), 1);
+        mon.advance_to(SimTime::ZERO);
+        assert_eq!(mon.input_channel().in_flight(), 1);
+        mon.advance_to(SimTime::from_millis(1));
+        assert_eq!(mon.input_channel().delivered(), 1);
+        mon.offer(&light(1, 1.0));
+        mon.advance_to(SimTime::from_millis(2));
         assert!(mon.errors().is_empty(), "{:?}", mon.errors());
         assert_eq!(mon.comparator_stats().comparisons, 1);
     }
 
     #[test]
     fn unstable_model_state_gates_comparison_until_its_timer_fires() {
-        let m = MachineBuilder::new("tv")
-            .state("standby")
-            .state("switching")
-            .state("on")
-            .unstable("switching")
-            .initial("standby")
-            .output("screen")
-            .on("standby", "press", "switching", |t| t)
-            .after("switching", SimDuration::from_millis(100), "on", |t| {
-                t.output_const("screen", "video")
-            })
-            .build()
-            .unwrap();
-        let screen = |at_ms, v: &str| {
-            Observation::new(
-                SimTime::from_millis(at_ms),
-                "suo",
-                ObservationKind::Output {
-                    name: "screen".into(),
-                    value: ObsValue::Text(v.into()),
-                },
-            )
-        };
+        let m = tv_machine();
         let mut mon = MonitorBuilder::new(&m).build();
         mon.offer(&key(0));
         mon.offer(&screen(50, "noise"));
@@ -875,6 +935,26 @@ mod tests {
         mon.advance_to(SimTime::from_millis(300));
         assert_eq!(mon.errors().len(), 1);
         assert_eq!(mon.errors()[0].expected, ObsValue::Text("video".into()));
+    }
+
+    #[test]
+    fn model_timer_is_armed_by_the_input_that_enters_its_state() {
+        let m = tv_machine();
+        let mut mon = MonitorBuilder::new(&m).build();
+        // No timer before the press: standby is stable and expects nothing.
+        mon.offer(&screen(400, "off"));
+        mon.advance_to(SimTime::from_millis(500));
+        assert_eq!(mon.comparator_stats().skipped_disabled, 0);
+        assert_eq!(mon.comparator_stats().comparisons, 0);
+        // The press at 500 ms arms the timer for 600 ms.
+        mon.offer(&key(500));
+        mon.offer(&screen(599, "video"));
+        mon.advance_to(SimTime::from_millis(599));
+        assert_eq!(mon.comparator_stats().skipped_disabled, 1);
+        mon.offer(&screen(601, "video"));
+        mon.advance_to(SimTime::from_millis(601));
+        assert!(mon.errors().is_empty(), "{:?}", mon.errors());
+        assert_eq!(mon.comparator_stats().comparisons, 1);
     }
 
     #[test]
