@@ -15,7 +15,7 @@ use spectra::{Coefficient, Diagnoser};
 use statemachine::Executor;
 use std::collections::BTreeMap;
 use std::fmt;
-use tvsim::{tv_spec_machine, TvFault, TvSystem};
+use tvsim::{tv_spec, TvFault, TvSystem};
 
 /// E1 report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,8 +79,7 @@ const BLOCKS_PER_FUNCTION: u32 = 50;
 /// exactly per step (the paper: "based on some error detection mechanism,
 /// it is recorded for each key press whether it leads to an error").
 pub fn run(key_presses: usize) -> E1Report {
-    let machine = tv_spec_machine();
-    let mut oracle = Executor::new(&machine);
+    let mut oracle = Executor::new(tv_spec());
     oracle.start();
 
     let mut tv = TvSystem::new();

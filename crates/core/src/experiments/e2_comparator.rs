@@ -15,7 +15,7 @@ use awareness::{CompareSpec, Configuration, MonitorBuilder};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
-use tvsim::{tv_spec_machine, TvFault, TvSystem};
+use tvsim::{tv_spec, TvFault, TvSystem};
 
 /// One sweep point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,13 +84,12 @@ fn run_once(
     fault: Option<TvFault>,
     seed: u64,
 ) -> (usize, Option<SimTime>) {
-    let machine = tv_spec_machine();
     let cfg = Configuration::new().with_default_spec(
         CompareSpec::exact()
             .with_threshold(threshold)
             .with_max_consecutive(max_consecutive),
     );
-    let mut monitor = MonitorBuilder::new(&machine)
+    let mut monitor = MonitorBuilder::new(tv_spec())
         .configuration(cfg)
         // Substantial delay + jitter on the output path: input events
         // reach the model faster than outputs reach the comparator, so

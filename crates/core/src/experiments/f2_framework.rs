@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use statemachine::Executor;
 use std::fmt;
-use tvsim::tv_spec_machine;
+use tvsim::tv_spec;
 
 /// F2 report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,13 +53,12 @@ impl fmt::Display for F2Report {
 }
 
 fn run_once(perturb: bool, seed: u64) -> (u64, u64, usize) {
-    let machine = tv_spec_machine();
     // Comparator tuned to the boundary's jitter per the paper's lesson:
     // with up to 3 ms of reordering between the input and output paths, a
     // single press can produce two stale comparisons in a row, so two
     // consecutive deviations are tolerated before reporting.
     let cfg = Configuration::new().with_default_spec(CompareSpec::exact().with_max_consecutive(2));
-    let mut monitor = MonitorBuilder::new(&machine)
+    let mut monitor = MonitorBuilder::new(tv_spec())
         .configuration(cfg)
         .input_delay(SimDuration::from_millis(1))
         .output_delay(SimDuration::from_millis(2))
@@ -68,8 +67,7 @@ fn run_once(perturb: bool, seed: u64) -> (u64, u64, usize) {
         .build();
 
     // The SUO: code generated from the same model.
-    let suo_machine = tv_spec_machine();
-    let mut suo = Executor::new(&suo_machine);
+    let mut suo = Executor::new(tv_spec());
     suo.start();
 
     let scenario = TimedScenario::teletext_session(40);

@@ -90,5 +90,5 @@ pub mod prelude {
     pub use simkit::{SimDuration, SimRng, SimTime};
     pub use spectra::{Coefficient, Diagnoser};
     pub use statemachine::{Event, Executor, Expr, Machine, MachineBuilder, Value};
-    pub use tvsim::{tv_spec_machine, Key, KeySequence, TvFault, TvSystem};
+    pub use tvsim::{tv_spec, tv_spec_machine, Key, KeySequence, TvFault, TvSystem};
 }

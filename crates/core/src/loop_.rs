@@ -20,7 +20,7 @@ use simkit::{SimDuration, SimRng, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::Telemetry;
-use tvsim::{tv_spec_machine, Key, TvFault, TvSystem};
+use tvsim::{tv_spec, Key, TvFault, TvSystem};
 
 use crate::scenario::TimedScenario;
 
@@ -1070,7 +1070,7 @@ impl<'m> Session<'m> {
 pub struct TvDependabilityLoop {
     closed: bool,
     seed: u64,
-    machine: Machine,
+    machine: &'static Machine,
     injector: Injector<TvFault>,
     output_delay: SimDuration,
     jitter: SimDuration,
@@ -1098,7 +1098,7 @@ impl TvDependabilityLoop {
         TvDependabilityLoop {
             closed,
             seed,
-            machine: tv_spec_machine(),
+            machine: tv_spec(),
             injector: Injector::new(),
             output_delay: SimDuration::from_micros(500),
             jitter: SimDuration::ZERO,
@@ -1248,7 +1248,7 @@ impl TvDependabilityLoop {
 
     /// Runs the scenario to completion.
     pub fn run(&mut self, scenario: &TimedScenario) -> LoopOutcome {
-        let machine = &self.machine;
+        let machine = self.machine;
         let tv = TvSystem::new();
         let closed = self
             .closed

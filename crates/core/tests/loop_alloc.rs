@@ -13,11 +13,16 @@
 //! The probe counts every `alloc`/`realloc` call in the process, so the
 //! budget below is calibrated against what the rest of the step
 //! genuinely needs (the SUO's observation vector and its `String`
-//! payloads, channel traffic, the coverage snapshot). Measured on this
-//! scenario in release mode: ~175 allocation calls per closed-loop
-//! press before the scratch/executor refactor, 20 after — the oracle
-//! executor alone dropped from ~78 to ~3 by borrowing transitions and
-//! entry/exit actions from the machine instead of cloning them.
+//! payloads, channel traffic, the coverage snapshot). The scratch/executor
+//! refactor took a closed-loop press on this scenario from ~175
+//! allocation calls to 20 — the oracle executor alone dropped from ~78 to
+//! ~3 by borrowing transitions and entry/exit actions from the machine
+//! instead of cloning them — and later changes took it to 16.
+//!
+//! Per-run set-up is pinned too. Every loop borrows the one specification
+//! machine `tvsim::tv_spec()` builds per process, so building a loop and
+//! running it costs a few dozen allocation calls rather than the ~1,700
+//! a fresh `tv_spec_machine()` build makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,13 +66,30 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Runs a healthy closed loop over `presses` presses and returns the
 /// allocation-call count of the `run` itself (loop construction is
-/// excluded — it is per-campaign, not per-step).
+/// excluded here and pinned by [`setup_allocs`]).
 fn closed_run_allocs(presses: usize) -> u64 {
     let scenario = TimedScenario::teletext_session(presses);
     let mut looped = TvDependabilityLoop::closed(1);
     let (allocs, outcome) = allocations_during(|| looped.run(&scenario));
     assert_eq!(outcome.steps, presses);
     assert_eq!(outcome.failure_steps, 0);
+    allocs
+}
+
+/// Allocation calls to build a closed or open loop and run it over an
+/// empty scenario: the set-up every scorecard cell and campaign arm pays.
+fn setup_allocs(closed: bool) -> u64 {
+    let scenario = TimedScenario::teletext_session(0);
+    assert!(scenario.is_empty());
+    let (allocs, outcome) = allocations_during(|| {
+        let mut looped = if closed {
+            TvDependabilityLoop::closed(1)
+        } else {
+            TvDependabilityLoop::open(1)
+        };
+        looped.run(&scenario)
+    });
+    assert_eq!(outcome.steps, 0);
     allocs
 }
 
@@ -116,6 +138,15 @@ fn diagnosis_allocs(presses: usize) -> u64 {
 /// the old per-step clones.
 const MARGINAL_ALLOCS_PER_PRESS: u64 = 28;
 
+/// The allocation budget for building a closed loop and running it over
+/// an empty scenario. Measured 48 with the shared specification machine,
+/// 1,746 when every loop built its own.
+const CLOSED_SETUP_ALLOCS: u64 = 64;
+
+/// The same budget for an open loop (no monitor, detectors or probes).
+/// Measured 21 with the shared specification machine.
+const OPEN_SETUP_ALLOCS: u64 = 32;
+
 /// All checks live in one test: the counter is process-wide, so a
 /// second test running in parallel would count this one's allocations
 /// (and vice versa).
@@ -150,5 +181,18 @@ fn press_allocations_are_bounded_and_deterministic() {
     assert_eq!(
         a, b,
         "same-seed runs allocated differently — hidden nondeterminism in the hot path"
+    );
+
+    // Warm-up builds the shared specification machine, which every later
+    // loop borrows.
+    let _ = (setup_allocs(true), setup_allocs(false));
+    let (closed, open) = (setup_allocs(true), setup_allocs(false));
+    assert!(
+        closed <= CLOSED_SETUP_ALLOCS,
+        "closed-loop set-up makes {closed} allocation calls (budget {CLOSED_SETUP_ALLOCS})"
+    );
+    assert!(
+        open <= OPEN_SETUP_ALLOCS,
+        "open-loop set-up makes {open} allocation calls (budget {OPEN_SETUP_ALLOCS})"
     );
 }

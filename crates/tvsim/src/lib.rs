@@ -44,7 +44,7 @@ pub mod system;
 pub use blocks::{BlockMap, SyntheticCodeBank, N_BLOCKS};
 pub use faults::{FaultSet, TvFault};
 pub use koala::{tv_assembly, Assembly, Binding, ComponentDecl};
-pub use model::tv_spec_machine;
+pub use model::{tv_spec, tv_spec_machine};
 pub use pipeline::{PipelineConfig, PipelineReport, StreamingPipeline};
 pub use remote::{Key, KeySequence};
 pub use system::{TvSystem, UnitState};

@@ -14,6 +14,7 @@
 //! tolerances is an error.
 
 use statemachine::{Expr, Machine, MachineBuilder};
+use std::sync::OnceLock;
 
 /// The user-view screen-mode expression over the model's variables.
 fn mode_expr() -> Expr {
@@ -50,6 +51,9 @@ fn osd_focused() -> Expr {
 }
 
 /// Builds the TV specification machine.
+///
+/// Every call builds a fresh machine; runs that only execute the
+/// specification borrow the shared one from [`tv_spec`] instead.
 ///
 /// ```
 /// use tvsim::tv_spec_machine;
@@ -374,17 +378,37 @@ pub fn tv_spec_machine() -> Machine {
     b.build().expect("tv spec machine is structurally valid")
 }
 
+/// The TV specification machine, built once per process and shared.
+///
+/// A [`Machine`] is immutable once built, so every executor — the loop's
+/// oracle, the monitor's model, an experiment harness — can borrow this
+/// one definition instead of building its own.
+///
+/// ```
+/// use statemachine::Executor;
+/// let mut oracle = Executor::new(tvsim::tv_spec());
+/// oracle.start();
+/// ```
+pub fn tv_spec() -> &'static Machine {
+    static SPEC: OnceLock<Machine> = OnceLock::new();
+    SPEC.get_or_init(tv_spec_machine)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use statemachine::{Event, Executor, Value};
 
     fn exec() -> Executor<'static> {
-        // Leak: tests only; gives a 'static machine for brevity.
-        let machine: &'static Machine = Box::leak(Box::new(tv_spec_machine()));
-        let mut e = Executor::new(machine);
+        let mut e = Executor::new(tv_spec());
         e.start();
         e
+    }
+
+    #[test]
+    fn shared_spec_is_built_once_and_equals_a_fresh_build() {
+        assert!(std::ptr::eq(tv_spec(), tv_spec()));
+        assert_eq!(*tv_spec(), tv_spec_machine());
     }
 
     #[test]

@@ -4,11 +4,10 @@
 
 use simkit::SimDuration;
 use statemachine::{Event, TestScript};
-use tvsim::tv_spec_machine;
+use tvsim::tv_spec;
 
 #[test]
 fn volume_session_script_passes() {
-    let machine = tv_spec_machine();
     let outcome = TestScript::new("volume-session")
         .inject(Event::plain("power"))
         .expect_state("on")
@@ -23,7 +22,7 @@ fn volume_session_script_passes() {
         .inject(Event::plain("power"))
         .expect_state("standby")
         .expect_output("screen.mode", "off")
-        .run(&machine);
+        .run(tv_spec());
     assert!(outcome.passed(), "{:?}", outcome.failures);
 }
 
@@ -31,7 +30,6 @@ fn volume_session_script_passes() {
 fn feature_interaction_script_passes() {
     // The interactions the paper warns about: dual screen, teletext and
     // OSDs "remove or suppress each other".
-    let machine = tv_spec_machine();
     let outcome = TestScript::new("interactions")
         .inject(Event::plain("power"))
         .inject(Event::plain("dual"))
@@ -55,13 +53,12 @@ fn feature_interaction_script_passes() {
         .inject(Event::plain("back"))
         .expect_output("teletext.page", 0)
         .expect_output("screen.mode", "dual")
-        .run(&machine);
+        .run(tv_spec());
     assert!(outcome.passed(), "{:?}", outcome.failures);
 }
 
 #[test]
 fn teletext_page_entry_script_passes() {
-    let machine = tv_spec_machine();
     let outcome = TestScript::new("page-entry")
         .inject(Event::plain("power"))
         .inject(Event::plain("teletext"))
@@ -80,7 +77,7 @@ fn teletext_page_entry_script_passes() {
         .inject(Event::plain("ch_up"))
         .expect_output("teletext.page", 100)
         .expect_output("channel", 2)
-        .run(&machine);
+        .run(tv_spec());
     assert!(outcome.passed(), "{:?}", outcome.failures);
 }
 
@@ -88,13 +85,12 @@ fn teletext_page_entry_script_passes() {
 fn a_wrong_expectation_is_reported_precisely() {
     // The other half of the workflow: a script that disagrees with the
     // model localizes the disagreement to a step.
-    let machine = tv_spec_machine();
     let outcome = TestScript::new("wrong")
         .inject(Event::plain("power"))
         .advance(SimDuration::from_millis(5))
         .inject(Event::plain("vol_up"))
         .expect_output("volume", 999)
-        .run(&machine);
+        .run(tv_spec());
     assert!(!outcome.passed());
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(outcome.failures[0].step, 3);

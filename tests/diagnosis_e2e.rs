@@ -9,8 +9,7 @@ use trader::prelude::*;
 /// Runs a scenario on a faulty TV, labeling each step by model comparison,
 /// and returns (report, rank of `target_block` under Ochiai).
 fn diagnose(fault: TvFault, presses: usize, target_block: u32) -> (usize, Option<f64>, usize) {
-    let machine = tv_spec_machine();
-    let mut oracle = Executor::new(&machine);
+    let mut oracle = Executor::new(tv_spec());
     oracle.start();
     let mut tv = TvSystem::new();
     tv.inject_fault(fault);
@@ -71,8 +70,7 @@ fn longer_scenarios_sharpen_the_ranking() {
 
 #[test]
 fn healthy_run_has_no_failing_steps() {
-    let machine = tv_spec_machine();
-    let mut oracle = Executor::new(&machine);
+    let mut oracle = Executor::new(tv_spec());
     oracle.start();
     let mut tv = TvSystem::new();
     let mut diagnoser = Diagnoser::new(tv.n_blocks());
@@ -112,8 +110,7 @@ fn all_coefficients_put_fault_block_in_front_region() {
         Coefficient::Tarantula,
         Coefficient::Jaccard,
     ] {
-        let machine = tv_spec_machine();
-        let mut oracle = Executor::new(&machine);
+        let mut oracle = Executor::new(tv_spec());
         oracle.start();
         let mut tv = TvSystem::new();
         tv.inject_fault(TvFault::TeletextRenderFault);

@@ -11,19 +11,17 @@ use trader::prelude::*;
 /// channel without false errors, given a suitably tuned comparator.
 #[test]
 fn model_to_model_with_lossy_boundary() {
-    let machine = tv_spec_machine();
     // Loss means missed comparisons; consecutive-deviation debouncing set
     // per the boundary characteristics.
     let cfg = Configuration::new().with_default_spec(CompareSpec::exact().with_max_consecutive(3));
-    let mut monitor = MonitorBuilder::new(&machine)
+    let mut monitor = MonitorBuilder::new(tv_spec())
         .configuration(cfg)
         .output_delay(SimDuration::from_millis(2))
         .jitter(SimDuration::from_millis(2))
         .loss(0.05)
         .seed(17)
         .build();
-    let suo_machine = tv_spec_machine();
-    let mut suo = Executor::new(&suo_machine);
+    let mut suo = Executor::new(tv_spec());
     suo.start();
 
     let scenario = TimedScenario::teletext_session(60);
@@ -58,8 +56,7 @@ fn model_to_model_with_lossy_boundary() {
 /// Controller lifecycle: a stopped monitor ignores the world.
 #[test]
 fn stopped_monitor_ignores_observations() {
-    let machine = tv_spec_machine();
-    let mut monitor = MonitorBuilder::new(&machine).build();
+    let mut monitor = MonitorBuilder::new(tv_spec()).build();
     monitor.stop();
     monitor.offer(&Observation::key_press(SimTime::ZERO, "rc", "power", None));
     monitor.offer(&Observation::new(

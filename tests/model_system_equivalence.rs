@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use simkit::SimTime;
 use statemachine::{Executor, Value};
 use std::collections::BTreeMap;
-use tvsim::{tv_spec_machine, Key, TvSystem};
+use tvsim::{tv_spec, Key, TvSystem};
 
 fn arb_key() -> impl Strategy<Value = Key> {
     prop_oneof![
@@ -47,8 +47,7 @@ proptest! {
 
     #[test]
     fn healthy_system_matches_model_outputs(keys in prop::collection::vec(arb_key(), 1..80)) {
-        let machine = tv_spec_machine();
-        let mut model = Executor::new(&machine);
+        let mut model = Executor::new(tv_spec());
         model.start();
         let mut tv = TvSystem::new();
 
@@ -93,8 +92,7 @@ proptest! {
 
     #[test]
     fn model_state_vars_track_system_state(keys in prop::collection::vec(arb_key(), 1..60)) {
-        let machine = tv_spec_machine();
-        let mut model = Executor::new(&machine);
+        let mut model = Executor::new(tv_spec());
         model.start();
         let mut tv = TvSystem::new();
         for (i, key) in keys.iter().enumerate() {
