@@ -1,7 +1,8 @@
 //! The comparator: expected vs observed, with debouncing.
 
-use crate::config::{CheckPriority, CompareMode, CompareSpec, Configuration};
+use crate::config::{CompareMode, CompareSpec, Configuration};
 use crate::error::DetectedError;
+use crate::supervisor::DegradationMode;
 use observe::ObsValue;
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
@@ -19,35 +20,9 @@ pub struct ComparatorStats {
     pub errors: u64,
     /// Comparisons skipped because comparison was disabled.
     pub skipped_disabled: u64,
-    /// Comparisons shed because the check's priority fell below the
-    /// degradation floor.
+    /// Comparisons skipped because the monitor is in
+    /// [`DegradationMode::SafeMode`].
     pub skipped_shed: u64,
-}
-
-/// Tolerance adjustments the supervisor applies under degradation.
-///
-/// Neutral by default: thresholds unscaled, no extra debouncing, no
-/// check shed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DegradationKnobs {
-    /// Multiplier on every spec's deviation threshold (≥ 1 widens). For
-    /// exact (zero-threshold) specs a scale above 1 also grants a small
-    /// absolute slack so "widen" means something.
-    pub threshold_scale: f64,
-    /// Added to every spec's `max_consecutive` debounce.
-    pub extra_consecutive: u32,
-    /// Checks below this priority are skipped entirely.
-    pub min_priority: CheckPriority,
-}
-
-impl Default for DegradationKnobs {
-    fn default() -> Self {
-        DegradationKnobs {
-            threshold_scale: 1.0,
-            extra_consecutive: 0,
-            min_priority: CheckPriority::Low,
-        }
-    }
 }
 
 /// Compares the model's expected outputs with the system's observed
@@ -72,7 +47,7 @@ pub struct Comparator {
     config: Configuration,
     observables: BTreeMap<String, Observable>,
     enabled: bool,
-    degradation: DegradationKnobs,
+    degradation: DegradationMode,
     stats: ComparatorStats,
     telemetry: Telemetry,
 }
@@ -110,13 +85,15 @@ impl Observable {
 
     /// Compares the expected with the observed value, counting into
     /// `stats`; returns the error once the deviation streak exceeds the
-    /// (degraded) debounce.
+    /// debounce. Any degraded mode widens the spec: its threshold doubles
+    /// (an exact spec gets an absolute slack of 0.5 instead) and two more
+    /// deviations are tolerated in a row; safe mode skips the check.
     fn compare(
         &mut self,
         now: SimTime,
         name: &str,
         enabled: bool,
-        degradation: &DegradationKnobs,
+        degradation: DegradationMode,
         stats: &mut ComparatorStats,
         telemetry: &Telemetry,
     ) -> Option<DetectedError> {
@@ -124,8 +101,7 @@ impl Observable {
             stats.skipped_disabled += 1;
             return None;
         }
-        let spec = self.spec;
-        if spec.priority < degradation.min_priority {
+        if degradation == DegradationMode::SafeMode {
             stats.skipped_shed += 1;
             return None;
         }
@@ -136,18 +112,15 @@ impl Observable {
         stats.comparisons += 1;
         telemetry.metric_incr("awareness.comparator.comparisons", 1);
         let deviation = expected.distance(actual);
-        let threshold = if degradation.threshold_scale > 1.0 {
-            // Exact specs get an absolute slack of 0.5 per unit of scale
-            // above 1 so widening applies to them too.
-            spec.threshold * degradation.threshold_scale
-                + if spec.threshold == 0.0 {
-                    0.5 * (degradation.threshold_scale - 1.0)
-                } else {
-                    0.0
-                }
-        } else {
-            spec.threshold
-        };
+        let CompareSpec {
+            mut threshold,
+            mut max_consecutive,
+            ..
+        } = self.spec;
+        if degradation != DegradationMode::Normal {
+            threshold = if threshold == 0.0 { 0.5 } else { threshold * 2.0 };
+            max_consecutive += 2;
+        }
         if deviation <= threshold {
             self.consecutive = 0;
             return None;
@@ -155,7 +128,7 @@ impl Observable {
         stats.deviations += 1;
         telemetry.metric_incr("awareness.comparator.deviations", 1);
         self.consecutive += 1;
-        if self.consecutive <= spec.max_consecutive + degradation.extra_consecutive {
+        if self.consecutive <= max_consecutive {
             return None;
         }
         let consecutive = std::mem::take(&mut self.consecutive);
@@ -179,7 +152,7 @@ impl Comparator {
             config,
             observables: BTreeMap::new(),
             enabled: true,
-            degradation: DegradationKnobs::default(),
+            degradation: DegradationMode::Normal,
             stats: ComparatorStats::default(),
             telemetry: Telemetry::off(),
         }
@@ -192,16 +165,11 @@ impl Comparator {
         self.telemetry = telemetry;
     }
 
-    /// Applies (or, with [`DegradationKnobs::default`], removes) the
-    /// supervisor's degradation adjustments.
-    pub fn set_degradation(&mut self, knobs: DegradationKnobs) {
-        assert!(knobs.threshold_scale >= 1.0, "degradation must not tighten");
-        self.degradation = knobs;
-    }
-
-    /// The degradation adjustments currently in force.
-    pub fn degradation(&self) -> &DegradationKnobs {
-        &self.degradation
+    /// Compares with the tolerances of the supervisor's degradation
+    /// mode from now on ([`DegradationMode::Normal`] restores the
+    /// nominal ones).
+    pub fn set_degradation(&mut self, mode: DegradationMode) {
+        self.degradation = mode;
     }
 
     /// Enables or disables comparison (`IEnableCompare`): the monitor
@@ -264,7 +232,7 @@ impl Comparator {
                 now,
                 name,
                 self.enabled,
-                &self.degradation,
+                self.degradation,
                 &mut self.stats,
                 &self.telemetry,
             ),
@@ -294,7 +262,7 @@ impl Comparator {
                 now,
                 name,
                 self.enabled,
-                &self.degradation,
+                self.degradation,
                 &mut self.stats,
                 &self.telemetry,
             ));
@@ -427,22 +395,27 @@ mod tests {
 
     #[test]
     fn degradation_widens_tolerances() {
-        let mut c = Comparator::new(Configuration::new());
-        c.set_degradation(DegradationKnobs {
-            threshold_scale: 3.0,
-            extra_consecutive: 1,
-            min_priority: CheckPriority::Low,
-        });
+        let cfg = Configuration::new().observable("wide", CompareSpec::exact().with_threshold(1.0));
+        let mut c = Comparator::new(cfg);
+        c.set_degradation(DegradationMode::Relaxed);
         c.set_expected("v", num(5.0));
-        // Exact spec gains absolute slack 0.5 * (3 - 1) = 1.0.
-        assert!(c.observe(SimTime::ZERO, "v", num(5.9)).is_none());
+        // An exact spec gains an absolute slack of 0.5.
+        assert!(c.observe(SimTime::ZERO, "v", num(5.4)).is_none());
         assert_eq!(c.stats().deviations, 0);
-        // Beyond the widened threshold: one extra consecutive tolerated.
+        // Beyond the widened threshold: two extra consecutive tolerated.
+        assert!(c.observe(SimTime::ZERO, "v", num(9.0)).is_none());
         assert!(c.observe(SimTime::ZERO, "v", num(9.0)).is_none());
         assert!(c.observe(SimTime::ZERO, "v", num(9.0)).is_some());
+        // Overload widens the same way; a set threshold doubles.
+        c.set_degradation(DegradationMode::Shedding);
+        c.set_expected("wide", num(5.0));
+        assert!(c.observe(SimTime::ZERO, "wide", num(6.9)).is_none());
+        assert_eq!(c.stats().deviations, 3);
         // Symbolic mismatches are never masked by widening.
         c.set_expected("mode", ObsValue::Text("tv".into()));
-        c.observe(SimTime::ZERO, "mode", ObsValue::Text("menu".into()));
+        for _ in 0..2 {
+            c.observe(SimTime::ZERO, "mode", ObsValue::Text("menu".into()));
+        }
         let err = c
             .observe(SimTime::ZERO, "mode", ObsValue::Text("menu".into()))
             .unwrap();
@@ -450,30 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn shedding_skips_below_priority_floor() {
-        let cfg = Configuration::new()
-            .observable(
-                "telemetry",
-                CompareSpec::exact().with_priority(CheckPriority::Low),
-            )
-            .observable(
-                "safety",
-                CompareSpec::exact().with_priority(CheckPriority::Critical),
-            );
-        let mut c = Comparator::new(cfg);
-        c.set_degradation(DegradationKnobs {
-            threshold_scale: 1.0,
-            extra_consecutive: 0,
-            min_priority: CheckPriority::Normal,
-        });
-        c.set_expected("telemetry", num(1.0));
-        c.set_expected("safety", num(1.0));
-        assert!(c.observe(SimTime::ZERO, "telemetry", num(99.0)).is_none());
+    fn safe_mode_skips_every_check() {
+        let mut c = Comparator::new(Configuration::new());
+        c.set_degradation(DegradationMode::SafeMode);
+        c.set_expected("v", num(1.0));
+        assert!(c.observe(SimTime::ZERO, "v", num(99.0)).is_none());
         assert_eq!(c.stats().skipped_shed, 1);
-        assert!(c.observe(SimTime::ZERO, "safety", num(99.0)).is_some());
-        // Back to normal: the shed check bites again.
-        c.set_degradation(DegradationKnobs::default());
-        assert!(c.observe(SimTime::ZERO, "telemetry", num(99.0)).is_some());
+        assert_eq!(c.stats().comparisons, 0);
+        // Back to normal: the skipped check bites again.
+        c.set_degradation(DegradationMode::Normal);
+        assert!(c.observe(SimTime::ZERO, "v", num(99.0)).is_some());
     }
 
     #[test]

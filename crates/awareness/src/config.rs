@@ -16,26 +16,10 @@ pub enum CompareMode {
     },
 }
 
-/// How important a check is to the monitor's verdict.
-///
-/// Under overload the supervisor sheds checks from the bottom of this
-/// order; in safe mode only [`CheckPriority::Critical`] checks survive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum CheckPriority {
-    /// Nice-to-have telemetry; first to be shed.
-    Low,
-    /// Ordinary behavioural checks (the default).
-    Normal,
-    /// Checks guarding user-visible failures.
-    High,
-    /// Checks that must survive even in safe mode.
-    Critical,
-}
-
 /// Per-observable comparison tolerances — the two parameters the paper
 /// singles out (Sect. 4.3): a deviation **threshold** and a maximum number
 /// of **consecutive deviations** tolerated before an error is reported —
-/// plus a [`CheckPriority`] used for load shedding under degradation.
+/// plus when the comparison happens.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompareSpec {
     /// Maximal allowed |expected − observed| (0.0 = exact).
@@ -45,8 +29,6 @@ pub struct CompareSpec {
     pub max_consecutive: u32,
     /// Event- or time-based comparison.
     pub mode: CompareMode,
-    /// Shedding priority under monitor degradation.
-    pub priority: CheckPriority,
 }
 
 impl CompareSpec {
@@ -56,7 +38,6 @@ impl CompareSpec {
             threshold: 0.0,
             max_consecutive: 0,
             mode: CompareMode::EventBased,
-            priority: CheckPriority::Normal,
         }
     }
 
@@ -74,12 +55,6 @@ impl CompareSpec {
     /// Sets the consecutive-deviation tolerance.
     pub fn with_max_consecutive(mut self, max: u32) -> Self {
         self.max_consecutive = max;
-        self
-    }
-
-    /// Sets the shedding priority.
-    pub fn with_priority(mut self, priority: CheckPriority) -> Self {
-        self.priority = priority;
         self
     }
 

@@ -47,8 +47,8 @@ pub mod reliable;
 pub mod supervisor;
 
 pub use channel::DelayChannel;
-pub use comparator::{Comparator, ComparatorStats, DegradationKnobs};
-pub use config::{CheckPriority, CompareMode, CompareSpec, Configuration};
+pub use comparator::{Comparator, ComparatorStats};
+pub use config::{CompareMode, CompareSpec, Configuration};
 pub use diagnosis::{DiagnosisConfig, OnlineDiagnosis};
 pub use error::DetectedError;
 pub use message::Message;

@@ -43,6 +43,16 @@ const MONITOR_VAULT_CAPACITY: usize = 4;
 /// The vault unit name the monitor checkpoints under.
 const MONITOR_UNIT: &str = "monitor";
 
+/// Self-supervision state: the watchdog and escalation ladder, and the
+/// checkpoint history its micro-reboot rung restores the monitor from.
+#[derive(Debug)]
+struct Supervision {
+    supervisor: Supervisor,
+    vault: CheckpointVault,
+    /// When the last checkpoint was sealed.
+    last_save: Option<SimTime>,
+}
+
 /// The boundary channels' settings, kept by the monitor so supervision
 /// can rebuild the channels.
 #[derive(Debug, Clone, Copy)]
@@ -238,24 +248,24 @@ impl<'m> MonitorBuilder<'m> {
         let mut comparator = Comparator::new(self.configuration);
         comparator.set_enabled(!model.in_unstable_state());
         comparator.set_telemetry(self.telemetry.clone());
-        let supervisor = self.supervision.map(|config| {
-            let mut s = Supervisor::new(config);
-            s.set_telemetry(self.telemetry.clone());
-            s
+        let supervision = self.supervision.map(|config| {
+            let mut supervisor = Supervisor::new(config);
+            supervisor.set_telemetry(self.telemetry.clone());
+            Supervision {
+                supervisor,
+                // Seeded from the channel seed so two monitors never
+                // validate each other's checkpoints.
+                vault: CheckpointVault::new(
+                    self.channels.seed ^ 0x5EED_0FC0_DE00,
+                    MONITOR_VAULT_CAPACITY,
+                ),
+                last_save: None,
+            }
         });
         let diagnosis = self.diagnosis.as_ref().map(|config| {
             let mut d = OnlineDiagnosis::new(config);
             d.set_telemetry(self.telemetry.clone());
             d
-        });
-        // The vault exists only on the micro-reboot ladder; its seed is
-        // derived from the channel seed so two monitors never validate
-        // each other's checkpoints.
-        let vault = self.supervision.filter(|c| c.micro_reboot).map(|_| {
-            CheckpointVault::new(
-                self.channels.seed ^ 0x5EED_0FC0_DE00,
-                MONITOR_VAULT_CAPACITY,
-            )
         });
         AwarenessMonitor {
             machine: self.machine,
@@ -266,10 +276,8 @@ impl<'m> MonitorBuilder<'m> {
             comparator,
             running: true,
             errors: Vec::new(),
-            supervisor,
+            supervision,
             diagnosis,
-            vault,
-            last_vault_save: None,
             errors_total: 0,
             channels: self.channels,
             channel_epoch: 0,
@@ -303,10 +311,8 @@ pub struct AwarenessMonitor<'m> {
     running: bool,
     /// Controller: detected errors awaiting the caller (oldest first).
     errors: Vec<DetectedError>,
-    supervisor: Option<Supervisor>,
+    supervision: Option<Supervision>,
     diagnosis: Option<OnlineDiagnosis>,
-    vault: Option<CheckpointVault>,
-    last_vault_save: Option<SimTime>,
     errors_total: u64,
     channels: ChannelSettings,
     channel_epoch: u64,
@@ -397,63 +403,61 @@ impl<'m> AwarenessMonitor<'m> {
     /// resulting structural action, if any. Called automatically at the
     /// end of [`AwarenessMonitor::advance_to`].
     pub fn supervise(&mut self, now: SimTime) {
-        let Some(mut supervisor) = self.supervisor.take() else {
+        let Some(mut supervision) = self.supervision.take() else {
             return;
         };
         let backlog = self.input.in_flight() + self.output.in_flight();
         self.telemetry
             .metric_gauge("awareness.monitor.backlog", backlog as i64);
-        let action = supervisor.observe(now, backlog);
-        if let Some(action) = action {
-            match action {
-                SupervisorAction::Retry => {
-                    // Cheap resync: clear deviation streaks, keep state.
-                    self.comparator.reset();
-                }
-                SupervisorAction::RestartChannels => self.restart_channels(),
-                SupervisorAction::MicroRebootMonitor => {
-                    if !self.micro_reboot_monitor(now) {
-                        // The whole checkpoint history failed validation:
-                        // fall through to the full-restart rung at once.
-                        self.telemetry
-                            .count(now, "awareness.monitor.micro_reboot_escalations", 1);
-                        self.restart_monitor();
-                    }
-                }
-                SupervisorAction::RestartMonitor => self.restart_monitor(),
-                SupervisorAction::EnterSafeMode => {
-                    // Structural part of safe mode: drop the backlog that
-                    // can no longer be assessed. The knobs installed
-                    // below restrict checking to critical observables.
-                    self.input.clear();
-                    self.output.clear();
-                    self.comparator.reset();
+        let supervisor = &mut supervision.supervisor;
+        match supervisor.observe(now, backlog) {
+            Some(SupervisorAction::Retry) => {
+                // Cheap resync: clear deviation streaks, keep state.
+                self.comparator.reset();
+            }
+            Some(SupervisorAction::RestartChannels) => self.restart_channels(),
+            Some(SupervisorAction::MicroRebootMonitor) => {
+                if !self.micro_reboot_monitor(now, &mut supervision.vault) {
+                    // The whole checkpoint history failed validation:
+                    // fall through to the full-restart rung at once.
+                    self.telemetry
+                        .count(now, "awareness.monitor.micro_reboot_escalations", 1);
+                    self.restart_monitor();
                 }
             }
+            Some(SupervisorAction::RestartMonitor) => self.restart_monitor(),
+            Some(SupervisorAction::EnterSafeMode) => {
+                // Structural part of safe mode: drop the backlog that can
+                // no longer be assessed. The mode installed below makes
+                // the comparator skip every check.
+                self.input.clear();
+                self.output.clear();
+                self.comparator.reset();
+            }
+            // Checkpoints are only worth keeping when taken from a window
+            // the supervisor itself judged healthy — a snapshot of a
+            // wedged monitor would just micro-reboot us back into the
+            // wedge.
+            None if supervisor.mode() == DegradationMode::Normal => {
+                self.maybe_checkpoint(now, &mut supervision);
+            }
+            None => {}
         }
-        // Checkpoints are only worth keeping when taken from a window the
-        // supervisor itself judged healthy — a snapshot of a wedged monitor
-        // would just micro-reboot us back into the wedge.
-        if action.is_none() && supervisor.mode() == DegradationMode::Normal {
-            self.maybe_checkpoint(now, supervisor.config().stall_after);
-        }
-        self.comparator.set_degradation(supervisor.knobs());
+        let supervisor = &mut supervision.supervisor;
+        self.comparator.set_degradation(supervisor.mode());
         supervisor.heartbeat(now);
-        self.supervisor = Some(supervisor);
+        self.supervision = Some(supervision);
     }
 
     /// Saves a sealed monitor checkpoint when the healthy-window cadence
-    /// (`every`, the supervisor's stall threshold) has elapsed since the
-    /// last save. No-op when micro-reboot is not enabled.
-    fn maybe_checkpoint(&mut self, now: SimTime, every: SimDuration) {
-        let Some(vault) = self.vault.as_mut() else {
-            return;
-        };
-        let due = match self.last_vault_save {
-            None => true,
-            Some(last) => now.since(last) >= every,
-        };
-        if !due {
+    /// (the supervisor's stall threshold) has elapsed since the last
+    /// save.
+    fn maybe_checkpoint(&self, now: SimTime, supervision: &mut Supervision) {
+        let every = supervision.supervisor.config().stall_after;
+        if supervision
+            .last_save
+            .is_some_and(|last| now.since(last) < every)
+        {
             return;
         }
         let mut state = Snapshot::new();
@@ -463,23 +467,21 @@ impl<'m> AwarenessMonitor<'m> {
             "reliable".to_string(),
             if self.channels.reliable { 1.0 } else { 0.0 },
         );
-        vault.save(MONITOR_UNIT, now, state);
-        self.last_vault_save = Some(now);
+        supervision.vault.save(MONITOR_UNIT, now, state);
+        supervision.last_save = Some(now);
         self.telemetry
             .count(now, "awareness.monitor.checkpoints", 1);
     }
 
     /// Attempts the micro-reboot rung: restore the latest validated
-    /// checkpoint and rebuild only the channel plumbing around it. The
-    /// model executor, comparator expectations and diagnosis state are
-    /// kept — that is what makes this cheaper than a full restart.
+    /// checkpoint from `vault` and rebuild only the channel plumbing
+    /// around it. The model executor, comparator expectations and
+    /// diagnosis state are kept — that is what makes this cheaper than a
+    /// full restart.
     ///
     /// Returns `false` when no checkpoint in the history validates, in
     /// which case the caller must escalate to the full-restart rung.
-    fn micro_reboot_monitor(&mut self, now: SimTime) -> bool {
-        let Some(vault) = self.vault.as_mut() else {
-            return false;
-        };
+    fn micro_reboot_monitor(&mut self, now: SimTime, vault: &mut CheckpointVault) -> bool {
         match vault.restore_latest(MONITOR_UNIT) {
             RestoreOutcome::Restored { state, .. } => {
                 // Resume one epoch past the checkpointed one so the fresh
@@ -640,24 +642,24 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// Self-supervision counters, when supervision is enabled.
     pub fn supervisor_report(&self) -> Option<&SupervisorReport> {
-        self.supervisor.as_ref().map(|s| s.report())
+        self.supervision.as_ref().map(|s| s.supervisor.report())
     }
 
     /// The current degradation mode ([`DegradationMode::Normal`] for an
     /// unsupervised monitor).
     pub fn degradation_mode(&self) -> DegradationMode {
-        self.supervisor
+        self.supervision
             .as_ref()
-            .map_or(DegradationMode::Normal, |s| s.mode())
+            .map_or(DegradationMode::Normal, |s| s.supervisor.mode())
     }
 
     /// Leaves safe mode (operator intervention); no-op when the monitor
     /// is unsupervised or not in safe mode.
     pub fn leave_safe_mode(&mut self) {
-        if let Some(supervisor) = self.supervisor.as_mut() {
-            supervisor.leave_safe_mode();
-            let knobs = supervisor.knobs();
-            self.comparator.set_degradation(knobs);
+        if let Some(supervision) = self.supervision.as_mut() {
+            supervision.supervisor.leave_safe_mode();
+            self.comparator
+                .set_degradation(supervision.supervisor.mode());
         }
     }
 
@@ -666,16 +668,16 @@ impl<'m> AwarenessMonitor<'m> {
         self.channel_epoch
     }
 
-    /// The monitor's checkpoint vault, when the micro-reboot rung is
-    /// enabled ([`SupervisorConfig::micro_reboot`]).
+    /// The checkpoint vault the micro-reboot rung restores from, when
+    /// supervision is enabled.
     pub fn checkpoint_vault(&self) -> Option<&CheckpointVault> {
-        self.vault.as_ref()
+        self.supervision.as_ref().map(|s| &s.vault)
     }
 
     /// Mutable vault access — lets a test corrupt or tear checkpoints to
     /// exercise the generation-by-generation fallback.
     pub fn checkpoint_vault_mut(&mut self) -> Option<&mut CheckpointVault> {
-        self.vault.as_mut()
+        self.supervision.as_mut().map(|s| &mut s.vault)
     }
 
     /// Stops the monitor; offered observations are dropped.
@@ -1089,11 +1091,11 @@ mod tests {
         let report = mon.supervisor_report().unwrap().to_owned();
         assert!(report.retries >= 1, "{report:?}");
         assert!(report.channel_restarts >= 1, "{report:?}");
-        assert!(report.monitor_restarts >= 1, "{report:?}");
+        assert!(report.micro_reboots >= 1, "{report:?}");
         assert_eq!(report.safe_mode_entries, 1, "{report:?}");
         assert!(mon.channel_epoch() >= 1);
-        // Safe mode: normal-priority checks are shed, so even a glaring
-        // mismatch raises nothing — the monitor no longer vouches.
+        // Safe mode skips every check, so even a glaring mismatch raises
+        // nothing — the monitor no longer vouches.
         mon.offer(&key(t + 10));
         mon.offer(&light(t + 10, 55.0));
         mon.advance_to(SimTime::from_millis(t + 20));
@@ -1114,7 +1116,6 @@ mod tests {
         let tel = Telemetry::recording(256);
         let mut mon = MonitorBuilder::new(&m)
             .supervised(SupervisorConfig {
-                micro_reboot: true,
                 // Keep the breaker out of the way: this test watches the
                 // micro-reboot rung, not the safe-mode gate.
                 breaker_threshold: 10,
@@ -1154,7 +1155,7 @@ mod tests {
         );
         assert_eq!(tel.counter("awareness.monitor.micro_reboots"), 1);
         assert!(tel.counter("awareness.monitor.checkpoints") >= 2);
-        // A healthy spell relaxes the degradation knobs back to Normal…
+        // A healthy spell relaxes the degradation back to Normal…
         for step in 1..=3 {
             mon.advance_to(SimTime::from_millis(t + step * 100));
         }
@@ -1173,7 +1174,6 @@ mod tests {
         let tel = Telemetry::recording(256);
         let mut mon = MonitorBuilder::new(&m)
             .supervised(SupervisorConfig {
-                micro_reboot: true,
                 breaker_threshold: 10,
                 ..SupervisorConfig::default()
             })

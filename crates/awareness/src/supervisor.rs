@@ -12,21 +12,21 @@
 //!   means the monitor was starved (e.g. by a CPU eater);
 //! * a **backlog watermark** — undelivered boundary-channel messages
 //!   above the overload limit mean the monitor is falling behind;
-//! * **graceful degradation** — under overload the comparator's
-//!   tolerances are widened and low-priority checks are shed
-//!   ([`DegradationMode::Shedding`]); after a stall the monitor runs
-//!   with widened tolerances while it re-synchronises
-//!   ([`DegradationMode::Relaxed`]);
+//! * **graceful degradation** — after a stall
+//!   ([`DegradationMode::Relaxed`]) or under overload
+//!   ([`DegradationMode::Shedding`]) the comparator widens every
+//!   tolerance while the monitor re-synchronises: thresholds double
+//!   (exact specs get an absolute slack of 0.5) and two more
+//!   consecutive deviations are tolerated;
 //! * an **escalation ladder** built from the recovery crate's
 //!   primitives: cheap retry → restart the boundary channels
-//!   ([`recovery::EscalationPolicy`] unit restart) → restart the whole
-//!   monitor (policy escalation) → **safe mode** when the
+//!   ([`recovery::EscalationPolicy`] unit restart) → micro-reboot the
+//!   monitor from its latest validated checkpoint (policy escalation) →
+//!   restart the whole monitor → **safe mode** when the
 //!   [`recovery::CircuitBreaker`] trips. Safe mode is sticky and honest:
-//!   only [`CheckPriority::Critical`] checks keep running, so the
-//!   monitor stops vouching for health it can no longer assess.
+//!   every check is skipped, so the monitor stops vouching for health it
+//!   can no longer assess.
 
-use crate::comparator::DegradationKnobs;
-use crate::config::CheckPriority;
 use recovery::{CircuitBreaker, EscalationPolicy, RecoveryAction};
 use simkit::{SimDuration, SimTime};
 use telemetry::Telemetry;
@@ -38,9 +38,10 @@ pub enum DegradationMode {
     Normal,
     /// Tolerances widened (post-stall re-synchronisation).
     Relaxed,
-    /// Tolerances widened and low-priority checks shed (overload).
+    /// Tolerances widened as in `Relaxed`; the label records that
+    /// overload, not a stall, caused it.
     Shedding,
-    /// Only critical checks run; sticky until explicitly left.
+    /// Every check skipped; sticky until explicitly left.
     SafeMode,
 }
 
@@ -54,31 +55,9 @@ impl DegradationMode {
             DegradationMode::SafeMode => "safe_mode",
         }
     }
-
-    /// The comparator adjustments this mode implies.
-    pub fn knobs(self, config: &SupervisorConfig) -> DegradationKnobs {
-        match self {
-            DegradationMode::Normal => DegradationKnobs::default(),
-            DegradationMode::Relaxed => DegradationKnobs {
-                threshold_scale: config.relax_threshold_scale,
-                extra_consecutive: config.relax_extra_consecutive,
-                min_priority: CheckPriority::Low,
-            },
-            DegradationMode::Shedding => DegradationKnobs {
-                threshold_scale: config.relax_threshold_scale,
-                extra_consecutive: config.relax_extra_consecutive,
-                min_priority: CheckPriority::Normal,
-            },
-            DegradationMode::SafeMode => DegradationKnobs {
-                threshold_scale: config.relax_threshold_scale,
-                extra_consecutive: config.relax_extra_consecutive,
-                min_priority: CheckPriority::Critical,
-            },
-        }
-    }
 }
 
-/// Watchdog, degradation, and escalation parameters.
+/// Watchdog and escalation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Heartbeat gap beyond which the monitor counts as stalled.
@@ -86,12 +65,8 @@ pub struct SupervisorConfig {
     /// Undelivered boundary messages beyond which the monitor counts as
     /// overloaded.
     pub overload_backlog: usize,
-    /// Threshold multiplier applied in degraded modes.
-    pub relax_threshold_scale: f64,
-    /// Extra consecutive deviations tolerated in degraded modes.
-    pub relax_extra_consecutive: u32,
     /// Channel restarts allowed per window before escalating to a
-    /// monitor restart (the [`EscalationPolicy`] budget).
+    /// micro-reboot (the [`EscalationPolicy`] budget).
     pub max_channel_restarts: u32,
     /// Sliding window for the restart budget.
     pub restart_window: SimDuration,
@@ -100,11 +75,6 @@ pub struct SupervisorConfig {
     pub breaker_threshold: u32,
     /// Breaker cool-down (a healthy probe after this closes it again).
     pub breaker_cooldown: SimDuration,
-    /// Inserts the micro-reboot rung between "restart channels" and
-    /// "restart monitor": before paying for a full monitor restart, the
-    /// monitor is restored from its latest validated checkpoint. Off by
-    /// default (the classic four-rung ladder).
-    pub micro_reboot: bool,
 }
 
 impl Default for SupervisorConfig {
@@ -112,28 +82,20 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             stall_after: SimDuration::from_millis(500),
             overload_backlog: 64,
-            relax_threshold_scale: 2.0,
-            relax_extra_consecutive: 2,
             max_channel_restarts: 2,
             restart_window: SimDuration::from_secs(10),
             breaker_threshold: 4,
             breaker_cooldown: SimDuration::from_secs(5),
-            micro_reboot: false,
         }
     }
 }
 
 impl SupervisorConfig {
-    /// The six-rung ladder: the defaults with the micro-reboot rung
-    /// enabled. Chaos campaigns and the dependability scorecard both
-    /// supervise with this configuration, so the full escalation ladder
-    /// (retry → restart channels → micro-reboot → restart monitor →
-    /// safe mode) is what the regression exercises.
+    /// The same as [`SupervisorConfig::default`]: the micro-reboot rung
+    /// is always on. Kept because the benchmark harness and older tests
+    /// call it by name.
     pub fn with_micro_reboot() -> Self {
-        SupervisorConfig {
-            micro_reboot: true,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
@@ -168,7 +130,7 @@ pub struct SupervisorReport {
     pub retries: u64,
     /// Channel restarts issued (second rung).
     pub channel_restarts: u64,
-    /// Micro-reboots issued (third rung, when enabled).
+    /// Micro-reboots issued (third rung).
     pub micro_reboots: u64,
     /// Full monitor restarts issued (fourth rung).
     pub monitor_restarts: u64,
@@ -199,8 +161,8 @@ impl SupervisorReport {
 /// Drive it with [`Supervisor::observe`] (before pumping, so the
 /// heartbeat gap is visible) and [`Supervisor::heartbeat`] (after a
 /// successful pump). `observe` returns the structural action, if any,
-/// the caller must apply; the current [`DegradationMode`] tells it which
-/// comparator knobs to install.
+/// the caller must apply; the current [`DegradationMode`] tells the
+/// comparator how far to widen its tolerances.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     config: SupervisorConfig,
@@ -259,11 +221,6 @@ impl Supervisor {
         self.mode
     }
 
-    /// The comparator knobs for the current mode.
-    pub fn knobs(&self) -> DegradationKnobs {
-        self.mode.knobs(&self.config)
-    }
-
     /// Self-supervision counters.
     pub fn report(&self) -> &SupervisorReport {
         &self.report
@@ -281,8 +238,9 @@ impl Supervisor {
     /// Anomalies climb the ladder: the first anomaly after a healthy
     /// spell costs a cheap [`SupervisorAction::Retry`]; anomalies
     /// recurring within the restart window consume channel restarts,
-    /// then a monitor restart; when even that keeps failing, the circuit
-    /// breaker opens and the supervisor drops to sticky safe mode.
+    /// then a micro-reboot, then a monitor restart; when even that keeps
+    /// failing, the circuit breaker opens and the supervisor drops to
+    /// sticky safe mode.
     pub fn observe(&mut self, now: SimTime, backlog: usize) -> Option<SupervisorAction> {
         if self.mode == DegradationMode::SafeMode {
             return None;
@@ -311,7 +269,8 @@ impl Supervisor {
             self.set_mode(now, DegradationMode::Normal);
             return None;
         }
-        // Degrade first: overload sheds, a stall widens tolerances.
+        // Degrade first; the mode records whether overload or a stall
+        // caused it.
         self.set_mode(
             now,
             if overloaded {
@@ -342,18 +301,12 @@ impl Supervisor {
         }
         let unit = if stalled { "monitor-loop" } else { "boundary" };
         match self.escalation.decide(now, unit) {
-            RecoveryAction::RestartAll if self.config.micro_reboot => {
+            RecoveryAction::RestartAll => {
                 self.micro_attempted = true;
                 self.report.micro_reboots += 1;
                 self.telemetry
                     .count(now, "awareness.supervisor.micro_reboots", 1);
                 Some(SupervisorAction::MicroRebootMonitor)
-            }
-            RecoveryAction::RestartAll => {
-                self.report.monitor_restarts += 1;
-                self.telemetry
-                    .count(now, "awareness.supervisor.monitor_restarts", 1);
-                Some(SupervisorAction::RestartMonitor)
             }
             // RestartUnit (and any future partial action) maps to the
             // channel-restart rung.
@@ -492,7 +445,7 @@ mod tests {
                 SupervisorAction::Retry,
                 SupervisorAction::RestartChannels,
                 SupervisorAction::RestartChannels,
-                SupervisorAction::RestartMonitor,
+                SupervisorAction::MicroRebootMonitor,
                 SupervisorAction::EnterSafeMode,
             ],
             "{:?}",
@@ -503,14 +456,11 @@ mod tests {
         // Safe mode is sticky and quiet.
         assert_eq!(s.observe(SimTime::from_secs(60), 1000), None);
         assert_eq!(s.mode(), DegradationMode::SafeMode);
-        // Only critical checks survive there.
-        assert_eq!(s.knobs().min_priority, CheckPriority::Critical);
     }
 
     #[test]
     fn micro_reboot_rung_sits_between_channels_and_monitor_restart() {
         let mut s = Supervisor::new(SupervisorConfig {
-            micro_reboot: true,
             // One extra breaker credit so the full six-rung ladder is
             // visible before safe mode.
             breaker_threshold: 5,
@@ -545,7 +495,6 @@ mod tests {
     #[test]
     fn healthy_spell_rearms_the_micro_reboot_rung() {
         let mut s = Supervisor::new(SupervisorConfig {
-            micro_reboot: true,
             // Generous breaker so the climb-heal-climb cycle never trips
             // it — the re-arming of the rung is what's under test.
             breaker_threshold: 10,
@@ -580,13 +529,10 @@ mod tests {
         let action = s.observe(t1, 1000);
         assert_eq!(action, Some(SupervisorAction::Retry));
         assert_eq!(s.mode(), DegradationMode::Shedding);
-        assert_eq!(s.knobs().min_priority, CheckPriority::Normal);
-        assert!(s.knobs().threshold_scale > 1.0);
         // Backlog drains: back to normal, ladder reset.
         s.heartbeat(t1);
         assert_eq!(s.observe(SimTime::from_millis(200), 0), None);
         assert_eq!(s.mode(), DegradationMode::Normal);
-        assert_eq!(s.knobs(), DegradationKnobs::default());
     }
 
     #[test]
@@ -596,7 +542,6 @@ mod tests {
         let action = s.observe(SimTime::from_secs(2), 0);
         assert_eq!(action, Some(SupervisorAction::Retry));
         assert_eq!(s.mode(), DegradationMode::Relaxed);
-        assert_eq!(s.knobs().min_priority, CheckPriority::Low);
         s.heartbeat(SimTime::from_secs(2));
         assert_eq!(s.observe(SimTime::from_millis(2100), 0), None);
         assert_eq!(s.mode(), DegradationMode::Normal);

@@ -139,7 +139,7 @@ impl CampaignSpec {
             // Supervised campaigns climb the full ladder: the
             // micro-reboot rung sits between the channel-restart and
             // monitor-restart rungs.
-            looped.supervised(SupervisorConfig::with_micro_reboot());
+            looped.supervised(SupervisorConfig::default());
         }
     }
 

@@ -135,7 +135,7 @@ impl RecoveryStyle {
                 looped.unit_recovery(UnitRecoveryConfig::micro_reboot());
             }
             RecoveryStyle::SupervisedLadder => {
-                looped.supervised(SupervisorConfig::with_micro_reboot());
+                looped.supervised(SupervisorConfig::default());
             }
         }
     }
