@@ -92,7 +92,7 @@ impl<T> DelayChannel<T> {
         self.sent
     }
 
-    /// Messages dropped by loss injection.
+    /// Messages dropped by loss injection or abandoned by [`clear`](Self::clear).
     pub fn lost(&self) -> u64 {
         self.lost
     }
@@ -146,8 +146,10 @@ impl<T> DelayChannel<T> {
         out
     }
 
-    /// Drops everything in flight (monitor reset).
+    /// Drops everything in flight (monitor reset). The dropped messages
+    /// count as lost: nothing will deliver them now.
     pub fn clear(&mut self) {
+        self.lost += self.queue.len() as u64;
         self.queue.clear();
     }
 }
@@ -225,5 +227,19 @@ mod tests {
         ch.send(SimTime::ZERO, 1);
         ch.clear();
         assert!(ch.deliver_due(SimTime::from_millis(10)).is_empty());
+    }
+
+    #[test]
+    fn clear_counts_dropped_messages_as_lost() {
+        let mut ch: DelayChannel<u32> = DelayChannel::new(SimDuration::from_millis(5));
+        for i in 0..3 {
+            ch.send(SimTime::from_millis(i), i as u32);
+        }
+        assert_eq!(ch.deliver_due(SimTime::from_millis(5)).len(), 1);
+        ch.clear();
+        assert_eq!(
+            (ch.sent(), ch.delivered(), ch.lost(), ch.in_flight()),
+            (3, 1, 2, 0)
+        );
     }
 }

@@ -11,14 +11,14 @@ use simkit::{SimDuration, SimTime};
 
 proptest! {
     /// The bare channel conserves messages at every step, for any mix
-    /// of delay, jitter, loss, traffic, and drain instants.
+    /// of delay, jitter, loss, traffic, drain instants, and resets.
     #[test]
     fn bare_channel_conserves_at_every_step(
         seed in 0u64..1000,
         delay_us in 100u64..5000,
         jitter_us in 0u64..3000,
         loss in 0.0f64..0.9,
-        ops in prop::collection::vec((0u8..2, 1u64..50), 1..80)
+        ops in prop::collection::vec((0u8..3, 1u64..50), 1..80)
     ) {
         let mut channel = DelayChannel::new(SimDuration::from_micros(delay_us))
             .with_jitter(SimDuration::from_micros(jitter_us), seed)
@@ -28,11 +28,13 @@ proptest! {
         let mut received = 0u64;
         for (op, gap_ms) in ops {
             now += SimDuration::from_millis(gap_ms);
-            if op == 0 {
-                channel.send(now, sent);
-                sent += 1;
-            } else {
-                received += channel.deliver_due(now).len() as u64;
+            match op {
+                0 => {
+                    channel.send(now, sent);
+                    sent += 1;
+                }
+                1 => received += channel.deliver_due(now).len() as u64,
+                _ => channel.clear(),
             }
             prop_assert_eq!(
                 channel.sent(),
