@@ -9,6 +9,7 @@ use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop};
 use tvsim::TvFault;
 
 use crate::stress::{StressOutcome, StressPlan};
+use crate::Fnv;
 
 /// The faults a campaign may draw from. All are realistic integration
 /// defects of the TV case studies; the pool deliberately mixes faults
@@ -195,52 +196,48 @@ impl CampaignOutcome {
     /// field). Two runs of the same seed must produce equal
     /// fingerprints — the bit-identical-replay contract.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.spec.seed);
-        mix(self.spec.scenario_len as u64);
-        mix(self.spec.faults.len() as u64);
-        mix(self.spec.output_delay.as_nanos());
-        mix(self.spec.jitter.as_nanos());
-        mix(self.spec.loss.to_bits());
-        mix(u64::from(self.spec.reliable));
-        mix(u64::from(self.spec.supervised));
+        let mut h = Fnv::new();
+        h.mix(self.spec.seed);
+        h.mix(self.spec.scenario_len as u64);
+        h.mix(self.spec.faults.len() as u64);
+        h.mix(self.spec.output_delay.as_nanos());
+        h.mix(self.spec.jitter.as_nanos());
+        h.mix(self.spec.loss.to_bits());
+        h.mix(u64::from(self.spec.reliable));
+        h.mix(u64::from(self.spec.supervised));
         for outcome in [&self.closed, &self.open] {
-            mix(outcome.steps as u64);
-            mix(outcome.failure_steps as u64);
-            mix(outcome.detected_errors as u64);
-            mix(outcome.recoveries as u64);
-            mix(outcome.detection_latency.map_or(u64::MAX, |l| l.as_nanos()));
-            mix(outcome.fault_activations as u64);
-            mix(outcome.safe_mode_entries);
-            mix(outcome.lost_presses);
-            mix(outcome.lost_presses_unaffected);
-            mix(outcome.micro_reboots);
-            mix(outcome.full_restarts);
-            mix(outcome.reboot_mttr.map_or(u64::MAX, |m| m.as_nanos()));
-            mix(u64::from(outcome.ladder_rung));
-            mix(outcome.checkpoint_generations.len() as u64);
+            h.mix(outcome.steps as u64);
+            h.mix(outcome.failure_steps as u64);
+            h.mix(outcome.detected_errors as u64);
+            h.mix(outcome.recoveries as u64);
+            h.mix(outcome.detection_latency.map_or(u64::MAX, |l| l.as_nanos()));
+            h.mix(outcome.fault_activations as u64);
+            h.mix(outcome.safe_mode_entries);
+            h.mix(outcome.lost_presses);
+            h.mix(outcome.lost_presses_unaffected);
+            h.mix(outcome.micro_reboots);
+            h.mix(outcome.full_restarts);
+            h.mix(outcome.reboot_mttr.map_or(u64::MAX, |m| m.as_nanos()));
+            h.mix(u64::from(outcome.ladder_rung));
+            h.mix(outcome.checkpoint_generations.len() as u64);
             for (_, generation) in &outcome.checkpoint_generations {
-                mix(*generation);
+                h.mix(*generation);
             }
             if let Some(audit) = outcome.channels {
-                mix(audit.sent);
-                mix(audit.delivered);
-                mix(audit.lost);
-                mix(audit.in_flight);
+                h.mix(audit.sent);
+                h.mix(audit.delivered);
+                h.mix(audit.lost);
+                h.mix(audit.in_flight);
             }
         }
-        mix(self.stress.cpu_jobs_released as u64);
-        mix(self.stress.cpu_completed);
-        mix(self.stress.cpu_deadline_misses);
-        mix(self.stress.cpu_utilization.to_bits());
-        mix(self.stress.bus_nominal.as_nanos());
-        mix(self.stress.bus_stressed.as_nanos());
-        mix(self.stress.hog_victim_latency.as_nanos());
-        mix(self.stress.deadlock_cycle_len as u64);
-        h
+        h.mix(self.stress.cpu_jobs_released as u64);
+        h.mix(self.stress.cpu_completed);
+        h.mix(self.stress.cpu_deadline_misses);
+        h.mix(self.stress.cpu_utilization.to_bits());
+        h.mix(self.stress.bus_nominal.as_nanos());
+        h.mix(self.stress.bus_stressed.as_nanos());
+        h.mix(self.stress.hog_victim_latency.as_nanos());
+        h.mix(self.stress.deadlock_cycle_len as u64);
+        h.finish()
     }
 }

@@ -30,6 +30,7 @@ use crate::campaign::{CampaignOutcome, CampaignSpec};
 use crate::exec::{effective_workers, scatter_map};
 use crate::forensics::ForensicReport;
 use crate::invariants::check_invariants;
+use crate::Fnv;
 
 /// Flight-recorder capacity for each campaign's private telemetry. Large
 /// enough that a forensic dump shows the lead-up to a violation; small
@@ -83,16 +84,12 @@ impl FleetOutcome {
     /// across worker counts by construction; equal across runs by the
     /// campaign replay contract.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.results.len() as u64);
+        let mut h = Fnv::new();
+        h.mix(self.results.len() as u64);
         for result in &self.results {
-            mix(result.outcome.fingerprint());
+            h.mix(result.outcome.fingerprint());
         }
-        h
+        h.finish()
     }
 
     /// All campaign metrics registries merged in canonical order.

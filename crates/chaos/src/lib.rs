@@ -92,3 +92,34 @@ pub use stress::{StressOutcome, StressPlan};
 pub fn run_campaign(seed: u64) -> CampaignOutcome {
     CampaignSpec::from_seed(seed).run()
 }
+
+/// The FNV-1a state behind every fingerprint and cell seed in this
+/// crate.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds in one whole word.
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
+    }
+
+    /// Folds in a byte string byte by byte, then a `0xFF` separator so
+    /// `("ab", "c")` and `("a", "bc")` differ.
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+        self.mix(0xFF);
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
+}

@@ -37,6 +37,7 @@ use awareness::SupervisorConfig;
 
 use crate::exec::scatter_map;
 use crate::stress::{StressOutcome, StressPlan};
+use crate::Fnv;
 
 /// The workload scenarios of the scorecard grid — from near-idle to a
 /// stress-leg composition. Each exercises a different slice of the
@@ -165,30 +166,19 @@ pub struct CellSpec {
     pub adaptive: bool,
 }
 
-/// FNV-1a over a byte string — the cell seed derivation primitive.
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // Field separator so ("ab","c") and ("a","bc") differ.
-    *h ^= 0xFF;
-    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 impl CellSpec {
     /// The seed of rep `rep`: FNV-1a over the cell's *names* and the rep
     /// index. Deriving from names rather than grid indices is what makes
     /// a cell's result independent of which grid (full, quick, a single
     /// standalone cell) it runs in.
     pub fn seed(&self, rep: usize) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        fnv_bytes(&mut h, b"scorecard-cell");
-        fnv_bytes(&mut h, self.fault.name().as_bytes());
-        fnv_bytes(&mut h, self.scenario.name().as_bytes());
-        fnv_bytes(&mut h, self.recovery.name().as_bytes());
-        fnv_bytes(&mut h, &(rep as u64).to_le_bytes());
-        h
+        let mut h = Fnv::new();
+        h.bytes(b"scorecard-cell");
+        h.bytes(self.fault.name().as_bytes());
+        h.bytes(self.scenario.name().as_bytes());
+        h.bytes(self.recovery.name().as_bytes());
+        h.bytes(&(rep as u64).to_le_bytes());
+        h.finish()
     }
 
     /// The run horizon: one press gap past the last press (the same
@@ -419,42 +409,38 @@ impl CellOutcome {
     /// numeric result. Independent of worker count and of which grid the
     /// cell ran in.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        fnv_bytes(&mut h, self.spec.fault.name().as_bytes());
-        fnv_bytes(&mut h, self.spec.scenario.name().as_bytes());
-        fnv_bytes(&mut h, self.spec.recovery.name().as_bytes());
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.spec.reps as u64);
-        mix(self.spec.scenario_len as u64);
-        mix(u64::from(self.spec.probes));
-        mix(u64::from(self.spec.adaptive));
+        let mut h = Fnv::new();
+        h.bytes(self.spec.fault.name().as_bytes());
+        h.bytes(self.spec.scenario.name().as_bytes());
+        h.bytes(self.spec.recovery.name().as_bytes());
+        h.mix(self.spec.reps as u64);
+        h.mix(self.spec.scenario_len as u64);
+        h.mix(u64::from(self.spec.probes));
+        h.mix(u64::from(self.spec.adaptive));
         for rep in &self.reps {
-            mix(rep.seed);
-            mix(rep.window_from.to_bits());
-            mix(u64::from(rep.detected));
-            mix(rep.mttd.map_or(u64::MAX, |d| d.as_nanos()));
-            mix(rep.mttr.map_or(u64::MAX, |d| d.as_nanos()));
-            mix(rep.collateral_lost_presses);
-            mix(rep.micro_reboots);
-            mix(rep.full_restarts);
-            mix(rep.failure_steps as u64);
-            mix(u64::from(rep.ladder_rung));
+            h.mix(rep.seed);
+            h.mix(rep.window_from.to_bits());
+            h.mix(u64::from(rep.detected));
+            h.mix(rep.mttd.map_or(u64::MAX, |d| d.as_nanos()));
+            h.mix(rep.mttr.map_or(u64::MAX, |d| d.as_nanos()));
+            h.mix(rep.collateral_lost_presses);
+            h.mix(rep.micro_reboots);
+            h.mix(rep.full_restarts);
+            h.mix(rep.failure_steps as u64);
+            h.mix(u64::from(rep.ladder_rung));
         }
-        mix(self.twin_detections);
+        h.mix(self.twin_detections);
         if let Some(stress) = &self.stress {
-            mix(stress.cpu_jobs_released as u64);
-            mix(stress.cpu_completed);
-            mix(stress.cpu_deadline_misses);
-            mix(stress.cpu_utilization.to_bits());
-            mix(stress.bus_nominal.as_nanos());
-            mix(stress.bus_stressed.as_nanos());
-            mix(stress.hog_victim_latency.as_nanos());
-            mix(stress.deadlock_cycle_len as u64);
+            h.mix(stress.cpu_jobs_released as u64);
+            h.mix(stress.cpu_completed);
+            h.mix(stress.cpu_deadline_misses);
+            h.mix(stress.cpu_utilization.to_bits());
+            h.mix(stress.bus_nominal.as_nanos());
+            h.mix(stress.bus_stressed.as_nanos());
+            h.mix(stress.hog_victim_latency.as_nanos());
+            h.mix(stress.deadlock_cycle_len as u64);
         }
-        h
+        h.finish()
     }
 }
 
@@ -537,16 +523,12 @@ impl DependabilityScorecard {
     /// and every cell fingerprint in canonical order. Worker-count-
     /// invariant by construction.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.cells.len() as u64);
+        let mut h = Fnv::new();
+        h.mix(self.cells.len() as u64);
         for cell in &self.cells {
-            mix(cell.fingerprint());
+            h.mix(cell.fingerprint());
         }
-        h
+        h.finish()
     }
 
     /// All cell metrics merged in canonical order — grid-wide MTTD/MTTR
