@@ -118,7 +118,11 @@ impl Observable {
             ..
         } = self.spec;
         if degradation != DegradationMode::Normal {
-            threshold = if threshold == 0.0 { 0.5 } else { threshold * 2.0 };
+            threshold = if threshold == 0.0 {
+                0.5
+            } else {
+                threshold * 2.0
+            };
             max_consecutive += 2;
         }
         if deviation <= threshold {
