@@ -40,7 +40,7 @@
 //! fingerprint — trace-driven failure replay.
 //!
 //! [`fleet`] scales all of this from single campaigns to *populations*:
-//! [`run_fleet`](fleet::run_fleet) executes an arbitrary slice of specs
+//! [`run_fleet`] executes an arbitrary slice of specs
 //! across N self-scheduling workers, each campaign isolated with its
 //! own telemetry and audited on the worker, and merges the results in
 //! canonical seed order — the fleet fingerprint is byte-identical for
@@ -49,7 +49,7 @@
 //! [`exec::scatter_map`], shared with [`scorecard`]: the coverage
 //! matrix that *enumerates* every fault class × workload × recovery
 //! style as its own small campaign and folds the grid into a
-//! [`DependabilityScorecard`](scorecard::DependabilityScorecard) —
+//! [`DependabilityScorecard`] —
 //! detection rates, MTTD/MTTR histograms, collateral damage, and
 //! false-alarm twins, all worker-count-invariant.
 //!

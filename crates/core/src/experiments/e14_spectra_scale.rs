@@ -11,7 +11,7 @@
 //! on failing steps — and measures accumulation and top-k scoring time.
 //!
 //! At the smallest size the sharded result is cross-checked against the
-//! dense [`SpectrumMatrix`](spectra::SpectrumMatrix) oracle: the top-k
+//! dense [`SpectrumMatrix`] oracle: the top-k
 //! window must match the full sort byte for byte.
 //!
 //! Speedup columns compare against the 1-shard cell of the same size; on

@@ -1,7 +1,7 @@
 //! Streaming columnar counts accumulator: the scalable alternative to
 //! retaining dense spectrum rows.
 //!
-//! [`SpectrumMatrix`](crate::SpectrumMatrix) keeps one bitset row per
+//! [`SpectrumMatrix`] keeps one bitset row per
 //! scenario step, so its memory is O(steps × blocks) and scoring walks
 //! every row per block. That is the faithful, obviously-correct *oracle*
 //! — but it caps out near the paper's 60 000-block experiment. All any

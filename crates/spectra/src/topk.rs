@@ -188,7 +188,7 @@ fn effective_shards(n: u32, requested: usize) -> usize {
 /// hardware's parallelism still produce correct results (the OS simply
 /// time-slices them). Small matrices are scored inline: the effective
 /// shard count is clamped so each worker gets at least
-/// [`MIN_BLOCKS_PER_SHARD`] blocks, and a single effective shard skips
+/// 4 096 blocks, and a single effective shard skips
 /// `thread::scope` entirely.
 ///
 /// # Panics

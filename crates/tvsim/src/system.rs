@@ -329,8 +329,8 @@ impl TvSystem {
     /// probing, paper §4.1): while the set is on and a timer is armed,
     /// the timer wheel reports its configured minutes from the
     /// `sleep.timer` source. Under [`TvFault::SleepTimerLost`] the
-    /// mis-programmed wheel is silent — exactly the silence a
-    /// [`detect::WatchdogDetector`]-based deadline monitor alarms on.
+    /// mis-programmed wheel is silent — exactly the silence a heartbeat
+    /// deadline monitor alarms on.
     /// Empty when the set is off or no timer is armed.
     pub fn timer_heartbeat(&mut self, now: SimTime) -> Vec<Observation> {
         if !self.on || !self.sleep.is_armed() || self.faults.is_active(TvFault::SleepTimerLost) {

@@ -18,6 +18,9 @@ cargo test -q --offline --locked --manifest-path crates/bench/src/bin/dbench/Car
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== chaos smoke: replay campaign seed 0 =="
 cargo run -q --release --example chaos_campaign -- 0
 
