@@ -30,6 +30,13 @@
 //! reported, plus time-based vs event-based comparison and enable windows
 //! driven by the model's *unstable* states.
 //!
+//! A monitor built with [`MonitorBuilder::supervised`] also watches
+//! itself: a [`Supervisor`] tracks its heartbeat and channel backlog,
+//! the comparator widens every tolerance while the monitor is degraded,
+//! and one escalation ladder climbs from a cheap retry through a
+//! micro-reboot to safe mode, where every check is skipped
+//! ([`supervisor`]).
+//!
 //! See [`AwarenessMonitor`] for the assembled framework.
 
 #![forbid(unsafe_code)]
