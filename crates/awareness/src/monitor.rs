@@ -409,21 +409,14 @@ impl<'m> AwarenessMonitor<'m> {
         let backlog = self.input.in_flight() + self.output.in_flight();
         self.telemetry
             .metric_gauge("awareness.monitor.backlog", backlog as i64);
-        let supervisor = &mut supervision.supervisor;
-        match supervisor.observe(now, backlog) {
+        match supervision.supervisor.observe(now, backlog) {
             Some(SupervisorAction::Retry) => {
                 // Cheap resync: clear deviation streaks, keep state.
                 self.comparator.reset();
             }
             Some(SupervisorAction::RestartChannels) => self.restart_channels(),
             Some(SupervisorAction::MicroRebootMonitor) => {
-                if !self.micro_reboot_monitor(now, &mut supervision.vault) {
-                    // The whole checkpoint history failed validation:
-                    // fall through to the full-restart rung at once.
-                    self.telemetry
-                        .count(now, "awareness.monitor.micro_reboot_escalations", 1);
-                    self.restart_monitor();
-                }
+                self.micro_reboot_monitor(now, &mut supervision.vault);
             }
             Some(SupervisorAction::RestartMonitor) => self.restart_monitor(),
             Some(SupervisorAction::EnterSafeMode) => {
@@ -438,14 +431,14 @@ impl<'m> AwarenessMonitor<'m> {
             // the supervisor itself judged healthy — a snapshot of a
             // wedged monitor would just micro-reboot us back into the
             // wedge.
-            None if supervisor.mode() == DegradationMode::Normal => {
+            None if supervision.supervisor.mode() == DegradationMode::Normal => {
                 self.maybe_checkpoint(now, &mut supervision);
             }
             None => {}
         }
-        let supervisor = &mut supervision.supervisor;
-        self.comparator.set_degradation(supervisor.mode());
-        supervisor.heartbeat(now);
+        self.comparator
+            .set_degradation(supervision.supervisor.mode());
+        supervision.supervisor.heartbeat(now);
         self.supervision = Some(supervision);
     }
 
@@ -477,11 +470,9 @@ impl<'m> AwarenessMonitor<'m> {
     /// checkpoint from `vault` and rebuild only the channel plumbing
     /// around it. The model executor, comparator expectations and
     /// diagnosis state are kept — that is what makes this cheaper than a
-    /// full restart.
-    ///
-    /// Returns `false` when no checkpoint in the history validates, in
-    /// which case the caller must escalate to the full-restart rung.
-    fn micro_reboot_monitor(&mut self, now: SimTime, vault: &mut CheckpointVault) -> bool {
+    /// full restart. When no checkpoint in the history validates, it
+    /// falls through to the full-restart rung at once.
+    fn micro_reboot_monitor(&mut self, now: SimTime, vault: &mut CheckpointVault) {
         match vault.restore_latest(MONITOR_UNIT) {
             RestoreOutcome::Restored { state, .. } => {
                 // Resume one epoch past the checkpointed one so the fresh
@@ -495,9 +486,12 @@ impl<'m> AwarenessMonitor<'m> {
                 self.comparator.reset();
                 self.telemetry
                     .count(now, "awareness.monitor.micro_reboots", 1);
-                true
             }
-            RestoreOutcome::Exhausted { .. } | RestoreOutcome::NoHistory => false,
+            RestoreOutcome::Exhausted { .. } | RestoreOutcome::NoHistory => {
+                self.telemetry
+                    .count(now, "awareness.monitor.micro_reboot_escalations", 1);
+                self.restart_monitor();
+            }
         }
     }
 
