@@ -95,7 +95,6 @@ pub fn run_campaign(seed: u64) -> CampaignOutcome {
 
 /// The FNV-1a state behind every fingerprint and cell seed in this
 /// crate.
-#[derive(Debug, Clone, Copy)]
 struct Fnv(u64);
 
 impl Fnv {
