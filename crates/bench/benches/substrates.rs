@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates the experiments run on: the
-//! simulation kernel, the state-machine executor, the spectrum ranking,
+//! event queue the boundary channels run on, the state-machine executor,
+//! the spectrum ranking,
 //! and the instrumented TV — so regressions in the platform show up
 //! independently of the experiment harnesses.
 
@@ -7,19 +8,22 @@ use bench::quick_criterion;
 use criterion::Criterion;
 use std::hint::black_box;
 use trader::prelude::*;
-use trader::simkit::{Engine, SimDuration};
+use trader::simkit::{EventPriority, EventQueue, SimDuration};
 use trader::spectra::SpectrumMatrix;
 
-fn bench_engine(c: &mut Criterion) {
+fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_simkit");
-    group.bench_function("engine_100k_events", |b| {
+    group.bench_function("event_queue_100k_events", |b| {
         b.iter(|| {
-            let mut engine: Engine<u32> = Engine::new();
+            let mut queue: EventQueue<u32> = EventQueue::new();
             for i in 0..100_000u64 {
-                engine.schedule_at(SimTime::from_nanos(i * 7 % 1_000_000), i as u32);
+                let at = SimTime::from_nanos(i * 7 % 1_000_000);
+                queue.push(at, EventPriority::NORMAL, i as u32);
             }
             let mut count = 0u64;
-            engine.run(|_, _| count += 1);
+            while queue.pop().is_some() {
+                count += 1;
+            }
             black_box(count)
         })
     });
@@ -91,7 +95,7 @@ fn bench_tvsim(c: &mut Criterion) {
 
 fn main() {
     let mut c = quick_criterion();
-    bench_engine(&mut c);
+    bench_event_queue(&mut c);
     bench_statemachine(&mut c);
     bench_spectra(&mut c);
     bench_tvsim(&mut c);

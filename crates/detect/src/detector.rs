@@ -68,17 +68,23 @@ pub trait Detector {
 /// A group of detectors fed from one observation stream.
 ///
 /// ```
-/// use detect::{DetectorBank, RangeCheckDetector};
+/// use detect::{ConsistencyRule, DetectorBank, ModeConsistencyDetector};
 /// use observe::{Observation, ObservationKind};
 /// use simkit::SimTime;
 ///
-/// let mut bank = DetectorBank::new();
-/// bank.add(RangeCheckDetector::new("volume", 0.0, 100.0));
-/// let errs = bank.observe(&Observation::new(
-///     SimTime::ZERO,
-///     "tv",
-///     ObservationKind::Value { name: "volume".into(), value: 130.0 },
+/// let mut modes = ModeConsistencyDetector::new();
+/// modes.add_rule(ConsistencyRule::new(
+///     "txt-sync", "ui", "teletext", "decoder", ["teletext"],
 /// ));
+/// let mut bank = DetectorBank::new();
+/// bank.add(modes);
+/// let mode = |c: &str, m: &str| Observation::new(
+///     SimTime::ZERO, c,
+///     ObservationKind::Mode { component: c.into(), mode: m.into() },
+/// );
+/// // A rule is checkable only once both components report a mode.
+/// assert!(bank.observe(&mode("decoder", "video")).is_empty());
+/// let errs = bank.observe(&mode("ui", "teletext"));
 /// assert_eq!(errs.len(), 1);
 /// ```
 #[derive(Default)]

@@ -3,8 +3,6 @@
 //! Error-detection mechanisms of the Trader project beyond model
 //! comparison (paper Sect. 4.3):
 //!
-//! * [`RangeCheckDetector`] — hardware-style range checking of monitored
-//!   values;
 //! * [`WatchdogDetector`] — timeliness: a heartbeat must arrive within its
 //!   deadline (the real-time monitoring the paper contrasts with MaC-RT);
 //! * [`DeadlockDetector`] — hardware-based deadlock detection via wait-for
@@ -24,11 +22,9 @@
 pub mod deadlock;
 pub mod detector;
 pub mod mode_consistency;
-pub mod range_check;
 pub mod watchdog;
 
 pub use deadlock::{DeadlockDetector, WaitForGraph};
 pub use detector::{Detector, DetectorBank, ErrorEvent, ErrorSeverity};
 pub use mode_consistency::{ConsistencyRule, ModeConsistencyDetector};
-pub use range_check::RangeCheckDetector;
 pub use watchdog::WatchdogDetector;

@@ -12,8 +12,6 @@
 //!   bandwidth, to simulate the occurrence of errors or the addition of an
 //!   additional resource user". The paper notes a software CPU eater "is
 //!   already included in the current development software";
-//! * [`SignalProfile`] / [`BitErrorModel`] — input faults: bad signal
-//!   quality and coding-standard deviations (paper Sect. 2);
 //! * [`deadlock::cycle_edges`] — circular-wait injection for the deadlock
 //!   detector.
 //!
@@ -25,11 +23,9 @@
 
 pub mod deadlock;
 pub mod injector;
-pub mod input;
 pub mod resource;
 pub mod schedule;
 
 pub use injector::Injector;
-pub use input::{BitErrorModel, SignalProfile};
 pub use resource::{BusEater, CpuEater, MemoryHog};
 pub use schedule::Schedule;

@@ -11,10 +11,6 @@
 //!   function calls, resource loads, outputs;
 //! * a [`ProbeRegistry`] with per-probe enable/disable and overhead
 //!   accounting (high-volume products cannot afford heavy monitoring);
-//! * [`RangeProbe`] value range checking;
-//! * [`CallStackRecorder`] call/return tracking (the paper monitors call
-//!   stacks: functions, parameters, result values);
-//! * [`LoadProbe`] sliding-window processor/bus load;
 //! * [`BlockCoverage`] basic-block hit recording — the raw material for
 //!   spectrum-based diagnosis (Sect. 4.4);
 //! * a bounded [`RingBuffer`] for trace retention.
@@ -22,20 +18,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callstack;
 pub mod coverage;
-pub mod load;
 pub mod observation;
 pub mod overhead;
 pub mod probe;
-pub mod range;
 pub mod ring;
 
-pub use callstack::CallStackRecorder;
 pub use coverage::{BlockCoverage, BlockSnapshot};
-pub use load::LoadProbe;
 pub use observation::{ObsValue, Observation, ObservationKind};
 pub use overhead::{BudgetVerdict, OverheadAccount, ProbeBudget};
 pub use probe::{ProbeId, ProbeRegistry};
-pub use range::{RangeProbe, RangeViolation};
 pub use ring::RingBuffer;

@@ -1,8 +1,7 @@
 //! Property-based tests of the observation layer's data structures.
 
-use observe::{BlockCoverage, LoadProbe, RangeProbe, RingBuffer};
+use observe::{BlockCoverage, RingBuffer};
 use proptest::prelude::*;
-use simkit::{SimDuration, SimTime};
 
 proptest! {
     /// A ring buffer always retains exactly the newest min(n, cap)
@@ -36,38 +35,5 @@ proptest! {
         prop_assert_eq!(snap.count() as usize, distinct.len());
         prop_assert_eq!(snap.iter_hits().collect::<Vec<_>>(), distinct);
         prop_assert!(!cov.any_hit());
-    }
-
-    /// Range probe verdicts match the arithmetic definition exactly.
-    #[test]
-    fn range_probe_exact(lo in -100.0f64..0.0, hi in 0.0f64..100.0,
-                         samples in prop::collection::vec(-200.0f64..200.0, 0..100)) {
-        let mut probe = RangeProbe::new("x", lo, hi);
-        let mut expected_violations = 0u64;
-        for (i, &s) in samples.iter().enumerate() {
-            let v = probe.check(SimTime::from_nanos(i as u64), s);
-            let out_of_range = !(lo..=hi).contains(&s);
-            prop_assert_eq!(v.is_some(), out_of_range);
-            if out_of_range {
-                expected_violations += 1;
-            }
-        }
-        prop_assert_eq!(probe.violations(), expected_violations);
-        prop_assert_eq!(probe.checks() as usize, samples.len());
-    }
-
-    /// The sliding-window average always lies within [0, 1] and within
-    /// the min/max of the retained samples.
-    #[test]
-    fn load_average_bounded(samples in prop::collection::vec((0u64..1_000, 0.0f64..=1.0), 1..100)) {
-        let mut probe = LoadProbe::new("cpu", SimDuration::from_millis(100));
-        let mut t = SimTime::ZERO;
-        for (gap, frac) in samples {
-            t += SimDuration::from_millis(gap);
-            probe.sample(t, frac);
-            let avg = probe.average();
-            prop_assert!((0.0..=1.0).contains(&avg));
-            prop_assert!(avg <= probe.peak() + 1e-12);
-        }
     }
 }

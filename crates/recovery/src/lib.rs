@@ -15,8 +15,9 @@
 //! * **Adaptive memory arbitration** (NXP Research): re-allocating
 //!   arbiter slots at run time to resolve memory-access problems. See
 //!   [`AdaptiveArbiter`] over `simkit::MemoryArbiter`.
-//! * A **reusable fault-tolerance library**: [`library::retry`],
-//!   [`library::CircuitBreaker`], [`library::Redundant`].
+//! * From the paper's **reusable fault-tolerance library**, the
+//!   [`CircuitBreaker`] whose trip sends the awareness supervisor to
+//!   safe mode.
 //! * **Micro-reboot checkpoints**: [`CheckpointVault`] seals per-unit
 //!   snapshots with seed-derived fingerprints so a faulty unit can be
 //!   restored from its newest *valid* generation while the rest of the
@@ -38,7 +39,7 @@ pub mod unit;
 
 pub use checkpoint::{CheckpointStore, Snapshot};
 pub use comm_manager::{CommManager, RestartPolicy, UnitMessage};
-pub use library::{retry, CircuitBreaker, Redundant};
+pub use library::CircuitBreaker;
 pub use loadbalance::{LoadBalancer, MigrationDecision};
 pub use memarbiter::AdaptiveArbiter;
 pub use microreboot::{

@@ -1,43 +1,12 @@
 //! The reusable fault-tolerance library.
 //!
 //! Paper Sect. 4.5: "To realize these concepts, a reusable fault tolerance
-//! library has been implemented." The combinators here are the
-//! building blocks recovery code is written with: bounded retry, a
-//! circuit breaker that stops hammering a failing component, and a
-//! primary/backup selector.
+//! library has been implemented." This module provides its circuit
+//! breaker: it stops hammering a failing component, and its trip sends
+//! the awareness supervisor to safe mode.
 
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
-
-/// Retries `op` up to `attempts` times (attempt indices `0..attempts`).
-///
-/// Returns the first success, or the last error.
-///
-/// # Panics
-///
-/// Panics if `attempts` is zero.
-///
-/// ```
-/// use recovery::retry;
-/// let mut tries = 0;
-/// let result: Result<u32, &str> = retry(3, |i| {
-///     tries += 1;
-///     if i < 2 { Err("flaky") } else { Ok(42) }
-/// });
-/// assert_eq!(result, Ok(42));
-/// assert_eq!(tries, 3);
-/// ```
-pub fn retry<T, E>(attempts: u32, mut op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
-    assert!(attempts > 0, "need at least one attempt");
-    let mut last = None;
-    for i in 0..attempts {
-        match op(i) {
-            Ok(v) => return Ok(v),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.expect("at least one attempt ran"))
-}
 
 /// Circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -154,93 +123,9 @@ impl CircuitBreaker {
     }
 }
 
-/// Primary/backup selection: use the primary until it fails, then the
-/// backup (the cheapest form of redundancy the cost envelope allows).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Redundant<T> {
-    primary: T,
-    backup: T,
-    on_backup: bool,
-    failovers: u64,
-}
-
-impl<T> Redundant<T> {
-    /// Creates a pair, active on the primary.
-    pub fn new(primary: T, backup: T) -> Self {
-        Redundant {
-            primary,
-            backup,
-            on_backup: false,
-            failovers: 0,
-        }
-    }
-
-    /// The currently active element.
-    pub fn active(&self) -> &T {
-        if self.on_backup {
-            &self.backup
-        } else {
-            &self.primary
-        }
-    }
-
-    /// Mutable access to the active element.
-    pub fn active_mut(&mut self) -> &mut T {
-        if self.on_backup {
-            &mut self.backup
-        } else {
-            &mut self.primary
-        }
-    }
-
-    /// Switches to the backup (idempotent). Returns true on the first
-    /// switch.
-    pub fn failover(&mut self) -> bool {
-        if self.on_backup {
-            false
-        } else {
-            self.on_backup = true;
-            self.failovers += 1;
-            true
-        }
-    }
-
-    /// Switches back to the (repaired) primary.
-    pub fn restore_primary(&mut self) {
-        self.on_backup = false;
-    }
-
-    /// True while on the backup.
-    pub fn is_on_backup(&self) -> bool {
-        self.on_backup
-    }
-
-    /// Failovers performed.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retry_returns_first_success() {
-        let r: Result<u32, &str> = retry(5, |i| if i == 0 { Ok(1) } else { Err("no") });
-        assert_eq!(r, Ok(1));
-    }
-
-    #[test]
-    fn retry_exhausts_to_last_error() {
-        let mut calls = 0;
-        let r: Result<(), u32> = retry(3, |i| {
-            calls += 1;
-            Err(i)
-        });
-        assert_eq!(r, Err(2));
-        assert_eq!(calls, 3);
-    }
 
     #[test]
     fn breaker_opens_after_threshold() {
@@ -315,24 +200,5 @@ mod tests {
         b.record(SimTime::ZERO, true);
         b.record(SimTime::ZERO, false);
         assert!(b.allows(SimTime::ZERO), "streak was broken by success");
-    }
-
-    #[test]
-    fn redundant_failover() {
-        let mut r = Redundant::new("tuner-a", "tuner-b");
-        assert_eq!(*r.active(), "tuner-a");
-        assert!(r.failover());
-        assert!(!r.failover());
-        assert_eq!(*r.active(), "tuner-b");
-        assert!(r.is_on_backup());
-        assert_eq!(r.failovers(), 1);
-        r.restore_primary();
-        assert_eq!(*r.active(), "tuner-a");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one attempt")]
-    fn zero_attempts_panics() {
-        let _: Result<(), ()> = retry(0, |_| Ok(()));
     }
 }

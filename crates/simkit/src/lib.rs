@@ -1,4 +1,4 @@
-//! # simkit — deterministic discrete-event simulation kernel
+//! # simkit — deterministic simulated time, events and platform
 //!
 //! `simkit` is the execution platform substrate of the `trader-rs`
 //! reproduction of the Trader run-time awareness project (Brinksma & Hooman,
@@ -8,29 +8,29 @@
 //! platform so that overload, task migration, memory-arbitration and
 //! stress-test experiments exercise the same dynamics.
 //!
-//! The kernel is **deterministic**: given the same seed and the same inputs,
-//! every run produces the identical event order. Ties in the event queue are
-//! broken by `(time, priority, insertion sequence)`.
+//! Everything is **deterministic**: given the same seed and the same
+//! inputs, every run produces the identical event order. Ties in the event
+//! queue are broken by `(time, priority, insertion sequence)`.
 //!
 //! ## Quickstart
 //!
+//! The caller owns the virtual clock and jumps it to each event's time as
+//! the event pops.
+//!
 //! ```
-//! use simkit::{Engine, SimDuration, SimTime};
+//! use simkit::{EventPriority, EventQueue, SimTime};
 //!
-//! #[derive(Debug, Clone, PartialEq)]
-//! enum Ev { Ping(u32) }
-//!
-//! # fn main() {
-//! let mut engine = Engine::new();
-//! engine.schedule_in(SimDuration::from_millis(5), Ev::Ping(1));
-//! engine.schedule_in(SimDuration::from_millis(1), Ev::Ping(2));
+//! let mut queue = EventQueue::new();
+//! queue.push(SimTime::from_millis(5), EventPriority::NORMAL, "pong");
+//! queue.push(SimTime::from_millis(1), EventPriority::NORMAL, "ping");
+//! let mut now = SimTime::ZERO;
 //! let mut order = Vec::new();
-//! while let Some(fired) = engine.next_event() {
-//!     order.push(fired.event.clone());
+//! while let Some(fired) = queue.pop() {
+//!     now = fired.time;
+//!     order.push(fired.event);
 //! }
-//! assert_eq!(order, vec![Ev::Ping(2), Ev::Ping(1)]);
-//! assert_eq!(engine.now(), SimTime::from_millis(5));
-//! # }
+//! assert_eq!(order, ["ping", "pong"]);
+//! assert_eq!(now, SimTime::from_millis(5));
 //! ```
 //!
 //! ## Modules
@@ -38,31 +38,23 @@
 //! * [`time`] — simulated time ([`SimTime`], [`SimDuration`]).
 //! * [`event`] — scheduled-event bookkeeping and deterministic ordering.
 //! * [`queue`] — the event queue.
-//! * [`engine`] — the simulation engine / virtual clock.
-//! * [`process`] — addressable processes with mailbox-style dispatch.
 //! * [`task`] — periodic real-time task specifications and response-time
 //!   analysis.
 //! * [`resource`] — shared platform resources: preemptive CPUs, a shared
 //!   bus, and a slot-based (TDM) memory arbiter.
-//! * [`trace`] — bounded trace log.
 //! * [`rng`] — seeded deterministic random numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod event;
-pub mod process;
 pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod task;
 pub mod time;
-pub mod trace;
 
-pub use engine::{Engine, FiredEvent};
 pub use event::{EventPriority, ScheduledEvent, SequenceNo};
-pub use process::{ProcessId, ProcessSet};
 pub use queue::EventQueue;
 pub use resource::bus::{Bus, BusGrant, BusRequest, BusStats};
 pub use resource::cpu::{Cpu, CpuStats, Job, JobId, JobOutcome};
@@ -71,4 +63,3 @@ pub use resource::PortId;
 pub use rng::SimRng;
 pub use task::{PeriodicTask, TaskId, TaskSet};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceCategory, TraceEntry, TraceLog};
