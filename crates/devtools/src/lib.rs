@@ -1,26 +1,19 @@
 //! # devtools — development-time dependability aids
 //!
 //! The Trader project also improved reliability *during development*
-//! (paper Sect. 4.7):
-//!
-//! * **Warning prioritization** (Boogerd & Moonen, SCAM'06): prioritize
-//!   the warnings of a software inspection tool (QA-C) by the *execution
-//!   likelihood* of the code they sit in, computed by static profiling
-//!   over the call graph. See [`CodeModel`], [`likelihood`],
-//!   [`prioritize`].
-//! * **Architecture-level reliability analysis** (Sözer, Tekinerdoğan &
-//!   Akşit): extending FMEA to the software architecture. See [`fmea`]
-//!   over the Koala assembly of `tvsim`.
+//! (paper Sect. 4.7). This crate reproduces its **warning
+//! prioritization** (Boogerd & Moonen, SCAM'06): prioritize the warnings
+//! of a software inspection tool (QA-C) by the *execution likelihood* of
+//! the code they sit in, computed by static profiling over the call
+//! graph. See [`CodeModel`], [`likelihood`], [`prioritize`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fmea;
 pub mod likelihood;
 pub mod prioritize;
 pub mod warning;
 
-pub use fmea::{run_fmea, FailureMode, FmeaEntry};
 pub use likelihood::execution_likelihood;
 pub use prioritize::{evaluate_ranking, rank_by_likelihood, rank_textual, RankingQuality};
 pub use warning::{CodeModel, Violation, WarnSeverity};

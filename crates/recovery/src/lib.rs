@@ -6,8 +6,9 @@
 //!   independent recovery of parts of the system", with a *communication
 //!   manager* controlling messages between units and a *recovery manager*
 //!   executing recovery actions "such as killing and restarting units".
-//!   See [`RecoverableUnit`], [`UnitHost`], [`CommManager`],
-//!   [`RecoveryManager`].
+//!   The manager's rollback restores the newest valid checkpoint it
+//!   sealed in a [`CheckpointVault`]. See [`RecoverableUnit`],
+//!   [`UnitHost`], [`CommManager`], [`RecoveryManager`].
 //! * **Load balancing** (IMEC): migrating an image-processing task off an
 //!   overloaded processor improves image quality under overload. See
 //!   [`LoadBalancer`]; the migration mechanism lives in
@@ -27,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod comm_manager;
 pub mod library;
 pub mod loadbalance;
@@ -37,13 +37,12 @@ pub mod policy;
 pub mod recovery_manager;
 pub mod unit;
 
-pub use checkpoint::{CheckpointStore, Snapshot};
 pub use comm_manager::{CommManager, RestartPolicy, UnitMessage};
 pub use library::CircuitBreaker;
 pub use loadbalance::{LoadBalancer, MigrationDecision};
 pub use memarbiter::AdaptiveArbiter;
 pub use microreboot::{
-    seal_fingerprint, CheckpointVault, RestoreOutcome, SealedSnapshot, VaultStats,
+    seal_fingerprint, CheckpointVault, RestoreOutcome, SealedSnapshot, Snapshot, VaultStats,
 };
 pub use policy::EscalationPolicy;
 pub use recovery_manager::{RecoveryAction, RecoveryManager, RecoveryRecord};

@@ -19,10 +19,13 @@
 //! keeps a per-unit key-press journal; the monitor replays from the
 //! flight recorder).
 
-use crate::checkpoint::Snapshot;
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::{BTreeMap, VecDeque};
+
+/// A unit's state snapshot: named scalar values (the lowest common
+/// denominator the fault-tolerance library serializes).
+pub type Snapshot = BTreeMap<String, f64>;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -130,11 +133,6 @@ impl CheckpointVault {
         }
     }
 
-    /// The fingerprint seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> VaultStats {
         self.stats
@@ -221,12 +219,6 @@ impl CheckpointVault {
             self.stats.corrupt_detected += 1;
         }
         RestoreOutcome::Exhausted { dropped: skipped }
-    }
-
-    /// Discards all history for `unit` (e.g. after a full restart makes
-    /// the checkpoints stale).
-    pub fn clear_unit(&mut self, unit: &str) {
-        self.per_unit.remove(unit);
     }
 
     /// Chaos hook: flips `bit` (0–63) of one stored value in `unit`'s

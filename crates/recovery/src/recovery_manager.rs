@@ -1,11 +1,22 @@
 //! The recovery manager: executes recovery actions.
 
-use crate::checkpoint::{CheckpointStore, Snapshot};
+use crate::microreboot::{CheckpointVault, RestoreOutcome};
 use crate::unit::{UnitHost, UnitStatus};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
-use telemetry::Telemetry;
+
+/// How long one unit is down while it cold-restarts.
+const UNIT_RESTART: SimDuration = SimDuration::from_millis(200);
+/// How long every unit is down while the whole system restarts (20× a
+/// unit restart: the cost asymmetry that motivates partial recovery).
+const FULL_RESTART: SimDuration = SimDuration::from_secs(4);
+/// How long one unit is down while it restores a checkpoint.
+const ROLLBACK: SimDuration = SimDuration::from_millis(50);
+/// Checkpoint generations kept per unit.
+const HISTORY: usize = 8;
+/// Keys the fingerprints that seal the manager's checkpoints.
+const VAULT_SEED: u64 = 0x5245_434f_5645_5259;
 
 /// A recovery action (paper Sect. 4.5: "recovery actions such as killing
 /// and restarting units").
@@ -13,24 +24,12 @@ use telemetry::Telemetry;
 pub enum RecoveryAction {
     /// Kill and cold-restart one unit.
     RestartUnit(String),
-    /// Restore one unit from its latest checkpoint (warm recovery).
+    /// Restore one unit from its newest valid checkpoint (warm recovery).
     RollbackUnit(String),
     /// Kill a unit permanently (isolate a faulty third-party component).
     KillUnit(String),
     /// Restart the whole system (the classical, expensive fallback).
     RestartAll,
-}
-
-impl RecoveryAction {
-    /// A static label for telemetry events (no allocation).
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryAction::RestartUnit(_) => "restart_unit",
-            RecoveryAction::RollbackUnit(_) => "rollback_unit",
-            RecoveryAction::KillUnit(_) => "kill_unit",
-            RecoveryAction::RestartAll => "restart_all",
-        }
-    }
 }
 
 impl fmt::Display for RecoveryAction {
@@ -57,61 +56,25 @@ pub struct RecoveryRecord {
 
 /// Executes recovery actions against a [`UnitHost`].
 ///
-/// Timing model: restarting one unit costs `unit_restart`; restarting the
-/// whole system costs `full_restart` (typically 10–30× more — the cost
-/// asymmetry that motivates partial recovery); a rollback costs
-/// `rollback`.
+/// Timing model: restarting one unit costs 200 ms, restarting the whole
+/// system 4 s and a rollback 50 ms. Checkpoints are sealed in a
+/// [`CheckpointVault`]; a rollback restores the newest generation that
+/// passes validation.
 #[derive(Debug)]
 pub struct RecoveryManager {
-    unit_restart: SimDuration,
-    full_restart: SimDuration,
-    rollback: SimDuration,
-    checkpoints: CheckpointStore,
+    vault: CheckpointVault,
     log: Vec<RecoveryRecord>,
     total_outage: SimDuration,
-    telemetry: Telemetry,
 }
 
 impl RecoveryManager {
-    /// Creates a manager with the given action durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any duration is zero.
-    pub fn new(
-        unit_restart: SimDuration,
-        full_restart: SimDuration,
-        rollback: SimDuration,
-    ) -> Self {
-        assert!(
-            !unit_restart.is_zero() && !full_restart.is_zero() && !rollback.is_zero(),
-            "recovery durations must be positive"
-        );
+    /// A manager with no checkpoints and an empty log.
+    pub fn with_defaults() -> Self {
         RecoveryManager {
-            unit_restart,
-            full_restart,
-            rollback,
-            checkpoints: CheckpointStore::new(8),
+            vault: CheckpointVault::new(VAULT_SEED, HISTORY),
             log: Vec::new(),
             total_outage: SimDuration::ZERO,
-            telemetry: Telemetry::off(),
         }
-    }
-
-    /// Attaches a telemetry handle (per-action transition events plus an
-    /// `outage_ns` histogram in virtual nanoseconds).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// A manager with the durations used in the recovery experiments:
-    /// 200 ms unit restart, 4 s full restart, 50 ms rollback.
-    pub fn with_defaults() -> Self {
-        RecoveryManager::new(
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(4),
-            SimDuration::from_millis(50),
-        )
     }
 
     /// The executed-action log.
@@ -124,21 +87,13 @@ impl RecoveryManager {
         self.total_outage
     }
 
-    /// The checkpoint store.
-    pub fn checkpoints(&self) -> &CheckpointStore {
-        &self.checkpoints
-    }
-
-    /// Checkpoints every running unit at `now`.
+    /// Seals a checkpoint of every running unit at `now`.
     pub fn checkpoint_all(&mut self, now: SimTime, host: &mut UnitHost) {
         let names: Vec<String> = host.names().iter().map(|s| s.to_string()).collect();
         for name in names {
             if host.is_running(&name) {
                 if let Some(unit) = host.unit(&name) {
-                    let snap: Snapshot = unit.checkpoint();
-                    self.checkpoints.save(&name, now, snap);
-                    self.telemetry
-                        .metric_incr("recovery.manager.checkpoints", 1);
+                    self.vault.save(&name, now, unit.checkpoint());
                 }
             }
         }
@@ -147,7 +102,9 @@ impl RecoveryManager {
     /// Executes an action at `now`.
     ///
     /// Returns the outage the action incurs, or `None` if the target does
-    /// not exist.
+    /// not exist or a rollback finds no valid checkpoint. An action that
+    /// returns `None` changes no unit and is not logged; choosing the
+    /// next action is the caller's (see [`crate::EscalationPolicy`]).
     pub fn recover(
         &mut self,
         now: SimTime,
@@ -163,24 +120,26 @@ impl RecoveryManager {
                 host.set_status(
                     name,
                     UnitStatus::Restarting {
-                        until: now + self.unit_restart,
+                        until: now + UNIT_RESTART,
                     },
                 );
-                self.unit_restart
+                UNIT_RESTART
             }
             RecoveryAction::RollbackUnit(name) => {
                 host.status(name)?;
-                let snap = self.checkpoints.latest(name)?.clone();
+                let RestoreOutcome::Restored { state, .. } = self.vault.restore_latest(name) else {
+                    return None;
+                };
                 if let Some(unit) = host.unit_mut(name) {
-                    unit.restore(&snap);
+                    unit.restore(&state);
                 }
                 host.set_status(
                     name,
                     UnitStatus::Restarting {
-                        until: now + self.rollback,
+                        until: now + ROLLBACK,
                     },
                 );
-                self.rollback
+                ROLLBACK
             }
             RecoveryAction::KillUnit(name) => {
                 host.status(name)?;
@@ -196,18 +155,14 @@ impl RecoveryManager {
                     host.set_status(
                         name,
                         UnitStatus::Restarting {
-                            until: now + self.full_restart,
+                            until: now + FULL_RESTART,
                         },
                     );
                 }
-                self.full_restart
+                FULL_RESTART
             }
         };
         self.total_outage += outage;
-        self.telemetry
-            .transition(now, "recovery.manager.action", "idle", action.label());
-        self.telemetry
-            .observe_ns("recovery.manager.outage_ns", outage.as_nanos());
         self.log.push(RecoveryRecord {
             time: now,
             action,
@@ -295,6 +250,34 @@ mod tests {
                 RecoveryAction::RollbackUnit("a".into())
             )
             .is_none());
+    }
+
+    #[test]
+    fn rollback_restores_only_validated_state() {
+        let mut host = host_with(&["a"]);
+        let mut rm = RecoveryManager::with_defaults();
+        host.deliver(SimTime::ZERO, &msg("a"));
+        host.deliver(SimTime::ZERO, &msg("a"));
+        rm.checkpoint_all(SimTime::ZERO, &mut host);
+        host.deliver(SimTime::ZERO, &msg("a"));
+        rm.checkpoint_all(SimTime::from_millis(1), &mut host);
+        let rollback = || RecoveryAction::RollbackUnit("a".into());
+
+        // The count-3 generation is corrupt: the rollback skips it.
+        assert!(rm.vault.corrupt_latest("a", 0));
+        let t = SimTime::from_millis(10);
+        assert_eq!(rm.recover(t, &mut host, rollback()), Some(ROLLBACK));
+        assert_eq!(host.unit("a").unwrap().checkpoint()["count"], 2.0);
+        host.tick(t + ROLLBACK);
+        assert!(host.is_running("a"));
+
+        // The count-2 generation is the only one left; corrupt it too.
+        assert_eq!(rm.vault.count("a"), 1);
+        assert!(rm.vault.corrupt_latest("a", 0));
+        let logged = rm.log().len();
+        assert_eq!(rm.recover(t + ROLLBACK, &mut host, rollback()), None);
+        assert!(host.is_running("a"), "a failed rollback leaves the unit up");
+        assert_eq!(rm.log().len(), logged);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Recoverable units and their host.
 
-use crate::checkpoint::Snapshot;
 use crate::comm_manager::UnitMessage;
+use crate::microreboot::Snapshot;
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;

@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 use recovery::{
-    CheckpointStore, CheckpointVault, CircuitBreaker, CommManager, CounterUnit, EscalationPolicy,
-    RecoveryAction, RecoveryManager, RestartPolicy, RestoreOutcome, Snapshot, UnitHost,
-    UnitMessage,
+    CheckpointVault, CircuitBreaker, CommManager, CounterUnit, EscalationPolicy, RecoveryAction,
+    RecoveryManager, RestartPolicy, RestoreOutcome, Snapshot, UnitHost, UnitMessage,
 };
 use simkit::{SimDuration, SimTime};
 
@@ -160,19 +159,14 @@ proptest! {
         prop_assert_eq!(from_log, manager.total_outage());
     }
 
-    /// Checkpoint round-trip: whatever bit patterns go into a store come
-    /// back byte-identical from `latest` — no canonicalisation, no drift.
+    /// Checkpoint round-trip: whatever bit patterns go into the sealed
+    /// vault come back byte-identical from a restore — no
+    /// canonicalisation, no drift.
     #[test]
-    fn checkpoint_store_round_trips_byte_identical(
+    fn checkpoint_vault_round_trips_byte_identical(
         pairs in prop::collection::vec((0u8..26, any::<u64>()), 1..8)
     ) {
         let state = snapshot_from_pairs(&pairs);
-        let mut store = CheckpointStore::new(4);
-        store.save("unit", SimTime::from_millis(3), state.clone());
-        let back = store.latest("unit").expect("just saved");
-        prop_assert!(bits_equal(back, &state));
-
-        // The sealed vault upholds the same contract through a restore.
         let mut vault = CheckpointVault::new(99, 4);
         vault.save("unit", SimTime::from_millis(3), state.clone());
         match vault.restore_latest("unit") {
@@ -182,37 +176,6 @@ proptest! {
             }
             other => prop_assert!(false, "expected restore, got {other:?}"),
         }
-    }
-
-    /// `at_or_before` always returns the newest retained checkpoint not
-    /// newer than the query time, and nothing when all retained
-    /// checkpoints are newer.
-    #[test]
-    fn at_or_before_respects_ordering(
-        capacity in 1usize..6,
-        gaps in prop::collection::vec(1u64..50, 1..20),
-        query_ms in 0u64..1_000,
-    ) {
-        let mut store = CheckpointStore::new(capacity);
-        let mut times = Vec::new();
-        let mut t = 0u64;
-        for (i, gap) in gaps.iter().enumerate() {
-            t += gap; // strictly increasing capture times
-            let mut s = Snapshot::new();
-            s.insert("i".into(), i as f64);
-            store.save("u", SimTime::from_millis(t), s);
-            times.push(t);
-        }
-        let retained = &times[times.len().saturating_sub(capacity)..];
-        let query = SimTime::from_millis(query_ms);
-        let expect = retained
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, t)| SimTime::from_millis(**t) <= query)
-            .map(|(i, _)| (times.len() - retained.len() + i) as f64);
-        let got = store.at_or_before("u", query).map(|s| s["i"]);
-        prop_assert_eq!(got, expect);
     }
 
     /// Eviction keeps exactly the newest `capacity` generations: count

@@ -17,8 +17,6 @@
 //!   management, child lock, sleep timer, swivel: each with the feature
 //!   interactions the paper calls out;
 //! * [`remote::Key`] — the remote control, the TV's input alphabet;
-//! * [`koala`] — a Koala-style architectural description of the component
-//!   assembly (provides/requires interfaces, bindings);
 //! * [`blocks`] — the block-id map plus the [`SyntheticCodeBank`]
 //!   representing the rest of the 20 MB firmware for the 60 000-block
 //!   diagnosis experiment;
@@ -35,7 +33,6 @@
 pub mod blocks;
 pub mod faults;
 pub mod features;
-pub mod koala;
 pub mod model;
 pub mod pipeline;
 pub mod remote;
@@ -43,7 +40,6 @@ pub mod system;
 
 pub use blocks::{BlockMap, SyntheticCodeBank, N_BLOCKS};
 pub use faults::{FaultSet, TvFault};
-pub use koala::{tv_assembly, Assembly, Binding, ComponentDecl};
 pub use model::{tv_spec, tv_spec_machine};
 pub use pipeline::{PipelineConfig, PipelineReport, StreamingPipeline};
 pub use remote::{Key, KeySequence};

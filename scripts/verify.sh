@@ -24,6 +24,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== chaos smoke: replay campaign seed 0 =="
 cargo run -q --release --example chaos_campaign -- 0
 
+echo "== recovery smoke: micro-reboot restores and replays from the checkpoint vault =="
+cargo run -q --release --example micro_reboot
+
 echo "== awareness smoke: printer jam light (time-based comparison) =="
 cargo run -q --release --example printer_awareness
 
