@@ -727,9 +727,9 @@ mod tests {
         Observation::new(
             SimTime::from_millis(at_ms),
             "cpu",
-            ObservationKind::Load {
-                resource: "cpu0".into(),
-                fraction: 0.5,
+            ObservationKind::Value {
+                name: "cpu0.load".into(),
+                value: 0.5,
             },
         )
     }

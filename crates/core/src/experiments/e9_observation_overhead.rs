@@ -7,7 +7,7 @@
 
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
-use observe::{ObservationKind, ProbeRegistry};
+use observe::ObservationKind;
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::fmt;
@@ -79,43 +79,32 @@ const PROBE_COST: SimDuration = SimDuration::from_micros(20);
 /// Cost per basic-block hit (one counter increment).
 const BLOCK_HIT_COST: SimDuration = SimDuration::from_nanos(4);
 
+/// Runs one level; returns (probe firings, block hits, overhead).
 fn run_level(events: bool, coverage: bool) -> (u64, u64, SimDuration) {
     let mut tv = TvSystem::new();
-    let mut registry = ProbeRegistry::new(16_384);
-    let key_probe = registry.register("remote.keys", PROBE_COST);
-    let out_probe = registry.register("tv.outputs", PROBE_COST);
-    if !events {
-        registry.set_enabled(key_probe, false);
-        registry.set_enabled(out_probe, false);
-    }
     let scenario = TimedScenario::teletext_session(27);
-    let mut block_hits = 0u64;
+    let (mut firings, mut block_hits) = (0u64, 0u64);
     for (at, key) in scenario.presses() {
-        let before = tv.take_coverage(); // reset counter window
-        drop(before);
-        for obs in tv.press(*at, *key) {
-            match &obs.kind {
-                ObservationKind::KeyPress { .. } => {
-                    registry.fire(key_probe, *at, obs.kind.clone());
-                }
-                ObservationKind::Output { .. } => {
-                    registry.fire(out_probe, *at, obs.kind.clone());
-                }
-                _ => {}
-            }
+        tv.take_coverage(); // reset the counter window
+        let observations = tv.press(*at, *key);
+        if events {
+            firings += observations
+                .iter()
+                .filter(|obs| {
+                    matches!(
+                        obs.kind,
+                        ObservationKind::KeyPress { .. } | ObservationKind::Output { .. }
+                    )
+                })
+                .count() as u64;
         }
         let snapshot = tv.take_coverage();
         if coverage {
             block_hits += snapshot.count() as u64;
         }
     }
-    let mut overhead = registry.overhead().clone();
-    if coverage {
-        for _ in 0..block_hits {
-            overhead.charge(BLOCK_HIT_COST);
-        }
-    }
-    (registry.overhead().charges(), block_hits, overhead.total())
+    let overhead = PROBE_COST * firings + BLOCK_HIT_COST * block_hits;
+    (firings, block_hits, overhead)
 }
 
 /// Runs E9 across instrumentation levels.

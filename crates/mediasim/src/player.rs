@@ -154,11 +154,6 @@ impl MediaPlayer {
         self.now
     }
 
-    /// The player's processor (for stress injection).
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-
     /// Handles a control command (`play`, `pause`, `stop`, `seek`),
     /// returning the observations it produces.
     ///

@@ -8,12 +8,13 @@
 //! observation:
 //!
 //! * typed [`Observation`]s — key presses, component modes, numeric values,
-//!   function calls, resource loads, outputs;
-//! * a [`ProbeRegistry`] with per-probe enable/disable and overhead
-//!   accounting (high-volume products cannot afford heavy monitoring);
+//!   outputs;
 //! * [`BlockCoverage`] basic-block hit recording — the raw material for
 //!   spectrum-based diagnosis (Sect. 4.4);
-//! * a bounded [`RingBuffer`] for trace retention.
+//! * a [`ProbeBudget`] that judges instrumentation overhead (high-volume
+//!   products cannot afford heavy monitoring).
+//!
+//! Trace retention is the `telemetry` crate's flight recorder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,11 +22,7 @@
 pub mod coverage;
 pub mod observation;
 pub mod overhead;
-pub mod probe;
-pub mod ring;
 
 pub use coverage::{BlockCoverage, BlockSnapshot};
 pub use observation::{ObsValue, Observation, ObservationKind};
-pub use overhead::{BudgetVerdict, OverheadAccount, ProbeBudget};
-pub use probe::{ProbeId, ProbeRegistry};
-pub use ring::RingBuffer;
+pub use overhead::{BudgetVerdict, ProbeBudget};

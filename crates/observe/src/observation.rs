@@ -115,23 +115,6 @@ pub enum ObservationKind {
         /// Sampled value.
         value: f64,
     },
-    /// A function call was intercepted.
-    Call {
-        /// Function name.
-        function: String,
-    },
-    /// A function returned.
-    Return {
-        /// Function name.
-        function: String,
-    },
-    /// A resource load sample.
-    Load {
-        /// Resource name (e.g. `"cpu0"`).
-        resource: String,
-        /// Busy fraction in `[0,1]`.
-        fraction: f64,
-    },
     /// An externally visible output (what the user perceives).
     Output {
         /// Output name (e.g. `"volume"`, `"screen.mode"`).

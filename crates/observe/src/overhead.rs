@@ -1,55 +1,11 @@
-//! Monitoring-overhead accounting.
+//! Monitoring-overhead budgets.
 //!
 //! The paper's central constraint: dependability measures for high-volume
 //! products must come "with minimal additional hardware costs and without
-//! degrading performance". Every probe firing charges this account; the
-//! observation-overhead experiment (E9) reads it back.
+//! degrading performance". A [`ProbeBudget`] states how much of that an
+//! instrumentation layer may spend, and judges a measured pair against it.
 
 use serde::{Deserialize, Serialize};
-use simkit::SimDuration;
-
-/// Accumulates the processing cost of monitoring.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OverheadAccount {
-    total: SimDuration,
-    charges: u64,
-}
-
-impl OverheadAccount {
-    /// A fresh, empty account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charges one probe firing.
-    pub fn charge(&mut self, cost: SimDuration) {
-        self.total += cost;
-        self.charges += 1;
-    }
-
-    /// Total charged time.
-    pub fn total(&self) -> SimDuration {
-        self.total
-    }
-
-    /// Number of charges.
-    pub fn charges(&self) -> u64 {
-        self.charges
-    }
-
-    /// Overhead as a fraction of an execution window.
-    ///
-    /// Returns 0.0 for an empty window.
-    pub fn fraction_of(&self, window: SimDuration) -> f64 {
-        self.total.ratio(window)
-    }
-
-    /// Merges another account into this one.
-    pub fn merge(&mut self, other: &OverheadAccount) {
-        self.total += other.total;
-        self.charges += other.charges;
-    }
-}
 
 /// A probe-effect budget: the largest fraction of baseline runtime an
 /// instrumentation layer is allowed to add (paper Sect. 4.1: observe
@@ -134,35 +90,6 @@ pub struct BudgetVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates() {
-        let mut acc = OverheadAccount::new();
-        acc.charge(SimDuration::from_nanos(100));
-        acc.charge(SimDuration::from_nanos(50));
-        assert_eq!(acc.total(), SimDuration::from_nanos(150));
-        assert_eq!(acc.charges(), 2);
-    }
-
-    #[test]
-    fn fraction() {
-        let mut acc = OverheadAccount::new();
-        acc.charge(SimDuration::from_millis(1));
-        assert!((acc.fraction_of(SimDuration::from_millis(100)) - 0.01).abs() < 1e-12);
-        assert_eq!(acc.fraction_of(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_both_fields() {
-        let mut a = OverheadAccount::new();
-        a.charge(SimDuration::from_nanos(10));
-        let mut b = OverheadAccount::new();
-        b.charge(SimDuration::from_nanos(5));
-        b.charge(SimDuration::from_nanos(5));
-        a.merge(&b);
-        assert_eq!(a.total(), SimDuration::from_nanos(20));
-        assert_eq!(a.charges(), 3);
-    }
 
     #[test]
     fn budget_judges_both_sides() {

@@ -1,25 +1,9 @@
-//! Property-based tests of the observation layer's data structures.
+//! Property-based tests of the observation layer's block coverage.
 
-use observe::{BlockCoverage, RingBuffer};
+use observe::BlockCoverage;
 use proptest::prelude::*;
 
 proptest! {
-    /// A ring buffer always retains exactly the newest min(n, cap)
-    /// items, in order.
-    #[test]
-    fn ring_keeps_newest(cap in 1usize..50, items in prop::collection::vec(any::<u32>(), 0..200)) {
-        let mut ring = RingBuffer::new(cap);
-        ring.extend(items.iter().copied());
-        let kept: Vec<u32> = ring.iter().copied().collect();
-        let expected: Vec<u32> = items
-            .iter()
-            .skip(items.len().saturating_sub(cap))
-            .copied()
-            .collect();
-        prop_assert_eq!(kept, expected);
-        prop_assert_eq!(ring.evicted() as usize, items.len().saturating_sub(cap));
-    }
-
     /// Coverage snapshot reflects exactly the distinct in-range hits, and
     /// the reset leaves nothing behind.
     #[test]

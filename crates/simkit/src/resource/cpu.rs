@@ -102,15 +102,6 @@ impl CpuStats {
         self.busy.ratio(self.elapsed)
     }
 
-    /// Mean response time over all completed jobs.
-    pub fn mean_response(&self) -> SimDuration {
-        if self.completed == 0 {
-            SimDuration::ZERO
-        } else {
-            self.response_sum / self.completed
-        }
-    }
-
     /// Fraction of completed jobs that missed their deadline.
     pub fn miss_ratio(&self) -> f64 {
         if self.completed == 0 {

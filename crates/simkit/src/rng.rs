@@ -30,11 +30,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator; `stream` distinguishes
     /// subsystems (so adding draws in one subsystem does not perturb
     /// another).

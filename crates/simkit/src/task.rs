@@ -68,17 +68,6 @@ impl PeriodicTask {
         }
     }
 
-    /// Sets a relative deadline shorter than the period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline` is zero or exceeds the period.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
-        assert!(!deadline.is_zero() && deadline <= self.period);
-        self.deadline = deadline;
-        self
-    }
-
     /// Sets the first-release offset.
     pub fn with_offset(mut self, offset: SimDuration) -> Self {
         self.offset = offset;

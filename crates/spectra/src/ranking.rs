@@ -65,11 +65,6 @@ impl Ranking {
         &self.entries[..k.min(self.entries.len())]
     }
 
-    /// Consumes the ranking, yielding its sorted entries.
-    pub fn into_entries(self) -> Vec<RankingEntry> {
-        self.entries
-    }
-
     /// The mid-tie rank of `block` (1-based), or `None` if absent.
     ///
     /// With `b` blocks scoring strictly higher and `t` blocks tied

@@ -106,12 +106,6 @@ impl TransitionBuilder {
         self
     }
 
-    /// Adds an internal-event emission with a payload expression.
-    pub fn emit_payload(mut self, event: impl Into<String>, payload: Expr) -> Self {
-        self.actions.push(Action::Emit(event.into(), Some(payload)));
-        self
-    }
-
     /// Adds an observable-output action.
     pub fn output(mut self, name: impl Into<String>, value: Expr) -> Self {
         self.actions.push(Action::Output(name.into(), value));

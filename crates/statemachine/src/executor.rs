@@ -129,11 +129,6 @@ impl<'m> Executor<'m> {
         self.run_to_completion(None);
     }
 
-    /// True once [`Executor::start`] has run.
-    pub fn is_started(&self) -> bool {
-        self.started
-    }
-
     /// The active leaf state's name.
     ///
     /// # Panics

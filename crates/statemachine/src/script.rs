@@ -124,11 +124,6 @@ impl TestScript {
         self.step(ScriptStep::ExpectState(name.into()))
     }
 
-    /// Appends an active-state expectation.
-    pub fn expect_active(self, name: impl Into<String>) -> Self {
-        self.step(ScriptStep::ExpectActive(name.into()))
-    }
-
     /// Appends a variable expectation.
     pub fn expect_var(self, name: impl Into<String>, value: impl Into<Value>) -> Self {
         self.step(ScriptStep::ExpectVar(name.into(), value.into()))

@@ -1,6 +1,6 @@
 //! Structured flight-recorder events.
 //!
-//! Every event is a fixed-shape record: a time stamp, a `&'static str`
+//! Every event is a fixed-shape record: a virtual time, a `&'static str`
 //! name following the `crate.component.metric` convention, and a small
 //! payload. Names are static so recording an event never allocates —
 //! the recorder must stay cheap enough to leave on inside the awareness
@@ -8,57 +8,6 @@
 
 use crate::json::Json;
 use simkit::SimTime;
-
-/// Which clock produced a stamp.
-///
-/// Virtual stamps come from the simulation kernel and are bit-identical
-/// across same-seed runs; monotonic stamps come from the host clock and
-/// are only meaningful within one process (used by measurement paths
-/// that run outside simulated time, never inside the loop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
-    /// Simulated time (`simkit::SimTime` nanoseconds).
-    Virtual,
-    /// Host monotonic time, nanoseconds since the recorder was created.
-    Monotonic,
-}
-
-impl Clock {
-    /// Stable lowercase label used in JSONL output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Clock::Virtual => "virtual",
-            Clock::Monotonic => "monotonic",
-        }
-    }
-}
-
-/// A time stamp: clock source plus nanoseconds on that clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stamp {
-    /// Which clock `nanos` was read from.
-    pub clock: Clock,
-    /// Nanoseconds on that clock.
-    pub nanos: u64,
-}
-
-impl Stamp {
-    /// A virtual-time stamp at simulated instant `at`.
-    pub fn virtual_at(at: SimTime) -> Stamp {
-        Stamp {
-            clock: Clock::Virtual,
-            nanos: at.as_nanos(),
-        }
-    }
-
-    /// A monotonic stamp `nanos` ns after the recorder's epoch.
-    pub fn monotonic(nanos: u64) -> Stamp {
-        Stamp {
-            clock: Clock::Monotonic,
-            nanos,
-        }
-    }
-}
 
 /// The payload of a flight-recorder event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,8 +52,9 @@ impl EventKind {
 /// One flight-recorder record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// When the event happened.
-    pub stamp: Stamp,
+    /// When the event happened, in simulated time: the timeline replays
+    /// byte for byte because no host clock can reach it.
+    pub at: SimTime,
     /// Dotted `crate.component.metric` name.
     pub name: &'static str,
     /// What happened.
@@ -116,11 +66,12 @@ impl Event {
     ///
     /// Field order is fixed (`t_ns`, `clock`, `type`, `name`, payload)
     /// so dumps are byte-identical across same-seed runs and friendly
-    /// to `grep`.
+    /// to `grep`. `clock` is always `"virtual"`: it names the timeline's
+    /// one clock for readers of the dump.
     pub fn to_json(&self) -> Json {
         let base = Json::object()
-            .field("t_ns", self.stamp.nanos.into())
-            .field("clock", self.stamp.clock.label().into())
+            .field("t_ns", self.at.as_nanos().into())
+            .field("clock", "virtual".into())
             .field("type", self.kind.type_label().into())
             .field("name", self.name.into());
         match &self.kind {
@@ -146,7 +97,7 @@ mod tests {
     #[test]
     fn jsonl_shapes_are_stable() {
         let e = Event {
-            stamp: Stamp::virtual_at(SimTime::from_micros(12)),
+            at: SimTime::from_micros(12),
             name: "awareness.comparator.errors",
             kind: EventKind::Counter { delta: 1 },
         };
@@ -156,7 +107,7 @@ mod tests {
         );
 
         let e = Event {
-            stamp: Stamp::monotonic(5),
+            at: SimTime::from_nanos(5),
             name: "awareness.supervisor.mode",
             kind: EventKind::Transition {
                 from: "normal",
@@ -165,11 +116,11 @@ mod tests {
         };
         assert_eq!(
             e.to_jsonl(),
-            r#"{"t_ns":5,"clock":"monotonic","type":"transition","name":"awareness.supervisor.mode","from":"normal","to":"shedding"}"#
+            r#"{"t_ns":5,"clock":"virtual","type":"transition","name":"awareness.supervisor.mode","from":"normal","to":"shedding"}"#
         );
 
         let e = Event {
-            stamp: Stamp::virtual_at(SimTime::ZERO),
+            at: SimTime::ZERO,
             name: "core.loop.step",
             kind: EventKind::SpanEnter,
         };

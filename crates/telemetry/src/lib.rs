@@ -7,9 +7,8 @@
 //!
 //! * [`FlightRecorder`] — a fixed-capacity, overwrite-oldest ring of
 //!   structured [`Event`]s (span enter/exit, counter deltas, state
-//!   transitions, gauges) stamped with simkit virtual time where
-//!   available and host-monotonic time otherwise, drainable to
-//!   deterministic JSONL for post-mortem forensics;
+//!   transitions, gauges) stamped with simkit virtual time, drainable
+//!   to deterministic JSONL for post-mortem forensics;
 //! * [`MetricsRegistry`] — named counters, gauges, and fixed-bucket
 //!   log-scale [`Histogram`]s with p50/p95/p99 readout, mergeable across
 //!   threads for sharded workloads;
@@ -36,7 +35,7 @@ pub mod json;
 pub mod metrics;
 pub mod recorder;
 
-pub use event::{Clock, Event, EventKind, Stamp};
+pub use event::{Event, EventKind};
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use recorder::FlightRecorder;
@@ -44,15 +43,12 @@ pub use recorder::FlightRecorder;
 use simkit::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
-/// Everything a recording handle shares: the ring, the registry, and the
-/// monotonic epoch.
+/// Everything a recording handle shares: the ring and the registry.
 #[derive(Debug)]
 struct Hub {
     ring: FlightRecorder,
     metrics: MetricsRegistry,
-    epoch: Instant,
 }
 
 /// Cheap cloneable telemetry handle; clones share one recorder/registry.
@@ -94,7 +90,6 @@ impl Telemetry {
             hub: Some(Rc::new(RefCell::new(Hub {
                 ring: FlightRecorder::new(capacity),
                 metrics: MetricsRegistry::new(),
-                epoch: Instant::now(),
             }))),
         }
     }
@@ -104,22 +99,22 @@ impl Telemetry {
         self.hub.is_some()
     }
 
-    fn record(&self, stamp: Stamp, name: &'static str, kind: EventKind) {
+    fn record(&self, at: SimTime, name: &'static str, kind: EventKind) {
         if let Some(hub) = &self.hub {
-            hub.borrow_mut().ring.record(stamp, name, kind);
+            hub.borrow_mut().ring.record(at, name, kind);
         }
     }
 
-    // ---- virtual-time events (inside the simulated loop) ----
+    // ---- timeline events (simulated time) ----
 
     /// Records entry into a named span at simulated instant `at`.
     pub fn span_enter(&self, at: SimTime, name: &'static str) {
-        self.record(Stamp::virtual_at(at), name, EventKind::SpanEnter);
+        self.record(at, name, EventKind::SpanEnter);
     }
 
     /// Records exit from a named span at simulated instant `at`.
     pub fn span_exit(&self, at: SimTime, name: &'static str) {
-        self.record(Stamp::virtual_at(at), name, EventKind::SpanExit);
+        self.record(at, name, EventKind::SpanExit);
     }
 
     /// Adds `delta` to the named counter *and* records the change as a
@@ -130,8 +125,7 @@ impl Telemetry {
         if let Some(hub) = &self.hub {
             let mut hub = hub.borrow_mut();
             hub.metrics.incr(name, delta);
-            hub.ring
-                .record(Stamp::virtual_at(at), name, EventKind::Counter { delta });
+            hub.ring.record(at, name, EventKind::Counter { delta });
         }
     }
 
@@ -143,11 +137,7 @@ impl Telemetry {
         from: &'static str,
         to: &'static str,
     ) {
-        self.record(
-            Stamp::virtual_at(at),
-            name,
-            EventKind::Transition { from, to },
-        );
+        self.record(at, name, EventKind::Transition { from, to });
     }
 
     /// Sets the named gauge and records the new value as an event.
@@ -155,33 +145,7 @@ impl Telemetry {
         if let Some(hub) = &self.hub {
             let mut hub = hub.borrow_mut();
             hub.metrics.set_gauge(name, value);
-            hub.ring
-                .record(Stamp::virtual_at(at), name, EventKind::Gauge { value });
-        }
-    }
-
-    // ---- monotonic-time events (outside simulated time) ----
-
-    /// Nanoseconds of host-monotonic time since this handle was created;
-    /// `0` when disabled.
-    pub fn mono_ns(&self) -> u64 {
-        self.hub.as_ref().map_or(0, |hub| {
-            u64::try_from(hub.borrow().epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-    }
-
-    /// Span entry stamped with host-monotonic time — for phases that run
-    /// outside any simulation clock (campaign setup, measurement loops).
-    pub fn span_enter_mono(&self, name: &'static str) {
-        if self.is_on() {
-            self.record(Stamp::monotonic(self.mono_ns()), name, EventKind::SpanEnter);
-        }
-    }
-
-    /// Span exit stamped with host-monotonic time.
-    pub fn span_exit_mono(&self, name: &'static str) {
-        if self.is_on() {
-            self.record(Stamp::monotonic(self.mono_ns()), name, EventKind::SpanExit);
+            hub.ring.record(at, name, EventKind::Gauge { value });
         }
     }
 
@@ -209,14 +173,6 @@ impl Telemetry {
     pub fn observe_ns(&self, name: &'static str, ns: u64) {
         if let Some(hub) = &self.hub {
             hub.borrow_mut().metrics.observe(name, ns);
-        }
-    }
-
-    /// Merges a detached registry (e.g. from a finished worker shard)
-    /// into this handle's metrics.
-    pub fn merge_registry(&self, other: &MetricsRegistry) {
-        if let Some(hub) = &self.hub {
-            hub.borrow_mut().metrics.merge(other);
         }
     }
 
@@ -267,7 +223,7 @@ impl Telemetry {
         self.hub.as_ref().map_or(0, |hub| hub.borrow().ring.len())
     }
 
-    /// Clears the ring and the registry (keeps the monotonic epoch).
+    /// Clears the ring and the registry.
     pub fn clear(&self) {
         if let Some(hub) = &self.hub {
             let mut hub = hub.borrow_mut();
@@ -291,7 +247,6 @@ mod tests {
         assert_eq!(t.counter("a.b.c"), 0);
         assert_eq!(t.events_jsonl(), "");
         assert_eq!(t.events_len(), 0);
-        assert_eq!(t.mono_ns(), 0);
     }
 
     #[test]
@@ -333,28 +288,6 @@ mod tests {
         assert!(dump.contains(r#""from":"normal","to":"safe""#), "{dump}");
         assert!(dump.contains(r#""value":4"#), "{dump}");
         assert_eq!(t.snapshot_metrics().gauge("m.s.depth"), Some(4));
-    }
-
-    #[test]
-    fn merge_registry_folds_shard_results() {
-        let t = Telemetry::recording(4);
-        t.observe_ns("shard.ns", 100);
-        let mut shard = MetricsRegistry::new();
-        shard.observe("shard.ns", 200);
-        shard.incr("shard.items", 5);
-        t.merge_registry(&shard);
-        let m = t.snapshot_metrics();
-        assert_eq!(m.histogram("shard.ns").unwrap().count(), 2);
-        assert_eq!(m.counter("shard.items"), 5);
-    }
-
-    #[test]
-    fn mono_span_uses_monotonic_clock() {
-        let t = Telemetry::recording(4);
-        t.span_enter_mono("host.phase.setup");
-        t.span_exit_mono("host.phase.setup");
-        let dump = t.events_jsonl();
-        assert_eq!(dump.matches(r#""clock":"monotonic""#).count(), 2, "{dump}");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! therefore overwrites the oldest record when full and counts how many
 //! were lost, so a dump is honest about its own horizon.
 
-use crate::event::{Event, EventKind, Stamp};
+use crate::event::{Event, EventKind};
+use simkit::SimTime;
 
 /// Fixed-capacity, overwrite-oldest ring of [`Event`]s.
 #[derive(Debug, Clone)]
@@ -38,8 +39,8 @@ impl FlightRecorder {
     }
 
     /// Appends an event, overwriting the oldest if the ring is full.
-    pub fn record(&mut self, stamp: Stamp, name: &'static str, kind: EventKind) {
-        let event = Event { stamp, name, kind };
+    pub fn record(&mut self, at: SimTime, name: &'static str, kind: EventKind) {
+        let event = Event { at, name, kind };
         if self.buf.len() < self.capacity {
             self.buf.push(event);
         } else {
@@ -113,25 +114,21 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimTime;
 
-    fn counter_at(ns: u64, delta: i64) -> (Stamp, EventKind) {
-        (
-            Stamp::virtual_at(SimTime::from_nanos(ns)),
-            EventKind::Counter { delta },
-        )
+    fn counter_at(ns: u64, delta: i64) -> (SimTime, EventKind) {
+        (SimTime::from_nanos(ns), EventKind::Counter { delta })
     }
 
     #[test]
     fn fills_then_overwrites_oldest() {
         let mut ring = FlightRecorder::new(3);
         for i in 0..5u64 {
-            let (stamp, kind) = counter_at(i, i as i64);
-            ring.record(stamp, "t.ring.tick", kind);
+            let (at, kind) = counter_at(i, i as i64);
+            ring.record(at, "t.ring.tick", kind);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.overwritten(), 2);
-        let kept: Vec<u64> = ring.iter().map(|e| e.stamp.nanos).collect();
+        let kept: Vec<u64> = ring.iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(kept, vec![2, 3, 4]);
     }
 
@@ -139,10 +136,10 @@ mod tests {
     fn tail_returns_newest_oldest_first() {
         let mut ring = FlightRecorder::new(4);
         for i in 0..7u64 {
-            let (stamp, kind) = counter_at(i, 0);
-            ring.record(stamp, "t.ring.tick", kind);
+            let (at, kind) = counter_at(i, 0);
+            ring.record(at, "t.ring.tick", kind);
         }
-        let tail: Vec<u64> = ring.tail(2).iter().map(|e| e.stamp.nanos).collect();
+        let tail: Vec<u64> = ring.tail(2).iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(tail, vec![5, 6]);
         // Asking for more than is held returns everything.
         assert_eq!(ring.tail(100).len(), 4);
@@ -151,13 +148,9 @@ mod tests {
     #[test]
     fn jsonl_is_one_line_per_event() {
         let mut ring = FlightRecorder::new(8);
-        let (stamp, kind) = counter_at(1, 1);
-        ring.record(stamp, "t.ring.tick", kind);
-        ring.record(
-            Stamp::virtual_at(SimTime::from_nanos(2)),
-            "t.ring.span",
-            EventKind::SpanEnter,
-        );
+        let (at, kind) = counter_at(1, 1);
+        ring.record(at, "t.ring.tick", kind);
+        ring.record(SimTime::from_nanos(2), "t.ring.span", EventKind::SpanEnter);
         let dump = ring.to_jsonl();
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.ends_with('\n'));
@@ -168,8 +161,8 @@ mod tests {
     fn clear_resets_everything() {
         let mut ring = FlightRecorder::new(2);
         for i in 0..5u64 {
-            let (stamp, kind) = counter_at(i, 0);
-            ring.record(stamp, "t.ring.tick", kind);
+            let (at, kind) = counter_at(i, 0);
+            ring.record(at, "t.ring.tick", kind);
         }
         ring.clear();
         assert!(ring.is_empty());

@@ -4,13 +4,13 @@
 
 use proptest::prelude::*;
 use simkit::SimTime;
-use telemetry::{EventKind, FlightRecorder, Histogram, MetricsRegistry, Stamp};
+use telemetry::{EventKind, FlightRecorder, Histogram, MetricsRegistry};
 
 /// Records `values[i]` as a counter event stamped `i` nanoseconds in.
 fn fill(ring: &mut FlightRecorder, values: &[i64]) {
     for (i, &v) in values.iter().enumerate() {
         ring.record(
-            Stamp::virtual_at(SimTime::from_nanos(i as u64)),
+            SimTime::from_nanos(i as u64),
             "prop.ring.tick",
             EventKind::Counter { delta: v },
         );
@@ -50,7 +50,7 @@ proptest! {
         prop_assert_eq!(kept, expected, "ring lost or reordered the newest events");
 
         // Stamps come out strictly increasing — oldest first.
-        let stamps: Vec<u64> = ring.iter().map(|e| e.stamp.nanos).collect();
+        let stamps: Vec<u64> = ring.iter().map(|e| e.at.as_nanos()).collect();
         prop_assert!(stamps.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -63,8 +63,8 @@ proptest! {
     ) {
         let mut ring = FlightRecorder::new(capacity);
         fill(&mut ring, &values);
-        let all: Vec<u64> = ring.iter().map(|e| e.stamp.nanos).collect();
-        let tail: Vec<u64> = ring.tail(n).iter().map(|e| e.stamp.nanos).collect();
+        let all: Vec<u64> = ring.iter().map(|e| e.at.as_nanos()).collect();
+        let tail: Vec<u64> = ring.tail(n).iter().map(|e| e.at.as_nanos()).collect();
         prop_assert_eq!(&all[all.len() - tail.len()..], &tail[..]);
         prop_assert_eq!(tail.len(), n.min(all.len()));
     }

@@ -24,6 +24,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== chaos smoke: replay campaign seed 0 =="
 cargo run -q --release --example chaos_campaign -- 0
 
+echo "== telemetry smoke: flight recorder drains the campaign's JSONL timeline =="
+cargo run -q --release --example flight_recorder
+
 echo "== recovery smoke: micro-reboot restores and replays from the checkpoint vault =="
 cargo run -q --release --example micro_reboot
 
