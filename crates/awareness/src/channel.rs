@@ -135,6 +135,14 @@ impl<T> DelayChannel<T> {
     /// the transient the comparator must tolerate).
     pub fn deliver_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
         let mut out = Vec::new();
+        self.deliver_due_into(now, &mut out);
+        out
+    }
+
+    /// [`deliver_due`](Self::deliver_due) into a caller-owned buffer:
+    /// appends the due messages to `out`, so a pump that reuses one
+    /// buffer allocates nothing per delivery.
+    pub fn deliver_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
         while let Some(t) = self.queue.peek_time() {
             if t > now {
                 break;
@@ -143,7 +151,6 @@ impl<T> DelayChannel<T> {
             self.delivered += 1;
             out.push((ev.time, ev.event));
         }
-        out
     }
 
     /// Drops everything in flight (monitor reset). The dropped messages

@@ -273,6 +273,7 @@ impl<'m> MonitorBuilder<'m> {
             output,
             model,
             model_outputs: Vec::new(),
+            delivered: Vec::new(),
             comparator,
             running: true,
             errors: Vec::new(),
@@ -306,6 +307,8 @@ pub struct AwarenessMonitor<'m> {
     model: Executor<'m>,
     /// Reused buffer the model's outputs are drained through.
     model_outputs: Vec<OutputRecord>,
+    /// Reused buffer both channels deliver through.
+    delivered: Vec<(SimTime, Message)>,
     comparator: Comparator,
     /// Controller: offered observations are dropped while stopped.
     running: bool,
@@ -361,6 +364,7 @@ impl<'m> AwarenessMonitor<'m> {
     /// Processes everything due up to `to`: delivers channel messages in
     /// time order, drives the model, compares outputs, and collects errors.
     pub fn advance_to(&mut self, to: SimTime) {
+        let mut delivered = std::mem::take(&mut self.delivered);
         loop {
             let t_in = self.input.next_delivery();
             let t_out = self.output.next_delivery();
@@ -379,18 +383,19 @@ impl<'m> AwarenessMonitor<'m> {
                 break;
             }
             self.now = t;
-            let delivered = match kind {
-                0 => self.input.deliver_due(t),
-                1 => self.output.deliver_due(t),
+            match kind {
+                0 => self.input.deliver_due_into(t, &mut delivered),
+                1 => self.output.deliver_due_into(t, &mut delivered),
                 _ => {
                     self.advance_model(t);
                     continue;
                 }
-            };
-            for (at, msg) in delivered {
+            }
+            for (at, msg) in delivered.drain(..) {
                 self.handle_message(at, msg);
             }
         }
+        self.delivered = delivered;
         self.now = to;
         self.advance_model(to);
         for error in self.comparator.tick(to) {

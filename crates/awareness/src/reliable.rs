@@ -96,6 +96,18 @@ pub struct ReliableConfig {
     pub reorder_capacity: usize,
 }
 
+impl ReliableConfig {
+    /// `rto` plus the backoff jitter drawn from `rng` (no draw when the
+    /// jitter fraction is zero).
+    fn jittered(&self, rto: SimDuration, rng: &mut SimRng) -> SimDuration {
+        if self.backoff_jitter == 0.0 {
+            return rto;
+        }
+        let extra = rto.as_nanos() as f64 * self.backoff_jitter * rng.unit_f64();
+        rto + SimDuration::from_nanos(extra as u64)
+    }
+}
+
 impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
@@ -178,6 +190,9 @@ pub struct ReliableChannel<T> {
     // Receiver.
     next_expected: u64,
     reorder: BTreeMap<u64, T>,
+    // Reused buffers the pump drains both wires through.
+    ack_scratch: Vec<(SimTime, u64)>,
+    frame_scratch: Vec<(SimTime, Frame<T>)>,
     stats: ReliableStats,
     telemetry: Telemetry,
     probe: ProbeNames,
@@ -238,6 +253,8 @@ impl<T: Clone> ReliableChannel<T> {
             unacked: BTreeMap::new(),
             next_expected: 0,
             reorder: BTreeMap::new(),
+            ack_scratch: Vec::new(),
+            frame_scratch: Vec::new(),
             stats: ReliableStats::default(),
             telemetry: Telemetry::off(),
             probe: ProbeNames::DEFAULT,
@@ -293,7 +310,7 @@ impl<T: Clone> ReliableChannel<T> {
             self.telemetry.metric_incr(self.probe.wire_lost, 1);
         }
         let rto = self.config.initial_rto;
-        let due = now + self.jittered(rto);
+        let due = now + self.config.jittered(rto, &mut self.rng);
         self.unacked.insert(
             seq,
             Pending {
@@ -304,14 +321,6 @@ impl<T: Clone> ReliableChannel<T> {
             },
         );
         first
-    }
-
-    fn jittered(&mut self, rto: SimDuration) -> SimDuration {
-        if self.config.backoff_jitter == 0.0 {
-            return rto;
-        }
-        let extra = rto.as_nanos() as f64 * self.config.backoff_jitter * self.rng.unit_f64();
-        rto + SimDuration::from_nanos(extra as u64)
     }
 
     /// The earliest time at which the protocol has work to do: a wire
@@ -330,6 +339,17 @@ impl<T: Clone> ReliableChannel<T> {
     /// (in-sequence), oldest first.
     pub fn deliver_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
         let mut out = Vec::new();
+        self.deliver_due_into(now, &mut out);
+        out
+    }
+
+    /// [`deliver_due`](Self::deliver_due) into a caller-owned buffer:
+    /// appends the released payloads to `out`. Both wires drain through
+    /// buffers the channel keeps, so pumping allocates nothing once they
+    /// have grown to the traffic's burst size.
+    pub fn deliver_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
+        let mut acks = std::mem::take(&mut self.ack_scratch);
+        let mut frames = std::mem::take(&mut self.frame_scratch);
         while let Some(t) = self.next_activity() {
             if t > now {
                 break;
@@ -337,18 +357,24 @@ impl<T: Clone> ReliableChannel<T> {
             // Acks first at equal times: freeing the sender cannot
             // invalidate a data arrival, while the reverse order could
             // retransmit a frame the due ack already covers.
-            for (_, ack) in self.acks.deliver_due(t) {
-                let covered: Vec<u64> = self.unacked.range(..ack).map(|(s, _)| *s).collect();
-                for seq in covered {
-                    self.unacked.remove(&seq);
+            self.acks.deliver_due_into(t, &mut acks);
+            for (_, ack) in acks.drain(..) {
+                // Cumulative: retire every frame below `ack`.
+                while let Some(entry) = self.unacked.first_entry() {
+                    if *entry.key() >= ack {
+                        break;
+                    }
+                    entry.remove();
                 }
             }
-            for (at, frame) in self.wire.deliver_due(t) {
-                self.receive(at, frame, &mut out);
+            self.wire.deliver_due_into(t, &mut frames);
+            for (at, frame) in frames.drain(..) {
+                self.receive(at, frame, out);
             }
             self.retransmit_due(t);
         }
-        out
+        self.ack_scratch = acks;
+        self.frame_scratch = frames;
     }
 
     fn receive(&mut self, at: SimTime, frame: Frame<T>, out: &mut Vec<(SimTime, T)>) {
@@ -385,30 +411,25 @@ impl<T: Clone> ReliableChannel<T> {
         out.push((at, payload));
     }
 
+    /// Retransmits every frame whose timer is due by `t`, in sequence
+    /// order; per frame, the wire send draws before the backoff jitter.
     fn retransmit_due(&mut self, t: SimTime) {
-        let due: Vec<u64> = self
-            .unacked
-            .iter()
-            .filter(|(_, p)| p.due <= t)
-            .map(|(s, _)| *s)
-            .collect();
-        for seq in due {
-            let (payload, rto) = {
-                let pending = self.unacked.get_mut(&seq).expect("due frame is pending");
-                pending.retries += 1;
-                pending.rto = (pending.rto * 2).min(self.config.max_rto);
-                (pending.payload.clone(), pending.rto)
-            };
+        for (&seq, pending) in self.unacked.iter_mut().filter(|(_, p)| p.due <= t) {
+            pending.retries += 1;
+            pending.rto = (pending.rto * 2).min(self.config.max_rto);
             self.stats.retransmits += 1;
             self.stats.transmissions += 1;
             self.telemetry.count(t, self.probe.retransmits, 1);
             self.telemetry.metric_incr(self.probe.transmissions, 1);
-            if self.wire.send(t, Frame { seq, payload }).is_none() {
+            let frame = Frame {
+                seq,
+                payload: pending.payload.clone(),
+            };
+            if self.wire.send(t, frame).is_none() {
                 self.stats.wire_lost += 1;
                 self.telemetry.metric_incr(self.probe.wire_lost, 1);
             }
-            let due = t + self.jittered(rto);
-            self.unacked.get_mut(&seq).expect("still pending").due = due;
+            pending.due = t + self.config.jittered(pending.rto, &mut self.rng);
         }
     }
 
@@ -494,9 +515,16 @@ impl<T: Clone> BoundaryChannel<T> {
 
     /// Delivers everything due at or before `now`.
     pub fn deliver_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
+        let mut out = Vec::new();
+        self.deliver_due_into(now, &mut out);
+        out
+    }
+
+    /// Appends everything due at or before `now` to `out`.
+    pub fn deliver_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
         match self {
-            BoundaryChannel::Delay(ch) => ch.deliver_due(now),
-            BoundaryChannel::Reliable(ch) => ch.deliver_due(now),
+            BoundaryChannel::Delay(ch) => ch.deliver_due_into(now, out),
+            BoundaryChannel::Reliable(ch) => ch.deliver_due_into(now, out),
         }
     }
 

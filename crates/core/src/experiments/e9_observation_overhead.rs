@@ -85,7 +85,7 @@ fn run_level(events: bool, coverage: bool) -> (u64, u64, SimDuration) {
     let scenario = TimedScenario::teletext_session(27);
     let (mut firings, mut block_hits) = (0u64, 0u64);
     for (at, key) in scenario.presses() {
-        tv.take_coverage(); // reset the counter window
+        tv.reset_coverage(); // open a fresh counter window
         let observations = tv.press(*at, *key);
         if events {
             firings += observations

@@ -909,7 +909,7 @@ impl<'m> Session<'m> {
             // the repair-path block coverage with it.
             let _ = cl.monitor.drain_errors();
             if coverage.is_some() {
-                let _ = self.tv.take_coverage();
+                self.tv.reset_coverage();
             }
         }
         match coverage {
@@ -922,7 +922,7 @@ impl<'m> Session<'m> {
             // coverage and absorb their error count, so the next user
             // press's spectrum step reflects only its own behaviour.
             None => {
-                let _ = self.tv.take_coverage();
+                self.tv.reset_coverage();
                 cl.monitor.absorb_synthetic_errors();
             }
         }

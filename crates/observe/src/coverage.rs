@@ -164,8 +164,14 @@ impl BlockCoverage {
             words: self.words.clone(),
             n_blocks: self.n_blocks,
         };
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.reset();
         snap
+    }
+
+    /// Clears the recorder without taking a snapshot — for intervals
+    /// whose coverage is discarded.
+    pub fn reset(&mut self) {
+        self.words.fill(0);
     }
 }
 
@@ -214,6 +220,16 @@ mod tests {
         assert_eq!(snap.n_blocks(), 100);
         assert!(!cov.any_hit());
         assert_eq!(cov.count(), 0);
+    }
+
+    #[test]
+    fn reset_clears_without_snapshot() {
+        let mut cov = BlockCoverage::new(100);
+        cov.hit(7);
+        cov.hit(99);
+        cov.reset();
+        assert!(!cov.any_hit());
+        assert_eq!(cov.total_hits(), 2);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! must reproduce the dense [`SpectrumMatrix`] oracle exactly — same
 //! counts, same scores, same tie order — for every coefficient.
 
+use observe::BlockCoverage;
 use proptest::prelude::*;
 use spectra::{
     score_top_k, Coefficient, CountsMatrix, IncrementalDiagnoser, Ranking, SpectrumMatrix,
@@ -215,5 +216,42 @@ proptest! {
         let blocks: Vec<u32> = top.entries().iter().map(|e| e.block).collect();
         prop_assert_eq!(blocks, (0..10u32).collect::<Vec<_>>());
         prop_assert!(top.entries().iter().all(|e| e.score == 0.0));
+    }
+
+    /// Folding a snapshot equals folding its hit ids one by one, on
+    /// region-shaped coverage: contiguous block runs long enough to fill
+    /// whole bitset words, runs reaching the last block (a full or a
+    /// partial last word), and block counts that are not a multiple of
+    /// 64.
+    #[test]
+    fn snapshot_fold_equals_id_fold(
+        words in 1u32..8,
+        short_by in 0u32..64,
+        steps in prop::collection::vec(
+            (prop::collection::vec((0u32..512, 1u32..200), 0..4), any::<bool>(), any::<bool>()),
+            1..10
+        )
+    ) {
+        let n_blocks = words * 64 - short_by;
+        let mut by_snap = CountsMatrix::new(n_blocks);
+        let mut by_id = CountsMatrix::new(n_blocks);
+        let mut cov = BlockCoverage::new(n_blocks);
+        for (regions, to_end, failed) in steps {
+            for (start, len) in regions {
+                let start = start % n_blocks;
+                for b in start..(start + len).min(n_blocks) {
+                    cov.hit(b);
+                }
+            }
+            if to_end {
+                for b in n_blocks.saturating_sub(70)..n_blocks {
+                    cov.hit(b);
+                }
+            }
+            let snap = cov.snapshot_and_reset();
+            by_snap.add_snapshot(&snap, failed);
+            by_id.add_step(snap.iter_hits(), failed);
+        }
+        prop_assert_eq!(by_snap, by_id);
     }
 }

@@ -171,6 +171,12 @@ impl TvSystem {
         self.cov.snapshot_and_reset()
     }
 
+    /// Clears block coverage without snapshotting it — for intervals
+    /// whose coverage is discarded (repair bursts, probe presses).
+    pub fn reset_coverage(&mut self) {
+        self.cov.reset();
+    }
+
     // ---- behaviour --------------------------------------------------------
 
     /// Handles one remote-control key press, returning the observations
