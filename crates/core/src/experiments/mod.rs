@@ -25,8 +25,8 @@
 //!
 //! Every module exposes a `run(...)` returning a serializable report with
 //! a `Display` rendering the paper-style table; `crates/bench` wraps each
-//! in a Criterion bench and the EXPERIMENTS.md numbers come from the
-//! `paper_tables` example.
+//! in a Criterion bench and the EXPERIMENTS.md numbers come from
+//! [`paper_tables`], which the `paper_tables` example prints.
 
 pub mod e10_warning_priority;
 pub mod e11_memory_arbiter;
@@ -45,3 +45,35 @@ pub mod e8_model_to_model;
 pub mod e9_observation_overhead;
 pub mod f1_closed_loop;
 pub mod f2_framework;
+
+/// Every paper table (F1, F2, E1–E12) at the seeds EXPERIMENTS.md quotes,
+/// rendered in one text under a title banner: the `paper_tables`
+/// example's output, byte for byte.
+pub fn paper_tables() -> String {
+    let tables = [
+        f1_closed_loop::run(40, 3).to_string(),
+        f2_framework::run(4).to_string(),
+        e1_spectra::run(27).to_string(),
+        e2_comparator::run(9).to_string(),
+        e3_mode_consistency::run().to_string(),
+        e4_partial_recovery::run().to_string(),
+        e5_load_balancing::run().to_string(),
+        e6_cpu_eater::run().to_string(),
+        e7_perception::run(42).to_string(),
+        e8_model_to_model::run(9).to_string(),
+        e9_observation_overhead::run().to_string(),
+        e10_warning_priority::run(11).to_string(),
+        e11_memory_arbiter::run().to_string(),
+        e12_realtime_monitoring::run().to_string(),
+    ];
+    let rule = "================================================================";
+    let mut out = format!(
+        "{rule}\n trader-rs — paper experiment tables\n Brinksma & Hooman, DATE 2008 (Trader project)\n{rule}\n"
+    );
+    for table in tables {
+        out.push('\n');
+        out.push_str(&table);
+        out.push('\n');
+    }
+    out
+}

@@ -5,39 +5,6 @@
 //! cargo run --release --example paper_tables
 //! ```
 
-use trader::experiments::*;
-
 fn main() {
-    println!("================================================================");
-    println!(" trader-rs — paper experiment tables");
-    println!(" Brinksma & Hooman, DATE 2008 (Trader project)");
-    println!("================================================================");
-    println!();
-    println!("{}", f1_closed_loop::run(40, 3));
-    println!();
-    println!("{}", f2_framework::run(4));
-    println!();
-    println!("{}", e1_spectra::run(27));
-    println!();
-    println!("{}", e2_comparator::run(9));
-    println!();
-    println!("{}", e3_mode_consistency::run());
-    println!();
-    println!("{}", e4_partial_recovery::run());
-    println!();
-    println!("{}", e5_load_balancing::run());
-    println!();
-    println!("{}", e6_cpu_eater::run());
-    println!();
-    println!("{}", e7_perception::run(42));
-    println!();
-    println!("{}", e8_model_to_model::run(9));
-    println!();
-    println!("{}", e9_observation_overhead::run());
-    println!();
-    println!("{}", e10_warning_priority::run(11));
-    println!();
-    println!("{}", e11_memory_arbiter::run());
-    println!();
-    println!("{}", e12_realtime_monitoring::run());
+    print!("{}", trader::experiments::paper_tables());
 }
