@@ -99,7 +99,6 @@ impl BlockSnapshot {
 pub struct BlockCoverage {
     words: Vec<u64>,
     n_blocks: u32,
-    total_hits: u64,
 }
 
 impl BlockCoverage {
@@ -113,7 +112,6 @@ impl BlockCoverage {
         BlockCoverage {
             words: vec![0u64; n_blocks.div_ceil(64) as usize],
             n_blocks,
-            total_hits: 0,
         }
     }
 
@@ -129,7 +127,6 @@ impl BlockCoverage {
         if block < self.n_blocks {
             let (w, b) = (block / 64, block % 64);
             self.words[w as usize] |= 1u64 << b;
-            self.total_hits += 1;
         }
     }
 
@@ -150,11 +147,6 @@ impl BlockCoverage {
     /// Number of distinct blocks currently marked.
     pub fn count(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// Total `hit` calls (including repeats) over the recorder's lifetime.
-    pub fn total_hits(&self) -> u64 {
-        self.total_hits
     }
 
     /// Snapshots the current hits and clears the recorder — one scenario
@@ -198,7 +190,6 @@ mod tests {
         cov.hit(5);
         cov.hit(5);
         assert_eq!(cov.count(), 1);
-        assert_eq!(cov.total_hits(), 2);
     }
 
     #[test]
@@ -229,7 +220,6 @@ mod tests {
         cov.hit(99);
         cov.reset();
         assert!(!cov.any_hit());
-        assert_eq!(cov.total_hits(), 2);
     }
 
     #[test]

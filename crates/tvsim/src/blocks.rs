@@ -8,9 +8,11 @@
 //! [`SyntheticCodeBank`]: a deterministic pseudo call-graph in which every
 //! feature operation executes a characteristic set of block ids. Coverage
 //! therefore correlates with functionality exactly as in real firmware,
-//! which is the property spectrum-based diagnosis depends on.
+//! which is the property spectrum-based diagnosis depends on. The
+//! [`CoverageRecorder`] is the TV's instrumentation target: it logs bank
+//! executions and fills their blocks in only when a snapshot reads them.
 
-use observe::BlockCoverage;
+use observe::{BlockCoverage, BlockSnapshot};
 use serde::{Deserialize, Serialize};
 
 /// Default total number of instrumented blocks (the paper's figure).
@@ -165,8 +167,12 @@ impl SyntheticCodeBank {
     /// and a deterministic scatter of shared utility blocks.
     ///
     /// `variant` is the data the operation processes (e.g. the teletext
-    /// page number): each set bit of `variant` executes one conditional
-    /// sub-region, mirroring how real basic blocks depend on input data.
+    /// page number): each set bit of `variant` below
+    /// [`Self::VARIANT_BITS`] executes one conditional sub-region,
+    /// mirroring how real basic blocks depend on input data. Higher bits
+    /// select nothing. So any set of executions of one op covers exactly
+    /// the blocks of one execution with the OR of their variants — the
+    /// fold rule [`CoverageRecorder`] defers coverage by.
     pub fn execute(&self, cov: &mut BlockCoverage, op: FirmwareOp, variant: u32) {
         let (start, len) = self.core_region(op);
         // Core: always-executed part (~70%).
@@ -218,6 +224,105 @@ impl SyntheticCodeBank {
 impl Default for SyntheticCodeBank {
     fn default() -> Self {
         SyntheticCodeBank::new(N_BLOCKS)
+    }
+}
+
+/// The TV's block instrumentation target: the hand-written feature
+/// blocks go straight into a [`BlockCoverage`], while each bank
+/// execution is logged as one variant mask per [`FirmwareOp`] and
+/// replayed into the bitset only when a snapshot is taken.
+///
+/// A bank execution touches hundreds to thousands of blocks, and many
+/// intervals' coverage is never read (probe presses and repair bursts
+/// are reset away, the open loop snapshots once at the end). By the
+/// fold rule of [`SyntheticCodeBank::execute`], replaying each executed
+/// op once with the OR of its variants yields exactly the bitset eager
+/// execution would, so snapshots do not change; an execution costs two
+/// OR operations and discarded coverage is never filled. The log has a
+/// fixed size: recording never allocates.
+///
+/// ```
+/// use tvsim::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank, N_BLOCKS};
+///
+/// let mut rec = CoverageRecorder::new(N_BLOCKS);
+/// rec.exec(FirmwareOp::TeletextRender, 0);
+/// rec.exec(FirmwareOp::TeletextRender, 1 << SyntheticCodeBank::FAULT_BIT);
+/// let fault_block = rec.bank().teletext_fault_block();
+/// assert!(rec.take().is_hit(fault_block));
+/// assert_eq!(rec.take().count(), 0);
+/// ```
+#[derive(Debug)]
+pub struct CoverageRecorder {
+    bank: SyntheticCodeBank,
+    cov: BlockCoverage,
+    /// Bit `op.region()` is set once `op` executed since the last take
+    /// or reset.
+    executed: u16,
+    /// The OR of every variant `op` executed with, at `op.region()`.
+    variants: [u32; FirmwareOp::ALL.len()],
+}
+
+impl CoverageRecorder {
+    /// A recorder over `n_blocks` instrumented blocks with the bank of
+    /// that size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bank does not fit (see [`SyntheticCodeBank::new`]).
+    pub fn new(n_blocks: u32) -> Self {
+        CoverageRecorder {
+            bank: SyntheticCodeBank::new(n_blocks),
+            cov: BlockCoverage::new(n_blocks),
+            executed: 0,
+            variants: [0; FirmwareOp::ALL.len()],
+        }
+    }
+
+    /// The synthetic firmware bank.
+    pub fn bank(&self) -> &SyntheticCodeBank {
+        &self.bank
+    }
+
+    /// Records execution of a hand-written block.
+    #[inline]
+    pub fn hit(&mut self, block: u32) {
+        self.cov.hit(block);
+    }
+
+    /// Records one execution of `op` on `variant`, to be replayed at the
+    /// next [`Self::take`].
+    #[inline]
+    pub fn exec(&mut self, op: FirmwareOp, variant: u32) {
+        let r = op.region();
+        self.executed |= 1 << r;
+        self.variants[r as usize] |= variant;
+    }
+
+    /// Replays every op executed since the last take or reset once, with
+    /// the OR of its variants, then snapshots and clears — one scenario
+    /// step's spectrum row.
+    pub fn take(&mut self) -> BlockSnapshot {
+        for op in FirmwareOp::ALL {
+            let r = op.region();
+            if self.executed & (1 << r) != 0 {
+                self.bank
+                    .execute(&mut self.cov, op, self.variants[r as usize]);
+            }
+        }
+        self.clear_log();
+        self.cov.snapshot_and_reset()
+    }
+
+    /// Drops the coverage recorded since the last take or reset without
+    /// ever filling the bank's blocks in.
+    pub fn reset(&mut self) {
+        self.clear_log();
+        self.cov.reset();
+    }
+
+    fn clear_log(&mut self) {
+        self.executed = 0;
+        self.variants = [0; FirmwareOp::ALL.len()];
     }
 }
 

@@ -131,9 +131,8 @@ impl ChannelTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::SyntheticCodeBank;
+    use crate::blocks::CoverageRecorder;
     use crate::faults::FaultSet;
-    use observe::BlockCoverage;
     use simkit::SimTime;
 
     fn run(
@@ -141,13 +140,11 @@ mod tests {
         faults: &FaultSet,
         f: impl FnOnce(&mut ChannelTuner, &mut FeatureCtx<'_>),
     ) -> Vec<observe::Observation> {
-        let mut cov = BlockCoverage::new(crate::blocks::N_BLOCKS);
-        let bank = SyntheticCodeBank::default();
+        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,
             cov: &mut cov,
-            bank: &bank,
             faults,
             obs: &mut obs,
         };

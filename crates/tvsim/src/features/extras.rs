@@ -196,18 +196,15 @@ impl Swivel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::SyntheticCodeBank;
+    use crate::blocks::CoverageRecorder;
     use crate::faults::FaultSet;
-    use observe::BlockCoverage;
 
     fn with_ctx<R>(now: SimTime, faults: &FaultSet, f: impl FnOnce(&mut FeatureCtx<'_>) -> R) -> R {
-        let mut cov = BlockCoverage::new(crate::blocks::N_BLOCKS);
-        let bank = SyntheticCodeBank::default();
+        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now,
             cov: &mut cov,
-            bank: &bank,
             faults,
             obs: &mut obs,
         };

@@ -1,12 +1,14 @@
 //! The TV's feature logic, one module per feature cluster.
 //!
 //! Every feature method is *instrumented*: it records the basic blocks it
-//! executes into the system's [`observe::BlockCoverage`] through the
+//! executes into the system's [`CoverageRecorder`] through the
 //! [`FeatureCtx`], the way AspectKoala instrumented the real Koala
-//! components (paper Sect. 4.1). Feature interactions — "relations between
-//! dual screen, teletext and various types of on-screen displays that
-//! remove or suppress each other" (Sect. 4.2) — live in
-//! [`screen::ScreenManager`].
+//! components (paper Sect. 4.1). Hand-written blocks are marked at once;
+//! a synthetic firmware operation is logged as a variant mask and its
+//! blocks are filled in only when a snapshot reads them. Feature
+//! interactions — "relations between dual screen, teletext and various
+//! types of on-screen displays that remove or suppress each other"
+//! (Sect. 4.2) — live in [`screen::ScreenManager`].
 
 pub mod channel;
 pub mod extras;
@@ -14,9 +16,9 @@ pub mod screen;
 pub mod teletext;
 pub mod volume;
 
-use crate::blocks::{FirmwareOp, SyntheticCodeBank};
+use crate::blocks::{CoverageRecorder, FirmwareOp};
 use crate::faults::FaultSet;
-use observe::{BlockCoverage, ObsValue, Observation, ObservationKind};
+use observe::{ObsValue, Observation, ObservationKind};
 use simkit::SimTime;
 
 /// Shared execution context passed to feature handlers.
@@ -24,10 +26,9 @@ use simkit::SimTime;
 pub struct FeatureCtx<'a> {
     /// Current simulated time.
     pub now: SimTime,
-    /// Coverage recorder (block instrumentation target).
-    pub cov: &'a mut BlockCoverage,
-    /// The synthetic firmware bank.
-    pub bank: &'a SyntheticCodeBank,
+    /// Coverage recorder (block instrumentation target), holding the
+    /// synthetic firmware bank.
+    pub cov: &'a mut CoverageRecorder,
     /// Currently active faults.
     pub faults: &'a FaultSet,
     /// Observation sink.
@@ -40,9 +41,10 @@ impl FeatureCtx<'_> {
         self.cov.hit(block);
     }
 
-    /// Executes a synthetic firmware operation.
+    /// Executes a synthetic firmware operation: logs it in the recorder,
+    /// whose next snapshot fills in the blocks it covers.
     pub fn exec(&mut self, op: FirmwareOp, variant: u32) {
-        self.bank.execute(self.cov, op, variant);
+        self.cov.exec(op, variant);
     }
 
     /// Emits an output observation.

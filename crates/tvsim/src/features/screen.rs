@@ -204,9 +204,8 @@ impl ScreenManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::SyntheticCodeBank;
+    use crate::blocks::CoverageRecorder;
     use crate::faults::FaultSet;
-    use observe::BlockCoverage;
     use simkit::SimTime;
 
     fn run(
@@ -214,13 +213,11 @@ mod tests {
         faults: &FaultSet,
         f: impl FnOnce(&mut ScreenManager, &mut FeatureCtx<'_>),
     ) {
-        let mut cov = BlockCoverage::new(crate::blocks::N_BLOCKS);
-        let bank = SyntheticCodeBank::default();
+        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,
             cov: &mut cov,
-            bank: &bank,
             faults,
             obs: &mut obs,
         };

@@ -246,9 +246,8 @@ impl Teletext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::SyntheticCodeBank;
+    use crate::blocks::CoverageRecorder;
     use crate::faults::FaultSet;
-    use observe::BlockCoverage;
     use simkit::SimTime;
 
     fn run(
@@ -256,13 +255,11 @@ mod tests {
         faults: &FaultSet,
         f: impl FnOnce(&mut Teletext, &mut FeatureCtx<'_>),
     ) -> Vec<observe::Observation> {
-        let mut cov = BlockCoverage::new(crate::blocks::N_BLOCKS);
-        let bank = SyntheticCodeBank::default();
+        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,
             cov: &mut cov,
-            bank: &bank,
             faults,
             obs: &mut obs,
         };

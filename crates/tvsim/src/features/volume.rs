@@ -125,31 +125,20 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::SyntheticCodeBank;
+    use crate::blocks::CoverageRecorder;
     use crate::faults::FaultSet;
-    use observe::BlockCoverage;
     use simkit::SimTime;
-
-    fn ctx_parts() -> (BlockCoverage, SyntheticCodeBank, FaultSet) {
-        (
-            BlockCoverage::new(crate::blocks::N_BLOCKS),
-            SyntheticCodeBank::default(),
-            FaultSet::none(),
-        )
-    }
 
     fn run(
         v: &mut Volume,
         faults: &FaultSet,
         f: impl FnOnce(&mut Volume, &mut FeatureCtx<'_>),
     ) -> Vec<observe::Observation> {
-        let mut cov = BlockCoverage::new(crate::blocks::N_BLOCKS);
-        let bank = SyntheticCodeBank::default();
+        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,
             cov: &mut cov,
-            bank: &bank,
             faults,
             obs: &mut obs,
         };
@@ -159,7 +148,7 @@ mod tests {
 
     #[test]
     fn volume_steps_and_clamps() {
-        let (_c, _b, faults) = ctx_parts();
+        let faults = FaultSet::none();
         let mut v = Volume::new();
         run(&mut v, &faults, |v, c| v.vol_up(c));
         assert_eq!(v.level(), 25);
@@ -175,7 +164,7 @@ mod tests {
 
     #[test]
     fn mute_silences_output() {
-        let (_c, _b, faults) = ctx_parts();
+        let faults = FaultSet::none();
         let mut v = Volume::new();
         let obs = run(&mut v, &faults, |v, c| v.mute(c));
         assert!(v.is_muted());

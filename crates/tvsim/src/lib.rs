@@ -11,8 +11,9 @@
 //! behavioural stand-in used by every TV-domain experiment:
 //!
 //! * [`TvSystem`] — the executable TV control software, instrumented with
-//!   basic-block coverage ([`observe::BlockCoverage`]) like the real C code
-//!   in the paper's diagnosis experiment;
+//!   basic-block coverage ([`observe::BlockCoverage`], recorded through a
+//!   [`blocks::CoverageRecorder`]) like the real C code in the paper's
+//!   diagnosis experiment;
 //! * [`features`] — volume, channel tuning, teletext, screen/OSD
 //!   management, child lock, sleep timer, swivel: each with the feature
 //!   interactions the paper calls out;

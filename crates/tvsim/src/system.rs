@@ -1,6 +1,6 @@
 //! The composed television system.
 
-use crate::blocks::{FirmwareOp, SyntheticCodeBank, N_BLOCKS};
+use crate::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank, N_BLOCKS};
 use crate::faults::{FaultSet, TvFault};
 use crate::features::channel::ChannelTuner;
 use crate::features::extras::{SleepTimer, Swivel};
@@ -9,7 +9,7 @@ use crate::features::teletext::Teletext;
 use crate::features::volume::Volume;
 use crate::features::FeatureCtx;
 use crate::remote::Key;
-use observe::{BlockCoverage, BlockSnapshot, Observation, ObservationKind};
+use observe::{BlockSnapshot, Observation, ObservationKind};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
@@ -42,8 +42,7 @@ pub struct TvSystem {
     sleep: SleepTimer,
     swivel: Swivel,
     faults: FaultSet,
-    cov: BlockCoverage,
-    bank: SyntheticCodeBank,
+    cov: CoverageRecorder,
     keys_handled: u64,
 }
 
@@ -71,8 +70,7 @@ impl TvSystem {
             sleep: SleepTimer::new(),
             swivel: Swivel::new(),
             faults: FaultSet::none(),
-            cov: BlockCoverage::new(n_blocks),
-            bank: SyntheticCodeBank::new(n_blocks),
+            cov: CoverageRecorder::new(n_blocks),
             keys_handled: 0,
         }
     }
@@ -157,22 +155,25 @@ impl TvSystem {
 
     /// The synthetic firmware bank (for fault-block queries).
     pub fn bank(&self) -> &SyntheticCodeBank {
-        &self.bank
+        self.cov.bank()
     }
 
     /// Number of instrumented blocks.
     pub fn n_blocks(&self) -> u32 {
-        self.cov.n_blocks()
+        self.cov.bank().n_blocks()
     }
 
     /// Snapshots and clears block coverage — call between scenario steps
-    /// to obtain one spectrum row.
+    /// to obtain one spectrum row. The firmware operations executed since
+    /// the last take or reset are filled into the bitset here, each once
+    /// (see [`CoverageRecorder`]).
     pub fn take_coverage(&mut self) -> BlockSnapshot {
-        self.cov.snapshot_and_reset()
+        self.cov.take()
     }
 
     /// Clears block coverage without snapshotting it — for intervals
-    /// whose coverage is discarded (repair bursts, probe presses).
+    /// whose coverage is discarded (repair bursts, probe presses). The
+    /// firmware blocks of such an interval are never filled in.
     pub fn reset_coverage(&mut self) {
         self.cov.reset();
     }
@@ -195,7 +196,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };
@@ -283,7 +283,6 @@ impl TvSystem {
             let mut ctx = FeatureCtx {
                 now,
                 cov: &mut self.cov,
-                bank: &self.bank,
                 faults: &self.faults,
                 obs: &mut obs,
             };
@@ -306,7 +305,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };
@@ -321,7 +319,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };
@@ -371,7 +368,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };
@@ -486,7 +482,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };
@@ -518,7 +513,6 @@ impl TvSystem {
         let mut ctx = FeatureCtx {
             now,
             cov: &mut self.cov,
-            bank: &self.bank,
             faults: &self.faults,
             obs: &mut obs,
         };

@@ -1,8 +1,10 @@
 //! Property-based robustness tests of the TV SUO.
 
+use observe::BlockCoverage;
 use proptest::prelude::*;
 use simkit::SimTime;
-use tvsim::{Key, TvFault, TvSystem};
+use tvsim::blocks::{CoverageRecorder, FirmwareOp};
+use tvsim::{Key, SyntheticCodeBank, TvFault, TvSystem, N_BLOCKS};
 
 fn arb_key() -> impl Strategy<Value = Key> {
     prop_oneof![
@@ -29,6 +31,44 @@ fn arb_key() -> impl Strategy<Value = Key> {
 
 fn arb_fault() -> impl Strategy<Value = TvFault> {
     prop::sample::select(TvFault::ALL.to_vec())
+}
+
+/// One event a [`CoverageRecorder`] sees.
+#[derive(Debug, Clone)]
+enum CovStep {
+    /// A bank execution of an op on a variant.
+    Exec(FirmwareOp, u32),
+    /// A hand-written block hit (anywhere, bank regions and out of range
+    /// included).
+    Hit(u32),
+    /// A snapshot.
+    Take,
+    /// Coverage dropped without a snapshot.
+    Reset,
+}
+
+fn arb_cov_step() -> impl Strategy<Value = CovStep> {
+    // Few ops and a pinned last op make repeats within one interval
+    // common; the last op owns the last region.
+    let op = prop_oneof![
+        prop::sample::select(FirmwareOp::ALL.to_vec()),
+        prop::sample::select(vec![FirmwareOp::Audio, FirmwareOp::TeletextRender]),
+        Just(FirmwareOp::Housekeeping),
+    ];
+    // Variants within the conditional bits, and any u32 (bits at or above
+    // `VARIANT_BITS` select nothing).
+    let variant = prop_oneof![
+        0u32..(1 << SyntheticCodeBank::VARIANT_BITS),
+        any::<u32>(),
+        Just(u32::MAX),
+        Just(1u32 << SyntheticCodeBank::VARIANT_BITS),
+    ];
+    prop_oneof![
+        (op, variant).prop_map(|(op, v)| CovStep::Exec(op, v)),
+        (0u32..N_BLOCKS + 64).prop_map(CovStep::Hit),
+        Just(CovStep::Take),
+        Just(CovStep::Reset),
+    ]
 }
 
 proptest! {
@@ -97,5 +137,36 @@ proptest! {
         let (obs_b, cov_b) = run();
         prop_assert_eq!(obs_a, obs_b);
         prop_assert_eq!(cov_a, cov_b);
+    }
+
+    /// The recorder's fold rule: logging bank executions as one variant
+    /// mask per op and replaying them at the take yields exactly the
+    /// snapshots eager execution into a fresh bitset does, whatever the
+    /// interleaving of executions, hand-written hits, takes and resets.
+    #[test]
+    fn deferred_coverage_equals_eager_execution(
+        steps in prop::collection::vec(arb_cov_step(), 1..48)
+    ) {
+        let mut rec = CoverageRecorder::new(N_BLOCKS);
+        let bank = *rec.bank();
+        let mut eager = BlockCoverage::new(N_BLOCKS);
+        for step in steps {
+            match step {
+                CovStep::Exec(op, v) => {
+                    rec.exec(op, v);
+                    bank.execute(&mut eager, op, v);
+                }
+                CovStep::Hit(b) => {
+                    rec.hit(b);
+                    eager.hit(b);
+                }
+                CovStep::Take => prop_assert_eq!(rec.take(), eager.snapshot_and_reset()),
+                CovStep::Reset => {
+                    rec.reset();
+                    eager.reset();
+                }
+            }
+        }
+        prop_assert_eq!(rec.take(), eager.snapshot_and_reset());
     }
 }
