@@ -1,10 +1,11 @@
 //! Shared Criterion configuration for the experiment benches.
 //!
-//! Every bench in `benches/` regenerates one figure / narrative experiment
-//! of the paper (see DESIGN.md's experiment index and EXPERIMENTS.md for
-//! the recorded numbers). Criterion measures the harness runtime; the
-//! experiment *tables* themselves are printed once per bench run so
-//! `cargo bench` doubles as the reproduction driver.
+//! The benches in `benches/` cover E1 and E13–E19 (see DESIGN.md's
+//! experiment index and EXPERIMENTS.md for the recorded numbers) plus the
+//! substrate micro-benchmarks. Criterion measures the harness runtime;
+//! each experiment bench prints its table once per run, and the
+//! scaling benches write the `BENCH_*.json` files. The F1, F2 and
+//! E2–E12 tables come from the `paper_tables` example.
 
 #![forbid(unsafe_code)]
 

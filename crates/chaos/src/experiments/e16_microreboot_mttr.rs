@@ -32,6 +32,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use trader::report::{f2, render_table};
 use trader::{LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig};
+use tvsim::Unit;
 
 use crate::campaign::CampaignSpec;
 
@@ -42,7 +43,7 @@ pub const MTTR_IMPROVEMENT_FLOOR: f64 = 2.0;
 /// Whether every fault in the campaign's plan lands on the same
 /// pipeline unit.
 fn single_unit(spec: &CampaignSpec) -> bool {
-    let units: BTreeSet<&'static str> = spec.faults.iter().map(|plan| plan.fault.unit()).collect();
+    let units: BTreeSet<Unit> = spec.faults.iter().map(|plan| plan.fault.unit()).collect();
     units.len() == 1
 }
 

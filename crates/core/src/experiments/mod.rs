@@ -24,9 +24,10 @@
 //! | E19 | §4.1/§6 | active health observatory closes the scorecard's blind cells (in `chaos::experiments`) |
 //!
 //! Every module exposes a `run(...)` returning a serializable report with
-//! a `Display` rendering the paper-style table; `crates/bench` wraps each
-//! in a Criterion bench and the EXPERIMENTS.md numbers come from
-//! [`paper_tables`], which the `paper_tables` example prints.
+//! a `Display` rendering the paper-style table. The EXPERIMENTS.md
+//! numbers come from [`paper_tables`], which the `paper_tables` example
+//! prints; E1, E14, E15 and E17 also have a Criterion bench in
+//! `crates/bench`.
 
 pub mod e10_warning_priority;
 pub mod e11_memory_arbiter;

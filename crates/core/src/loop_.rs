@@ -10,17 +10,17 @@ use awareness::{
     AwarenessMonitor, CompareSpec, Configuration, DeadlineMonitor, DiagnosisConfig, MonitorBuilder,
     SupervisorConfig,
 };
-use detect::{ConsistencyRule, Detector, ErrorEvent, ModeConsistencyDetector};
+use detect::{ConsistencyRule, Detector, ModeConsistencyDetector};
 use faults::injector::Transition;
 use faults::{Injector, Schedule};
-use observe::{ObsValue, Observation, ObservationKind};
+use observe::{BlockSnapshot, ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::Telemetry;
-use tvsim::{tv_spec, Key, TvFault, TvSystem};
+use tvsim::{tv_spec, Key, TvFault, TvSystem, Unit};
 
 use crate::scenario::TimedScenario;
 
@@ -392,32 +392,50 @@ enum Repair {
 /// witnesses name their subsystem, the legacy teletext sync rule the
 /// decoder, and the sleep-timer watchdog and deadline alarms the timer
 /// service.
-const INDICTMENTS: [(&str, &str, Option<Repair>); 13] = [
-    ("volume", "audio", Some(Repair::ForceAudio)),
-    ("audio.muted", "audio", Some(Repair::ForceAudio)),
-    ("channel", "tuner", None),
-    ("screen.mode", "screen", Some(Repair::ResyncTeletext)),
-    ("source", "screen", None),
-    ("swivel.angle", "swivel", None),
-    ("sleep.minutes", "sleep", None),
-    ("teletext.page", "teletext", Some(Repair::ResyncTeletext)),
-    (
-        "mode-consistency:txt-sync",
-        "teletext",
-        Some(Repair::ResyncTeletext),
-    ),
-    ("mode-consistency:menu-witness", "screen", None),
-    ("mode-consistency:swivel-witness", "swivel", None),
-    ("watchdog:sleep.timer", "sleep", None),
-    ("deadline:sleep.timer", "sleep", None),
+#[rustfmt::skip]
+const INDICTMENTS: [(&str, Unit, Option<Repair>); 13] = [
+    ("volume", Unit::Audio, Some(Repair::ForceAudio)),
+    ("audio.muted", Unit::Audio, Some(Repair::ForceAudio)),
+    ("channel", Unit::Tuner, None),
+    ("screen.mode", Unit::Screen, Some(Repair::ResyncTeletext)),
+    ("source", Unit::Screen, None),
+    ("swivel.angle", Unit::Swivel, None),
+    ("sleep.minutes", Unit::Sleep, None),
+    ("teletext.page", Unit::Teletext, Some(Repair::ResyncTeletext)),
+    ("mode-consistency:txt-sync", Unit::Teletext, Some(Repair::ResyncTeletext)),
+    ("mode-consistency:menu-witness", Unit::Screen, None),
+    ("mode-consistency:swivel-witness", Unit::Swivel, None),
+    ("watchdog:sleep.timer", Unit::Sleep, None),
+    ("deadline:sleep.timer", Unit::Sleep, None),
 ];
 
-/// The unit and targeted repair an error named `name` indicts.
-fn indictment(name: &str) -> Option<(&'static str, Option<Repair>)> {
-    INDICTMENTS
-        .iter()
-        .find(|(key, ..)| *key == name)
-        .map(|&(_, unit, repair)| (unit, repair))
+/// One detected error, resolved where it is raised: the unit and the
+/// targeted repair of its [`INDICTMENTS`] row, or neither when the table
+/// has no row for it.
+#[derive(Clone, Copy, Default)]
+struct Verdict {
+    unit: Option<Unit>,
+    repair: Option<Repair>,
+}
+
+impl Verdict {
+    /// The verdict on an error raised by the comparator observable or
+    /// the detector `name`.
+    fn of(name: &str) -> Self {
+        INDICTMENTS
+            .iter()
+            .find(|(key, ..)| *key == name)
+            .map_or_else(Verdict::default, |&(_, unit, repair)| Verdict {
+                unit: Some(unit),
+                repair,
+            })
+    }
+}
+
+/// The attribution rule for structural recovery: a settle's verdicts
+/// reboot the first indicted unit in [`Unit`] order.
+fn reboot_target(verdicts: &[Verdict]) -> Option<Unit> {
+    verdicts.iter().filter_map(|v| v.unit).min()
 }
 
 /// Per-run state of the active health observatory: the probe rotation
@@ -475,7 +493,7 @@ fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
 #[derive(Debug, Clone, Copy)]
 struct Outage {
     /// The unit the episode recovered.
-    unit: &'static str,
+    unit: Unit,
     /// End of the outage.
     until: SimTime,
     /// True when the whole TV is down (full restart), not just `unit`.
@@ -489,13 +507,14 @@ struct RecoveryState {
     cfg: UnitRecoveryConfig,
     vault: CheckpointVault,
     chaos: SimRng,
-    journal: BTreeMap<&'static str, Vec<Key>>,
-    dirty: BTreeSet<&'static str>,
+    journal: BTreeMap<Unit, Vec<Key>>,
+    dirty: BTreeSet<Unit>,
     outage: Option<Outage>,
     next_allowed: SimTime,
     last_checkpoint: Option<SimTime>,
     mttr_total_ns: u64,
     episodes: u64,
+    full_restarts: u64,
 }
 
 impl RecoveryState {
@@ -514,12 +533,13 @@ impl RecoveryState {
             last_checkpoint: None,
             mttr_total_ns: 0,
             episodes: 0,
+            full_restarts: 0,
         }
     }
 
     /// Whether a press served by `unit` at `at` falls inside a reboot
     /// outage (whole-TV or that unit's own).
-    fn is_down(&self, at: SimTime, unit: &str) -> bool {
+    fn is_down(&self, at: SimTime, unit: Unit) -> bool {
         self.outage
             .is_some_and(|o| at < o.until && (o.whole_tv || o.unit == unit))
     }
@@ -539,32 +559,28 @@ impl RecoveryState {
             return;
         }
         self.last_checkpoint = Some(at);
-        for unit in TvSystem::UNITS {
-            if self.dirty.contains(unit) || self.is_down(at, unit) {
+        for unit in Unit::ALL {
+            if self.dirty.contains(&unit) || self.is_down(at, unit) {
                 continue;
             }
-            let Some(state) = tv.unit_state(unit) else {
-                continue;
-            };
-            self.vault.save(unit, at, state);
+            self.vault.save(unit.name(), at, tv.unit_state(unit));
             // The journal restarts at the new baseline.
-            self.journal.remove(unit);
+            self.journal.remove(&unit);
             telemetry.count(at, "core.reboot.checkpoint", 1);
             // Chaos rider: flip a bit or tear a field in what was just
             // sealed, so restores exercise the fingerprint fallback.
             if self.cfg.corrupt_chance > 0.0 && self.chaos.chance(self.cfg.corrupt_chance) {
                 let bit = self.chaos.uniform_u64(0, 63) as u32;
-                let _ = self.vault.corrupt_latest(unit, bit);
+                let _ = self.vault.corrupt_latest(unit.name(), bit);
             } else if self.cfg.tear_chance > 0.0 && self.chaos.chance(self.cfg.tear_chance) {
-                let _ = self.vault.tear_latest(unit);
+                let _ = self.vault.tear_latest(unit.name());
             }
         }
     }
 
     /// Runs one recovery episode for `unit` at `settle`, appending the
-    /// recovered units' announcements (fed back as observations) into
-    /// the caller's scratch buffer instead of allocating a fresh vector
-    /// per episode.
+    /// recovered units' announcements (fed back as observations) to
+    /// `announcements`.
     ///
     /// Micro-reboot restores the unit's latest validated checkpoint and
     /// replays its journal; if the whole checkpoint history fails
@@ -574,25 +590,22 @@ impl RecoveryState {
         &mut self,
         tv: &mut TvSystem,
         settle: SimTime,
-        unit: &'static str,
-        outcome: &mut LoopOutcome,
+        unit: Unit,
         telemetry: &Telemetry,
         announcements: &mut Vec<Observation>,
     ) {
         if self.cfg.style == UnitRecoveryStyle::MicroReboot {
-            if let RestoreOutcome::Restored { state, .. } = self.vault.restore_latest(unit) {
+            if let RestoreOutcome::Restored { state, .. } = self.vault.restore_latest(unit.name()) {
                 tv.restore_unit(unit, &state);
                 // State reconciliation: every press served since the
                 // checkpoint is replayed onto the restored state.
-                let entries = self.journal.get(unit).cloned().unwrap_or_default();
-                for key in &entries {
-                    let _ = tv.replay_unit_key(settle, unit, *key);
+                let entries = self.journal.get(&unit).map_or(&[][..], Vec::as_slice);
+                for &key in entries {
+                    tv.replay_unit_key(settle, unit, key);
                 }
                 let outage = MICRO_OUTAGE + REPLAY_COST * entries.len() as u64;
                 self.finish_episode(settle, outage, unit, false);
-                self.dirty.remove(unit);
-                outcome.micro_reboots += 1;
-                outcome.recoveries += 1;
+                self.dirty.remove(&unit);
                 telemetry.count(settle, "core.reboot.micro", 1);
                 announcements.extend(tv.announce_unit(settle, unit));
                 return;
@@ -601,35 +614,23 @@ impl RecoveryState {
             // rung for this episode.
             telemetry.count(settle, "core.reboot.micro_escalations", 1);
         }
-        for u in TvSystem::UNITS {
-            match self.vault.restore_latest(u) {
-                RestoreOutcome::Restored { state, .. } => {
-                    tv.restore_unit(u, &state);
-                }
+        for u in Unit::ALL {
+            match self.vault.restore_latest(u.name()) {
+                RestoreOutcome::Restored { state, .. } => tv.restore_unit(u, &state),
                 // No usable checkpoint: power-on defaults.
-                _ => {
-                    tv.reset_unit(u);
-                }
+                _ => tv.reset_unit(u),
             }
-            self.dirty.remove(u);
+            self.dirty.remove(&u);
             // A full restart has no replay: post-checkpoint context is
             // lost, which is exactly its cost.
-            self.journal.remove(u);
+            self.journal.remove(&u);
             announcements.extend(tv.announce_unit(settle, u));
         }
         self.finish_episode(settle, FULL_RESTART_OUTAGE, unit, true);
-        outcome.full_restarts += 1;
-        outcome.recoveries += 1;
         telemetry.count(settle, "core.reboot.full", 1);
     }
 
-    fn finish_episode(
-        &mut self,
-        settle: SimTime,
-        outage: SimDuration,
-        unit: &'static str,
-        whole_tv: bool,
-    ) {
+    fn finish_episode(&mut self, settle: SimTime, outage: SimDuration, unit: Unit, whole_tv: bool) {
         self.outage = Some(Outage {
             unit,
             until: settle + outage,
@@ -637,6 +638,7 @@ impl RecoveryState {
         });
         self.mttr_total_ns += outage.as_nanos();
         self.episodes += 1;
+        self.full_restarts += u64::from(whole_tv);
         self.next_allowed = settle + outage + MIN_BETWEEN;
     }
 
@@ -676,15 +678,53 @@ struct ClosedLoop<'m> {
 }
 
 impl ClosedLoop<'_> {
-    /// Feeds one SUO observation to the monitor, the mode detector and
-    /// the deadline monitor, returning the detector's errors.
-    fn observe(&mut self, obs: &Observation) -> Vec<ErrorEvent> {
-        self.monitor.offer(obs);
+    /// Feeds one observation to the mode detector, whose errors become
+    /// `verdicts`, and to the deadline monitor.
+    fn detect(&mut self, obs: &Observation, verdicts: &mut Vec<Verdict>) {
         let errors = self.mode_detector.observe(obs);
+        verdicts.extend(errors.iter().map(|err| Verdict::of(&err.detector)));
         if let Some(pr) = self.probes.as_mut() {
             pr.deadline.observe(obs);
         }
-        errors
+    }
+
+    /// Fig. 1's compare stage at `settle`: the deadline monitor's ticks and
+    /// the comparator's drain, each error resolved into a verdict.
+    fn compare(&mut self, tv: &mut TvSystem, settle: SimTime, verdicts: &mut Vec<Verdict>) {
+        // Timer-service liveness rides every settle, so obligations are
+        // checked even between probe windows — unless the timer unit is
+        // itself inside an outage.
+        let sleep_down = matches!(&self.recovery, Some(rs) if rs.is_down(settle, Unit::Sleep));
+        if let (Some(pr), false) = (self.probes.as_mut(), sleep_down) {
+            for hb in tv.timer_heartbeat(settle) {
+                pr.deadline.observe(&hb);
+            }
+            let errors = pr.deadline.tick(settle);
+            verdicts.extend(errors.iter().map(|err| Verdict::of(&err.detector)));
+        }
+        self.monitor.advance_to(settle);
+        let errors = self.monitor.drain_errors();
+        verdicts.extend(errors.iter().map(|err| Verdict::of(&err.observable)));
+    }
+}
+
+/// The one path SUO observations take into the loop: outputs are mirrored
+/// into `sys_state` and, in closed loop, every observation is offered to
+/// the monitor and fed to the detectors, whose errors become `verdicts`.
+fn ingest(
+    observations: &[Observation],
+    sys_state: &mut BTreeMap<String, ObsValue>,
+    mut closed: Option<&mut ClosedLoop<'_>>,
+    verdicts: &mut Vec<Verdict>,
+) {
+    for obs in observations {
+        if let Some((name, value)) = obs.as_output() {
+            mirror_output(sys_state, name, value);
+        }
+        if let Some(cl) = closed.as_deref_mut() {
+            cl.monitor.offer(obs);
+            cl.detect(obs, verdicts);
+        }
     }
 }
 
@@ -707,10 +747,10 @@ struct Session<'m> {
     outcome: LoopOutcome,
     first_fault_at: Option<SimTime>,
     first_detect_at: Option<SimTime>,
-    /// Detector-raised errors awaiting the next settle.
-    detector_errors: Vec<ErrorEvent>,
-    /// Repair observations (targeted repairs or reboot announcements).
-    repair_obs: Vec<Observation>,
+    /// Verdicts raised by presses and witnesses, awaiting a settle.
+    verdicts: Vec<Verdict>,
+    /// A settle's repair burst (repairs or reboot announcements).
+    burst: Vec<Observation>,
     /// Drained oracle output records.
     oracle_outputs: Vec<OutputRecord>,
 }
@@ -733,8 +773,8 @@ impl<'m> Session<'m> {
             outcome: LoopOutcome::default(),
             first_fault_at: None,
             first_detect_at: None,
-            detector_errors: Vec::new(),
-            repair_obs: Vec::new(),
+            verdicts: Vec::new(),
+            burst: Vec::new(),
             oracle_outputs: Vec::new(),
         }
     }
@@ -784,96 +824,84 @@ impl<'m> Session<'m> {
             // replays every press served since the checkpoint.
             rs.journal.entry(unit).or_default().push(key);
         }
-        let observations = self.tv.press(at, key);
-        for obs in &observations {
-            if let Some((name, value)) = obs.as_output() {
-                mirror_output(&mut self.sys_state, name, value);
-            }
-        }
+        let obs = self.tv.press(at, key);
         step_oracle(&mut self.oracle, &mut self.oracle_outputs, at, key);
-        if let Some(cl) = self.closed.as_mut() {
-            for obs in &observations {
-                self.detector_errors.extend(cl.observe(obs));
-            }
-        }
+        let closed = self.closed.as_mut();
+        ingest(&obs, &mut self.sys_state, closed, &mut self.verdicts);
         true
     }
 
     /// Lets the monitor settle after a press, or after a probe burst's
-    /// last key at `at`, then counts and corrects everything the
-    /// comparator and the detectors flagged. A user press becomes one
-    /// spectrum step; a probe burst's coverage is dropped and its errors
-    /// absorbed, so diagnosis ranking stays probe-free. Returns the
-    /// number of errors detected.
+    /// last key at `at`, then runs Fig. 1's stages over the verdicts:
+    /// compare, correct, absorb. A user press becomes one spectrum step;
+    /// a probe burst's coverage is dropped and its errors absorbed, so
+    /// diagnosis ranking stays probe-free. Returns the number of errors
+    /// detected.
     fn settle(&mut self, at: SimTime, origin: Origin) -> usize {
         let Some(cl) = self.closed.as_mut() else {
             return 0;
         };
         let settle = at + SETTLE;
-        // Timer-service liveness rides every settle, so obligations are
-        // checked even between probe windows — unless the timer unit is
-        // itself inside an outage.
-        let sleep_down = cl
-            .recovery
-            .as_ref()
-            .is_some_and(|rs| rs.is_down(settle, "sleep"));
-        if let (Some(pr), false) = (cl.probes.as_mut(), sleep_down) {
-            for hb in self.tv.timer_heartbeat(settle) {
-                pr.deadline.observe(&hb);
-            }
-            self.detector_errors.extend(pr.deadline.tick(settle));
-        }
-        cl.monitor.advance_to(settle);
-        let comparator_errors = cl.monitor.drain_errors();
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        cl.compare(&mut self.tv, settle, &mut verdicts);
         // One spectrum step per user press: snapshot the coverage now so
         // the step reflects the SUO's response to the press alone —
         // repair bursts below are monitor-commanded and would otherwise
         // correlate perfectly with failing verdicts and crowd out the
         // true fault block.
         let coverage = (origin == Origin::User).then(|| self.tv.take_coverage());
-        let n_errors = comparator_errors.len() + self.detector_errors.len();
-        if n_errors > 0 {
-            self.outcome.detected_errors += n_errors;
-            self.first_detect_at.get_or_insert(settle);
-            let name = match origin {
-                Origin::User => "core.loop.detections",
-                Origin::Probe => "core.probes.detections",
-            };
-            self.telemetry.count(settle, name, n_errors as i64);
-        }
-
-        // Correction: attribute every error to the unit it indicts, then
-        // reboot structurally or apply the targeted repairs.
+        let n_errors = verdicts.len();
+        let name = match origin {
+            Origin::User => "core.loop.detections",
+            Origin::Probe => "core.probes.detections",
+        };
+        self.detected(settle, n_errors, name);
         let recoveries_before = self.outcome.recoveries;
-        let indicted = self
-            .detector_errors
-            .iter()
-            .map(|err| err.detector.as_str())
-            .chain(comparator_errors.iter().map(|err| err.observable.as_str()))
-            .filter_map(indictment);
-        if let Some(rs) = cl.recovery.as_mut() {
-            // Indicted units are no longer checkpoint-clean; the first
+        let mut burst = std::mem::take(&mut self.burst);
+        if n_errors > 0 {
+            self.correct(settle, &verdicts, &mut burst);
+        }
+        // The repair burst is observed like any other traffic; what it
+        // raises is transient and goes with the settled verdicts.
+        let closed = self.closed.as_mut();
+        ingest(&burst, &mut self.sys_state, closed, &mut verdicts);
+        verdicts.clear();
+        let repairs = (self.outcome.recoveries - recoveries_before) as i64;
+        if origin == Origin::User && repairs > 0 {
+            self.telemetry.count(settle, "core.loop.repairs", repairs);
+        }
+        self.absorb(settle, coverage, !burst.is_empty());
+        burst.clear();
+        (self.verdicts, self.burst) = (verdicts, burst);
+        n_errors
+    }
+
+    /// Counts `n` errors detected at `at` on the telemetry counter `name`.
+    fn detected(&mut self, at: SimTime, n: usize, name: &'static str) {
+        if n > 0 {
+            self.outcome.detected_errors += n;
+            self.first_detect_at.get_or_insert(at);
+            self.telemetry.count(at, name, n as i64);
+        }
+    }
+
+    /// Fig. 1's correct stage: reboots the [`reboot_target`] after
+    /// marking every indicted unit dirty (structural recovery), or
+    /// applies each verdict's targeted repair, the teletext resync at
+    /// most once. Appends the repair burst's observations to `burst`.
+    fn correct(&mut self, settle: SimTime, verdicts: &[Verdict], burst: &mut Vec<Observation>) {
+        if let Some(rs) = self.closed.as_mut().and_then(|cl| cl.recovery.as_mut()) {
+            // Indicted units are no longer checkpoint-clean; the target
             // reboots (micro) or bounces the whole TV (full restart).
-            let first = indicted
-                .map(|(unit, _)| unit)
-                .inspect(|unit| {
-                    rs.dirty.insert(*unit);
-                })
-                .min();
-            if let Some(unit) = first.filter(|_| settle >= rs.next_allowed) {
-                rs.recover(
-                    &mut self.tv,
-                    settle,
-                    unit,
-                    &mut self.outcome,
-                    self.telemetry,
-                    &mut self.repair_obs,
-                );
+            rs.dirty.extend(verdicts.iter().filter_map(|v| v.unit));
+            if let Some(unit) = reboot_target(verdicts).filter(|_| settle >= rs.next_allowed) {
+                rs.recover(&mut self.tv, settle, unit, self.telemetry, burst);
+                self.outcome.recoveries += 1;
             }
         } else {
             let mut resynced = false;
-            for (_, repair) in indicted {
-                let obs = match repair {
+            for verdict in verdicts {
+                let obs = match verdict.repair {
                     Some(Repair::ForceAudio) => {
                         let want_muted = self
                             .oracle
@@ -888,29 +916,36 @@ impl<'m> Session<'m> {
                     }
                     _ => continue,
                 };
-                self.repair_obs.extend(obs);
+                // A run's first repair lends its vector to the burst
+                // buffer, which then costs no allocation of its own.
+                if burst.capacity() == 0 {
+                    *burst = obs;
+                } else {
+                    burst.extend(obs);
+                }
                 self.outcome.recoveries += 1;
             }
         }
-        for obs in &self.repair_obs {
-            if let Some((name, value)) = obs.as_output() {
-                mirror_output(&mut self.sys_state, name, value);
-            }
-            let _ = cl.observe(obs);
-        }
-        let repairs = (self.outcome.recoveries - recoveries_before) as i64;
-        if origin == Origin::User && repairs > 0 {
-            self.telemetry.count(settle, "core.loop.repairs", repairs);
-        }
-        if !self.repair_obs.is_empty() {
+    }
+
+    /// Fig. 1's absorb stage: a repair burst settles and its residual
+    /// errors are dropped, then the step's coverage becomes one
+    /// spectrum step (`Some`, a user press) or a probe burst's coverage
+    /// and errors are absorbed (`None`).
+    fn absorb(&mut self, settle: SimTime, coverage: Option<BlockSnapshot>, repaired: bool) {
+        let Some(cl) = self.closed.as_mut() else {
+            return;
+        };
+        if repaired {
             cl.monitor.advance_to(settle + REPAIR_SETTLE);
             // Post-repair comparisons should now match; drop any
-            // residual transient error raised by the repair burst, and
-            // the repair-path block coverage with it.
+            // residual transient error raised by the repair burst.
             let _ = cl.monitor.drain_errors();
-            if coverage.is_some() {
-                self.tv.reset_coverage();
-            }
+        }
+        // Repair-path block coverage is dropped, and so is a probe
+        // burst's: probe presses are synthetic traffic.
+        if repaired || coverage.is_none() {
+            self.tv.reset_coverage();
         }
         match coverage {
             // Comparator errors since the last snapshot mark the step
@@ -918,17 +953,10 @@ impl<'m> Session<'m> {
             // residual drain keeps repair transients from spilling a
             // failing verdict onto the next step.
             Some(coverage) => cl.monitor.record_coverage(&coverage),
-            // Probe presses are synthetic traffic: drop their block
-            // coverage and absorb their error count, so the next user
+            // A probe burst's error count is absorbed, so the next user
             // press's spectrum step reflects only its own behaviour.
-            None => {
-                self.tv.reset_coverage();
-                cl.monitor.absorb_synthetic_errors();
-            }
+            None => cl.monitor.absorb_synthetic_errors(),
         }
-        self.detector_errors.clear();
-        self.repair_obs.clear();
-        n_errors
     }
 
     /// Ends the user step at `at`: the user-visible failure check
@@ -975,8 +1003,14 @@ impl<'m> Session<'m> {
             self.press(last_at, key, Origin::Probe);
         }
         let settle = last_at + SETTLE;
-        if let Some(witness) = &plan.witness {
-            self.witness(witness, settle);
+        // The witness samples go to the detectors (their verdicts settle
+        // with the burst), then the retiring mode to the mode detector.
+        if let (Some(witness), Some(cl)) = (&plan.witness, self.closed.as_mut()) {
+            for obs in (witness.sample)(&mut self.tv, settle) {
+                cl.detect(&obs, &mut self.verdicts);
+            }
+            let retire = witness_obs(settle, witness.retire.0, witness.retire.1);
+            let _ = cl.mode_detector.observe(&retire);
         }
         let n_errors = self.settle(last_at, Origin::Probe);
         telemetry.count(settle, plan.fired, 1);
@@ -990,25 +1024,6 @@ impl<'m> Session<'m> {
             }
         }
         telemetry.span_exit(settle, "core.probes.burst");
-    }
-
-    /// Feeds a probe's witness at its burst's settle time: the samples
-    /// to the mode detector (whose errors settle with the burst) and the
-    /// deadline monitor, then the retiring mode to the detector alone.
-    fn witness(&mut self, witness: &Witness, settle: SimTime) {
-        let Some(cl) = self.closed.as_mut() else {
-            return;
-        };
-        for obs in (witness.sample)(&mut self.tv, settle) {
-            self.detector_errors.extend(cl.mode_detector.observe(&obs));
-            if let Some(pr) = cl.probes.as_mut() {
-                pr.deadline.observe(&obs);
-            }
-        }
-        let (component, mode) = witness.retire;
-        let _ = cl
-            .mode_detector
-            .observe(&witness_obs(settle, component, mode));
     }
 
     /// Ends the run: the obligation epilogue, then the end-of-run
@@ -1026,12 +1041,7 @@ impl<'m> Session<'m> {
                 }
                 let late = due + SimDuration::from_millis(1);
                 let missed = pr.deadline.tick(late).len();
-                if missed > 0 {
-                    self.outcome.detected_errors += missed;
-                    self.first_detect_at.get_or_insert(late);
-                    self.telemetry
-                        .count(late, "core.probes.detections", missed as i64);
-                }
+                self.detected(late, missed, "core.probes.detections");
             }
         }
 
@@ -1057,6 +1067,8 @@ impl<'m> Session<'m> {
                 outcome.top_suspects = diag.top_k().entries().iter().map(|e| e.block).collect();
             }
             if let Some(rs) = &cl.recovery {
+                outcome.micro_reboots = rs.episodes - rs.full_restarts;
+                outcome.full_restarts = rs.full_restarts;
                 outcome.checkpoint_generations = rs.vault.latest_generations();
                 outcome.reboot_mttr = rs.mean_mttr();
             }
@@ -1390,6 +1402,19 @@ mod tests {
         let outcome = looped.run(&teletext_scenario());
         assert_eq!(outcome.diagnoses_triggered, 0);
         assert!(outcome.top_suspects.is_empty());
+    }
+
+    #[test]
+    fn reboot_target_is_the_first_indicted_unit() {
+        let verdicts = [
+            Verdict::of("mode-consistency:txt-sync"),
+            Verdict::of("no-such-observable"),
+            Verdict::of("audio.muted"),
+        ];
+        assert_eq!(reboot_target(&verdicts), Some(Unit::Audio));
+        assert_eq!(reboot_target(&verdicts[..2]), Some(Unit::Teletext));
+        assert_eq!(reboot_target(&verdicts[1..2]), None);
+        assert_eq!(reboot_target(&[]), None);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! inject — programming mistakes and integration defects of the kind the
 //! Trader case studies report.
 
+use crate::system::Unit;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -51,16 +52,15 @@ impl TvFault {
     }
 
     /// The pipeline unit the fault lives in — the micro-reboot target
-    /// when the awareness loop localizes an error to this fault. Matches
-    /// [`TvSystem::UNITS`](crate::TvSystem::UNITS).
-    pub fn unit(self) -> &'static str {
+    /// when the awareness loop localizes an error to this fault.
+    pub fn unit(self) -> Unit {
         match self {
-            TvFault::TeletextSyncLoss | TvFault::TeletextRenderFault => "teletext",
-            TvFault::StuckVolume | TvFault::MuteInversion => "audio",
-            TvFault::ChannelSkip => "tuner",
-            TvFault::MenuFreeze => "screen",
-            TvFault::SleepTimerLost => "sleep",
-            TvFault::SwivelStuck => "swivel",
+            TvFault::TeletextSyncLoss | TvFault::TeletextRenderFault => Unit::Teletext,
+            TvFault::StuckVolume | TvFault::MuteInversion => Unit::Audio,
+            TvFault::ChannelSkip => Unit::Tuner,
+            TvFault::MenuFreeze => Unit::Screen,
+            TvFault::SleepTimerLost => Unit::Sleep,
+            TvFault::SwivelStuck => Unit::Swivel,
         }
     }
 

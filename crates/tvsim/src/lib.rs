@@ -44,4 +44,4 @@ pub use faults::{FaultSet, TvFault};
 pub use model::{tv_spec, tv_spec_machine};
 pub use pipeline::{PipelineConfig, PipelineReport, StreamingPipeline};
 pub use remote::{Key, KeySequence};
-pub use system::{TvSystem, UnitState};
+pub use system::{TvSystem, Unit, UnitState};

@@ -13,6 +13,49 @@ use observe::{BlockSnapshot, Observation, ObservationKind};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 
+/// An independently restartable pipeline unit: the micro-reboot
+/// granularity. The variants are declared in name order, so the derived
+/// `Ord` orders units by [`Unit::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Unit {
+    /// Volume and mute.
+    Audio,
+    /// Screen modes, on-screen displays and source selection.
+    Screen,
+    /// The sleep timer.
+    Sleep,
+    /// The swivel motor.
+    Swivel,
+    /// The teletext decoder and page state.
+    Teletext,
+    /// The channel tuner.
+    Tuner,
+}
+
+impl Unit {
+    /// Every unit, in checkpoint order.
+    pub const ALL: [Unit; 6] = [
+        Unit::Audio,
+        Unit::Screen,
+        Unit::Sleep,
+        Unit::Swivel,
+        Unit::Teletext,
+        Unit::Tuner,
+    ];
+
+    /// The unit's name (checkpoint vault key).
+    pub fn name(self) -> &'static str {
+        match self {
+            Unit::Audio => "audio",
+            Unit::Screen => "screen",
+            Unit::Sleep => "sleep",
+            Unit::Swivel => "swivel",
+            Unit::Teletext => "teletext",
+            Unit::Tuner => "tuner",
+        }
+    }
+}
+
 /// A unit's checkpointable state as key/value pairs — structurally the
 /// same map `recovery::Snapshot` uses, without a dependency edge on the
 /// recovery crate.
@@ -385,99 +428,86 @@ impl TvSystem {
 
     // ---- micro-reboot units ----------------------------------------------
 
-    /// The independently restartable pipeline units, in checkpoint order.
-    pub const UNITS: [&'static str; 6] =
-        ["audio", "screen", "sleep", "swivel", "teletext", "tuner"];
-
     /// The unit that would serve `key` in the current focus state — the
     /// routing the micro-reboot journal and outage model key off.
-    pub fn serving_unit(&self, key: Key) -> &'static str {
+    pub fn serving_unit(&self, key: Key) -> Unit {
         match key {
-            Key::Power => "screen",
+            Key::Power => Unit::Screen,
             Key::Digit(_) => {
                 if self.screen.osd_has_focus() {
-                    "screen"
+                    Unit::Screen
                 } else if self.teletext.is_on() {
-                    "teletext"
+                    Unit::Teletext
                 } else {
-                    "tuner"
+                    Unit::Tuner
                 }
             }
-            Key::VolUp | Key::VolDown | Key::Mute => "audio",
-            Key::ChannelUp | Key::ChannelDown => "tuner",
+            Key::VolUp | Key::VolDown | Key::Mute => Unit::Audio,
+            Key::ChannelUp | Key::ChannelDown => Unit::Tuner,
             Key::Teletext => {
                 if self.screen.osd_has_focus() {
-                    "screen"
+                    Unit::Screen
                 } else {
-                    "teletext"
+                    Unit::Teletext
                 }
             }
             Key::Back => {
-                if self.screen.osd_has_focus() {
-                    "screen"
-                } else if self.teletext.is_on() {
-                    "teletext"
+                if !self.screen.osd_has_focus() && self.teletext.is_on() {
+                    Unit::Teletext
                 } else {
-                    "screen"
+                    Unit::Screen
                 }
             }
-            Key::DualScreen | Key::Menu | Key::Ok | Key::Epg | Key::Pip | Key::Source => "screen",
-            Key::SwivelLeft | Key::SwivelRight => "swivel",
-            Key::Sleep => "sleep",
+            Key::DualScreen | Key::Menu | Key::Ok | Key::Epg | Key::Pip | Key::Source => {
+                Unit::Screen
+            }
+            Key::SwivelLeft | Key::SwivelRight => Unit::Swivel,
+            Key::Sleep => Unit::Sleep,
         }
     }
 
-    /// The named unit's complete state as a checkpointable map; `None`
-    /// for an unknown unit name.
-    pub fn unit_state(&self, unit: &str) -> Option<UnitState> {
+    /// The unit's complete state as a checkpointable map.
+    pub fn unit_state(&self, unit: Unit) -> UnitState {
         match unit {
-            "audio" => Some(self.volume.snapshot()),
-            "tuner" => Some(self.tuner.snapshot()),
-            "teletext" => Some(self.teletext.snapshot()),
-            "screen" => Some(self.screen.snapshot()),
-            "sleep" => Some(self.sleep.snapshot()),
-            "swivel" => Some(self.swivel.snapshot()),
-            _ => None,
+            Unit::Audio => self.volume.snapshot(),
+            Unit::Tuner => self.tuner.snapshot(),
+            Unit::Teletext => self.teletext.snapshot(),
+            Unit::Screen => self.screen.snapshot(),
+            Unit::Sleep => self.sleep.snapshot(),
+            Unit::Swivel => self.swivel.snapshot(),
         }
     }
 
-    /// Micro-reboot: overwrites the named unit's state from a validated
-    /// checkpoint, leaving every other unit untouched. Returns false for
-    /// an unknown unit name.
-    pub fn restore_unit(&mut self, unit: &str, state: &UnitState) -> bool {
+    /// Micro-reboot: overwrites the unit's state from a validated
+    /// checkpoint, leaving every other unit untouched.
+    pub fn restore_unit(&mut self, unit: Unit, state: &UnitState) {
         match unit {
-            "audio" => self.volume.restore(state),
-            "tuner" => self.tuner.restore(state),
-            "teletext" => self.teletext.restore(state),
-            "screen" => self.screen.restore(state),
-            "sleep" => self.sleep.restore(state),
-            "swivel" => self.swivel.restore(state),
-            _ => return false,
+            Unit::Audio => self.volume.restore(state),
+            Unit::Tuner => self.tuner.restore(state),
+            Unit::Teletext => self.teletext.restore(state),
+            Unit::Screen => self.screen.restore(state),
+            Unit::Sleep => self.sleep.restore(state),
+            Unit::Swivel => self.swivel.restore(state),
         }
-        true
     }
 
-    /// Full-restart fallback: reboots the named unit to factory defaults
-    /// (used when a unit's whole checkpoint history failed validation).
-    /// Returns false for an unknown unit name.
-    pub fn reset_unit(&mut self, unit: &str) -> bool {
+    /// Full-restart fallback: reboots the unit to factory defaults (used
+    /// when a unit's whole checkpoint history failed validation).
+    pub fn reset_unit(&mut self, unit: Unit) {
         match unit {
-            "audio" => self.volume = Volume::new(),
-            "tuner" => self.tuner = ChannelTuner::new(),
-            "teletext" => self.teletext = Teletext::new(),
-            "screen" => self.screen = ScreenManager::new(),
-            "sleep" => self.sleep = SleepTimer::new(),
-            "swivel" => self.swivel = Swivel::new(),
-            _ => return false,
+            Unit::Audio => self.volume = Volume::new(),
+            Unit::Tuner => self.tuner = ChannelTuner::new(),
+            Unit::Teletext => self.teletext = Teletext::new(),
+            Unit::Screen => self.screen = ScreenManager::new(),
+            Unit::Sleep => self.sleep = SleepTimer::new(),
+            Unit::Swivel => self.swivel = Swivel::new(),
         }
-        true
     }
 
-    /// Announces the named unit's current state on its outputs — called
-    /// after a restore so the observation boundary (and the comparator
-    /// behind it) sees the post-reboot state. Returns the emitted
-    /// observations, empty for an unknown unit.
-    pub fn announce_unit(&mut self, now: SimTime, unit: &str) -> Vec<Observation> {
+    /// Announces the unit's current state on its outputs — called after
+    /// a restore so the observation boundary (and the comparator behind
+    /// it) sees the post-reboot state. Returns the emitted observations.
+    pub fn announce_unit(&mut self, now: SimTime, unit: Unit) -> Vec<Observation> {
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now,
@@ -486,29 +516,28 @@ impl TvSystem {
             obs: &mut obs,
         };
         match unit {
-            "audio" => {
+            Unit::Audio => {
                 ctx.output("volume", self.volume.audible());
                 ctx.output("audio.muted", self.volume.is_muted() as i64);
             }
-            "tuner" => ctx.output("channel", self.tuner.current()),
-            "teletext" => self.teletext.announce(&mut ctx),
-            "screen" => {
+            Unit::Tuner => ctx.output("channel", self.tuner.current()),
+            Unit::Teletext => self.teletext.announce(&mut ctx),
+            Unit::Screen => {
                 self.screen.emit_mode(&mut ctx, self.teletext.is_on());
                 ctx.output("source", self.screen.source());
             }
-            "sleep" => ctx.output("sleep.minutes", self.sleep.minutes() as i64),
-            "swivel" => ctx.output("swivel.angle", self.swivel.angle()),
-            _ => {}
+            Unit::Sleep => ctx.output("sleep.minutes", self.sleep.minutes() as i64),
+            Unit::Swivel => ctx.output("swivel.angle", self.swivel.angle()),
         }
         obs
     }
 
-    /// Replays a journalled key press directly into the named unit's
-    /// handler, bypassing focus routing — state reconciliation after a
+    /// Replays a journalled key press directly into the unit's handler,
+    /// bypassing focus routing — state reconciliation after a
     /// micro-reboot. The rest of the system already processed this press,
-    /// so cross-unit side effects are deliberately not re-run. Returns
-    /// the (discardable) observations the replay emits.
-    pub fn replay_unit_key(&mut self, now: SimTime, unit: &str, key: Key) -> Vec<Observation> {
+    /// so cross-unit side effects are deliberately not re-run, and the
+    /// replay's observations are not emitted.
+    pub fn replay_unit_key(&mut self, now: SimTime, unit: Unit, key: Key) {
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now,
@@ -517,35 +546,34 @@ impl TvSystem {
             obs: &mut obs,
         };
         match (unit, key) {
-            ("audio", Key::VolUp) => self.volume.vol_up(&mut ctx),
-            ("audio", Key::VolDown) => self.volume.vol_down(&mut ctx),
-            ("audio", Key::Mute) => self.volume.mute(&mut ctx),
-            ("tuner", Key::Digit(d)) => self.tuner.digit(&mut ctx, d),
-            ("tuner", Key::ChannelUp) => self.tuner.channel_up(&mut ctx),
-            ("tuner", Key::ChannelDown) => self.tuner.channel_down(&mut ctx),
-            ("teletext", Key::Digit(d)) if self.teletext.is_on() => {
+            (Unit::Audio, Key::VolUp) => self.volume.vol_up(&mut ctx),
+            (Unit::Audio, Key::VolDown) => self.volume.vol_down(&mut ctx),
+            (Unit::Audio, Key::Mute) => self.volume.mute(&mut ctx),
+            (Unit::Tuner, Key::Digit(d)) => self.tuner.digit(&mut ctx, d),
+            (Unit::Tuner, Key::ChannelUp) => self.tuner.channel_up(&mut ctx),
+            (Unit::Tuner, Key::ChannelDown) => self.tuner.channel_down(&mut ctx),
+            (Unit::Teletext, Key::Digit(d)) if self.teletext.is_on() => {
                 self.teletext.digit(&mut ctx, d);
             }
-            ("teletext", Key::Teletext) => self.teletext.toggle(&mut ctx),
-            ("teletext", Key::Back) => self.teletext.force_off(&mut ctx),
-            ("screen", Key::Menu) => self.screen.menu(&mut ctx, self.teletext.is_on()),
-            ("screen", Key::Epg) => self.screen.epg(&mut ctx, self.teletext.is_on()),
-            ("screen", Key::DualScreen) => {
+            (Unit::Teletext, Key::Teletext) => self.teletext.toggle(&mut ctx),
+            (Unit::Teletext, Key::Back) => self.teletext.force_off(&mut ctx),
+            (Unit::Screen, Key::Menu) => self.screen.menu(&mut ctx, self.teletext.is_on()),
+            (Unit::Screen, Key::Epg) => self.screen.epg(&mut ctx, self.teletext.is_on()),
+            (Unit::Screen, Key::DualScreen) => {
                 self.screen.dual_toggle(&mut ctx, self.teletext.is_on());
             }
-            ("screen", Key::Pip) => self.screen.pip_toggle(&mut ctx, self.teletext.is_on()),
-            ("screen", Key::Source) => self.screen.source_cycle(&mut ctx),
-            ("screen", Key::Back) => {
+            (Unit::Screen, Key::Pip) => self.screen.pip_toggle(&mut ctx, self.teletext.is_on()),
+            (Unit::Screen, Key::Source) => self.screen.source_cycle(&mut ctx),
+            (Unit::Screen, Key::Back) => {
                 self.screen.back(&mut ctx, self.teletext.is_on());
             }
-            ("sleep", Key::Sleep) => self.sleep.key(&mut ctx),
-            ("swivel", Key::SwivelLeft) => self.swivel.key(&mut ctx, true),
-            ("swivel", Key::SwivelRight) => self.swivel.key(&mut ctx, false),
+            (Unit::Sleep, Key::Sleep) => self.sleep.key(&mut ctx),
+            (Unit::Swivel, Key::SwivelLeft) => self.swivel.key(&mut ctx, true),
+            (Unit::Swivel, Key::SwivelRight) => self.swivel.key(&mut ctx, false),
             // Power cycles and OSD-swallowed keys carry no unit-local
             // state; replay ignores them.
             _ => {}
         }
-        obs
     }
 
     fn power_on(
@@ -846,20 +874,17 @@ mod tests {
         tv.press(SimTime::ZERO, Key::Digit(1));
         tv.press(SimTime::ZERO, Key::SwivelRight);
         tv.tuner_mut().lock_channel(13);
-        let states: Vec<_> = TvSystem::UNITS
-            .iter()
-            .map(|u| (u, tv.unit_state(u).unwrap()))
-            .collect();
+        let states = Unit::ALL.map(|u| (u, tv.unit_state(u)));
         // Mutate everything, then restore each unit from its snapshot.
         tv.press(SimTime::ZERO, Key::Digit(2));
         tv.press(SimTime::ZERO, Key::Digit(3)); // page 123 entered
         tv.press(SimTime::ZERO, Key::Mute);
         tv.press(SimTime::ZERO, Key::SwivelLeft);
         for (unit, state) in &states {
-            assert!(tv.restore_unit(unit, state), "unknown unit {unit}");
+            tv.restore_unit(*unit, state);
         }
         for (unit, state) in &states {
-            assert_eq!(&tv.unit_state(unit).unwrap(), state, "unit {unit}");
+            assert_eq!(&tv.unit_state(*unit), state, "unit {unit:?}");
         }
         assert_eq!(tv.volume_level(), 25);
         assert!(tv.is_muted());
@@ -872,10 +897,10 @@ mod tests {
     #[test]
     fn restore_touches_only_the_named_unit() {
         let mut tv = on_tv();
-        let audio = tv.unit_state("audio").unwrap();
+        let audio = tv.unit_state(Unit::Audio);
         tv.press(SimTime::ZERO, Key::VolUp); // 25
         tv.press(SimTime::ZERO, Key::Digit(9));
-        tv.restore_unit("audio", &audio);
+        tv.restore_unit(Unit::Audio, &audio);
         assert_eq!(tv.volume_level(), 20, "audio restored");
         assert_eq!(tv.channel(), 9, "tuner untouched");
     }
@@ -884,62 +909,71 @@ mod tests {
     fn reset_unit_reboots_to_defaults() {
         let mut tv = on_tv();
         tv.press(SimTime::ZERO, Key::VolUp);
-        assert!(tv.reset_unit("audio"));
+        tv.reset_unit(Unit::Audio);
         assert_eq!(tv.volume_level(), 20);
-        assert!(!tv.reset_unit("nonsense"));
-        assert!(tv.unit_state("nonsense").is_none());
+    }
+
+    #[test]
+    fn unit_order_is_name_order() {
+        // The loop's reboot target is the least indicted unit: declaring
+        // a variant out of name order would silently change it.
+        let mut by_name = Unit::ALL;
+        by_name.sort_by_key(|u| u.name());
+        assert_eq!(by_name, Unit::ALL);
+        let mut by_ord = Unit::ALL;
+        by_ord.sort();
+        assert_eq!(by_ord, Unit::ALL);
     }
 
     #[test]
     fn serving_unit_follows_focus() {
         let mut tv = on_tv();
-        assert_eq!(tv.serving_unit(Key::Digit(5)), "tuner");
-        assert_eq!(tv.serving_unit(Key::VolUp), "audio");
-        assert_eq!(tv.serving_unit(Key::Back), "screen");
+        assert_eq!(tv.serving_unit(Key::Digit(5)), Unit::Tuner);
+        assert_eq!(tv.serving_unit(Key::VolUp), Unit::Audio);
+        assert_eq!(tv.serving_unit(Key::Back), Unit::Screen);
         tv.press(SimTime::ZERO, Key::Teletext);
-        assert_eq!(tv.serving_unit(Key::Digit(5)), "teletext");
-        assert_eq!(tv.serving_unit(Key::Back), "teletext");
+        assert_eq!(tv.serving_unit(Key::Digit(5)), Unit::Teletext);
+        assert_eq!(tv.serving_unit(Key::Back), Unit::Teletext);
         tv.press(SimTime::ZERO, Key::Menu);
-        assert_eq!(tv.serving_unit(Key::Digit(5)), "screen");
-        assert_eq!(tv.serving_unit(Key::Teletext), "screen");
-        assert_eq!(tv.serving_unit(Key::Sleep), "sleep");
-        assert_eq!(tv.serving_unit(Key::SwivelLeft), "swivel");
+        assert_eq!(tv.serving_unit(Key::Digit(5)), Unit::Screen);
+        assert_eq!(tv.serving_unit(Key::Teletext), Unit::Screen);
+        assert_eq!(tv.serving_unit(Key::Sleep), Unit::Sleep);
+        assert_eq!(tv.serving_unit(Key::SwivelLeft), Unit::Swivel);
     }
 
     #[test]
     fn announce_reemits_current_outputs() {
         let mut tv = on_tv();
         tv.press(SimTime::ZERO, Key::VolUp);
-        let obs = tv.announce_unit(SimTime::ZERO, "audio");
+        let obs = tv.announce_unit(SimTime::ZERO, Unit::Audio);
         assert_eq!(last_output(&obs, "volume"), Some(ObsValue::Num(25.0)));
         assert_eq!(last_output(&obs, "audio.muted"), Some(ObsValue::Num(0.0)));
-        let obs = tv.announce_unit(SimTime::ZERO, "teletext");
+        let obs = tv.announce_unit(SimTime::ZERO, Unit::Teletext);
         assert_eq!(
             last_output(&obs, "teletext.page"),
             Some(ObsValue::Num(0.0)),
             "teletext off renders page 0"
         );
-        assert!(tv.announce_unit(SimTime::ZERO, "bogus").is_empty());
     }
 
     #[test]
     fn replay_reconciles_restored_unit() {
         let mut tv = on_tv();
         // Checkpoint, then two presses the journal must reapply.
-        let audio = tv.unit_state("audio").unwrap();
+        let audio = tv.unit_state(Unit::Audio);
         tv.press(SimTime::ZERO, Key::VolUp);
         tv.press(SimTime::ZERO, Key::VolUp);
         assert_eq!(tv.volume_level(), 30);
         // Micro-reboot: restore the checkpoint, replay the journal.
-        tv.restore_unit("audio", &audio);
+        tv.restore_unit(Unit::Audio, &audio);
         assert_eq!(tv.volume_level(), 20);
-        tv.replay_unit_key(SimTime::ZERO, "audio", Key::VolUp);
-        tv.replay_unit_key(SimTime::ZERO, "audio", Key::VolUp);
+        tv.replay_unit_key(SimTime::ZERO, Unit::Audio, Key::VolUp);
+        tv.replay_unit_key(SimTime::ZERO, Unit::Audio, Key::VolUp);
         assert_eq!(tv.volume_level(), 30, "journal replay converges");
         // Replay bypasses focus routing: a tuner digit retunes even
         // though teletext has focus for live presses.
         tv.press(SimTime::ZERO, Key::Teletext);
-        tv.replay_unit_key(SimTime::ZERO, "tuner", Key::Digit(4));
+        tv.replay_unit_key(SimTime::ZERO, Unit::Tuner, Key::Digit(4));
         assert_eq!(tv.channel(), 4);
         assert_eq!(tv.teletext().page(), 100, "teletext unaffected");
     }
