@@ -4,8 +4,6 @@
 //!
 //! Set `E14_QUICK=1` to run the CI-sized grid instead of the full sweep.
 
-use bench::quick_criterion;
-use std::hint::black_box;
 use telemetry::json::{write_bench_json, Json};
 use trader::experiments::e14_spectra_scale::{self, E14Config, E14Report};
 
@@ -48,19 +46,4 @@ fn main() {
     );
     let path = write_bench_json("e14", &report_json(&report, quick)).expect("write BENCH_e14.json");
     println!("wrote {}", path.display());
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e14_spectra_scale");
-    let cell = E14Config {
-        sizes: vec![1_000_000],
-        shard_counts: vec![4],
-        steps: 27,
-        top_k: 100,
-        reps: 1,
-    };
-    group.bench_function("diagnose_1m_blocks_4_shards", |b| {
-        b.iter(|| black_box(e14_spectra_scale::run(&cell)))
-    });
-    group.finish();
-    c.final_summary();
 }

@@ -6,8 +6,6 @@
 //! Set `E15_QUICK=1` to run the CI-sized measurement instead of the full
 //! one.
 
-use bench::quick_criterion;
-use std::hint::black_box;
 use telemetry::json::{workspace_root, write_bench_json, Json};
 use trader::experiments::e15_telemetry_overhead::{self, E15Config, E15Report};
 
@@ -69,18 +67,4 @@ fn main() {
         trace_path.display(),
         trace.lines().count()
     );
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e15_telemetry_overhead");
-    let cell = E15Config {
-        scenario_len: 30,
-        trials: 1,
-        ring_capacity: 4_096,
-        budget_fraction: 1.0,
-    };
-    group.bench_function("reference_scenario_recording", |b| {
-        b.iter(|| black_box(e15_telemetry_overhead::run(&cell)))
-    });
-    group.finish();
-    c.final_summary();
 }

@@ -9,10 +9,8 @@
 //! campaign (seed 14 in the current derivation) or the verdict has no
 //! population to judge.
 
-use bench::quick_criterion;
 use chaos::experiments::e16_microreboot_mttr::{self, E16Report, MTTR_IMPROVEMENT_FLOOR};
 use chaos::CampaignSpec;
-use std::hint::black_box;
 use telemetry::json::{write_bench_json, Json};
 
 /// The CI-sized subset: seed 14 is the regression set's single-unit
@@ -93,13 +91,4 @@ fn main() {
 
     let path = write_bench_json("e16", &report_json(&report, quick)).expect("write BENCH_e16.json");
     println!("wrote {}", path.display());
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e16_microreboot_mttr");
-    let cell = [CampaignSpec::from_seed(14)];
-    group.bench_function("single_unit_campaign_both_arms", |b| {
-        b.iter(|| black_box(e16_microreboot_mttr::run(&cell)))
-    });
-    group.finish();
-    c.final_summary();
 }

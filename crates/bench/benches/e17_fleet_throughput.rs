@@ -16,9 +16,7 @@
 //! JSON is written before the floor is judged, so a run that misses the
 //! floor still leaves its numbers behind.
 
-use bench::quick_criterion;
-use chaos::fleet::{self, fleet_specs, run_fleet, FLEET_SEED_BASE};
-use std::hint::black_box;
+use chaos::fleet;
 use telemetry::json::{write_bench_json, Json};
 use trader::experiments::e17_fleet_throughput::{E17Config, E17Report};
 
@@ -101,13 +99,4 @@ fn main() {
             report.hardware_threads, max_workers
         );
     }
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e17_fleet_throughput");
-    let specs = fleet_specs(FLEET_SEED_BASE, 8);
-    group.bench_function("fleet_of_8_sequential", |b| {
-        b.iter(|| black_box(run_fleet(&specs, 1).fingerprint()))
-    });
-    group.finish();
-    c.final_summary();
 }

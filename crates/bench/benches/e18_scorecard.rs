@@ -18,15 +18,12 @@
 //! across worker counts, every fault-free twin must stay silent, and
 //! the baseline verdict must report zero regressions.
 
-use bench::quick_criterion;
 use chaos::experiments::e18_scorecard::{
     baseline_json, cell_json, compare_with_baseline, e18_report, BaselineVerdict, E18Config,
     E18Report,
 };
-use chaos::scorecard::{CellOutcome, CellSpec, RecoveryStyle, ScenarioKind, ScorecardConfig};
-use std::hint::black_box;
+use chaos::scorecard::{CellOutcome, ScorecardConfig};
 use telemetry::json::{workspace_root, write_bench_json, Json};
-use tvsim::TvFault;
 
 fn report_json(
     report: &E18Report,
@@ -148,21 +145,4 @@ fn main() {
         0,
         "scorecard regressed beyond the committed tolerance bands"
     );
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e18_scorecard");
-    let cell = CellSpec {
-        fault: TvFault::ChannelSkip,
-        scenario: ScenarioKind::ZappingBurst,
-        recovery: RecoveryStyle::MicroReboot,
-        reps: 3,
-        scenario_len: 32,
-        probes: false,
-        adaptive: true,
-    };
-    group.bench_function("one_cell_with_twin", |b| {
-        b.iter(|| black_box(cell.run().fingerprint()))
-    });
-    group.finish();
-    c.final_summary();
 }

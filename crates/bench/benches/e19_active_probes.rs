@@ -14,34 +14,14 @@
 //! zero), the probed matrix must be byte-identical across worker
 //! counts, and the observatory must pass the E15 probe-effect budget.
 
-use bench::quick_criterion;
+use chaos::experiments::e18_scorecard::cell_json;
 use chaos::experiments::e19_active_probes::{e19_report, E19Config, E19Report};
-use chaos::scorecard::{CellSpec, DependabilityScorecard, RecoveryStyle, ScenarioKind};
-use std::hint::black_box;
+use chaos::scorecard::DependabilityScorecard;
 use telemetry::json::{workspace_root, write_bench_json, Json};
-use tvsim::TvFault;
-
-fn cells_json(scorecard: &DependabilityScorecard) -> Json {
-    scorecard
-        .cells
-        .iter()
-        .map(|cell| {
-            Json::object()
-                .field("fault", cell.spec.fault.name().into())
-                .field("scenario", cell.spec.scenario.name().into())
-                .field("recovery", cell.spec.recovery.name().into())
-                .field("reps", cell.reps.len().into())
-                .field("detected", cell.detected().into())
-                .field("detection_rate", cell.detection_rate().into())
-                .field("twin_detections", cell.twin_detections.into())
-                .field("fingerprint", format!("{:016x}", cell.fingerprint()).into())
-        })
-        .collect::<Vec<Json>>()
-        .into()
-}
 
 fn report_json(config: &E19Config, report: &E19Report, quick: bool) -> Json {
     let sc = &report.scorecard;
+    let cells = |sc: &DependabilityScorecard| sc.cells.iter().map(cell_json).collect::<Vec<Json>>();
     let columns: Vec<Json> = report
         .columns
         .iter()
@@ -101,8 +81,8 @@ fn report_json(config: &E19Config, report: &E19Report, quick: bool) -> Json {
             report.probe_effect.events_recorded.into(),
         )
         .field("columns", columns.into())
-        .field("cells", cells_json(sc))
-        .field("baseline_cells", cells_json(&report.baseline))
+        .field("cells", cells(sc).into())
+        .field("baseline_cells", cells(&report.baseline).into())
 }
 
 fn main() {
@@ -162,21 +142,4 @@ fn main() {
     let matrix_path = workspace_root().join("BENCH_e19_matrix.txt");
     std::fs::write(&matrix_path, report.to_string()).expect("write BENCH_e19_matrix.txt");
     println!("wrote {}", matrix_path.display());
-
-    let mut c = quick_criterion();
-    let mut group = c.benchmark_group("e19_active_probes");
-    let cell = CellSpec {
-        fault: TvFault::SleepTimerLost,
-        scenario: ScenarioKind::Idle,
-        recovery: RecoveryStyle::MicroReboot,
-        reps: 3,
-        scenario_len: 32,
-        probes: true,
-        adaptive: true,
-    };
-    group.bench_function("one_probed_cell_with_twin", |b| {
-        b.iter(|| black_box(cell.run().fingerprint()))
-    });
-    group.finish();
-    c.final_summary();
 }

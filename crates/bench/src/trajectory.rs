@@ -49,6 +49,9 @@ pub type Gate = (&'static str, &'static str, Rule);
 /// recorded in the trajectory but never gated.
 pub const GATES: &[Gate] = &[
     ("e1", "ochiai_best_case_rank", Rule::NotAbove(0.0)),
+    // The best case hides the tie group the fault shares; the mid-tie
+    // rank shows when that group grows.
+    ("e1", "ochiai_mid_tie_rank", Rule::NotAbove(0.0)),
     ("e14", "oracle_agrees", Rule::StayTrue),
     ("e15", "within_budget", Rule::StayTrue),
     ("e15", "outcomes_agree", Rule::StayTrue),
@@ -195,6 +198,7 @@ pub fn diff(prev: &Json, cur: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::json::workspace_root;
 
     fn trajectory(entries: &[(&str, Json)]) -> Json {
         let mut benches = Json::object();
@@ -264,8 +268,8 @@ mod tests {
         let regressions = diff(&prev, &cur);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("e1.ochiai_best_case_rank"));
-        // The reverse direction: prev lacks everything, cur is new.
-        assert!(diff(&cur, &prev).is_empty() || !diff(&cur, &prev).is_empty());
+        // The reverse direction: e14's gate vanishes, e1 is new.
+        assert_eq!(diff(&cur, &prev).len(), 1);
         assert!(diff(&trajectory(&[]), &cur).is_empty());
     }
 
@@ -308,12 +312,41 @@ mod tests {
     #[test]
     fn gates_cover_every_standing_bench_verdict() {
         // The table is curated, not generated — this pins the benches it
-        // must at least reach so a renamed report field fails here, not
-        // silently in CI.
+        // must at least reach, and checks every gate against the bench
+        // that writes its report and against the committed report, so a
+        // misspelled or renamed field fails here instead of `diff`
+        // skipping it forever.
         for bench in ["e1", "e14", "e15", "e16", "e17", "e18", "e19"] {
             assert!(
                 GATES.iter().any(|(b, _, _)| *b == bench),
                 "no gate covers {bench}"
+            );
+        }
+        let sources: Vec<String> =
+            fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("benches"))
+                .expect("read benches/")
+                .map(|entry| {
+                    fs::read_to_string(entry.expect("bench entry").path()).expect("read bench")
+                })
+                .collect();
+        let committed = collect(&workspace_root());
+        for &(bench, metric, _) in GATES {
+            let writer = format!("write_bench_json(\"{bench}\"");
+            let source = sources
+                .iter()
+                .find(|source| source.contains(&writer))
+                .unwrap_or_else(|| panic!("no bench writes BENCH_{bench}.json"));
+            assert!(
+                source.contains(&format!("\"{metric}\"")),
+                "the bench writing BENCH_{bench}.json has no field {metric}"
+            );
+            assert!(
+                committed
+                    .get("benches")
+                    .and_then(|b| b.get(bench))
+                    .and_then(|r| r.get(metric))
+                    .is_some(),
+                "committed BENCH_{bench}.json has no top-level scalar {metric}"
             );
         }
     }

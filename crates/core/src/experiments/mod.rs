@@ -26,8 +26,8 @@
 //! Every module exposes a `run(...)` returning a serializable report with
 //! a `Display` rendering the paper-style table. The EXPERIMENTS.md
 //! numbers come from [`paper_tables`], which the `paper_tables` example
-//! prints; E1, E14, E15 and E17 also have a Criterion bench in
-//! `crates/bench`.
+//! prints. E1, E14, E15 and E17, like E16, E18 and E19, also have a
+//! bench target in `crates/bench` that writes `BENCH_<id>.json`.
 
 pub mod e10_warning_priority;
 pub mod e11_memory_arbiter;

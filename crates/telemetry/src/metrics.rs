@@ -1,7 +1,7 @@
 //! Metrics registry: named counters, gauges, and log-scale histograms.
 //!
 //! Readout must be deterministic — the registry backs the byte-identical
-//! JSONL criterion of the determinism tests — so [`MetricsRegistry::to_json`]
+//! JSONL check of the determinism tests — so [`MetricsRegistry::to_json`]
 //! emits every section sorted by the dotted `crate.component.metric`
 //! name regardless of insertion order. Storage, however, is a small flat
 //! vec probed with a pointer-identity fast path: names are `&'static
