@@ -7,7 +7,8 @@
 //! never loss. [`ReliableChannel`] restores that guarantee on top of the
 //! lossy wire with a classic ack/retransmit protocol:
 //!
-//! * every payload carries a **sequence number**;
+//! * a frame carries only a **sequence number**; its payload never
+//!   leaves the sender's window until the receiver releases it, once;
 //! * the receiver acknowledges **cumulatively** (an ack for `n` covers
 //!   everything below `n`) over a reverse wire that is itself delayed,
 //!   jittered, and lossy;
@@ -27,7 +28,7 @@
 
 use crate::channel::DelayChannel;
 use simkit::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use telemetry::Telemetry;
 
 /// Telemetry names for one protocol instance, so the monitor's input and
@@ -75,11 +76,11 @@ impl ProbeNames {
     };
 }
 
-/// A sequenced payload on the forward wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame<T> {
+/// A frame on the forward wire: the sequence number of a payload that
+/// waits in the sender's window until the receiver releases it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
     seq: u64,
-    payload: T,
 }
 
 /// Retransmission and reordering parameters.
@@ -148,12 +149,12 @@ pub struct ReliableStats {
     pub acks_lost: u64,
 }
 
+/// One window slot: `payload` is `None` once the receiver has taken it.
 #[derive(Debug, Clone)]
 struct Pending<T> {
-    payload: T,
+    payload: Option<T>,
     rto: SimDuration,
     due: SimTime,
-    retries: u32,
 }
 
 /// Ack/retransmit protocol over a pair of [`DelayChannel`] wires.
@@ -180,32 +181,29 @@ struct Pending<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReliableChannel<T> {
-    wire: DelayChannel<Frame<T>>,
+    wire: DelayChannel<Frame>,
     acks: DelayChannel<u64>,
     rng: SimRng,
     config: ReliableConfig,
-    // Sender.
+    // Sender: the window holds sequences `oldest_unacked()..next_seq`.
     next_seq: u64,
-    unacked: BTreeMap<u64, Pending<T>>,
-    // Receiver.
+    unacked: VecDeque<Pending<T>>,
+    // Receiver: `reorder` holds out-of-order sequences, sorted.
     next_expected: u64,
-    reorder: BTreeMap<u64, T>,
+    reorder: Vec<u64>,
     // Reused buffers the pump drains both wires through.
     ack_scratch: Vec<(SimTime, u64)>,
-    frame_scratch: Vec<(SimTime, Frame<T>)>,
+    frame_scratch: Vec<(SimTime, Frame)>,
     stats: ReliableStats,
     telemetry: Telemetry,
     probe: ProbeNames,
 }
 
-impl<T: Clone> ReliableChannel<T> {
+impl<T> ReliableChannel<T> {
     /// Builds the protocol over a forward `wire` and a reverse `acks`
     /// wire, deriving the initial retransmission timeout from the wires'
     /// configured round-trip (delay + jitter, doubled, floor 1 ms).
-    pub fn over(wire: DelayChannel<Frame<T>>, acks: DelayChannel<u64>, seed: u64) -> Self
-    where
-        T: std::fmt::Debug,
-    {
+    pub fn over(wire: DelayChannel<Frame>, acks: DelayChannel<u64>, seed: u64) -> Self {
         let rtt = wire.base_delay() + wire.jitter() + acks.base_delay() + acks.jitter();
         let initial_rto = (rtt + rtt).max(SimDuration::from_millis(1));
         let config = ReliableConfig {
@@ -223,7 +221,7 @@ impl<T: Clone> ReliableChannel<T> {
     /// Panics if `initial_rto` is zero, `max_rto < initial_rto`,
     /// `backoff_jitter` is outside `[0, 1]`, or `reorder_capacity` is 0.
     pub fn with_config(
-        wire: DelayChannel<Frame<T>>,
+        wire: DelayChannel<Frame>,
         acks: DelayChannel<u64>,
         seed: u64,
         config: ReliableConfig,
@@ -250,9 +248,9 @@ impl<T: Clone> ReliableChannel<T> {
             rng: SimRng::seed(seed),
             config,
             next_seq: 0,
-            unacked: BTreeMap::new(),
+            unacked: VecDeque::new(),
             next_expected: 0,
-            reorder: BTreeMap::new(),
+            reorder: Vec::new(),
             ack_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             stats: ReliableStats::default(),
@@ -270,10 +268,7 @@ impl<T: Clone> ReliableChannel<T> {
 
     /// Convenience constructor: both wires share `base_delay`, `jitter`,
     /// and `loss`, with independent per-direction RNG streams.
-    pub fn symmetric(base_delay: SimDuration, jitter: SimDuration, loss: f64, seed: u64) -> Self
-    where
-        T: std::fmt::Debug,
-    {
+    pub fn symmetric(base_delay: SimDuration, jitter: SimDuration, loss: f64, seed: u64) -> Self {
         let mut wire = DelayChannel::new(base_delay);
         let mut acks = DelayChannel::new(base_delay);
         if !jitter.is_zero() {
@@ -298,28 +293,18 @@ impl<T: Clone> ReliableChannel<T> {
         self.stats.accepted += 1;
         self.stats.transmissions += 1;
         self.telemetry.metric_incr(self.probe.transmissions, 1);
-        let first = self.wire.send(
-            now,
-            Frame {
-                seq,
-                payload: payload.clone(),
-            },
-        );
+        let first = self.wire.send(now, Frame { seq });
         if first.is_none() {
             self.stats.wire_lost += 1;
             self.telemetry.metric_incr(self.probe.wire_lost, 1);
         }
         let rto = self.config.initial_rto;
         let due = now + self.config.jittered(rto, &mut self.rng);
-        self.unacked.insert(
-            seq,
-            Pending {
-                payload,
-                rto,
-                due,
-                retries: 0,
-            },
-        );
+        self.unacked.push_back(Pending {
+            payload: Some(payload),
+            rto,
+            due,
+        });
         first
     }
 
@@ -327,7 +312,7 @@ impl<T: Clone> ReliableChannel<T> {
     /// arrival, an ack arrival, or a retransmission timer. `None` means
     /// fully quiescent (everything delivered and acknowledged).
     pub fn next_activity(&self) -> Option<SimTime> {
-        let timer = self.unacked.values().map(|p| p.due).min();
+        let timer = self.unacked.iter().map(|p| p.due).min();
         [self.wire.next_delivery(), self.acks.next_delivery(), timer]
             .into_iter()
             .flatten()
@@ -360,12 +345,8 @@ impl<T: Clone> ReliableChannel<T> {
             self.acks.deliver_due_into(t, &mut acks);
             for (_, ack) in acks.drain(..) {
                 // Cumulative: retire every frame below `ack`.
-                while let Some(entry) = self.unacked.first_entry() {
-                    if *entry.key() >= ack {
-                        break;
-                    }
-                    entry.remove();
-                }
+                let retired = ack.saturating_sub(self.oldest_unacked());
+                self.unacked.drain(..retired as usize);
             }
             self.wire.deliver_due_into(t, &mut frames);
             for (at, frame) in frames.drain(..) {
@@ -377,22 +358,29 @@ impl<T: Clone> ReliableChannel<T> {
         self.frame_scratch = frames;
     }
 
-    fn receive(&mut self, at: SimTime, frame: Frame<T>, out: &mut Vec<(SimTime, T)>) {
-        if frame.seq < self.next_expected || self.reorder.contains_key(&frame.seq) {
+    /// Sequence of the window's oldest slot: sequences are contiguous
+    /// and acks retire a prefix (`next_seq` when the window is empty).
+    fn oldest_unacked(&self) -> u64 {
+        self.next_seq - self.unacked.len() as u64
+    }
+
+    fn receive(&mut self, at: SimTime, frame: Frame, out: &mut Vec<(SimTime, T)>) {
+        let slot = self.reorder.binary_search(&frame.seq);
+        if frame.seq < self.next_expected || slot.is_ok() {
             self.stats.duplicates += 1;
             self.telemetry.metric_incr(self.probe.duplicates, 1);
         } else if frame.seq == self.next_expected {
-            self.release(at, frame.payload, out);
-            while let Some(payload) = self.reorder.remove(&self.next_expected) {
-                self.release(at, payload, out);
+            self.release(at, out);
+            while self.reorder.first() == Some(&self.next_expected) {
+                self.reorder.remove(0);
+                self.release(at, out);
             }
-        } else {
-            self.reorder.insert(frame.seq, frame.payload);
+        } else if let Err(slot) = slot {
+            self.reorder.insert(slot, frame.seq);
             if self.reorder.len() > self.config.reorder_capacity {
                 // Shed the frame farthest from the sequence gap; its
                 // retransmission timer is still running on our side.
-                let newest = *self.reorder.keys().next_back().expect("non-empty");
-                self.reorder.remove(&newest);
+                self.reorder.pop();
                 self.stats.reorder_dropped += 1;
                 self.telemetry.count(at, self.probe.reorder_dropped, 1);
             }
@@ -405,27 +393,30 @@ impl<T: Clone> ReliableChannel<T> {
         }
     }
 
-    fn release(&mut self, at: SimTime, payload: T, out: &mut Vec<(SimTime, T)>) {
+    /// Releases frame `next_expected`, moving its payload out of the
+    /// sender's window. The slot is still there: a cumulative ack never
+    /// passes `next_expected`, so it cannot have retired it.
+    fn release(&mut self, at: SimTime, out: &mut Vec<(SimTime, T)>) {
+        let slot = (self.next_expected - self.oldest_unacked()) as usize;
         self.stats.delivered += 1;
         self.next_expected += 1;
-        out.push((at, payload));
+        out.push((
+            at,
+            self.unacked[slot].payload.take().expect("released once"),
+        ));
     }
 
     /// Retransmits every frame whose timer is due by `t`, in sequence
     /// order; per frame, the wire send draws before the backoff jitter.
     fn retransmit_due(&mut self, t: SimTime) {
-        for (&seq, pending) in self.unacked.iter_mut().filter(|(_, p)| p.due <= t) {
-            pending.retries += 1;
+        let seqs = self.oldest_unacked()..;
+        for (seq, pending) in seqs.zip(&mut self.unacked).filter(|(_, p)| p.due <= t) {
             pending.rto = (pending.rto * 2).min(self.config.max_rto);
             self.stats.retransmits += 1;
             self.stats.transmissions += 1;
             self.telemetry.count(t, self.probe.retransmits, 1);
             self.telemetry.metric_incr(self.probe.transmissions, 1);
-            let frame = Frame {
-                seq,
-                payload: pending.payload.clone(),
-            };
-            if self.wire.send(t, frame).is_none() {
+            if self.wire.send(t, Frame { seq }).is_none() {
                 self.stats.wire_lost += 1;
                 self.telemetry.metric_incr(self.probe.wire_lost, 1);
             }
@@ -495,7 +486,7 @@ pub enum BoundaryChannel<T> {
     Reliable(Box<ReliableChannel<T>>),
 }
 
-impl<T: Clone> BoundaryChannel<T> {
+impl<T> BoundaryChannel<T> {
     /// Sends a payload at `now`; returns the first scheduled arrival, if
     /// the wire kept it.
     pub fn send(&mut self, now: SimTime, payload: T) -> Option<SimTime> {

@@ -4,10 +4,24 @@
 //! holds at every instant, and the reliable protocol converts loss into
 //! latency — exactly-once, in-order delivery with nothing abandoned.
 
-use awareness::reliable::ReliableChannel;
+use awareness::reliable::{ReliableChannel, ReliableConfig};
 use awareness::DelayChannel;
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
+
+/// A payload the protocol cannot copy: it implements neither `Clone`
+/// nor `Copy`, so a channel of them compiles only if every payload is
+/// moved from `send` to its one delivery.
+#[derive(Debug, PartialEq)]
+struct Token(u64);
+
+/// A wire with `delay_us` base delay, up to `jitter_us` jitter on seed
+/// stream `seed`, and loss probability `loss`.
+fn lossy_wire<T>(delay_us: u64, jitter_us: u64, loss: f64, seed: u64) -> DelayChannel<T> {
+    DelayChannel::new(SimDuration::from_micros(delay_us))
+        .with_jitter(SimDuration::from_micros(jitter_us), seed)
+        .with_loss(loss)
+}
 
 proptest! {
     /// The bare channel conserves messages at every step, for any mix
@@ -95,6 +109,54 @@ proptest! {
             received.extend(channel.deliver_due(now).into_iter().map(|(_, p)| p));
         }
         prop_assert_eq!(channel.in_flight(), 0, "protocol failed to converge");
+        prop_assert_eq!(channel.delivered(), sent);
+        let expected: Vec<u64> = (0..sent).collect();
+        prop_assert_eq!(received, expected, "delivery not exactly-once in-order");
+    }
+
+    /// Exactly-once, in-order delivery of payloads that cannot be
+    /// cloned, with a one-frame reorder buffer so that jittered
+    /// arrivals overflow it and shed frames recover by retransmission.
+    #[test]
+    fn uncloneable_payloads_arrive_exactly_once_in_order(
+        seed in 0u64..1000,
+        delay_us in 100u64..3000,
+        jitter_us in 0u64..4000,
+        loss in 0.0f64..0.5,
+        backoff_jitter in 0.0f64..1.0,
+        ops in prop::collection::vec((0u8..3, 0u64..10), 1..80)
+    ) {
+        let config = ReliableConfig {
+            initial_rto: SimDuration::from_millis(4),
+            max_rto: SimDuration::from_millis(64),
+            backoff_jitter,
+            reorder_capacity: 1,
+        };
+        let mut channel: ReliableChannel<Token> =
+            ReliableChannel::with_config(
+                lossy_wire(delay_us, jitter_us, loss, seed.wrapping_add(1)),
+                lossy_wire(delay_us, jitter_us, loss, seed.wrapping_add(2)),
+                seed,
+                config,
+            );
+        let mut now = SimTime::ZERO;
+        let mut sent = 0u64;
+        let mut received: Vec<u64> = Vec::new();
+        for (op, gap_ms) in ops {
+            now += SimDuration::from_millis(gap_ms);
+            if op == 0 {
+                received.extend(channel.deliver_due(now).into_iter().map(|(_, t)| t.0));
+            } else {
+                channel.send(now, Token(sent));
+                sent += 1;
+            }
+        }
+        while let Some(at) = channel.next_activity() {
+            now = now.max(at);
+            received.extend(channel.deliver_due(now).into_iter().map(|(_, t)| t.0));
+        }
+        prop_assert_eq!(channel.in_flight(), 0, "protocol failed to converge");
+        prop_assert_eq!(channel.unacknowledged(), 0);
         prop_assert_eq!(channel.delivered(), sent);
         let expected: Vec<u64> = (0..sent).collect();
         prop_assert_eq!(received, expected, "delivery not exactly-once in-order");

@@ -56,8 +56,8 @@ pub const GATES: &[Gate] = &[
     ("e15", "within_budget", Rule::StayTrue),
     ("e15", "outcomes_agree", Rule::StayTrue),
     ("e16", "mttr_improvement_ok", Rule::StayTrue),
-    // Virtual-time ratio, but quick/full runs use different campaign
-    // populations — allow headroom for pipeline reshapes.
+    // Virtual-time ratio over a handful of campaigns — allow headroom
+    // for pipeline reshapes.
     ("e16", "min_mttr_ratio", Rule::NotBelow(0.5)),
     ("e17", "fleet_deterministic", Rule::StayTrue),
     ("e18", "matrix_deterministic", Rule::StayTrue),
@@ -141,26 +141,30 @@ pub fn collect(root: &Path) -> Json {
 /// regression (the bench stopped reporting it); gated metrics absent
 /// from `prev` are new evidence and pass. Benches absent from `prev`
 /// entirely (first run after adding an experiment) pass.
+///
+/// Quick and full runs measure different grids, so the `NotAbove` and
+/// `NotBelow` gates apply only when both reports carry the same `quick`
+/// flag (or either lacks it); `StayTrue` gates always apply.
 pub fn diff(prev: &Json, cur: &Json) -> Vec<String> {
     let mut regressions = Vec::new();
     let prev_benches = prev.get("benches");
     let cur_benches = cur.get("benches");
     for &(bench, metric, rule) in GATES {
-        let Some(prev_value) = prev_benches
-            .and_then(|b| b.get(bench))
-            .and_then(|r| r.get(metric))
-        else {
+        let prev_report = prev_benches.and_then(|b| b.get(bench));
+        let cur_report = cur_benches.and_then(|b| b.get(bench));
+        let Some(prev_value) = prev_report.and_then(|r| r.get(metric)) else {
             continue;
         };
-        let Some(cur_value) = cur_benches
-            .and_then(|b| b.get(bench))
-            .and_then(|r| r.get(metric))
-        else {
+        let Some(cur_value) = cur_report.and_then(|r| r.get(metric)) else {
             regressions.push(format!(
                 "{bench}.{metric}: present in previous trajectory, missing from current"
             ));
             continue;
         };
+        let quick = |report: Option<&Json>| report?.get("quick")?.as_bool();
+        let same_shape = quick(prev_report)
+            .zip(quick(cur_report))
+            .is_none_or(|(p, c)| p == c);
         match rule {
             Rule::StayTrue => {
                 if prev_value.as_bool() == Some(true) && cur_value.as_bool() != Some(true) {
@@ -170,6 +174,7 @@ pub fn diff(prev: &Json, cur: &Json) -> Vec<String> {
                     ));
                 }
             }
+            Rule::NotAbove(_) | Rule::NotBelow(_) if !same_shape => {}
             Rule::NotAbove(headroom) => {
                 if let (Some(p), Some(c)) = (prev_value.as_f64(), cur_value.as_f64()) {
                     if c > p * (1.0 + headroom) + 1e-9 {
@@ -271,6 +276,38 @@ mod tests {
         // The reverse direction: e14's gate vanishes, e1 is new.
         assert_eq!(diff(&cur, &prev).len(), 1);
         assert!(diff(&trajectory(&[]), &cur).is_empty());
+    }
+
+    #[test]
+    fn quantity_gates_compare_only_runs_of_one_shape() {
+        let e18 = |quick: Option<bool>, covered: u64| {
+            let mut report = Json::object();
+            if let Some(quick) = quick {
+                report = report.field("quick", quick.into());
+            }
+            trajectory(&[(
+                "e18",
+                report
+                    .field("matrix_deterministic", (covered > 8).into())
+                    .field("covered_cells", covered.into()),
+            )])
+        };
+        // A quick run after a full one measures a smaller grid: the
+        // count gate does not compare them, the verdict gate still does.
+        let quick_after_full = diff(&e18(Some(false), 24), &e18(Some(true), 8));
+        assert_eq!(quick_after_full.len(), 1, "{quick_after_full:?}");
+        assert!(quick_after_full[0].contains("matrix_deterministic"));
+        // The same drop between runs of one shape is a regression, also
+        // when a report predates the flag.
+        for (prev, cur) in [
+            (Some(false), Some(false)),
+            (Some(true), Some(true)),
+            (None, Some(true)),
+        ] {
+            let regressions = diff(&e18(prev, 24), &e18(cur, 8));
+            assert_eq!(regressions.len(), 2, "{prev:?} -> {cur:?}: {regressions:?}");
+            assert!(regressions[1].contains("covered_cells: fell 24 -> 8"));
+        }
     }
 
     #[test]

@@ -144,7 +144,11 @@ impl CheckpointVault {
         let generation = self.next_generation;
         self.next_generation += 1;
         let fingerprint = self.fingerprint(unit, time, generation, &state);
-        let history = self.per_unit.entry(unit.to_string()).or_default();
+        // Allocate a key only for a new unit: most saves find theirs.
+        if !self.per_unit.contains_key(unit) {
+            self.per_unit.insert(unit.to_string(), VecDeque::new());
+        }
+        let history = self.per_unit.get_mut(unit).expect("inserted above");
         if history.len() == self.capacity {
             history.pop_front();
             self.stats.evicted += 1;
