@@ -7,6 +7,7 @@
 use observe::ObsValue;
 use serde::{Deserialize, Serialize};
 use statemachine::Event;
+use std::borrow::Cow;
 
 /// A message crossing the SUO ↔ monitor boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -17,7 +18,7 @@ pub enum Message {
     /// An output value observed at the SUO.
     Output {
         /// Observable name.
-        name: String,
+        name: Cow<'static, str>,
         /// Observed value.
         value: ObsValue,
     },
@@ -25,12 +26,12 @@ pub enum Message {
 
 impl Message {
     /// Convenience constructor for a payload-less input message.
-    pub fn input(event: impl Into<String>) -> Self {
+    pub fn input(event: impl Into<Cow<'static, str>>) -> Self {
         Message::Input(Event::plain(event))
     }
 
     /// Convenience constructor for an output message.
-    pub fn output(name: impl Into<String>, value: impl Into<ObsValue>) -> Self {
+    pub fn output(name: impl Into<Cow<'static, str>>, value: impl Into<ObsValue>) -> Self {
         Message::Output {
             name: name.into(),
             value: value.into(),

@@ -19,6 +19,7 @@ use observe::{ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome, Snapshot};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Event, Executor, Machine, OutputRecord, Value};
+use std::borrow::Cow;
 use telemetry::Telemetry;
 
 /// Converts a model value to the observable value the comparator
@@ -26,7 +27,7 @@ use telemetry::Telemetry;
 /// it has no numeric view).
 pub fn to_obs_value(value: Value) -> ObsValue {
     match value {
-        Value::Str(s) => ObsValue::Text(s),
+        Value::Str(s) => ObsValue::Text(s.into()),
         other => ObsValue::Num(other.as_f64().unwrap_or(f64::NAN)),
     }
 }
@@ -355,7 +356,7 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// Sends an input event directly (for SUOs that report inputs
     /// without an observation stream).
-    pub fn offer_input(&mut self, now: SimTime, event: impl Into<String>) {
+    pub fn offer_input(&mut self, now: SimTime, event: impl Into<Cow<'static, str>>) {
         if self.running {
             self.input.send(now, Message::input(event));
         }
@@ -459,10 +460,10 @@ impl<'m> AwarenessMonitor<'m> {
             return;
         }
         let mut state = Snapshot::new();
-        state.insert("channel_epoch".to_string(), self.channel_epoch as f64);
-        state.insert("errors_total".to_string(), self.errors_total as f64);
+        state.insert("channel_epoch".into(), self.channel_epoch as f64);
+        state.insert("errors_total".into(), self.errors_total as f64);
         state.insert(
-            "reliable".to_string(),
+            "reliable".into(),
             if self.channels.reliable { 1.0 } else { 0.0 },
         );
         supervision.vault.save(MONITOR_UNIT, now, state);
@@ -757,7 +758,7 @@ mod tests {
             .unwrap()
     }
 
-    fn screen(at_ms: u64, v: &str) -> Observation {
+    fn screen(at_ms: u64, v: &'static str) -> Observation {
         Observation::new(
             SimTime::from_millis(at_ms),
             "suo",

@@ -81,7 +81,7 @@ impl DeadlineMonitor {
             return;
         }
         if let ObservationKind::Output { name, value } = &observation.kind {
-            match name.as_str() {
+            match &**name {
                 "sleep.minutes" => {
                     let minutes = value.as_num().unwrap_or(0.0);
                     if minutes > 0.0 {
@@ -174,7 +174,7 @@ mod tests {
         SimTime::from_millis(x)
     }
 
-    fn output(at_ms: u64, name: &str, value: ObsValue) -> Observation {
+    fn output(at_ms: u64, name: &'static str, value: ObsValue) -> Observation {
         Observation::new(
             ms(at_ms),
             "tv",

@@ -110,7 +110,7 @@ fn model_to_model(seed: u64) -> (usize, u64) {
                 at,
                 "suo",
                 observe::ObservationKind::Output {
-                    name: out.name,
+                    name: out.name.into(),
                     value: to_obs_value(out.value),
                 },
             ));

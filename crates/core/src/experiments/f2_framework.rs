@@ -94,7 +94,7 @@ fn run_once(perturb: bool, seed: u64) -> (u64, u64, usize) {
                 *at,
                 "suo",
                 observe::ObservationKind::Output {
-                    name: out.name,
+                    name: out.name.into(),
                     value,
                 },
             ));

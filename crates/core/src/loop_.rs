@@ -476,13 +476,13 @@ impl ProbeRuntime {
 
 /// Builds a mode-witness observation (fed to the consistency detector
 /// only — witnesses are in-situ samples, not boundary traffic).
-fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
+fn witness_obs(at: SimTime, component: &'static str, mode: &'static str) -> Observation {
     Observation::new(
         at,
         component,
         ObservationKind::Mode {
-            component: component.to_owned(),
-            mode: mode.to_owned(),
+            component: component.into(),
+            mode: mode.into(),
         },
     )
 }
@@ -563,7 +563,7 @@ impl RecoveryState {
             if self.dirty.contains(&unit) || self.is_down(at, unit) {
                 continue;
             }
-            self.vault.save(unit.name(), at, tv.unit_state(unit));
+            self.vault.save(unit.name(), at, tv.unit_state(unit).into());
             // The journal restarts at the new baseline.
             self.journal.remove(&unit);
             telemetry.count(at, "core.reboot.checkpoint", 1);
@@ -696,7 +696,7 @@ impl ClosedLoop<'_> {
         // itself inside an outage.
         let sleep_down = matches!(&self.recovery, Some(rs) if rs.is_down(settle, Unit::Sleep));
         if let (Some(pr), false) = (self.probes.as_mut(), sleep_down) {
-            for hb in tv.timer_heartbeat(settle) {
+            if let Some(hb) = tv.timer_heartbeat(settle) {
                 pr.deadline.observe(&hb);
             }
             let errors = pr.deadline.tick(settle);
@@ -1821,7 +1821,7 @@ mod tests {
         prop_oneof![
             (-3i64..3).prop_map(|n| ObsValue::Num(n as f64)),
             float().prop_map(ObsValue::Num),
-            text().prop_map(ObsValue::Text),
+            text().prop_map(ObsValue::from),
         ]
     }
 

@@ -12,14 +12,16 @@
 //!
 //! The probe counts every `alloc`/`realloc` call in the process, so the
 //! budget below is calibrated against what the rest of the step
-//! genuinely needs (the SUO's observation vector and its `String`
-//! payloads, channel traffic, the coverage snapshot). The scratch/executor
+//! genuinely needs (the SUO's observation vector, the model's output
+//! records, channel traffic, the coverage snapshot). The scratch/executor
 //! refactor took a closed-loop press on this scenario from ~175
 //! allocation calls to 20 — the oracle executor alone dropped from ~78 to
 //! ~3 by borrowing transitions and entry/exit actions from the machine
 //! instead of cloning them — and later changes took it to 16, then
-//! 14.5 once the boundary channels delivered into reused buffers. The
-//! faulted run's error path (repairs, retransmissions) is budgeted
+//! 14.5 once the boundary channels delivered into reused buffers, then
+//! 5.3 once the TV's names travelled as borrowed `&'static str` literals
+//! instead of fresh `String`s. The faulted run's error path (repairs,
+//! retransmissions) and the probed run's self-check bursts are budgeted
 //! separately.
 //!
 //! Per-run set-up is pinned too. Every loop borrows the one specification
@@ -125,6 +127,20 @@ fn faulted_run_allocs(presses: usize, diagnose: bool) -> u64 {
     allocs
 }
 
+/// Runs a healthy closed loop with active probes over a `presses`-press
+/// full-mix session and returns the allocation-call count of the `run`:
+/// the self-check bursts press the TV between user presses, so this is
+/// the path the probed scorecard cells spend most of their allocations
+/// on.
+fn probed_run_allocs(presses: usize) -> u64 {
+    let scenario = TimedScenario::full_mix_session(presses);
+    let mut looped = TvDependabilityLoop::closed(1);
+    looped.active_probes();
+    let (allocs, outcome) = allocations_during(|| looped.run(&scenario));
+    assert_eq!(outcome.steps, presses);
+    allocs
+}
+
 /// Allocation calls online diagnosis adds to a faulted `presses`-press
 /// run: the diagnosed run minus the same run without diagnosis.
 fn diagnosis_allocs(presses: usize) -> u64 {
@@ -132,32 +148,46 @@ fn diagnosis_allocs(presses: usize) -> u64 {
 }
 
 /// The marginal allocation budget per additional press. The press loop
-/// legitimately allocates for SUO observations (each carries `String`
-/// sources/payloads), channel messages, and the coverage snapshot; the
-/// scratch-hoisted hot path must not add avoidable per-step churn on
-/// top (fresh scratch vectors, cloned oracle transitions, re-inserted
-/// state keys). Measured 20/press after the refactor vs ~175 before,
-/// 16.1 with a fresh `Vec` per channel delivery and 14.5 since the
-/// channels deliver into reused buffers; the slack covers
-/// allocator/toolchain drift without readmitting a per-delivery `Vec`.
-const MARGINAL_ALLOCS_PER_PRESS: f64 = 15.5;
+/// legitimately allocates for the SUO's observation vector, the model's
+/// output records (their names are still `String`s), and the coverage
+/// snapshot; the scratch-hoisted hot path must not add avoidable
+/// per-step churn on top (fresh scratch vectors, cloned oracle
+/// transitions, re-inserted state keys, owned copies of the TV's
+/// names). Measured 20/press after the refactor vs ~175 before, 16.1
+/// with a fresh `Vec` per channel delivery, 14.5 since the channels
+/// deliver into reused buffers, and 5.3 since observation, event and
+/// boundary-message names are borrowed; the slack (1.05, as before)
+/// covers allocator/toolchain drift without readmitting one owned name
+/// per output.
+const MARGINAL_ALLOCS_PER_PRESS: f64 = 6.4;
 
 /// The marginal allocation budget per additional press of the faulted,
 /// undiagnosed run (lossy reliable channels, repairs). Measured 29.9
 /// when every channel delivery, ack batch and retransmission round
 /// collected into a fresh `Vec` and discarded repair-path coverage went
-/// through a snapshot, 21.1 since both are allocation-free, and 18.3
+/// through a snapshot, 21.1 since both are allocation-free, 18.3
 /// since the reliable protocol moves each payload once instead of
-/// cloning it onto the wire per transmission.
-const FAULTED_MARGINAL_ALLOCS_PER_PRESS: f64 = 19.7;
+/// cloning it onto the wire per transmission, and 6.9 since the TV's
+/// names are borrowed (the slack stays 1.4).
+const FAULTED_MARGINAL_ALLOCS_PER_PRESS: f64 = 8.3;
+
+/// The marginal allocation budget per additional user press of a
+/// healthy run with the health observatory on: each press may be
+/// followed by a probe burst of 1–5 presses and its witness samples.
+/// Measured 64.7 while every probe press copied the TV's names into
+/// fresh `String`s, 19.8 since they are borrowed and the timer
+/// heartbeat returns an `Option` instead of a `Vec`.
+const PROBED_MARGINAL_ALLOCS_PER_PRESS: f64 = 21.0;
 
 /// The allocation budget for building a closed loop and running it over
 /// an empty scenario. Measured 48 with the shared specification machine,
-/// 1,746 when every loop built its own.
-const CLOSED_SETUP_ALLOCS: u64 = 64;
+/// 1,746 when every loop built its own, and 43 since the detector's
+/// consistency rule borrows its names (the slack stays 16).
+const CLOSED_SETUP_ALLOCS: u64 = 59;
 
 /// The same budget for an open loop (no monitor, detectors or probes).
-/// Measured 21 with the shared specification machine.
+/// Measured 21 with the shared specification machine, unchanged by the
+/// borrowed names.
 const OPEN_SETUP_ALLOCS: u64 = 32;
 
 /// All checks live in one test: the counter is process-wide, so a
@@ -207,6 +237,21 @@ fn press_allocations_are_bounded_and_deterministic() {
     assert_eq!(
         a, b,
         "same-seed runs allocated differently — hidden nondeterminism in the hot path"
+    );
+
+    // The probe path: every user press may be followed by a self-check
+    // burst and its witness samples.
+    let (short, long) = (probed_run_allocs(60), probed_run_allocs(180));
+    let marginal = long.saturating_sub(short) as f64 / 120.0;
+    assert!(
+        marginal <= PROBED_MARGINAL_ALLOCS_PER_PRESS,
+        "probed loop allocates {marginal:.1} times per user press \
+         (budget {PROBED_MARGINAL_ALLOCS_PER_PRESS}; short run {short}, long run {long})"
+    );
+    assert_eq!(
+        short,
+        probed_run_allocs(60),
+        "same-seed probed runs allocated differently"
     );
 
     // Warm-up builds the shared specification machine, which every later

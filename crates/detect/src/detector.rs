@@ -78,7 +78,7 @@ pub trait Detector {
 /// ));
 /// let mut bank = DetectorBank::new();
 /// bank.add(modes);
-/// let mode = |c: &str, m: &str| Observation::new(
+/// let mode = |c: &'static str, m: &'static str| Observation::new(
 ///     SimTime::ZERO, c,
 ///     ObservationKind::Mode { component: c.into(), mode: m.into() },
 /// );

@@ -10,6 +10,7 @@
 use crate::detector::{Detector, ErrorEvent, ErrorSeverity};
 use observe::{Observation, ObservationKind};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A declarative consistency rule: **when** `component` is in `mode`,
@@ -17,25 +18,25 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConsistencyRule {
     /// Rule name (for error messages).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The triggering component.
-    pub component: String,
+    pub component: Cow<'static, str>,
     /// The triggering mode.
-    pub mode: String,
+    pub mode: Cow<'static, str>,
     /// The constrained peer component.
-    pub peer: String,
+    pub peer: Cow<'static, str>,
     /// Modes the peer may legally be in.
-    pub allowed_modes: Vec<String>,
+    pub allowed_modes: Vec<Cow<'static, str>>,
 }
 
 impl ConsistencyRule {
     /// Creates a rule.
     pub fn new(
-        name: impl Into<String>,
-        component: impl Into<String>,
-        mode: impl Into<String>,
-        peer: impl Into<String>,
-        allowed_modes: impl IntoIterator<Item = impl Into<String>>,
+        name: impl Into<Cow<'static, str>>,
+        component: impl Into<Cow<'static, str>>,
+        mode: impl Into<Cow<'static, str>>,
+        peer: impl Into<Cow<'static, str>>,
+        allowed_modes: impl IntoIterator<Item = impl Into<Cow<'static, str>>>,
     ) -> Self {
         ConsistencyRule {
             name: name.into(),
@@ -58,7 +59,7 @@ impl ConsistencyRule {
 /// d.add_rule(ConsistencyRule::new(
 ///     "txt-sync", "ui", "teletext", "decoder", ["teletext"],
 /// ));
-/// let mode = |c: &str, m: &str, t: u64| Observation::new(
+/// let mode = |c: &'static str, m: &'static str, t: u64| Observation::new(
 ///     SimTime::from_millis(t), c,
 ///     ObservationKind::Mode { component: c.into(), mode: m.into() },
 /// );
@@ -70,7 +71,7 @@ impl ConsistencyRule {
 #[derive(Debug, Clone, Default)]
 pub struct ModeConsistencyDetector {
     rules: Vec<ConsistencyRule>,
-    modes: BTreeMap<String, String>,
+    modes: BTreeMap<Cow<'static, str>, Cow<'static, str>>,
     violations: u64,
 }
 
@@ -87,7 +88,7 @@ impl ModeConsistencyDetector {
 
     /// The current known mode of a component.
     pub fn mode_of(&self, component: &str) -> Option<&str> {
-        self.modes.get(component).map(String::as_str)
+        self.modes.get(component).map(|mode| &**mode)
     }
 
     /// Rule violations raised so far.
@@ -148,7 +149,7 @@ mod tests {
     use super::*;
     use simkit::SimTime;
 
-    fn mode(c: &str, m: &str, t: u64) -> Observation {
+    fn mode(c: &'static str, m: &'static str, t: u64) -> Observation {
         Observation::new(
             SimTime::from_millis(t),
             c,

@@ -102,7 +102,7 @@ mod tests {
     use super::*;
     use observe::ObservationKind;
 
-    fn heartbeat(source: &str, at_ms: u64) -> Observation {
+    fn heartbeat(source: &'static str, at_ms: u64) -> Observation {
         Observation::new(
             SimTime::from_millis(at_ms),
             source,

@@ -188,7 +188,7 @@ impl MediaPlayer {
             self.now,
             "player",
             ObservationKind::KeyPress {
-                key: cmd.to_owned(),
+                key: cmd.to_owned().into(),
                 code: None,
             },
         )];

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A value carried by an observation or output.
@@ -9,8 +10,9 @@ use std::fmt;
 pub enum ObsValue {
     /// A numeric value.
     Num(f64),
-    /// A symbolic value (e.g. a mode name).
-    Text(String),
+    /// A symbolic value (e.g. a mode name): borrowed when it is a
+    /// literal of the observed system's vocabulary.
+    Text(Cow<'static, str>),
 }
 
 impl ObsValue {
@@ -30,14 +32,13 @@ impl ObsValue {
         }
     }
 
-    /// Overwrites `self` with `source`, reusing the existing `Text`
-    /// buffer when both sides are symbolic — the allocation-free
+    /// Overwrites `self` with `source`, reusing the existing owned
+    /// `Text` buffer when both sides are owned text — the allocation-free
     /// assignment the loop hot path uses to refresh its mirrored system
-    /// state on every press (`Clone::clone_from` would still allocate a
-    /// fresh `String` per update).
+    /// state on every press. Borrowed text is copied as a pointer.
     pub fn assign_from(&mut self, source: &ObsValue) {
         match (self, source) {
-            (ObsValue::Text(dst), ObsValue::Text(src)) => {
+            (ObsValue::Text(Cow::Owned(dst)), ObsValue::Text(Cow::Owned(src))) => {
                 dst.clear();
                 dst.push_str(src);
             }
@@ -68,15 +69,15 @@ impl From<i64> for ObsValue {
     }
 }
 
-impl From<&str> for ObsValue {
-    fn from(s: &str) -> Self {
-        ObsValue::Text(s.to_owned())
+impl From<&'static str> for ObsValue {
+    fn from(s: &'static str) -> Self {
+        ObsValue::Text(Cow::Borrowed(s))
     }
 }
 
 impl From<String> for ObsValue {
     fn from(s: String) -> Self {
-        ObsValue::Text(s)
+        ObsValue::Text(Cow::Owned(s))
     }
 }
 
@@ -89,7 +90,10 @@ impl fmt::Display for ObsValue {
     }
 }
 
-/// What was observed.
+/// What was observed. Names are `Cow<'static, str>`: a system whose
+/// vocabulary is a closed set of literals emits them borrowed, so
+/// cloning an observation copies pointers, not strings; names built at
+/// run time travel owned.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ObservationKind {
     /// A user input (remote-control key press), with an optional key
@@ -97,28 +101,28 @@ pub enum ObservationKind {
     /// as event payload.
     KeyPress {
         /// Event name (e.g. `"vol_up"`, `"digit"`).
-        key: String,
+        key: Cow<'static, str>,
         /// Key code payload (e.g. the digit value).
         code: Option<i64>,
     },
     /// A component changed mode.
     Mode {
         /// Component name.
-        component: String,
+        component: Cow<'static, str>,
         /// New mode.
-        mode: String,
+        mode: Cow<'static, str>,
     },
     /// A named internal value was sampled.
     Value {
         /// Value name.
-        name: String,
+        name: Cow<'static, str>,
         /// Sampled value.
         value: f64,
     },
     /// An externally visible output (what the user perceives).
     Output {
         /// Output name (e.g. `"volume"`, `"screen.mode"`).
-        name: String,
+        name: Cow<'static, str>,
         /// Output value.
         value: ObsValue,
     },
@@ -130,14 +134,14 @@ pub struct Observation {
     /// When it was observed.
     pub time: SimTime,
     /// Which subsystem produced it.
-    pub source: String,
+    pub source: Cow<'static, str>,
     /// The observed fact.
     pub kind: ObservationKind,
 }
 
 impl Observation {
     /// Creates an observation.
-    pub fn new(time: SimTime, source: impl Into<String>, kind: ObservationKind) -> Self {
+    pub fn new(time: SimTime, source: impl Into<Cow<'static, str>>, kind: ObservationKind) -> Self {
         Observation {
             time,
             source: source.into(),
@@ -164,8 +168,8 @@ impl Observation {
     /// Builds a key-press observation.
     pub fn key_press(
         time: SimTime,
-        source: impl Into<String>,
-        key: impl Into<String>,
+        source: impl Into<Cow<'static, str>>,
+        key: impl Into<Cow<'static, str>>,
         code: Option<i64>,
     ) -> Self {
         Observation::new(

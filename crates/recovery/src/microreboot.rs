@@ -21,11 +21,58 @@
 
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// A unit's state snapshot: named scalar values (the lowest common
-/// denominator the fault-tolerance library serializes).
-pub type Snapshot = BTreeMap<String, f64>;
+/// denominator the fault-tolerance library serializes). It derefs to
+/// its map. Keys are `Cow<'static, str>`, so a unit whose state names
+/// are literals checkpoints without copying them; names built at run
+/// time are stored owned.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Snapshot(BTreeMap<Cow<'static, str>, f64>);
+
+impl Snapshot {
+    /// An empty snapshot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Deref for Snapshot {
+    type Target = BTreeMap<Cow<'static, str>, f64>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Snapshot {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl From<BTreeMap<Cow<'static, str>, f64>> for Snapshot {
+    fn from(map: BTreeMap<Cow<'static, str>, f64>) -> Self {
+        Snapshot(map)
+    }
+}
+
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, f64)> for Snapshot {
+    fn from_iter<I: IntoIterator<Item = (K, f64)>>(pairs: I) -> Self {
+        Snapshot(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+/// Prints as the bare map, like the `BTreeMap<String, f64>` it replaced.
+impl fmt::Debug for Snapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -280,7 +327,7 @@ pub fn seal_fingerprint(
     }
     mix_u64(time.as_nanos(), &mut h);
     mix_u64(generation, &mut h);
-    for (key, value) in state {
+    for (key, value) in state.iter() {
         for b in key.as_bytes() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(FNV_PRIME);

@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// An event delivered to (or emitted by) a machine.
@@ -15,8 +16,9 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
-    /// Event name, matched against [`Trigger::On`](crate::Trigger::On).
-    pub name: String,
+    /// Event name, matched against [`Trigger::On`](crate::Trigger::On);
+    /// borrowed when it is a literal, so cloning the event is cheap.
+    pub name: Cow<'static, str>,
     /// Optional payload, readable by guards/actions via
     /// [`Expr::Payload`](crate::Expr::Payload).
     pub payload: Option<Value>,
@@ -24,7 +26,7 @@ pub struct Event {
 
 impl Event {
     /// Creates a payload-less event.
-    pub fn plain(name: impl Into<String>) -> Self {
+    pub fn plain(name: impl Into<Cow<'static, str>>) -> Self {
         Event {
             name: name.into(),
             payload: None,
@@ -32,7 +34,7 @@ impl Event {
     }
 
     /// Creates an event carrying a payload.
-    pub fn with_payload(name: impl Into<String>, payload: impl Into<Value>) -> Self {
+    pub fn with_payload(name: impl Into<Cow<'static, str>>, payload: impl Into<Value>) -> Self {
         Event {
             name: name.into(),
             payload: Some(payload.into()),

@@ -476,7 +476,7 @@ impl<'m> Executor<'m> {
                     },
                 };
                 self.internal.push_back(Event {
-                    name: name.clone(),
+                    name: name.clone().into(),
                     payload,
                 });
             }

@@ -101,18 +101,18 @@ impl ChannelTuner {
 
     /// Micro-reboot checkpoint: channel state plus the child-lock set
     /// (one `locked.N` key per locked channel).
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("current".to_string(), self.current as f64);
-        s.insert("previous".to_string(), self.previous as f64);
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("current".into(), self.current as f64);
+        s.insert("previous".into(), self.previous as f64);
         for ch in &self.locked {
-            s.insert(format!("locked.{ch}"), 1.0);
+            s.insert(format!("locked.{ch}").into(), 1.0);
         }
         s
     }
 
     /// Micro-reboot restore: rebuilds the tuner from a checkpoint.
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         let d = ChannelTuner::default();
         self.current = s
             .get("current")

@@ -91,22 +91,19 @@ impl SleepTimer {
 
     /// Micro-reboot checkpoint: configured minutes plus the armed expiry
     /// instant (nanoseconds; `armed` gates it).
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("minutes".to_string(), self.minutes as f64);
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("minutes".into(), self.minutes as f64);
+        s.insert("armed".into(), f64::from(u8::from(self.fires_at.is_some())));
         s.insert(
-            "armed".to_string(),
-            f64::from(u8::from(self.fires_at.is_some())),
-        );
-        s.insert(
-            "fires_at_ns".to_string(),
+            "fires_at_ns".into(),
             self.fires_at.map_or(0.0, |t| t.as_nanos() as f64),
         );
         s
     }
 
     /// Micro-reboot restore: rebuilds the timer from a checkpoint.
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         self.minutes = s
             .get("minutes")
             .map_or(0, |v| (*v as u64).min(SLEEP_MAX_MIN));
@@ -176,16 +173,16 @@ impl Swivel {
     }
 
     /// Micro-reboot checkpoint: the motor angle.
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("angle".to_string(), self.angle as f64);
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("angle".into(), self.angle as f64);
         s
     }
 
     /// Micro-reboot restore: rebuilds the swivel from a checkpoint. The
     /// command is re-based on the restored angle — a reboot clears any
     /// pending (possibly fault-swallowed) motion.
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         self.angle = s
             .get("angle")
             .map_or(0, |v| (*v as i64).clamp(-SWIVEL_MAX, SWIVEL_MAX));

@@ -47,26 +47,28 @@ impl FeatureCtx<'_> {
         self.cov.exec(op, variant);
     }
 
-    /// Emits an output observation.
-    pub fn output(&mut self, name: &str, value: impl Into<ObsValue>) {
+    /// Emits an output observation. Output names are the TV's fixed
+    /// vocabulary, so they travel borrowed.
+    pub fn output(&mut self, name: &'static str, value: impl Into<ObsValue>) {
         self.obs.push(Observation::new(
             self.now,
             "tv",
             ObservationKind::Output {
-                name: name.to_owned(),
+                name: name.into(),
                 value: value.into(),
             },
         ));
     }
 
-    /// Emits a component-mode observation.
-    pub fn mode(&mut self, component: &str, mode: &str) {
+    /// Emits a component-mode observation, borrowed like
+    /// [`FeatureCtx::output`].
+    pub fn mode(&mut self, component: &'static str, mode: &'static str) {
         self.obs.push(Observation::new(
             self.now,
             component,
             ObservationKind::Mode {
-                component: component.to_owned(),
-                mode: mode.to_owned(),
+                component: component.into(),
+                mode: mode.into(),
             },
         ));
     }

@@ -178,18 +178,18 @@ impl ScreenManager {
     }
 
     /// Micro-reboot checkpoint: OSD flags, composition, input source.
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("menu_open".to_string(), f64::from(u8::from(self.menu_open)));
-        s.insert("epg_open".to_string(), f64::from(u8::from(self.epg_open)));
-        s.insert("dual".to_string(), f64::from(u8::from(self.dual)));
-        s.insert("pip".to_string(), f64::from(u8::from(self.pip)));
-        s.insert("source".to_string(), self.source as f64);
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("menu_open".into(), f64::from(u8::from(self.menu_open)));
+        s.insert("epg_open".into(), f64::from(u8::from(self.epg_open)));
+        s.insert("dual".into(), f64::from(u8::from(self.dual)));
+        s.insert("pip".into(), f64::from(u8::from(self.pip)));
+        s.insert("source".into(), self.source as f64);
         s
     }
 
     /// Micro-reboot restore: rebuilds the manager from a checkpoint.
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         let d = ScreenManager::default();
         self.menu_open = s.get("menu_open").map_or(d.menu_open, |v| *v != 0.0);
         self.epg_open = s.get("epg_open").map_or(d.epg_open, |v| *v != 0.0);

@@ -200,23 +200,23 @@ impl Teletext {
 
     /// Micro-reboot checkpoint: UI/decoder modes, page, and the partial
     /// digit-entry buffer.
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("ui_on".to_string(), f64::from(u8::from(self.ui_on)));
-        s.insert("page".to_string(), self.page as f64);
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("ui_on".into(), f64::from(u8::from(self.ui_on)));
+        s.insert("page".into(), self.page as f64);
         s.insert(
-            "decoder_in_teletext".to_string(),
+            "decoder_in_teletext".into(),
             f64::from(u8::from(self.decoder_in_teletext)),
         );
-        s.insert("entry.len".to_string(), self.entry.len() as f64);
+        s.insert("entry.len".into(), self.entry.len() as f64);
         for (i, d) in self.entry.iter().enumerate() {
-            s.insert(format!("entry.{i}"), f64::from(*d));
+            s.insert(format!("entry.{i}").into(), f64::from(*d));
         }
         s
     }
 
     /// Micro-reboot restore: rebuilds the feature from a checkpoint.
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         let d = Teletext::default();
         self.ui_on = s.get("ui_on").map_or(d.ui_on, |v| *v != 0.0);
         self.page = s
@@ -227,7 +227,7 @@ impl Teletext {
             .map_or(d.decoder_in_teletext, |v| *v != 0.0);
         let len = s.get("entry.len").map_or(0, |v| (*v as usize).min(2));
         self.entry = (0..len)
-            .filter_map(|i| s.get(&format!("entry.{i}")).map(|v| *v as u8))
+            .filter_map(|i| s.get(format!("entry.{i}").as_str()).map(|v| *v as u8))
             .collect();
     }
 

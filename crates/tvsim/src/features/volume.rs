@@ -106,16 +106,16 @@ impl Volume {
 
     /// Micro-reboot checkpoint: the complete feature state as key/value
     /// pairs.
-    pub fn snapshot(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut s = std::collections::BTreeMap::new();
-        s.insert("level".to_string(), self.level as f64);
-        s.insert("muted".to_string(), f64::from(u8::from(self.muted)));
+    pub fn snapshot(&self) -> crate::UnitState {
+        let mut s = crate::UnitState::new();
+        s.insert("level".into(), self.level as f64);
+        s.insert("muted".into(), f64::from(u8::from(self.muted)));
         s
     }
 
     /// Micro-reboot restore: rebuilds the feature from a checkpoint
     /// (missing keys fall back to factory defaults).
-    pub fn restore(&mut self, s: &std::collections::BTreeMap<String, f64>) {
+    pub fn restore(&mut self, s: &crate::UnitState) {
         let d = Volume::default();
         self.level = (s.get("level").map_or(d.level, |v| *v as i64)).clamp(0, 100);
         self.muted = s.get("muted").map_or(d.muted, |v| *v != 0.0);

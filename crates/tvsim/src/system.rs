@@ -11,6 +11,7 @@ use crate::features::FeatureCtx;
 use crate::remote::Key;
 use observe::{BlockSnapshot, Observation, ObservationKind};
 use simkit::SimTime;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// An independently restartable pipeline unit: the micro-reboot
@@ -56,10 +57,10 @@ impl Unit {
     }
 }
 
-/// A unit's checkpointable state as key/value pairs — structurally the
-/// same map `recovery::Snapshot` uses, without a dependency edge on the
-/// recovery crate.
-pub type UnitState = BTreeMap<String, f64>;
+/// A unit's checkpointable state as key/value pairs — the map a
+/// `recovery::Snapshot` wraps, without a dependency edge on the
+/// recovery crate. Fixed state names are borrowed literals.
+pub type UnitState = BTreeMap<Cow<'static, str>, f64>;
 
 /// The executable TV control software: the paper's System Under
 /// Observation for all TV-domain experiments.
@@ -231,7 +232,7 @@ impl TvSystem {
             now,
             "remote",
             ObservationKind::KeyPress {
-                key: key.event_name().to_owned(),
+                key: key.event_name().into(),
                 code: key.payload(),
             },
         )];
@@ -377,19 +378,19 @@ impl TvSystem {
     /// `sleep.timer` source. Under [`TvFault::SleepTimerLost`] the
     /// mis-programmed wheel is silent — exactly the silence a heartbeat
     /// deadline monitor alarms on.
-    /// Empty when the set is off or no timer is armed.
-    pub fn timer_heartbeat(&mut self, now: SimTime) -> Vec<Observation> {
+    /// `None` when the set is off or no timer is armed.
+    pub fn timer_heartbeat(&mut self, now: SimTime) -> Option<Observation> {
         if !self.on || !self.sleep.is_armed() || self.faults.is_active(TvFault::SleepTimerLost) {
-            return Vec::new();
+            return None;
         }
-        vec![Observation::new(
+        Some(Observation::new(
             now,
             "sleep.timer",
             ObservationKind::Value {
                 name: "sleep.heartbeat".into(),
                 value: self.sleep.minutes() as f64,
             },
-        )]
+        ))
     }
 
     /// Samples the swivel mode witness: command-vs-actuation
@@ -633,20 +634,19 @@ mod tests {
     fn timer_heartbeat_tracks_arming_and_fault() {
         let mut tv = on_tv();
         assert!(
-            tv.timer_heartbeat(SimTime::ZERO).is_empty(),
+            tv.timer_heartbeat(SimTime::ZERO).is_none(),
             "no heartbeat while disarmed"
         );
         tv.press(SimTime::ZERO, Key::Sleep);
         let hb = tv.timer_heartbeat(SimTime::from_millis(50));
-        assert_eq!(hb.len(), 1);
-        assert_eq!(hb[0].source, "sleep.timer");
+        assert_eq!(hb.expect("armed timer beats").source, "sleep.timer");
         tv.inject_fault(TvFault::SleepTimerLost);
         assert!(
-            tv.timer_heartbeat(SimTime::from_millis(100)).is_empty(),
+            tv.timer_heartbeat(SimTime::from_millis(100)).is_none(),
             "the lost interrupt silences the heartbeat"
         );
         tv.clear_fault(TvFault::SleepTimerLost);
-        assert_eq!(tv.timer_heartbeat(SimTime::from_millis(150)).len(), 1);
+        assert!(tv.timer_heartbeat(SimTime::from_millis(150)).is_some());
     }
 
     #[test]

@@ -77,14 +77,14 @@ impl Printer {
             at,
             "printer",
             ObservationKind::Output {
-                name: name.to_owned(),
+                name: name.to_owned().into(),
                 value,
             },
         )
     }
 
     fn handle(&mut self, at: SimTime, event: &str) -> Vec<Observation> {
-        let mut out = vec![Observation::key_press(at, "panel", event, None)];
+        let mut out = vec![Observation::key_press(at, "panel", event.to_owned(), None)];
         match event {
             "wake" => {
                 out.push(self.emit(at, "printer.state", "warming".into()));

@@ -38,7 +38,7 @@ fn model_to_model_with_lossy_boundary() {
                 *at,
                 "suo",
                 ObservationKind::Output {
-                    name: out.name,
+                    name: out.name.into(),
                     value: to_obs_value(out.value),
                 },
             ));
