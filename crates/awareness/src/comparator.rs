@@ -182,11 +182,6 @@ impl Comparator {
         self.enabled = enabled;
     }
 
-    /// True when comparison is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Activity counters.
     pub fn stats(&self) -> &ComparatorStats {
         &self.stats
@@ -348,7 +343,6 @@ mod tests {
         let mut c = Comparator::new(Configuration::new());
         c.set_expected("v", num(1.0));
         c.set_enabled(false);
-        assert!(!c.is_enabled());
         assert!(c.observe(SimTime::ZERO, "v", num(9.0)).is_none());
         assert_eq!(c.stats().skipped_disabled, 1);
         c.set_enabled(true);

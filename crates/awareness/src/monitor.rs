@@ -645,14 +645,6 @@ impl<'m> AwarenessMonitor<'m> {
         self.supervision.as_ref().map(|s| s.supervisor.report())
     }
 
-    /// The current degradation mode ([`DegradationMode::Normal`] for an
-    /// unsupervised monitor).
-    pub fn degradation_mode(&self) -> DegradationMode {
-        self.supervision
-            .as_ref()
-            .map_or(DegradationMode::Normal, |s| s.supervisor.mode())
-    }
-
     /// Leaves safe mode (operator intervention); no-op when the monitor
     /// is unsupervised or not in safe mode.
     pub fn leave_safe_mode(&mut self) {
@@ -668,26 +660,9 @@ impl<'m> AwarenessMonitor<'m> {
         self.channel_epoch
     }
 
-    /// The checkpoint vault the micro-reboot rung restores from, when
-    /// supervision is enabled.
-    pub fn checkpoint_vault(&self) -> Option<&CheckpointVault> {
-        self.supervision.as_ref().map(|s| &s.vault)
-    }
-
-    /// Mutable vault access — lets a test corrupt or tear checkpoints to
-    /// exercise the generation-by-generation fallback.
-    pub fn checkpoint_vault_mut(&mut self) -> Option<&mut CheckpointVault> {
-        self.supervision.as_mut().map(|s| &mut s.vault)
-    }
-
     /// Stops the monitor; offered observations are dropped.
     pub fn stop(&mut self) {
         self.running = false;
-    }
-
-    /// Resets comparator state (e.g. after recovery).
-    pub fn reset_comparator(&mut self) {
-        self.comparator.reset();
     }
 
     /// Current monitor time.
@@ -727,6 +702,18 @@ mod tests {
                 value: ObsValue::Num(v),
             },
         )
+    }
+
+    /// The supervisor's degradation mode; `Normal` when unsupervised.
+    fn mode(mon: &AwarenessMonitor) -> DegradationMode {
+        mon.supervision
+            .as_ref()
+            .map_or(DegradationMode::Normal, |s| s.supervisor.mode())
+    }
+
+    /// The checkpoint vault of a supervised monitor.
+    fn vault<'a>(mon: &'a AwarenessMonitor<'_>) -> &'a CheckpointVault {
+        &mon.supervision.as_ref().expect("supervised").vault
     }
 
     fn load(at_ms: u64) -> Observation {
@@ -1079,11 +1066,11 @@ mod tests {
         for ms in (0..500).step_by(100) {
             mon.advance_to(SimTime::from_millis(ms));
         }
-        assert_eq!(mon.degradation_mode(), DegradationMode::Normal);
+        assert_eq!(mode(&mon), DegradationMode::Normal);
         // The monitor loop starves: pumps come rarer than the stall
         // bound, persistently.
         let mut t = 500;
-        while mon.degradation_mode() != DegradationMode::SafeMode {
+        while mode(&mon) != DegradationMode::SafeMode {
             t += 700;
             mon.advance_to(SimTime::from_millis(t));
             assert!(t < 60_000, "ladder must reach safe mode");
@@ -1100,10 +1087,10 @@ mod tests {
         mon.offer(&light(t + 10, 55.0));
         mon.advance_to(SimTime::from_millis(t + 20));
         assert!(mon.errors().is_empty());
-        assert_eq!(mon.degradation_mode(), DegradationMode::SafeMode);
+        assert_eq!(mode(&mon), DegradationMode::SafeMode);
         // Operator intervention restores full checking.
         mon.leave_safe_mode();
-        assert_eq!(mon.degradation_mode(), DegradationMode::Normal);
+        assert_eq!(mode(&mon), DegradationMode::Normal);
         mon.offer(&key(t + 100));
         mon.offer(&light(t + 100, 55.0));
         mon.advance_to(SimTime::from_millis(t + 120));
@@ -1127,8 +1114,8 @@ mod tests {
         for ms in (0..2100).step_by(100) {
             mon.advance_to(SimTime::from_millis(ms));
         }
-        let vault = mon.checkpoint_vault().expect("micro-reboot vault");
-        assert!(vault.count(MONITOR_UNIT) >= 2, "{:?}", vault.stats());
+        let banked = vault(&mon);
+        assert!(banked.count(MONITOR_UNIT) >= 2, "{:?}", banked.stats());
         // Starve the loop: Retry, two channel restarts, then the budget
         // runs out and the micro-reboot rung fires.
         let mut t = 2100;
@@ -1149,7 +1136,7 @@ mod tests {
         // past it — not one past the two restart-rung epochs.
         assert_eq!(mon.channel_epoch(), 1);
         assert_eq!(
-            mon.checkpoint_vault().unwrap().stats().restored,
+            vault(&mon).stats().restored,
             1,
             "exactly one generation consumed"
         );
@@ -1159,7 +1146,7 @@ mod tests {
         for step in 1..=3 {
             mon.advance_to(SimTime::from_millis(t + step * 100));
         }
-        assert_eq!(mon.degradation_mode(), DegradationMode::Normal);
+        assert_eq!(mode(&mon), DegradationMode::Normal);
         // …and the monitor keeps vouching after the micro-reboot: a
         // mismatch is still detected.
         mon.offer(&key(t + 400));
@@ -1181,11 +1168,11 @@ mod tests {
             .build();
         // One healthy window → exactly one checkpoint banked.
         mon.advance_to(SimTime::from_millis(100));
-        let vault = mon.checkpoint_vault_mut().expect("vault");
-        assert_eq!(vault.count(MONITOR_UNIT), 1);
+        let banked = &mut mon.supervision.as_mut().expect("supervised").vault;
+        assert_eq!(banked.count(MONITOR_UNIT), 1);
         // Chaos corrupts the sole generation; the fingerprint must catch
         // it on restore and the rung must escalate to a full restart.
-        assert!(vault.corrupt_latest(MONITOR_UNIT, 3));
+        assert!(banked.corrupt_latest(MONITOR_UNIT, 3));
         let mut t = 100;
         loop {
             t += 700;
@@ -1198,13 +1185,13 @@ mod tests {
         }
         assert_eq!(tel.counter("awareness.monitor.micro_reboot_escalations"), 1);
         assert_eq!(tel.counter("awareness.monitor.micro_reboots"), 0);
-        assert_eq!(mon.checkpoint_vault().unwrap().stats().corrupt_detected, 1);
+        assert_eq!(vault(&mon).stats().corrupt_detected, 1);
         // The fallback was the full-restart rung, so the model executor
         // was rebuilt and the controller bounced — the monitor survives.
         for step in 1..=3 {
             mon.advance_to(SimTime::from_millis(t + step * 100));
         }
-        assert_eq!(mon.degradation_mode(), DegradationMode::Normal);
+        assert_eq!(mode(&mon), DegradationMode::Normal);
         mon.offer(&key(t + 400));
         mon.offer(&light(t + 400, 0.0));
         mon.advance_to(SimTime::from_millis(t + 500));
@@ -1217,7 +1204,7 @@ mod tests {
         let mut mon = MonitorBuilder::new(&m).build();
         mon.advance_to(SimTime::from_millis(10));
         mon.advance_to(SimTime::from_secs(100));
-        assert_eq!(mon.degradation_mode(), DegradationMode::Normal);
+        assert_eq!(mode(&mon), DegradationMode::Normal);
         assert!(mon.supervisor_report().is_none());
     }
 
@@ -1270,18 +1257,5 @@ mod tests {
         cov.hit(1);
         mon.record_coverage(&cov.snapshot_and_reset()); // no-op
         assert!(mon.diagnosis().is_none());
-    }
-
-    #[test]
-    fn reset_comparator_clears_streaks() {
-        let m = toggle_machine();
-        let mut mon = MonitorBuilder::new(&m).build();
-        mon.offer(&key(10));
-        mon.offer(&light(10, 0.0));
-        mon.advance_to(SimTime::from_millis(15));
-        assert_eq!(mon.drain_errors().len(), 1);
-        mon.reset_comparator();
-        mon.advance_to(SimTime::from_millis(20));
-        assert!(mon.errors().is_empty());
     }
 }

@@ -447,11 +447,6 @@ impl<T> ReliableChannel<T> {
         (self.stats.accepted - self.stats.delivered) as usize
     }
 
-    /// Frames currently buffered out of order at the receiver.
-    pub fn reorder_buffered(&self) -> usize {
-        self.reorder.len()
-    }
-
     /// Frames transmitted but not yet acknowledged.
     pub fn unacknowledged(&self) -> usize {
         self.unacked.len()
@@ -706,7 +701,7 @@ mod tests {
             got.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
             (0..60).collect::<Vec<_>>()
         );
-        assert!(ch.reorder_buffered() <= 2);
+        assert!(ch.reorder.len() <= 2);
         conservation(&ch);
     }
 

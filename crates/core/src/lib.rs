@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::scenario::TimedScenario;
     pub use crate::{experiments, faults};
     pub use awareness::{AwarenessMonitor, Comparator, CompareSpec, Configuration, MonitorBuilder};
-    pub use detect::{ConsistencyRule, Detector, DetectorBank, ModeConsistencyDetector};
+    pub use detect::{ConsistencyRule, Detector, ModeConsistencyDetector};
     pub use observe::{ObsValue, Observation, ObservationKind};
     pub use simkit::{SimDuration, SimRng, SimTime};
     pub use spectra::{Coefficient, Diagnoser};

@@ -1,4 +1,4 @@
-//! The detector abstraction and the bank that hosts many of them.
+//! The detector abstraction and the errors detectors raise.
 
 use observe::Observation;
 use serde::{Deserialize, Serialize};
@@ -65,124 +65,9 @@ pub trait Detector {
     }
 }
 
-/// A group of detectors fed from one observation stream.
-///
-/// ```
-/// use detect::{ConsistencyRule, DetectorBank, ModeConsistencyDetector};
-/// use observe::{Observation, ObservationKind};
-/// use simkit::SimTime;
-///
-/// let mut modes = ModeConsistencyDetector::new();
-/// modes.add_rule(ConsistencyRule::new(
-///     "txt-sync", "ui", "teletext", "decoder", ["teletext"],
-/// ));
-/// let mut bank = DetectorBank::new();
-/// bank.add(modes);
-/// let mode = |c: &'static str, m: &'static str| Observation::new(
-///     SimTime::ZERO, c,
-///     ObservationKind::Mode { component: c.into(), mode: m.into() },
-/// );
-/// // A rule is checkable only once both components report a mode.
-/// assert!(bank.observe(&mode("decoder", "video")).is_empty());
-/// let errs = bank.observe(&mode("ui", "teletext"));
-/// assert_eq!(errs.len(), 1);
-/// ```
-#[derive(Default)]
-pub struct DetectorBank {
-    detectors: Vec<Box<dyn Detector>>,
-    raised: u64,
-}
-
-impl fmt::Debug for DetectorBank {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DetectorBank")
-            .field("detectors", &self.detectors.len())
-            .field("raised", &self.raised)
-            .finish()
-    }
-}
-
-impl DetectorBank {
-    /// Creates an empty bank.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a detector.
-    pub fn add(&mut self, detector: impl Detector + 'static) {
-        self.detectors.push(Box::new(detector));
-    }
-
-    /// Number of hosted detectors.
-    pub fn len(&self) -> usize {
-        self.detectors.len()
-    }
-
-    /// True when the bank hosts no detectors.
-    pub fn is_empty(&self) -> bool {
-        self.detectors.is_empty()
-    }
-
-    /// Total errors raised through this bank.
-    pub fn raised(&self) -> u64 {
-        self.raised
-    }
-
-    /// Fans one observation out to every detector.
-    pub fn observe(&mut self, observation: &Observation) -> Vec<ErrorEvent> {
-        let mut out = Vec::new();
-        for d in &mut self.detectors {
-            out.extend(d.observe(observation));
-        }
-        self.raised += out.len() as u64;
-        out
-    }
-
-    /// Ticks every detector.
-    pub fn tick(&mut self, now: SimTime) -> Vec<ErrorEvent> {
-        let mut out = Vec::new();
-        for d in &mut self.detectors {
-            out.extend(d.tick(now));
-        }
-        self.raised += out.len() as u64;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Always;
-    impl Detector for Always {
-        fn name(&self) -> &str {
-            "always"
-        }
-        fn observe(&mut self, observation: &Observation) -> Vec<ErrorEvent> {
-            vec![ErrorEvent {
-                time: observation.time,
-                detector: "always".into(),
-                description: "err".into(),
-                severity: ErrorSeverity::Minor,
-            }]
-        }
-    }
-
-    fn obs() -> Observation {
-        Observation::key_press(SimTime::from_millis(3), "x", "ok", None)
-    }
-
-    #[test]
-    fn bank_fans_out_and_counts() {
-        let mut bank = DetectorBank::new();
-        bank.add(Always);
-        bank.add(Always);
-        assert_eq!(bank.len(), 2);
-        let errs = bank.observe(&obs());
-        assert_eq!(errs.len(), 2);
-        assert_eq!(bank.raised(), 2);
-        assert!(bank.tick(SimTime::ZERO).is_empty());
-    }
 
     #[test]
     fn severity_ordering() {

@@ -11,10 +11,11 @@
 //!   et al. that "turned out to be successful to detect teletext problems
 //!   due to a loss of synchronization between components".
 //!
-//! All detectors implement [`Detector`] and can be grouped in a
-//! [`DetectorBank`] that fans observations out and collects
-//! [`ErrorEvent`]s — the paper's point that a complex system hosts
-//! *several* awareness monitors for different aspects and fault classes.
+//! All detectors implement [`Detector`] and report [`ErrorEvent`]s. The
+//! closed loop runs its detectors side by side — the model comparator,
+//! the mode detector and the sleep-timer deadline monitor — the paper's
+//! point that a complex system hosts *several* awareness monitors for
+//! different aspects and fault classes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +26,6 @@ pub mod mode_consistency;
 pub mod watchdog;
 
 pub use deadlock::{DeadlockDetector, WaitForGraph};
-pub use detector::{Detector, DetectorBank, ErrorEvent, ErrorSeverity};
+pub use detector::{Detector, ErrorEvent, ErrorSeverity};
 pub use mode_consistency::{ConsistencyRule, ModeConsistencyDetector};
 pub use watchdog::WatchdogDetector;

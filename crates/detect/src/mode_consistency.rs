@@ -86,11 +86,6 @@ impl ModeConsistencyDetector {
         self.rules.push(rule);
     }
 
-    /// The current known mode of a component.
-    pub fn mode_of(&self, component: &str) -> Option<&str> {
-        self.modes.get(component).map(|mode| &**mode)
-    }
-
     /// Rule violations raised so far.
     pub fn violations(&self) -> u64 {
         self.violations
@@ -171,7 +166,7 @@ mod tests {
         assert!(d.observe(&mode("decoder", "teletext", 0)).is_empty());
         assert!(d.observe(&mode("ui", "teletext", 1)).is_empty());
         assert_eq!(d.violations(), 0);
-        assert_eq!(d.mode_of("ui"), Some("teletext"));
+        assert_eq!(d.modes.get("ui").map(|mode| &**mode), Some("teletext"));
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub struct MediaPlayer {
     now: SimTime,
     rendered: u64,
     late: u64,
-    dropped: u64,
     pause_ignored: bool,
 }
 
@@ -106,7 +105,6 @@ impl MediaPlayer {
             now: SimTime::ZERO,
             rendered: 0,
             late: 0,
-            dropped: 0,
             pause_ignored: false,
         }
     }
@@ -137,11 +135,6 @@ impl MediaPlayer {
     /// Frames rendered late (visible stutter).
     pub fn frames_late(&self) -> u64 {
         self.late
-    }
-
-    /// Frames dropped (unconcealable corruption).
-    pub fn frames_dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Current stream position (frame index).
@@ -210,7 +203,7 @@ impl MediaPlayer {
     }
 
     /// Plays up to `n` frame periods, returning observations (rendered
-    /// frame heartbeats with their lateness, drops, end-of-stream).
+    /// frame heartbeats, late frames, end-of-stream).
     pub fn run_frames(&mut self, n: u64) -> Vec<Observation> {
         let mut obs = Vec::new();
         for _ in 0..n {
@@ -269,9 +262,6 @@ impl MediaPlayer {
                         },
                     ));
                 }
-            }
-            if corrupt && self.config.corrupt_decode_factor > 3.0 {
-                self.dropped += 1;
             }
             self.position += 1;
             self.now = deadline;

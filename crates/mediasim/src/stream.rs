@@ -38,21 +38,9 @@ impl MediaStream {
         MediaStream { frames, corrupt }
     }
 
-    /// Marks one frame as corrupt.
-    pub fn corrupt_frame(&mut self, index: u64) {
-        if index < self.frames {
-            self.corrupt.insert(index);
-        }
-    }
-
     /// Total frames.
     pub fn frames(&self) -> u64 {
         self.frames
-    }
-
-    /// Number of corrupt frames.
-    pub fn corrupt_count(&self) -> usize {
-        self.corrupt.len()
     }
 
     /// True if `index` is corrupt.
@@ -69,7 +57,7 @@ mod tests {
     fn clean_stream_has_no_corruption() {
         let s = MediaStream::clean(100);
         assert_eq!(s.frames(), 100);
-        assert_eq!(s.corrupt_count(), 0);
+        assert_eq!(s.corrupt.len(), 0);
         assert!(!s.is_corrupt(5));
     }
 
@@ -78,15 +66,6 @@ mod tests {
         let a = MediaStream::with_corruption(1000, 0.1, 7);
         let b = MediaStream::with_corruption(1000, 0.1, 7);
         assert_eq!(a, b);
-        assert!(a.corrupt_count() > 50 && a.corrupt_count() < 200);
-    }
-
-    #[test]
-    fn manual_corruption() {
-        let mut s = MediaStream::clean(10);
-        s.corrupt_frame(3);
-        s.corrupt_frame(99); // out of range: ignored
-        assert!(s.is_corrupt(3));
-        assert_eq!(s.corrupt_count(), 1);
+        assert!(a.corrupt.len() > 50 && a.corrupt.len() < 200);
     }
 }

@@ -157,14 +157,6 @@ impl Observation {
         }
     }
 
-    /// Convenience: the key (and code) if this is a key press.
-    pub fn as_key_press(&self) -> Option<(&str, Option<i64>)> {
-        match &self.kind {
-            ObservationKind::KeyPress { key, code } => Some((key, *code)),
-            _ => None,
-        }
-    }
-
     /// Builds a key-press observation.
     pub fn key_press(
         time: SimTime,
@@ -220,12 +212,24 @@ mod tests {
         let (name, v) = obs.as_output().unwrap();
         assert_eq!(name, "volume");
         assert_eq!(v.as_num(), Some(10.0));
-        assert!(obs.as_key_press().is_none());
 
         let key = Observation::key_press(SimTime::ZERO, "rc", "ok", None);
-        assert_eq!(key.as_key_press(), Some(("ok", None)));
+        assert!(key.as_output().is_none());
+        assert_eq!(
+            key.kind,
+            ObservationKind::KeyPress {
+                key: "ok".into(),
+                code: None
+            }
+        );
         let digit = Observation::key_press(SimTime::ZERO, "rc", "digit", Some(7));
-        assert_eq!(digit.as_key_press(), Some(("digit", Some(7))));
+        assert_eq!(
+            digit.kind,
+            ObservationKind::KeyPress {
+                key: "digit".into(),
+                code: Some(7)
+            }
+        );
     }
 
     #[test]

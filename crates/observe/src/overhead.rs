@@ -40,11 +40,6 @@ impl ProbeBudget {
         }
     }
 
-    /// The default 5% telemetry budget.
-    pub fn default_telemetry() -> Self {
-        ProbeBudget::new(Self::DEFAULT_FRACTION)
-    }
-
     /// Judges a measured (baseline, instrumented) wall-clock pair.
     ///
     /// An instrumented run *faster* than baseline (measurement noise)
@@ -93,7 +88,7 @@ mod tests {
 
     #[test]
     fn budget_judges_both_sides() {
-        let budget = ProbeBudget::default_telemetry();
+        let budget = ProbeBudget::new(ProbeBudget::DEFAULT_FRACTION);
         let ok = budget.judge(1_000_000, 1_040_000);
         assert!(ok.within_budget);
         assert!((ok.overhead_fraction - 0.04).abs() < 1e-9);

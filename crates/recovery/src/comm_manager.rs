@@ -45,37 +45,22 @@ pub struct CommStats {
     pub dropped: u64,
 }
 
-/// Routes messages between units, honoring restart policies.
+/// Routes messages between units, honoring its restart policy.
 #[derive(Debug)]
 pub struct CommManager {
-    default_policy: RestartPolicy,
-    policies: BTreeMap<String, RestartPolicy>,
+    policy: RestartPolicy,
     pending: BTreeMap<String, VecDeque<UnitMessage>>,
     stats: CommStats,
 }
 
 impl CommManager {
-    /// Creates a manager with the given default restart policy.
-    pub fn new(default_policy: RestartPolicy) -> Self {
+    /// Creates a manager with the given restart policy.
+    pub fn new(policy: RestartPolicy) -> Self {
         CommManager {
-            default_policy,
-            policies: BTreeMap::new(),
+            policy,
             pending: BTreeMap::new(),
             stats: CommStats::default(),
         }
-    }
-
-    /// Overrides the policy for one unit.
-    pub fn set_policy(&mut self, unit: &str, policy: RestartPolicy) {
-        self.policies.insert(unit.to_owned(), policy);
-    }
-
-    /// The policy for `unit`.
-    pub fn policy(&self, unit: &str) -> RestartPolicy {
-        self.policies
-            .get(unit)
-            .copied()
-            .unwrap_or(self.default_policy)
     }
 
     /// Statistics so far.
@@ -110,7 +95,7 @@ impl CommManager {
                     self.stats.delivered += 1;
                     frontier.extend(responses);
                 }
-                None => match self.policy(&msg.to) {
+                None => match self.policy {
                     RestartPolicy::Queue if host.status(&msg.to).is_some() => {
                         self.stats.queued += 1;
                         self.pending
@@ -208,14 +193,6 @@ mod tests {
         comm.send(SimTime::ZERO, &mut host, msg("a"));
         assert_eq!(comm.stats().dropped, 1);
         assert_eq!(comm.queued_for("a"), 0);
-    }
-
-    #[test]
-    fn per_unit_policy_override() {
-        let mut comm = CommManager::new(RestartPolicy::Queue);
-        comm.set_policy("video", RestartPolicy::Drop);
-        assert_eq!(comm.policy("video"), RestartPolicy::Drop);
-        assert_eq!(comm.policy("audio"), RestartPolicy::Queue);
     }
 
     #[test]

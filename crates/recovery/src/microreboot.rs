@@ -113,13 +113,6 @@ pub enum RestoreOutcome {
     NoHistory,
 }
 
-impl RestoreOutcome {
-    /// True when a valid checkpoint was restored.
-    pub fn is_restored(&self) -> bool {
-        matches!(self, RestoreOutcome::Restored { .. })
-    }
-}
-
 /// Counters describing vault activity (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VaultStats {
@@ -365,7 +358,10 @@ mod tests {
             other => panic!("expected restore, got {other:?}"),
         }
         // Restoring again still works: the valid head stays stored.
-        assert!(vault.restore_latest("teletext").is_restored());
+        assert!(matches!(
+            vault.restore_latest("teletext"),
+            RestoreOutcome::Restored { .. }
+        ));
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! (preemption takes effect at the next `advance_to`, which is exact because
 //! releases themselves only happen at event instants).
 //!
-//! Speed scaling (`set_speed`) models degraded clocking; job stealing
-//! (`steal_job` / task migration) supports the load-balancing recovery
-//! experiment (paper Sect. 4.5); per-task statistics feed the overload and
-//! stress-test experiments (Sect. 4.7).
+//! Task stealing (`steal_task`, task migration) supports the
+//! load-balancing recovery experiment (paper Sect. 4.5); per-task
+//! statistics feed the overload and stress-test experiments (Sect. 4.7).
 
 use crate::task::TaskId;
 use crate::time::{SimDuration, SimTime};
@@ -34,7 +33,7 @@ pub struct Job {
     pub id: JobId,
     /// The task this job belongs to.
     pub task: TaskId,
-    /// Remaining execution demand at nominal speed.
+    /// Remaining execution demand.
     pub remaining: SimDuration,
     /// Fixed priority; lower value = higher priority.
     pub priority: u8,
@@ -73,7 +72,7 @@ pub struct CpuStats {
     pub completed: u64,
     /// Jobs that missed their deadline.
     pub deadline_misses: u64,
-    /// Busy time (nominal-speed work delivered, scaled by wall progress).
+    /// Busy time (work delivered).
     pub busy: SimDuration,
     /// Total simulated time covered.
     pub elapsed: SimDuration,
@@ -101,15 +100,6 @@ impl CpuStats {
     pub fn utilization(&self) -> f64 {
         self.busy.ratio(self.elapsed)
     }
-
-    /// Fraction of completed jobs that missed their deadline.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.completed as f64
-        }
-    }
 }
 
 /// A preemptive fixed-priority processor.
@@ -134,19 +124,17 @@ impl CpuStats {
 pub struct Cpu {
     name: String,
     now: SimTime,
-    speed: f64,
     ready: Vec<Job>,
     next_job: u64,
     stats: CpuStats,
 }
 
 impl Cpu {
-    /// Creates an idle processor at time zero with nominal speed 1.0.
+    /// Creates an idle processor at time zero.
     pub fn new(name: impl Into<String>) -> Self {
         Cpu {
             name: name.into(),
             now: SimTime::ZERO,
-            speed: 1.0,
             ready: Vec::new(),
             next_job: 0,
             stats: CpuStats::default(),
@@ -161,21 +149,6 @@ impl Cpu {
     /// The processor's local notion of now (last advance).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Current speed factor (1.0 = nominal).
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// Sets the speed factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is not finite or not positive.
-    pub fn set_speed(&mut self, speed: f64) {
-        assert!(speed.is_finite() && speed > 0.0, "speed must be > 0");
-        self.speed = speed;
     }
 
     /// Accumulated statistics.
@@ -247,14 +220,8 @@ impl Cpu {
         self.highest_index().map(|i| &self.ready[i])
     }
 
-    /// Removes a ready job (task-migration support). The job keeps its
-    /// remaining demand; the caller re-releases it elsewhere.
-    pub fn steal_job(&mut self, id: JobId) -> Option<Job> {
-        let idx = self.ready.iter().position(|j| j.id == id)?;
-        Some(self.ready.remove(idx))
-    }
-
-    /// Removes all ready jobs of `task` (migrating a whole task).
+    /// Removes all ready jobs of `task` (migrating a whole task). The jobs
+    /// keep their remaining demand; the caller re-releases them elsewhere.
     pub fn steal_task(&mut self, task: TaskId) -> Vec<Job> {
         let (taken, kept): (Vec<Job>, Vec<Job>) =
             self.ready.drain(..).partition(|j| j.task == task);
@@ -267,15 +234,6 @@ impl Cpu {
         let n = self.ready.len();
         self.ready.clear();
         n
-    }
-
-    /// The instant the currently running job completes if nothing else is
-    /// released, or `None` when idle.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        let job = self.current_job()?;
-        let wall =
-            SimDuration::from_nanos((job.remaining.as_nanos() as f64 / self.speed).ceil() as u64);
-        Some(self.now + wall)
     }
 
     /// Simulates execution up to `to`, returning jobs that completed (in
@@ -300,17 +258,12 @@ impl Cpu {
                 break;
             };
             let window = to.since(self.now);
-            let deliverable = window.mul_f64(self.speed);
             let job_remaining = self.ready[idx].remaining;
-            if deliverable >= job_remaining {
+            if window >= job_remaining {
                 // Job completes inside the window.
-                let wall = SimDuration::from_nanos(
-                    (job_remaining.as_nanos() as f64 / self.speed).ceil() as u64,
-                )
-                .min(window);
-                self.now += wall;
-                self.stats.busy += wall;
-                self.stats.elapsed += wall;
+                self.now += job_remaining;
+                self.stats.busy += job_remaining;
+                self.stats.elapsed += job_remaining;
                 let job = self.ready.remove(idx);
                 let outcome = JobOutcome {
                     id: job.id,
@@ -323,7 +276,7 @@ impl Cpu {
                 done.push(outcome);
             } else {
                 // Window ends mid-job.
-                self.ready[idx].remaining = job_remaining - deliverable;
+                self.ready[idx].remaining = job_remaining - window;
                 self.stats.busy += window;
                 self.stats.elapsed += window;
                 self.now = to;
@@ -405,36 +358,29 @@ mod tests {
         let done = cpu.advance_to(at(10));
         assert!(!done[0].deadline_met);
         assert_eq!(cpu.stats().deadline_misses, 1);
-        assert!((cpu.stats().miss_ratio() - 1.0).abs() < 1e-12);
+        assert_eq!(cpu.stats().completed, 1);
         assert_eq!(cpu.stats().per_task[&TaskId(0)].misses, 1);
     }
 
     #[test]
-    fn speed_scaling_slows_execution() {
-        let mut cpu = Cpu::new("c");
-        cpu.set_speed(0.5);
-        cpu.release(SimTime::ZERO, TaskId(0), ms(5), 0, at(100));
-        let done = cpu.advance_to(at(20));
-        assert_eq!(done[0].completion, at(10));
-    }
-
-    #[test]
     fn next_completion_predicts_exactly() {
+        // A window that ends mid-job leaves the completion instant as if
+        // the job had run uninterrupted.
         let mut cpu = Cpu::new("c");
-        assert_eq!(cpu.next_completion(), None);
         cpu.release(SimTime::ZERO, TaskId(0), ms(7), 0, at(100));
-        assert_eq!(cpu.next_completion(), Some(at(7)));
-        cpu.advance_to(at(2));
-        assert_eq!(cpu.next_completion(), Some(at(7)));
+        assert!(cpu.advance_to(at(2)).is_empty());
+        assert_eq!(cpu.current_job().unwrap().remaining, ms(5));
+        let done = cpu.advance_to(at(100));
+        assert_eq!(done[0].completion, at(7));
     }
 
     #[test]
     fn steal_job_preserves_remaining() {
         let mut cpu = Cpu::new("c");
-        let id = cpu.release(SimTime::ZERO, TaskId(0), ms(10), 0, at(100));
+        cpu.release(SimTime::ZERO, TaskId(0), ms(10), 0, at(100));
         cpu.advance_to(at(4));
-        let job = cpu.steal_job(id).unwrap();
-        assert_eq!(job.remaining, ms(6));
+        let jobs = cpu.steal_task(TaskId(0));
+        assert_eq!(jobs[0].remaining, ms(6));
         assert_eq!(cpu.ready_count(), 0);
         // Stolen jobs are not completions.
         assert_eq!(cpu.stats().completed, 0);

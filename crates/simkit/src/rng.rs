@@ -76,17 +76,6 @@ impl SimRng {
         self.inner.gen_bool(p)
     }
 
-    /// An exponentially distributed float with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive and finite.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean.is_finite() && mean > 0.0);
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
     /// A normally distributed float (Box–Muller) with `mean` and `std_dev`.
     ///
     /// # Panics
@@ -153,15 +142,6 @@ mod tests {
         assert_eq!(c1.uniform_u64(0, 1 << 60), c1_again.uniform_u64(0, 1 << 60));
         // Practically always differs between streams.
         let _ = c2.uniform_u64(0, 1 << 60);
-    }
-
-    #[test]
-    fn exponential_mean_is_roughly_right() {
-        let mut r = SimRng::seed(5);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(10.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 10.0).abs() < 0.5, "mean={mean}");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The television platform runs hard real-time streaming work (decode,
 //! scale, enhance, render) as periodic tasks on the SoC processors. This
-//! module gives those tasks a first-class description, generates their job
-//! releases for the simulator, and provides classical fixed-priority
-//! response-time analysis as a development-time check (the kind of analysis
-//! Sect. 4.7 of the paper places *during development*).
+//! module gives those tasks a first-class description and provides
+//! classical fixed-priority response-time analysis as a development-time
+//! check (the kind of analysis Sect. 4.7 of the paper places *during
+//! development*).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -37,12 +37,10 @@ pub struct PeriodicTask {
     pub deadline: SimDuration,
     /// Fixed priority; **lower value = higher priority**.
     pub priority: u8,
-    /// Release offset of the first job.
-    pub offset: SimDuration,
 }
 
 impl PeriodicTask {
-    /// Creates a task with deadline equal to its period and zero offset.
+    /// Creates a task with deadline equal to its period.
     ///
     /// # Panics
     ///
@@ -64,30 +62,12 @@ impl PeriodicTask {
             wcet,
             deadline: period,
             priority,
-            offset: SimDuration::ZERO,
         }
-    }
-
-    /// Sets the first-release offset.
-    pub fn with_offset(mut self, offset: SimDuration) -> Self {
-        self.offset = offset;
-        self
     }
 
     /// Utilization `wcet / period`.
     pub fn utilization(&self) -> f64 {
         self.wcet.ratio(self.period)
-    }
-
-    /// Release instants in `[0, horizon)`.
-    pub fn releases_until(&self, horizon: SimTime) -> Vec<SimTime> {
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO + self.offset;
-        while t < horizon {
-            out.push(t);
-            t += self.period;
-        }
-        out
     }
 }
 
@@ -148,21 +128,11 @@ impl TaskSet {
         self.tasks.iter().map(|t| t.utilization()).sum()
     }
 
-    /// Assigns rate-monotonic priorities (shorter period → higher priority,
-    /// i.e. lower priority number). Ties keep insertion order.
-    pub fn assign_rate_monotonic(&mut self) {
-        let mut order: Vec<usize> = (0..self.tasks.len()).collect();
-        order.sort_by_key(|&i| (self.tasks[i].period, i));
-        for (rank, idx) in order.into_iter().enumerate() {
-            self.tasks[idx].priority = rank.min(u8::MAX as usize) as u8;
-        }
-    }
-
     /// Exact fixed-priority response-time analysis (Joseph & Pandya).
     ///
     /// Returns per-task worst-case response times, or `None` for a task
     /// whose fixed-point iteration exceeds its deadline (unschedulable).
-    /// Offsets are ignored (critical-instant assumption).
+    /// Every task is taken as released at once (the critical instant).
     pub fn response_times(&self) -> Vec<(TaskId, Option<SimDuration>)> {
         let mut out = Vec::with_capacity(self.tasks.len());
         for task in &self.tasks {
@@ -241,37 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn releases_respect_offset_and_horizon() {
-        let t = task(0, 10, 1, 0).with_offset(ms(3));
-        let rel = t.releases_until(SimTime::from_millis(35));
-        assert_eq!(
-            rel,
-            vec![
-                SimTime::from_millis(3),
-                SimTime::from_millis(13),
-                SimTime::from_millis(23),
-                SimTime::from_millis(33)
-            ]
-        );
-    }
-
-    #[test]
-    fn rate_monotonic_orders_by_period() {
-        let mut set: TaskSet = [task(0, 30, 1, 9), task(1, 10, 1, 9), task(2, 20, 1, 9)]
-            .into_iter()
-            .collect();
-        set.assign_rate_monotonic();
-        let prio: Vec<u8> = set.tasks().iter().map(|t| t.priority).collect();
-        assert_eq!(prio, vec![2, 0, 1]);
-    }
-
-    #[test]
     fn rta_matches_textbook_example() {
         // Classic schedulable example: T1(7,3) T2(12,3) T3(20,5), RM.
-        let mut set: TaskSet = [task(0, 7, 3, 0), task(1, 12, 3, 0), task(2, 20, 5, 0)]
+        let set: TaskSet = [task(0, 7, 3, 0), task(1, 12, 3, 1), task(2, 20, 5, 2)]
             .into_iter()
             .collect();
-        set.assign_rate_monotonic();
         let rts = set.response_times();
         let get = |id: u32| rts.iter().find(|(t, _)| *t == TaskId(id)).unwrap().1;
         assert_eq!(get(0), Some(ms(3))); // highest prio: just its wcet
@@ -282,8 +226,7 @@ mod tests {
 
     #[test]
     fn rta_detects_unschedulable() {
-        let mut set: TaskSet = [task(0, 10, 6, 0), task(1, 14, 9, 1)].into_iter().collect();
-        set.assign_rate_monotonic();
+        let set: TaskSet = [task(0, 10, 6, 0), task(1, 14, 9, 1)].into_iter().collect();
         assert!(!set.is_schedulable());
         let rts = set.response_times();
         assert!(rts.iter().any(|(_, r)| r.is_none()));

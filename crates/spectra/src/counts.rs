@@ -1,7 +1,7 @@
 //! Streaming columnar counts accumulator: the scalable alternative to
 //! retaining dense spectrum rows.
 //!
-//! [`SpectrumMatrix`] keeps one bitset row per
+//! [`SpectrumMatrix`](crate::SpectrumMatrix) keeps one bitset row per
 //! scenario step, so its memory is O(steps × blocks) and scoring walks
 //! every row per block. That is the faithful, obviously-correct *oracle*
 //! — but it caps out near the paper's 60 000-block experiment. All any
@@ -24,7 +24,6 @@
 //! every ranking — are *exactly* those the dense matrix would produce
 //! (the equivalence is property-tested in `tests/properties.rs`).
 
-use crate::matrix::SpectrumMatrix;
 use crate::ranking::Ranking;
 use crate::similarity::{Coefficient, Counts};
 use observe::BlockSnapshot;
@@ -73,20 +72,6 @@ impl CountsMatrix {
             failing_steps: 0,
             passing_steps: 0,
         }
-    }
-
-    /// Folds a dense [`SpectrumMatrix`] into columnar counters (used to
-    /// migrate existing matrices and to cross-check the two layouts).
-    pub fn from_matrix(matrix: &SpectrumMatrix) -> Self {
-        let mut m = CountsMatrix::new(matrix.n_blocks());
-        for step in 0..matrix.steps() {
-            let failed = matrix.error_vector()[step];
-            m.add_step(
-                (0..matrix.n_blocks()).filter(|b| matrix.is_hit(step, *b)),
-                failed,
-            );
-        }
-        m
     }
 
     /// Number of instrumented blocks.
@@ -147,7 +132,7 @@ impl CountsMatrix {
     /// Each id must appear at most once (ids come from a coverage bitset,
     /// which cannot repeat). Out-of-range ids trip a debug assertion;
     /// release builds ignore them (saturating into a no-op), matching
-    /// [`SpectrumMatrix::add_step`].
+    /// [`SpectrumMatrix::add_step`](crate::SpectrumMatrix::add_step).
     pub fn add_step(&mut self, hits: impl IntoIterator<Item = u32>, failed: bool) {
         for b in hits {
             self.hit(b, failed);
@@ -224,7 +209,8 @@ impl CountsMatrix {
     }
 
     /// Contingency counts for one block, identical to what
-    /// [`SpectrumMatrix::counts`] reconstructs from dense rows.
+    /// [`SpectrumMatrix::counts`](crate::SpectrumMatrix::counts)
+    /// reconstructs from dense rows.
     #[inline]
     pub fn counts(&self, block: u32) -> Counts {
         Counts::from_columnar(
@@ -242,8 +228,8 @@ impl CountsMatrix {
     }
 
     /// Scores every block and returns the full ranking — same semantics
-    /// as [`SpectrumMatrix::rank`], O(blocks) scoring instead of
-    /// O(blocks × steps).
+    /// as [`SpectrumMatrix::rank`](crate::SpectrumMatrix::rank), O(blocks)
+    /// scoring instead of O(blocks × steps).
     ///
     /// For million-block matrices prefer [`crate::topk::score_top_k`],
     /// which never materializes the full ranking.
@@ -258,6 +244,7 @@ impl CountsMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::SpectrumMatrix;
     use observe::BlockCoverage;
 
     #[test]
@@ -282,17 +269,6 @@ mod tests {
         assert_eq!(dense.steps(), columnar.steps());
         for coef in Coefficient::ALL {
             assert_eq!(dense.rank(coef), columnar.rank(coef), "{coef}");
-        }
-    }
-
-    #[test]
-    fn from_matrix_round_trip() {
-        let mut dense = SpectrumMatrix::new(70);
-        dense.add_step([0, 64, 69].iter().copied(), true);
-        dense.add_step([1, 64].iter().copied(), false);
-        let columnar = CountsMatrix::from_matrix(&dense);
-        for b in 0..70 {
-            assert_eq!(dense.counts(b), columnar.counts(b));
         }
     }
 

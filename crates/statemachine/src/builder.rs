@@ -513,8 +513,9 @@ mod tests {
             .initial("a")
             .build()
             .unwrap();
-        assert!(m.state_by_name("a").unwrap().compare_enabled);
-        assert!(!m.state_by_name("busy").unwrap().compare_enabled);
+        let state = |name: &str| m.states().iter().find(|s| s.name == name).unwrap();
+        assert!(state("a").compare_enabled);
+        assert!(!state("busy").compare_enabled);
     }
 
     #[test]

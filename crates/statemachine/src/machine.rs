@@ -64,11 +64,6 @@ impl Machine {
         &self.states[id.0]
     }
 
-    /// Looks a state up by name.
-    pub fn state_by_name(&self, name: &str) -> Option<&State> {
-        self.states.iter().find(|s| s.name == name)
-    }
-
     /// Iterates from `id` up through its ancestors to the root (inclusive
     /// of `id`).
     pub fn ancestors(&self, id: StateId) -> Vec<StateId> {
@@ -123,26 +118,14 @@ mod tests {
             .initial("top")
             .build()
             .unwrap();
-        let top = m.state_by_name("top").unwrap().id;
-        let mid = m.state_by_name("mid").unwrap().id;
-        let leaf = m.state_by_name("leaf").unwrap().id;
+        let id = |name: &str| m.states().iter().find(|s| s.name == name).unwrap().id;
+        let (top, mid, leaf) = (id("top"), id("mid"), id("leaf"));
+        assert_eq!(m.name(), "m");
         assert_eq!(m.ancestors(leaf), vec![leaf, mid, top]);
         assert_eq!(m.initial_descent(top), vec![top, mid, leaf]);
         assert!(m.is_self_or_ancestor(top, leaf));
         assert!(m.is_self_or_ancestor(leaf, leaf));
         assert!(!m.is_self_or_ancestor(leaf, top));
         assert_eq!(m.children(top), vec![mid]);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let m = MachineBuilder::new("m")
-            .state("a")
-            .initial("a")
-            .build()
-            .unwrap();
-        assert!(m.state_by_name("a").is_some());
-        assert!(m.state_by_name("zz").is_none());
-        assert_eq!(m.name(), "m");
     }
 }

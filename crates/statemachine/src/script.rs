@@ -30,8 +30,6 @@ pub enum ScriptStep {
     ExpectVar(String, Value),
     /// Expect the most recent value of an output.
     ExpectOutput(String, Value),
-    /// Expect that an output has never been produced so far.
-    ExpectNoOutput(String),
 }
 
 /// A violated expectation.
@@ -134,11 +132,6 @@ impl TestScript {
         self.step(ScriptStep::ExpectOutput(name.into(), value.into()))
     }
 
-    /// Appends a no-output expectation.
-    pub fn expect_no_output(self, name: impl Into<String>) -> Self {
-        self.step(ScriptStep::ExpectNoOutput(name.into()))
-    }
-
     /// Runs the script against a fresh executor of `machine`.
     pub fn run(&self, machine: &Machine) -> ScriptOutcome {
         let mut exec = Executor::new(machine);
@@ -186,11 +179,6 @@ impl TestScript {
                     )),
                     None => failures.push(fail(format!("output `{name}` never produced"), &exec)),
                 },
-                ScriptStep::ExpectNoOutput(name) => {
-                    if exec.last_output(name).is_some() {
-                        failures.push(fail(format!("output `{name}` was produced"), &exec));
-                    }
-                }
             }
         }
         ScriptOutcome {
@@ -255,18 +243,6 @@ mod tests {
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].step, 1);
         assert!(outcome.failures[0].message.contains("level"));
-    }
-
-    #[test]
-    fn no_output_expectation() {
-        let m = machine();
-        let outcome = TestScript::new("s").expect_no_output("audio").run(&m);
-        assert!(outcome.passed());
-        let outcome = TestScript::new("s")
-            .inject(Event::plain("up"))
-            .expect_no_output("audio")
-            .run(&m);
-        assert!(!outcome.passed());
     }
 
     #[test]

@@ -47,11 +47,6 @@ pub struct State {
 }
 
 impl State {
-    /// True for composite states.
-    pub fn is_composite(&self) -> bool {
-        matches!(self.kind, StateKind::Composite { .. })
-    }
-
     /// The initial child for composites, `None` for leaves.
     pub fn initial_child(&self) -> Option<StateId> {
         match self.kind {
@@ -76,7 +71,6 @@ mod tests {
             exit: vec![],
             compare_enabled: true,
         };
-        assert!(!leaf.is_composite());
         assert_eq!(leaf.initial_child(), None);
 
         let comp = State {
@@ -85,7 +79,6 @@ mod tests {
             },
             ..leaf.clone()
         };
-        assert!(comp.is_composite());
         assert_eq!(comp.initial_child(), Some(StateId(1)));
     }
 

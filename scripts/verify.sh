@@ -6,6 +6,9 @@ cd "$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)"
 echo "== format (rustfmt, check only) =="
 cargo fmt --all --check
 
+echo "== unreached pub fn guard (only the named exceptions may be left) =="
+scripts/unreached_pub.sh
+
 echo "== build (release) =="
 cargo build --release
 
