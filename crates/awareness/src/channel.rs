@@ -7,7 +7,7 @@
 //! early comparator report false errors (paper Sect. 4.3). [`DelayChannel`]
 //! reproduces those dynamics deterministically from a seed.
 
-use simkit::{EventPriority, EventQueue, SimDuration, SimRng, SimTime};
+use simkit::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// A unidirectional, delaying, lossy, deterministic message channel.
 ///
@@ -82,11 +82,6 @@ impl<T> DelayChannel<T> {
         self.jitter
     }
 
-    /// The configured loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss_probability
-    }
-
     /// Messages accepted for sending.
     pub fn sent(&self) -> u64 {
         self.sent
@@ -121,7 +116,7 @@ impl<T> DelayChannel<T> {
             SimDuration::from_nanos(self.rng.uniform_u64(0, self.jitter.as_nanos()))
         };
         let at = now + self.base_delay + jitter;
-        self.queue.push(at, EventPriority::NORMAL, message);
+        self.queue.push(at, message);
         Some(at)
     }
 

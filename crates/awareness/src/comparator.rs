@@ -205,16 +205,6 @@ impl Comparator {
         }
     }
 
-    /// The current expected value, if any.
-    pub fn expected(&self, name: &str) -> Option<&ObsValue> {
-        self.observables.get(name)?.expected.as_ref()
-    }
-
-    /// The most recent observed value, if any.
-    pub fn observed(&self, name: &str) -> Option<&ObsValue> {
-        self.observables.get(name)?.observed.as_ref()
-    }
-
     /// Ingests an observed value; for event-based observables this
     /// performs a comparison and may report an error.
     pub fn observe(&mut self, now: SimTime, name: &str, value: ObsValue) -> Option<DetectedError> {
@@ -439,7 +429,7 @@ mod tests {
         c.set_expected("v", num(1.0));
         c.observe(SimTime::ZERO, "v", num(1.0));
         c.reset();
-        assert!(c.expected("v").is_none());
-        assert!(c.observed("v").is_none());
+        let record = &c.observables["v"];
+        assert!(record.expected.is_none() && record.observed.is_none());
     }
 }

@@ -16,7 +16,7 @@
 
 use observe::BlockSnapshot;
 use simkit::SimTime;
-use spectra::{Coefficient, IncrementalDiagnoser, RankingEntry, TopK};
+use spectra::{IncrementalDiagnoser, RankingEntry, TopK};
 use telemetry::Telemetry;
 
 /// Parameters for in-loop diagnosis.
@@ -26,8 +26,6 @@ pub struct DiagnosisConfig {
     pub n_blocks: u32,
     /// Size of the suspect window.
     pub top_k: usize,
-    /// Similarity coefficient (default Ochiai, per the paper).
-    pub coefficient: Coefficient,
 }
 
 impl DiagnosisConfig {
@@ -36,19 +34,12 @@ impl DiagnosisConfig {
         DiagnosisConfig {
             n_blocks,
             top_k: 10,
-            coefficient: Coefficient::Ochiai,
         }
     }
 
     /// Sets the suspect-window size.
     pub fn with_top_k(mut self, top_k: usize) -> Self {
         self.top_k = top_k;
-        self
-    }
-
-    /// Sets the similarity coefficient.
-    pub fn with_coefficient(mut self, coefficient: Coefficient) -> Self {
-        self.coefficient = coefficient;
         self
     }
 }
@@ -66,9 +57,7 @@ impl OnlineDiagnosis {
     /// Builds the diagnosis state from its configuration.
     pub fn new(config: &DiagnosisConfig) -> Self {
         OnlineDiagnosis {
-            diagnoser: IncrementalDiagnoser::new(config.n_blocks)
-                .with_coefficient(config.coefficient)
-                .with_top_k(config.top_k),
+            diagnoser: IncrementalDiagnoser::new(config.n_blocks).with_top_k(config.top_k),
             errors_at_last_step: 0,
             telemetry: Telemetry::off(),
         }
@@ -144,11 +133,6 @@ impl OnlineDiagnosis {
     pub fn triggered_diagnoses(&self) -> u64 {
         self.failing_steps() as u64
     }
-
-    /// The underlying streaming diagnoser (full-report access).
-    pub fn diagnoser(&self) -> &IncrementalDiagnoser {
-        &self.diagnoser
-    }
 }
 
 #[cfg(test)]
@@ -184,15 +168,12 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = DiagnosisConfig::new(50)
-            .with_top_k(5)
-            .with_coefficient(Coefficient::Jaccard);
+        let c = DiagnosisConfig::new(50).with_top_k(5);
         assert_eq!(c.n_blocks, 50);
         assert_eq!(c.top_k, 5);
-        assert_eq!(c.coefficient, Coefficient::Jaccard);
         let diag = OnlineDiagnosis::new(&c);
         assert_eq!(diag.steps(), 0);
         assert_eq!(diag.prime_suspect(), None);
-        assert!(diag.diagnoser().top_k().entries().is_empty());
+        assert!(diag.top_k().entries().is_empty());
     }
 }

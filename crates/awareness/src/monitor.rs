@@ -607,12 +607,6 @@ impl<'m> AwarenessMonitor<'m> {
         self.diagnosis.as_ref()
     }
 
-    /// Monotonic count of comparator errors detected over the monitor's
-    /// lifetime (never reset by [`AwarenessMonitor::drain_errors`]).
-    pub fn errors_total(&self) -> u64 {
-        self.errors_total
-    }
-
     /// Detected errors so far (oldest first).
     pub fn errors(&self) -> &[DetectedError] {
         &self.errors
@@ -643,21 +637,6 @@ impl<'m> AwarenessMonitor<'m> {
     /// Self-supervision counters, when supervision is enabled.
     pub fn supervisor_report(&self) -> Option<&SupervisorReport> {
         self.supervision.as_ref().map(|s| s.supervisor.report())
-    }
-
-    /// Leaves safe mode (operator intervention); no-op when the monitor
-    /// is unsupervised or not in safe mode.
-    pub fn leave_safe_mode(&mut self) {
-        if let Some(supervision) = self.supervision.as_mut() {
-            supervision.supervisor.leave_safe_mode();
-            self.comparator
-                .set_degradation(supervision.supervisor.mode());
-        }
-    }
-
-    /// Times the boundary channels were rebuilt by supervision.
-    pub fn channel_epoch(&self) -> u64 {
-        self.channel_epoch
     }
 
     /// Stops the monitor; offered observations are dropped.
@@ -982,7 +961,7 @@ mod tests {
         assert_eq!(mon.errors().len(), 2);
         assert_eq!(mon.drain_errors().len(), 2);
         assert!(mon.errors().is_empty());
-        assert_eq!(mon.errors_total(), 2);
+        assert_eq!(mon.errors_total, 2);
     }
 
     #[test]
@@ -1080,7 +1059,7 @@ mod tests {
         assert!(report.channel_restarts >= 1, "{report:?}");
         assert!(report.micro_reboots >= 1, "{report:?}");
         assert_eq!(report.safe_mode_entries, 1, "{report:?}");
-        assert!(mon.channel_epoch() >= 1);
+        assert!(mon.channel_epoch >= 1);
         // Safe mode skips every check, so even a glaring mismatch raises
         // nothing — the monitor no longer vouches.
         mon.offer(&key(t + 10));
@@ -1088,13 +1067,6 @@ mod tests {
         mon.advance_to(SimTime::from_millis(t + 20));
         assert!(mon.errors().is_empty());
         assert_eq!(mode(&mon), DegradationMode::SafeMode);
-        // Operator intervention restores full checking.
-        mon.leave_safe_mode();
-        assert_eq!(mode(&mon), DegradationMode::Normal);
-        mon.offer(&key(t + 100));
-        mon.offer(&light(t + 100, 55.0));
-        mon.advance_to(SimTime::from_millis(t + 120));
-        assert_eq!(mon.errors().len(), 1);
     }
 
     #[test]
@@ -1134,7 +1106,7 @@ mod tests {
         assert_eq!(report.safe_mode_entries, 0, "{report:?}");
         // The rung restored epoch 0 from the checkpoint and resumed one
         // past it — not one past the two restart-rung epochs.
-        assert_eq!(mon.channel_epoch(), 1);
+        assert_eq!(mon.channel_epoch, 1);
         assert_eq!(
             vault(&mon).stats().restored,
             1,
@@ -1152,7 +1124,7 @@ mod tests {
         mon.offer(&key(t + 400));
         mon.offer(&light(t + 400, 0.0));
         mon.advance_to(SimTime::from_millis(t + 500));
-        assert!(mon.errors_total() >= 1);
+        assert!(mon.errors_total >= 1);
     }
 
     #[test]
@@ -1195,7 +1167,7 @@ mod tests {
         mon.offer(&key(t + 400));
         mon.offer(&light(t + 400, 0.0));
         mon.advance_to(SimTime::from_millis(t + 500));
-        assert!(mon.errors_total() >= 1);
+        assert!(mon.errors_total >= 1);
     }
 
     #[test]
@@ -1226,7 +1198,7 @@ mod tests {
         }
         mon.record_coverage(&cov.snapshot_and_reset());
         assert_eq!(mon.diagnosis().unwrap().failing_steps(), 0);
-        assert_eq!(mon.errors_total(), 0);
+        assert_eq!(mon.errors_total, 0);
 
         // Step 2: faulty path 150..155 executes and the light misbehaves.
         mon.offer(&key(30));
@@ -1243,10 +1215,10 @@ mod tests {
         assert_eq!(diag.triggered_diagnoses(), 1);
         // The fault region tops the window; the healthy common blocks don't.
         assert_eq!(diag.prime_suspect(), Some(150));
-        assert!(mon.errors_total() >= 1);
+        assert!(mon.errors_total >= 1);
         // Draining errors must not disturb the verdict bookkeeping.
         let _ = mon.drain_errors();
-        assert!(mon.errors_total() >= 1);
+        assert!(mon.errors_total >= 1);
     }
 
     #[test]

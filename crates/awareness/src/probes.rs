@@ -46,8 +46,6 @@ pub struct DeadlineMonitor {
     grace: SimDuration,
     armed: bool,
     fire_deadline: Option<SimTime>,
-    obligations_armed: u64,
-    obligations_resolved: u64,
     alarms: u64,
 }
 
@@ -64,8 +62,6 @@ impl DeadlineMonitor {
             grace,
             armed: false,
             fire_deadline: None,
-            obligations_armed: 0,
-            obligations_resolved: 0,
             alarms: 0,
         }
     }
@@ -90,7 +86,6 @@ impl DeadlineMonitor {
                             + self.grace;
                         if !self.armed {
                             self.armed = true;
-                            self.obligations_armed += 1;
                             self.watchdog.arm(observation.time);
                         }
                         self.fire_deadline = Some(fire_at);
@@ -109,7 +104,6 @@ impl DeadlineMonitor {
     fn resolve(&mut self) {
         self.armed = false;
         self.fire_deadline = None;
-        self.obligations_resolved += 1;
     }
 
     /// Checks the armed obligation at `now`: heartbeat silence past the
@@ -147,16 +141,6 @@ impl DeadlineMonitor {
     /// The pending fire deadline, when armed.
     pub fn fire_deadline(&self) -> Option<SimTime> {
         self.fire_deadline
-    }
-
-    /// Obligations armed over the monitor's lifetime.
-    pub fn obligations_armed(&self) -> u64 {
-        self.obligations_armed
-    }
-
-    /// Obligations resolved (timer fired, cancelled, or set turned off).
-    pub fn obligations_resolved(&self) -> u64 {
-        self.obligations_resolved
     }
 
     /// Alarms raised (heartbeat timeouts plus missed fire deadlines).
@@ -202,7 +186,6 @@ mod tests {
         assert!(m.tick(ms(10_000)).is_empty(), "quiet before arming");
         m.observe(&output(100, "sleep.minutes", ObsValue::Num(15.0)));
         assert!(m.is_armed());
-        assert_eq!(m.obligations_armed(), 1);
         for t in 1..8u64 {
             m.observe(&heartbeat(100 + t * 100));
             assert!(m.tick(ms(100 + t * 100)).is_empty());
@@ -242,7 +225,6 @@ mod tests {
         m.observe(&output(0, "sleep.minutes", ObsValue::Num(15.0)));
         m.observe(&output(500, "screen.mode", ObsValue::Text("off".into())));
         assert!(!m.is_armed());
-        assert_eq!(m.obligations_resolved(), 1);
         assert!(m.tick(ms(10_000_000)).is_empty());
     }
 
@@ -254,7 +236,7 @@ mod tests {
         assert!(!m.is_armed());
         // Long silence while disarmed, then re-arm: no stale-silence alarm.
         m.observe(&output(900_000, "sleep.minutes", ObsValue::Num(30.0)));
+        assert!(m.is_armed());
         assert!(m.tick(ms(900_100)).is_empty());
-        assert_eq!(m.obligations_armed(), 2);
     }
 }

@@ -41,7 +41,7 @@ pub enum DegradationMode {
     /// Tolerances widened as in `Relaxed`; the label records that
     /// overload, not a stall, caused it.
     Shedding,
-    /// Every check skipped; sticky until explicitly left.
+    /// Every check skipped; sticky (nothing leaves it).
     SafeMode,
 }
 
@@ -326,21 +326,6 @@ impl Supervisor {
             .count(now, "awareness.supervisor.safe_mode_entries", 1);
         SupervisorAction::EnterSafeMode
     }
-
-    /// Leaves safe mode explicitly (operator intervention): the ladder
-    /// and breaker restart from a clean slate.
-    pub fn leave_safe_mode(&mut self) {
-        if self.mode == DegradationMode::SafeMode {
-            self.mode = DegradationMode::Normal;
-            self.escalation =
-                EscalationPolicy::new(self.config.max_channel_restarts, self.config.restart_window);
-            self.breaker =
-                CircuitBreaker::new(self.config.breaker_threshold, self.config.breaker_cooldown);
-            self.last_heartbeat = None;
-            self.consecutive_anomalies = 0;
-            self.micro_attempted = false;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -545,22 +530,6 @@ mod tests {
         s.heartbeat(SimTime::from_secs(2));
         assert_eq!(s.observe(SimTime::from_millis(2100), 0), None);
         assert_eq!(s.mode(), DegradationMode::Normal);
-    }
-
-    #[test]
-    fn leave_safe_mode_resets_the_ladder() {
-        let mut s = sup();
-        s.heartbeat(SimTime::ZERO);
-        for k in 1..=10u64 {
-            s.observe(SimTime::from_millis(600 * k), 0);
-        }
-        assert_eq!(s.mode(), DegradationMode::SafeMode);
-        s.leave_safe_mode();
-        assert_eq!(s.mode(), DegradationMode::Normal);
-        // The ladder starts over from the cheap rung.
-        s.heartbeat(SimTime::from_secs(100));
-        let action = s.observe(SimTime::from_secs(102), 0);
-        assert_eq!(action, Some(SupervisorAction::Retry));
     }
 
     #[test]

@@ -276,11 +276,6 @@ pub struct BaselineVerdict {
 }
 
 impl BaselineVerdict {
-    /// True iff no regression and nothing missing.
-    pub fn passes(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
-    }
-
     /// Total failure count (`regressions + missing`) — the number CI
     /// greps for as `"scorecard_regressions"`.
     pub fn failures(&self) -> usize {
@@ -577,9 +572,8 @@ pub(crate) mod tests {
         let baseline = baseline_json(&report.scorecard).render();
         let parsed = Json::parse(&baseline).expect("baseline renders valid JSON");
         let verdict = compare_with_baseline(&report.scorecard.cells, &parsed, true);
-        assert!(verdict.passes(), "{:?}", verdict);
         assert_eq!(verdict.compared, 4);
-        assert_eq!(verdict.failures(), 0);
+        assert_eq!(verdict.failures(), 0, "{:?}", verdict);
     }
 
     #[test]
@@ -619,7 +613,7 @@ pub(crate) mod tests {
         let baseline = Json::parse(&doc).unwrap();
         let mut cells = report.scorecard.cells.clone();
         slow_down(&mut cells[0]); // within the per-class 3.0× band
-        assert!(compare_with_baseline(&cells, &baseline, true).passes());
+        assert_eq!(compare_with_baseline(&cells, &baseline, true).failures(), 0);
         slow_down(&mut cells[3]); // menu-freeze keeps the global 1.5×
         assert_eq!(compare_with_baseline(&cells, &baseline, true).failures(), 1);
     }
@@ -631,6 +625,6 @@ pub(crate) mod tests {
         let cells = report.scorecard.cells[1..].to_vec();
         let verdict = compare_with_baseline(&cells, &baseline, true);
         assert_eq!(verdict.missing.len(), 1);
-        assert!(!verdict.passes());
+        assert_eq!(verdict.failures(), 1);
     }
 }

@@ -120,7 +120,6 @@ impl WaitForGraph {
 pub struct DeadlockDetector {
     graph: WaitForGraph,
     last_reported: Option<Vec<String>>,
-    detections: u64,
 }
 
 impl DeadlockDetector {
@@ -137,11 +136,6 @@ impl DeadlockDetector {
     /// Mutable access to the wait-for graph.
     pub fn graph_mut(&mut self) -> &mut WaitForGraph {
         &mut self.graph
-    }
-
-    /// Deadlocks detected so far.
-    pub fn detections(&self) -> u64 {
-        self.detections
     }
 }
 
@@ -164,7 +158,6 @@ impl Detector for DeadlockDetector {
                 if self.last_reported.as_ref() == Some(&cycle) {
                     return Vec::new();
                 }
-                self.detections += 1;
                 let desc = format!("deadlock cycle: {}", cycle.join(" -> "));
                 self.last_reported = Some(cycle);
                 vec![ErrorEvent {
@@ -250,6 +243,5 @@ mod tests {
         d.graph_mut().add_wait("x", "y");
         d.graph_mut().add_wait("y", "x");
         assert_eq!(d.tick(SimTime::from_millis(4)).len(), 1);
-        assert_eq!(d.detections(), 2);
     }
 }

@@ -17,7 +17,6 @@ pub struct WatchdogDetector {
     last_seen: SimTime,
     armed: bool,
     fired_for_current_silence: bool,
-    timeouts: u64,
 }
 
 impl WatchdogDetector {
@@ -35,7 +34,6 @@ impl WatchdogDetector {
             last_seen: SimTime::ZERO,
             armed: false,
             fired_for_current_silence: false,
-            timeouts: 0,
         }
     }
 
@@ -44,11 +42,6 @@ impl WatchdogDetector {
         self.armed = true;
         self.last_seen = now;
         self.fired_for_current_silence = false;
-    }
-
-    /// Timeouts raised so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
     }
 
     /// The watched source name.
@@ -79,7 +72,6 @@ impl Detector for WatchdogDetector {
         }
         if now.since(self.last_seen) > self.deadline {
             self.fired_for_current_silence = true;
-            self.timeouts += 1;
             vec![ErrorEvent {
                 time: now,
                 detector: format!("watchdog:{}", self.source),
@@ -129,7 +121,6 @@ mod tests {
         assert_eq!(errs[0].severity, ErrorSeverity::Critical);
         // Same silence: no duplicate.
         assert!(w.tick(SimTime::from_millis(20)).is_empty());
-        assert_eq!(w.timeouts(), 1);
     }
 
     #[test]
@@ -149,7 +140,6 @@ mod tests {
         w.observe(&heartbeat("decoder", 12));
         assert!(w.tick(SimTime::from_millis(20)).is_empty());
         assert_eq!(w.tick(SimTime::from_millis(23)).len(), 1);
-        assert_eq!(w.timeouts(), 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub enum Transition<F> {
 /// and clear them on the SUO.
 ///
 /// ```
+/// use faults::injector::Transition;
 /// use faults::{Injector, Schedule};
 /// use simkit::SimTime;
 ///
@@ -24,8 +25,7 @@ pub enum Transition<F> {
 /// inj.add(Schedule::From { at: SimTime::from_millis(10) }, "teletext-fault");
 /// assert!(inj.poll(SimTime::from_millis(5), 0).is_empty());
 /// let edges = inj.poll(SimTime::from_millis(10), 0);
-/// assert_eq!(edges.len(), 1);
-/// assert!(inj.active().contains(&"teletext-fault"));
+/// assert_eq!(edges, vec![Transition::Activated("teletext-fault")]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Injector<F> {
@@ -61,15 +61,6 @@ impl<F: Clone + PartialEq> Injector<F> {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Currently active fault descriptors.
-    pub fn active(&self) -> Vec<F> {
-        self.entries
-            .iter()
-            .filter(|(_, _, active)| *active)
-            .map(|(_, f, _)| f.clone())
-            .collect()
     }
 
     /// Re-evaluates schedules at `(now, events)`; returns the edges.
@@ -115,7 +106,6 @@ mod tests {
             inj.poll(SimTime::from_millis(25), 0),
             vec![Transition::Deactivated(7)]
         );
-        assert!(inj.active().is_empty());
     }
 
     #[test]
@@ -131,8 +121,10 @@ mod tests {
             "c",
         );
         let edges = inj.poll(SimTime::ZERO, 0);
-        assert_eq!(edges.len(), 2); // a and c activate
-        assert_eq!(inj.active(), vec!["a", "c"]);
+        assert_eq!(
+            edges,
+            vec![Transition::Activated("a"), Transition::Activated("c")]
+        );
         let edges = inj.poll(SimTime::from_millis(6), 0);
         assert_eq!(edges, vec![Transition::Deactivated("c")]);
         assert_eq!(inj.len(), 3);

@@ -176,9 +176,9 @@ mod tests {
         let mut bus = Bus::new(1_000_000);
         let eater = BusEater::new(0.75);
         eater.apply(&mut bus);
-        assert_eq!(bus.stolen_fraction(), 0.75);
+        assert_eq!(bus.effective_bandwidth_bps(), 250_000.0);
         eater.remove(&mut bus);
-        assert_eq!(bus.stolen_fraction(), 0.0);
+        assert_eq!(bus.effective_bandwidth_bps(), 1_000_000.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The communication manager: controls messages between recoverable units.
 //!
 //! While a unit restarts, its peers keep sending; the communication
-//! manager decides what happens to those messages (queue for redelivery or
-//! drop), which is what makes *independent* recovery possible without
+//! manager queues those messages and redelivers them when the unit is
+//! back, which is what makes *independent* recovery possible without
 //! stopping the whole system (paper Sect. 4.5).
 
 use crate::unit::UnitHost;
@@ -23,15 +23,6 @@ pub struct UnitMessage {
     pub reply_to: Option<String>,
 }
 
-/// What to do with messages addressed to a restarting unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RestartPolicy {
-    /// Queue and redeliver when the unit is back (lossless, higher memory).
-    Queue,
-    /// Drop (lossy, zero overhead — acceptable for idempotent streams).
-    Drop,
-}
-
 /// Communication statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommStats {
@@ -41,26 +32,21 @@ pub struct CommStats {
     pub queued: u64,
     /// Messages redelivered after a restart.
     pub redelivered: u64,
-    /// Messages dropped.
+    /// Messages dropped (addressed to no registered unit).
     pub dropped: u64,
 }
 
-/// Routes messages between units, honoring its restart policy.
-#[derive(Debug)]
+/// Routes messages between units, queueing those for a restarting unit.
+#[derive(Debug, Default)]
 pub struct CommManager {
-    policy: RestartPolicy,
     pending: BTreeMap<String, VecDeque<UnitMessage>>,
     stats: CommStats,
 }
 
 impl CommManager {
-    /// Creates a manager with the given restart policy.
-    pub fn new(policy: RestartPolicy) -> Self {
-        CommManager {
-            policy,
-            pending: BTreeMap::new(),
-            stats: CommStats::default(),
-        }
+    /// Creates a manager with nothing queued.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Statistics so far.
@@ -95,18 +81,14 @@ impl CommManager {
                     self.stats.delivered += 1;
                     frontier.extend(responses);
                 }
-                None => match self.policy {
-                    RestartPolicy::Queue if host.status(&msg.to).is_some() => {
-                        self.stats.queued += 1;
-                        self.pending
-                            .entry(msg.to.clone())
-                            .or_default()
-                            .push_back(msg);
-                    }
-                    _ => {
-                        self.stats.dropped += 1;
-                    }
-                },
+                None if host.status(&msg.to).is_some() => {
+                    self.stats.queued += 1;
+                    self.pending
+                        .entry(msg.to.clone())
+                        .or_default()
+                        .push_back(msg);
+                }
+                None => self.stats.dropped += 1,
             }
         }
         delivered
@@ -153,7 +135,7 @@ mod tests {
     fn direct_delivery() {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("a"));
-        let mut comm = CommManager::new(RestartPolicy::Queue);
+        let mut comm = CommManager::new();
         assert_eq!(comm.send(SimTime::ZERO, &mut host, msg("a")), 1);
         assert_eq!(comm.stats().delivered, 1);
     }
@@ -168,7 +150,7 @@ mod tests {
                 until: SimTime::from_millis(10),
             },
         );
-        let mut comm = CommManager::new(RestartPolicy::Queue);
+        let mut comm = CommManager::new();
         comm.send(SimTime::ZERO, &mut host, msg("a"));
         comm.send(SimTime::ZERO, &mut host, msg("a"));
         assert_eq!(comm.queued_for("a"), 2);
@@ -180,25 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn drop_policy_loses_messages() {
-        let mut host = UnitHost::new();
-        host.register(CounterUnit::new("a"));
-        host.set_status(
-            "a",
-            UnitStatus::Restarting {
-                until: SimTime::from_millis(10),
-            },
-        );
-        let mut comm = CommManager::new(RestartPolicy::Drop);
-        comm.send(SimTime::ZERO, &mut host, msg("a"));
-        assert_eq!(comm.stats().dropped, 1);
-        assert_eq!(comm.queued_for("a"), 0);
-    }
-
-    #[test]
     fn unknown_destination_dropped_even_with_queue_policy() {
         let mut host = UnitHost::new();
-        let mut comm = CommManager::new(RestartPolicy::Queue);
+        let mut comm = CommManager::new();
         comm.send(SimTime::ZERO, &mut host, msg("ghost"));
         assert_eq!(comm.stats().dropped, 1);
     }
@@ -208,7 +174,7 @@ mod tests {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("a"));
         host.register(CounterUnit::new("b"));
-        let mut comm = CommManager::new(RestartPolicy::Queue);
+        let mut comm = CommManager::new();
         // "ping" to a replies to b, which counts it.
         let delivered = comm.send(
             SimTime::ZERO,

@@ -37,7 +37,7 @@ pub mod policy;
 pub mod recovery_manager;
 pub mod unit;
 
-pub use comm_manager::{CommManager, RestartPolicy, UnitMessage};
+pub use comm_manager::{CommManager, UnitMessage};
 pub use library::CircuitBreaker;
 pub use loadbalance::{LoadBalancer, MigrationDecision};
 pub use memarbiter::AdaptiveArbiter;

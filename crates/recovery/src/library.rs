@@ -35,7 +35,6 @@ pub struct CircuitBreaker {
     cooldown: SimDuration,
     consecutive_failures: u32,
     state: BreakerState,
-    rejected: u64,
     probe_in_flight: bool,
 }
 
@@ -53,7 +52,6 @@ impl CircuitBreaker {
             cooldown,
             consecutive_failures: 0,
             state: BreakerState::Closed,
-            rejected: 0,
             probe_in_flight: false,
         }
     }
@@ -69,11 +67,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// Calls rejected while open.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// True if a call may proceed at `now`.
     ///
     /// In half-open, exactly one probe is admitted until its outcome is
@@ -83,17 +76,13 @@ impl CircuitBreaker {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => {
                 if self.probe_in_flight {
-                    self.rejected += 1;
                     false
                 } else {
                     self.probe_in_flight = true;
                     true
                 }
             }
-            BreakerState::Open { .. } => {
-                self.rejected += 1;
-                false
-            }
+            BreakerState::Open { .. } => false,
         }
     }
 
@@ -136,7 +125,6 @@ mod tests {
         assert!(b.allows(t));
         b.record(t, false);
         assert!(!b.allows(t), "breaker must be open");
-        assert_eq!(b.rejected(), 1);
     }
 
     #[test]
@@ -161,14 +149,12 @@ mod tests {
         // flight (this used to admit unlimited probes).
         assert!(!b.allows(t), "second probe must be rejected");
         assert!(!b.allows(t), "third probe must be rejected");
-        assert_eq!(b.rejected(), 2);
         // The probe's outcome frees the slot: success closes the breaker
         // and traffic flows again.
         b.record(t, true);
         assert_eq!(b.state(t), BreakerState::Closed);
         assert!(b.allows(t));
         assert!(b.allows(t));
-        assert_eq!(b.rejected(), 2);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct LoadBalancer {
     target_threshold: f64,
     cooldown_checks: u32,
     cooldown_left: u32,
-    decisions: u64,
 }
 
 impl LoadBalancer {
@@ -57,13 +56,7 @@ impl LoadBalancer {
             target_threshold,
             cooldown_checks,
             cooldown_left: 0,
-            decisions: 0,
         }
-    }
-
-    /// Decisions taken so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     /// Checks current loads; returns a migration decision if warranted.
@@ -85,7 +78,6 @@ impl LoadBalancer {
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))?;
         if max > self.overload_threshold && min < self.target_threshold && from != to {
             self.cooldown_left = self.cooldown_checks;
-            self.decisions += 1;
             Some(MigrationDecision { from, to })
         } else {
             None
@@ -103,7 +95,6 @@ mod tests {
         assert!(lb.check(&[0.5, 0.5]).is_none());
         assert!(lb.check(&[0.95, 0.8]).is_none()); // no idle target
         assert!(lb.check(&[0.5, 0.2]).is_none()); // no overload
-        assert_eq!(lb.decisions(), 0);
     }
 
     #[test]
@@ -111,7 +102,6 @@ mod tests {
         let mut lb = LoadBalancer::new(0.9, 0.6, 0);
         let d = lb.check(&[0.7, 0.95, 0.1]).unwrap();
         assert_eq!((d.from, d.to), (1, 2));
-        assert_eq!(lb.decisions(), 1);
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub struct AdaptiveArbiter {
     /// *window since the last check*, not the lifetime mean.
     baseline: BTreeMap<PortId, (u64, SimDuration)>,
     max_weight: u32,
-    adaptations: u64,
 }
 
 impl AdaptiveArbiter {
@@ -38,7 +37,6 @@ impl AdaptiveArbiter {
             weights: ports.iter().map(|p| (*p, 1)).collect(),
             baseline: BTreeMap::new(),
             max_weight,
-            adaptations: 0,
         }
     }
 
@@ -50,11 +48,6 @@ impl AdaptiveArbiter {
     /// The current weight of a port.
     pub fn weight(&self, port: PortId) -> u32 {
         self.weights.get(&port).copied().unwrap_or(0)
-    }
-
-    /// Adaptations performed.
-    pub fn adaptations(&self) -> u64 {
-        self.adaptations
     }
 
     /// The slot table implied by the current weights.
@@ -96,7 +89,6 @@ impl AdaptiveArbiter {
         }
         if changed {
             arbiter.reconfigure(self.table());
-            self.adaptations += 1;
         }
         changed
     }
@@ -149,7 +141,6 @@ mod tests {
             },
         );
         assert!(!policy.adapt(&mut arb));
-        assert_eq!(policy.adaptations(), 0);
     }
 
     #[test]

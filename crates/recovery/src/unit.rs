@@ -24,11 +24,6 @@ pub trait RecoverableUnit {
 
     /// Handles an application message, possibly responding.
     fn handle(&mut self, now: SimTime, message: &UnitMessage) -> Vec<UnitMessage>;
-
-    /// Health self-check (false = the unit detected internal corruption).
-    fn is_healthy(&self) -> bool {
-        true
-    }
 }
 
 /// A unit's lifecycle status as seen by the managers.
@@ -153,17 +148,6 @@ impl UnitHost {
         }
         back
     }
-
-    /// Names of unhealthy running units (self-check sweep).
-    pub fn unhealthy(&self) -> Vec<&str> {
-        self.units
-            .values()
-            .filter(|u| {
-                matches!(self.status.get(u.name()), Some(UnitStatus::Running)) && !u.is_healthy()
-            })
-            .map(|u| u.name())
-            .collect()
-    }
 }
 
 /// A simple counter-based unit usable in tests and examples.
@@ -172,8 +156,6 @@ pub struct CounterUnit {
     name: String,
     /// Monotonic message counter — the unit's "state".
     pub count: f64,
-    /// Set by fault injection; cleared by reset.
-    pub corrupted: bool,
 }
 
 impl CounterUnit {
@@ -182,7 +164,6 @@ impl CounterUnit {
         CounterUnit {
             name: name.into(),
             count: 0.0,
-            corrupted: false,
         }
     }
 }
@@ -200,12 +181,10 @@ impl RecoverableUnit for CounterUnit {
 
     fn restore(&mut self, snapshot: &Snapshot) {
         self.count = snapshot.get("count").copied().unwrap_or(0.0);
-        self.corrupted = false;
     }
 
     fn reset(&mut self) {
         self.count = 0.0;
-        self.corrupted = false;
     }
 
     fn handle(&mut self, _now: SimTime, message: &UnitMessage) -> Vec<UnitMessage> {
@@ -220,10 +199,6 @@ impl RecoverableUnit for CounterUnit {
         } else {
             Vec::new()
         }
-    }
-
-    fn is_healthy(&self) -> bool {
-        !self.corrupted
     }
 }
 
@@ -266,16 +241,6 @@ mod tests {
         let back = host.tick(SimTime::from_millis(100));
         assert_eq!(back, vec!["audio".to_owned()]);
         assert!(host.is_running("audio"));
-    }
-
-    #[test]
-    fn unhealthy_sweep_finds_corruption() {
-        let mut host = UnitHost::new();
-        let mut u = CounterUnit::new("video");
-        u.corrupted = true;
-        host.register(u);
-        host.register(CounterUnit::new("audio"));
-        assert_eq!(host.unhealthy(), vec!["video"]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use recovery::{
     CheckpointVault, CircuitBreaker, CommManager, CounterUnit, EscalationPolicy, RecoveryAction,
-    RecoveryManager, RestartPolicy, RestoreOutcome, Snapshot, UnitHost, UnitMessage,
+    RecoveryManager, RestoreOutcome, Snapshot, UnitHost, UnitMessage,
 };
 use simkit::{SimDuration, SimTime};
 
@@ -37,7 +37,7 @@ fn msg(to: &str) -> UnitMessage {
 }
 
 proptest! {
-    /// Message conservation under the Queue policy: every sent message is
+    /// Message conservation: every sent message is
     /// eventually delivered or still queued — never silently lost.
     #[test]
     fn queue_policy_conserves_messages(
@@ -45,7 +45,7 @@ proptest! {
     ) {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("u"));
-        let mut comm = CommManager::new(RestartPolicy::Queue);
+        let mut comm = CommManager::new();
         let mut manager = RecoveryManager::with_defaults();
         let mut now = SimTime::ZERO;
         let mut sent = 0u64;
@@ -69,7 +69,7 @@ proptest! {
             }
         }
         let stats = comm.stats();
-        prop_assert_eq!(stats.dropped, 0, "queue policy must not drop");
+        prop_assert_eq!(stats.dropped, 0, "queued messages must not drop");
         // Ledger: every one of my sends is either delivered or still
         // queued; redeliveries consume a queued entry and produce a
         // delivery (or re-queue), so they cancel out of the balance.

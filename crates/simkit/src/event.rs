@@ -3,31 +3,6 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 
-/// Priority of a scheduled event. Lower values fire first among events
-/// scheduled for the same instant.
-///
-/// ```
-/// use simkit::EventPriority;
-/// assert!(EventPriority::HIGH < EventPriority::NORMAL);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventPriority(pub u8);
-
-impl EventPriority {
-    /// Fires before [`EventPriority::NORMAL`] events at the same time.
-    pub const HIGH: EventPriority = EventPriority(0);
-    /// The default priority.
-    pub const NORMAL: EventPriority = EventPriority(128);
-    /// Fires after [`EventPriority::NORMAL`] events at the same time.
-    pub const LOW: EventPriority = EventPriority(255);
-}
-
-impl Default for EventPriority {
-    fn default() -> Self {
-        EventPriority::NORMAL
-    }
-}
-
 /// Monotonically increasing insertion sequence number; the final tie-breaker
 /// that makes the kernel deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -35,14 +10,12 @@ pub struct SequenceNo(pub u64);
 
 /// An event scheduled for a particular instant.
 ///
-/// Ordering is `(time, priority, sequence)`: earlier times first, then lower
-/// priority values, then earlier insertion.
+/// Ordering is `(time, sequence)`: earlier times first, then earlier
+/// insertion.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub time: SimTime,
-    /// Tie-break priority at equal times.
-    pub priority: EventPriority,
     /// Insertion order; the final deterministic tie-breaker.
     pub seq: SequenceNo,
     /// The user event payload.
@@ -51,8 +24,8 @@ pub struct ScheduledEvent<E> {
 
 impl<E> ScheduledEvent<E> {
     /// The deterministic sort key.
-    pub fn key(&self) -> (SimTime, EventPriority, SequenceNo) {
-        (self.time, self.priority, self.seq)
+    pub fn key(&self) -> (SimTime, SequenceNo) {
+        (self.time, self.seq)
     }
 }
 
@@ -80,10 +53,9 @@ impl<E> Ord for ScheduledEvent<E> {
 mod tests {
     use super::*;
 
-    fn ev(t: u64, p: u8, s: u64) -> ScheduledEvent<&'static str> {
+    fn ev(t: u64, s: u64) -> ScheduledEvent<&'static str> {
         ScheduledEvent {
             time: SimTime::from_nanos(t),
-            priority: EventPriority(p),
             seq: SequenceNo(s),
             event: "x",
         }
@@ -91,24 +63,12 @@ mod tests {
 
     #[test]
     fn orders_by_time_first() {
-        assert!(ev(1, 255, 9) < ev(2, 0, 0));
-    }
-
-    #[test]
-    fn orders_by_priority_at_equal_time() {
-        assert!(ev(5, 0, 9) < ev(5, 1, 0));
+        assert!(ev(1, 9) < ev(2, 0));
     }
 
     #[test]
     fn orders_by_sequence_last() {
-        assert!(ev(5, 7, 1) < ev(5, 7, 2));
-        assert_eq!(ev(5, 7, 1), ev(5, 7, 1));
-    }
-
-    #[test]
-    fn priority_constants_are_ordered() {
-        assert!(EventPriority::HIGH < EventPriority::NORMAL);
-        assert!(EventPriority::NORMAL < EventPriority::LOW);
-        assert_eq!(EventPriority::default(), EventPriority::NORMAL);
+        assert!(ev(5, 1) < ev(5, 2));
+        assert_eq!(ev(5, 1), ev(5, 1));
     }
 }

@@ -9,8 +9,8 @@
 //! stress-test experiments exercise the same dynamics.
 //!
 //! Everything is **deterministic**: given the same seed and the same
-//! inputs, every run produces the identical event order. Ties in the event
-//! queue are broken by `(time, priority, insertion sequence)`.
+//! inputs, every run produces the identical event order. The event queue
+//! orders by `(time, insertion sequence)`.
 //!
 //! ## Quickstart
 //!
@@ -18,11 +18,11 @@
 //! the event pops.
 //!
 //! ```
-//! use simkit::{EventPriority, EventQueue, SimTime};
+//! use simkit::{EventQueue, SimTime};
 //!
 //! let mut queue = EventQueue::new();
-//! queue.push(SimTime::from_millis(5), EventPriority::NORMAL, "pong");
-//! queue.push(SimTime::from_millis(1), EventPriority::NORMAL, "ping");
+//! queue.push(SimTime::from_millis(5), "pong");
+//! queue.push(SimTime::from_millis(1), "ping");
 //! let mut now = SimTime::ZERO;
 //! let mut order = Vec::new();
 //! while let Some(fired) = queue.pop() {
@@ -54,7 +54,7 @@ pub mod rng;
 pub mod task;
 pub mod time;
 
-pub use event::{EventPriority, ScheduledEvent, SequenceNo};
+pub use event::{ScheduledEvent, SequenceNo};
 pub use queue::EventQueue;
 pub use resource::bus::{Bus, BusGrant, BusRequest, BusStats};
 pub use resource::cpu::{Cpu, CpuStats, Job, JobId, JobOutcome};

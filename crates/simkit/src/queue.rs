@@ -1,20 +1,20 @@
 //! The pending-event queue.
 
-use crate::event::{EventPriority, ScheduledEvent, SequenceNo};
+use crate::event::{ScheduledEvent, SequenceNo};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A deterministic future-event queue.
 ///
-/// Events pop in `(time, priority, insertion sequence)` order, which makes
+/// Events pop in `(time, insertion sequence)` order, which makes
 /// simulation runs exactly reproducible.
 ///
 /// ```
-/// use simkit::{EventQueue, EventPriority, SimTime};
+/// use simkit::{EventQueue, SimTime};
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_millis(2), EventPriority::NORMAL, "b");
-/// q.push(SimTime::from_millis(1), EventPriority::NORMAL, "a");
+/// q.push(SimTime::from_millis(2), "b");
+/// q.push(SimTime::from_millis(1), "a");
 /// assert_eq!(q.pop().unwrap().event, "a");
 /// assert_eq!(q.pop().unwrap().event, "b");
 /// assert!(q.is_empty());
@@ -40,18 +40,14 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at `time` with the given tie-break `priority`.
+    /// Schedules `event` at `time`, after every event already scheduled
+    /// for the same instant.
     ///
     /// Returns the sequence number assigned to the event.
-    pub fn push(&mut self, time: SimTime, priority: EventPriority, event: E) -> SequenceNo {
+    pub fn push(&mut self, time: SimTime, event: E) -> SequenceNo {
         let seq = SequenceNo(self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Reverse(ScheduledEvent {
-            time,
-            priority,
-            seq,
-            event,
-        }));
+        self.heap.push(Reverse(ScheduledEvent { time, seq, event }));
         seq
     }
 
@@ -100,7 +96,7 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         for &t in &[5u64, 1, 3, 2, 4] {
-            q.push(SimTime::from_nanos(t), EventPriority::NORMAL, t);
+            q.push(SimTime::from_nanos(t), t);
         }
         let out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
@@ -111,30 +107,18 @@ mod tests {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(1);
         for i in 0..10 {
-            q.push(t, EventPriority::NORMAL, i);
+            q.push(t, i);
         }
         let out: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn priority_breaks_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(1);
-        q.push(t, EventPriority::LOW, "low");
-        q.push(t, EventPriority::HIGH, "high");
-        q.push(t, EventPriority::NORMAL, "normal");
-        assert_eq!(q.pop().unwrap().event, "high");
-        assert_eq!(q.pop().unwrap().event, "normal");
-        assert_eq!(q.pop().unwrap().event, "low");
-    }
-
-    #[test]
     fn peek_time_and_len() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_millis(7), EventPriority::NORMAL, ());
-        q.push(SimTime::from_millis(3), EventPriority::NORMAL, ());
+        q.push(SimTime::from_millis(7), ());
+        q.push(SimTime::from_millis(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
         assert_eq!(q.len(), 2);
         q.clear();
@@ -145,7 +129,7 @@ mod tests {
     fn retain_preserves_order_of_kept() {
         let mut q = EventQueue::new();
         for i in 0u64..10 {
-            q.push(SimTime::from_nanos(i), EventPriority::NORMAL, i);
+            q.push(SimTime::from_nanos(i), i);
         }
         q.retain(|ev| ev.event % 2 == 0);
         let out: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();

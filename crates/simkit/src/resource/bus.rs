@@ -85,16 +85,6 @@ impl Bus {
         }
     }
 
-    /// Nominal bandwidth in bytes per second.
-    pub fn bandwidth_bps(&self) -> u64 {
-        self.bandwidth_bps
-    }
-
-    /// Fraction of bandwidth currently stolen by a stress injector.
-    pub fn stolen_fraction(&self) -> f64 {
-        self.stolen_fraction
-    }
-
     /// Steals `fraction` of the bandwidth (the bus-eater stress test).
     ///
     /// # Panics
@@ -116,11 +106,6 @@ impl Bus {
     /// Accumulated statistics.
     pub fn stats(&self) -> &BusStats {
         &self.stats
-    }
-
-    /// The instant the bus becomes free given current backlog.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Issues a transfer at `now`; returns start and completion instants.

@@ -161,13 +161,6 @@ impl Cpu {
         self.ready.len()
     }
 
-    /// Sum of remaining demand across ready jobs (backlog).
-    pub fn backlog(&self) -> SimDuration {
-        self.ready
-            .iter()
-            .fold(SimDuration::ZERO, |acc, j| acc + j.remaining)
-    }
-
     /// Releases a job at `now`.
     ///
     /// # Panics
@@ -405,7 +398,11 @@ mod tests {
             cpu.release(at(k), TaskId(0), ms(2), 0, at(k + 1));
         }
         cpu.advance_to(at(10));
-        assert!(cpu.backlog() >= ms(9));
+        let backlog = cpu
+            .ready
+            .iter()
+            .fold(SimDuration::ZERO, |acc, j| acc + j.remaining);
+        assert!(backlog >= ms(9));
         assert!((cpu.stats().utilization() - 1.0).abs() < 1e-9);
     }
 

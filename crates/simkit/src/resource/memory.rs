@@ -151,11 +151,6 @@ impl MemoryArbiter {
         &self.table
     }
 
-    /// Length of one slot.
-    pub fn slot_duration(&self) -> SimDuration {
-        self.slot_duration
-    }
-
     /// Number of run-time reconfigurations performed.
     pub fn reconfigurations(&self) -> u64 {
         self.reconfigurations

@@ -76,19 +76,6 @@ impl SimRng {
         self.inner.gen_bool(p)
     }
 
-    /// A normally distributed float (Box–Muller) with `mean` and `std_dev`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or either parameter is not finite.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
-        let u1: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.inner.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Picks a uniformly random element of `items`.
     ///
     /// Returns `None` for an empty slice.
@@ -142,17 +129,6 @@ mod tests {
         assert_eq!(c1.uniform_u64(0, 1 << 60), c1_again.uniform_u64(0, 1 << 60));
         // Practically always differs between streams.
         let _ = c2.uniform_u64(0, 1 << 60);
-    }
-
-    #[test]
-    fn normal_moments_are_roughly_right() {
-        let mut r = SimRng::seed(6);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(3.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
-        assert!((var - 4.0).abs() < 0.3, "var={var}");
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl TaskSet {
         self.tasks.push(task);
     }
 
-    /// The tasks, in insertion order.
-    pub fn tasks(&self) -> &[PeriodicTask] {
-        &self.tasks
-    }
-
     /// Looks up a task by id.
     pub fn get(&self, id: TaskId) -> Option<&PeriodicTask> {
         self.tasks.iter().find(|t| t.id == id)

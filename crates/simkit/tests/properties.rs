@@ -2,22 +2,21 @@
 
 use proptest::prelude::*;
 use simkit::{
-    Cpu, EventPriority, EventQueue, MemoryArbiter, MemoryRequest, PortId, SimDuration, SimTime,
-    SlotTable, TaskId,
+    Cpu, EventQueue, MemoryArbiter, MemoryRequest, PortId, SimDuration, SimTime, SlotTable, TaskId,
 };
 
 proptest! {
-    /// Events always pop in nondecreasing (time, priority) order, and
-    /// insertion order breaks remaining ties.
+    /// Events always pop in nondecreasing time order, and insertion
+    /// order breaks ties.
     #[test]
-    fn queue_pops_sorted(events in prop::collection::vec((0u64..1_000, 0u8..4), 1..200)) {
+    fn queue_pops_sorted(events in prop::collection::vec(0u64..1_000, 1..200)) {
         let mut q = EventQueue::new();
-        for (i, (t, p)) in events.iter().enumerate() {
-            q.push(SimTime::from_nanos(*t), EventPriority(*p), i);
+        for (i, t) in events.iter().enumerate() {
+            q.push(SimTime::from_nanos(*t), i);
         }
         let mut popped = Vec::new();
         while let Some(ev) = q.pop() {
-            popped.push((ev.time, ev.priority, ev.seq));
+            popped.push((ev.time, ev.seq));
         }
         prop_assert_eq!(popped.len(), events.len());
         for w in popped.windows(2) {

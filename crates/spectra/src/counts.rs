@@ -89,11 +89,6 @@ impl CountsMatrix {
         self.failing_steps as usize
     }
 
-    /// Number of passing steps.
-    pub fn passing_steps(&self) -> usize {
-        self.passing_steps as usize
-    }
-
     /// Number of distinct blocks hit in at least one step.
     pub fn blocks_touched(&self) -> u32 {
         self.a_ef
@@ -237,7 +232,7 @@ impl CountsMatrix {
         let scores: Vec<f64> = (0..self.n_blocks)
             .map(|b| self.score(b, coefficient))
             .collect();
-        Ranking::from_scores(scores, coefficient)
+        Ranking::from_scores(scores)
     }
 }
 

@@ -96,7 +96,7 @@ impl Diagnoser {
 /// step:
 ///
 /// ```
-/// use spectra::{Coefficient, IncrementalDiagnoser};
+/// use spectra::IncrementalDiagnoser;
 ///
 /// let mut diag = IncrementalDiagnoser::new(1000).with_top_k(3);
 /// diag.append_step([1, 2].iter().copied(), false);
@@ -106,7 +106,6 @@ impl Diagnoser {
 #[derive(Debug, Clone)]
 pub struct IncrementalDiagnoser {
     counts: CountsMatrix,
-    coefficient: Coefficient,
     k: usize,
     shards: usize,
 }
@@ -114,25 +113,18 @@ pub struct IncrementalDiagnoser {
 impl IncrementalDiagnoser {
     /// Creates a streaming diagnoser over `n_blocks` blocks.
     ///
-    /// Defaults: Ochiai (the coefficient the Trader work found most
-    /// effective), a top-10 window, and one scoring shard per available
-    /// hardware thread (capped at 8).
+    /// It scores with Ochiai (the coefficient the Trader work found most
+    /// effective). Defaults: a top-10 window, and one scoring shard per
+    /// available hardware thread (capped at 8).
     pub fn new(n_blocks: u32) -> Self {
         let shards = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
             .min(8);
         IncrementalDiagnoser {
             counts: CountsMatrix::new(n_blocks),
-            coefficient: Coefficient::Ochiai,
             k: 10,
             shards,
         }
-    }
-
-    /// Sets the similarity coefficient.
-    pub fn with_coefficient(mut self, coefficient: Coefficient) -> Self {
-        self.coefficient = coefficient;
-        self
     }
 
     /// Sets the size of the suspect window.
@@ -172,9 +164,9 @@ impl IncrementalDiagnoser {
     /// over the same steps.
     pub fn top_k(&self) -> TopK {
         if self.counts.steps() == 0 {
-            return TopK::empty(self.coefficient, self.k, self.counts.n_blocks());
+            return TopK::empty(self.counts.n_blocks());
         }
-        score_top_k(&self.counts, self.coefficient, self.k, self.shards)
+        score_top_k(&self.counts, Coefficient::Ochiai, self.k, self.shards)
     }
 
     /// The accumulated columnar counters.
@@ -196,7 +188,7 @@ impl IncrementalDiagnoser {
             steps: self.counts.steps(),
             failing_steps: self.counts.failing_steps(),
             blocks_touched: self.counts.blocks_touched(),
-            ranking: self.counts.rank(self.coefficient),
+            ranking: self.counts.rank(Coefficient::Ochiai),
         }
     }
 }
@@ -279,9 +271,7 @@ mod tests {
     #[test]
     fn incremental_snapshot_flow() {
         let mut cov = BlockCoverage::new(500);
-        let mut inc = IncrementalDiagnoser::new(500)
-            .with_coefficient(Coefficient::Jaccard)
-            .with_top_k(2);
+        let mut inc = IncrementalDiagnoser::new(500).with_top_k(2);
         assert!(inc.top_k().entries().is_empty());
         cov.hit(3);
         cov.hit(4);

@@ -147,7 +147,7 @@ impl SpectrumMatrix {
         for block in 0..self.n_blocks {
             scores.push(coefficient.score(self.counts(block)));
         }
-        Ranking::from_scores(scores, coefficient)
+        Ranking::from_scores(scores)
     }
 }
 

@@ -1,6 +1,5 @@
 //! Ranking blocks by suspiciousness.
 
-use crate::similarity::Coefficient;
 use serde::{Deserialize, Serialize};
 
 /// One entry of a ranking.
@@ -19,13 +18,12 @@ pub struct RankingEntry {
 /// expected position of the fault if ties are inspected in random order).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ranking {
-    coefficient: Coefficient,
     entries: Vec<RankingEntry>,
 }
 
 impl Ranking {
     /// Builds a ranking from per-block scores (`scores[i]` is block `i`'s).
-    pub fn from_scores(scores: Vec<f64>, coefficient: Coefficient) -> Self {
+    pub fn from_scores(scores: Vec<f64>) -> Self {
         let mut entries: Vec<RankingEntry> = scores
             .into_iter()
             .enumerate()
@@ -40,15 +38,7 @@ impl Ranking {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.block.cmp(&b.block))
         });
-        Ranking {
-            coefficient,
-            entries,
-        }
-    }
-
-    /// The coefficient that produced this ranking.
-    pub fn coefficient(&self) -> Coefficient {
-        self.coefficient
+        Ranking { entries }
     }
 
     /// Entries in descending score order.
@@ -117,7 +107,7 @@ mod tests {
     use super::*;
 
     fn ranking(scores: &[f64]) -> Ranking {
-        Ranking::from_scores(scores.to_vec(), Coefficient::Ochiai)
+        Ranking::from_scores(scores.to_vec())
     }
 
     #[test]
@@ -161,7 +151,6 @@ mod tests {
         let r = ranking(&[0.3, 0.2]);
         assert_eq!(r.top(1).len(), 1);
         assert_eq!(r.top(10).len(), 2);
-        assert_eq!(r.coefficient(), Coefficient::Ochiai);
     }
 
     #[test]

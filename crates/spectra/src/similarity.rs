@@ -46,11 +46,6 @@ impl Counts {
     pub fn failures(&self) -> u32 {
         self.a11 + self.a01
     }
-
-    /// Total passing steps.
-    pub fn passes(&self) -> u32 {
-        self.a10 + self.a00
-    }
 }
 
 /// A similarity coefficient.
@@ -201,7 +196,6 @@ mod tests {
     fn counts_helpers() {
         let cc = c(1, 2, 3, 4);
         assert_eq!(cc.failures(), 4);
-        assert_eq!(cc.passes(), 6);
     }
 
     #[test]
@@ -209,7 +203,6 @@ mod tests {
         let cc = Counts::from_columnar(2, 1, 5, 4);
         assert_eq!(cc, c(2, 1, 3, 3));
         assert_eq!(cc.failures(), 5);
-        assert_eq!(cc.passes(), 4);
     }
 
     #[test]

@@ -49,32 +49,17 @@ pub fn rank_cmp(a: &RankingEntry, b: &RankingEntry) -> Ordering {
 /// The k most suspicious blocks, best first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TopK {
-    coefficient: Coefficient,
-    requested_k: usize,
     n_blocks: u32,
     entries: Vec<RankingEntry>,
 }
 
 impl TopK {
     /// An empty result (no steps scored yet).
-    pub fn empty(coefficient: Coefficient, k: usize, n_blocks: u32) -> Self {
+    pub fn empty(n_blocks: u32) -> Self {
         TopK {
-            coefficient,
-            requested_k: k,
             n_blocks,
             entries: Vec::new(),
         }
-    }
-
-    /// The coefficient that produced the scores.
-    pub fn coefficient(&self) -> Coefficient {
-        self.coefficient
-    }
-
-    /// The `k` that was asked for (entries may be fewer when the matrix
-    /// has fewer blocks).
-    pub fn requested_k(&self) -> usize {
-        self.requested_k
     }
 
     /// Total blocks in the scored matrix.
@@ -225,8 +210,6 @@ pub fn score_top_k(
     merged.sort_by(rank_cmp);
     merged.truncate(k);
     TopK {
-        coefficient,
-        requested_k: k,
         n_blocks: n,
         entries: merged,
     }
@@ -274,14 +257,12 @@ mod tests {
     fn window_queries() {
         let m = sample_matrix(100);
         let top = score_top_k(&m, Coefficient::Ochiai, 5, 2);
-        assert_eq!(top.requested_k(), 5);
         assert_eq!(top.n_blocks(), 100);
         assert_eq!(top.entries().len(), 5);
         assert_eq!(top.prime_suspect(), Some(40));
         assert_eq!(top.position_of(40), Some(1));
         assert!(top.contains(41));
         assert!(!top.contains(99));
-        assert_eq!(top.coefficient(), Coefficient::Ochiai);
     }
 
     #[test]
@@ -297,10 +278,9 @@ mod tests {
 
     #[test]
     fn empty_top_k() {
-        let t = TopK::empty(Coefficient::Jaccard, 7, 50);
+        let t = TopK::empty(50);
         assert!(t.entries().is_empty());
         assert_eq!(t.prime_suspect(), None);
-        assert_eq!(t.requested_k(), 7);
     }
 
     #[test]

@@ -93,7 +93,7 @@ proptest! {
     #[test]
     fn ranking_is_sorted_permutation(scores in prop::collection::vec(0.0f64..1.0, 1..100)) {
         let n = scores.len();
-        let r = Ranking::from_scores(scores, Coefficient::Ochiai);
+        let r = Ranking::from_scores(scores);
         prop_assert_eq!(r.len(), n);
         let mut blocks: Vec<u32> = r.entries().iter().map(|e| e.block).collect();
         blocks.sort_unstable();

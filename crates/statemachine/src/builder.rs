@@ -284,16 +284,6 @@ impl MachineBuilder {
         )
     }
 
-    /// Adds an eventless transition, considered on every step.
-    pub fn always(
-        self,
-        source: impl Into<String>,
-        target: impl Into<String>,
-        configure: impl FnOnce(TransitionBuilder) -> TransitionBuilder,
-    ) -> Self {
-        self.push_transition(source.into(), Trigger::Always, target.into(), configure)
-    }
-
     /// Assembles and structurally checks the machine.
     ///
     /// # Errors

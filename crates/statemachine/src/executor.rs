@@ -8,8 +8,8 @@
 //! ## Semantics
 //!
 //! * **Run-to-completion**: an injected event is processed fully —
-//!   including internal events it emits and any enabled eventless
-//!   transitions — before `step` returns.
+//!   including internal events it emits and any `after(d)` transitions
+//!   already due — before `step` returns.
 //! * **Inner-first priority**: transitions whose source is the innermost
 //!   active state win over ancestors'; among transitions from the same
 //!   state, declaration order decides.
@@ -41,7 +41,7 @@ pub struct OutputRecord {
     pub value: Value,
 }
 
-/// Bound on chained internal events / eventless transitions per step, to
+/// Bound on chained internal events / due timed transitions per step, to
 /// turn modeling livelocks into recorded errors instead of hangs.
 const RTC_LIMIT: usize = 1_000;
 
@@ -62,7 +62,6 @@ pub struct Executor<'m> {
     errors: Vec<String>,
     started: bool,
     steps: u64,
-    transitions_fired: u64,
     /// Reusable entry-path buffer for [`Executor::fire`]; the executor
     /// sits on the awareness loop's per-press hot path, so transition
     /// firing must not allocate.
@@ -84,14 +83,8 @@ impl<'m> Executor<'m> {
             errors: Vec::new(),
             started: false,
             steps: 0,
-            transitions_fired: 0,
             path_scratch: Vec::new(),
         }
-    }
-
-    /// The machine under execution.
-    pub fn machine(&self) -> &Machine {
-        self.machine
     }
 
     /// Current model time.
@@ -104,17 +97,12 @@ impl<'m> Executor<'m> {
         self.steps
     }
 
-    /// Number of transitions fired (including internal/eventless).
-    pub fn transitions_fired(&self) -> u64 {
-        self.transitions_fired
-    }
-
     /// Recorded evaluation errors (model bugs surfaced at run time).
     pub fn errors(&self) -> &[String] {
         &self.errors
     }
 
-    /// Enters the initial configuration and settles eventless transitions.
+    /// Enters the initial configuration and settles due timed transitions.
     ///
     /// # Panics
     ///
@@ -161,11 +149,6 @@ impl<'m> Executor<'m> {
         self.active
             .iter()
             .any(|id| !self.machine.state(*id).compare_enabled)
-    }
-
-    /// Current variable values.
-    pub fn vars(&self) -> &Vars {
-        &self.vars
     }
 
     /// One variable's current value.
@@ -300,7 +283,7 @@ impl<'m> Executor<'m> {
     }
 
     /// Finds the highest-priority enabled transition for `event`
-    /// (or an eventless/due-timer transition when `event` is `None`).
+    /// (or a due-timer transition when `event` is `None`).
     fn find_enabled(&mut self, event: Option<&Event>) -> Option<usize> {
         let machine = self.machine;
         // Inner-first: walk active chain from leaf to root. Indexed to
@@ -315,7 +298,6 @@ impl<'m> Executor<'m> {
                 }
                 let triggered = match (&tr.trigger, event) {
                     (Trigger::On(name), Some(ev)) => name == &ev.name,
-                    (Trigger::Always, None) => true,
                     (Trigger::After(d), None) => {
                         // A due timer counts as enabled during RTC.
                         self.entered_at
@@ -354,7 +336,6 @@ impl<'m> Executor<'m> {
     fn fire(&mut self, idx: usize, event: Option<&Event>) {
         let machine = self.machine;
         let tr = &machine.transitions()[idx];
-        self.transitions_fired += 1;
 
         // Scope: deepest proper ancestor common to source and target.
         // Walks parent links directly (machines are shallow) instead of
@@ -424,7 +405,7 @@ impl<'m> Executor<'m> {
         }
     }
 
-    /// Drains internal events and eventless transitions, bounded.
+    /// Drains internal events and due timed transitions, bounded.
     fn run_to_completion(&mut self, _event: Option<&Event>) {
         let mut rounds = 0;
         loop {
@@ -542,7 +523,6 @@ mod tests {
         assert_eq!(e.active_leaf_name(), "off");
         assert_eq!(e.last_output("light"), Some(&Value::Int(0)));
         assert_eq!(e.outputs().len(), 2);
-        assert_eq!(e.transitions_fired(), 2);
     }
 
     #[test]
@@ -660,6 +640,8 @@ mod tests {
 
     #[test]
     fn eventless_transitions_settle() {
+        // A zero-delay timed transition is due the moment its source is
+        // entered, so it settles within the step that entered it.
         let m = MachineBuilder::new("settle")
             .state("a")
             .state("b")
@@ -667,7 +649,9 @@ mod tests {
             .initial("a")
             .var("x", 5)
             .on("a", "go", "b", |t| t)
-            .always("b", "c", |t| t.guard(Expr::var("x").gt(Expr::lit(0))))
+            .after("b", SimDuration::ZERO, "c", |t| {
+                t.guard(Expr::lit(0).lt(Expr::var("x")))
+            })
             .build()
             .unwrap();
         let mut e = Executor::new(&m);
@@ -683,12 +667,13 @@ mod tests {
             .state("a")
             .state("b")
             .initial("a")
-            .always("a", "b", |t| t)
-            .always("b", "a", |t| t)
+            .on("a", "ping", "b", |t| t.emit("pong"))
+            .on("b", "pong", "a", |t| t.emit("ping"))
             .build()
             .unwrap();
         let mut e = Executor::new(&m);
         e.start();
+        e.step(&Event::plain("ping"));
         assert!(e
             .errors()
             .iter()
@@ -803,7 +788,7 @@ mod tests {
             .state("b")
             .initial("a")
             .on("a", "go", "b", |t| {
-                t.guard(Expr::var("missing").gt(Expr::lit(0)))
+                t.guard(Expr::var("missing").lt(Expr::lit(0)))
             })
             .build()
             .unwrap();

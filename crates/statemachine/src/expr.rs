@@ -21,7 +21,7 @@ pub type Vars = BTreeMap<String, Value>;
 ///
 /// let mut vars = BTreeMap::new();
 /// vars.insert("volume".to_owned(), Value::Int(30));
-/// let expr = Expr::var("volume").gt(Expr::lit(20));
+/// let expr = Expr::var("volume").ge(Expr::lit(20));
 /// assert_eq!(expr.eval(&vars, None).unwrap(), Value::Bool(true));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,8 +32,6 @@ pub enum Expr {
     Var(String),
     /// The payload of the triggering event (error if absent).
     Payload,
-    /// Logical negation.
-    Not(Box<Expr>),
     /// Logical and (short-circuit).
     And(Box<Expr>, Box<Expr>),
     /// Logical or (short-circuit).
@@ -46,8 +44,6 @@ pub enum Expr {
     Lt(Box<Expr>, Box<Expr>),
     /// Less-or-equal (numeric).
     Le(Box<Expr>, Box<Expr>),
-    /// Greater-than (numeric).
-    Gt(Box<Expr>, Box<Expr>),
     /// Greater-or-equal (numeric).
     Ge(Box<Expr>, Box<Expr>),
     /// Addition (Int+Int stays Int; otherwise Float).
@@ -141,11 +137,6 @@ impl Expr {
         Expr::Le(Box::new(self), Box::new(rhs))
     }
 
-    /// `self > rhs`.
-    pub fn gt(self, rhs: Expr) -> Expr {
-        Expr::Gt(Box::new(self), Box::new(rhs))
-    }
-
     /// `self >= rhs`.
     pub fn ge(self, rhs: Expr) -> Expr {
         Expr::Ge(Box::new(self), Box::new(rhs))
@@ -159,12 +150,6 @@ impl Expr {
     /// `self || rhs`.
     pub fn or(self, rhs: Expr) -> Expr {
         Expr::Or(Box::new(self), Box::new(rhs))
-    }
-
-    /// `!self`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Expr {
-        Expr::Not(Box::new(self))
     }
 
     /// `self + rhs`.
@@ -219,11 +204,6 @@ impl Expr {
             Expr::Payload => event
                 .and_then(|e| e.payload.clone())
                 .ok_or(EvalError::NoPayload),
-            Expr::Not(e) => {
-                let v = e.eval(vars, event)?;
-                let b = v.as_bool().ok_or_else(|| type_err("not", &v))?;
-                Ok(Value::Bool(!b))
-            }
             Expr::And(a, b) => {
                 let va = a.eval(vars, event)?;
                 let ba = va.as_bool().ok_or_else(|| type_err("and", &va))?;
@@ -254,7 +234,6 @@ impl Expr {
             ))),
             Expr::Lt(a, b) => numeric_cmp("lt", a, b, vars, event, |x, y| x < y),
             Expr::Le(a, b) => numeric_cmp("le", a, b, vars, event, |x, y| x <= y),
-            Expr::Gt(a, b) => numeric_cmp("gt", a, b, vars, event, |x, y| x > y),
             Expr::Ge(a, b) => numeric_cmp("ge", a, b, vars, event, |x, y| x >= y),
             Expr::Add(a, b) => arith(
                 "add",
@@ -331,14 +310,12 @@ impl Expr {
         match self {
             Expr::Const(_) | Expr::Payload => {}
             Expr::Var(v) => out.push(v.clone()),
-            Expr::Not(e) => e.referenced_vars(out),
             Expr::And(a, b)
             | Expr::Or(a, b)
             | Expr::Eq(a, b)
             | Expr::Ne(a, b)
             | Expr::Lt(a, b)
             | Expr::Le(a, b)
-            | Expr::Gt(a, b)
             | Expr::Ge(a, b)
             | Expr::Add(a, b)
             | Expr::Sub(a, b)
@@ -484,7 +461,7 @@ mod tests {
     fn comparisons() {
         let v = vars();
         assert_eq!(
-            Expr::var("x").gt(Expr::lit(5)).eval(&v, None).unwrap(),
+            Expr::lit(5).lt(Expr::var("x")).eval(&v, None).unwrap(),
             Value::Bool(true)
         );
         assert_eq!(
@@ -514,10 +491,6 @@ mod tests {
         assert_eq!(e.eval(&v, None).unwrap(), Value::Bool(false));
         let e = Expr::lit(true).or(Expr::var("missing"));
         assert_eq!(e.eval(&v, None).unwrap(), Value::Bool(true));
-        assert_eq!(
-            Expr::var("flag").not().eval(&v, None).unwrap(),
-            Value::Bool(false)
-        );
     }
 
     #[test]

@@ -92,15 +92,6 @@ impl Machine {
         }
         chain
     }
-
-    /// Direct children of a composite state.
-    pub fn children(&self, id: StateId) -> Vec<StateId> {
-        self.states
-            .iter()
-            .filter(|s| s.parent == Some(id))
-            .map(|s| s.id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,6 +117,5 @@ mod tests {
         assert!(m.is_self_or_ancestor(top, leaf));
         assert!(m.is_self_or_ancestor(leaf, leaf));
         assert!(!m.is_self_or_ancestor(leaf, top));
-        assert_eq!(m.children(top), vec![mid]);
     }
 }

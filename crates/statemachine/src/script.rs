@@ -24,8 +24,6 @@ pub enum ScriptStep {
     Inject(Event),
     /// Expect the active leaf state to have this name.
     ExpectState(String),
-    /// Expect the named state to be active (leaf or ancestor).
-    ExpectActive(String),
     /// Expect a variable to hold a value.
     ExpectVar(String, Value),
     /// Expect the most recent value of an output.
@@ -156,11 +154,6 @@ impl TestScript {
                             format!("expected leaf state `{name}`, in `{actual}`"),
                             &exec,
                         ));
-                    }
-                }
-                ScriptStep::ExpectActive(name) => {
-                    if !exec.is_active(name) {
-                        failures.push(fail(format!("state `{name}` not active"), &exec));
                     }
                 }
                 ScriptStep::ExpectVar(name, expected) => match exec.var(name) {

@@ -14,8 +14,6 @@ pub enum Trigger {
     /// The source state has been continuously active for this long
     /// (Stateflow's `after(t)`).
     After(SimDuration),
-    /// Considered on every run-to-completion pass (eventless transition).
-    Always,
 }
 
 impl fmt::Display for Trigger {
@@ -23,7 +21,6 @@ impl fmt::Display for Trigger {
         match self {
             Trigger::On(name) => write!(f, "on {name}"),
             Trigger::After(d) => write!(f, "after {d}"),
-            Trigger::Always => write!(f, "always"),
         }
     }
 }
@@ -85,7 +82,6 @@ mod tests {
     #[test]
     fn display_trigger() {
         assert_eq!(Trigger::On("up".into()).to_string(), "on up");
-        assert_eq!(Trigger::Always.to_string(), "always");
         assert_eq!(
             Trigger::After(SimDuration::from_millis(5)).to_string(),
             "after 5.000ms"
@@ -94,7 +90,7 @@ mod tests {
 
     #[test]
     fn new_transition_has_no_guard() {
-        let t = Transition::new(StateId(0), Trigger::Always, StateId(1));
+        let t = Transition::new(StateId(0), Trigger::On("up".into()), StateId(1));
         assert!(t.guard.is_none());
         assert!(t.actions.is_empty());
     }

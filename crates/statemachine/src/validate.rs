@@ -117,7 +117,6 @@ impl Machine {
                 }
                 let same_trigger = match (&a.trigger, &b.trigger) {
                     (Trigger::On(x), Trigger::On(y)) => x == y,
-                    (Trigger::Always, Trigger::Always) => true,
                     _ => false,
                 };
                 if same_trigger && a.guard.is_none() && b.guard.is_none() {
@@ -307,7 +306,7 @@ mod tests {
             .state("a")
             .initial("a")
             .on("a", "go", "a", |t| {
-                t.guard(Expr::var("ghost").gt(Expr::lit(0)))
+                t.guard(Expr::var("ghost").lt(Expr::lit(0)))
             })
             .build()
             .unwrap();

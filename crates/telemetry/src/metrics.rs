@@ -107,15 +107,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean sample value; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The `[low, high]` bounds of the bucket holding the `q`-quantile
     /// sample (`0.0 <= q <= 1.0`), or `None` if empty.
     ///
@@ -360,7 +351,6 @@ mod tests {
         assert_eq!(h.percentile_bounds(0.5), None);
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.min(), None);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]

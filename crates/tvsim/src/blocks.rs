@@ -26,8 +26,6 @@ pub const N_BLOCKS: u32 = 60_000;
 pub struct BlockMap;
 
 impl BlockMap {
-    /// Power handling blocks.
-    pub const POWER: u32 = 0;
     /// Volume feature blocks.
     pub const VOLUME: u32 = 40;
     /// Channel tuner blocks.
@@ -36,8 +34,6 @@ impl BlockMap {
     pub const TELETEXT: u32 = 140;
     /// Screen/OSD manager blocks.
     pub const SCREEN: u32 = 220;
-    /// Child-lock blocks.
-    pub const CHILDLOCK: u32 = 300;
     /// Sleep-timer blocks.
     pub const SLEEP: u32 = 330;
     /// Swivel blocks.

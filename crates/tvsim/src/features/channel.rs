@@ -4,17 +4,15 @@ use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Highest channel number.
 pub const MAX_CHANNEL: i64 = 99;
 
-/// The tuner: current channel plus child-lock filtering.
+/// The tuner: the current and the previously tuned channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelTuner {
     current: i64,
     previous: i64,
-    locked: BTreeSet<i64>,
 }
 
 impl Default for ChannelTuner {
@@ -22,7 +20,6 @@ impl Default for ChannelTuner {
         ChannelTuner {
             current: 1,
             previous: 1,
-            locked: BTreeSet::new(),
         }
     }
 }
@@ -38,36 +35,10 @@ impl ChannelTuner {
         self.current
     }
 
-    /// The previously tuned channel.
-    pub fn previous(&self) -> i64 {
-        self.previous
-    }
-
-    /// Marks a channel as child-locked.
-    pub fn lock_channel(&mut self, ch: i64) {
-        self.locked.insert(ch);
-    }
-
-    /// Unmarks a child-locked channel.
-    pub fn unlock_channel(&mut self, ch: i64) {
-        self.locked.remove(&ch);
-    }
-
-    /// True if `ch` is child-locked.
-    pub fn is_locked(&self, ch: i64) -> bool {
-        self.locked.contains(&ch)
-    }
-
     fn retune(&mut self, ctx: &mut FeatureCtx<'_>, target: i64) {
-        let target = target.clamp(1, MAX_CHANNEL);
-        if self.locked.contains(&target) {
-            // Child lock: the tune request is rejected (paper feature set).
-            ctx.hit(BlockMap::CHILDLOCK + 1);
-        } else {
-            ctx.hit(BlockMap::CHANNEL + 1);
-            self.previous = self.current;
-            self.current = target;
-        }
+        ctx.hit(BlockMap::CHANNEL + 1);
+        self.previous = self.current;
+        self.current = target.clamp(1, MAX_CHANNEL);
         ctx.exec(FirmwareOp::Tune, self.current as u32);
         ctx.output("channel", self.current);
     }
@@ -99,15 +70,11 @@ impl ChannelTuner {
         self.retune(ctx, target);
     }
 
-    /// Micro-reboot checkpoint: channel state plus the child-lock set
-    /// (one `locked.N` key per locked channel).
+    /// Micro-reboot checkpoint: the current and previous channel.
     pub fn snapshot(&self) -> crate::UnitState {
         let mut s = crate::UnitState::new();
         s.insert("current".into(), self.current as f64);
         s.insert("previous".into(), self.previous as f64);
-        for ch in &self.locked {
-            s.insert(format!("locked.{ch}").into(), 1.0);
-        }
         s
     }
 
@@ -120,11 +87,6 @@ impl ChannelTuner {
         self.previous = s
             .get("previous")
             .map_or(d.previous, |v| (*v as i64).clamp(1, MAX_CHANNEL));
-        self.locked = s
-            .iter()
-            .filter(|(_, v)| **v != 0.0)
-            .filter_map(|(k, _)| k.strip_prefix("locked.").and_then(|n| n.parse().ok()))
-            .collect();
     }
 }
 
@@ -163,7 +125,7 @@ mod tests {
         assert_eq!(t.current(), MAX_CHANNEL);
         run(&mut t, &faults, |t, c| t.channel_up(c));
         assert_eq!(t.current(), 1);
-        assert_eq!(t.previous(), MAX_CHANNEL);
+        assert_eq!(t.previous, MAX_CHANNEL);
     }
 
     #[test]
@@ -186,20 +148,5 @@ mod tests {
         let mut t = ChannelTuner::new();
         run(&mut t, &faults, |t, c| t.channel_up(c));
         assert_eq!(t.current(), 3); // skipped channel 2
-    }
-
-    #[test]
-    fn child_lock_blocks_tuning() {
-        let faults = FaultSet::none();
-        let mut t = ChannelTuner::new();
-        t.lock_channel(5);
-        assert!(t.is_locked(5));
-        let obs = run(&mut t, &faults, |t, c| t.digit(c, 5));
-        assert_eq!(t.current(), 1, "locked channel must be rejected");
-        // The channel output still reports the (unchanged) channel.
-        assert_eq!(obs[0].as_output().unwrap().1.as_num(), Some(1.0));
-        t.unlock_channel(5);
-        run(&mut t, &faults, |t, c| t.digit(c, 5));
-        assert_eq!(t.current(), 5);
     }
 }

@@ -41,11 +41,6 @@ impl SleepTimer {
         self.fires_at.is_some()
     }
 
-    /// When the timer will fire.
-    pub fn fires_at(&self) -> Option<SimTime> {
-        self.fires_at
-    }
-
     /// Handles the sleep key: extends in 15-minute steps, wrapping to off
     /// after the maximum.
     pub fn key(&mut self, ctx: &mut FeatureCtx<'_>) {
@@ -143,11 +138,6 @@ impl Swivel {
     /// Current angle in degrees (negative = left).
     pub fn angle(&self) -> i64 {
         self.angle
-    }
-
-    /// The last commanded target angle (clamped to the travel range).
-    pub fn last_cmd(&self) -> i64 {
-        self.last_cmd
     }
 
     /// True when the motor has reached the last commanded angle — the
@@ -267,7 +257,7 @@ mod tests {
         let mut sw = Swivel::new();
         with_ctx(SimTime::ZERO, &faults, |c| sw.key(c, false));
         assert_eq!(sw.angle(), 0, "motor must not move under the fault");
-        assert_eq!(sw.last_cmd(), 15, "the command itself was registered");
+        assert_eq!(sw.last_cmd, 15, "the command itself was registered");
         assert!(!sw.converged(), "witness sees command != actuation");
     }
 

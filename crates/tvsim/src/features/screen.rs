@@ -26,26 +26,6 @@ impl ScreenManager {
         Self::default()
     }
 
-    /// True while the menu is open.
-    pub fn menu_open(&self) -> bool {
-        self.menu_open
-    }
-
-    /// True while the EPG is open.
-    pub fn epg_open(&self) -> bool {
-        self.epg_open
-    }
-
-    /// True while dual-screen is enabled.
-    pub fn dual(&self) -> bool {
-        self.dual
-    }
-
-    /// True while picture-in-picture is enabled.
-    pub fn pip(&self) -> bool {
-        self.pip
-    }
-
     /// The selected input source (0–3).
     pub fn source(&self) -> i64 {
         self.source
@@ -243,10 +223,10 @@ mod tests {
         let faults = FaultSet::none();
         let mut s = ScreenManager::new();
         run(&mut s, &faults, |s, c| s.epg(c, false));
-        assert!(s.epg_open());
+        assert!(s.epg_open);
         run(&mut s, &faults, |s, c| s.menu(c, false));
-        assert!(s.menu_open());
-        assert!(!s.epg_open());
+        assert!(s.menu_open);
+        assert!(!s.epg_open);
     }
 
     #[test]
@@ -254,11 +234,11 @@ mod tests {
         let faults = FaultSet::none();
         let mut s = ScreenManager::new();
         run(&mut s, &faults, |s, c| s.pip_toggle(c, false));
-        assert!(s.pip());
+        assert!(s.pip);
         run(&mut s, &faults, |s, c| s.dual_toggle(c, false));
-        assert!(s.dual() && !s.pip());
+        assert!(s.dual && !s.pip);
         run(&mut s, &faults, |s, c| s.pip_toggle(c, false));
-        assert!(s.pip() && !s.dual());
+        assert!(s.pip && !s.dual);
     }
 
     #[test]
@@ -269,7 +249,7 @@ mod tests {
         let mut consumed = false;
         run(&mut s, &faults, |s, c| consumed = s.back(c, true));
         assert!(consumed);
-        assert!(!s.menu_open());
+        assert!(!s.menu_open);
         run(&mut s, &faults, |s, c| consumed = s.back(c, true));
         assert!(!consumed, "no OSD open: back falls through");
     }
@@ -283,7 +263,7 @@ mod tests {
         run(&mut s, &faults, |s, c| {
             s.back(c, false);
         });
-        assert!(s.menu_open(), "menu must stay frozen under the fault");
+        assert!(s.menu_open, "menu must stay frozen under the fault");
     }
 
     #[test]
@@ -292,7 +272,7 @@ mod tests {
         let mut s = ScreenManager::new();
         run(&mut s, &faults, |s, c| s.menu(c, false));
         run(&mut s, &faults, |s, c| s.epg(c, false));
-        assert!(!s.epg_open());
+        assert!(!s.epg_open);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   [`blocks::CoverageRecorder`]) like the real C code in the paper's
 //!   diagnosis experiment;
 //! * [`features`] — volume, channel tuning, teletext, screen/OSD
-//!   management, child lock, sleep timer, swivel: each with the feature
-//!   interactions the paper calls out;
+//!   management, sleep timer, swivel: each with the feature
+//!   interactions the paper calls out (the paper's child lock is not
+//!   modelled: no specification, scenario or fault reaches it);
 //! * [`remote::Key`] — the remote control, the TV's input alphabet;
 //! * [`blocks`] — the block-id map plus the [`SyntheticCodeBank`]
 //!   representing the rest of the 20 MB firmware for the 60 000-block

@@ -150,11 +150,6 @@ impl StreamingPipeline {
         self.signal_quality = q;
     }
 
-    /// Current signal quality.
-    pub fn signal_quality(&self) -> f64 {
-        self.signal_quality
-    }
-
     /// The processor currently assigned to `task`.
     pub fn assignment_of(&self, task: TaskId) -> Option<usize> {
         self.assignment.get(&task).copied()
@@ -220,11 +215,6 @@ impl StreamingPipeline {
     /// signal a load balancer reacts to.
     pub fn last_frame_loads(&self) -> &[f64] {
         &self.last_frame_loads
-    }
-
-    /// The processors (read access for custom metrics).
-    pub fn cpus(&self) -> &[Cpu] {
-        &self.cpus
     }
 
     /// Simulated time so far.

@@ -87,7 +87,6 @@ pub struct TvSystem {
     swivel: Swivel,
     faults: FaultSet,
     cov: CoverageRecorder,
-    keys_handled: u64,
 }
 
 impl Default for TvSystem {
@@ -100,11 +99,6 @@ impl TvSystem {
     /// Creates a TV in standby with the paper-scale block map
     /// (60 000 instrumented blocks).
     pub fn new() -> Self {
-        Self::with_blocks(N_BLOCKS)
-    }
-
-    /// Creates a TV with a custom instrumented-block count (≥ 53 000).
-    pub fn with_blocks(n_blocks: u32) -> Self {
         TvSystem {
             on: false,
             volume: Volume::new(),
@@ -114,8 +108,7 @@ impl TvSystem {
             sleep: SleepTimer::new(),
             swivel: Swivel::new(),
             faults: FaultSet::none(),
-            cov: CoverageRecorder::new(n_blocks),
-            keys_handled: 0,
+            cov: CoverageRecorder::new(N_BLOCKS),
         }
     }
 
@@ -146,11 +139,6 @@ impl TvSystem {
         &self.teletext
     }
 
-    /// Screen manager state.
-    pub fn screen(&self) -> &ScreenManager {
-        &self.screen
-    }
-
     /// Sleep timer state.
     pub fn sleep_timer(&self) -> &SleepTimer {
         &self.sleep
@@ -161,11 +149,6 @@ impl TvSystem {
         &self.swivel
     }
 
-    /// Channel tuner (for child-lock configuration).
-    pub fn tuner_mut(&mut self) -> &mut ChannelTuner {
-        &mut self.tuner
-    }
-
     /// The user-visible screen mode.
     pub fn screen_mode(&self) -> &'static str {
         if !self.on {
@@ -173,11 +156,6 @@ impl TvSystem {
         } else {
             self.screen.mode(self.teletext.is_on())
         }
-    }
-
-    /// Keys handled so far.
-    pub fn keys_handled(&self) -> u64 {
-        self.keys_handled
     }
 
     // ---- faults and coverage --------------------------------------------
@@ -190,11 +168,6 @@ impl TvSystem {
     /// Deactivates a fault.
     pub fn clear_fault(&mut self, fault: TvFault) {
         self.faults.clear(fault);
-    }
-
-    /// The active fault set.
-    pub fn faults(&self) -> &FaultSet {
-        &self.faults
     }
 
     /// The synthetic firmware bank (for fault-block queries).
@@ -227,7 +200,6 @@ impl TvSystem {
     /// Handles one remote-control key press, returning the observations
     /// the instrumented system emits (key press, outputs, modes).
     pub fn press(&mut self, now: SimTime, key: Key) -> Vec<Observation> {
-        self.keys_handled += 1;
         let mut obs = vec![Observation::new(
             now,
             "remote",
@@ -873,7 +845,6 @@ mod tests {
         tv.press(SimTime::ZERO, Key::Teletext);
         tv.press(SimTime::ZERO, Key::Digit(1));
         tv.press(SimTime::ZERO, Key::SwivelRight);
-        tv.tuner_mut().lock_channel(13);
         let states = Unit::ALL.map(|u| (u, tv.unit_state(u)));
         // Mutate everything, then restore each unit from its snapshot.
         tv.press(SimTime::ZERO, Key::Digit(2));
@@ -890,7 +861,6 @@ mod tests {
         assert!(tv.is_muted());
         assert_eq!(tv.channel(), 7);
         assert!(tv.teletext().is_on());
-        assert!(tv.tuner_mut().is_locked(13));
         assert_eq!(tv.swivel().angle(), 15);
     }
 

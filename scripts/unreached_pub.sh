@@ -1,32 +1,35 @@
 #!/bin/sh
-# Lists every library `pub fn` that nothing reaches, and fails on any
-# that is not a named exception.
+# Lists every library `pub fn`, `pub const` and `pub static` that
+# nothing reaches, and fails on any that is not a named exception.
 #
 #   scripts/unreached_pub.sh             # this checkout
 #   scripts/unreached_pub.sh <dir>       # another checkout
 #
-# A `pub fn` defined in `crates/*/src` is reached when its name occurs
-# as an identifier in the reachable text of the tree, not counting the
-# name right after a `fn` keyword (a definition). The reachable text is:
+# The reachable text of the tree is:
 #   - `crates/*/src`, dbench's sources included, up to each file's first
 #     `#[cfg(test)]` (the unit tests; the same cut `scripts/loc.sh`
 #     makes);
 #   - whole files under `crates/*/tests`, `crates/*/benches`, `tests/`
 #     and `examples/`;
-# with `//` comments (doc comments and their doctests too) and `pub use`
-# lines removed. The scan is by name, so a function that shares its
-# name with any reached identifier counts as reached. dbench's own
-# `pub fn`s are not listed: its binary crate gets rustc's dead-code
-# lint.
+# with comments (doc comments and their doctests too), string and char
+# literals and `pub use` lines removed.
+#
+# A `pub fn` defined in `crates/*/src` is reached only by a call or a
+# path in that text: `name(` (so `.name(` and `Type::name(` too), a
+# turbofish `name::<`, or `Type::name` used as a value, as in
+# `sample: TvSystem::witness_swivel`. A bare `name` or `.name` is not a
+# use: it is a field, a local or a binding. A call inside the body of a
+# `fn` of the same name does not count either, so a function that only
+# delegates to a same-named method, or only calls itself, is not
+# reached by it. A `pub const` or `pub static` is reached by any use of
+# its name but its definition (a bare name is a one-segment path).
+# dbench's own items are not listed: its binary crate gets rustc's
+# dead-code lint.
 set -eu
 cd "${1:-$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)}"
 
 # Unreached on purpose, one name per line with its reason.
 exceptions='
-lock_channel    child lock (ChannelTuner): DESIGN §1 lists it in the substitution; removing it is its own decision
-unlock_channel  child lock (ChannelTuner), as lock_channel
-is_locked       child lock (ChannelTuner), as lock_channel
-tuner_mut       child lock: the only way to reach the tuner of a TvSystem
 ne              Expr::ne, the builder for the Expr::Ne variant the evaluator keeps
 '
 
@@ -36,16 +39,63 @@ files=$(find crates tests examples -name '*.rs' -not -path '*/target/*' |
 
 # shellcheck disable=SC2086 # one argument per file
 unreached=$(awk '
+    # strip(raw): the line without comments and literals. A string or
+    # block comment left open carries over to the next line in `quote`
+    # ("" outside, "\"" in a string, "\"#..." in a raw string, "*/" in a
+    # block comment).
+    function strip(raw,    out, i, n, c, d, j) {
+        out = ""; n = length(raw); i = 1
+        while (i <= n) {
+            c = substr(raw, i, 1)
+            if (quote == "*/") {
+                if (substr(raw, i, 2) == "*/") { quote = ""; i++ }
+            } else if (quote != "") {
+                if (quote == "\"" && c == "\\") i++
+                else if (substr(raw, i, length(quote)) == quote) {
+                    i += length(quote) - 1; quote = ""; out = out "\"\""
+                }
+            } else if (substr(raw, i, 2) == "//") {
+                break
+            } else if (substr(raw, i, 2) == "/*") {
+                quote = "*/"; i++
+            } else if (c == "\"") {
+                quote = "\""
+                if (match(out, /(^|[^A-Za-z0-9_])b?r#*$/)) {
+                    d = substr(out, RSTART, RLENGTH)
+                    sub(/^[^#]*/, "", d)
+                    quote = "\"" d
+                    sub(/b?r#*$/, "", out)
+                }
+            } else if (c == "\047") {
+                # A lifetime or label is a quote and an identifier with
+                # no closing quote right after its first character.
+                d = substr(raw, i + 1, 1)
+                if (d ~ /[A-Za-z_]/ && substr(raw, i + 2, 1) != "\047") {
+                    out = out c
+                } else {
+                    j = i + 1
+                    if (d == "\\") j++
+                    while (j < n && substr(raw, j + 1, 1) != "\047") j++
+                    i = j + 1
+                    out = out "\047\047"
+                }
+            } else {
+                out = out c
+            }
+            i++
+        }
+        return quote == "" ? out : out "\"\""
+    }
     FNR == 1 {
-        test_part = 0; in_pub_use = 0
+        test_part = 0; in_pub_use = 0; quote = ""
+        depth = 0; nest = 0; pending = ""; nfn = 0; prev = ""
         lib = FILENAME ~ /^crates\/[^\/]*\/src\// &&
             FILENAME !~ /^crates\/bench\/src\/bin\/dbench\//
     }
     /#\[cfg\(test\)\]/ && FILENAME ~ /^crates\/[^\/]*\/src\// { test_part = 1 }
     test_part { next }
     {
-        line = $0
-        if ((i = index(line, "//")) > 0) line = substr(line, 1, i - 1)
+        line = strip($0)
         if (in_pub_use || line ~ /^[ \t]*pub use[ \t]/) {
             in_pub_use = index(line, ";") == 0
             next
@@ -54,17 +104,56 @@ unreached=$(awk '
             def = substr(line, RSTART, RLENGTH)
             sub(/.* /, "", def)
             where[def] = where[def] " " FILENAME ":" FNR
+        } else if (lib && match(line, /pub (const|static( mut)?) [A-Za-z_][A-Za-z0-9_]*[ \t]*:/)) {
+            def = substr(line, RSTART, RLENGTH)
+            sub(/[ \t]*:$/, "", def)
+            sub(/.* /, "", def)
+            where[def] = where[def] " " FILENAME ":" FNR
+            constant[def] = 1
         }
-        prev = ""
-        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-            word = substr(line, RSTART, RLENGTH)
-            if (prev != "fn") seen[word]++
-            prev = word
-            line = substr(line, RSTART + RLENGTH)
+        # Tokens: identifiers, `::` and single characters.
+        n = 0
+        while (match(line, /[^ \t]/)) {
+            line = substr(line, RSTART)
+            if (!match(line, /^[A-Za-z_][A-Za-z0-9_]*/) && !match(line, /^::/)) RLENGTH = 1
+            tok[++n] = substr(line, 1, RLENGTH)
+            line = substr(line, RLENGTH + 1)
+        }
+        tok[n + 1] = ""; tok[n + 2] = ""
+        for (k = 1; k <= n; k++) {
+            t = tok[k]
+            if (t == "{") {
+                if (pending != "" && nest == pending_nest) {
+                    fn_name[++nfn] = pending; fn_depth[nfn] = depth; pending = ""
+                }
+                depth++
+            } else if (t == "}") {
+                depth--
+                while (nfn > 0 && fn_depth[nfn] == depth) nfn--
+            } else if (t == "(" || t == "[") {
+                nest++
+            } else if (t == ")" || t == "]") {
+                nest--
+            } else if (t == ";" && nest == pending_nest) {
+                pending = ""
+            } else if (t ~ /^[A-Za-z_]/) {
+                if (prev == "fn") {
+                    pending = t; pending_nest = nest
+                } else if (prev != "const" && prev != "static" && prev != "mut") {
+                    named[t]++
+                    inside = 0
+                    for (f = 1; f <= nfn; f++) if (fn_name[f] == t) inside = 1
+                    if (!inside && (tok[k + 1] == "(" ||
+                        (tok[k + 1] == "::" && tok[k + 2] == "<") ||
+                        (prev == "::" && tok[k + 1] != "::"))) called[t]++
+                }
+            }
+            prev = t
         }
     }
     END {
-        for (name in where) if (!(name in seen)) print name where[name]
+        for (name in where)
+            if (name in constant ? !(name in named) : !(name in called)) print name where[name]
     }' $files | sort)
 
 echo "$unreached" | awk -v exceptions="$exceptions" '
@@ -82,7 +171,7 @@ echo "$unreached" | awk -v exceptions="$exceptions" '
     { print "UNREACHED: " $0; bad = 1 }
     END {
         if (bad) {
-            print "unreached pub fn: delete each UNREACHED function, or call it from code that runs" > "/dev/stderr"
+            print "unreached pub item: delete each UNREACHED one, or use it from code that runs" > "/dev/stderr"
             exit 1
         }
     }'

@@ -6,8 +6,32 @@ cd "$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)"
 echo "== format (rustfmt, check only) =="
 cargo fmt --all --check
 
-echo "== unreached pub fn guard (only the named exceptions may be left) =="
+echo "== unreached pub item guard (only the named exceptions may be left) =="
 scripts/unreached_pub.sh
+
+echo "== unreached guard self-check: an accessor named like its field is listed =="
+scratch=$(mktemp -d "${TMPDIR:-/tmp}/unreached.XXXXXX")
+trap 'rm -rf "$scratch"' EXIT INT TERM
+tar -c --exclude=target crates tests examples | tar -x -C "$scratch"
+# `channel_epoch` is also a field of the monitor, read by its own code.
+awk '/^#\[cfg\(test\)\]/ && !done {
+        print "impl AwarenessMonitor {"
+        print "    /// Times the boundary channels were rebuilt."
+        print "    pub fn channel_epoch(&self) -> u64 {"
+        print "        self.channel_epoch"
+        print "    }"
+        print "}"
+        print ""
+        done = 1
+    }
+    { print }' crates/awareness/src/monitor.rs >"$scratch/crates/awareness/src/monitor.rs"
+status=0
+out=$(scripts/unreached_pub.sh "$scratch" 2>&1) || status=$?
+if [ "$status" -ne 1 ] || ! echo "$out" | grep -q '^UNREACHED: channel_epoch '; then
+    echo "$out"
+    echo "self-check: the guard did not list the unreached channel_epoch (exit $status)" >&2
+    exit 1
+fi
 
 echo "== build (release) =="
 cargo build --release

@@ -2,8 +2,8 @@
 
 use detect::{DeadlockDetector, Detector, WaitForGraph};
 use recovery::{
-    CommManager, CounterUnit, EscalationPolicy, RecoveryAction, RecoveryManager, RestartPolicy,
-    UnitHost, UnitMessage,
+    CommManager, CounterUnit, EscalationPolicy, RecoveryAction, RecoveryManager, UnitHost,
+    UnitMessage,
 };
 use simkit::{SimDuration, SimTime};
 use trader::faults::deadlock::cycle_edges;
@@ -22,7 +22,7 @@ fn fault_detect_recover_resume_cycle() {
     let mut host = UnitHost::new();
     host.register(CounterUnit::new("audio"));
     host.register(CounterUnit::new("video"));
-    let mut comm = CommManager::new(RestartPolicy::Queue);
+    let mut comm = CommManager::new();
     let mut manager = RecoveryManager::with_defaults();
 
     // Steady state.
@@ -102,7 +102,7 @@ fn deadlock_detected_and_broken_by_kill() {
 fn rollback_preserves_checkpointed_state() {
     let mut host = UnitHost::new();
     host.register(CounterUnit::new("epg"));
-    let mut comm = CommManager::new(RestartPolicy::Queue);
+    let mut comm = CommManager::new();
     let mut manager = RecoveryManager::with_defaults();
     for _ in 0..5 {
         comm.send(SimTime::ZERO, &mut host, msg("epg"));
