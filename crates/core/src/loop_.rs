@@ -20,7 +20,7 @@ use simkit::{SimDuration, SimRng, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::Telemetry;
-use tvsim::{tv_spec, Key, TvFault, TvSystem, Unit};
+use tvsim::{tv_spec, Key, TvFault, TvSystem, Unit, UnitState};
 
 use crate::scenario::TimedScenario;
 
@@ -618,7 +618,7 @@ impl RecoveryState {
             match self.vault.restore_latest(u.name()) {
                 RestoreOutcome::Restored { state, .. } => tv.restore_unit(u, &state),
                 // No usable checkpoint: power-on defaults.
-                _ => tv.reset_unit(u),
+                _ => tv.restore_unit(u, &UnitState::new()),
             }
             self.dirty.remove(&u);
             // A full restart has no replay: post-checkpoint context is
@@ -1415,6 +1415,35 @@ mod tests {
         assert_eq!(reboot_target(&verdicts[..2]), Some(Unit::Teletext));
         assert_eq!(reboot_target(&verdicts[1..2]), None);
         assert_eq!(reboot_target(&[]), None);
+    }
+
+    #[test]
+    fn indictments_match_the_unit_announcements() {
+        // The observable rows of `INDICTMENTS` and `announce_unit` write
+        // one relation twice: every output a unit announces, with
+        // teletext off and on, indicts that unit, and every observable
+        // row is announced by some unit.
+        let mut announced = BTreeSet::new();
+        for teletext in [false, true] {
+            let mut tv = TvSystem::new();
+            tv.press(SimTime::ZERO, Key::Power);
+            if teletext {
+                tv.press(SimTime::ZERO, Key::Teletext);
+            }
+            for unit in Unit::ALL {
+                for o in tv.announce_unit(SimTime::ZERO, unit) {
+                    if let Some((name, _)) = o.as_output() {
+                        assert_eq!(Verdict::of(name).unit, Some(unit), "{name}");
+                        announced.insert(name.to_owned());
+                    }
+                }
+            }
+        }
+        let observables = INDICTMENTS.iter().filter(|(name, ..)| !name.contains(':'));
+        assert_eq!(observables.clone().count(), 8);
+        for (name, ..) in observables {
+            assert!(announced.contains(*name), "no unit announces {name}");
+        }
     }
 
     #[test]

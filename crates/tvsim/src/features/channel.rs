@@ -8,19 +8,15 @@ use serde::{Deserialize, Serialize};
 /// Highest channel number.
 pub const MAX_CHANNEL: i64 = 99;
 
-/// The tuner: the current and the previously tuned channel.
+/// The tuner: the current channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelTuner {
     current: i64,
-    previous: i64,
 }
 
 impl Default for ChannelTuner {
     fn default() -> Self {
-        ChannelTuner {
-            current: 1,
-            previous: 1,
-        }
+        ChannelTuner { current: 1 }
     }
 }
 
@@ -37,7 +33,6 @@ impl ChannelTuner {
 
     fn retune(&mut self, ctx: &mut FeatureCtx<'_>, target: i64) {
         ctx.hit(BlockMap::CHANNEL + 1);
-        self.previous = self.current;
         self.current = target.clamp(1, MAX_CHANNEL);
         ctx.exec(FirmwareOp::Tune, self.current as u32);
         ctx.output("channel", self.current);
@@ -70,11 +65,10 @@ impl ChannelTuner {
         self.retune(ctx, target);
     }
 
-    /// Micro-reboot checkpoint: the current and previous channel.
+    /// Micro-reboot checkpoint: the current channel.
     pub fn snapshot(&self) -> crate::UnitState {
         let mut s = crate::UnitState::new();
         s.insert("current".into(), self.current as f64);
-        s.insert("previous".into(), self.previous as f64);
         s
     }
 
@@ -84,9 +78,6 @@ impl ChannelTuner {
         self.current = s
             .get("current")
             .map_or(d.current, |v| (*v as i64).clamp(1, MAX_CHANNEL));
-        self.previous = s
-            .get("previous")
-            .map_or(d.previous, |v| (*v as i64).clamp(1, MAX_CHANNEL));
     }
 }
 
@@ -125,7 +116,6 @@ mod tests {
         assert_eq!(t.current(), MAX_CHANNEL);
         run(&mut t, &faults, |t, c| t.channel_up(c));
         assert_eq!(t.current(), 1);
-        assert_eq!(t.previous, MAX_CHANNEL);
     }
 
     #[test]

@@ -79,14 +79,21 @@ pub type UnitState = BTreeMap<Cow<'static, str>, f64>;
 #[derive(Debug)]
 pub struct TvSystem {
     on: bool,
+    units: Units,
+    faults: FaultSet,
+    cov: CoverageRecorder,
+}
+
+/// The features of the six [`Unit`]s, borrowed as one beside the
+/// coverage recorder and the fault set.
+#[derive(Debug, Default)]
+struct Units {
     volume: Volume,
     tuner: ChannelTuner,
     teletext: Teletext,
     screen: ScreenManager,
     sleep: SleepTimer,
     swivel: Swivel,
-    faults: FaultSet,
-    cov: CoverageRecorder,
 }
 
 impl Default for TvSystem {
@@ -101,15 +108,27 @@ impl TvSystem {
     pub fn new() -> Self {
         TvSystem {
             on: false,
-            volume: Volume::new(),
-            tuner: ChannelTuner::new(),
-            teletext: Teletext::new(),
-            screen: ScreenManager::new(),
-            sleep: SleepTimer::new(),
-            swivel: Swivel::new(),
+            units: Units::default(),
             faults: FaultSet::none(),
             cov: CoverageRecorder::new(N_BLOCKS),
         }
+    }
+
+    /// The units and a feature context over the coverage recorder and
+    /// the active faults, emitting into `obs`: how every handler is
+    /// entered.
+    fn parts<'a>(
+        &'a mut self,
+        now: SimTime,
+        obs: &'a mut Vec<Observation>,
+    ) -> (&'a mut Units, FeatureCtx<'a>) {
+        let ctx = FeatureCtx {
+            now,
+            cov: &mut self.cov,
+            faults: &self.faults,
+            obs,
+        };
+        (&mut self.units, ctx)
     }
 
     // ---- state accessors -------------------------------------------------
@@ -121,32 +140,32 @@ impl TvSystem {
 
     /// Current volume level (0–100).
     pub fn volume_level(&self) -> i64 {
-        self.volume.level()
+        self.units.volume.level()
     }
 
     /// True while muted.
     pub fn is_muted(&self) -> bool {
-        self.volume.is_muted()
+        self.units.volume.is_muted()
     }
 
     /// The tuned channel.
     pub fn channel(&self) -> i64 {
-        self.tuner.current()
+        self.units.tuner.current()
     }
 
     /// Teletext feature state.
     pub fn teletext(&self) -> &Teletext {
-        &self.teletext
+        &self.units.teletext
     }
 
     /// Sleep timer state.
     pub fn sleep_timer(&self) -> &SleepTimer {
-        &self.sleep
+        &self.units.sleep
     }
 
     /// Swivel state.
     pub fn swivel(&self) -> &Swivel {
-        &self.swivel
+        &self.units.swivel
     }
 
     /// The user-visible screen mode.
@@ -154,7 +173,7 @@ impl TvSystem {
         if !self.on {
             "off"
         } else {
-            self.screen.mode(self.teletext.is_on())
+            self.units.screen.mode(self.units.teletext.is_on())
         }
     }
 
@@ -198,7 +217,11 @@ impl TvSystem {
     // ---- behaviour --------------------------------------------------------
 
     /// Handles one remote-control key press, returning the observations
-    /// the instrumented system emits (key press, outputs, modes).
+    /// the instrumented system emits (key press, outputs, modes). The
+    /// [`serving_unit`](Self::serving_unit) handles the key as a
+    /// journal replay would; the press adds only what the rest of the
+    /// set does around it: power cycles, the screen passing `Back` on to
+    /// teletext, and teletext re-acquiring after a retune.
     pub fn press(&mut self, now: SimTime, key: Key) -> Vec<Observation> {
         let mut obs = vec![Observation::new(
             now,
@@ -208,86 +231,29 @@ impl TvSystem {
                 code: key.payload(),
             },
         )];
-
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
+        let (on, unit) = (self.on, self.serving_unit(key));
+        let (units, mut ctx) = self.parts(now, &mut obs);
         // Every key goes through input housekeeping.
         ctx.exec(FirmwareOp::Housekeeping, key.event_name().len() as u32);
-
-        if !self.on {
-            if key == Key::Power {
-                Self::power_on(
-                    &mut self.volume,
-                    &mut self.tuner,
-                    &mut self.screen,
-                    &mut ctx,
-                );
-                self.on = true;
-            }
-            return obs;
-        }
-
         match key {
-            Key::Power => {
-                Self::power_off(
-                    &mut self.teletext,
-                    &mut self.screen,
-                    &mut self.sleep,
-                    &mut ctx,
-                );
-                self.on = false;
-            }
-            Key::Digit(d) => {
-                if self.screen.osd_has_focus() {
-                    // Menu/EPG consume digits.
-                    ctx.exec(FirmwareOp::Osd, 30 + d as u32);
-                } else if self.teletext.is_on() {
-                    self.teletext.digit(&mut ctx, d);
-                } else {
-                    self.tuner.digit(&mut ctx, d);
+            Key::Power if on => units.power_off(&mut ctx),
+            Key::Power => units.power_on(&mut ctx),
+            // Standby ignores every other key.
+            _ if !on => {}
+            _ => {
+                if unit == Unit::Teletext && key == Key::Back {
+                    // The screen sees `Back` first; with no OSD open it
+                    // passes the key on.
+                    units.screen.back(&mut ctx, true);
+                }
+                units.serve(&mut ctx, unit, key);
+                if matches!(key, Key::ChannelUp | Key::ChannelDown) {
+                    units.teletext.on_channel_change(&mut ctx);
                 }
             }
-            Key::VolUp => self.volume.vol_up(&mut ctx),
-            Key::VolDown => self.volume.vol_down(&mut ctx),
-            Key::Mute => self.volume.mute(&mut ctx),
-            Key::ChannelUp => {
-                self.tuner.channel_up(&mut ctx);
-                self.teletext.on_channel_change(&mut ctx);
-            }
-            Key::ChannelDown => {
-                self.tuner.channel_down(&mut ctx);
-                self.teletext.on_channel_change(&mut ctx);
-            }
-            Key::Teletext => {
-                if self.screen.osd_has_focus() {
-                    ctx.exec(FirmwareOp::Osd, 40);
-                } else {
-                    self.teletext.toggle(&mut ctx);
-                    self.screen.emit_mode(&mut ctx, self.teletext.is_on());
-                }
-            }
-            Key::DualScreen => self.screen.dual_toggle(&mut ctx, self.teletext.is_on()),
-            Key::Menu => self.screen.menu(&mut ctx, self.teletext.is_on()),
-            Key::Ok => {
-                ctx.exec(FirmwareOp::Osd, 50);
-            }
-            Key::Back => {
-                let consumed = self.screen.back(&mut ctx, self.teletext.is_on());
-                if !consumed && self.teletext.is_on() {
-                    self.teletext.force_off(&mut ctx);
-                    self.screen.emit_mode(&mut ctx, false);
-                }
-            }
-            Key::Epg => self.screen.epg(&mut ctx, self.teletext.is_on()),
-            Key::Pip => self.screen.pip_toggle(&mut ctx, self.teletext.is_on()),
-            Key::Source => self.screen.source_cycle(&mut ctx),
-            Key::SwivelLeft => self.swivel.key(&mut ctx, true),
-            Key::SwivelRight => self.swivel.key(&mut ctx, false),
-            Key::Sleep => self.sleep.key(&mut ctx),
+        }
+        if key == Key::Power {
+            self.on = !on;
         }
         obs
     }
@@ -295,19 +261,9 @@ impl TvSystem {
     /// Advances housekeeping time: sleep-timer expiry powers the set down.
     pub fn tick(&mut self, now: SimTime) -> Vec<Observation> {
         let mut obs = Vec::new();
-        if self.on && self.sleep.tick(now, &self.faults) {
-            let mut ctx = FeatureCtx {
-                now,
-                cov: &mut self.cov,
-                faults: &self.faults,
-                obs: &mut obs,
-            };
-            Self::power_off(
-                &mut self.teletext,
-                &mut self.screen,
-                &mut self.sleep,
-                &mut ctx,
-            );
+        if self.on && self.units.sleep.tick(now, &self.faults) {
+            let (units, mut ctx) = self.parts(now, &mut obs);
+            units.power_off(&mut ctx);
             self.on = false;
         }
         obs
@@ -318,13 +274,8 @@ impl TvSystem {
     /// notification). Returns the observations the repair emits.
     pub fn resync_teletext(&mut self, now: SimTime) -> Vec<Observation> {
         let mut obs = Vec::new();
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
-        self.teletext.resync(&mut ctx);
+        let (units, mut ctx) = self.parts(now, &mut obs);
+        units.teletext.resync(&mut ctx);
         obs
     }
 
@@ -332,13 +283,8 @@ impl TvSystem {
     /// (repairs a stuck mute after the inversion fault clears).
     pub fn force_audio(&mut self, now: SimTime, muted: bool) -> Vec<Observation> {
         let mut obs = Vec::new();
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
-        self.volume.force_mute_state(&mut ctx, muted);
+        let (units, mut ctx) = self.parts(now, &mut obs);
+        units.volume.force_mute_state(&mut ctx, muted);
         obs
     }
 
@@ -352,7 +298,8 @@ impl TvSystem {
     /// deadline monitor alarms on.
     /// `None` when the set is off or no timer is armed.
     pub fn timer_heartbeat(&mut self, now: SimTime) -> Option<Observation> {
-        if !self.on || !self.sleep.is_armed() || self.faults.is_active(TvFault::SleepTimerLost) {
+        let sleep = &self.units.sleep;
+        if !self.on || !sleep.is_armed() || self.faults.is_active(TvFault::SleepTimerLost) {
             return None;
         }
         Some(Observation::new(
@@ -360,7 +307,7 @@ impl TvSystem {
             "sleep.timer",
             ObservationKind::Value {
                 name: "sleep.heartbeat".into(),
-                value: self.sleep.minutes() as f64,
+                value: sleep.minutes() as f64,
             },
         ))
     }
@@ -375,18 +322,13 @@ impl TvSystem {
         if !self.on {
             return Vec::new();
         }
-        let cmd = if self.swivel.converged() {
+        let cmd = if self.units.swivel.converged() {
             "converged"
         } else {
             "pending"
         };
         let mut obs = Vec::new();
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
+        let (_, mut ctx) = self.parts(now, &mut obs);
         ctx.mode("swivel.cmd", cmd);
         ctx.mode("swivel.motor", "idle");
         obs
@@ -396,84 +338,56 @@ impl TvSystem {
     /// — the menu witness's ground truth after a probe's open/close
     /// round-trip.
     pub fn osd_has_focus(&self) -> bool {
-        self.screen.osd_has_focus()
+        self.units.screen.osd_has_focus()
     }
 
     // ---- micro-reboot units ----------------------------------------------
 
-    /// The unit that would serve `key` in the current focus state — the
-    /// routing the micro-reboot journal and outage model key off.
+    /// The unit that serves `key` in the current focus state: the one
+    /// routing rule a live press, the micro-reboot journal and the
+    /// outage model share.
     pub fn serving_unit(&self, key: Key) -> Unit {
+        let osd = self.units.screen.osd_has_focus();
+        let txt = self.units.teletext.is_on();
         match key {
-            Key::Power => Unit::Screen,
-            Key::Digit(_) => {
-                if self.screen.osd_has_focus() {
-                    Unit::Screen
-                } else if self.teletext.is_on() {
-                    Unit::Teletext
-                } else {
-                    Unit::Tuner
-                }
-            }
+            Key::Digit(_) if !osd && txt => Unit::Teletext,
+            Key::Digit(_) if !osd => Unit::Tuner,
+            Key::Teletext if !osd => Unit::Teletext,
+            Key::Back if !osd && txt => Unit::Teletext,
             Key::VolUp | Key::VolDown | Key::Mute => Unit::Audio,
             Key::ChannelUp | Key::ChannelDown => Unit::Tuner,
-            Key::Teletext => {
-                if self.screen.osd_has_focus() {
-                    Unit::Screen
-                } else {
-                    Unit::Teletext
-                }
-            }
-            Key::Back => {
-                if !self.screen.osd_has_focus() && self.teletext.is_on() {
-                    Unit::Teletext
-                } else {
-                    Unit::Screen
-                }
-            }
-            Key::DualScreen | Key::Menu | Key::Ok | Key::Epg | Key::Pip | Key::Source => {
-                Unit::Screen
-            }
             Key::SwivelLeft | Key::SwivelRight => Unit::Swivel,
             Key::Sleep => Unit::Sleep,
+            _ => Unit::Screen,
         }
     }
 
     /// The unit's complete state as a checkpointable map.
     pub fn unit_state(&self, unit: Unit) -> UnitState {
+        let u = &self.units;
         match unit {
-            Unit::Audio => self.volume.snapshot(),
-            Unit::Tuner => self.tuner.snapshot(),
-            Unit::Teletext => self.teletext.snapshot(),
-            Unit::Screen => self.screen.snapshot(),
-            Unit::Sleep => self.sleep.snapshot(),
-            Unit::Swivel => self.swivel.snapshot(),
+            Unit::Audio => u.volume.snapshot(),
+            Unit::Tuner => u.tuner.snapshot(),
+            Unit::Teletext => u.teletext.snapshot(),
+            Unit::Screen => u.screen.snapshot(),
+            Unit::Sleep => u.sleep.snapshot(),
+            Unit::Swivel => u.swivel.snapshot(),
         }
     }
 
     /// Micro-reboot: overwrites the unit's state from a validated
-    /// checkpoint, leaving every other unit untouched.
+    /// checkpoint, leaving every other unit untouched. A key the
+    /// checkpoint lacks takes its power-on default, so an empty state
+    /// reboots the unit to factory defaults.
     pub fn restore_unit(&mut self, unit: Unit, state: &UnitState) {
+        let u = &mut self.units;
         match unit {
-            Unit::Audio => self.volume.restore(state),
-            Unit::Tuner => self.tuner.restore(state),
-            Unit::Teletext => self.teletext.restore(state),
-            Unit::Screen => self.screen.restore(state),
-            Unit::Sleep => self.sleep.restore(state),
-            Unit::Swivel => self.swivel.restore(state),
-        }
-    }
-
-    /// Full-restart fallback: reboots the unit to factory defaults (used
-    /// when a unit's whole checkpoint history failed validation).
-    pub fn reset_unit(&mut self, unit: Unit) {
-        match unit {
-            Unit::Audio => self.volume = Volume::new(),
-            Unit::Tuner => self.tuner = ChannelTuner::new(),
-            Unit::Teletext => self.teletext = Teletext::new(),
-            Unit::Screen => self.screen = ScreenManager::new(),
-            Unit::Sleep => self.sleep = SleepTimer::new(),
-            Unit::Swivel => self.swivel = Swivel::new(),
+            Unit::Audio => u.volume.restore(state),
+            Unit::Tuner => u.tuner.restore(state),
+            Unit::Teletext => u.teletext.restore(state),
+            Unit::Screen => u.screen.restore(state),
+            Unit::Sleep => u.sleep.restore(state),
+            Unit::Swivel => u.swivel.restore(state),
         }
     }
 
@@ -482,100 +396,97 @@ impl TvSystem {
     /// it) sees the post-reboot state. Returns the emitted observations.
     pub fn announce_unit(&mut self, now: SimTime, unit: Unit) -> Vec<Observation> {
         let mut obs = Vec::new();
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
+        let (u, mut ctx) = self.parts(now, &mut obs);
         match unit {
             Unit::Audio => {
-                ctx.output("volume", self.volume.audible());
-                ctx.output("audio.muted", self.volume.is_muted() as i64);
+                ctx.output("volume", u.volume.audible());
+                ctx.output("audio.muted", u.volume.is_muted() as i64);
             }
-            Unit::Tuner => ctx.output("channel", self.tuner.current()),
-            Unit::Teletext => self.teletext.announce(&mut ctx),
+            Unit::Tuner => ctx.output("channel", u.tuner.current()),
+            Unit::Teletext => u.teletext.announce(&mut ctx),
             Unit::Screen => {
-                self.screen.emit_mode(&mut ctx, self.teletext.is_on());
-                ctx.output("source", self.screen.source());
+                u.screen.emit_mode(&mut ctx, u.teletext.is_on());
+                ctx.output("source", u.screen.source());
             }
-            Unit::Sleep => ctx.output("sleep.minutes", self.sleep.minutes() as i64),
-            Unit::Swivel => ctx.output("swivel.angle", self.swivel.angle()),
+            Unit::Sleep => ctx.output("sleep.minutes", u.sleep.minutes() as i64),
+            Unit::Swivel => ctx.output("swivel.angle", u.swivel.angle()),
         }
         obs
     }
 
-    /// Replays a journalled key press directly into the unit's handler,
-    /// bypassing focus routing — state reconciliation after a
-    /// micro-reboot. The rest of the system already processed this press,
-    /// so cross-unit side effects are deliberately not re-run, and the
-    /// replay's observations are not emitted.
+    /// Replays a journalled key press into the unit's handler, the one
+    /// a live press runs, without the press's routing and follow-ups:
+    /// state reconciliation after a micro-reboot. The rest of the system
+    /// already processed this press, so cross-unit side effects are
+    /// deliberately not re-run, and the replay's observations are not
+    /// emitted.
     pub fn replay_unit_key(&mut self, now: SimTime, unit: Unit, key: Key) {
         let mut obs = Vec::new();
-        let mut ctx = FeatureCtx {
-            now,
-            cov: &mut self.cov,
-            faults: &self.faults,
-            obs: &mut obs,
-        };
+        let (units, mut ctx) = self.parts(now, &mut obs);
+        units.serve(&mut ctx, unit, key);
+    }
+}
+
+impl Units {
+    /// Runs `key` on `unit`'s handler: the dispatch a live press and a
+    /// journal replay share.
+    fn serve(&mut self, ctx: &mut FeatureCtx<'_>, unit: Unit, key: Key) {
+        let txt = self.teletext.is_on();
         match (unit, key) {
-            (Unit::Audio, Key::VolUp) => self.volume.vol_up(&mut ctx),
-            (Unit::Audio, Key::VolDown) => self.volume.vol_down(&mut ctx),
-            (Unit::Audio, Key::Mute) => self.volume.mute(&mut ctx),
-            (Unit::Tuner, Key::Digit(d)) => self.tuner.digit(&mut ctx, d),
-            (Unit::Tuner, Key::ChannelUp) => self.tuner.channel_up(&mut ctx),
-            (Unit::Tuner, Key::ChannelDown) => self.tuner.channel_down(&mut ctx),
-            (Unit::Teletext, Key::Digit(d)) if self.teletext.is_on() => {
-                self.teletext.digit(&mut ctx, d);
+            (Unit::Audio, Key::VolUp) => self.volume.vol_up(ctx),
+            (Unit::Audio, Key::VolDown) => self.volume.vol_down(ctx),
+            (Unit::Audio, Key::Mute) => self.volume.mute(ctx),
+            (Unit::Tuner, Key::Digit(d)) => self.tuner.digit(ctx, d),
+            (Unit::Tuner, Key::ChannelUp) => self.tuner.channel_up(ctx),
+            (Unit::Tuner, Key::ChannelDown) => self.tuner.channel_down(ctx),
+            (Unit::Teletext, Key::Digit(d)) if txt => self.teletext.digit(ctx, d),
+            (Unit::Teletext, Key::Teletext) => {
+                self.teletext.toggle(ctx);
+                self.screen.emit_mode(ctx, self.teletext.is_on());
             }
-            (Unit::Teletext, Key::Teletext) => self.teletext.toggle(&mut ctx),
-            (Unit::Teletext, Key::Back) => self.teletext.force_off(&mut ctx),
-            (Unit::Screen, Key::Menu) => self.screen.menu(&mut ctx, self.teletext.is_on()),
-            (Unit::Screen, Key::Epg) => self.screen.epg(&mut ctx, self.teletext.is_on()),
-            (Unit::Screen, Key::DualScreen) => {
-                self.screen.dual_toggle(&mut ctx, self.teletext.is_on());
+            (Unit::Teletext, Key::Back) => {
+                self.teletext.force_off(ctx);
+                self.screen.emit_mode(ctx, false);
             }
-            (Unit::Screen, Key::Pip) => self.screen.pip_toggle(&mut ctx, self.teletext.is_on()),
-            (Unit::Screen, Key::Source) => self.screen.source_cycle(&mut ctx),
+            // An open OSD consumes digits and the teletext key; `Ok`
+            // only runs OSD firmware.
+            (Unit::Screen, Key::Digit(d)) => ctx.exec(FirmwareOp::Osd, 30 + d as u32),
+            (Unit::Screen, Key::Teletext) => ctx.exec(FirmwareOp::Osd, 40),
+            (Unit::Screen, Key::Ok) => ctx.exec(FirmwareOp::Osd, 50),
             (Unit::Screen, Key::Back) => {
-                self.screen.back(&mut ctx, self.teletext.is_on());
+                self.screen.back(ctx, txt);
             }
-            (Unit::Sleep, Key::Sleep) => self.sleep.key(&mut ctx),
-            (Unit::Swivel, Key::SwivelLeft) => self.swivel.key(&mut ctx, true),
-            (Unit::Swivel, Key::SwivelRight) => self.swivel.key(&mut ctx, false),
-            // Power cycles and OSD-swallowed keys carry no unit-local
-            // state; replay ignores them.
+            (Unit::Screen, Key::DualScreen) => self.screen.dual_toggle(ctx, txt),
+            (Unit::Screen, Key::Menu) => self.screen.menu(ctx, txt),
+            (Unit::Screen, Key::Epg) => self.screen.epg(ctx, txt),
+            (Unit::Screen, Key::Pip) => self.screen.pip_toggle(ctx, txt),
+            (Unit::Screen, Key::Source) => self.screen.source_cycle(ctx),
+            (Unit::Swivel, Key::SwivelLeft) => self.swivel.key(ctx, true),
+            (Unit::Swivel, Key::SwivelRight) => self.swivel.key(ctx, false),
+            (Unit::Sleep, Key::Sleep) => self.sleep.key(ctx),
+            // Power cycles are the live press's own, and a key journalled
+            // under a unit that does not serve it changes nothing.
             _ => {}
         }
     }
 
-    fn power_on(
-        volume: &mut Volume,
-        tuner: &mut ChannelTuner,
-        screen: &mut ScreenManager,
-        ctx: &mut FeatureCtx<'_>,
-    ) {
+    fn power_on(&mut self, ctx: &mut FeatureCtx<'_>) {
         ctx.exec(FirmwareOp::Boot, 0);
-        ctx.exec(FirmwareOp::Tune, tuner.current() as u32);
-        screen.reset();
+        ctx.exec(FirmwareOp::Tune, self.tuner.current() as u32);
+        self.screen.reset();
         // The set announces its restored state on the outputs.
         ctx.output("screen.mode", "video");
         ctx.mode("scaler", "video");
-        ctx.output("volume", volume.audible());
-        ctx.output("audio.muted", volume.is_muted() as i64);
-        ctx.output("channel", tuner.current());
+        ctx.output("volume", self.volume.audible());
+        ctx.output("audio.muted", self.volume.is_muted() as i64);
+        ctx.output("channel", self.tuner.current());
     }
 
-    fn power_off(
-        teletext: &mut Teletext,
-        screen: &mut ScreenManager,
-        sleep: &mut SleepTimer,
-        ctx: &mut FeatureCtx<'_>,
-    ) {
+    fn power_off(&mut self, ctx: &mut FeatureCtx<'_>) {
         ctx.exec(FirmwareOp::Boot, 1);
-        teletext.force_off(ctx);
-        screen.reset();
-        sleep.reset();
+        self.teletext.force_off(ctx);
+        self.screen.reset();
+        self.sleep.reset();
         ctx.output("screen.mode", "off");
         ctx.mode("scaler", "off");
     }
@@ -873,14 +784,6 @@ mod tests {
         tv.restore_unit(Unit::Audio, &audio);
         assert_eq!(tv.volume_level(), 20, "audio restored");
         assert_eq!(tv.channel(), 9, "tuner untouched");
-    }
-
-    #[test]
-    fn reset_unit_reboots_to_defaults() {
-        let mut tv = on_tv();
-        tv.press(SimTime::ZERO, Key::VolUp);
-        tv.reset_unit(Unit::Audio);
-        assert_eq!(tv.volume_level(), 20);
     }
 
     #[test]

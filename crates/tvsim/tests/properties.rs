@@ -4,7 +4,7 @@ use observe::BlockCoverage;
 use proptest::prelude::*;
 use simkit::SimTime;
 use tvsim::blocks::{CoverageRecorder, FirmwareOp};
-use tvsim::{Key, SyntheticCodeBank, TvFault, TvSystem, N_BLOCKS};
+use tvsim::{Key, SyntheticCodeBank, TvFault, TvSystem, Unit, UnitState, N_BLOCKS};
 
 fn arb_key() -> impl Strategy<Value = Key> {
     prop_oneof![
@@ -104,6 +104,71 @@ proptest! {
             }
             let _ = tv.tick(at);
         }
+    }
+
+    /// One routing rule: across a press, only the unit that serves the
+    /// key changes state, plus the follow-ups a live press declares — a
+    /// power cycle also touches teletext and the sleep timer, and a
+    /// retune re-acquires teletext while it is on. A micro-reboot replay
+    /// runs the serving unit's handler alone, so a change outside this
+    /// set is one a replay cannot rebuild.
+    #[test]
+    fn a_press_changes_only_its_serving_unit_and_declared_follow_ups(
+        faults in prop::collection::vec(arb_fault(), 0..4),
+        keys in prop::collection::vec(arb_key(), 1..60)
+    ) {
+        let mut tv = TvSystem::new();
+        for f in faults {
+            tv.inject_fault(f);
+        }
+        tv.press(SimTime::ZERO, Key::Power);
+        for (i, key) in keys.iter().enumerate() {
+            let at = SimTime::from_millis(50 * (i as u64 + 1));
+            let mut allowed = vec![tv.serving_unit(*key)];
+            match key {
+                Key::Power => allowed.extend([Unit::Teletext, Unit::Sleep]),
+                Key::ChannelUp | Key::ChannelDown if tv.teletext().is_on() => {
+                    allowed.push(Unit::Teletext);
+                }
+                _ => {}
+            }
+            let before = Unit::ALL.map(|u| tv.unit_state(u));
+            tv.press(at, *key);
+            for (unit, state) in Unit::ALL.into_iter().zip(before) {
+                prop_assert!(
+                    allowed.contains(&unit) || tv.unit_state(unit) == state,
+                    "{:?} changed {:?}; it may change only {:?}",
+                    key,
+                    unit,
+                    allowed
+                );
+            }
+        }
+    }
+
+    /// The full-restart fallback: restoring any unit from an empty
+    /// checkpoint reboots it to the state it has in a fresh set.
+    #[test]
+    fn an_empty_checkpoint_restores_power_on_defaults(
+        faults in prop::collection::vec(arb_fault(), 0..4),
+        keys in prop::collection::vec(arb_key(), 1..60)
+    ) {
+        let mut tv = TvSystem::new();
+        for f in faults {
+            tv.inject_fault(f);
+        }
+        tv.press(SimTime::ZERO, Key::Power);
+        for (i, key) in keys.iter().enumerate() {
+            tv.press(SimTime::from_millis(50 * (i as u64 + 1)), *key);
+        }
+        let fresh = TvSystem::new();
+        for unit in Unit::ALL {
+            tv.restore_unit(unit, &UnitState::new());
+            prop_assert_eq!(tv.unit_state(unit), fresh.unit_state(unit), "{:?}", unit);
+        }
+        prop_assert_eq!(tv.teletext(), fresh.teletext());
+        prop_assert_eq!(tv.sleep_timer(), fresh.sleep_timer());
+        prop_assert_eq!(tv.swivel(), fresh.swivel());
     }
 
     /// Coverage accounting: every press marks at least one block, and
