@@ -6,15 +6,16 @@
 //! line of work behind it stresses that diagnosis only earns its keep when
 //! it is cheap enough to run **continuously on-device**. This module wires
 //! the streaming [`IncrementalDiagnoser`] into the monitor: the loop
-//! driver hands the monitor one coverage snapshot per scenario step
-//! ([`crate::AwarenessMonitor::record_coverage`]), the step inherits its
-//! pass/fail verdict from the comparator's detections since the previous
-//! snapshot. A step only folds counters, in O(hits); the top-k suspect
-//! window is scored when it is read ([`OnlineDiagnosis::top_k`]) — at
-//! any step, mid-run, or once at the end — and equals what a re-rank
-//! after every step would have held at that point.
+//! driver hands the monitor one step's coverage per key press — as
+//! block runs ([`crate::AwarenessMonitor::record_runs`]) or as a
+//! snapshot ([`crate::AwarenessMonitor::record_coverage`]) — and the
+//! step inherits its pass/fail verdict from the comparator's detections
+//! since the previous step. A step only folds counters, in O(hits); the
+//! top-k suspect window is scored when it is read
+//! ([`OnlineDiagnosis::top_k`]) — at any step, mid-run, or once at the
+//! end — and equals what a re-rank after every step would have held at
+//! that point.
 
-use observe::BlockSnapshot;
 use simkit::SimTime;
 use spectra::{IncrementalDiagnoser, RankingEntry, TopK};
 use telemetry::Telemetry;
@@ -70,13 +71,19 @@ impl OnlineDiagnosis {
         self.telemetry = telemetry;
     }
 
-    /// Folds one step's coverage in at monitor time `now`. `errors_total`
+    /// Records one step at monitor time `now`: `fold` folds the step's
+    /// coverage into the diagnoser with the step's verdict. `errors_total`
     /// is the monitor's monotonic detection counter; the step fails iff
     /// it advanced since the previous step.
-    pub(crate) fn record(&mut self, now: SimTime, snapshot: &BlockSnapshot, errors_total: u64) {
+    pub(crate) fn record(
+        &mut self,
+        now: SimTime,
+        errors_total: u64,
+        fold: impl FnOnce(&mut IncrementalDiagnoser, bool),
+    ) {
         let failed = errors_total > self.errors_at_last_step;
         self.errors_at_last_step = errors_total;
-        self.diagnoser.append_snapshot(snapshot, failed);
+        fold(&mut self.diagnoser, failed);
         self.telemetry.metric_incr("awareness.diagnosis.steps", 1);
         if failed {
             self.telemetry
@@ -138,7 +145,13 @@ impl OnlineDiagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use observe::BlockCoverage;
+    use observe::{BlockCoverage, BlockSnapshot};
+
+    fn record(diag: &mut OnlineDiagnosis, snapshot: &BlockSnapshot, errors_total: u64) {
+        diag.record(SimTime::ZERO, errors_total, |d, failed| {
+            d.append_snapshot(snapshot, failed)
+        });
+    }
 
     #[test]
     fn verdicts_follow_error_counter() {
@@ -148,10 +161,10 @@ mod tests {
 
         cov.hit(1);
         cov.hit(2);
-        diag.record(SimTime::ZERO, &cov.snapshot_and_reset(), 0); // no new errors: pass
+        record(&mut diag, &cov.snapshot_and_reset(), 0); // no new errors: pass
         cov.hit(2);
         cov.hit(7);
-        diag.record(SimTime::ZERO, &cov.snapshot_and_reset(), 1); // counter advanced: fail
+        record(&mut diag, &cov.snapshot_and_reset(), 1); // counter advanced: fail
         assert_eq!(diag.steps(), 2);
         assert_eq!(diag.failing_steps(), 1);
         assert_eq!(diag.triggered_diagnoses(), 1);
@@ -160,7 +173,7 @@ mod tests {
         // Counter unchanged: next step passes even though errors existed
         // earlier in the run.
         cov.hit(1);
-        diag.record(SimTime::ZERO, &cov.snapshot_and_reset(), 1);
+        record(&mut diag, &cov.snapshot_and_reset(), 1);
         assert_eq!(diag.failing_steps(), 1);
         assert_eq!(diag.steps(), 3);
         assert_eq!(diag.top_suspects()[0].block, 7);

@@ -233,8 +233,9 @@ impl<'m> MonitorBuilder<'m> {
     }
 
     /// Enables in-loop spectrum diagnosis: the loop driver feeds one
-    /// coverage snapshot per scenario step via
-    /// [`AwarenessMonitor::record_coverage`], comparator errors turn
+    /// step's coverage per scenario step via
+    /// [`AwarenessMonitor::record_runs`] (or
+    /// [`AwarenessMonitor::record_coverage`]), comparator errors turn
     /// into failing spectra, and the top-k suspect window is scored
     /// when read.
     pub fn diagnosis(mut self, config: DiagnosisConfig) -> Self {
@@ -578,13 +579,26 @@ impl<'m> AwarenessMonitor<'m> {
     /// Call once per step, *after* advancing the monitor past the step's
     /// observations: the step inherits a failing verdict iff the
     /// comparator detected at least one error since the previous
-    /// snapshot. Recording only folds counters; the suspect window is
+    /// step. Recording only folds counters; the suspect window is
     /// scored when read ([`OnlineDiagnosis::top_suspects`]).
     pub fn record_coverage(&mut self, snapshot: &observe::BlockSnapshot) {
+        self.record_step(|diag, failed| diag.append_snapshot(snapshot, failed));
+    }
+
+    /// The same step as [`record_coverage`](Self::record_coverage),
+    /// given as block runs: ranges fold as counter slices and no bitset
+    /// is built or scanned.
+    pub fn record_runs(&mut self, runs: &observe::CoverageRuns) {
+        self.record_step(|diag, failed| diag.append_runs(runs, failed));
+    }
+
+    /// The one verdict and telemetry path of a recorded step; `fold`
+    /// folds its coverage.
+    fn record_step(&mut self, fold: impl FnOnce(&mut spectra::IncrementalDiagnoser, bool)) {
         let errors_total = self.errors_total;
         let now = self.now;
         if let Some(diag) = self.diagnosis.as_mut() {
-            diag.record(now, snapshot, errors_total);
+            diag.record(now, errors_total, fold);
         }
     }
 
@@ -1219,6 +1233,48 @@ mod tests {
         // Draining errors must not disturb the verdict bookkeeping.
         let _ = mon.drain_errors();
         assert!(mon.errors_total >= 1);
+    }
+
+    #[test]
+    fn runs_and_snapshots_record_the_same_steps() {
+        use observe::{BlockCoverage, CoverageRuns};
+        let m = toggle_machine();
+        let build = || {
+            MonitorBuilder::new(&m)
+                .diagnosis(DiagnosisConfig::new(200).with_top_k(4))
+                .build()
+        };
+        let (mut by_runs, mut by_snapshot) = (build(), build());
+        // A healthy toggle, then a misbehaving light: the second step fails.
+        let steps = [
+            (10, 1.0, vec![10..15, 15..20], vec![3]),
+            (30, 1.0, vec![10..20, 150..155], vec![3, 190]),
+        ];
+        for (at, light_value, ranges, blocks) in steps {
+            let runs = CoverageRuns { ranges, blocks };
+            let mut cov = BlockCoverage::new(200);
+            runs.ranges
+                .iter()
+                .cloned()
+                .flatten()
+                .chain(runs.blocks.iter().copied())
+                .for_each(|b| cov.hit(b));
+            for mon in [&mut by_runs, &mut by_snapshot] {
+                mon.offer(&key(at));
+                mon.offer(&light(at, light_value));
+                mon.advance_to(SimTime::from_millis(at + 10));
+            }
+            by_runs.record_runs(&runs);
+            by_snapshot.record_coverage(&cov.snapshot_and_reset());
+        }
+        let (a, b) = (
+            by_runs.diagnosis().unwrap(),
+            by_snapshot.diagnosis().unwrap(),
+        );
+        assert_eq!((a.steps(), a.failing_steps()), (2, 1));
+        assert_eq!((b.steps(), b.failing_steps()), (2, 1));
+        assert_eq!(a.top_suspects(), b.top_suspects());
+        assert_eq!(a.prime_suspect(), Some(150));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! the scaling claim against the hardware that produced it.
 
 use crate::report::{f2, render_table};
+use observe::CoverageRuns;
 use serde::{Deserialize, Serialize};
 use spectra::{score_top_k, Coefficient, CountsMatrix, SpectrumMatrix};
 use std::fmt;
@@ -194,7 +195,11 @@ fn step_ranges(n_blocks: u32, s: usize) -> Vec<Range<u32>> {
 fn accumulate(n_blocks: u32, steps: usize) -> CountsMatrix {
     let mut m = CountsMatrix::new(n_blocks);
     for s in 0..steps {
-        m.add_step_ranges(&step_ranges(n_blocks, s), step_fails(s));
+        let runs = CoverageRuns {
+            ranges: step_ranges(n_blocks, s),
+            blocks: Vec::new(),
+        };
+        m.add_runs(&runs, step_fails(s));
     }
     m
 }

@@ -13,7 +13,7 @@ use awareness::{
 use detect::{ConsistencyRule, Detector, ModeConsistencyDetector};
 use faults::injector::Transition;
 use faults::{Injector, Schedule};
-use observe::{BlockSnapshot, ObsValue, Observation, ObservationKind};
+use observe::{BlockSnapshot, CoverageRuns, ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome};
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
@@ -656,6 +656,18 @@ enum Origin {
     Probe,
 }
 
+/// What a settle hands the in-loop spectrum.
+enum StepCoverage {
+    /// A diagnosed user press: its coverage, taken as runs into
+    /// `Session::runs`, becomes one spectrum step.
+    Runs,
+    /// An undiagnosed user press: the snapshot the monitor is offered
+    /// (and drops).
+    Snapshot(BlockSnapshot),
+    /// A probe burst: coverage is dropped and errors absorbed.
+    ProbeBurst,
+}
+
 /// Steps the ground-truth oracle — the desired behaviour, evaluated
 /// with zero delay and full observability (only the harness has this).
 /// The loop reads only the oracle's latest value per output
@@ -753,6 +765,8 @@ struct Session<'m> {
     burst: Vec<Observation>,
     /// Drained oracle output records.
     oracle_outputs: Vec<OutputRecord>,
+    /// A diagnosed press's coverage runs.
+    runs: CoverageRuns,
 }
 
 impl<'m> Session<'m> {
@@ -776,6 +790,7 @@ impl<'m> Session<'m> {
             verdicts: Vec::new(),
             burst: Vec::new(),
             oracle_outputs: Vec::new(),
+            runs: CoverageRuns::default(),
         }
     }
 
@@ -844,12 +859,19 @@ impl<'m> Session<'m> {
         let settle = at + SETTLE;
         let mut verdicts = std::mem::take(&mut self.verdicts);
         cl.compare(&mut self.tv, settle, &mut verdicts);
-        // One spectrum step per user press: snapshot the coverage now so
+        // One spectrum step per user press: take the coverage now so
         // the step reflects the SUO's response to the press alone —
         // repair bursts below are monitor-commanded and would otherwise
         // correlate perfectly with failing verdicts and crowd out the
-        // true fault block.
-        let coverage = (origin == Origin::User).then(|| self.tv.take_coverage());
+        // true fault block. Diagnosis folds it as runs.
+        let coverage = match origin {
+            Origin::Probe => StepCoverage::ProbeBurst,
+            Origin::User if cl.monitor.diagnosis().is_some() => {
+                self.tv.take_coverage_runs(&mut self.runs);
+                StepCoverage::Runs
+            }
+            Origin::User => StepCoverage::Snapshot(self.tv.take_coverage()),
+        };
         let n_errors = verdicts.len();
         let name = match origin {
             Origin::User => "core.loop.detections",
@@ -929,10 +951,10 @@ impl<'m> Session<'m> {
     }
 
     /// Fig. 1's absorb stage: a repair burst settles and its residual
-    /// errors are dropped, then the step's coverage becomes one
-    /// spectrum step (`Some`, a user press) or a probe burst's coverage
-    /// and errors are absorbed (`None`).
-    fn absorb(&mut self, settle: SimTime, coverage: Option<BlockSnapshot>, repaired: bool) {
+    /// errors are dropped, then a user press's coverage becomes one
+    /// spectrum step, or a probe burst's coverage and errors are
+    /// absorbed.
+    fn absorb(&mut self, settle: SimTime, coverage: StepCoverage, repaired: bool) {
         let Some(cl) = self.closed.as_mut() else {
             return;
         };
@@ -944,18 +966,19 @@ impl<'m> Session<'m> {
         }
         // Repair-path block coverage is dropped, and so is a probe
         // burst's: probe presses are synthetic traffic.
-        if repaired || coverage.is_none() {
+        if repaired || matches!(coverage, StepCoverage::ProbeBurst) {
             self.tv.reset_coverage();
         }
         match coverage {
-            // Comparator errors since the last snapshot mark the step
+            // Comparator errors since the last step mark the step
             // failing in the in-loop spectrum. Recording after the
             // residual drain keeps repair transients from spilling a
             // failing verdict onto the next step.
-            Some(coverage) => cl.monitor.record_coverage(&coverage),
+            StepCoverage::Runs => cl.monitor.record_runs(&self.runs),
+            StepCoverage::Snapshot(snapshot) => cl.monitor.record_coverage(&snapshot),
             // A probe burst's error count is absorbed, so the next user
             // press's spectrum step reflects only its own behaviour.
-            None => cl.monitor.absorb_synthetic_errors(),
+            StepCoverage::ProbeBurst => cl.monitor.absorb_synthetic_errors(),
         }
     }
 

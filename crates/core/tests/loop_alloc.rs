@@ -20,9 +20,12 @@
 //! instead of cloning them — and later changes took it to 16, then
 //! 14.5 once the boundary channels delivered into reused buffers, then
 //! 5.3 once the TV's names travelled as borrowed `&'static str` literals
-//! instead of fresh `String`s. The faulted run's error path (repairs,
+//! instead of fresh `String`s, then 4.6 once a press sized its
+//! observation vector once. The faulted run's error path (repairs,
 //! retransmissions) and the probed run's self-check bursts are budgeted
-//! separately.
+//! separately, and a diagnosed press, which folds its coverage as block
+//! runs instead of snapshotting it, is pinned one call below an
+//! undiagnosed one.
 //!
 //! Per-run set-up is pinned too. Every loop borrows the one specification
 //! machine `tvsim::tv_spec()` builds per process, so building a loop and
@@ -141,12 +144,6 @@ fn probed_run_allocs(presses: usize) -> u64 {
     allocs
 }
 
-/// Allocation calls online diagnosis adds to a faulted `presses`-press
-/// run: the diagnosed run minus the same run without diagnosis.
-fn diagnosis_allocs(presses: usize) -> u64 {
-    faulted_run_allocs(presses, true) - faulted_run_allocs(presses, false)
-}
-
 /// The marginal allocation budget per additional press. The press loop
 /// legitimately allocates for the SUO's observation vector, the model's
 /// output records (their names are still `String`s), and the coverage
@@ -156,10 +153,11 @@ fn diagnosis_allocs(presses: usize) -> u64 {
 /// names). Measured 20/press after the refactor vs ~175 before, 16.1
 /// with a fresh `Vec` per channel delivery, 14.5 since the channels
 /// deliver into reused buffers, and 5.3 since observation, event and
-/// boundary-message names are borrowed; the slack (1.05, as before)
-/// covers allocator/toolchain drift without readmitting one owned name
-/// per output.
-const MARGINAL_ALLOCS_PER_PRESS: f64 = 6.4;
+/// boundary-message names are borrowed, and 4.57 since the TV sizes a
+/// press's observation vector once instead of growing it; the slack
+/// (1.05, as before) covers allocator/toolchain drift without
+/// readmitting one owned name per output.
+const MARGINAL_ALLOCS_PER_PRESS: f64 = 5.7;
 
 /// The marginal allocation budget per additional press of the faulted,
 /// undiagnosed run (lossy reliable channels, repairs). Measured 29.9
@@ -167,17 +165,20 @@ const MARGINAL_ALLOCS_PER_PRESS: f64 = 6.4;
 /// collected into a fresh `Vec` and discarded repair-path coverage went
 /// through a snapshot, 21.1 since both are allocation-free, 18.3
 /// since the reliable protocol moves each payload once instead of
-/// cloning it onto the wire per transmission, and 6.9 since the TV's
-/// names are borrowed (the slack stays 1.4).
-const FAULTED_MARGINAL_ALLOCS_PER_PRESS: f64 = 8.3;
+/// cloning it onto the wire per transmission, 6.9 since the TV's
+/// names are borrowed, and 5.91 since a press's observation vector is
+/// sized once (the slack stays 1.4).
+const FAULTED_MARGINAL_ALLOCS_PER_PRESS: f64 = 7.4;
 
 /// The marginal allocation budget per additional user press of a
 /// healthy run with the health observatory on: each press may be
 /// followed by a probe burst of 1–5 presses and its witness samples.
 /// Measured 64.7 while every probe press copied the TV's names into
 /// fresh `String`s, 19.8 since they are borrowed and the timer
-/// heartbeat returns an `Option` instead of a `Vec`.
-const PROBED_MARGINAL_ALLOCS_PER_PRESS: f64 = 21.0;
+/// heartbeat returns an `Option` instead of a `Vec`, and 16.4 since
+/// every press, probe presses included, sizes its observation vector
+/// once (the slack stays 1.2).
+const PROBED_MARGINAL_ALLOCS_PER_PRESS: f64 = 17.7;
 
 /// The allocation budget for building a closed loop and running it over
 /// an empty scenario. Measured 48 with the shared specification machine,
@@ -195,25 +196,33 @@ const OPEN_SETUP_ALLOCS: u64 = 32;
 /// (and vice versa).
 #[test]
 fn press_allocations_are_bounded_and_deterministic() {
-    // Online diagnosis folds each press's coverage into counters
-    // allocated at set-up and scores the suspect window once, at the end
-    // of the run: what it allocates must not grow with the press count.
-    let _ = diagnosis_allocs(60);
-    let (short, long) = (diagnosis_allocs(60), diagnosis_allocs(180));
-    assert_eq!(
-        short, long,
-        "online diagnosis allocates per press ({short} calls over 60 presses, {long} over 180)"
-    );
-    let a = faulted_run_allocs(60, true);
-    let b = faulted_run_allocs(60, true);
-    assert_eq!(a, b, "same-seed diagnosed runs allocated differently");
-
-    // The error path: faults fire, the comparator and detectors flag
-    // them, repairs run and lost frames are retransmitted.
+    // Online diagnosis folds each press's coverage, taken as block runs
+    // into a reused buffer, into counters allocated at set-up, and scores
+    // the suspect window once, at the end of the run. So a diagnosed
+    // press makes exactly one allocation call fewer than an undiagnosed
+    // one: the 60,000-block snapshot the undiagnosed press still takes
+    // for the monitor to drop.
+    let _ = faulted_run_allocs(60, true);
+    let (diag_short, diag_long) = (faulted_run_allocs(60, true), faulted_run_allocs(180, true));
     let (short, long) = (
         faulted_run_allocs(60, false),
         faulted_run_allocs(180, false),
     );
+    assert_eq!(
+        diag_long - diag_short,
+        long - short - 120,
+        "a diagnosed press should allocate one call fewer than an undiagnosed one, \
+         which snapshots its coverage ({diag_short} and {diag_long} calls over 60 and 180 \
+         diagnosed presses, {short} and {long} undiagnosed)"
+    );
+    let a = faulted_run_allocs(60, true);
+    assert_eq!(
+        a, diag_short,
+        "same-seed diagnosed runs allocated differently"
+    );
+
+    // The error path: faults fire, the comparator and detectors flag
+    // them, repairs run and lost frames are retransmitted.
     let marginal = long.saturating_sub(short) as f64 / 120.0;
     assert!(
         marginal <= FAULTED_MARGINAL_ALLOCS_PER_PRESS,

@@ -5,8 +5,11 @@
 //! execute between consecutive key presses. [`BlockCoverage`] is that
 //! instrumentation target: a dense bitset over block ids, snapshotted and
 //! reset at every scenario step to form one row of the spectrum matrix.
+//! [`CoverageRuns`] is the same row as its recorder already knows it:
+//! contiguous block ranges plus single blocks, folded without a bitset.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// An immutable snapshot of which blocks were hit during one interval.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,6 +78,23 @@ impl BlockSnapshot {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+}
+
+/// One interval's block coverage as runs: disjoint block `ranges` plus
+/// distinct single `blocks` that lie outside every range.
+///
+/// Region-shaped coverage (a function's consecutive basic blocks light
+/// up together) is a handful of ranges, so a consumer that folds hits
+/// into per-block counters can bump each range as one slice instead of
+/// materializing and scanning a bitset. The hit set is the union of the
+/// ranges and the blocks; the invariants make every hit appear exactly
+/// once, which counters (unlike a bitset) rely on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CoverageRuns {
+    /// Disjoint ranges of hit blocks.
+    pub ranges: Vec<Range<u32>>,
+    /// Distinct hit blocks outside every range.
+    pub blocks: Vec<u32>,
 }
 
 /// A mutable block-hit recorder.
@@ -160,6 +180,27 @@ impl BlockCoverage {
     pub fn reset(&mut self) {
         self.words.fill(0);
     }
+
+    /// Appends the hit block ids below `end` to `out` in ascending
+    /// order, each once, and clears them; hits at or above `end` stay.
+    /// Only the words below `end` are visited.
+    pub fn drain_hits_below(&mut self, end: u32, out: &mut Vec<u32>) {
+        let end = end.min(self.n_blocks);
+        let words = end.div_ceil(64) as usize;
+        for (base, word) in (0u32..).step_by(64).zip(&mut self.words[..words]) {
+            let below = if end - base >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << (end - base)) - 1
+            };
+            let mut rest = *word & below;
+            *word &= !below;
+            while rest != 0 {
+                out.push(base + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +255,22 @@ mod tests {
         cov.hit(7);
         cov.hit(99);
         cov.reset();
+        assert!(!cov.any_hit());
+    }
+
+    #[test]
+    fn drain_below_lists_and_clears_only_the_hits_below() {
+        let mut cov = BlockCoverage::new(200);
+        for b in [199u32, 3, 64, 3, 65, 130, 131] {
+            cov.hit(b);
+        }
+        let mut out = vec![7];
+        cov.drain_hits_below(131, &mut out);
+        assert_eq!(out, vec![7, 3, 64, 65, 130]);
+        let rest: Vec<u32> = cov.clone().snapshot_and_reset().iter_hits().collect();
+        assert_eq!(rest, vec![131, 199]);
+        cov.drain_hits_below(u32::MAX, &mut out);
+        assert_eq!(out[5..], [131, 199]);
         assert!(!cov.any_hit());
     }
 

@@ -10,7 +10,8 @@
 //! * typed [`Observation`]s — key presses, component modes, numeric values,
 //!   outputs;
 //! * [`BlockCoverage`] basic-block hit recording — the raw material for
-//!   spectrum-based diagnosis (Sect. 4.4);
+//!   spectrum-based diagnosis (Sect. 4.4) — and [`CoverageRuns`], the same
+//!   hits as block ranges and single blocks;
 //! * a [`ProbeBudget`] that judges instrumentation overhead (high-volume
 //!   products cannot afford heavy monitoring).
 //!
@@ -23,6 +24,6 @@ pub mod coverage;
 pub mod observation;
 pub mod overhead;
 
-pub use coverage::{BlockCoverage, BlockSnapshot};
+pub use coverage::{BlockCoverage, BlockSnapshot, CoverageRuns};
 pub use observation::{ObsValue, Observation, ObservationKind};
 pub use overhead::{BudgetVerdict, ProbeBudget};

@@ -26,9 +26,8 @@
 
 use crate::ranking::Ranking;
 use crate::similarity::{Coefficient, Counts};
-use observe::BlockSnapshot;
+use observe::{BlockSnapshot, CoverageRuns};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Panic message shared by every spectrum builder that rejects an empty
 /// block range.
@@ -135,14 +134,17 @@ impl CountsMatrix {
         self.finish_step(failed);
     }
 
-    /// Folds one step given as contiguous id ranges — the cheapest sparse
-    /// representation for region-shaped coverage (consecutive basic
-    /// blocks of the same function light up together).
+    /// Folds one step given as [`CoverageRuns`]: each range bumps its
+    /// counters as one slice — the cheapest sparse representation for
+    /// region-shaped coverage (consecutive basic blocks of the same
+    /// function light up together) — and each single block by id.
     ///
-    /// Ranges must not overlap each other. Portions beyond `n_blocks`
-    /// trip a debug assertion and are clamped in release builds.
-    pub fn add_step_ranges(&mut self, ranges: &[Range<u32>], failed: bool) {
-        for r in ranges {
+    /// The runs' invariants (disjoint ranges, distinct blocks outside
+    /// every range) make each hit count once. Ids or range portions
+    /// beyond `n_blocks` trip a debug assertion and are ignored in
+    /// release builds.
+    pub fn add_runs(&mut self, runs: &CoverageRuns, failed: bool) {
+        for r in &runs.ranges {
             debug_assert!(
                 r.end <= self.n_blocks,
                 "range {r:?} out of range (n_blocks = {})",
@@ -158,6 +160,9 @@ impl CountsMatrix {
             for c in &mut column[lo..hi] {
                 *c += 1;
             }
+        }
+        for &b in &runs.blocks {
+            self.hit(b, failed);
         }
         self.finish_step(failed);
     }
@@ -270,12 +275,24 @@ mod tests {
     #[test]
     fn range_steps_match_id_steps() {
         let mut by_id = CountsMatrix::new(100);
-        let mut by_range = CountsMatrix::new(100);
-        by_id.add_step((10..20).chain(50..55), true);
-        by_range.add_step_ranges(&[10..20, 50..55], true);
+        let mut by_runs = CountsMatrix::new(100);
+        by_id.add_step((10..20).chain(50..55).chain([3, 99]), true);
+        by_runs.add_runs(
+            &CoverageRuns {
+                ranges: vec![10..20, 50..55],
+                blocks: vec![3, 99],
+            },
+            true,
+        );
         by_id.add_step(30..40, false);
-        by_range.add_step_ranges(std::slice::from_ref(&(30..40)), false);
-        assert_eq!(by_id, by_range);
+        by_runs.add_runs(
+            &CoverageRuns {
+                ranges: vec![30..35, 35..40],
+                blocks: Vec::new(),
+            },
+            false,
+        );
+        assert_eq!(by_id, by_runs);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::matrix::SpectrumMatrix;
 use crate::report::DiagnosisReport;
 use crate::similarity::Coefficient;
 use crate::topk::{score_top_k, TopK};
-use observe::BlockSnapshot;
+use observe::{BlockSnapshot, CoverageRuns};
 
 /// Accumulates scenario steps and produces a [`DiagnosisReport`].
 ///
@@ -90,10 +90,9 @@ impl Diagnoser {
 /// Memory is O(blocks) — steps are folded into the columnar
 /// [`CountsMatrix`] and discarded — and an append costs O(hits): it
 /// only bumps counters. [`top_k`](Self::top_k) scores the accumulated
-/// counts through the sharded top-k scorer when asked, so the current
-/// best suspects are available mid-scenario at any step, and a caller
-/// that reads once per scenario pays for one scoring pass, not one per
-/// step:
+/// counts when asked, so the current best suspects are available
+/// mid-scenario at any step, and a caller that reads once per scenario
+/// pays for one scoring pass, not one per step:
 ///
 /// ```
 /// use spectra::IncrementalDiagnoser;
@@ -107,40 +106,23 @@ impl Diagnoser {
 pub struct IncrementalDiagnoser {
     counts: CountsMatrix,
     k: usize,
-    shards: usize,
 }
 
 impl IncrementalDiagnoser {
     /// Creates a streaming diagnoser over `n_blocks` blocks.
     ///
     /// It scores with Ochiai (the coefficient the Trader work found most
-    /// effective). Defaults: a top-10 window, and one scoring shard per
-    /// available hardware thread (capped at 8).
+    /// effective) over a top-10 window by default.
     pub fn new(n_blocks: u32) -> Self {
-        let shards = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(8);
         IncrementalDiagnoser {
             counts: CountsMatrix::new(n_blocks),
             k: 10,
-            shards,
         }
     }
 
     /// Sets the size of the suspect window.
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.k = k;
-        self
-    }
-
-    /// Sets the number of parallel scoring shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        self.shards = shards;
         self
     }
 
@@ -158,15 +140,22 @@ impl IncrementalDiagnoser {
         self.counts.add_snapshot(snapshot, failed);
     }
 
+    /// Folds one step given as coverage runs into the counters
+    /// ([`CountsMatrix::add_runs`]).
+    pub fn append_runs(&mut self, runs: &CoverageRuns, failed: bool) {
+        self.counts.add_runs(runs, failed);
+    }
+
     /// Scores the steps appended so far and returns the top-k window
     /// (empty before the first step). Each call is one O(blocks)
-    /// scoring pass; the result equals the dense ranking's `top(k)`
-    /// over the same steps.
+    /// scoring pass on the calling thread — a read is too short for
+    /// scoring shards to pay for their threads — and the result equals
+    /// the dense ranking's `top(k)` over the same steps.
     pub fn top_k(&self) -> TopK {
         if self.counts.steps() == 0 {
             return TopK::empty(self.counts.n_blocks());
         }
-        score_top_k(&self.counts, Coefficient::Ochiai, self.k, self.shards)
+        score_top_k(&self.counts, Coefficient::Ochiai, self.k, 1)
     }
 
     /// The accumulated columnar counters.
@@ -251,7 +240,7 @@ mod tests {
             })
             .collect();
         let mut dense = Diagnoser::new(200);
-        let mut inc = IncrementalDiagnoser::new(200).with_top_k(8).with_shards(3);
+        let mut inc = IncrementalDiagnoser::new(200).with_top_k(8);
         for (hits, failed) in &steps {
             dense.record_hits(hits.iter().copied(), *failed);
             inc.append_step(hits.iter().copied(), *failed);

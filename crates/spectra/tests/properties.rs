@@ -4,7 +4,7 @@
 //! must reproduce the dense [`SpectrumMatrix`] oracle exactly — same
 //! counts, same scores, same tie order — for every coefficient.
 
-use observe::BlockCoverage;
+use observe::{BlockCoverage, CoverageRuns};
 use proptest::prelude::*;
 use spectra::{
     score_top_k, Coefficient, CountsMatrix, IncrementalDiagnoser, Ranking, SpectrumMatrix,
@@ -34,6 +34,23 @@ fn scenario_strategy(
             })
             .collect()
     })
+}
+
+/// Coverage runs from one label per block: 0 a miss, 1 the next block
+/// of the current range (or a new one), 2 the first block of a new range
+/// (so ranges may touch), 3 a single block. The runs' invariants hold
+/// by construction: disjoint ranges, distinct blocks outside them.
+fn runs_from_labels(labels: &[u8]) -> CoverageRuns {
+    let mut runs = CoverageRuns::default();
+    for (b, &label) in (0u32..).zip(labels) {
+        match (label, runs.ranges.last_mut()) {
+            (1, Some(r)) if r.end == b => r.end += 1,
+            (1 | 2, _) => runs.ranges.push(b..b + 1),
+            (3, _) => runs.blocks.push(b),
+            _ => {}
+        }
+    }
+    runs
 }
 
 fn build_both(n_blocks: u32, steps: &[(Vec<u32>, bool)]) -> (SpectrumMatrix, CountsMatrix) {
@@ -179,14 +196,11 @@ proptest! {
     #[test]
     fn incremental_window_tracks_dense(
         steps in scenario_strategy(32, 12),
-        shards in 1usize..5,
         read_mask in any::<u16>(),
         lazy in any::<bool>()
     ) {
         let mut dense = SpectrumMatrix::new(32);
-        let mut inc = IncrementalDiagnoser::new(32)
-            .with_top_k(6)
-            .with_shards(shards);
+        let mut inc = IncrementalDiagnoser::new(32).with_top_k(6);
         prop_assert!(inc.top_k().entries().is_empty());
         for (i, (hits, failed)) in steps.iter().enumerate() {
             dense.add_step(hits.iter().copied(), *failed);
@@ -253,5 +267,39 @@ proptest! {
             by_id.add_step(snap.iter_hits(), failed);
         }
         prop_assert_eq!(by_snap, by_id);
+    }
+
+    /// Folding coverage runs equals folding the same hits one id at a
+    /// time: long and short ranges, touching ranges, single blocks, in
+    /// any order, and ranges reaching the last block.
+    #[test]
+    fn runs_fold_equals_id_fold(
+        n_blocks in 1usize..300,
+        steps in prop::collection::vec(
+            (
+                // Mostly range blocks, so long ranges are common.
+                prop::collection::vec(
+                    prop::sample::select(vec![0u8, 0, 0, 1, 1, 1, 1, 1, 1, 2, 3, 3]),
+                    300
+                ),
+                any::<bool>(),
+                any::<bool>()
+            ),
+            1..8
+        )
+    ) {
+        let mut by_runs = CountsMatrix::new(n_blocks as u32);
+        let mut by_id = CountsMatrix::new(n_blocks as u32);
+        for (labels, reversed, failed) in steps {
+            let mut runs = runs_from_labels(&labels[..n_blocks]);
+            if reversed {
+                runs.ranges.reverse();
+                runs.blocks.reverse();
+            }
+            let ranges = runs.ranges.iter().cloned().flatten();
+            by_id.add_step(ranges.chain(runs.blocks.iter().copied()), failed);
+            by_runs.add_runs(&runs, failed);
+        }
+        prop_assert_eq!(by_runs, by_id);
     }
 }

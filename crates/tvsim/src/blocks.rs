@@ -12,8 +12,9 @@
 //! [`CoverageRecorder`] is the TV's instrumentation target: it logs bank
 //! executions and fills their blocks in only when a snapshot reads them.
 
-use observe::{BlockCoverage, BlockSnapshot};
+use observe::{BlockCoverage, BlockSnapshot, CoverageRuns};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Default total number of instrumented blocks (the paper's figure).
 pub const N_BLOCKS: u32 = 60_000;
@@ -158,6 +159,45 @@ impl SyntheticCodeBank {
     /// low-order bit of the variant — branch-dependent basic blocks).
     pub const VARIANT_BITS: u32 = 10;
 
+    /// First id of the shared utility tail, above every core region.
+    const SHARED_BASE: u32 = BlockMap::SYNTHETIC_BASE + 50_000;
+
+    /// The blocks one execution of `op` on `variant` covers, as the runs
+    /// they come in: the core region's always-executed part and one
+    /// slice per set variant bit (disjoint ranges, ascending), then the
+    /// shared tail's draws (single blocks that may repeat). This is the
+    /// one description of an op's footprint; [`Self::execute`] and
+    /// [`CoverageRecorder::take_runs`] both expand through it.
+    fn runs(
+        &self,
+        op: FirmwareOp,
+        variant: u32,
+    ) -> (impl Iterator<Item = Range<u32>>, impl Iterator<Item = u32>) {
+        let (start, len) = self.core_region(op);
+        // Core: always-executed part (~70%).
+        let always = len * 7 / 10;
+        // Conditional part: one slice per variant bit.
+        let var_len = len - always;
+        let slice = (var_len / Self::VARIANT_BITS).max(1);
+        let variants = (0..Self::VARIANT_BITS)
+            .filter(move |bit| variant & (1 << bit) != 0)
+            .map(move |bit| {
+                let lo = start + always + bit * slice;
+                let hi = (lo + slice).min(start + len);
+                lo..hi
+            });
+        // Shared utility tail: scattered high blocks common across ops.
+        let shared_space = u64::from(self.n_blocks - Self::SHARED_BASE);
+        let seed = (op.region() as u64 + 1).wrapping_mul(0x9E37_79B9);
+        let tail = (0..120).scan(seed, move |x, _| {
+            *x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            Some(Self::SHARED_BASE + ((*x >> 16) % shared_space) as u32)
+        });
+        (std::iter::once(start..start + always).chain(variants), tail)
+    }
+
     /// Executes `op` against the coverage recorder: hits its core region,
     /// the variant-bit-conditioned sub-regions (data-dependent branches),
     /// and a deterministic scatter of shared utility blocks.
@@ -170,33 +210,13 @@ impl SyntheticCodeBank {
     /// the blocks of one execution with the OR of their variants — the
     /// fold rule [`CoverageRecorder`] defers coverage by.
     pub fn execute(&self, cov: &mut BlockCoverage, op: FirmwareOp, variant: u32) {
-        let (start, len) = self.core_region(op);
-        // Core: always-executed part (~70%).
-        let always = len * 7 / 10;
-        for b in start..start + always {
-            cov.hit(b);
-        }
-        // Conditional part: one slice per variant bit.
-        let var_len = len - always;
-        let slice = (var_len / Self::VARIANT_BITS).max(1);
-        for bit in 0..Self::VARIANT_BITS {
-            if variant & (1 << bit) != 0 {
-                let lo = start + always + bit * slice;
-                let hi = (lo + slice).min(start + len);
-                for b in lo..hi {
-                    cov.hit(b);
-                }
+        let (ranges, tail) = self.runs(op, variant);
+        for range in ranges {
+            for b in range {
+                cov.hit(b);
             }
         }
-        // Shared utility tail: scattered high blocks common across ops.
-        let shared_base = BlockMap::SYNTHETIC_BASE + 50_000;
-        let shared_space = self.n_blocks - shared_base;
-        let mut x = (op.region() as u64 + 1).wrapping_mul(0x9E37_79B9);
-        for _ in 0..120 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let b = shared_base + ((x >> 16) % shared_space as u64) as u32;
+        for b in tail {
             cov.hit(b);
         }
     }
@@ -210,10 +230,10 @@ impl SyntheticCodeBank {
     /// conditional sub-region for variant bit [`Self::FAULT_BIT`], so it
     /// executes exactly when the rendered page number has that bit set.
     pub fn teletext_fault_block(&self) -> u32 {
-        let (start, len) = self.core_region(FirmwareOp::TeletextRender);
-        let always = len * 7 / 10;
-        let slice = ((len - always) / Self::VARIANT_BITS).max(1);
-        start + always + Self::FAULT_BIT * slice + slice / 2
+        // The core range, then the fault bit's slice: its middle block.
+        let (mut ranges, _) = self.runs(FirmwareOp::TeletextRender, 1 << Self::FAULT_BIT);
+        let slice = ranges.nth(1).expect("a set variant bit has a slice");
+        slice.start + slice.len() as u32 / 2
     }
 }
 
@@ -251,6 +271,11 @@ impl Default for SyntheticCodeBank {
 pub struct CoverageRecorder {
     bank: SyntheticCodeBank,
     cov: BlockCoverage,
+    /// The shared-tail blocks [`Self::take_runs`] has listed, offset by
+    /// the tail's first id; empty between takes. Built by the first
+    /// take of runs, so a recorder that only snapshots never allocates
+    /// it.
+    tail_seen: Option<BlockCoverage>,
     /// Bit `op.region()` is set once `op` executed since the last take
     /// or reset.
     executed: u16,
@@ -269,6 +294,7 @@ impl CoverageRecorder {
         CoverageRecorder {
             bank: SyntheticCodeBank::new(n_blocks),
             cov: BlockCoverage::new(n_blocks),
+            tail_seen: None,
             executed: 0,
             variants: [0; FirmwareOp::ALL.len()],
         }
@@ -307,6 +333,46 @@ impl CoverageRecorder {
         }
         self.clear_log();
         self.cov.snapshot_and_reset()
+    }
+
+    /// The same step as [`Self::take`], handed over as runs instead of a
+    /// snapshot: `runs` is overwritten with each executed op's core range
+    /// and variant slices, and with the hand-written hits and shared-tail
+    /// blocks as single ids, then the recorder clears exactly as a take
+    /// does. No block of a range is set one by one, and after the first
+    /// call nothing allocates once `runs` has grown to a step's size.
+    pub fn take_runs(&mut self, runs: &mut CoverageRuns) {
+        runs.ranges.clear();
+        runs.blocks.clear();
+        let tail_len = self.bank.n_blocks() - SyntheticCodeBank::SHARED_BASE;
+        let tail_seen = self
+            .tail_seen
+            .get_or_insert_with(|| BlockCoverage::new(tail_len));
+        for op in FirmwareOp::ALL {
+            let r = op.region();
+            if self.executed & (1 << r) != 0 {
+                let (ranges, tail) = self.bank.runs(op, self.variants[r as usize]);
+                runs.ranges.extend(ranges);
+                // A bitset dedups tail draws within and across ops.
+                for b in tail {
+                    let seen = b - SyntheticCodeBank::SHARED_BASE;
+                    if !tail_seen.is_hit(seen) {
+                        tail_seen.hit(seen);
+                        runs.blocks.push(b);
+                    }
+                }
+            }
+        }
+        tail_seen.reset();
+        self.clear_log();
+        // Hand-written hits lie below the bank, so no id repeats a
+        // range's block.
+        self.cov
+            .drain_hits_below(BlockMap::SYNTHETIC_BASE, &mut runs.blocks);
+        debug_assert!(
+            !self.cov.any_hit(),
+            "a hand-written hit at or above BlockMap::SYNTHETIC_BASE"
+        );
     }
 
     /// Drops the coverage recorded since the last take or reset without

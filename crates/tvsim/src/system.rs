@@ -9,7 +9,7 @@ use crate::features::teletext::Teletext;
 use crate::features::volume::Volume;
 use crate::features::FeatureCtx;
 use crate::remote::Key;
-use observe::{BlockSnapshot, Observation, ObservationKind};
+use observe::{BlockSnapshot, CoverageRuns, Observation, ObservationKind};
 use simkit::SimTime;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -83,6 +83,10 @@ pub struct TvSystem {
     faults: FaultSet,
     cov: CoverageRecorder,
 }
+
+/// The most observations one press emits (a power-on: the key press
+/// and five outputs and modes), so a press allocates its vector once.
+const MAX_PRESS_OBSERVATIONS: usize = 6;
 
 /// The features of the six [`Unit`]s, borrowed as one beside the
 /// coverage recorder and the fault set.
@@ -207,6 +211,14 @@ impl TvSystem {
         self.cov.take()
     }
 
+    /// Takes and clears block coverage as [`CoverageRuns`] — the same
+    /// hits [`take_coverage`](Self::take_coverage) would snapshot, as
+    /// block ranges and single blocks written into `runs`, for a reader
+    /// that folds counters (see [`CoverageRecorder::take_runs`]).
+    pub fn take_coverage_runs(&mut self, runs: &mut CoverageRuns) {
+        self.cov.take_runs(runs);
+    }
+
     /// Clears block coverage without snapshotting it — for intervals
     /// whose coverage is discarded (repair bursts, probe presses). The
     /// firmware blocks of such an interval are never filled in.
@@ -223,14 +235,15 @@ impl TvSystem {
     /// set does around it: power cycles, the screen passing `Back` on to
     /// teletext, and teletext re-acquiring after a retune.
     pub fn press(&mut self, now: SimTime, key: Key) -> Vec<Observation> {
-        let mut obs = vec![Observation::new(
+        let mut obs = Vec::with_capacity(MAX_PRESS_OBSERVATIONS);
+        obs.push(Observation::new(
             now,
             "remote",
             ObservationKind::KeyPress {
                 key: key.event_name().into(),
                 code: key.payload(),
             },
-        )];
+        ));
         let (on, unit) = (self.on, self.serving_unit(key));
         let (units, mut ctx) = self.parts(now, &mut obs);
         // Every key goes through input housekeeping.
@@ -511,6 +524,29 @@ mod tests {
         tv.press(SimTime::ZERO, Key::Power);
         tv.take_coverage();
         tv
+    }
+
+    #[test]
+    fn no_press_outgrows_its_preallocated_vector() {
+        for faulted in [false, true] {
+            for first in Key::ALL {
+                for second in Key::ALL {
+                    let mut tv = TvSystem::new();
+                    if faulted {
+                        TvFault::ALL.into_iter().for_each(|f| tv.inject_fault(f));
+                    }
+                    let keys = [Key::Power, first, second, Key::Power, Key::Power];
+                    for (i, key) in keys.into_iter().enumerate() {
+                        let obs = tv.press(SimTime::from_millis(100 * i as u64), key);
+                        assert!(
+                            obs.len() <= MAX_PRESS_OBSERVATIONS,
+                            "{key:?} after {first:?}, {second:?} emitted {}",
+                            obs.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based robustness tests of the TV SUO.
 
-use observe::BlockCoverage;
+use observe::{BlockCoverage, CoverageRuns};
 use proptest::prelude::*;
 use simkit::SimTime;
 use tvsim::blocks::{CoverageRecorder, FirmwareOp};
@@ -233,5 +233,52 @@ proptest! {
             }
         }
         prop_assert_eq!(rec.take(), eager.snapshot_and_reset());
+    }
+
+    /// The two ways to take a step's coverage agree: on twin TVs with the
+    /// same faults and keys (power cycles frequent, several presses per
+    /// step at times), `take_coverage_runs` yields disjoint ranges and
+    /// distinct ids outside every range, which together are exactly the
+    /// hits of the twin's `take_coverage` snapshot.
+    #[test]
+    fn coverage_runs_equal_the_snapshot(
+        faults in prop::collection::vec(arb_fault(), 0..4),
+        steps in prop::collection::vec(
+            (prop_oneof![arb_key(), Just(Key::Power)], any::<bool>()),
+            1..60
+        )
+    ) {
+        let (mut by_runs, mut by_snapshot) = (TvSystem::new(), TvSystem::new());
+        for &f in &faults {
+            by_runs.inject_fault(f);
+            by_snapshot.inject_fault(f);
+        }
+        let mut runs = CoverageRuns::default();
+        let n = steps.len();
+        for (i, (key, take)) in steps.into_iter().enumerate() {
+            let at = SimTime::from_millis(100 * (i as u64 + 1));
+            by_runs.press(at, key);
+            by_snapshot.press(at, key);
+            if !take && i + 1 < n {
+                continue;
+            }
+            by_runs.take_coverage_runs(&mut runs);
+            let snapshot = by_snapshot.take_coverage();
+            let mut ranges = runs.ranges.clone();
+            ranges.sort_by_key(|r| r.start);
+            for pair in ranges.windows(2) {
+                prop_assert!(pair[0].end <= pair[1].start, "overlapping {:?}", pair);
+            }
+            let mut ids = runs.blocks.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), runs.blocks.len(), "repeated ids");
+            for b in &runs.blocks {
+                prop_assert!(!ranges.iter().any(|r| r.contains(b)), "{} inside a range", b);
+            }
+            let mut hits: Vec<u32> = ranges.into_iter().flatten().chain(ids).collect();
+            hits.sort_unstable();
+            prop_assert_eq!(hits, snapshot.iter_hits().collect::<Vec<_>>());
+        }
     }
 }
