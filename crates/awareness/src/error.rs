@@ -18,8 +18,6 @@ pub struct DetectedError {
     pub expected: ObsValue,
     /// What the system produced.
     pub actual: ObsValue,
-    /// Numeric deviation at the moment of reporting.
-    pub deviation: f64,
     /// How many consecutive deviating comparisons preceded the report.
     pub consecutive: u32,
 }
@@ -45,7 +43,6 @@ mod tests {
             observable: "volume".into(),
             expected: ObsValue::Num(10.0),
             actual: ObsValue::Num(0.0),
-            deviation: 10.0,
             consecutive: 3,
         };
         let s = e.to_string();

@@ -120,7 +120,6 @@ fn probed_scorecard_grid_is_worker_invariant() {
         scenario_len: 10,
         recoveries: vec![RecoveryStyle::MicroReboot],
         probes: true,
-        adaptive: false,
     };
     let oracle = run_scorecard(&config, 1);
     for workers in [2, 4, 8] {

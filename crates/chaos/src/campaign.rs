@@ -230,14 +230,7 @@ impl CampaignOutcome {
                 h.mix(audit.in_flight);
             }
         }
-        h.mix(self.stress.cpu_jobs_released as u64);
-        h.mix(self.stress.cpu_completed);
-        h.mix(self.stress.cpu_deadline_misses);
-        h.mix(self.stress.cpu_utilization.to_bits());
-        h.mix(self.stress.bus_nominal.as_nanos());
-        h.mix(self.stress.bus_stressed.as_nanos());
-        h.mix(self.stress.hog_victim_latency.as_nanos());
-        h.mix(self.stress.deadlock_cycle_len as u64);
+        self.stress.mix_into(&mut h);
         h.finish()
     }
 }

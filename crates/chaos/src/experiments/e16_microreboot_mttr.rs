@@ -31,7 +31,7 @@ use simkit::SimDuration;
 use std::collections::BTreeSet;
 use std::fmt;
 use trader::report::{f2, render_table};
-use trader::{LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig};
+use trader::{LoopOutcome, TvDependabilityLoop, UnitRecoveryStyle};
 use tvsim::Unit;
 
 use crate::campaign::CampaignSpec;
@@ -187,10 +187,10 @@ impl fmt::Display for E16Report {
     }
 }
 
-/// Runs one campaign arm with the given recovery config: the spec's
+/// Runs one campaign arm with the given recovery style: the spec's
 /// fault plan and boundary disturbance, without supervision or the
 /// stress leg.
-fn run_arm(spec: &CampaignSpec, recovery: UnitRecoveryConfig) -> LoopOutcome {
+fn run_arm(spec: &CampaignSpec, recovery: UnitRecoveryStyle) -> LoopOutcome {
     let mut looped = TvDependabilityLoop::closed(spec.seed);
     CampaignSpec {
         supervised: false,
@@ -210,8 +210,8 @@ pub fn run(campaigns: &[CampaignSpec]) -> E16Report {
         .map(|spec| E16Result {
             seed: spec.seed,
             single_unit: single_unit(spec),
-            full: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryConfig::full_restart())),
-            micro: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryConfig::micro_reboot())),
+            full: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryStyle::FullRestart)),
+            micro: E16Arm::from_outcome(&run_arm(spec, UnitRecoveryStyle::MicroReboot)),
         })
         .collect();
 

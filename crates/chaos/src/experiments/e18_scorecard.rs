@@ -469,7 +469,6 @@ pub(crate) mod tests {
             reps,
             scenario_len: 8,
             probes: false,
-            adaptive: false,
         };
         let mut metrics = MetricsRegistry::new();
         let reps = (0..reps)

@@ -30,7 +30,7 @@ use faults::Schedule;
 use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use telemetry::MetricsRegistry;
-use trader::{TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
+use trader::{TimedScenario, TvDependabilityLoop, UnitRecoveryStyle};
 use tvsim::TvFault;
 
 use awareness::SupervisorConfig;
@@ -129,12 +129,8 @@ impl RecoveryStyle {
     /// Installs this style on a loop.
     fn configure(self, looped: &mut TvDependabilityLoop) {
         match self {
-            RecoveryStyle::FullRestart => {
-                looped.unit_recovery(UnitRecoveryConfig::full_restart());
-            }
-            RecoveryStyle::MicroReboot => {
-                looped.unit_recovery(UnitRecoveryConfig::micro_reboot());
-            }
+            RecoveryStyle::FullRestart => looped.unit_recovery(UnitRecoveryStyle::FullRestart),
+            RecoveryStyle::MicroReboot => looped.unit_recovery(UnitRecoveryStyle::MicroReboot),
             RecoveryStyle::SupervisedLadder => {
                 looped.supervised(SupervisorConfig::default());
             }
@@ -152,7 +148,10 @@ pub struct CellSpec {
     pub scenario: ScenarioKind,
     /// The recovery style (the matrix layer).
     pub recovery: RecoveryStyle,
-    /// Faulty runs per cell; each slides the fault window forward.
+    /// Base faulty runs per cell; each slides the fault window forward.
+    /// A cell detecting in exactly one of two or more base reps runs two
+    /// extra window placements — the window-position sensitivity sweep
+    /// (reps 3 → 5 at grid shape).
     pub reps: usize,
     /// Presses per run (one every 100 ms).
     pub scenario_len: usize,
@@ -160,10 +159,6 @@ pub struct CellSpec {
     /// observatory enabled (idle-window probes, deadline monitor, mode
     /// witnesses).
     pub probes: bool,
-    /// True extends a cell detecting in exactly one base rep with two
-    /// extra window placements — the window-position sensitivity sweep
-    /// (reps 3 → 5 at grid shape).
-    pub adaptive: bool,
 }
 
 impl CellSpec {
@@ -281,8 +276,9 @@ impl CellSpec {
         result
     }
 
-    /// Runs the cell: `reps` faulty runs, one fault-free twin, and (for
-    /// [`ScenarioKind::StressMix`]) the seed-derived stress leg.
+    /// Runs the cell: `reps` faulty runs (plus the sweep's two), one
+    /// fault-free twin, and (for [`ScenarioKind::StressMix`]) the
+    /// seed-derived stress leg.
     pub fn run(&self) -> CellOutcome {
         let scenario = self.scenario.scenario(self.scenario_len);
         let mut metrics = MetricsRegistry::new();
@@ -295,7 +291,7 @@ impl CellSpec {
         // extra placements past the base sweep quantify how narrow the
         // detectable phase really is.
         let detected_base = reps.iter().filter(|r| r.detected).count();
-        if self.adaptive && self.reps >= 2 && detected_base == 1 {
+        if self.reps >= 2 && detected_base == 1 {
             for rep in self.reps..self.reps + 2 {
                 reps.push(self.run_rep(rep, &scenario, &mut metrics));
             }
@@ -416,7 +412,9 @@ impl CellOutcome {
         h.mix(self.spec.reps as u64);
         h.mix(self.spec.scenario_len as u64);
         h.mix(u64::from(self.spec.probes));
-        h.mix(u64::from(self.spec.adaptive));
+        // The retired `adaptive` switch was always on; its constant keeps
+        // the committed digests.
+        h.mix(1);
         for rep in &self.reps {
             h.mix(rep.seed);
             h.mix(rep.window_from.to_bits());
@@ -431,14 +429,7 @@ impl CellOutcome {
         }
         h.mix(self.twin_detections);
         if let Some(stress) = &self.stress {
-            h.mix(stress.cpu_jobs_released as u64);
-            h.mix(stress.cpu_completed);
-            h.mix(stress.cpu_deadline_misses);
-            h.mix(stress.cpu_utilization.to_bits());
-            h.mix(stress.bus_nominal.as_nanos());
-            h.mix(stress.bus_stressed.as_nanos());
-            h.mix(stress.hog_victim_latency.as_nanos());
-            h.mix(stress.deadlock_cycle_len as u64);
+            stress.mix_into(&mut h);
         }
         h.finish()
     }
@@ -447,7 +438,7 @@ impl CellOutcome {
 /// The scorecard grid shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScorecardConfig {
-    /// Faulty runs per cell.
+    /// Base faulty runs per cell.
     pub reps: usize,
     /// Presses per run.
     pub scenario_len: usize,
@@ -455,9 +446,6 @@ pub struct ScorecardConfig {
     pub recoveries: Vec<RecoveryStyle>,
     /// Run every cell with the active health observatory enabled.
     pub probes: bool,
-    /// Extend 1-of-base-detected cells with two extra window
-    /// placements.
-    pub adaptive: bool,
 }
 
 impl ScorecardConfig {
@@ -469,7 +457,6 @@ impl ScorecardConfig {
             scenario_len: 32,
             recoveries: RecoveryStyle::ALL.to_vec(),
             probes: false,
-            adaptive: true,
         }
     }
 
@@ -500,7 +487,6 @@ impl ScorecardConfig {
                         reps: self.reps,
                         scenario_len: self.scenario_len,
                         probes: self.probes,
-                        adaptive: self.adaptive,
                     });
                 }
             }
@@ -589,7 +575,6 @@ mod tests {
             reps: 2,
             scenario_len: 16,
             probes: false,
-            adaptive: false,
         }
     }
 
@@ -614,7 +599,6 @@ mod tests {
             reps: 3,
             scenario_len: 32,
             probes: false,
-            adaptive: false,
         }
         .run();
         assert_eq!(outcome.detected(), 3, "detection gap in the home cell");
@@ -665,7 +649,6 @@ mod tests {
                 reps: 1,
                 scenario_len: 8,
                 probes: false,
-                adaptive: false,
             };
             assert_ne!(spec.companion_fault(), fault);
         }
@@ -692,7 +675,6 @@ mod tests {
             scenario_len: 10,
             recoveries: vec![RecoveryStyle::MicroReboot],
             probes: true,
-            adaptive: true,
         };
         let sequential = run_scorecard(&config, 1);
         let parallel = run_scorecard(&config, 4);
@@ -716,7 +698,6 @@ mod tests {
             reps: 3,
             scenario_len: 32,
             probes: false,
-            adaptive: false,
         };
         let mut probed = blind.clone();
         probed.probes = true;
@@ -751,28 +732,21 @@ mod tests {
     fn adaptive_cells_extend_the_window_sweep() {
         // teletext-sync-loss under the teletext workload detects in
         // exactly one base window (the baseline's canonical 1/3 cell):
-        // the adaptive sweep must add two placements past the base
-        // range, with the base divisor unchanged.
-        let base = CellSpec {
+        // the sweep must add two placements past the base range.
+        let swept = CellSpec {
             fault: TvFault::TeletextSyncLoss,
             scenario: ScenarioKind::Teletext,
             recovery: RecoveryStyle::MicroReboot,
             reps: 3,
             scenario_len: 32,
             probes: false,
-            adaptive: false,
-        };
-        let fixed = base.run();
+        }
+        .run();
+        let base_detected = swept.reps[..3].iter().filter(|r| r.detected).count();
         assert_eq!(
-            fixed.detected(),
-            1,
+            base_detected, 1,
             "cell shape changed; pick another 1/3 cell"
         );
-        assert_eq!(fixed.reps.len(), 3);
-
-        let mut adaptive = base.clone();
-        adaptive.adaptive = true;
-        let swept = adaptive.run();
         assert_eq!(swept.reps.len(), 5, "1-of-3 cell must extend to 5 reps");
         assert!((swept.reps[3].window_from - 0.5).abs() < 1e-12);
         assert!((swept.reps[4].window_from - 0.6).abs() < 1e-12);
@@ -785,7 +759,6 @@ mod tests {
             scenario_len: 10,
             recoveries: vec![RecoveryStyle::MicroReboot],
             probes: false,
-            adaptive: false,
         };
         let scorecard = run_scorecard(&config, 2);
         assert_eq!(

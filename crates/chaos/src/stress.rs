@@ -14,6 +14,8 @@ use simkit::{
     TaskId,
 };
 
+use crate::Fnv;
+
 /// Seed-derived stress configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StressPlan {
@@ -48,6 +50,20 @@ pub struct StressOutcome {
     pub hog_victim_latency: SimDuration,
     /// Length of the wait-for cycle the detector found (0 = missed).
     pub deadlock_cycle_len: usize,
+}
+
+impl StressOutcome {
+    /// Mixes every measured value into a campaign or cell digest.
+    pub(crate) fn mix_into(&self, h: &mut Fnv) {
+        h.mix(self.cpu_jobs_released as u64);
+        h.mix(self.cpu_completed);
+        h.mix(self.cpu_deadline_misses);
+        h.mix(self.cpu_utilization.to_bits());
+        h.mix(self.bus_nominal.as_nanos());
+        h.mix(self.bus_stressed.as_nanos());
+        h.mix(self.hog_victim_latency.as_nanos());
+        h.mix(self.deadlock_cycle_len as u64);
+    }
 }
 
 impl StressPlan {

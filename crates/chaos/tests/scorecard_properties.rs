@@ -30,7 +30,6 @@ fn small_config() -> ScorecardConfig {
         scenario_len: 10,
         recoveries: vec![RecoveryStyle::MicroReboot],
         probes: true,
-        adaptive: true,
     }
 }
 
@@ -141,7 +140,6 @@ proptest! {
             reps,
             scenario_len: 12,
             probes,
-            adaptive: false,
         }
         .run();
         prop_assert_eq!(

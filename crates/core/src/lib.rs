@@ -57,9 +57,7 @@ pub mod loop_;
 pub mod report;
 pub mod scenario;
 
-pub use loop_::{
-    ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig, UnitRecoveryStyle,
-};
+pub use loop_::{ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryStyle};
 pub use scenario::TimedScenario;
 
 // Re-export the subsystem crates under their paper roles.
@@ -79,9 +77,7 @@ pub use tvsim;
 
 /// Convenient imports for examples and experiment code.
 pub mod prelude {
-    pub use crate::loop_::{
-        ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryConfig, UnitRecoveryStyle,
-    };
+    pub use crate::loop_::{ChannelAudit, LoopOutcome, TvDependabilityLoop, UnitRecoveryStyle};
     pub use crate::scenario::TimedScenario;
     pub use crate::{experiments, faults};
     pub use awareness::{AwarenessMonitor, Comparator, CompareSpec, Configuration, MonitorBuilder};

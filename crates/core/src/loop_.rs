@@ -16,7 +16,7 @@ use faults::{Injector, Schedule};
 use observe::{BlockSnapshot, CoverageRuns, ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome};
 use serde::{Deserialize, Serialize};
-use simkit::{SimDuration, SimRng, SimTime};
+use simkit::{SimDuration, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::Telemetry;
@@ -52,7 +52,14 @@ impl ChannelAudit {
 }
 
 /// How the loop recovers the SUO when the awareness monitor pins an
-/// error on a pipeline unit.
+/// error on a pipeline unit. Installed via
+/// [`TvDependabilityLoop::unit_recovery`], it replaces the targeted
+/// repair strategy in the closed loop; the open loop ignores it (there
+/// is nothing to detect with). Both styles share one checkpoint
+/// discipline, and the timings are fixed: a 500 ms checkpoint cadence,
+/// 4 generations per unit, a 4 s full-restart outage, a 50 ms
+/// micro-reboot outage plus 1 ms per replayed press, and a 200 ms
+/// cooldown between episodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UnitRecoveryStyle {
     /// The classic remedy: bounce the whole TV. Every unit is rolled
@@ -64,44 +71,6 @@ pub enum UnitRecoveryStyle {
     /// presses are replayed from the journal, and the rest of the TV
     /// keeps serving presses throughout.
     MicroReboot,
-}
-
-/// Configuration for structural unit recovery (checkpoints + reboot
-/// ladder). When installed via [`TvDependabilityLoop::unit_recovery`],
-/// it replaces the targeted repair strategy in the closed loop; the open
-/// loop ignores it (there is nothing to detect with). The timings are
-/// fixed: a 500 ms checkpoint cadence, 4 generations per unit, a 4 s
-/// full-restart outage, a 50 ms micro-reboot outage plus 1 ms per
-/// replayed press, and a 200 ms cooldown between episodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UnitRecoveryConfig {
-    /// Which rung the loop reaches for first.
-    pub style: UnitRecoveryStyle,
-    /// Chance that chaos flips one bit in a just-saved checkpoint
-    /// (exercises the fingerprint fallback). Seed-derived.
-    pub corrupt_chance: f64,
-    /// Chance that chaos tears a field out of a just-saved checkpoint.
-    pub tear_chance: f64,
-}
-
-impl UnitRecoveryConfig {
-    /// Micro-reboot recovery with no checkpoint chaos.
-    pub fn micro_reboot() -> Self {
-        UnitRecoveryConfig {
-            style: UnitRecoveryStyle::MicroReboot,
-            corrupt_chance: 0.0,
-            tear_chance: 0.0,
-        }
-    }
-
-    /// Full-restart recovery: same checkpoint discipline, but every
-    /// recovery bounces the whole TV for the 4 s outage.
-    pub fn full_restart() -> Self {
-        UnitRecoveryConfig {
-            style: UnitRecoveryStyle::FullRestart,
-            ..Self::micro_reboot()
-        }
-    }
 }
 
 /// Healthy-window checkpoint cadence. A unit is only checkpointed when
@@ -504,9 +473,8 @@ struct Outage {
 /// vault, the per-unit press journals, the outage, and the MTTR ledger.
 #[derive(Debug)]
 struct RecoveryState {
-    cfg: UnitRecoveryConfig,
+    style: UnitRecoveryStyle,
     vault: CheckpointVault,
-    chaos: SimRng,
     journal: BTreeMap<Unit, Vec<Key>>,
     dirty: BTreeSet<Unit>,
     outage: Option<Outage>,
@@ -518,14 +486,13 @@ struct RecoveryState {
 }
 
 impl RecoveryState {
-    fn new(cfg: UnitRecoveryConfig, seed: u64) -> Self {
+    fn new(style: UnitRecoveryStyle, seed: u64) -> Self {
         RecoveryState {
-            cfg,
+            style,
             // The vault seed is derived from, not equal to, the loop
             // seed: a fingerprint must not collide with other
             // seed-keyed digests in the same run.
             vault: CheckpointVault::new(seed ^ 0xC0DE_5EA1_ED00_0000, VAULT_CAPACITY),
-            chaos: SimRng::seed(seed).derive(0xC8A0_55EE),
             journal: BTreeMap::new(),
             dirty: BTreeSet::new(),
             outage: None,
@@ -567,14 +534,6 @@ impl RecoveryState {
             // The journal restarts at the new baseline.
             self.journal.remove(&unit);
             telemetry.count(at, "core.reboot.checkpoint", 1);
-            // Chaos rider: flip a bit or tear a field in what was just
-            // sealed, so restores exercise the fingerprint fallback.
-            if self.cfg.corrupt_chance > 0.0 && self.chaos.chance(self.cfg.corrupt_chance) {
-                let bit = self.chaos.uniform_u64(0, 63) as u32;
-                let _ = self.vault.corrupt_latest(unit.name(), bit);
-            } else if self.cfg.tear_chance > 0.0 && self.chaos.chance(self.cfg.tear_chance) {
-                let _ = self.vault.tear_latest(unit.name());
-            }
         }
     }
 
@@ -594,7 +553,7 @@ impl RecoveryState {
         telemetry: &Telemetry,
         announcements: &mut Vec<Observation>,
     ) {
-        if self.cfg.style == UnitRecoveryStyle::MicroReboot {
+        if self.style == UnitRecoveryStyle::MicroReboot {
             if let RestoreOutcome::Restored { state, .. } = self.vault.restore_latest(unit.name()) {
                 tv.restore_unit(unit, &state);
                 // State reconciliation: every press served since the
@@ -1113,7 +1072,7 @@ pub struct TvDependabilityLoop {
     reliable: bool,
     supervision: Option<SupervisorConfig>,
     online_diagnosis_k: Option<usize>,
-    unit_recovery: Option<UnitRecoveryConfig>,
+    unit_recovery: Option<UnitRecoveryStyle>,
     probes: bool,
     telemetry: Telemetry,
 }
@@ -1191,9 +1150,9 @@ impl TvDependabilityLoop {
     /// Installs structural unit recovery: crash-consistent per-unit
     /// checkpoints, journal replay, and a reboot ladder that replaces the
     /// targeted repair strategy. Closed loop only; the open loop has no
-    /// detections to react to, so the config is ignored there.
-    pub fn unit_recovery(&mut self, config: UnitRecoveryConfig) {
-        self.unit_recovery = Some(config);
+    /// detections to react to, so the style is ignored there.
+    pub fn unit_recovery(&mut self, style: UnitRecoveryStyle) {
+        self.unit_recovery = Some(style);
     }
 
     /// Installs the active health observatory: a deterministic
@@ -1277,7 +1236,7 @@ impl TvDependabilityLoop {
             probes: self.probes.then(ProbeRuntime::new),
             recovery: self
                 .unit_recovery
-                .map(|cfg| RecoveryState::new(cfg, self.seed)),
+                .map(|style| RecoveryState::new(style, self.seed)),
         }
     }
 
@@ -1537,7 +1496,7 @@ mod tests {
     fn micro_reboot_recovers_the_faulty_unit_without_collateral_losses() {
         let mut looped = TvDependabilityLoop::closed(5);
         looped.schedule_fault(mute_fault_schedule(), TvFault::MuteInversion);
-        looped.unit_recovery(UnitRecoveryConfig::micro_reboot());
+        looped.unit_recovery(UnitRecoveryStyle::MicroReboot);
         let outcome = looped.run(&teletext_scenario());
         assert!(outcome.micro_reboots >= 1, "{outcome:?}");
         assert_eq!(outcome.full_restarts, 0, "{outcome:?}");
@@ -1554,7 +1513,7 @@ mod tests {
     fn full_restart_loses_presses_on_unaffected_units() {
         let mut looped = TvDependabilityLoop::closed(5);
         looped.schedule_fault(mute_fault_schedule(), TvFault::MuteInversion);
-        looped.unit_recovery(UnitRecoveryConfig::full_restart());
+        looped.unit_recovery(UnitRecoveryStyle::FullRestart);
         let outcome = looped.run(&teletext_scenario());
         assert!(outcome.full_restarts >= 1, "{outcome:?}");
         assert_eq!(outcome.micro_reboots, 0, "{outcome:?}");
@@ -1567,20 +1526,23 @@ mod tests {
 
     #[test]
     fn corrupted_checkpoint_history_escalates_to_full_restart() {
+        // Every generation of the audio unit's history is corrupted as
+        // it is sealed: the fingerprint must reject generation after
+        // generation and the episode must climb to the full-restart rung.
         let telemetry = Telemetry::recording(2048);
-        let mut looped = TvDependabilityLoop::closed(5);
-        looped.set_telemetry(telemetry.clone());
-        looped.schedule_fault(mute_fault_schedule(), TvFault::MuteInversion);
-        looped.unit_recovery(UnitRecoveryConfig {
-            // Chaos corrupts every checkpoint as it is sealed: the
-            // fingerprint must reject generation after generation and
-            // the episode must climb to the full-restart rung.
-            corrupt_chance: 1.0,
-            ..UnitRecoveryConfig::micro_reboot()
-        });
-        let outcome = looped.run(&teletext_scenario());
-        assert_eq!(outcome.micro_reboots, 0, "{outcome:?}");
-        assert!(outcome.full_restarts >= 1, "{outcome:?}");
+        let mut tv = TvSystem::new();
+        tv.press(SimTime::ZERO, Key::Power);
+        let mut rs = RecoveryState::new(UnitRecoveryStyle::MicroReboot, 5);
+        let mut at = SimTime::ZERO;
+        for _ in 0..VAULT_CAPACITY + 1 {
+            rs.maybe_checkpoint(&tv, at, &telemetry);
+            assert!(rs.vault.corrupt_latest(Unit::Audio.name(), 7));
+            at += CHECKPOINT_EVERY;
+        }
+        let mut announcements = Vec::new();
+        rs.recover(&mut tv, at, Unit::Audio, &telemetry, &mut announcements);
+        assert_eq!(rs.episodes - rs.full_restarts, 0, "no micro-reboot");
+        assert_eq!(rs.full_restarts, 1);
         assert!(telemetry.counter("core.reboot.micro_escalations") >= 1);
         assert!(telemetry.counter("core.reboot.checkpoint") >= 1);
     }
@@ -1590,11 +1552,7 @@ mod tests {
         let run = || {
             let mut looped = TvDependabilityLoop::closed(9);
             looped.schedule_fault(mute_fault_schedule(), TvFault::MuteInversion);
-            looped.unit_recovery(UnitRecoveryConfig {
-                corrupt_chance: 0.25,
-                tear_chance: 0.25,
-                ..UnitRecoveryConfig::micro_reboot()
-            });
+            looped.unit_recovery(UnitRecoveryStyle::MicroReboot);
             looped.run(&teletext_scenario())
         };
         assert_eq!(run(), run());

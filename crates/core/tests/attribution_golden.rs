@@ -25,13 +25,13 @@ use trader::faults::Schedule;
 use trader::simkit::SimTime;
 use trader::telemetry::Telemetry;
 use trader::tvsim::TvFault;
-use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
+use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop, UnitRecoveryStyle};
 
 const SEED: u64 = 0x5041_4952;
 
 fn session(
     faults: &[TvFault],
-    recovery: Option<UnitRecoveryConfig>,
+    recovery: Option<UnitRecoveryStyle>,
     scenario: &TimedScenario,
     telemetry: &Telemetry,
 ) -> LoopOutcome {
@@ -55,7 +55,7 @@ fn session(
 fn full_restart_run(telemetry: &Telemetry) -> LoopOutcome {
     session(
         &[TvFault::StuckVolume, TvFault::TeletextRenderFault],
-        Some(UnitRecoveryConfig::full_restart()),
+        Some(UnitRecoveryStyle::FullRestart),
         &TimedScenario::full_mix_session(400),
         telemetry,
     )
@@ -70,7 +70,7 @@ const THREE_UNITS: [TvFault; 3] = [
 fn micro_reboot_run(telemetry: &Telemetry) -> LoopOutcome {
     session(
         &THREE_UNITS,
-        Some(UnitRecoveryConfig::micro_reboot()),
+        Some(UnitRecoveryStyle::MicroReboot),
         &TimedScenario::teletext_session(200),
         telemetry,
     )

@@ -21,7 +21,7 @@ use trader::faults::Schedule;
 use trader::simkit::{SimDuration, SimRng, SimTime};
 use trader::telemetry::Telemetry;
 use trader::tvsim::TvFault;
-use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop, UnitRecoveryConfig};
+use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop, UnitRecoveryStyle};
 
 /// Probe kinds, in rotation order.
 const KINDS: [&str; 6] = [
@@ -52,7 +52,7 @@ fn storm_run(telemetry: &Telemetry) -> LoopOutcome {
             fault,
         );
     }
-    looped.unit_recovery(UnitRecoveryConfig::micro_reboot());
+    looped.unit_recovery(UnitRecoveryStyle::MicroReboot);
     looped.active_probes();
     looped.set_telemetry(telemetry.clone());
     looped.run(&TimedScenario::full_mix_session(400))

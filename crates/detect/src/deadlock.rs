@@ -140,10 +140,6 @@ impl DeadlockDetector {
 }
 
 impl Detector for DeadlockDetector {
-    fn name(&self) -> &str {
-        "deadlock"
-    }
-
     fn observe(&mut self, _observation: &Observation) -> Vec<ErrorEvent> {
         Vec::new()
     }

@@ -8,8 +8,6 @@ use std::fmt;
 /// How serious a detected error is for the user.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ErrorSeverity {
-    /// Cosmetic or self-healing.
-    Minor,
     /// Degrades a feature the user is using.
     Major,
     /// The product is unusable (hang, black screen).
@@ -19,7 +17,6 @@ pub enum ErrorSeverity {
 impl fmt::Display for ErrorSeverity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            ErrorSeverity::Minor => "minor",
             ErrorSeverity::Major => "major",
             ErrorSeverity::Critical => "critical",
         };
@@ -51,11 +48,11 @@ impl fmt::Display for ErrorEvent {
     }
 }
 
-/// A run-time error detector.
+/// A run-time error detector: the shared feed of observations (and,
+/// for timeout-style detectors, of time) that the loop, the probes and
+/// the benchmarks drive. Each detector stamps its own name on the
+/// [`ErrorEvent::detector`] it raises.
 pub trait Detector {
-    /// The detector's name (used in [`ErrorEvent::detector`]).
-    fn name(&self) -> &str;
-
     /// Feeds one observation; returns any errors it implies.
     fn observe(&mut self, observation: &Observation) -> Vec<ErrorEvent>;
 
@@ -71,7 +68,6 @@ mod tests {
 
     #[test]
     fn severity_ordering() {
-        assert!(ErrorSeverity::Minor < ErrorSeverity::Major);
         assert!(ErrorSeverity::Major < ErrorSeverity::Critical);
     }
 

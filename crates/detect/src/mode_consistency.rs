@@ -126,10 +126,6 @@ impl ModeConsistencyDetector {
 }
 
 impl Detector for ModeConsistencyDetector {
-    fn name(&self) -> &str {
-        "mode-consistency"
-    }
-
     fn observe(&mut self, observation: &Observation) -> Vec<ErrorEvent> {
         let ObservationKind::Mode { component, mode } = &observation.kind else {
             return Vec::new();

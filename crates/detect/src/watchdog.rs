@@ -51,10 +51,6 @@ impl WatchdogDetector {
 }
 
 impl Detector for WatchdogDetector {
-    fn name(&self) -> &str {
-        &self.source
-    }
-
     fn observe(&mut self, observation: &Observation) -> Vec<ErrorEvent> {
         if observation.source == self.source {
             self.last_seen = observation.time;

@@ -112,7 +112,12 @@ mod tests {
     fn multiple_faults_tracked_independently() {
         let mut inj: Injector<&str> = Injector::new();
         inj.add(Schedule::Always, "a");
-        inj.add(Schedule::Never, "b");
+        inj.add(
+            Schedule::From {
+                at: SimTime::from_secs(60),
+            },
+            "b",
+        );
         inj.add(
             Schedule::Periodic {
                 period: SimDuration::from_millis(10),

@@ -33,8 +33,6 @@ pub enum Schedule {
     },
     /// Always active.
     Always,
-    /// Never active (the control arm of an experiment).
-    Never,
 }
 
 impl Schedule {
@@ -49,7 +47,6 @@ impl Schedule {
                 phase < duty.as_nanos()
             }
             Schedule::Always => true,
-            Schedule::Never => false,
         }
     }
 
@@ -140,9 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn always_never() {
+    fn always_is_active() {
         assert!(Schedule::Always.is_active(ms(0), 0));
-        assert!(!Schedule::Never.is_active(ms(1000), 1000));
+        assert!(Schedule::Always.is_active(ms(1000), 1000));
     }
 
     #[test]

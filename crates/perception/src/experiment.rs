@@ -51,8 +51,6 @@ pub struct EffectSizes {
     pub eta_sq_attribution: f64,
     /// η² of the function factor.
     pub eta_sq_function: f64,
-    /// Grand mean across cells.
-    pub grand_mean: f64,
 }
 
 /// Runs the factorial experiment on a panel of `panel_size` users.
@@ -105,7 +103,6 @@ pub fn run_factorial(design: &FactorialDesign, panel_size: usize, seed: u64) -> 
         cell_means,
         eta_sq_attribution: eta_a,
         eta_sq_function: eta_f,
-        grand_mean: grand,
     }
 }
 
@@ -150,6 +147,5 @@ mod tests {
         let effects = run_factorial(&FactorialDesign::paper_design(), 40, 2);
         assert!((0.0..=1.0).contains(&effects.eta_sq_attribution));
         assert!((0.0..=1.0).contains(&effects.eta_sq_function));
-        assert!(effects.grand_mean >= 0.0);
     }
 }

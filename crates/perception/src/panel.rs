@@ -9,12 +9,8 @@ use simkit::SimRng;
 /// Per-incident panel statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PanelResult {
-    /// Panel size.
-    pub n: usize,
     /// Mean irritation score (0–10).
     pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
     /// Minimum observed score.
     pub min: f64,
     /// Maximum observed score.
@@ -88,17 +84,9 @@ impl Panel {
                 (base * noise).min(10.0)
             })
             .collect();
-        let n = scores.len();
-        let mean = scores.iter().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
+        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
         PanelResult {
-            n,
             mean,
-            std_dev: var.sqrt(),
             min: scores.iter().copied().fold(f64::INFINITY, f64::min),
             max: scores.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
@@ -137,8 +125,6 @@ mod tests {
         let panel = Panel::sample(100, 3);
         let r = panel.assess(&FailureIncident::stuck_swivel());
         assert!(r.min <= r.mean && r.mean <= r.max);
-        assert!(r.std_dev >= 0.0);
-        assert_eq!(r.n, 100);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! of **sealed** snapshots — each stamped with a seed-derived FNV-1a
 //! fingerprint computed over the unit name, capture time, generation id,
 //! and every key/value pair. On restore the fingerprint is re-validated;
-//! a corrupt or torn checkpoint (chaos injects both, see
-//! [`CheckpointVault::corrupt_latest`] / [`CheckpointVault::tear_latest`])
-//! is skipped generation-by-generation until the newest *good* one is
-//! found. Only when the whole history is bad does the caller escalate to
-//! a full restart.
+//! a corrupt or torn checkpoint ([`CheckpointVault::corrupt_latest`]
+//! injects a bit flip) is skipped generation-by-generation until the
+//! newest *good* one is found. Only when the whole history is bad does
+//! the caller escalate to a full restart.
 //!
 //! Crash consistency is the caller's side of the contract: snapshots must
 //! be taken from error-free windows and reconciled after restore by
@@ -279,20 +278,6 @@ impl CheckpointVault {
         true
     }
 
-    /// Chaos hook: removes one key from `unit`'s newest snapshot without
-    /// resealing — a torn (partially written) checkpoint. Returns true if
-    /// a key was removed.
-    pub fn tear_latest(&mut self, unit: &str) -> bool {
-        let Some(snap) = self.per_unit.get_mut(unit).and_then(VecDeque::back_mut) else {
-            return false;
-        };
-        let Some(key) = snap.state.keys().next().cloned() else {
-            return false;
-        };
-        snap.state.remove(&key);
-        true
-    }
-
     fn fingerprint(&self, unit: &str, time: SimTime, generation: u64, state: &Snapshot) -> u64 {
         seal_fingerprint(self.seed, unit, time, generation, state)
     }
@@ -388,7 +373,12 @@ mod tests {
             SimTime::from_millis(1),
             snap(&[("menu", 0.0), ("pip", 1.0)]),
         );
-        assert!(vault.tear_latest("screen"));
+        // Tear the sealed checkpoint: one key is lost without resealing.
+        let torn = vault
+            .per_unit
+            .get_mut("screen")
+            .and_then(VecDeque::back_mut);
+        assert!(torn.expect("saved").state.remove("menu").is_some());
         assert_eq!(
             vault.restore_latest("screen"),
             RestoreOutcome::Exhausted { dropped: 1 }

@@ -26,8 +26,6 @@ pub enum RecoveryAction {
     RestartUnit(String),
     /// Restore one unit from its newest valid checkpoint (warm recovery).
     RollbackUnit(String),
-    /// Kill a unit permanently (isolate a faulty third-party component).
-    KillUnit(String),
     /// Restart the whole system (the classical, expensive fallback).
     RestartAll,
 }
@@ -37,19 +35,16 @@ impl fmt::Display for RecoveryAction {
         match self {
             RecoveryAction::RestartUnit(u) => write!(f, "restart `{u}`"),
             RecoveryAction::RollbackUnit(u) => write!(f, "rollback `{u}`"),
-            RecoveryAction::KillUnit(u) => write!(f, "kill `{u}`"),
             RecoveryAction::RestartAll => f.write_str("restart all"),
         }
     }
 }
 
-/// A log record of one executed action.
+/// A log record of one executed action: when it started and its outage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryRecord {
     /// When the action started.
     pub time: SimTime,
-    /// The action.
-    pub action: RecoveryAction,
     /// How long the affected functionality was (or will be) unavailable.
     pub outage: SimDuration,
 }
@@ -141,11 +136,6 @@ impl RecoveryManager {
                 );
                 ROLLBACK
             }
-            RecoveryAction::KillUnit(name) => {
-                host.status(name)?;
-                host.set_status(name, UnitStatus::Failed);
-                SimDuration::ZERO
-            }
             RecoveryAction::RestartAll => {
                 let names: Vec<String> = host.names().iter().map(|s| s.to_string()).collect();
                 for name in &names {
@@ -163,11 +153,7 @@ impl RecoveryManager {
             }
         };
         self.total_outage += outage;
-        self.log.push(RecoveryRecord {
-            time: now,
-            action,
-            outage,
-        });
+        self.log.push(RecoveryRecord { time: now, outage });
         Some(outage)
     }
 }
@@ -299,20 +285,6 @@ mod tests {
             assert!(!host.is_running(n));
         }
         assert_eq!(rm.total_outage(), partial + full);
-    }
-
-    #[test]
-    fn kill_unit_is_permanent() {
-        let mut host = host_with(&["a"]);
-        let mut rm = RecoveryManager::with_defaults();
-        rm.recover(
-            SimTime::ZERO,
-            &mut host,
-            RecoveryAction::KillUnit("a".into()),
-        );
-        assert_eq!(host.status("a"), Some(UnitStatus::Failed));
-        host.tick(SimTime::from_secs(100));
-        assert!(!host.is_running("a"));
     }
 
     #[test]

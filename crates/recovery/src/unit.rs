@@ -36,8 +36,6 @@ pub enum UnitStatus {
         /// Restart completion time.
         until: SimTime,
     },
-    /// Permanently failed (gave up).
-    Failed,
 }
 
 impl fmt::Display for UnitStatus {
@@ -45,7 +43,6 @@ impl fmt::Display for UnitStatus {
         match self {
             UnitStatus::Running => f.write_str("running"),
             UnitStatus::Restarting { until } => write!(f, "restarting(until {until})"),
-            UnitStatus::Failed => f.write_str("failed"),
         }
     }
 }

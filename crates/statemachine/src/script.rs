@@ -50,8 +50,6 @@ impl fmt::Display for ScriptFailure {
 /// The result of running a script.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScriptOutcome {
-    /// Steps executed.
-    pub steps_run: usize,
     /// Violated expectations, in order.
     pub failures: Vec<ScriptFailure>,
     /// Model evaluation errors accumulated during the run.
@@ -175,7 +173,6 @@ impl TestScript {
             }
         }
         ScriptOutcome {
-            steps_run: self.steps.len(),
             failures,
             model_errors: exec.errors().to_vec(),
         }
@@ -222,7 +219,6 @@ mod tests {
             .expect_output("audio", 11)
             .run(&m);
         assert!(outcome.passed(), "{:?}", outcome.failures);
-        assert_eq!(outcome.steps_run, 9);
     }
 
     #[test]

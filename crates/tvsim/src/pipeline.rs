@@ -59,8 +59,6 @@ pub struct PipelineReport {
     pub mean_quality: f64,
     /// Utilization per processor.
     pub cpu_utilization: Vec<f64>,
-    /// Deadline misses per processor.
-    pub cpu_misses: Vec<u64>,
 }
 
 /// A background (stress) task on one processor.
@@ -331,11 +329,6 @@ impl StreamingPipeline {
                 self.quality_sum / self.frames_done as f64
             },
             cpu_utilization: self.cpu_loads(),
-            cpu_misses: self
-                .cpus
-                .iter()
-                .map(|c| c.stats().deadline_misses)
-                .collect(),
         }
     }
 }

@@ -26,7 +26,6 @@ fn cell(probes: bool) -> CellSpec {
         reps: 3,
         scenario_len: 32,
         probes,
-        adaptive: false,
     }
 }
 

@@ -20,7 +20,7 @@
 
 use trader::prelude::*;
 
-fn run(seed: u64, config: UnitRecoveryConfig) -> LoopOutcome {
+fn run(seed: u64, style: UnitRecoveryStyle) -> LoopOutcome {
     let mut looped = TvDependabilityLoop::closed(seed);
     looped.schedule_fault(
         faults::Schedule::Between {
@@ -29,7 +29,7 @@ fn run(seed: u64, config: UnitRecoveryConfig) -> LoopOutcome {
         },
         TvFault::MuteInversion,
     );
-    looped.unit_recovery(config);
+    looped.unit_recovery(style);
     looped.run(&TimedScenario::teletext_session(30))
 }
 
@@ -40,12 +40,12 @@ fn main() {
         .unwrap_or(5);
 
     println!("== full restart (whole-TV reboot on a unit fault) ==");
-    let full = run(seed, UnitRecoveryConfig::full_restart());
+    let full = run(seed, UnitRecoveryStyle::FullRestart);
     println!("{}", full.summary());
 
     println!();
     println!("== micro-reboot (checkpoint restore + journal replay) ==");
-    let micro = run(seed, UnitRecoveryConfig::micro_reboot());
+    let micro = run(seed, UnitRecoveryStyle::MicroReboot);
     println!("{}", micro.summary());
     println!(
         "checkpoint generations: {}",

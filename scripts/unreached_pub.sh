@@ -1,6 +1,7 @@
 #!/bin/sh
-# Lists every library `pub fn`, `pub const` and `pub static` that
-# nothing reaches, and fails on any that is not a named exception.
+# Lists every library `pub fn`, `pub const`, `pub static`, `pub` struct
+# field and `pub enum` variant that nothing reaches, and fails on any
+# that is not a named exception.
 #
 #   scripts/unreached_pub.sh             # this checkout
 #   scripts/unreached_pub.sh <dir>       # another checkout
@@ -23,6 +24,23 @@
 # delegates to a same-named method, or only calls itself, is not
 # reached by it. A `pub const` or `pub static` is reached by any use of
 # its name but its definition (a bare name is a one-segment path).
+#
+# A `pub` field (listed as `Type::field`) is reached by a read: `.field`
+# not followed by `(` and not the target of a plain `=`. A compound
+# assignment reads the old value, so a counter that is only ever
+# incremented (`stats.n += 1`) is reached. Setting a field in a struct
+# literal is not a read, and neither is reading it through a derive
+# (`Debug`, `PartialEq`); any struct's field of the same name counts.
+#
+# A variant of a `pub enum` (listed as `Enum::Variant`) is reached when
+# `Enum::Variant` is built: used anywhere but in a pattern. The path
+# must name the enum; `Self::Variant` is not resolved. A use is a
+# pattern when an `=>` (a match arm) or a plain `=` (`let`, `if let`,
+# `while let`) follows it before the `,` or `;` that ends it or the
+# block that holds it closes; a name to the right of `=>`, as in
+# `0 => Severity::Low`, is built.
+#
+# Trait methods and types are not listed: check them by hand.
 # dbench's own items are not listed: its binary crate gets rustc's
 # dead-code lint.
 set -eu
@@ -30,7 +48,9 @@ cd "${1:-$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)}"
 
 # Unreached on purpose, one name per line with its reason.
 exceptions='
-ne              Expr::ne, the builder for the Expr::Ne variant the evaluator keeps
+ne                                    Expr::ne, the builder for the Expr::Ne variant the evaluator keeps
+Schedule::AfterEvents                 the benchmark passes an event count to Injector::poll; it goes with that benchmark edit
+E3Report::fault_manifested_at_press   the E3 test checks that detection lands on the manifesting press
 '
 
 files=$(find crates tests examples -name '*.rs' -not -path '*/target/*' |
@@ -86,13 +106,22 @@ unreached=$(awk '
         }
         return quote == "" ? out : out "\"\""
     }
+    # resolve(i, built_it): settles pending variant use i; a build
+    # reaches the variant, a pattern does not.
+    function resolve(i, built_it) {
+        if (built_it) built[ckey[i]] = 1
+        delete ckey[i]; delete csp[i]
+    }
+    function flush(    i) { for (i in ckey) resolve(i, 1) }
     FNR == 1 {
+        flush()
         test_part = 0; in_pub_use = 0; quote = ""
-        depth = 0; nest = 0; pending = ""; nfn = 0; prev = ""
+        depth = 0; nest = 0; pending = ""; nfn = 0; prev = ""; prev2 = ""
+        sp = 0; enum_pending = ""; enum_name = ""; struct_name = ""
         lib = FILENAME ~ /^crates\/[^\/]*\/src\// &&
             FILENAME !~ /^crates\/bench\/src\/bin\/dbench\//
     }
-    /#\[cfg\(test\)\]/ && FILENAME ~ /^crates\/[^\/]*\/src\// { test_part = 1 }
+    /#\[cfg\(test\)\]/ && FILENAME ~ /^crates\/[^\/]*\/src\// { test_part = 1; flush() }
     test_part { next }
     {
         line = strip($0)
@@ -110,6 +139,20 @@ unreached=$(awk '
             sub(/.* /, "", def)
             where[def] = where[def] " " FILENAME ":" FNR
             constant[def] = 1
+        } else if (lib && match(line, /^[ \t]*pub [A-Za-z_][A-Za-z0-9_]*[ \t]*:([^:]|$)/)) {
+            def = substr(line, RSTART, RLENGTH)
+            sub(/^[ \t]*pub /, "", def)
+            sub(/[ \t]*:.*$/, "", def)
+            field_where[struct_name "::" def] = field_where[struct_name "::" def] " " FILENAME ":" FNR
+            field_of[struct_name "::" def] = def
+        }
+        if (match(line, /(^|[ \t])struct [A-Za-z_][A-Za-z0-9_]*/)) {
+            struct_name = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", struct_name)
+        }
+        if (lib && match(line, /(^|[ \t])pub enum [A-Za-z_][A-Za-z0-9_]*/)) {
+            enum_pending = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", enum_pending)
         }
         # Tokens: identifiers, `::` and single characters.
         n = 0
@@ -122,14 +165,32 @@ unreached=$(awk '
         tok[n + 1] = ""; tok[n + 2] = ""
         for (k = 1; k <= n; k++) {
             t = tok[k]
+            # Pending variant uses: is each one built or a pattern?
+            if (t == "(" || t == "[" || t == "{") {
+                open[++sp] = t
+            } else if (t == ")" || t == "]" || t == "}") {
+                closed = open[sp--]
+                for (i in ckey) if (csp[i] > sp) {
+                    if (closed == "{") resolve(i, 1)
+                    else csp[i] = sp
+                }
+            } else if (t == ";") {
+                for (i in ckey) if (csp[i] >= sp) resolve(i, 1)
+            } else if (t == ",") {
+                for (i in ckey) if (csp[i] == sp && (sp == 0 || open[sp] == "{")) resolve(i, 1)
+            } else if (t == "=" && tok[k + 1] != "=" && prev !~ /^[=!<>+*\/%&|^-]$/) {
+                for (i in ckey) if (csp[i] >= sp) resolve(i, 0)
+            }
             if (t == "{") {
                 if (pending != "" && nest == pending_nest) {
                     fn_name[++nfn] = pending; fn_depth[nfn] = depth; pending = ""
                 }
                 depth++
+                if (enum_pending != "") { enum_name = enum_pending; enum_depth = depth; enum_pending = "" }
             } else if (t == "}") {
                 depth--
                 while (nfn > 0 && fn_depth[nfn] == depth) nfn--
+                if (depth < enum_depth) enum_name = ""
             } else if (t == "(" || t == "[") {
                 nest++
             } else if (t == ")" || t == "]") {
@@ -137,6 +198,15 @@ unreached=$(awk '
             } else if (t == ";" && nest == pending_nest) {
                 pending = ""
             } else if (t ~ /^[A-Za-z_]/) {
+                if (enum_name != "" && depth == enum_depth && nest == 0 && prev ~ /^[{,\]]$/) {
+                    variant_where[enum_name "::" t] = FILENAME ":" FNR
+                } else if (prev == "::" && t ~ /^[A-Z]/) {
+                    ckey[++ncand] = prev2 "::" t; csp[ncand] = sp
+                } else if (prev == "." && prev2 != "." && tok[k + 1] != "(" &&
+                    !(tok[k + 1] == "::" && tok[k + 2] == "<") &&
+                    !(tok[k + 1] == "=" && tok[k + 2] != "=")) {
+                    read[t]++
+                }
                 if (prev == "fn") {
                     pending = t; pending_nest = nest
                 } else if (prev != "const" && prev != "static" && prev != "mut") {
@@ -148,12 +218,17 @@ unreached=$(awk '
                         (prev == "::" && tok[k + 1] != "::"))) called[t]++
                 }
             }
-            prev = t
+            prev2 = prev; prev = t
         }
     }
     END {
+        flush()
         for (name in where)
             if (name in constant ? !(name in named) : !(name in called)) print name where[name]
+        for (key in field_where)
+            if (!(field_of[key] in read)) print key field_where[key]
+        for (key in variant_where)
+            if (!(key in built)) print key " " variant_where[key]
     }' $files | sort)
 
 echo "$unreached" | awk -v exceptions="$exceptions" '

@@ -9,7 +9,7 @@ cargo fmt --all --check
 echo "== unreached pub item guard (only the named exceptions may be left) =="
 scripts/unreached_pub.sh
 
-echo "== unreached guard self-check: an accessor named like its field is listed =="
+echo "== unreached guard self-check: an accessor named like its field, an unread field and a variant only matched are listed =="
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/unreached.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT INT TERM
 tar -c --exclude=target crates tests examples | tar -x -C "$scratch"
@@ -25,13 +25,25 @@ awk '/^#\[cfg\(test\)\]/ && !done {
         done = 1
     }
     { print }' crates/awareness/src/monitor.rs >"$scratch/crates/awareness/src/monitor.rs"
+# A field that is set nowhere and read nowhere.
+awk '{ print } /^pub struct ChannelAudit \{/ {
+        print "    /// Frames dropped as stale."
+        print "    pub stale_frames: u64,"
+    }' crates/core/src/loop_.rs >"$scratch/crates/core/src/loop_.rs"
+# A variant that only a match arm names.
+awk '{ print }
+    /^    Always,$/ { print "    /// Never active."; print "    Never," }
+    /Schedule::Always => true,/ { print "            Schedule::Never => false," }' \
+    crates/faults/src/schedule.rs >"$scratch/crates/faults/src/schedule.rs"
 status=0
 out=$(scripts/unreached_pub.sh "$scratch" 2>&1) || status=$?
-if [ "$status" -ne 1 ] || ! echo "$out" | grep -q '^UNREACHED: channel_epoch '; then
-    echo "$out"
-    echo "self-check: the guard did not list the unreached channel_epoch (exit $status)" >&2
-    exit 1
-fi
+for planted in channel_epoch ChannelAudit::stale_frames Schedule::Never; do
+    if [ "$status" -ne 1 ] || ! echo "$out" | grep -q "^UNREACHED: $planted "; then
+        echo "$out"
+        echo "self-check: the guard did not list the unreached $planted (exit $status)" >&2
+        exit 1
+    fi
+done
 
 echo "== build (release) =="
 cargo build --release
