@@ -4,13 +4,12 @@ use crate::config::{CompareMode, CompareSpec, Configuration};
 use crate::error::DetectedError;
 use crate::supervisor::DegradationMode;
 use observe::ObsValue;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
 /// Counters describing comparator activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComparatorStats {
     /// Comparisons performed.
     pub comparisons: u64,

@@ -1,11 +1,10 @@
 //! Comparator configuration (the `Configuration` component of Fig. 2).
 
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::collections::BTreeMap;
 
 /// When comparison of an observable happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareMode {
     /// Compare whenever a new observed value arrives.
     EventBased,
@@ -20,7 +19,7 @@ pub enum CompareMode {
 /// singles out (Sect. 4.3): a deviation **threshold** and a maximum number
 /// of **consecutive deviations** tolerated before an error is reported —
 /// plus when the comparison happens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompareSpec {
     /// Maximal allowed |expected − observed| (0.0 = exact).
     pub threshold: f64,
@@ -78,7 +77,7 @@ impl Default for CompareSpec {
 
 /// The configuration component: which observables exist and how each is
 /// compared (`IConfigInfo`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Configuration {
     specs: BTreeMap<String, CompareSpec>,
     default_spec: CompareSpec,

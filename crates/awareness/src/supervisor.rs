@@ -120,12 +120,6 @@ pub enum SupervisorAction {
 /// Self-supervision counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorReport {
-    /// Heartbeats recorded.
-    pub heartbeats: u64,
-    /// Stalls detected by the watchdog.
-    pub stalls: u64,
-    /// Overload episodes detected.
-    pub overloads: u64,
     /// Cheap retries issued (first ladder rung).
     pub retries: u64,
     /// Channel restarts issued (second rung).
@@ -228,7 +222,6 @@ impl Supervisor {
 
     /// Records that the monitor's event loop ran at `now`.
     pub fn heartbeat(&mut self, now: SimTime) {
-        self.report.heartbeats += 1;
         self.last_heartbeat = Some(self.last_heartbeat.map_or(now, |t| t.max(now)));
     }
 
@@ -251,11 +244,9 @@ impl Supervisor {
         };
         let overloaded = backlog > self.config.overload_backlog;
         if stalled {
-            self.report.stalls += 1;
             self.telemetry.count(now, "awareness.supervisor.stalls", 1);
         }
         if overloaded {
-            self.report.overloads += 1;
             self.telemetry
                 .count(now, "awareness.supervisor.overloads", 1);
         }
@@ -338,13 +329,7 @@ mod tests {
 
     #[test]
     fn rung_0_when_nothing_escalated() {
-        let report = SupervisorReport {
-            heartbeats: 40,
-            stalls: 0,
-            overloads: 3,
-            ..SupervisorReport::default()
-        };
-        assert_eq!(report.rung(), 0);
+        assert_eq!(SupervisorReport::default().rung(), 0);
     }
 
     #[test]
@@ -401,13 +386,15 @@ mod tests {
     #[test]
     fn healthy_monitor_stays_normal() {
         let mut s = sup();
+        let tel = Telemetry::recording(64);
+        s.set_telemetry(tel.clone());
         for ms in (0..2000).step_by(100) {
             let t = SimTime::from_millis(ms);
             assert_eq!(s.observe(t, 0), None);
             s.heartbeat(t);
         }
         assert_eq!(s.mode(), DegradationMode::Normal);
-        assert_eq!(s.report().stalls, 0);
+        assert_eq!(tel.counter("awareness.supervisor.stalls"), 0);
         assert_eq!(s.report().retries, 0);
     }
 
@@ -535,6 +522,8 @@ mod tests {
     #[test]
     fn interleaved_recovery_keeps_breaker_closed() {
         let mut s = sup();
+        let tel = Telemetry::recording(256);
+        s.set_telemetry(tel.clone());
         let mut t = SimTime::ZERO;
         s.heartbeat(t);
         // Alternating stall / recovery for a long time never reaches
@@ -549,6 +538,6 @@ mod tests {
         }
         assert_eq!(s.mode(), DegradationMode::Normal);
         assert_eq!(s.report().safe_mode_entries, 0);
-        assert_eq!(s.report().stalls, 50);
+        assert_eq!(tel.counter("awareness.supervisor.stalls"), 50);
     }
 }

@@ -2,7 +2,6 @@
 
 use awareness::SupervisorConfig;
 use faults::Schedule;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use telemetry::Telemetry;
 use trader::{LoopOutcome, TimedScenario, TvDependabilityLoop};
@@ -24,7 +23,7 @@ const FAULT_POOL: [TvFault; 5] = [
 ];
 
 /// One scheduled fault in a campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// The injected fault.
     pub fault: TvFault,
@@ -33,7 +32,7 @@ pub struct FaultPlan {
 }
 
 /// A complete campaign, derived from a single seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignSpec {
     /// The generating seed (also seeds the loop's channels).
     pub seed: u64,
@@ -179,7 +178,7 @@ impl CampaignSpec {
 }
 
 /// Everything one campaign run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     /// The campaign that ran.
     pub spec: CampaignSpec,

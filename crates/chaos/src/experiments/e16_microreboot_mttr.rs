@@ -26,7 +26,6 @@
 //! [`MTTR_IMPROVEMENT_FLOOR`]× better, with **zero** presses lost on
 //! unaffected units across every micro-reboot arm.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -48,7 +47,7 @@ fn single_unit(spec: &CampaignSpec) -> bool {
 }
 
 /// One recovery arm's relevant numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E16Arm {
     /// Mean detection→convergence time over reboot episodes.
     pub mttr: Option<SimDuration>,
@@ -83,7 +82,7 @@ impl E16Arm {
 }
 
 /// Both arms of one campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E16Result {
     /// The campaign seed.
     pub seed: u64,
@@ -109,7 +108,7 @@ impl E16Result {
 }
 
 /// The E16 report over a campaign set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E16Report {
     /// Per-campaign results, in input order.
     pub results: Vec<E16Result>,

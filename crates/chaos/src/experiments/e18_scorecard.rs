@@ -22,7 +22,6 @@
 //! regressing beyond its tolerance band (detection rate drop, MTTD/MTTR
 //! p95 inflation, any twin false alarm) fails the build loudly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use telemetry::json::Json;
 use trader::report::render_table;
@@ -32,7 +31,7 @@ use crate::scorecard::{
 };
 
 /// Sweep configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E18Config {
     /// Worker counts to validate matrix determinism across.
     pub worker_counts: Vec<usize>,
@@ -228,7 +227,7 @@ impl fmt::Display for E18Report {
 }
 
 /// Per-metric tolerance band for the baseline gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
     /// Allowed absolute drop in a cell's detection rate.
     pub detection_rate_drop: f64,
@@ -264,7 +263,7 @@ impl Tolerance {
 }
 
 /// The baseline gate's verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineVerdict {
     /// Cells compared against a baseline entry.
     pub compared: usize,

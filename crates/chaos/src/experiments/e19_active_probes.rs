@@ -29,7 +29,6 @@
 //! closure, here mapping `(workers, probes)` to the folded scorecard
 //! ([`e19_report`] wires it to [`run_scorecard`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use trader::experiments::e15_telemetry_overhead::{measure_probe_effect, E15Config};
 use trader::observe::BudgetVerdict;
@@ -39,7 +38,7 @@ use crate::experiments::e18_scorecard::{detection_coverage, render_layers, repro
 use crate::scorecard::{run_scorecard, DependabilityScorecard, ScenarioKind, ScorecardConfig};
 
 /// E19 configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E19Config {
     /// Worker counts to validate probes-on matrix determinism across.
     pub worker_counts: Vec<usize>,
@@ -81,7 +80,7 @@ impl E19Config {
 
 /// The probe-effect leg's result: E15's observer-must-not-degrade
 /// discipline applied with the observatory active on *both* arms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbeEffectLeg {
     /// The budget verdict over the min-of-trials pair.
     pub verdict: BudgetVerdict,
@@ -98,7 +97,7 @@ pub struct ProbeEffectLeg {
 
 /// One scenario column's before/after coverage, for the idle-blindness
 /// accounting and the report table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnCoverage {
     /// The scenario column.
     pub scenario: ScenarioKind,

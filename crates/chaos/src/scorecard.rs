@@ -27,7 +27,6 @@
 //! detector set is blind to.
 
 use faults::Schedule;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use telemetry::MetricsRegistry;
 use trader::{TimedScenario, TvDependabilityLoop, UnitRecoveryStyle};
@@ -43,7 +42,7 @@ use crate::Fnv;
 /// stress-leg composition. Each exercises a different slice of the
 /// observable surface, so the same fault can be trivially detectable in
 /// one column and invisible in another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// Power on, tune, then nothing — the low-exercise workload.
     Idle,
@@ -97,7 +96,7 @@ impl ScenarioKind {
 }
 
 /// The recovery styles of the scorecard grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryStyle {
     /// Whole-system rollback: every unit restarts, the TV goes dark.
     FullRestart,
@@ -140,7 +139,7 @@ impl RecoveryStyle {
 
 /// One cell of the coverage matrix: a fault class under a workload and
 /// a recovery style, plus the per-cell campaign shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// The injected fault class (the matrix row).
     pub fault: TvFault,
@@ -317,7 +316,7 @@ impl CellSpec {
 }
 
 /// One faulty run's summary inside a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepResult {
     /// The run's loop seed.
     pub seed: u64,
@@ -436,7 +435,7 @@ impl CellOutcome {
 }
 
 /// The scorecard grid shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScorecardConfig {
     /// Base faulty runs per cell.
     pub reps: usize,

@@ -8,7 +8,6 @@
 
 use detect::WaitForGraph;
 use faults::{deadlock, BusEater, CpuEater, MemoryHog};
-use serde::{Deserialize, Serialize};
 use simkit::{
     Bus, BusRequest, Cpu, MemoryArbiter, MemoryRequest, PortId, SimDuration, SimTime, SlotTable,
     TaskId,
@@ -17,7 +16,7 @@ use simkit::{
 use crate::Fnv;
 
 /// Seed-derived stress configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StressPlan {
     /// CPU share the eater consumes, `(0, 1)`.
     pub cpu_fraction: f64,
@@ -32,7 +31,7 @@ pub struct StressPlan {
 }
 
 /// Measured effect of one stress run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StressOutcome {
     /// Eater jobs released onto the CPU.
     pub cpu_jobs_released: u32,

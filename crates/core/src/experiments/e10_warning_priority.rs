@@ -6,11 +6,10 @@
 
 use crate::report::{f2, render_table};
 use devtools::{evaluate_ranking, rank_by_likelihood, rank_textual, CodeModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One ranking strategy's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E10Row {
     /// Strategy label.
     pub strategy: String,
@@ -23,7 +22,7 @@ pub struct E10Row {
 }
 
 /// E10 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E10Report {
     /// Total warnings.
     pub warnings: usize,

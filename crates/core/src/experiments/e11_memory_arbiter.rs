@@ -6,13 +6,12 @@
 
 use crate::report::{f2, render_table};
 use recovery::AdaptiveArbiter;
-use serde::{Deserialize, Serialize};
 use simkit::resource::PortId;
 use simkit::{MemoryArbiter, MemoryRequest, SimDuration, SimTime, SlotTable};
 use std::fmt;
 
 /// One phase's latency numbers for both strategies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E11Row {
     /// Phase label.
     pub phase: String,
@@ -23,7 +22,7 @@ pub struct E11Row {
 }
 
 /// E11 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E11Report {
     /// Per-phase rows.
     pub rows: Vec<E11Row>,

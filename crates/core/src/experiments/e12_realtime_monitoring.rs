@@ -14,7 +14,6 @@
 //! false-alarm on slow-but-legal starts).
 
 use crate::report::{f2, render_table};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Event, Executor, Machine, MachineBuilder};
 use std::fmt;
@@ -39,7 +38,7 @@ fn deadline_monitor(deadline: SimDuration) -> Machine {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E12Row {
     /// Monitored deadline (ms).
     pub deadline_ms: f64,
@@ -54,7 +53,7 @@ pub struct E12Row {
 }
 
 /// E12 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E12Report {
     /// Sweep rows.
     pub rows: Vec<E12Row>,

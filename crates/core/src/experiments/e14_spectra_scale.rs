@@ -21,14 +21,13 @@
 
 use crate::report::{f2, render_table};
 use observe::CoverageRuns;
-use serde::{Deserialize, Serialize};
 use spectra::{score_top_k, Coefficient, CountsMatrix, SpectrumMatrix};
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
 
 /// Grid configuration for the scaling sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct E14Config {
     /// Block counts to sweep (the paper's 60 000 is the floor).
     pub sizes: Vec<u32>,
@@ -68,7 +67,7 @@ impl E14Config {
 }
 
 /// One measured grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Cell {
     /// Instrumented blocks.
     pub n_blocks: u32,
@@ -88,7 +87,7 @@ pub struct E14Cell {
 
 /// E14 report: the measured grid plus environment facts needed to read
 /// the speedup column honestly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Report {
     /// Measured cells, in sweep order.
     pub cells: Vec<E14Cell>,

@@ -30,7 +30,6 @@ use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
 use faults::Schedule;
 use observe::{BudgetVerdict, ProbeBudget};
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 use std::time::Instant;
@@ -38,7 +37,7 @@ use telemetry::Telemetry;
 use tvsim::TvFault;
 
 /// E15 configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E15Config {
     /// Presses in the reference scenario.
     pub scenario_len: usize,
@@ -73,7 +72,7 @@ impl E15Config {
 }
 
 /// E15 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E15Report {
     /// The configuration that ran.
     pub config: E15Config,

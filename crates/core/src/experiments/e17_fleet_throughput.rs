@@ -26,12 +26,11 @@
 //! never faked.
 
 use crate::report::{f2, render_table};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// Sweep configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct E17Config {
     /// Campaigns in the fleet.
     pub population: usize,
@@ -63,7 +62,7 @@ impl E17Config {
 }
 
 /// One measured worker count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E17Cell {
     /// Fleet workers.
     pub workers: usize,
@@ -80,7 +79,7 @@ pub struct E17Cell {
 
 /// The E17 report: measured cells plus the environment facts needed to
 /// read the speedup column honestly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E17Report {
     /// Campaigns per fleet pass.
     pub population: usize,

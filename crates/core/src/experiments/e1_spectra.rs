@@ -10,7 +10,6 @@ use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
 use awareness::to_obs_value;
 use observe::ObsValue;
-use serde::{Deserialize, Serialize};
 use spectra::{Coefficient, Diagnoser};
 use statemachine::Executor;
 use std::collections::BTreeMap;
@@ -18,7 +17,7 @@ use std::fmt;
 use tvsim::{tv_spec, TvFault, TvSystem};
 
 /// E1 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E1Report {
     /// Instrumented blocks (paper: 60 000).
     pub n_blocks: u32,

@@ -12,13 +12,12 @@
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
 use awareness::{CompareSpec, Configuration, MonitorBuilder};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 use tvsim::{tv_spec, TvFault, TvSystem};
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2Row {
     /// Deviation threshold.
     pub threshold: f64,
@@ -32,7 +31,7 @@ pub struct E2Row {
 }
 
 /// E2 report: the full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2Report {
     /// Sweep rows.
     pub rows: Vec<E2Row>,

@@ -8,12 +8,11 @@
 use crate::report::render_table;
 use crate::scenario::TimedScenario;
 use detect::{ConsistencyRule, Detector, ModeConsistencyDetector};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tvsim::{TvFault, TvSystem};
 
 /// E3 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E3Report {
     /// Violations on the healthy run (must be 0).
     pub healthy_violations: u64,

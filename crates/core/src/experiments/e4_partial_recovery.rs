@@ -15,12 +15,11 @@
 
 use crate::report::{f2, render_table};
 use recovery::{CommManager, CounterUnit, RecoveryAction, RecoveryManager, UnitHost, UnitMessage};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
 /// One strategy's measured outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E4Row {
     /// Strategy name.
     pub strategy: String,
@@ -35,7 +34,7 @@ pub struct E4Row {
 }
 
 /// E4 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E4Report {
     /// Partial (unit restart) vs full (system restart) rows.
     pub rows: Vec<E4Row>,

@@ -7,13 +7,12 @@
 
 use crate::report::{f2, render_table};
 use recovery::LoadBalancer;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tvsim::pipeline::TASK_ENHANCE;
 use tvsim::{PipelineConfig, StreamingPipeline};
 
 /// One phase's quality numbers for both strategies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E5Row {
     /// Phase label.
     pub phase: String,
@@ -24,7 +23,7 @@ pub struct E5Row {
 }
 
 /// E5 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E5Report {
     /// Per-phase rows.
     pub rows: Vec<E5Row>,

@@ -8,13 +8,12 @@
 //! can be activated by system testers."
 
 use crate::report::{f2, render_table};
-use serde::{Deserialize, Serialize};
 use simkit::{PeriodicTask, SimDuration, TaskId, TaskSet};
 use std::fmt;
 use tvsim::{PipelineConfig, StreamingPipeline};
 
 /// One eater setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E6Row {
     /// CPU fraction the eater consumes.
     pub eater_fraction: f64,
@@ -35,7 +34,7 @@ pub struct E6Row {
 
 /// One bus-eater setting (the "or bus bandwidth" arm of the TASS
 /// approach).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E6BusRow {
     /// Fraction of bus bandwidth stolen.
     pub stolen_fraction: f64,
@@ -46,7 +45,7 @@ pub struct E6BusRow {
 }
 
 /// E6 report: the stress-response curves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E6Report {
     /// CPU-eater sweep rows, ascending eater share.
     pub rows: Vec<E6Row>,

@@ -8,11 +8,10 @@
 
 use crate::report::{f2, f3, render_table};
 use perception::{run_factorial, FactorialDesign, FailureIncident, Panel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// E7 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E7Report {
     /// Stated importance of image quality (asked).
     pub stated_importance_image: f64,

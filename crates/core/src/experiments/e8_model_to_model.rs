@@ -22,13 +22,12 @@ use crate::report::render_table;
 use awareness::{to_obs_value, CompareSpec, Configuration, MonitorBuilder};
 use detect::{Detector, WatchdogDetector};
 use mediasim::{player_spec_machine, MediaPlayer, MediaStream, PlayerConfig};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Event, Executor};
 use std::fmt;
 
 /// E8 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E8Report {
     /// Errors in the model-to-model run (must be 0).
     pub model_to_model_errors: usize,

@@ -8,13 +8,12 @@
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
 use observe::ObservationKind;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::fmt;
 use tvsim::TvSystem;
 
 /// One instrumentation level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9Row {
     /// Level label.
     pub level: String,
@@ -29,7 +28,7 @@ pub struct E9Row {
 }
 
 /// E9 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9Report {
     /// Rows per instrumentation level.
     pub rows: Vec<E9Row>,

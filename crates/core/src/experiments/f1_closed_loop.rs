@@ -15,13 +15,12 @@ use crate::loop_::TvDependabilityLoop;
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
 use faults::Schedule;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 use tvsim::TvFault;
 
 /// One loop mode's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct F1Row {
     /// Mode label.
     pub mode: String,
@@ -38,7 +37,7 @@ pub struct F1Row {
 }
 
 /// F1 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct F1Report {
     /// Presses in the scenario.
     pub steps: usize,

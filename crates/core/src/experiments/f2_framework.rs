@@ -11,14 +11,13 @@
 use crate::report::render_table;
 use crate::scenario::TimedScenario;
 use awareness::{to_obs_value, CompareSpec, Configuration, MonitorBuilder};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use statemachine::Executor;
 use std::fmt;
 use tvsim::tv_spec;
 
 /// F2 report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct F2Report {
     /// Input events observed.
     pub inputs: u64,

@@ -15,7 +15,6 @@ use faults::injector::Transition;
 use faults::{Injector, Schedule};
 use observe::{BlockSnapshot, CoverageRuns, ObsValue, Observation, ObservationKind};
 use recovery::{CheckpointVault, RestoreOutcome};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -30,7 +29,7 @@ use crate::scenario::TimedScenario;
 /// With supervision enabled, channel restarts replace the channel pair;
 /// the audit covers the channels live at the end of the run (each epoch
 /// conserves independently).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelAudit {
     /// Messages accepted for transmission.
     pub sent: u64,
@@ -60,7 +59,7 @@ impl ChannelAudit {
 /// 4 generations per unit, a 4 s full-restart outage, a 50 ms
 /// micro-reboot outage plus 1 ms per replayed press, and a 200 ms
 /// cooldown between episodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitRecoveryStyle {
     /// The classic remedy: bounce the whole TV. Every unit is rolled
     /// back to its latest validated checkpoint and the entire set is
@@ -191,7 +190,7 @@ static PROBE_PLANS: [ProbePlan; 6] = [
 ];
 
 /// The outcome of running a scenario through the loop.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoopOutcome {
     /// Presses processed.
     pub steps: usize,

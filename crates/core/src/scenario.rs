@@ -1,11 +1,10 @@
 //! Timed user scenarios.
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 use tvsim::{Key, KeySequence};
 
 /// A sequence of key presses with absolute press times.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedScenario {
     presses: Vec<(SimTime, Key)>,
 }

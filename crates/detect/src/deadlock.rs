@@ -6,7 +6,6 @@
 
 use crate::detector::{Detector, ErrorEvent, ErrorSeverity};
 use observe::Observation;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -22,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// let cycle = g.find_cycle().unwrap();
 /// assert_eq!(cycle.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaitForGraph {
     edges: BTreeMap<String, BTreeSet<String>>,
 }

@@ -1,12 +1,11 @@
 //! The detector abstraction and the errors detectors raise.
 
 use observe::Observation;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::fmt;
 
 /// How serious a detected error is for the user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorSeverity {
     /// Degrades a feature the user is using.
     Major,
@@ -26,7 +25,7 @@ impl fmt::Display for ErrorSeverity {
 
 /// A detected error: the part of system state that may lead to a failure
 /// (terminology of Avižienis et al., adopted by the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorEvent {
     /// Detection instant.
     pub time: SimTime,

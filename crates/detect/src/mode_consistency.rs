@@ -9,13 +9,12 @@
 
 use crate::detector::{Detector, ErrorEvent, ErrorSeverity};
 use observe::{Observation, ObservationKind};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A declarative consistency rule: **when** `component` is in `mode`,
 /// **then** `peer` must be in one of `allowed_modes`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsistencyRule {
     /// Rule name (for error messages).
     pub name: Cow<'static, str>,

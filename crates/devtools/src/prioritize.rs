@@ -2,10 +2,9 @@
 
 use crate::likelihood::execution_likelihood;
 use crate::warning::CodeModel;
-use serde::{Deserialize, Serialize};
 
 /// Quality of a warning ranking against ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankingQuality {
     /// Total warnings.
     pub total: usize,

@@ -6,11 +6,10 @@
 //! occur preferentially in frequently executed code, which is exactly the
 //! empirical regularity the Boogerd–Moonen prioritization exploits.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 
 /// Warning severity as reported by the inspection tool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WarnSeverity {
     /// Style-level.
     Low,
@@ -32,7 +31,7 @@ impl WarnSeverity {
 }
 
 /// One function in the synthetic codebase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionDecl {
     /// Function name.
     pub name: String,
@@ -46,7 +45,7 @@ pub struct FunctionDecl {
 }
 
 /// An inspection warning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Index of the containing function.
     pub function: usize,
@@ -59,7 +58,7 @@ pub struct Violation {
 }
 
 /// A synthetic codebase: call graph plus violations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodeModel {
     /// The functions.
     pub functions: Vec<FunctionDecl>,

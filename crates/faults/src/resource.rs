@@ -6,13 +6,12 @@
 //! CPU eater "is already included in the current development software and
 //! can be activated by system testers".
 
-use serde::{Deserialize, Serialize};
 use simkit::resource::PortId;
 use simkit::{Bus, Cpu, MemoryArbiter, MemoryRequest, SimDuration, SimTime, TaskId};
 
 /// The CPU eater: a periodic high-priority job that consumes a configured
 /// fraction of one processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuEater {
     /// The eater's task id (distinct from application tasks).
     pub task: TaskId,
@@ -68,7 +67,7 @@ impl CpuEater {
 }
 
 /// The bus eater: steals a fraction of interconnect bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusEater {
     /// Fraction of bandwidth to steal, `[0, 1)`.
     pub fraction: f64,
@@ -98,7 +97,7 @@ impl BusEater {
 
 /// The memory hog: floods a memory-arbiter port with requests, inflating
 /// other ports' latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryHog {
     /// The port the hog issues from.
     pub port: PortId,

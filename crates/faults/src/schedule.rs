@@ -1,10 +1,9 @@
 //! Fault activation schedules.
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimRng, SimTime};
 
 /// When a fault is active.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Schedule {
     /// Active from `at` onward (a permanent fault appearing at `at`).
     From {

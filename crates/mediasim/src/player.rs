@@ -2,7 +2,6 @@
 
 use crate::stream::MediaStream;
 use observe::{ObsValue, Observation, ObservationKind};
-use serde::{Deserialize, Serialize};
 use simkit::{Cpu, SimDuration, SimTime, TaskId};
 
 /// The demux stage task.
@@ -15,7 +14,7 @@ const TASK_POSTPROC: TaskId = TaskId(12);
 const TASK_RENDER: TaskId = TaskId(13);
 
 /// Player control state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlayerState {
     /// Nothing loaded / stopped.
     Stopped,
@@ -37,7 +36,7 @@ impl PlayerState {
 }
 
 /// Player timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayerConfig {
     /// Frame period.
     pub frame_period: SimDuration,

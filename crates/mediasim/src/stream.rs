@@ -4,13 +4,12 @@
 //! standards or bad image quality" (paper Sect. 2): the corrupt frames in
 //! a [`MediaStream`] are exactly such input faults.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 use std::collections::BTreeSet;
 
 /// A synthetic elementary stream: a frame count plus the set of corrupt
 /// frame indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediaStream {
     frames: u64,
     corrupt: BTreeSet<u64>,

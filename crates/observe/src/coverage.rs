@@ -8,11 +8,10 @@
 //! [`CoverageRuns`] is the same row as its recorder already knows it:
 //! contiguous block ranges plus single blocks, folded without a bitset.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// An immutable snapshot of which blocks were hit during one interval.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSnapshot {
     words: Vec<u64>,
     n_blocks: u32,

@@ -1,12 +1,11 @@
 //! Typed observations of a system under observation.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::borrow::Cow;
 use std::fmt;
 
 /// A value carried by an observation or output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObsValue {
     /// A numeric value.
     Num(f64),
@@ -94,7 +93,7 @@ impl fmt::Display for ObsValue {
 /// vocabulary is a closed set of literals emits them borrowed, so
 /// cloning an observation copies pointers, not strings; names built at
 /// run time travel owned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObservationKind {
     /// A user input (remote-control key press), with an optional key
     /// code (e.g. the digit pressed) that the specification model needs
@@ -129,7 +128,7 @@ pub enum ObservationKind {
 }
 
 /// One observation: a kind, stamped with time and source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// When it was observed.
     pub time: SimTime,

@@ -5,8 +5,6 @@
 //! degrading performance". A [`ProbeBudget`] states how much of that an
 //! instrumentation layer may spend, and judges a measured pair against it.
 
-use serde::{Deserialize, Serialize};
-
 /// A probe-effect budget: the largest fraction of baseline runtime an
 /// instrumentation layer is allowed to add (paper Sect. 4.1: observe
 /// "without degrading performance").
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// budgets *real* wall-clock overhead — the telemetry experiment (E15)
 /// times a reference scenario with recording off and on and judges the
 /// difference against the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeBudget {
     /// Maximum tolerated `(instrumented - baseline) / baseline`.
     pub max_overhead_fraction: f64,
@@ -67,7 +65,7 @@ impl ProbeBudget {
 }
 
 /// The outcome of judging one measurement pair against a [`ProbeBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetVerdict {
     /// Wall-clock nanoseconds with instrumentation off.
     pub baseline_ns: u64,

@@ -1,10 +1,9 @@
 //! Failure attribution: who the user blames.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where the user believes a failure comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Attribution {
     /// The product itself ("my TV is broken") — maximal irritation.
     Internal,

@@ -8,11 +8,10 @@
 use crate::attribution::Attribution;
 use crate::failure::{FailureIncident, ProductFunction};
 use crate::panel::Panel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A factorial design: functions × attributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorialDesign {
     /// The functions (with stated importances) under study.
     pub functions: Vec<ProductFunction>,
@@ -43,7 +42,7 @@ impl FactorialDesign {
 }
 
 /// Variance decomposition of the factorial outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EffectSizes {
     /// Cell means keyed by `(function, attribution)`.
     pub cell_means: BTreeMap<(String, String), f64>,

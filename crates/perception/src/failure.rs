@@ -1,11 +1,10 @@
 //! Product functions and failure incidents.
 
 use crate::attribution::Attribution;
-use serde::{Deserialize, Serialize};
 
 /// A product function as users see it, with its *stated* importance
 /// (what users say when asked, on a 0–10 scale).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductFunction {
     /// Function name (e.g. `"image-quality"`, `"swivel"`).
     pub name: String,
@@ -32,7 +31,7 @@ impl ProductFunction {
 }
 
 /// One failure as experienced by a user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureIncident {
     /// The failing function.
     pub function: ProductFunction,

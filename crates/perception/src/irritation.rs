@@ -2,7 +2,6 @@
 
 use crate::failure::FailureIncident;
 use crate::usage::{UsageProfile, UserGroup};
-use serde::{Deserialize, Serialize};
 
 /// Parametric model of user irritation caused by a failure.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The multiplicative form encodes the paper's central finding: a large
 /// attribution factor difference overrides comparable stated importance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrritationModel {
     /// Output scale (score of the worst plausible incident).
     pub scale: f64,

@@ -3,11 +3,10 @@
 use crate::failure::FailureIncident;
 use crate::irritation::IrritationModel;
 use crate::usage::UserGroup;
-use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 
 /// Per-incident panel statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PanelResult {
     /// Mean irritation score (0–10).
     pub mean: f64,

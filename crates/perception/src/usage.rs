@@ -1,11 +1,10 @@
 //! User groups and usage profiles.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// User groups studied in the controlled experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UserGroup {
     /// Watches occasionally, few features.
     Casual,
@@ -98,7 +97,7 @@ impl fmt::Display for UserGroup {
 }
 
 /// How a user uses the product: daily hours and feature mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UsageProfile {
     /// Viewing hours per day.
     pub hours_per_day: f64,

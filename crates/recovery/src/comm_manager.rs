@@ -6,12 +6,11 @@
 //! stopping the whole system (paper Sect. 4.5).
 
 use crate::unit::UnitHost;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A message between recoverable units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitMessage {
     /// Destination unit.
     pub to: String,
@@ -24,14 +23,10 @@ pub struct UnitMessage {
 }
 
 /// Communication statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Messages delivered directly.
     pub delivered: u64,
-    /// Messages queued during a restart.
-    pub queued: u64,
-    /// Messages redelivered after a restart.
-    pub redelivered: u64,
     /// Messages dropped (addressed to no registered unit).
     pub dropped: u64,
 }
@@ -82,7 +77,6 @@ impl CommManager {
                     frontier.extend(responses);
                 }
                 None if host.status(&msg.to).is_some() => {
-                    self.stats.queued += 1;
                     self.pending
                         .entry(msg.to.clone())
                         .or_default()
@@ -109,7 +103,6 @@ impl CommManager {
                 continue;
             };
             for msg in queue {
-                self.stats.redelivered += 1;
                 total += self.send(now, host, msg);
             }
         }
@@ -157,7 +150,6 @@ mod tests {
         let returned = host.tick(SimTime::from_millis(10));
         let redelivered = comm.flush_returned(SimTime::from_millis(10), &mut host, &returned);
         assert_eq!(redelivered, 2);
-        assert_eq!(comm.stats().redelivered, 2);
         assert_eq!(comm.queued_for("a"), 0);
     }
 

@@ -5,11 +5,10 @@
 //! breaker: it stops hammering a failing component, and its trip sends
 //! the awareness supervisor to safe mode.
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Calls pass through.
     Closed,
@@ -29,7 +28,7 @@ pub enum BreakerState {
 /// success closes the breaker, failure re-opens it. While the probe is
 /// in flight, further calls are rejected — exactly one probe may be
 /// outstanding at a time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitBreaker {
     failure_threshold: u32,
     cooldown: SimDuration,

@@ -4,10 +4,8 @@
 //! a task's jobs between processors) lives with the platform
 //! (`tvsim::StreamingPipeline::migrate_task`, `simkit::Cpu::steal_task`).
 
-use serde::{Deserialize, Serialize};
-
 /// A migration decision: move load from one processor to another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationDecision {
     /// Overloaded source processor index.
     pub from: usize,
@@ -30,7 +28,7 @@ pub struct MigrationDecision {
 /// // Cooldown: immediately after, no new decision.
 /// assert!(lb.check(&[0.97, 0.3]).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadBalancer {
     overload_threshold: f64,
     target_threshold: f64,

@@ -5,13 +5,12 @@
 //! arbitration more flexible such that it can be adapted at run-time to
 //! deal with problems concerning memory access".
 
-use serde::{Deserialize, Serialize};
 use simkit::resource::PortId;
 use simkit::{MemoryArbiter, SimDuration, SlotTable};
 use std::collections::BTreeMap;
 
 /// Per-port latency targets and adaptation bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveArbiter {
     targets: BTreeMap<PortId, SimDuration>,
     /// Current weight per port (slots in the generated table).

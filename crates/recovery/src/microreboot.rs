@@ -13,12 +13,11 @@
 //! the caller escalate to a full restart.
 //!
 //! Crash consistency is the caller's side of the contract: snapshots must
-//! be taken from error-free windows and reconciled after restore by
-//! replaying the post-checkpoint inputs journalled alongside (the loop
-//! keeps a per-unit key-press journal; the monitor replays from the
-//! flight recorder).
+//! be taken from error-free windows and reconciled after restore. The
+//! loop replays the per-unit key-press journal it keeps alongside; the
+//! monitor replays nothing, and resumes from the restored channel epoch
+//! with fresh channels and a reset comparator.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -30,7 +29,7 @@ use std::ops::{Deref, DerefMut};
 /// its map. Keys are `Cow<'static, str>`, so a unit whose state names
 /// are literals checkpoints without copying them; names built at run
 /// time are stored owned.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Snapshot(BTreeMap<Cow<'static, str>, f64>);
 
 impl Snapshot {
@@ -77,7 +76,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A snapshot sealed with its integrity fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SealedSnapshot {
     /// Virtual time the snapshot was captured at.
     pub time: SimTime,
@@ -113,12 +112,8 @@ pub enum RestoreOutcome {
 }
 
 /// Counters describing vault activity (all monotonic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VaultStats {
-    /// Snapshots sealed and saved.
-    pub saved: u64,
-    /// Successful restores.
-    pub restored: u64,
     /// Snapshots that failed fingerprint validation on restore.
     pub corrupt_detected: u64,
     /// Snapshots evicted by the capacity bound.
@@ -144,7 +139,7 @@ pub struct VaultStats {
 ///     other => panic!("expected a restore, got {other:?}"),
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointVault {
     seed: u64,
     capacity: usize,
@@ -198,7 +193,6 @@ impl CheckpointVault {
             fingerprint,
             state,
         });
-        self.stats.saved += 1;
         generation
     }
 
@@ -255,7 +249,6 @@ impl CheckpointVault {
                     skipped,
                 };
                 history.push_back(candidate);
-                self.stats.restored += 1;
                 return outcome;
             }
             skipped += 1;

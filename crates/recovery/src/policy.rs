@@ -1,7 +1,6 @@
 //! Escalation policy: when partial recovery stops being enough.
 
 use crate::recovery_manager::RecoveryAction;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -22,7 +21,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(policy.decide(at, "audio"), RecoveryAction::RestartUnit("audio".into()));
 /// assert_eq!(policy.decide(at, "audio"), RecoveryAction::RestartAll);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EscalationPolicy {
     max_restarts: u32,
     window: SimDuration,

@@ -2,7 +2,6 @@
 
 use crate::microreboot::{CheckpointVault, RestoreOutcome};
 use crate::unit::{UnitHost, UnitStatus};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
@@ -20,7 +19,7 @@ const VAULT_SEED: u64 = 0x5245_434f_5645_5259;
 
 /// A recovery action (paper Sect. 4.5: "recovery actions such as killing
 /// and restarting units").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// Kill and cold-restart one unit.
     RestartUnit(String),
@@ -41,7 +40,7 @@ impl fmt::Display for RecoveryAction {
 }
 
 /// A log record of one executed action: when it started and its outage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryRecord {
     /// When the action started.
     pub time: SimTime,

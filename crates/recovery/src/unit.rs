@@ -2,7 +2,6 @@
 
 use crate::comm_manager::UnitMessage;
 use crate::microreboot::Snapshot;
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -27,7 +26,7 @@ pub trait RecoverableUnit {
 }
 
 /// A unit's lifecycle status as seen by the managers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitStatus {
     /// Processing messages normally.
     Running,

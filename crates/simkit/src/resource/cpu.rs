@@ -12,12 +12,11 @@
 
 use crate::task::TaskId;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a released job, unique per [`Cpu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -27,7 +26,7 @@ impl fmt::Display for JobId {
 }
 
 /// A job released onto a processor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     /// Job identity (assigned by [`Cpu::release`]).
     pub id: JobId,
@@ -44,7 +43,7 @@ pub struct Job {
 }
 
 /// The outcome of a completed job.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobOutcome {
     /// The job that finished.
     pub id: JobId,
@@ -66,7 +65,7 @@ impl JobOutcome {
 }
 
 /// Aggregate statistics of one processor.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CpuStats {
     /// Completed jobs.
     pub completed: u64,
@@ -76,23 +75,17 @@ pub struct CpuStats {
     pub busy: SimDuration,
     /// Total simulated time covered.
     pub elapsed: SimDuration,
-    /// Sum of response times (for averaging).
-    pub response_sum: SimDuration,
     /// Maximum response time observed.
     pub response_max: SimDuration,
-    /// Preemption count.
-    pub preemptions: u64,
-    /// Per-task completion / miss counts.
+    /// Per-task completion counts.
     pub per_task: BTreeMap<TaskId, TaskStats>,
 }
 
 /// Per-task statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskStats {
     /// Completed jobs of this task.
     pub completed: u64,
-    /// Deadline misses of this task.
-    pub misses: u64,
 }
 
 impl CpuStats {
@@ -189,13 +182,6 @@ impl Cpu {
             release: now,
             deadline,
         };
-        // Preemption accounting: a strictly higher-priority arrival while
-        // another job runs counts as one preemption.
-        if let Some(run) = self.current_job() {
-            if job.priority < run.priority {
-                self.stats.preemptions += 1;
-            }
-        }
         self.ready.push(job);
         id
     }
@@ -206,11 +192,6 @@ impl Cpu {
             .enumerate()
             .min_by_key(|(_, j)| (j.priority, j.id))
             .map(|(i, _)| i)
-    }
-
-    /// The job that would run right now.
-    pub fn current_job(&self) -> Option<&Job> {
-        self.highest_index().map(|i| &self.ready[i])
     }
 
     /// Removes all ready jobs of `task` (migrating a whole task). The jobs
@@ -281,7 +262,6 @@ impl Cpu {
     fn record_completion(&mut self, outcome: &JobOutcome) {
         self.stats.completed += 1;
         let rt = outcome.response_time();
-        self.stats.response_sum += rt;
         if rt > self.stats.response_max {
             self.stats.response_max = rt;
         }
@@ -289,7 +269,6 @@ impl Cpu {
         per.completed += 1;
         if !outcome.deadline_met {
             self.stats.deadline_misses += 1;
-            per.misses += 1;
         }
     }
 }
@@ -331,7 +310,6 @@ mod tests {
         assert_eq!(done[0].completion, at(5));
         assert_eq!(done[1].task, TaskId(0));
         assert_eq!(done[1].completion, at(12));
-        assert_eq!(cpu.stats().preemptions, 1);
     }
 
     #[test]
@@ -352,7 +330,6 @@ mod tests {
         assert!(!done[0].deadline_met);
         assert_eq!(cpu.stats().deadline_misses, 1);
         assert_eq!(cpu.stats().completed, 1);
-        assert_eq!(cpu.stats().per_task[&TaskId(0)].misses, 1);
     }
 
     #[test]
@@ -362,7 +339,7 @@ mod tests {
         let mut cpu = Cpu::new("c");
         cpu.release(SimTime::ZERO, TaskId(0), ms(7), 0, at(100));
         assert!(cpu.advance_to(at(2)).is_empty());
-        assert_eq!(cpu.current_job().unwrap().remaining, ms(5));
+        assert_eq!(cpu.ready[0].remaining, ms(5));
         let done = cpu.advance_to(at(100));
         assert_eq!(done[0].completion, at(7));
     }

@@ -9,13 +9,12 @@
 
 use super::PortId;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A repeating assignment of frame slots to ports.
 ///
 /// `None` slots are idle (reserved headroom).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTable {
     slots: Vec<Option<PortId>>,
 }
@@ -83,7 +82,7 @@ impl SlotTable {
 }
 
 /// A memory access request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryRequest {
     /// Issuing port.
     pub port: PortId,
@@ -92,7 +91,7 @@ pub struct MemoryRequest {
 }
 
 /// Per-port latency statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PortStats {
     /// Requests served.
     pub requests: u64,

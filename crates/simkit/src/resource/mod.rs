@@ -5,7 +5,6 @@
 //! * [`memory`] — a slot-based (TDM) memory arbiter with a run-time
 //!   reconfigurable slot table.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub mod bus;
@@ -13,7 +12,7 @@ pub mod cpu;
 pub mod memory;
 
 /// Identifier of a port on a shared resource (one per master component).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u32);
 
 impl fmt::Display for PortId {

@@ -8,11 +8,10 @@
 //! development*).
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a task within a [`TaskSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -23,7 +22,7 @@ impl fmt::Display for TaskId {
 
 /// A periodic task: releases a job every `period`, each job needs `wcet`
 /// processor time and must finish within `deadline` of its release.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeriodicTask {
     /// Task identity.
     pub id: TaskId,
@@ -72,7 +71,7 @@ impl PeriodicTask {
 }
 
 /// A set of periodic tasks sharing one processor.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<PeriodicTask>,
 }

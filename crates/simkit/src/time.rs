@@ -5,7 +5,6 @@
 //! floating-point drift) while still being fine-grained enough for the
 //! microsecond/millisecond scale of the television platform models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -16,9 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::from_millis(3) + simkit::SimDuration::from_micros(500);
 /// assert_eq!(t.as_nanos(), 3_500_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (nanoseconds).
@@ -27,9 +24,7 @@ pub struct SimTime(u64);
 /// use simkit::SimDuration;
 /// assert_eq!(SimDuration::from_millis(2) * 3, SimDuration::from_millis(6));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -27,7 +27,6 @@
 use crate::ranking::Ranking;
 use crate::similarity::{Coefficient, Counts};
 use observe::{BlockSnapshot, CoverageRuns};
-use serde::{Deserialize, Serialize};
 
 /// Panic message shared by every spectrum builder that rejects an empty
 /// block range.
@@ -45,7 +44,7 @@ pub(crate) const EMPTY_BLOCKS_MSG: &str = "need at least one block (n_blocks == 
 /// m.add_step([0, 2, 3].iter().copied(), true);
 /// assert_eq!(m.rank(Coefficient::Ochiai).entries()[0].block, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountsMatrix {
     n_blocks: u32,
     /// Per block: steps in which it was hit *and* the step failed.

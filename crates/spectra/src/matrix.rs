@@ -5,7 +5,6 @@ use crate::counts::EMPTY_BLOCKS_MSG;
 use crate::ranking::Ranking;
 use crate::similarity::{Coefficient, Counts};
 use observe::BlockSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Block-hit spectra for a whole scenario.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// against it. Memory is O(steps × blocks); for production-scale
 /// matrices use the streaming [`crate::CountsMatrix`] plus the sharded
 /// [`crate::score_top_k`] scorer, which reproduce its rankings exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectrumMatrix {
     n_blocks: u32,
     words_per_row: usize,

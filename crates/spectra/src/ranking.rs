@@ -1,9 +1,7 @@
 //! Ranking blocks by suspiciousness.
 
-use serde::{Deserialize, Serialize};
-
 /// One entry of a ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankingEntry {
     /// Block id.
     pub block: u32,
@@ -16,7 +14,7 @@ pub struct RankingEntry {
 /// Ties are broken by block id in the sorted order, but **rank queries use
 /// mid-tie ranks** (the standard metric for diagnostic quality: the
 /// expected position of the fault if ties are inspected in random order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ranking {
     entries: Vec<RankingEntry>,
 }

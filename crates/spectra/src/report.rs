@@ -1,7 +1,6 @@
 //! Diagnosis reports.
 
 use crate::ranking::Ranking;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of diagnosing one scenario.
@@ -10,7 +9,7 @@ use std::fmt;
 /// experiment: total instrumented blocks (60 000), scenario length
 /// (27 key presses), blocks executed (13 796), and the rank of the
 /// faulty block (1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisReport {
     /// Total instrumented blocks.
     pub n_blocks: u32,

@@ -1,7 +1,6 @@
 //! Similarity coefficients between a block's hit pattern and the error
 //! vector.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The 2×2 contingency counts for one block over all scenario steps.
@@ -10,7 +9,7 @@ use std::fmt;
 /// * `a10` — hit in a passing step
 /// * `a01` — not hit in a failing step
 /// * `a00` — not hit in a passing step
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Hit & failed.
     pub a11: u32,
@@ -53,7 +52,7 @@ impl Counts {
 /// `Ochiai` is the coefficient the Trader diagnosis work found most
 /// effective; the others are classical alternatives used for the E1
 /// coefficient ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Coefficient {
     /// `a11 / sqrt((a11+a01) * (a11+a10))`.
     Ochiai,

@@ -28,7 +28,6 @@
 use crate::counts::CountsMatrix;
 use crate::ranking::RankingEntry;
 use crate::similarity::Coefficient;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::thread;
@@ -47,7 +46,7 @@ pub fn rank_cmp(a: &RankingEntry, b: &RankingEntry) -> Ordering {
 }
 
 /// The k most suspicious blocks, best first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopK {
     n_blocks: u32,
     entries: Vec<RankingEntry>,

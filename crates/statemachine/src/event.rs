@@ -1,7 +1,6 @@
 //! Named events with optional payloads.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 /// assert_eq!(plain.name, "power");
 /// assert_eq!(keyed.payload, Some(Value::Int(7)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Event name, matched against [`Trigger::On`](crate::Trigger::On);
     /// borrowed when it is a literal, so cloning the event is cheap.

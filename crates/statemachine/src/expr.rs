@@ -6,7 +6,6 @@
 
 use crate::event::Event;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,7 +23,7 @@ pub type Vars = BTreeMap<String, Value>;
 /// let expr = Expr::var("volume").ge(Expr::lit(20));
 /// assert_eq!(expr.eval(&vars, None).unwrap(), Value::Bool(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A literal value.
     Const(Value),

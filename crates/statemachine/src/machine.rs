@@ -4,7 +4,6 @@ use crate::expr::Vars;
 use crate::state::{State, StateId};
 use crate::transition::Transition;
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A complete hierarchical state machine definition.
@@ -12,7 +11,7 @@ use std::collections::BTreeSet;
 /// Construct through [`MachineBuilder`](crate::MachineBuilder); the fields
 /// are read-only afterwards so executor invariants (ids are table indices,
 /// names unique) cannot be broken.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     pub(crate) name: String,
     pub(crate) states: Vec<State>,

@@ -11,12 +11,11 @@ use crate::event::Event;
 use crate::executor::Executor;
 use crate::machine::Machine;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
 
 /// One step of a test script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScriptStep {
     /// Advance model time by this much.
     Advance(SimDuration),
@@ -31,7 +30,7 @@ pub enum ScriptStep {
 }
 
 /// A violated expectation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptFailure {
     /// Index of the failing step.
     pub step: usize,
@@ -48,7 +47,7 @@ impl fmt::Display for ScriptFailure {
 }
 
 /// The result of running a script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptOutcome {
     /// Violated expectations, in order.
     pub failures: Vec<ScriptFailure>,
@@ -80,7 +79,7 @@ impl ScriptOutcome {
 ///     .expect_output("light", Value::from(1));
 /// assert!(script.run(&m).passed());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestScript {
     /// Script name (for reporting).
     pub name: String,

@@ -1,11 +1,10 @@
 //! States of a hierarchical machine.
 
 use crate::transition::Action;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a state inside its [`Machine`](crate::Machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub usize);
 
 impl fmt::Display for StateId {
@@ -15,7 +14,7 @@ impl fmt::Display for StateId {
 }
 
 /// Whether a state is a leaf or contains children.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateKind {
     /// A simple state.
     Leaf,
@@ -27,7 +26,7 @@ pub enum StateKind {
 }
 
 /// One state of the machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct State {
     /// This state's id (its index in the machine's state table).
     pub id: StateId,

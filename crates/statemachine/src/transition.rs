@@ -2,12 +2,11 @@
 
 use crate::expr::Expr;
 use crate::state::StateId;
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 use std::fmt;
 
 /// What causes a transition to be considered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Trigger {
     /// An event with this name.
     On(String),
@@ -26,7 +25,7 @@ impl fmt::Display for Trigger {
 }
 
 /// A side effect of taking a transition or entering/exiting a state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Assign the value of an expression to a model variable.
     Assign(String, Expr),
@@ -47,7 +46,7 @@ impl fmt::Display for Action {
 }
 
 /// A transition between states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Source state (may be composite: fires while any descendant is
     /// active, like a Stateflow super-transition).

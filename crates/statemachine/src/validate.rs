@@ -10,12 +10,11 @@
 use crate::machine::Machine;
 use crate::state::StateId;
 use crate::transition::{Action, Trigger};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// How serious a model issue is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but executable.
     Warning,
@@ -24,7 +23,7 @@ pub enum Severity {
 }
 
 /// One issue found in a machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelIssue {
     /// Severity class.
     pub severity: Severity,

@@ -1,6 +1,5 @@
 //! Dynamic values for model variables, event payloads and outputs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed model value.
@@ -11,7 +10,7 @@ use std::fmt;
 /// assert!(Value::from(2.0).as_f64().unwrap() == 2.0);
 /// assert_eq!(Value::from(true).as_bool(), Some(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A signed integer.
     Int(i64),

@@ -1,9 +1,8 @@
 //! Hand-rendered JSON: the workspace's single renderer — and parser.
 //!
-//! The workspace's serde is an offline no-op shim, so every machine-
-//! readable artifact — `BENCH_*.json` reports, flight-recorder JSONL
-//! dumps, metrics readouts — renders JSON by hand through this module,
-//! so escaping logic exists exactly once. The value model is the minimal subset
+//! Every machine-readable artifact — `BENCH_*.json` reports,
+//! flight-recorder JSONL dumps, metrics readouts — renders JSON by hand
+//! through this module, so escaping logic exists exactly once. The value model is the minimal subset
 //! those files need; rendering is deterministic (object keys keep
 //! insertion order) so diffs between CI runs stay readable.
 //!

@@ -13,7 +13,6 @@
 //! executions and fills their blocks in only when a snapshot reads them.
 
 use observe::{BlockCoverage, BlockSnapshot, CoverageRuns};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Default total number of instrumented blocks (the paper's figure).
@@ -23,7 +22,7 @@ pub const N_BLOCKS: u32 = 60_000;
 ///
 /// Each feature module hits ids inside its range; the synthetic bank owns
 /// everything from [`BlockMap::SYNTHETIC_BASE`] up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMap;
 
 impl BlockMap {
@@ -46,7 +45,7 @@ impl BlockMap {
 }
 
 /// Operations whose firmware footprint the synthetic bank models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FirmwareOp {
     /// Cold boot / power toggle path.
     Boot,
@@ -123,7 +122,7 @@ impl FirmwareOp {
 /// Each operation owns a contiguous *core* region (blocks always executed)
 /// plus a scattered *shared* tail (utility code shared between operations),
 /// mimicking the overlap structure of real firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyntheticCodeBank {
     n_blocks: u32,
 }

@@ -7,12 +7,11 @@
 //! Trader case studies report.
 
 use crate::system::Unit;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A fault injectable into the [`TvSystem`](crate::TvSystem).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TvFault {
     /// The video decoder fails to follow the UI into teletext mode — the
     /// loss-of-synchronization defect of Sözer et al. (paper Sect. 4.3).
@@ -84,7 +83,7 @@ impl fmt::Display for TvFault {
 }
 
 /// The set of currently active faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSet {
     active: BTreeSet<TvFault>,
 }

@@ -3,13 +3,12 @@
 use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
-use serde::{Deserialize, Serialize};
 
 /// Highest channel number.
 pub const MAX_CHANNEL: i64 = 99;
 
 /// The tuner: the current channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelTuner {
     current: i64,
 }

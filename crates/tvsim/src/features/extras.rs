@@ -8,7 +8,6 @@
 use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Sleep-timer step per key press.
@@ -17,7 +16,7 @@ pub const SLEEP_STEP_MIN: u64 = 15;
 pub const SLEEP_MAX_MIN: u64 = 120;
 
 /// The sleep timer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SleepTimer {
     /// Minutes configured (0 = off).
     minutes: u64,
@@ -117,7 +116,7 @@ pub const SWIVEL_STEP: i64 = 15;
 pub const SWIVEL_MAX: i64 = 45;
 
 /// The motorized swivel.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Swivel {
     angle: i64,
     /// The last commanded target angle — what the motor *should* be at.
@@ -125,7 +124,6 @@ pub struct Swivel {
     /// command against actuation; not part of the micro-reboot
     /// checkpoint (a restore re-bases the command on the restored
     /// angle).
-    #[serde(default)]
     last_cmd: i64,
 }
 

@@ -8,10 +8,9 @@
 use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
-use serde::{Deserialize, Serialize};
 
 /// The screen/OSD manager.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScreenManager {
     menu_open: bool,
     epg_open: bool,

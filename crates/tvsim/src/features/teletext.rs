@@ -8,10 +8,9 @@
 use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
-use serde::{Deserialize, Serialize};
 
 /// The teletext feature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Teletext {
     ui_on: bool,
     page: i64,

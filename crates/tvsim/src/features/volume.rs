@@ -3,13 +3,12 @@
 use super::FeatureCtx;
 use crate::blocks::{BlockMap, FirmwareOp};
 use crate::faults::TvFault;
-use serde::{Deserialize, Serialize};
 
 /// Volume step per key press.
 pub const VOLUME_STEP: i64 = 5;
 
 /// The audio volume/mute feature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Volume {
     level: i64,
     muted: bool,

@@ -7,7 +7,6 @@
 //! quality in case of overload situations (e.g., due to intensive error
 //! correction on a bad input signal)".
 
-use serde::{Deserialize, Serialize};
 use simkit::{Cpu, SimDuration, SimTime, TaskId};
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -20,7 +19,7 @@ pub const TASK_ENHANCE: TaskId = TaskId(1);
 pub const TASK_BACKGROUND_BASE: u32 = 100;
 
 /// Pipeline timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Frame period (40 ms = 25 fps).
     pub frame_period: SimDuration,
@@ -45,7 +44,7 @@ impl Default for PipelineConfig {
 }
 
 /// Per-run pipeline outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Frames processed.
     pub frames: u64,
@@ -62,7 +61,7 @@ pub struct PipelineReport {
 }
 
 /// A background (stress) task on one processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BackgroundTask {
     task: TaskId,
     cpu: usize,

@@ -1,12 +1,11 @@
 //! The remote control: the TV's input alphabet.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 use statemachine::Event;
 use std::fmt;
 
 /// A remote-control key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Key {
     /// Power toggle (on/standby).
     Power,
@@ -122,7 +121,7 @@ impl fmt::Display for Key {
 }
 
 /// A sequence of key presses — a *scenario* in the paper's terminology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySequence {
     keys: Vec<Key>,
 }
@@ -156,7 +155,6 @@ impl KeySequence {
     /// without each page-number bit are visited, so spectra discriminate
     /// data-dependent branches from one another.
     pub fn teletext_scenario(len: usize) -> Self {
-        let mut keys = vec![Key::Power, Key::Digit(1)];
         let pattern = [
             Key::Teletext, // on, page 100
             Key::Digit(1),
@@ -177,13 +175,7 @@ impl KeySequence {
             Key::ChannelDown,
             Key::Ok,
         ];
-        let mut i = 0;
-        while keys.len() < len {
-            keys.push(pattern[i % pattern.len()]);
-            i += 1;
-        }
-        keys.truncate(len);
-        KeySequence { keys }
+        Self::power_on_then(len, &pattern)
     }
 
     /// The near-idle scenario: power on, tune channel 1, then leave the
@@ -192,18 +184,12 @@ impl KeySequence {
     /// their function is never invoked, which is exactly the coverage
     /// gap the matrix is built to expose.
     pub fn idle_scenario(len: usize) -> Self {
-        let mut keys = vec![Key::Power, Key::Digit(1)];
-        while keys.len() < len {
-            keys.push(Key::Ok);
-        }
-        keys.truncate(len);
-        KeySequence { keys }
+        Self::power_on_then(len, &[Key::Ok])
     }
 
     /// The zapping burst: power on, then rapid channel surfing. Tuner
     /// faults are hammered; everything else stays dormant.
     pub fn zapping_scenario(len: usize) -> Self {
-        let mut keys = vec![Key::Power, Key::Digit(1)];
         let pattern = [
             Key::ChannelUp,
             Key::ChannelUp,
@@ -212,13 +198,7 @@ impl KeySequence {
             Key::ChannelUp,
             Key::ChannelDown,
         ];
-        let mut i = 0;
-        while keys.len() < len {
-            keys.push(pattern[i % pattern.len()]);
-            i += 1;
-        }
-        keys.truncate(len);
-        KeySequence { keys }
+        Self::power_on_then(len, &pattern)
     }
 
     /// The full-mix session: every user-facing function the awareness
@@ -227,7 +207,6 @@ impl KeySequence {
     /// high-exercise workload: a fault class that stays undetected here
     /// is a genuine monitoring gap, not a dormant function.
     pub fn full_mix_scenario(len: usize) -> Self {
-        let mut keys = vec![Key::Power, Key::Digit(1)];
         let pattern = [
             Key::VolUp,
             Key::ChannelUp,
@@ -246,10 +225,15 @@ impl KeySequence {
             Key::VolDown,
             Key::ChannelDown,
         ];
-        let mut i = 0;
+        Self::power_on_then(len, &pattern)
+    }
+
+    /// Power on, tune channel 1, then `pattern` over and over: `len`
+    /// keys in all.
+    fn power_on_then(len: usize, pattern: &[Key]) -> Self {
+        let mut keys = vec![Key::Power, Key::Digit(1)];
         while keys.len() < len {
-            keys.push(pattern[i % pattern.len()]);
-            i += 1;
+            keys.push(pattern[(keys.len() - 2) % pattern.len()]);
         }
         keys.truncate(len);
         KeySequence { keys }

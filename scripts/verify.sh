@@ -9,7 +9,7 @@ cargo fmt --all --check
 echo "== unreached pub item guard (only the named exceptions may be left) =="
 scripts/unreached_pub.sh
 
-echo "== unreached guard self-check: an accessor named like its field, an unread field and a variant only matched are listed =="
+echo "== unreached guard self-check: an accessor named like its field, an unread field, a variant only matched and a counter only incremented are listed; a field only compared is not =="
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/unreached.XXXXXX")
 trap 'rm -rf "$scratch"' EXIT INT TERM
 tar -c --exclude=target crates tests examples | tar -x -C "$scratch"
@@ -35,15 +35,34 @@ awk '{ print }
     /^    Always,$/ { print "    /// Never active."; print "    Never," }
     /Schedule::Always => true,/ { print "            Schedule::Never => false," }' \
     crates/faults/src/schedule.rs >"$scratch/crates/faults/src/schedule.rs"
+# A counter that is only ever incremented, and a field that only a
+# `<=` comparison reads (the guard reads no module tree, so a file
+# nothing declares is enough).
+cat >"$scratch/crates/core/src/plant.rs" <<'RUST'
+pub struct Plant {
+    pub bumped_only: u64,
+    pub compared_only: u64,
+}
+
+fn plant(p: &mut Plant) -> bool {
+    p.bumped_only += 1;
+    p.compared_only <= 3
+}
+RUST
 status=0
 out=$(scripts/unreached_pub.sh "$scratch" 2>&1) || status=$?
-for planted in channel_epoch ChannelAudit::stale_frames Schedule::Never; do
+for planted in channel_epoch ChannelAudit::stale_frames Schedule::Never Plant::bumped_only; do
     if [ "$status" -ne 1 ] || ! echo "$out" | grep -q "^UNREACHED: $planted "; then
         echo "$out"
         echo "self-check: the guard did not list the unreached $planted (exit $status)" >&2
         exit 1
     fi
 done
+if echo "$out" | grep -q "^UNREACHED: Plant::compared_only "; then
+    echo "$out"
+    echo "self-check: the guard listed Plant::compared_only, which a comparison reads" >&2
+    exit 1
+fi
 
 echo "== build (release) =="
 cargo build --release
