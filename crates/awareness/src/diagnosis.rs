@@ -110,7 +110,8 @@ impl OnlineDiagnosis {
     }
 
     /// The suspect window over the steps recorded so far, scored on
-    /// this call (one O(blocks) pass).
+    /// this call (one O(blocks) pass that scores each run of equal
+    /// counts the window turns away once).
     pub fn top_k(&self) -> TopK {
         self.diagnoser.top_k()
     }

@@ -7,7 +7,6 @@
 
 use super::PortId;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// A transfer request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,12 +38,6 @@ impl BusGrant {
 pub struct BusStats {
     /// Bytes moved.
     pub bytes: u64,
-    /// Sum of issue-to-completion latencies.
-    pub latency_sum: SimDuration,
-    /// Maximum latency observed.
-    pub latency_max: SimDuration,
-    /// Per-port transfer counts and byte totals.
-    pub per_port: BTreeMap<PortId, (u64, u64)>,
 }
 
 /// A FIFO bandwidth-shared bus.
@@ -119,15 +112,6 @@ impl Bus {
         self.busy_until = completion;
 
         self.stats.bytes += req.bytes;
-        let latency = completion.since(now);
-        self.stats.latency_sum += latency;
-        if latency > self.stats.latency_max {
-            self.stats.latency_max = latency;
-        }
-        let per = self.stats.per_port.entry(req.port).or_insert((0, 0));
-        per.0 += 1;
-        per.1 += req.bytes;
-
         BusGrant { start, completion }
     }
 
@@ -234,12 +218,7 @@ mod tests {
                 bytes: 2_000,
             },
         );
-        let s = bus.stats();
-        assert_eq!(s.bytes, 3_000);
-        assert_eq!(s.per_port[&PortId(0)], (2, 3_000));
-        let mean = s.latency_sum / s.per_port[&PortId(0)].0;
-        assert!(mean > SimDuration::ZERO);
-        assert!(s.latency_max >= mean);
+        assert_eq!(bus.stats().bytes, 3_000);
     }
 
     #[test]

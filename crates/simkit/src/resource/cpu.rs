@@ -12,7 +12,6 @@
 
 use crate::task::TaskId;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a released job, unique per [`Cpu`].
@@ -57,13 +56,6 @@ pub struct JobOutcome {
     pub deadline_met: bool,
 }
 
-impl JobOutcome {
-    /// Response time (completion − release).
-    pub fn response_time(&self) -> SimDuration {
-        self.completion.since(self.release)
-    }
-}
-
 /// Aggregate statistics of one processor.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CpuStats {
@@ -75,17 +67,6 @@ pub struct CpuStats {
     pub busy: SimDuration,
     /// Total simulated time covered.
     pub elapsed: SimDuration,
-    /// Maximum response time observed.
-    pub response_max: SimDuration,
-    /// Per-task completion counts.
-    pub per_task: BTreeMap<TaskId, TaskStats>,
-}
-
-/// Per-task statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaskStats {
-    /// Completed jobs of this task.
-    pub completed: u64,
 }
 
 impl CpuStats {
@@ -261,12 +242,6 @@ impl Cpu {
 
     fn record_completion(&mut self, outcome: &JobOutcome) {
         self.stats.completed += 1;
-        let rt = outcome.response_time();
-        if rt > self.stats.response_max {
-            self.stats.response_max = rt;
-        }
-        let per = self.stats.per_task.entry(outcome.task).or_default();
-        per.completed += 1;
         if !outcome.deadline_met {
             self.stats.deadline_misses += 1;
         }
@@ -291,7 +266,6 @@ mod tests {
         let done = cpu.advance_to(at(10));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].completion, at(5));
-        assert_eq!(done[0].response_time(), ms(5));
         assert!(done[0].deadline_met);
         assert!((cpu.stats().utilization() - 0.5).abs() < 1e-9);
     }

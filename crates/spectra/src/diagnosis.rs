@@ -147,10 +147,11 @@ impl IncrementalDiagnoser {
     }
 
     /// Scores the steps appended so far and returns the top-k window
-    /// (empty before the first step). Each call is one O(blocks)
-    /// scoring pass on the calling thread — a read is too short for
-    /// scoring shards to pay for their threads — and the result equals
-    /// the dense ranking's `top(k)` over the same steps.
+    /// (empty before the first step). Each call is one O(blocks) pass
+    /// on the calling thread — a read is too short for scoring shards to
+    /// pay for their threads — that scores a run of equal counts the
+    /// window turns away once, and the result equals the dense ranking's
+    /// `top(k)` over the same steps.
     pub fn top_k(&self) -> TopK {
         if self.counts.steps() == 0 {
             return TopK::empty(self.counts.n_blocks());

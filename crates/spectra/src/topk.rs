@@ -24,10 +24,19 @@
 //! placement cannot perturb them. Coefficient scores are never NaN
 //! (degenerate denominators score 0.0), which is what makes this total
 //! order well-defined.
+//!
+//! **Runs of equal counts are scored once.** A block's score depends on
+//! its counts and the step totals alone, and a tie ranks the higher id
+//! lower. So once a full heap turns a block away, the blocks right after
+//! it with the same counts cannot make the window either, and a shard
+//! skips them unscored until a block with other counts comes. Spectra
+//! are region-shaped — a firmware function's blocks are hit together,
+//! and most blocks are never hit — so on a loop-sized matrix most blocks
+//! are skipped; the result does not change.
 
 use crate::counts::CountsMatrix;
 use crate::ranking::RankingEntry;
-use crate::similarity::Coefficient;
+use crate::similarity::{Coefficient, Counts};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::thread;
@@ -113,6 +122,12 @@ impl Ord for WorstFirst {
 }
 
 /// Scores `lo..hi` and keeps the k best in ranking order.
+///
+/// A block whose counts equal those of the block before it, which a full
+/// heap turned away, is skipped unscored: it scores the same (the score
+/// is a function of the counts and the step totals alone) and ranks after
+/// it (ties go to the lower id), and the heap's worst only improves. So
+/// each run of equal counts among the rejected blocks is scored once.
 fn partition_top_k(
     matrix: &CountsMatrix,
     coefficient: Coefficient,
@@ -124,18 +139,30 @@ fn partition_top_k(
         return Vec::new();
     }
     let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+    // The previous block's counts while that block stands turned away.
+    let mut turned_away: Option<Counts> = None;
     for block in lo..hi {
+        let counts = matrix.counts(block);
+        if turned_away == Some(counts) {
+            continue;
+        }
+        turned_away = Some(counts);
         let entry = RankingEntry {
             block,
-            score: matrix.score(block, coefficient),
+            score: coefficient.score(counts),
         };
-        if heap.len() < k {
-            heap.push(WorstFirst(entry));
-        } else if let Some(worst) = heap.peek() {
-            if rank_cmp(&entry, &worst.0) == Ordering::Less {
+        let admit = heap.len() < k
+            || heap
+                .peek()
+                .is_some_and(|worst| rank_cmp(&entry, &worst.0) == Ordering::Less);
+        if admit {
+            if heap.len() == k {
                 heap.pop();
-                heap.push(WorstFirst(entry));
             }
+            heap.push(WorstFirst(entry));
+            // The next block may tie this one and still rank above the
+            // new worst.
+            turned_away = None;
         }
     }
     let mut kept: Vec<RankingEntry> = heap.into_iter().map(|w| w.0).collect();
@@ -173,7 +200,9 @@ fn effective_shards(n: u32, requested: usize) -> usize {
 /// time-slices them). Small matrices are scored inline: the effective
 /// shard count is clamped so each worker gets at least
 /// 4 096 blocks, and a single effective shard skips
-/// `thread::scope` entirely.
+/// `thread::scope` entirely. Each shard walks its blocks once but
+/// scores a run of equal counts that its full heap turns away only at
+/// the run's first block (see the module docs).
 ///
 /// # Panics
 ///

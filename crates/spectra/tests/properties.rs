@@ -53,6 +53,34 @@ fn runs_from_labels(labels: &[u8]) -> CoverageRuns {
     runs
 }
 
+/// A region-shaped scenario: 40 regions of `stretch` blocks each, every
+/// region hit whole or missed per step, so runs of equal counts span
+/// whole regions. With 1,024-block regions the matrix has enough blocks
+/// for every requested shard count to run.
+fn region_strategy() -> impl Strategy<Value = (u32, Vec<(Vec<u32>, bool)>)> {
+    (
+        prop::sample::select(vec![3u32, 1_024]),
+        prop::collection::vec(
+            (prop::collection::vec(any::<bool>(), 40), any::<bool>()),
+            1..8,
+        ),
+    )
+        .prop_map(|(stretch, steps)| {
+            let steps = steps
+                .into_iter()
+                .map(|(regions, failed)| {
+                    let hits = (0u32..)
+                        .zip(regions)
+                        .filter(|&(_, hit)| hit)
+                        .flat_map(|(r, _)| r * stretch..(r + 1) * stretch)
+                        .collect();
+                    (hits, failed)
+                })
+                .collect();
+            (40 * stretch, steps)
+        })
+}
+
 fn build_both(n_blocks: u32, steps: &[(Vec<u32>, bool)]) -> (SpectrumMatrix, CountsMatrix) {
     let mut dense = SpectrumMatrix::new(n_blocks);
     let mut columnar = CountsMatrix::new(n_blocks);
@@ -171,14 +199,20 @@ proptest! {
     }
 
     /// Sharded top-k equals the dense full sort's top slice — exactly,
-    /// ties included — for every coefficient, shard count, and k.
+    /// ties included — for every coefficient, shard count, and k, on
+    /// scattered hits and on region-shaped ones, whose long runs of
+    /// equal counts the scorer skips after a turned-away block.
     #[test]
     fn sharded_top_k_equals_full_sort(
-        steps in scenario_strategy(40, 16),
+        scenario in prop_oneof![
+            scenario_strategy(40, 16).prop_map(|steps| (40, steps)),
+            region_strategy(),
+        ],
         shards in 1usize..9,
         k in 0usize..50
     ) {
-        let (dense, columnar) = build_both(40, &steps);
+        let (n_blocks, steps) = scenario;
+        let (dense, columnar) = build_both(n_blocks, &steps);
         for coef in Coefficient::ALL {
             let oracle = dense.rank(coef);
             let top = score_top_k(&columnar, coef, k, shards);

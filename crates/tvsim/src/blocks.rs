@@ -101,7 +101,7 @@ impl FirmwareOp {
     }
 
     /// Deterministic per-op region seed.
-    fn region(self) -> u32 {
+    const fn region(self) -> u32 {
         match self {
             FirmwareOp::Boot => 0,
             FirmwareOp::Tune => 1,
@@ -165,8 +165,9 @@ impl SyntheticCodeBank {
     /// they come in: the core region's always-executed part and one
     /// slice per set variant bit (disjoint ranges, ascending), then the
     /// shared tail's draws (single blocks that may repeat). This is the
-    /// one description of an op's footprint; [`Self::execute`] and
-    /// [`CoverageRecorder::take_runs`] both expand through it.
+    /// one description of an op's footprint: [`Self::execute`] expands
+    /// through it, and [`CoverageRecorder::take_runs`] takes its ranges
+    /// and reads the same draws from [`SHARED_TAILS`].
     fn runs(
         &self,
         op: FirmwareOp,
@@ -187,14 +188,31 @@ impl SyntheticCodeBank {
             });
         // Shared utility tail: scattered high blocks common across ops.
         let shared_space = u64::from(self.n_blocks - Self::SHARED_BASE);
-        let seed = (op.region() as u64 + 1).wrapping_mul(0x9E37_79B9);
-        let tail = (0..120).scan(seed, move |x, _| {
-            *x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            Some(Self::SHARED_BASE + ((*x >> 16) % shared_space) as u32)
+        let tail = (0..Self::TAIL_DRAWS).scan(Self::tail_seed(op), move |x, _| {
+            *x = Self::tail_step(*x);
+            Some(Self::tail_block(*x, shared_space))
         });
         (std::iter::once(start..start + always).chain(variants), tail)
+    }
+
+    /// Shared-tail draws per operation.
+    const TAIL_DRAWS: usize = 120;
+
+    /// The state the tail draws of `op` start from.
+    const fn tail_seed(op: FirmwareOp) -> u64 {
+        (op.region() as u64 + 1).wrapping_mul(0x9E37_79B9)
+    }
+
+    /// One step of the tail's generator (an LCG).
+    const fn tail_step(x: u64) -> u64 {
+        x.wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+    }
+
+    /// The tail block a generator state draws among `shared_space`
+    /// blocks from [`Self::SHARED_BASE`].
+    const fn tail_block(x: u64, shared_space: u64) -> u32 {
+        Self::SHARED_BASE + ((x >> 16) % shared_space) as u32
     }
 
     /// Executes `op` against the coverage recorder: hits its core region,
@@ -242,6 +260,29 @@ impl Default for SyntheticCodeBank {
     }
 }
 
+/// Each op's shared-tail draws in a bank of [`N_BLOCKS`] blocks, at
+/// `op.region()`: the ids [`SyntheticCodeBank::runs`] draws, in draw
+/// order. Evaluated at compile time, so no TV build or take draws them.
+static SHARED_TAILS: [[u32; SyntheticCodeBank::TAIL_DRAWS]; FirmwareOp::ALL.len()] = shared_tails();
+
+const fn shared_tails() -> [[u32; SyntheticCodeBank::TAIL_DRAWS]; FirmwareOp::ALL.len()] {
+    let shared_space = (N_BLOCKS - SyntheticCodeBank::SHARED_BASE) as u64;
+    let mut tails = [[0; SyntheticCodeBank::TAIL_DRAWS]; FirmwareOp::ALL.len()];
+    let mut o = 0;
+    while o < FirmwareOp::ALL.len() {
+        let op = FirmwareOp::ALL[o];
+        let mut x = SyntheticCodeBank::tail_seed(op);
+        let mut draw = 0;
+        while draw < SyntheticCodeBank::TAIL_DRAWS {
+            x = SyntheticCodeBank::tail_step(x);
+            tails[op.region() as usize][draw] = SyntheticCodeBank::tail_block(x, shared_space);
+            draw += 1;
+        }
+        o += 1;
+    }
+    tails
+}
+
 /// The TV's block instrumentation target: the hand-written feature
 /// blocks go straight into a [`BlockCoverage`], while each bank
 /// execution is logged as one variant mask per [`FirmwareOp`] and
@@ -257,9 +298,9 @@ impl Default for SyntheticCodeBank {
 /// fixed size: recording never allocates.
 ///
 /// ```
-/// use tvsim::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank, N_BLOCKS};
+/// use tvsim::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank};
 ///
-/// let mut rec = CoverageRecorder::new(N_BLOCKS);
+/// let mut rec = CoverageRecorder::default();
 /// rec.exec(FirmwareOp::TeletextRender, 0);
 /// rec.exec(FirmwareOp::TeletextRender, 1 << SyntheticCodeBank::FAULT_BIT);
 /// let fault_block = rec.bank().teletext_fault_block();
@@ -282,23 +323,21 @@ pub struct CoverageRecorder {
     variants: [u32; FirmwareOp::ALL.len()],
 }
 
-impl CoverageRecorder {
-    /// A recorder over `n_blocks` instrumented blocks with the bank of
-    /// that size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank does not fit (see [`SyntheticCodeBank::new`]).
-    pub fn new(n_blocks: u32) -> Self {
+impl Default for CoverageRecorder {
+    /// A recorder over the default bank's [`N_BLOCKS`] blocks, the one
+    /// size its shared-tail table is built for.
+    fn default() -> Self {
         CoverageRecorder {
-            bank: SyntheticCodeBank::new(n_blocks),
-            cov: BlockCoverage::new(n_blocks),
+            bank: SyntheticCodeBank::default(),
+            cov: BlockCoverage::new(N_BLOCKS),
             tail_seen: None,
             executed: 0,
             variants: [0; FirmwareOp::ALL.len()],
         }
     }
+}
 
+impl CoverageRecorder {
     /// The synthetic firmware bank.
     pub fn bank(&self) -> &SyntheticCodeBank {
         &self.bank
@@ -338,22 +377,23 @@ impl CoverageRecorder {
     /// snapshot: `runs` is overwritten with each executed op's core range
     /// and variant slices, and with the hand-written hits and shared-tail
     /// blocks as single ids, then the recorder clears exactly as a take
-    /// does. No block of a range is set one by one, and after the first
-    /// call nothing allocates once `runs` has grown to a step's size.
+    /// does. No block of a range is set one by one, each op's shared tail
+    /// is read from a table built at compile time instead of being drawn
+    /// again, and after the first call nothing allocates once `runs` has
+    /// grown to a step's size.
     pub fn take_runs(&mut self, runs: &mut CoverageRuns) {
         runs.ranges.clear();
         runs.blocks.clear();
-        let tail_len = self.bank.n_blocks() - SyntheticCodeBank::SHARED_BASE;
         let tail_seen = self
             .tail_seen
-            .get_or_insert_with(|| BlockCoverage::new(tail_len));
+            .get_or_insert_with(|| BlockCoverage::new(N_BLOCKS - SyntheticCodeBank::SHARED_BASE));
         for op in FirmwareOp::ALL {
             let r = op.region();
             if self.executed & (1 << r) != 0 {
-                let (ranges, tail) = self.bank.runs(op, self.variants[r as usize]);
+                let (ranges, _) = self.bank.runs(op, self.variants[r as usize]);
                 runs.ranges.extend(ranges);
                 // A bitset dedups tail draws within and across ops.
-                for b in tail {
+                for &b in &SHARED_TAILS[r as usize] {
                     let seen = b - SyntheticCodeBank::SHARED_BASE;
                     if !tail_seen.is_hit(seen) {
                         tail_seen.hit(seen);
@@ -466,6 +506,18 @@ mod tests {
         }
         let hit = cov.count();
         assert!(hit > 12_000 && hit < 22_000, "hit={hit}");
+    }
+
+    #[test]
+    fn shared_tail_table_is_the_draws() {
+        let bank = SyntheticCodeBank::default();
+        for op in FirmwareOp::ALL {
+            let draws: Vec<u32> = bank.runs(op, 0).1.collect();
+            let tail = &SHARED_TAILS[op.region() as usize];
+            assert_eq!(tail[..], draws, "{op:?}");
+            let ids = SyntheticCodeBank::SHARED_BASE..N_BLOCKS;
+            assert!(tail.iter().all(|b| ids.contains(b)), "{op:?}");
+        }
     }
 
     #[test]

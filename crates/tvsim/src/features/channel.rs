@@ -92,7 +92,7 @@ mod tests {
         faults: &FaultSet,
         f: impl FnOnce(&mut ChannelTuner, &mut FeatureCtx<'_>),
     ) -> Vec<observe::Observation> {
-        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
+        let mut cov = CoverageRecorder::default();
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,

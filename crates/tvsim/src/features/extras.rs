@@ -185,7 +185,7 @@ mod tests {
     use crate::faults::FaultSet;
 
     fn with_ctx<R>(now: SimTime, faults: &FaultSet, f: impl FnOnce(&mut FeatureCtx<'_>) -> R) -> R {
-        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
+        let mut cov = CoverageRecorder::default();
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now,

@@ -192,7 +192,7 @@ mod tests {
         faults: &FaultSet,
         f: impl FnOnce(&mut ScreenManager, &mut FeatureCtx<'_>),
     ) {
-        let mut cov = CoverageRecorder::new(crate::blocks::N_BLOCKS);
+        let mut cov = CoverageRecorder::default();
         let mut obs = Vec::new();
         let mut ctx = FeatureCtx {
             now: SimTime::ZERO,

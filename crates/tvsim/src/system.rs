@@ -1,6 +1,6 @@
 //! The composed television system.
 
-use crate::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank, N_BLOCKS};
+use crate::blocks::{CoverageRecorder, FirmwareOp, SyntheticCodeBank};
 use crate::faults::{FaultSet, TvFault};
 use crate::features::channel::ChannelTuner;
 use crate::features::extras::{SleepTimer, Swivel};
@@ -114,7 +114,7 @@ impl TvSystem {
             on: false,
             units: Units::default(),
             faults: FaultSet::none(),
-            cov: CoverageRecorder::new(N_BLOCKS),
+            cov: CoverageRecorder::default(),
         }
     }
 

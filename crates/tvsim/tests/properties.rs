@@ -212,7 +212,7 @@ proptest! {
     fn deferred_coverage_equals_eager_execution(
         steps in prop::collection::vec(arb_cov_step(), 1..48)
     ) {
-        let mut rec = CoverageRecorder::new(N_BLOCKS);
+        let mut rec = CoverageRecorder::default();
         let bank = *rec.bank();
         let mut eager = BlockCoverage::new(N_BLOCKS);
         for step in steps {
