@@ -185,11 +185,6 @@ impl Comparator {
         &self.stats
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &Configuration {
-        &self.config
-    }
-
     /// Records the model's expected value for an observable.
     pub fn set_expected(&mut self, name: impl Into<String>, value: ObsValue) {
         let name = name.into();

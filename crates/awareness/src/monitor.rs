@@ -12,11 +12,8 @@ use crate::diagnosis::{DiagnosisConfig, OnlineDiagnosis};
 use crate::error::DetectedError;
 use crate::message::Message;
 use crate::reliable::{BoundaryChannel, ProbeNames, ReliableChannel};
-use crate::supervisor::{
-    DegradationMode, Supervisor, SupervisorAction, SupervisorConfig, SupervisorReport,
-};
+use crate::supervisor::{Supervisor, SupervisorAction, SupervisorConfig, SupervisorReport};
 use observe::{ObsValue, Observation, ObservationKind};
-use recovery::{CheckpointVault, RestoreOutcome, Snapshot};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Event, Executor, Machine, OutputRecord, Value};
 use std::borrow::Cow;
@@ -37,21 +34,6 @@ fn start_model(machine: &Machine) -> Executor<'_> {
     let mut model = Executor::new(machine);
     model.start();
     model
-}
-
-/// Checkpoint generations kept for the monitor's own state.
-const MONITOR_VAULT_CAPACITY: usize = 4;
-/// The vault unit name the monitor checkpoints under.
-const MONITOR_UNIT: &str = "monitor";
-
-/// Self-supervision state: the watchdog and escalation ladder, and the
-/// checkpoint history its micro-reboot rung restores the monitor from.
-#[derive(Debug)]
-struct Supervision {
-    supervisor: Supervisor,
-    vault: CheckpointVault,
-    /// When the last checkpoint was sealed.
-    last_save: Option<SimTime>,
 }
 
 /// The boundary channels' settings, kept by the monitor so supervision
@@ -250,19 +232,10 @@ impl<'m> MonitorBuilder<'m> {
         let mut comparator = Comparator::new(self.configuration);
         comparator.set_enabled(!model.in_unstable_state());
         comparator.set_telemetry(self.telemetry.clone());
-        let supervision = self.supervision.map(|config| {
+        let supervisor = self.supervision.map(|config| {
             let mut supervisor = Supervisor::new(config);
             supervisor.set_telemetry(self.telemetry.clone());
-            Supervision {
-                supervisor,
-                // Seeded from the channel seed so two monitors never
-                // validate each other's checkpoints.
-                vault: CheckpointVault::new(
-                    self.channels.seed ^ 0x5EED_0FC0_DE00,
-                    MONITOR_VAULT_CAPACITY,
-                ),
-                last_save: None,
-            }
+            supervisor
         });
         let diagnosis = self.diagnosis.as_ref().map(|config| {
             let mut d = OnlineDiagnosis::new(config);
@@ -279,7 +252,7 @@ impl<'m> MonitorBuilder<'m> {
             comparator,
             running: true,
             errors: Vec::new(),
-            supervision,
+            supervisor,
             diagnosis,
             errors_total: 0,
             channels: self.channels,
@@ -316,7 +289,7 @@ pub struct AwarenessMonitor<'m> {
     running: bool,
     /// Controller: detected errors awaiting the caller (oldest first).
     errors: Vec<DetectedError>,
-    supervision: Option<Supervision>,
+    supervisor: Option<Supervisor>,
     diagnosis: Option<OnlineDiagnosis>,
     errors_total: u64,
     channels: ChannelSettings,
@@ -410,21 +383,19 @@ impl<'m> AwarenessMonitor<'m> {
     /// resulting structural action, if any. Called automatically at the
     /// end of [`AwarenessMonitor::advance_to`].
     pub fn supervise(&mut self, now: SimTime) {
-        let Some(mut supervision) = self.supervision.take() else {
+        let Some(mut supervisor) = self.supervisor.take() else {
             return;
         };
         let backlog = self.input.in_flight() + self.output.in_flight();
         self.telemetry
             .metric_gauge("awareness.monitor.backlog", backlog as i64);
-        match supervision.supervisor.observe(now, backlog) {
+        match supervisor.observe(now, backlog) {
             Some(SupervisorAction::Retry) => {
                 // Cheap resync: clear deviation streaks, keep state.
                 self.comparator.reset();
             }
             Some(SupervisorAction::RestartChannels) => self.restart_channels(),
-            Some(SupervisorAction::MicroRebootMonitor) => {
-                self.micro_reboot_monitor(now, &mut supervision.vault);
-            }
+            Some(SupervisorAction::MicroRebootMonitor) => self.micro_reboot_monitor(now),
             Some(SupervisorAction::RestartMonitor) => self.restart_monitor(),
             Some(SupervisorAction::EnterSafeMode) => {
                 // Structural part of safe mode: drop the backlog that can
@@ -434,74 +405,21 @@ impl<'m> AwarenessMonitor<'m> {
                 self.output.clear();
                 self.comparator.reset();
             }
-            // Checkpoints are only worth keeping when taken from a window
-            // the supervisor itself judged healthy — a snapshot of a
-            // wedged monitor would just micro-reboot us back into the
-            // wedge.
-            None if supervision.supervisor.mode() == DegradationMode::Normal => {
-                self.maybe_checkpoint(now, &mut supervision);
-            }
             None => {}
         }
-        self.comparator
-            .set_degradation(supervision.supervisor.mode());
-        supervision.supervisor.heartbeat(now);
-        self.supervision = Some(supervision);
+        self.comparator.set_degradation(supervisor.mode());
+        supervisor.heartbeat(now);
+        self.supervisor = Some(supervisor);
     }
 
-    /// Saves a sealed monitor checkpoint when the healthy-window cadence
-    /// (the supervisor's stall threshold) has elapsed since the last
-    /// save.
-    fn maybe_checkpoint(&self, now: SimTime, supervision: &mut Supervision) {
-        let every = supervision.supervisor.config().stall_after;
-        if supervision
-            .last_save
-            .is_some_and(|last| now.since(last) < every)
-        {
-            return;
-        }
-        let mut state = Snapshot::new();
-        state.insert("channel_epoch".into(), self.channel_epoch as f64);
-        state.insert("errors_total".into(), self.errors_total as f64);
-        state.insert(
-            "reliable".into(),
-            if self.channels.reliable { 1.0 } else { 0.0 },
-        );
-        supervision.vault.save(MONITOR_UNIT, now, state);
-        supervision.last_save = Some(now);
+    /// The micro-reboot rung: fresh channels on a new epoch and a reset
+    /// comparator. The model executor and diagnosis state are kept —
+    /// that is what makes this cheaper than a full restart.
+    fn micro_reboot_monitor(&mut self, now: SimTime) {
+        self.next_channel_epoch();
+        self.comparator.reset();
         self.telemetry
-            .count(now, "awareness.monitor.checkpoints", 1);
-    }
-
-    /// Attempts the micro-reboot rung: restore the latest validated
-    /// checkpoint from `vault` and rebuild only the channel plumbing
-    /// around it. The model executor, comparator expectations and
-    /// diagnosis state are kept — that is what makes this cheaper than a
-    /// full restart. When no checkpoint in the history validates, it
-    /// falls through to the full-restart rung at once.
-    fn micro_reboot_monitor(&mut self, now: SimTime, vault: &mut CheckpointVault) {
-        match vault.restore_latest(MONITOR_UNIT) {
-            RestoreOutcome::Restored { state, .. } => {
-                // Resume one epoch past the checkpointed one, not past
-                // the live one: restart rungs since the checkpoint have
-                // already run channels on the epochs above it, so the
-                // fresh channels may reuse a disturbance stream that an
-                // earlier incarnation (the wedged one too) consumed.
-                let epoch = state
-                    .get("channel_epoch")
-                    .map_or(self.channel_epoch, |v| *v as u64);
-                self.channel_epoch = epoch.wrapping_add(1);
-                self.rebuild_channels();
-                self.comparator.reset();
-                self.telemetry
-                    .count(now, "awareness.monitor.micro_reboots", 1);
-            }
-            RestoreOutcome::Exhausted { .. } | RestoreOutcome::NoHistory => {
-                self.telemetry
-                    .count(now, "awareness.monitor.micro_reboot_escalations", 1);
-                self.restart_monitor();
-            }
-        }
+            .count(now, "awareness.monitor.micro_reboots", 1);
     }
 
     /// The full-restart rung: fresh channels, a fresh model, a reset
@@ -515,17 +433,17 @@ impl<'m> AwarenessMonitor<'m> {
     }
 
     fn restart_channels(&mut self) {
-        self.channel_epoch += 1;
-        self.rebuild_channels();
+        self.next_channel_epoch();
         self.telemetry
             .count(self.now, "awareness.monitor.channel_restarts", 1);
     }
 
-    /// Rebuilds both observation channels for the current epoch without
-    /// advancing it — shared by the restart rung (which increments the
-    /// epoch) and the micro-reboot rung (which restores it from a
-    /// checkpoint).
-    fn rebuild_channels(&mut self) {
+    /// Rebuilds both observation channels on the next epoch, so a
+    /// rebuilt channel never reuses a disturbance stream an earlier
+    /// incarnation consumed — shared by the channel-restart and
+    /// micro-reboot rungs, which count their own telemetry.
+    fn next_channel_epoch(&mut self) {
+        self.channel_epoch += 1;
         (self.input, self.output) = self.channels.build(self.channel_epoch, &self.telemetry);
     }
 
@@ -652,7 +570,7 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// Self-supervision counters, when supervision is enabled.
     pub fn supervisor_report(&self) -> Option<&SupervisorReport> {
-        self.supervision.as_ref().map(|s| s.supervisor.report())
+        self.supervisor.as_ref().map(Supervisor::report)
     }
 
     /// Stops the monitor; offered observations are dropped.
@@ -670,6 +588,7 @@ impl<'m> AwarenessMonitor<'m> {
 mod tests {
     use super::*;
     use crate::config::CompareSpec;
+    use crate::supervisor::DegradationMode;
     use statemachine::MachineBuilder;
 
     fn toggle_machine() -> Machine {
@@ -701,14 +620,9 @@ mod tests {
 
     /// The supervisor's degradation mode; `Normal` when unsupervised.
     fn mode(mon: &AwarenessMonitor) -> DegradationMode {
-        mon.supervision
+        mon.supervisor
             .as_ref()
-            .map_or(DegradationMode::Normal, |s| s.supervisor.mode())
-    }
-
-    /// The checkpoint vault of a supervised monitor.
-    fn vault<'a>(mon: &'a AwarenessMonitor<'_>) -> &'a CheckpointVault {
-        &mon.supervision.as_ref().expect("supervised").vault
+            .map_or(DegradationMode::Normal, Supervisor::mode)
     }
 
     fn load(at_ms: u64) -> Observation {
@@ -1098,12 +1012,10 @@ mod tests {
             })
             .telemetry(tel.clone())
             .build();
-        // Healthy cadence long enough to bank several sealed checkpoints.
+        // A healthy cadence first.
         for ms in (0..2100).step_by(100) {
             mon.advance_to(SimTime::from_millis(ms));
         }
-        let banked = vault(&mon);
-        assert!(banked.count(MONITOR_UNIT) >= 2, "{:?}", banked.stats());
         // Starve the loop: Retry, two channel restarts, then the budget
         // runs out and the micro-reboot rung fires.
         let mut t = 2100;
@@ -1120,12 +1032,11 @@ mod tests {
         assert_eq!(report.micro_reboots, 1, "{report:?}");
         assert_eq!(report.monitor_restarts, 0, "{report:?}");
         assert_eq!(report.safe_mode_entries, 0, "{report:?}");
-        // The rung restored epoch 0 from the checkpoint and resumed one
-        // past it — not one past the two restart-rung epochs.
-        assert_eq!(mon.channel_epoch, 1);
-        // Only a validated restore counts a micro-reboot.
+        // Epochs only climb: the two restart-rung epochs, then one
+        // past them, so no rebuilt channel reuses a consumed stream.
+        assert_eq!(report.channel_restarts, 2, "{report:?}");
+        assert_eq!(mon.channel_epoch, 3);
         assert_eq!(tel.counter("awareness.monitor.micro_reboots"), 1);
-        assert!(tel.counter("awareness.monitor.checkpoints") >= 2);
         // A healthy spell relaxes the degradation back to Normal…
         for step in 1..=3 {
             mon.advance_to(SimTime::from_millis(t + step * 100));
@@ -1133,49 +1044,6 @@ mod tests {
         assert_eq!(mode(&mon), DegradationMode::Normal);
         // …and the monitor keeps vouching after the micro-reboot: a
         // mismatch is still detected.
-        mon.offer(&key(t + 400));
-        mon.offer(&light(t + 400, 0.0));
-        mon.advance_to(SimTime::from_millis(t + 500));
-        assert!(mon.errors_total >= 1);
-    }
-
-    #[test]
-    fn exhausted_checkpoint_history_escalates_to_full_restart() {
-        let m = toggle_machine();
-        let tel = Telemetry::recording(256);
-        let mut mon = MonitorBuilder::new(&m)
-            .supervised(SupervisorConfig {
-                breaker_threshold: 10,
-                ..SupervisorConfig::default()
-            })
-            .telemetry(tel.clone())
-            .build();
-        // One healthy window → exactly one checkpoint banked.
-        mon.advance_to(SimTime::from_millis(100));
-        let banked = &mut mon.supervision.as_mut().expect("supervised").vault;
-        assert_eq!(banked.count(MONITOR_UNIT), 1);
-        // Chaos corrupts the sole generation; the fingerprint must catch
-        // it on restore and the rung must escalate to a full restart.
-        assert!(banked.corrupt_latest(MONITOR_UNIT, 3));
-        let mut t = 100;
-        loop {
-            t += 700;
-            mon.advance_to(SimTime::from_millis(t));
-            let report = mon.supervisor_report().unwrap();
-            if report.micro_reboots >= 1 {
-                break;
-            }
-            assert!(t < 60_000, "micro-reboot rung must be attempted");
-        }
-        assert_eq!(tel.counter("awareness.monitor.micro_reboot_escalations"), 1);
-        assert_eq!(tel.counter("awareness.monitor.micro_reboots"), 0);
-        assert_eq!(vault(&mon).stats().corrupt_detected, 1);
-        // The fallback was the full-restart rung, so the model executor
-        // was rebuilt and the controller bounced — the monitor survives.
-        for step in 1..=3 {
-            mon.advance_to(SimTime::from_millis(t + step * 100));
-        }
-        assert_eq!(mode(&mon), DegradationMode::Normal);
         mon.offer(&key(t + 400));
         mon.offer(&light(t + 400, 0.0));
         mon.advance_to(SimTime::from_millis(t + 500));

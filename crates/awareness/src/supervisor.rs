@@ -21,9 +21,9 @@
 //! * an **escalation ladder** built from the recovery crate's
 //!   primitives: cheap retry → restart the boundary channels
 //!   ([`recovery::EscalationPolicy`] unit restart) → micro-reboot the
-//!   monitor from its latest validated checkpoint (policy escalation) →
-//!   restart the whole monitor → **safe mode** when the
-//!   [`recovery::CircuitBreaker`] trips. Safe mode is sticky and honest:
+//!   monitor: fresh channels and a reset comparator around the running
+//!   model (policy escalation) → restart the whole monitor → **safe
+//!   mode** when the [`recovery::CircuitBreaker`] trips. Safe mode is sticky and honest:
 //!   every check is skipped, so the monitor stops vouching for health it
 //!   can no longer assess.
 
@@ -106,10 +106,13 @@ pub enum SupervisorAction {
     Retry,
     /// Drop and re-create the boundary channels' in-flight state.
     RestartChannels,
-    /// Restore the monitor from its latest validated checkpoint,
-    /// keeping the executing model — cheaper than a full restart. Falls
-    /// back to [`SupervisorAction::RestartMonitor`] when the checkpoint
-    /// history is exhausted.
+    /// Rebuild the boundary channels on a fresh epoch and reset the
+    /// comparator, keeping the executing model — cheaper than a full
+    /// restart. A rung of its own beside
+    /// [`SupervisorAction::RestartChannels`]: it also clears the
+    /// comparator's streaks and cached values, and
+    /// [`SupervisorReport::rung`] (the loop's `ladder_rung`) ranks it as
+    /// rung 3.
     MicroRebootMonitor,
     /// Restart the whole monitor (model, comparator, channels).
     RestartMonitor,
@@ -205,11 +208,6 @@ impl Supervisor {
         self.mode = mode;
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// The current degradation mode.
     pub fn mode(&self) -> DegradationMode {
         self.mode
@@ -299,9 +297,8 @@ impl Supervisor {
                     .count(now, "awareness.supervisor.micro_reboots", 1);
                 Some(SupervisorAction::MicroRebootMonitor)
             }
-            // RestartUnit (and any future partial action) maps to the
-            // channel-restart rung.
-            _ => {
+            // A unit restart maps to the channel-restart rung.
+            RecoveryAction::RestartUnit(_) => {
                 self.report.channel_restarts += 1;
                 self.telemetry
                     .count(now, "awareness.supervisor.channel_restarts", 1);

@@ -6,12 +6,12 @@
 //! system, independent recovery of parts of the system is possible
 //! without large overhead."
 //!
-//! Four counter units take one message each per 10 ms tick for 10 s,
-//! with a checkpoint every second. One tick after the 2 s mark the
-//! teletext unit is recovered once: restarted alone (partial) or with
-//! every unit (full). No fault is injected first; the rows compare what
-//! the two restarts cost the same steady load in outage, delivered and
-//! dropped messages, and availability.
+//! Four counter units take one message each per 10 ms tick for 10 s.
+//! One tick after the 2 s mark the teletext unit is recovered once:
+//! restarted alone (partial) or with every unit (full). No fault is
+//! injected first; the rows compare what the two restarts cost the same
+//! steady load in outage, delivered and dropped messages, and
+//! availability.
 
 use crate::report::{f2, render_table};
 use recovery::{CommManager, CounterUnit, RecoveryAction, RecoveryManager, UnitHost, UnitMessage};
@@ -104,13 +104,6 @@ fn run_strategy(partial: bool) -> E4Row {
                     reply_to: None,
                 },
             );
-        }
-        // Periodic checkpoints.
-        if now
-            .as_nanos()
-            .is_multiple_of(SimDuration::from_secs(1).as_nanos())
-        {
-            manager.checkpoint_all(now, &mut host);
         }
         if now == recover_at {
             let action = if partial {

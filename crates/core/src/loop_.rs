@@ -14,7 +14,7 @@ use detect::{ConsistencyRule, Detector, ModeConsistencyDetector};
 use faults::injector::Transition;
 use faults::{Injector, Schedule};
 use observe::{BlockSnapshot, CoverageRuns, ObsValue, Observation, ObservationKind};
-use recovery::{CheckpointVault, RestoreOutcome};
+use recovery::{CheckpointVault, RestoreOutcome, FULL_RESTART_OUTAGE};
 use simkit::{SimDuration, SimTime};
 use statemachine::{Executor, Machine, OutputRecord, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,9 +79,6 @@ const CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(500);
 
 /// Checkpoint generations kept per unit.
 const VAULT_CAPACITY: usize = 4;
-
-/// Virtual-time outage of a full restart (all units down).
-const FULL_RESTART_OUTAGE: SimDuration = SimDuration::from_secs(4);
 
 /// Base virtual-time outage of a micro-reboot (one unit down).
 const MICRO_OUTAGE: SimDuration = SimDuration::from_millis(50);

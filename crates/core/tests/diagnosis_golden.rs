@@ -82,4 +82,4 @@ const GOLDEN_DIAGNOSES: u64 = 169;
 /// FNV-1a of the outcome's `Debug` rendering.
 const GOLDEN_OUTCOME: u64 = 0xeca5_381e_4ded_81af;
 /// FNV-1a of the recorded event timeline followed by the metrics readout.
-const GOLDEN_TELEMETRY: u64 = 0x2a77_a151_7300_b24b;
+const GOLDEN_TELEMETRY: u64 = 0x9f00_180f_4e15_4c34;

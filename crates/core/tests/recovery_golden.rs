@@ -1,11 +1,10 @@
 //! Golden report for E4, partial recovery against a full restart.
 //!
-//! E4 drives `RecoveryManager` through periodic `checkpoint_all` calls
-//! and one restart of the teletext unit, either alone or with every
-//! unit. This test pins the whole report: the rendered table field by
-//! field, and an FNV-1a fingerprint of its `Debug` rendering. A change
-//! to the recovery manager or its checkpoint storage must leave both
-//! identical.
+//! E4 drives `RecoveryManager` through one restart of the teletext
+//! unit, either alone or with every unit. This test pins the whole
+//! report: the rendered table field by field, and an FNV-1a fingerprint
+//! of its `Debug` rendering. A change to the recovery manager must
+//! leave both identical.
 
 use trader::experiments::e4_partial_recovery;
 

@@ -6,9 +6,8 @@
 //!   independent recovery of parts of the system", with a *communication
 //!   manager* controlling messages between units and a *recovery manager*
 //!   executing recovery actions "such as killing and restarting units".
-//!   The manager's rollback restores the newest valid checkpoint it
-//!   sealed in a [`CheckpointVault`]. See [`RecoverableUnit`],
-//!   [`UnitHost`], [`CommManager`], [`RecoveryManager`].
+//!   See [`RecoverableUnit`], [`UnitHost`], [`CommManager`],
+//!   [`RecoveryManager`].
 //! * **Load balancing** (IMEC): migrating an image-processing task off an
 //!   overloaded processor improves image quality under overload. See
 //!   [`LoadBalancer`]; the migration mechanism lives in
@@ -23,7 +22,7 @@
 //!   snapshots with seed-derived fingerprints so a faulty unit can be
 //!   restored from its newest *valid* generation while the rest of the
 //!   system keeps serving — the paper's local-recovery rung below a full
-//!   restart.
+//!   restart. The closed loop's unit recovery is its one user.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +44,5 @@ pub use microreboot::{
     seal_fingerprint, CheckpointVault, RestoreOutcome, SealedSnapshot, Snapshot, VaultStats,
 };
 pub use policy::EscalationPolicy;
-pub use recovery_manager::{RecoveryAction, RecoveryManager, RecoveryRecord};
+pub use recovery_manager::{RecoveryAction, RecoveryManager, RecoveryRecord, FULL_RESTART_OUTAGE};
 pub use unit::{CounterUnit, RecoverableUnit, UnitHost, UnitStatus};

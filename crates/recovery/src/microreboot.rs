@@ -14,9 +14,8 @@
 //!
 //! Crash consistency is the caller's side of the contract: snapshots must
 //! be taken from error-free windows and reconciled after restore. The
-//! loop replays the per-unit key-press journal it keeps alongside; the
-//! monitor replays nothing, and resumes from the restored channel epoch
-//! with fresh channels and a reset comparator.
+//! closed loop's unit recovery, the vault's one user, replays the
+//! per-unit key-press journal it keeps alongside.
 
 use simkit::SimTime;
 use std::borrow::Cow;

@@ -1,6 +1,5 @@
 //! The recovery manager: executes recovery actions.
 
-use crate::microreboot::{CheckpointVault, RestoreOutcome};
 use crate::unit::{UnitHost, UnitStatus};
 use simkit::{SimDuration, SimTime};
 use std::fmt;
@@ -9,13 +8,8 @@ use std::fmt;
 const UNIT_RESTART: SimDuration = SimDuration::from_millis(200);
 /// How long every unit is down while the whole system restarts (20× a
 /// unit restart: the cost asymmetry that motivates partial recovery).
-const FULL_RESTART: SimDuration = SimDuration::from_secs(4);
-/// How long one unit is down while it restores a checkpoint.
-const ROLLBACK: SimDuration = SimDuration::from_millis(50);
-/// Checkpoint generations kept per unit.
-const HISTORY: usize = 8;
-/// Keys the fingerprints that seal the manager's checkpoints.
-const VAULT_SEED: u64 = 0x5245_434f_5645_5259;
+/// The closed loop's full-restart rung takes the same outage.
+pub const FULL_RESTART_OUTAGE: SimDuration = SimDuration::from_secs(4);
 
 /// A recovery action (paper Sect. 4.5: "recovery actions such as killing
 /// and restarting units").
@@ -23,8 +17,6 @@ const VAULT_SEED: u64 = 0x5245_434f_5645_5259;
 pub enum RecoveryAction {
     /// Kill and cold-restart one unit.
     RestartUnit(String),
-    /// Restore one unit from its newest valid checkpoint (warm recovery).
-    RollbackUnit(String),
     /// Restart the whole system (the classical, expensive fallback).
     RestartAll,
 }
@@ -33,7 +25,6 @@ impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoveryAction::RestartUnit(u) => write!(f, "restart `{u}`"),
-            RecoveryAction::RollbackUnit(u) => write!(f, "rollback `{u}`"),
             RecoveryAction::RestartAll => f.write_str("restart all"),
         }
     }
@@ -50,22 +41,18 @@ pub struct RecoveryRecord {
 
 /// Executes recovery actions against a [`UnitHost`].
 ///
-/// Timing model: restarting one unit costs 200 ms, restarting the whole
-/// system 4 s and a rollback 50 ms. Checkpoints are sealed in a
-/// [`CheckpointVault`]; a rollback restores the newest generation that
-/// passes validation.
+/// Timing model: restarting one unit costs 200 ms and restarting the
+/// whole system 4 s.
 #[derive(Debug)]
 pub struct RecoveryManager {
-    vault: CheckpointVault,
     log: Vec<RecoveryRecord>,
     total_outage: SimDuration,
 }
 
 impl RecoveryManager {
-    /// A manager with no checkpoints and an empty log.
+    /// A manager with an empty log.
     pub fn with_defaults() -> Self {
         RecoveryManager {
-            vault: CheckpointVault::new(VAULT_SEED, HISTORY),
             log: Vec::new(),
             total_outage: SimDuration::ZERO,
         }
@@ -81,24 +68,12 @@ impl RecoveryManager {
         self.total_outage
     }
 
-    /// Seals a checkpoint of every running unit at `now`.
-    pub fn checkpoint_all(&mut self, now: SimTime, host: &mut UnitHost) {
-        let names: Vec<String> = host.names().iter().map(|s| s.to_string()).collect();
-        for name in names {
-            if host.is_running(&name) {
-                if let Some(unit) = host.unit(&name) {
-                    self.vault.save(&name, now, unit.checkpoint());
-                }
-            }
-        }
-    }
-
     /// Executes an action at `now`.
     ///
     /// Returns the outage the action incurs, or `None` if the target does
-    /// not exist or a rollback finds no valid checkpoint. An action that
-    /// returns `None` changes no unit and is not logged; choosing the
-    /// next action is the caller's (see [`crate::EscalationPolicy`]).
+    /// not exist. An action that returns `None` changes no unit and is
+    /// not logged; choosing the next action is the caller's (see
+    /// [`crate::EscalationPolicy`]).
     pub fn recover(
         &mut self,
         now: SimTime,
@@ -119,22 +94,6 @@ impl RecoveryManager {
                 );
                 UNIT_RESTART
             }
-            RecoveryAction::RollbackUnit(name) => {
-                host.status(name)?;
-                let RestoreOutcome::Restored { state, .. } = self.vault.restore_latest(name) else {
-                    return None;
-                };
-                if let Some(unit) = host.unit_mut(name) {
-                    unit.restore(&state);
-                }
-                host.set_status(
-                    name,
-                    UnitStatus::Restarting {
-                        until: now + ROLLBACK,
-                    },
-                );
-                ROLLBACK
-            }
             RecoveryAction::RestartAll => {
                 let names: Vec<String> = host.names().iter().map(|s| s.to_string()).collect();
                 for name in &names {
@@ -144,11 +103,11 @@ impl RecoveryManager {
                     host.set_status(
                         name,
                         UnitStatus::Restarting {
-                            until: now + FULL_RESTART,
+                            until: now + FULL_RESTART_OUTAGE,
                         },
                     );
                 }
-                FULL_RESTART
+                FULL_RESTART_OUTAGE
             }
         };
         self.total_outage += outage;
@@ -201,68 +160,6 @@ mod tests {
         host.tick(SimTime::from_millis(200));
         assert!(host.is_running("a"));
         assert_eq!(rm.log().len(), 1);
-    }
-
-    #[test]
-    fn rollback_restores_checkpoint() {
-        let mut host = host_with(&["a"]);
-        host.deliver(SimTime::ZERO, &msg("a"));
-        host.deliver(SimTime::ZERO, &msg("a"));
-        let mut rm = RecoveryManager::with_defaults();
-        rm.checkpoint_all(SimTime::ZERO, &mut host);
-        host.deliver(SimTime::ZERO, &msg("a"));
-        rm.recover(
-            SimTime::ZERO,
-            &mut host,
-            RecoveryAction::RollbackUnit("a".into()),
-        )
-        .unwrap();
-        host.tick(SimTime::from_millis(50));
-        // Count restored to the checkpointed 2, not 3.
-        host.deliver(SimTime::from_millis(50), &msg("a"));
-        let snap = host.unit("a").unwrap().checkpoint();
-        assert_eq!(snap["count"], 3.0);
-    }
-
-    #[test]
-    fn rollback_without_checkpoint_fails() {
-        let mut host = host_with(&["a"]);
-        let mut rm = RecoveryManager::with_defaults();
-        assert!(rm
-            .recover(
-                SimTime::ZERO,
-                &mut host,
-                RecoveryAction::RollbackUnit("a".into())
-            )
-            .is_none());
-    }
-
-    #[test]
-    fn rollback_restores_only_validated_state() {
-        let mut host = host_with(&["a"]);
-        let mut rm = RecoveryManager::with_defaults();
-        host.deliver(SimTime::ZERO, &msg("a"));
-        host.deliver(SimTime::ZERO, &msg("a"));
-        rm.checkpoint_all(SimTime::ZERO, &mut host);
-        host.deliver(SimTime::ZERO, &msg("a"));
-        rm.checkpoint_all(SimTime::from_millis(1), &mut host);
-        let rollback = || RecoveryAction::RollbackUnit("a".into());
-
-        // The count-3 generation is corrupt: the rollback skips it.
-        assert!(rm.vault.corrupt_latest("a", 0));
-        let t = SimTime::from_millis(10);
-        assert_eq!(rm.recover(t, &mut host, rollback()), Some(ROLLBACK));
-        assert_eq!(host.unit("a").unwrap().checkpoint()["count"], 2.0);
-        host.tick(t + ROLLBACK);
-        assert!(host.is_running("a"));
-
-        // The count-2 generation is the only one left; corrupt it too.
-        assert_eq!(rm.vault.count("a"), 1);
-        assert!(rm.vault.corrupt_latest("a", 0));
-        let logged = rm.log().len();
-        assert_eq!(rm.recover(t + ROLLBACK, &mut host, rollback()), None);
-        assert!(host.is_running("a"), "a failed rollback leaves the unit up");
-        assert_eq!(rm.log().len(), logged);
     }
 
     #[test]

@@ -30,7 +30,6 @@ fn fault_detect_recover_resume_cycle() {
         comm.send(SimTime::ZERO, &mut host, msg("audio"));
         comm.send(SimTime::ZERO, &mut host, msg("video"));
     }
-    manager.checkpoint_all(SimTime::ZERO, &mut host);
 
     // The video unit self-reports corruption; restart it.
     let t = SimTime::from_secs(1);
@@ -96,31 +95,6 @@ fn deadlock_detected_and_broken_by_kill() {
     detector.graph_mut().remove_task("scaler");
     assert!(detector.tick(SimTime::from_millis(6)).is_empty());
     assert!(detector.graph().find_cycle().is_none());
-}
-
-#[test]
-fn rollback_preserves_checkpointed_state() {
-    let mut host = UnitHost::new();
-    host.register(CounterUnit::new("epg"));
-    let mut comm = CommManager::new();
-    let mut manager = RecoveryManager::with_defaults();
-    for _ in 0..5 {
-        comm.send(SimTime::ZERO, &mut host, msg("epg"));
-    }
-    manager.checkpoint_all(SimTime::ZERO, &mut host);
-    for _ in 0..3 {
-        comm.send(SimTime::ZERO, &mut host, msg("epg"));
-    }
-    manager
-        .recover(
-            SimTime::from_secs(1),
-            &mut host,
-            RecoveryAction::RollbackUnit("epg".into()),
-        )
-        .unwrap();
-    host.tick(SimTime::from_secs(2));
-    // Count rolled back to the checkpoint value 5 (not 8, not 0).
-    assert_eq!(host.unit("epg").unwrap().checkpoint()["count"], 5.0);
 }
 
 #[test]
