@@ -526,7 +526,7 @@ impl RecoveryState {
             if self.dirty.contains(&unit) || self.is_down(at, unit) {
                 continue;
             }
-            self.vault.save(unit.name(), at, tv.unit_state(unit).into());
+            self.vault.save(unit.name(), at, tv.unit_state(unit));
             // The journal restarts at the new baseline.
             self.journal.remove(&unit);
             telemetry.count(at, "core.reboot.checkpoint", 1);

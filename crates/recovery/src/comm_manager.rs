@@ -113,7 +113,7 @@ impl CommManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit::{CounterUnit, UnitStatus};
+    use crate::unit::CounterUnit;
 
     fn msg(to: &str) -> UnitMessage {
         UnitMessage {
@@ -137,12 +137,7 @@ mod tests {
     fn queue_policy_redelivers_after_restart() {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("a"));
-        host.set_status(
-            "a",
-            UnitStatus::Restarting {
-                until: SimTime::from_millis(10),
-            },
-        );
+        assert!(host.restart(Some("a"), SimTime::from_millis(10)));
         let mut comm = CommManager::new();
         comm.send(SimTime::ZERO, &mut host, msg("a"));
         comm.send(SimTime::ZERO, &mut host, msg("a"));

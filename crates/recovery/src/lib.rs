@@ -6,7 +6,7 @@
 //!   independent recovery of parts of the system", with a *communication
 //!   manager* controlling messages between units and a *recovery manager*
 //!   executing recovery actions "such as killing and restarting units".
-//!   See [`RecoverableUnit`], [`UnitHost`], [`CommManager`],
+//!   See [`UnitHost`] and its [`CounterUnit`]s, [`CommManager`],
 //!   [`RecoveryManager`].
 //! * **Load balancing** (IMEC): migrating an image-processing task off an
 //!   overloaded processor improves image quality under overload. See
@@ -40,9 +40,7 @@ pub use comm_manager::{CommManager, UnitMessage};
 pub use library::CircuitBreaker;
 pub use loadbalance::{LoadBalancer, MigrationDecision};
 pub use memarbiter::AdaptiveArbiter;
-pub use microreboot::{
-    seal_fingerprint, CheckpointVault, RestoreOutcome, SealedSnapshot, Snapshot, VaultStats,
-};
+pub use microreboot::{CheckpointVault, RestoreOutcome, Snapshot};
 pub use policy::EscalationPolicy;
-pub use recovery_manager::{RecoveryAction, RecoveryManager, RecoveryRecord, FULL_RESTART_OUTAGE};
-pub use unit::{CounterUnit, RecoverableUnit, UnitHost, UnitStatus};
+pub use recovery_manager::{RecoveryAction, RecoveryManager, FULL_RESTART_OUTAGE};
+pub use unit::{CounterUnit, UnitHost, UnitStatus};

@@ -20,71 +20,28 @@
 use simkit::SimTime;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
-use std::ops::{Deref, DerefMut};
 
 /// A unit's state snapshot: named scalar values (the lowest common
-/// denominator the fault-tolerance library serializes). It derefs to
-/// its map. Keys are `Cow<'static, str>`, so a unit whose state names
-/// are literals checkpoints without copying them; names built at run
-/// time are stored owned.
-#[derive(Clone, Default, PartialEq)]
-pub struct Snapshot(BTreeMap<Cow<'static, str>, f64>);
-
-impl Snapshot {
-    /// An empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Deref for Snapshot {
-    type Target = BTreeMap<Cow<'static, str>, f64>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl DerefMut for Snapshot {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-impl From<BTreeMap<Cow<'static, str>, f64>> for Snapshot {
-    fn from(map: BTreeMap<Cow<'static, str>, f64>) -> Self {
-        Snapshot(map)
-    }
-}
-
-impl<K: Into<Cow<'static, str>>> FromIterator<(K, f64)> for Snapshot {
-    fn from_iter<I: IntoIterator<Item = (K, f64)>>(pairs: I) -> Self {
-        Snapshot(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-}
-
-/// Prints as the bare map, like the `BTreeMap<String, f64>` it replaced.
-impl fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
+/// denominator the fault-tolerance library serializes). Keys are
+/// `Cow<'static, str>`, so a unit whose state names are literals
+/// checkpoints without copying them; names built at run time are
+/// stored owned.
+pub type Snapshot = BTreeMap<Cow<'static, str>, f64>;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A snapshot sealed with its integrity fingerprint.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SealedSnapshot {
+struct SealedSnapshot {
     /// Virtual time the snapshot was captured at.
-    pub time: SimTime,
+    time: SimTime,
     /// Monotonically increasing generation id (vault-wide).
-    pub generation: u64,
+    generation: u64,
     /// Seed-derived FNV-1a fingerprint of the payload.
-    pub fingerprint: u64,
+    fingerprint: u64,
     /// The checkpointed key/value state.
-    pub state: Snapshot,
+    state: Snapshot,
 }
 
 /// Outcome of [`CheckpointVault::restore_latest`].
@@ -108,15 +65,6 @@ pub enum RestoreOutcome {
     },
     /// The unit has no checkpoint history at all.
     NoHistory,
-}
-
-/// Counters describing vault activity (all monotonic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VaultStats {
-    /// Snapshots that failed fingerprint validation on restore.
-    pub corrupt_detected: u64,
-    /// Snapshots evicted by the capacity bound.
-    pub evicted: u64,
 }
 
 /// A bounded per-unit store of fingerprint-sealed snapshots.
@@ -144,7 +92,6 @@ pub struct CheckpointVault {
     capacity: usize,
     next_generation: u64,
     per_unit: BTreeMap<String, VecDeque<SealedSnapshot>>,
-    stats: VaultStats,
 }
 
 impl CheckpointVault {
@@ -162,13 +109,7 @@ impl CheckpointVault {
             capacity,
             next_generation: 0,
             per_unit: BTreeMap::new(),
-            stats: VaultStats::default(),
         }
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> VaultStats {
-        self.stats
     }
 
     /// Seals `state` and appends it to `unit`'s history, evicting the
@@ -176,7 +117,7 @@ impl CheckpointVault {
     pub fn save(&mut self, unit: &str, time: SimTime, state: Snapshot) -> u64 {
         let generation = self.next_generation;
         self.next_generation += 1;
-        let fingerprint = self.fingerprint(unit, time, generation, &state);
+        let fingerprint = seal_fingerprint(self.seed, unit, time, generation, &state);
         // Allocate a key only for a new unit: most saves find theirs.
         if !self.per_unit.contains_key(unit) {
             self.per_unit.insert(unit.to_string(), VecDeque::new());
@@ -184,7 +125,6 @@ impl CheckpointVault {
         let history = self.per_unit.get_mut(unit).expect("inserted above");
         if history.len() == self.capacity {
             history.pop_front();
-            self.stats.evicted += 1;
         }
         history.push_back(SealedSnapshot {
             time,
@@ -193,14 +133,6 @@ impl CheckpointVault {
             state,
         });
         generation
-    }
-
-    /// The newest stored generation for `unit` (without validating it).
-    pub fn latest_generation(&self, unit: &str) -> Option<u64> {
-        self.per_unit
-            .get(unit)
-            .and_then(|h| h.back())
-            .map(|s| s.generation)
     }
 
     /// Number of generations currently stored for `unit`.
@@ -251,7 +183,6 @@ impl CheckpointVault {
                 return outcome;
             }
             skipped += 1;
-            self.stats.corrupt_detected += 1;
         }
         RestoreOutcome::Exhausted { dropped: skipped }
     }
@@ -269,14 +200,10 @@ impl CheckpointVault {
         *value = f64::from_bits(value.to_bits() ^ (1u64 << (bit % 64)));
         true
     }
-
-    fn fingerprint(&self, unit: &str, time: SimTime, generation: u64, state: &Snapshot) -> u64 {
-        seal_fingerprint(self.seed, unit, time, generation, state)
-    }
 }
 
-/// The seed-derived FNV-1a fingerprint a [`SealedSnapshot`] carries.
-pub fn seal_fingerprint(
+/// The seed-derived FNV-1a fingerprint a `SealedSnapshot` carries.
+fn seal_fingerprint(
     seed: u64,
     unit: &str,
     time: SimTime,
@@ -312,7 +239,10 @@ mod tests {
     use super::*;
 
     fn snap(pairs: &[(&str, f64)]) -> Snapshot {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string().into(), *v))
+            .collect()
     }
 
     #[test]
@@ -354,7 +284,6 @@ mod tests {
             }
             other => panic!("expected fallback restore, got {other:?}"),
         }
-        assert_eq!(vault.stats().corrupt_detected, 1);
     }
 
     #[test]
@@ -399,9 +328,8 @@ mod tests {
         let g1 = vault.save("sleep", SimTime::from_millis(1), snap(&[("m", 15.0)]));
         let g2 = vault.save("sleep", SimTime::from_millis(2), snap(&[("m", 30.0)]));
         assert_eq!(vault.count("sleep"), 2);
-        assert_eq!(vault.stats().evicted, 1);
         assert!(g0 < g1 && g1 < g2);
-        assert_eq!(vault.latest_generation("sleep"), Some(g2));
+        assert_eq!(vault.latest_generations(), vec![("sleep".to_string(), g2)]);
         // Only g1 and g2 remain; corrupting both exhausts exactly 2.
         vault.corrupt_latest("sleep", 1);
         match vault.restore_latest("sleep") {
@@ -431,6 +359,20 @@ mod tests {
             &snap(&[("angle", 15.0)]),
         );
         assert_ne!(fp1, fp2);
+    }
+
+    #[test]
+    fn seal_bytes_are_pinned() {
+        // A borrowed key, an owned key and a NaN payload: the seal hashes
+        // key bytes and raw value bits, whatever holds them.
+        let mut state = Snapshot::new();
+        state.insert(Cow::Borrowed("count"), 3.0);
+        state.insert(
+            Cow::Owned(format!("key{}", 7)),
+            f64::from_bits(0x7ff8_0000_0000_0001),
+        );
+        let fp = seal_fingerprint(0xC0DE, "teletext", SimTime::from_millis(40), 5, &state);
+        assert_eq!(fp, 0x2aa2_2756_5235_e3ea);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct EscalationPolicy {
     max_restarts: u32,
     window: SimDuration,
     history: BTreeMap<String, Vec<SimTime>>,
-    escalations: u64,
 }
 
 impl EscalationPolicy {
@@ -42,13 +41,7 @@ impl EscalationPolicy {
             max_restarts,
             window,
             history: BTreeMap::new(),
-            escalations: 0,
         }
-    }
-
-    /// Times the policy escalated to a full restart.
-    pub fn escalations(&self) -> u64 {
-        self.escalations
     }
 
     /// Decides the recovery action for a failure of `unit` at `now`.
@@ -60,7 +53,6 @@ impl EscalationPolicy {
             entry.push(now);
             RecoveryAction::RestartUnit(unit.to_owned())
         } else {
-            self.escalations += 1;
             self.history.clear();
             RecoveryAction::RestartAll
         }
@@ -78,7 +70,6 @@ mod tests {
         assert!(matches!(p.decide(t, "v"), RecoveryAction::RestartUnit(_)));
         assert!(matches!(p.decide(t, "v"), RecoveryAction::RestartUnit(_)));
         assert_eq!(p.decide(t, "v"), RecoveryAction::RestartAll);
-        assert_eq!(p.escalations(), 1);
         // History cleared: budget is fresh.
         assert!(matches!(p.decide(t, "v"), RecoveryAction::RestartUnit(_)));
     }

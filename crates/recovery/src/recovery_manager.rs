@@ -1,8 +1,7 @@
 //! The recovery manager: executes recovery actions.
 
-use crate::unit::{UnitHost, UnitStatus};
+use crate::unit::UnitHost;
 use simkit::{SimDuration, SimTime};
-use std::fmt;
 
 /// How long one unit is down while it cold-restarts.
 const UNIT_RESTART: SimDuration = SimDuration::from_millis(200);
@@ -21,46 +20,21 @@ pub enum RecoveryAction {
     RestartAll,
 }
 
-impl fmt::Display for RecoveryAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryAction::RestartUnit(u) => write!(f, "restart `{u}`"),
-            RecoveryAction::RestartAll => f.write_str("restart all"),
-        }
-    }
-}
-
-/// A log record of one executed action: when it started and its outage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryRecord {
-    /// When the action started.
-    pub time: SimTime,
-    /// How long the affected functionality was (or will be) unavailable.
-    pub outage: SimDuration,
-}
-
 /// Executes recovery actions against a [`UnitHost`].
 ///
 /// Timing model: restarting one unit costs 200 ms and restarting the
 /// whole system 4 s.
 #[derive(Debug)]
 pub struct RecoveryManager {
-    log: Vec<RecoveryRecord>,
     total_outage: SimDuration,
 }
 
 impl RecoveryManager {
-    /// A manager with an empty log.
+    /// A manager that has executed no action yet.
     pub fn with_defaults() -> Self {
         RecoveryManager {
-            log: Vec::new(),
             total_outage: SimDuration::ZERO,
         }
-    }
-
-    /// The executed-action log.
-    pub fn log(&self) -> &[RecoveryRecord] {
-        &self.log
     }
 
     /// Cumulative user-visible outage across all actions.
@@ -71,8 +45,8 @@ impl RecoveryManager {
     /// Executes an action at `now`.
     ///
     /// Returns the outage the action incurs, or `None` if the target does
-    /// not exist. An action that returns `None` changes no unit and is
-    /// not logged; choosing the next action is the caller's (see
+    /// not exist. An action that returns `None` changes no unit and adds
+    /// no outage; choosing the next action is the caller's (see
     /// [`crate::EscalationPolicy`]).
     pub fn recover(
         &mut self,
@@ -80,38 +54,14 @@ impl RecoveryManager {
         host: &mut UnitHost,
         action: RecoveryAction,
     ) -> Option<SimDuration> {
-        let outage = match &action {
-            RecoveryAction::RestartUnit(name) => {
-                host.status(name)?;
-                if let Some(unit) = host.unit_mut(name) {
-                    unit.reset();
-                }
-                host.set_status(
-                    name,
-                    UnitStatus::Restarting {
-                        until: now + UNIT_RESTART,
-                    },
-                );
-                UNIT_RESTART
-            }
-            RecoveryAction::RestartAll => {
-                let names: Vec<String> = host.names().iter().map(|s| s.to_string()).collect();
-                for name in &names {
-                    if let Some(unit) = host.unit_mut(name) {
-                        unit.reset();
-                    }
-                    host.set_status(
-                        name,
-                        UnitStatus::Restarting {
-                            until: now + FULL_RESTART_OUTAGE,
-                        },
-                    );
-                }
-                FULL_RESTART_OUTAGE
-            }
+        let (target, outage) = match &action {
+            RecoveryAction::RestartUnit(name) => (Some(name.as_str()), UNIT_RESTART),
+            RecoveryAction::RestartAll => (None, FULL_RESTART_OUTAGE),
         };
+        if !host.restart(target, now + outage) {
+            return None;
+        }
         self.total_outage += outage;
-        self.log.push(RecoveryRecord { time: now, outage });
         Some(outage)
     }
 }
@@ -159,7 +109,6 @@ mod tests {
         );
         host.tick(SimTime::from_millis(200));
         assert!(host.is_running("a"));
-        assert_eq!(rm.log().len(), 1);
     }
 
     #[test]
@@ -194,14 +143,5 @@ mod tests {
                 RecoveryAction::RestartUnit("ghost".into())
             )
             .is_none());
-    }
-
-    #[test]
-    fn action_display() {
-        assert_eq!(
-            RecoveryAction::RestartUnit("x".into()).to_string(),
-            "restart `x`"
-        );
-        assert_eq!(RecoveryAction::RestartAll.to_string(), "restart all");
     }
 }

@@ -1,29 +1,8 @@
 //! Recoverable units and their host.
 
 use crate::comm_manager::UnitMessage;
-use crate::microreboot::Snapshot;
 use simkit::SimTime;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// A part of the system that can be recovered independently
-/// (paper Sect. 4.5: "the so-called recoverable units").
-pub trait RecoverableUnit {
-    /// The unit's unique name.
-    fn name(&self) -> &str;
-
-    /// Captures the unit's state.
-    fn checkpoint(&self) -> Snapshot;
-
-    /// Restores a previously captured state.
-    fn restore(&mut self, snapshot: &Snapshot);
-
-    /// Cold-restarts the unit to its initial state.
-    fn reset(&mut self);
-
-    /// Handles an application message, possibly responding.
-    fn handle(&mut self, now: SimTime, message: &UnitMessage) -> Vec<UnitMessage>;
-}
 
 /// A unit's lifecycle status as seen by the managers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,43 +16,17 @@ pub enum UnitStatus {
     },
 }
 
-impl fmt::Display for UnitStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UnitStatus::Running => f.write_str("running"),
-            UnitStatus::Restarting { until } => write!(f, "restarting(until {until})"),
-        }
-    }
-}
-
-/// Hosts the system's recoverable units with their statuses.
+/// Hosts the system's recoverable units (paper Sect. 4.5: "the
+/// so-called recoverable units") with their statuses.
+#[derive(Debug, Default)]
 pub struct UnitHost {
-    units: BTreeMap<String, Box<dyn RecoverableUnit>>,
-    status: BTreeMap<String, UnitStatus>,
-}
-
-impl fmt::Debug for UnitHost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("UnitHost")
-            .field("units", &self.units.keys().collect::<Vec<_>>())
-            .field("status", &self.status)
-            .finish()
-    }
-}
-
-impl Default for UnitHost {
-    fn default() -> Self {
-        Self::new()
-    }
+    units: BTreeMap<String, (CounterUnit, UnitStatus)>,
 }
 
 impl UnitHost {
     /// Creates an empty host.
     pub fn new() -> Self {
-        UnitHost {
-            units: BTreeMap::new(),
-            status: BTreeMap::new(),
-        }
+        Self::default()
     }
 
     /// Registers a unit (initially running).
@@ -81,60 +34,57 @@ impl UnitHost {
     /// # Panics
     ///
     /// Panics on a duplicate unit name.
-    pub fn register(&mut self, unit: impl RecoverableUnit + 'static) {
-        let name = unit.name().to_owned();
+    pub fn register(&mut self, unit: CounterUnit) {
+        let name = unit.name.clone();
         assert!(!self.units.contains_key(&name), "duplicate unit `{name}`");
-        self.units.insert(name.clone(), Box::new(unit));
-        self.status.insert(name, UnitStatus::Running);
-    }
-
-    /// Unit names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.units.keys().map(String::as_str).collect()
+        self.units.insert(name, (unit, UnitStatus::Running));
     }
 
     /// A unit's status.
     pub fn status(&self, name: &str) -> Option<UnitStatus> {
-        self.status.get(name).copied()
-    }
-
-    /// Sets a unit's status (manager use).
-    pub(crate) fn set_status(&mut self, name: &str, status: UnitStatus) {
-        if let Some(s) = self.status.get_mut(name) {
-            *s = status;
-        }
+        self.units.get(name).map(|(_, status)| *status)
     }
 
     /// True if the unit exists and is running.
     pub fn is_running(&self, name: &str) -> bool {
-        matches!(self.status.get(name), Some(UnitStatus::Running))
-    }
-
-    /// Mutable access to a unit (manager use: checkpoint/restore/reset).
-    pub fn unit_mut(&mut self, name: &str) -> Option<&mut (dyn RecoverableUnit + '_)> {
-        self.units.get_mut(name).map(|b| b.as_mut() as _)
+        matches!(self.status(name), Some(UnitStatus::Running))
     }
 
     /// Read access to a unit.
-    pub fn unit(&self, name: &str) -> Option<&(dyn RecoverableUnit + '_)> {
-        self.units.get(name).map(|b| b.as_ref() as _)
+    pub fn unit(&self, name: &str) -> Option<&CounterUnit> {
+        self.units.get(name).map(|(unit, _)| unit)
+    }
+
+    /// Cold-restarts the named unit, or every unit for `None`, and marks
+    /// it restarting until `until` (manager use). Returns false, and
+    /// changes nothing, when the named unit does not exist.
+    pub(crate) fn restart(&mut self, name: Option<&str>, until: SimTime) -> bool {
+        let restart = |(unit, status): &mut (CounterUnit, UnitStatus)| {
+            unit.reset();
+            *status = UnitStatus::Restarting { until };
+        };
+        match name {
+            Some(name) => self.units.get_mut(name).map(restart).is_some(),
+            None => {
+                self.units.values_mut().for_each(restart);
+                true
+            }
+        }
     }
 
     /// Delivers a message to a *running* unit, returning its responses;
     /// `None` if the unit is absent or not running.
     pub fn deliver(&mut self, now: SimTime, message: &UnitMessage) -> Option<Vec<UnitMessage>> {
-        if !self.is_running(&message.to) {
-            return None;
+        match self.units.get_mut(&message.to) {
+            Some((unit, UnitStatus::Running)) => Some(unit.handle(now, message)),
+            _ => None,
         }
-        self.units
-            .get_mut(&message.to)
-            .map(|u| u.handle(now, message))
     }
 
     /// Completes restarts due at `now`; returns the units that came back.
     pub fn tick(&mut self, now: SimTime) -> Vec<String> {
         let mut back = Vec::new();
-        for (name, status) in self.status.iter_mut() {
+        for (name, (_, status)) in self.units.iter_mut() {
             if let UnitStatus::Restarting { until } = *status {
                 if now >= until {
                     *status = UnitStatus::Running;
@@ -146,7 +96,7 @@ impl UnitHost {
     }
 }
 
-/// A simple counter-based unit usable in tests and examples.
+/// A simple counter-based unit: the state a cold restart loses.
 #[derive(Debug, Clone)]
 pub struct CounterUnit {
     name: String,
@@ -162,27 +112,13 @@ impl CounterUnit {
             count: 0.0,
         }
     }
-}
 
-impl RecoverableUnit for CounterUnit {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn checkpoint(&self) -> Snapshot {
-        let mut s = Snapshot::new();
-        s.insert("count".into(), self.count);
-        s
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) {
-        self.count = snapshot.get("count").copied().unwrap_or(0.0);
-    }
-
+    /// Cold-restarts the unit to its initial state.
     fn reset(&mut self) {
         self.count = 0.0;
     }
 
+    /// Handles an application message, possibly responding.
     fn handle(&mut self, _now: SimTime, message: &UnitMessage) -> Vec<UnitMessage> {
         self.count += 1.0;
         if message.topic == "ping" {
@@ -226,12 +162,7 @@ mod tests {
     fn restarting_unit_rejects_messages_until_tick() {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("audio"));
-        host.set_status(
-            "audio",
-            UnitStatus::Restarting {
-                until: SimTime::from_millis(100),
-            },
-        );
+        assert!(host.restart(Some("audio"), SimTime::from_millis(100)));
         assert!(host.deliver(SimTime::ZERO, &msg("audio", "ping")).is_none());
         assert!(host.tick(SimTime::from_millis(50)).is_empty());
         let back = host.tick(SimTime::from_millis(100));
@@ -252,17 +183,5 @@ mod tests {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("a"));
         host.register(CounterUnit::new("a"));
-    }
-
-    #[test]
-    fn counter_unit_checkpoint_roundtrip() {
-        let mut u = CounterUnit::new("u");
-        u.handle(SimTime::ZERO, &msg("u", "tick"));
-        u.handle(SimTime::ZERO, &msg("u", "tick"));
-        let snap = u.checkpoint();
-        u.reset();
-        assert_eq!(u.count, 0.0);
-        u.restore(&snap);
-        assert_eq!(u.count, 2.0);
     }
 }

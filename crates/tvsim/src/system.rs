@@ -57,8 +57,8 @@ impl Unit {
     }
 }
 
-/// A unit's checkpointable state as key/value pairs — the map a
-/// `recovery::Snapshot` wraps, without a dependency edge on the
+/// A unit's checkpointable state as key/value pairs — the same map
+/// type as `recovery::Snapshot`, without a dependency edge on the
 /// recovery crate. Fixed state names are borrowed literals.
 pub type UnitState = BTreeMap<Cow<'static, str>, f64>;
 

@@ -91,4 +91,7 @@ cargo run -q --release --example micro_reboot
 echo "== awareness smoke: printer jam light (time-based comparison) =="
 cargo run -q --release --example printer_awareness
 
+echo "== non-test Rust lines (reported, not gated) =="
+scripts/loc.sh
+
 echo "verify: OK"
