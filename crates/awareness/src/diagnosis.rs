@@ -5,19 +5,19 @@
 //! 27 key presses worth of spectra, then rank offline. The replay-debugging
 //! line of work behind it stresses that diagnosis only earns its keep when
 //! it is cheap enough to run **continuously on-device**. This module wires
-//! the streaming [`IncrementalDiagnoser`] into the monitor: the loop
-//! driver hands the monitor one step's coverage per key press — as
-//! block runs ([`crate::AwarenessMonitor::record_runs`]) or as a
-//! snapshot ([`crate::AwarenessMonitor::record_coverage`]) — and the
-//! step inherits its pass/fail verdict from the comparator's detections
-//! since the previous step. A step only folds counters, in O(hits); the
-//! top-k suspect window is scored when it is read
-//! ([`OnlineDiagnosis::top_k`]) — at any step, mid-run, or once at the
-//! end — and equals what a re-rank after every step would have held at
-//! that point.
+//! the streaming [`Diagnoser`] — the one E1 ranks the post-mortem
+//! experiment with — into the monitor: the loop driver hands the monitor
+//! one step's coverage per key press — as block runs
+//! ([`crate::AwarenessMonitor::record_runs`]) or as a snapshot
+//! ([`crate::AwarenessMonitor::record_coverage`]) — and the step inherits
+//! its pass/fail verdict from the comparator's detections since the
+//! previous step. A step only folds counters, in O(hits); the top-k
+//! suspect window is scored when it is read ([`OnlineDiagnosis::top_k`])
+//! — at any step, mid-run, or once at the end — and equals what a
+//! re-rank after every step would have held at that point.
 
 use simkit::SimTime;
-use spectra::{IncrementalDiagnoser, RankingEntry, TopK};
+use spectra::{Diagnoser, RankingEntry, TopK};
 use telemetry::Telemetry;
 
 /// Parameters for in-loop diagnosis.
@@ -49,7 +49,7 @@ impl DiagnosisConfig {
 /// bookkeeping tying spectra to the comparator's verdicts.
 #[derive(Debug)]
 pub struct OnlineDiagnosis {
-    diagnoser: IncrementalDiagnoser,
+    diagnoser: Diagnoser,
     errors_at_last_step: u64,
     telemetry: Telemetry,
 }
@@ -58,7 +58,7 @@ impl OnlineDiagnosis {
     /// Builds the diagnosis state from its configuration.
     pub fn new(config: &DiagnosisConfig) -> Self {
         OnlineDiagnosis {
-            diagnoser: IncrementalDiagnoser::new(config.n_blocks).with_top_k(config.top_k),
+            diagnoser: Diagnoser::new(config.n_blocks).with_top_k(config.top_k),
             errors_at_last_step: 0,
             telemetry: Telemetry::off(),
         }
@@ -79,7 +79,7 @@ impl OnlineDiagnosis {
         &mut self,
         now: SimTime,
         errors_total: u64,
-        fold: impl FnOnce(&mut IncrementalDiagnoser, bool),
+        fold: impl FnOnce(&mut Diagnoser, bool),
     ) {
         let failed = errors_total > self.errors_at_last_step;
         self.errors_at_last_step = errors_total;

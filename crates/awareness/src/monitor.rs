@@ -514,7 +514,7 @@ impl<'m> AwarenessMonitor<'m> {
 
     /// The one verdict and telemetry path of a recorded step; `fold`
     /// folds its coverage.
-    fn record_step(&mut self, fold: impl FnOnce(&mut spectra::IncrementalDiagnoser, bool)) {
+    fn record_step(&mut self, fold: impl FnOnce(&mut spectra::Diagnoser, bool)) {
         let errors_total = self.errors_total;
         let now = self.now;
         if let Some(diag) = self.diagnosis.as_mut() {

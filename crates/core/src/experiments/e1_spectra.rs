@@ -6,10 +6,9 @@
 //! **13 796 blocks**; similarity ranking placed the faulty block
 //! **first**.
 
+use crate::loop_::{deviates, step_oracle};
 use crate::report::{f2, render_table};
 use crate::scenario::TimedScenario;
-use awareness::to_obs_value;
-use observe::ObsValue;
 use spectra::{Coefficient, Diagnoser};
 use statemachine::Executor;
 use std::collections::BTreeMap;
@@ -76,7 +75,8 @@ const BLOCKS_PER_FUNCTION: u32 = 50;
 /// The scenario is the paper-shaped teletext session; the render fault is
 /// active throughout; the error detector is the awareness model compared
 /// exactly per step (the paper: "based on some error detection mechanism,
-/// it is recorded for each key press whether it leads to an error").
+/// it is recorded for each key press whether it leads to an error"),
+/// stepped and judged by the closed loop's own rule.
 pub fn run(key_presses: usize) -> E1Report {
     let mut oracle = Executor::new(tv_spec());
     oracle.start();
@@ -85,24 +85,33 @@ pub fn run(key_presses: usize) -> E1Report {
     tv.inject_fault(TvFault::TeletextRenderFault);
     let fault_block = tv.bank().teletext_fault_block();
     let mut diagnoser = Diagnoser::new(tv.n_blocks());
+    // Granularity ablation: blocks collapsed into function-sized units
+    // (a function is hit when any of its blocks is), diagnosed alongside.
+    let n_functions = tv.n_blocks().div_ceil(BLOCKS_PER_FUNCTION);
+    let mut fn_diagnoser = Diagnoser::new(n_functions);
 
     let scenario = TimedScenario::teletext_session(key_presses);
-    let mut expected: BTreeMap<String, ObsValue> = BTreeMap::new();
+    let mut oracle_outputs = Vec::new();
     for (at, key) in scenario.presses() {
         let observations = tv.press(*at, *key);
-        oracle.step_at(*at, &key.event());
-        for rec in oracle.drain_outputs() {
-            expected.insert(rec.name, to_obs_value(rec.value));
-        }
+        step_oracle(&mut oracle, &mut oracle_outputs, *at, *key);
         // Error detection: any emitted output deviating from the model.
         let failed = observations.iter().any(|obs| {
             obs.as_output().is_some_and(|(name, actual)| {
-                expected
-                    .get(name)
-                    .is_some_and(|want| want.distance(actual) > 1e-9)
+                oracle
+                    .last_output(name)
+                    .is_some_and(|expected| deviates(expected, actual))
             })
         });
-        diagnoser.record_step(tv.take_coverage(), failed);
+        let snapshot = tv.take_coverage();
+        // Hits ascend, so equal function ids are adjacent.
+        let mut functions: Vec<u32> = snapshot
+            .iter_hits()
+            .map(|b| b / BLOCKS_PER_FUNCTION)
+            .collect();
+        functions.dedup();
+        fn_diagnoser.append_step(functions, failed);
+        diagnoser.append_snapshot(&snapshot, failed);
     }
 
     let mut rank_by_coefficient = BTreeMap::new();
@@ -122,21 +131,6 @@ pub fn run(key_presses: usize) -> E1Report {
         }
     }
 
-    // Granularity ablation: collapse blocks into function-sized units
-    // (a function is hit when any of its blocks is) and re-diagnose.
-    let n_functions = tv.n_blocks().div_ceil(BLOCKS_PER_FUNCTION);
-    let mut fn_diagnoser = Diagnoser::new(n_functions);
-    let matrix = diagnoser.matrix();
-    for step in 0..matrix.steps() {
-        let hits: Vec<u32> = (0..n_functions)
-            .filter(|func| {
-                let lo = func * BLOCKS_PER_FUNCTION;
-                let hi = (lo + BLOCKS_PER_FUNCTION).min(tv.n_blocks());
-                (lo..hi).any(|b| matrix.is_hit(step, b))
-            })
-            .collect();
-        fn_diagnoser.record_hits(hits, matrix.error_vector()[step]);
-    }
     let fn_report = fn_diagnoser.diagnose(Coefficient::Ochiai);
     let fault_function = fault_block / BLOCKS_PER_FUNCTION;
     let function_rank = fn_report.fault_rank(fault_function).unwrap_or(f64::NAN);

@@ -95,7 +95,6 @@ fn run_strategy(partial: bool) -> E4Row {
         // Workload: one message to each unit per tick.
         for name in UNITS {
             comm.send(
-                now,
                 &mut host,
                 UnitMessage {
                     to: name.into(),
@@ -114,7 +113,7 @@ fn run_strategy(partial: bool) -> E4Row {
             manager.recover(now, &mut host, action);
         }
         let returned = host.tick(now);
-        comm.flush_returned(now, &mut host, &returned);
+        comm.flush_returned(&mut host, &returned);
         // Availability accounting.
         for name in UNITS {
             unit_seconds_total += TICK.as_secs_f64();

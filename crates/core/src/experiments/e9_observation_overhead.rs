@@ -97,9 +97,8 @@ fn run_level(events: bool, coverage: bool) -> (u64, u64, SimDuration) {
                 })
                 .count() as u64;
         }
-        let snapshot = tv.take_coverage();
         if coverage {
-            block_hits += snapshot.count() as u64;
+            block_hits += tv.take_coverage().count() as u64;
         }
     }
     let overhead = PROBE_COST * firings + BLOCK_HIT_COST * block_hits;

@@ -331,7 +331,7 @@ fn mirror_output(state: &mut BTreeMap<String, ObsValue>, name: &str, value: &Obs
 /// a number), without materializing the conversion. Text mismatch or a cross-kind comparison deviates, a
 /// numeric difference beyond the epsilon deviates, and a NaN on either
 /// side never does.
-fn deviates(expected: &Value, actual: &ObsValue) -> bool {
+pub(crate) fn deviates(expected: &Value, actual: &ObsValue) -> bool {
     match expected {
         Value::Str(s) => actual.as_text() != Some(s.as_str()),
         other => {
@@ -628,7 +628,12 @@ enum StepCoverage {
 /// The loop reads only the oracle's latest value per output
 /// ([`Executor::last_output`]), so the output records are drained into
 /// `scratch` and dropped, keeping both buffers' capacity.
-fn step_oracle(oracle: &mut Executor<'_>, scratch: &mut Vec<OutputRecord>, at: SimTime, key: Key) {
+pub(crate) fn step_oracle(
+    oracle: &mut Executor<'_>,
+    scratch: &mut Vec<OutputRecord>,
+    at: SimTime,
+    key: Key,
+) {
     oracle.step_at(at, &key.event());
     oracle.drain_outputs_into(scratch);
     scratch.clear();

@@ -73,7 +73,7 @@ impl BlockSnapshot {
             .map(|(i, &w)| (i, w))
     }
 
-    /// Raw bitset words (used by the spectrum matrix without copying).
+    /// Raw bitset words.
     pub fn words(&self) -> &[u64] {
         &self.words
     }

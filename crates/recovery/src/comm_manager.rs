@@ -6,7 +6,6 @@
 //! stopping the whole system (paper Sect. 4.5).
 
 use crate::unit::UnitHost;
-use simkit::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A message between recoverable units.
@@ -57,7 +56,7 @@ impl CommManager {
     /// Sends a message, cascading responses breadth-first.
     ///
     /// Returns the number of messages delivered (including cascades).
-    pub fn send(&mut self, now: SimTime, host: &mut UnitHost, message: UnitMessage) -> u64 {
+    pub fn send(&mut self, host: &mut UnitHost, message: UnitMessage) -> u64 {
         let mut frontier = VecDeque::from([message]);
         let mut delivered = 0;
         // Bounded cascade to keep misbehaving units from looping forever.
@@ -70,7 +69,7 @@ impl CommManager {
             if msg.to.is_empty() {
                 continue;
             }
-            match host.deliver(now, &msg) {
+            match host.deliver(&msg) {
                 Some(responses) => {
                     delivered += 1;
                     self.stats.delivered += 1;
@@ -88,22 +87,17 @@ impl CommManager {
         delivered
     }
 
-    /// Redelivers queued messages to units that came back at `now`.
+    /// Redelivers queued messages to units that came back.
     ///
     /// Call after [`UnitHost::tick`]; `returned` is its result.
-    pub fn flush_returned(
-        &mut self,
-        now: SimTime,
-        host: &mut UnitHost,
-        returned: &[String],
-    ) -> u64 {
+    pub fn flush_returned(&mut self, host: &mut UnitHost, returned: &[String]) -> u64 {
         let mut total = 0;
         for unit in returned {
             let Some(queue) = self.pending.remove(unit) else {
                 continue;
             };
             for msg in queue {
-                total += self.send(now, host, msg);
+                total += self.send(host, msg);
             }
         }
         total
@@ -114,6 +108,7 @@ impl CommManager {
 mod tests {
     use super::*;
     use crate::unit::CounterUnit;
+    use simkit::SimTime;
 
     fn msg(to: &str) -> UnitMessage {
         UnitMessage {
@@ -129,7 +124,7 @@ mod tests {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("a"));
         let mut comm = CommManager::new();
-        assert_eq!(comm.send(SimTime::ZERO, &mut host, msg("a")), 1);
+        assert_eq!(comm.send(&mut host, msg("a")), 1);
         assert_eq!(comm.stats().delivered, 1);
     }
 
@@ -139,11 +134,11 @@ mod tests {
         host.register(CounterUnit::new("a"));
         assert!(host.restart(Some("a"), SimTime::from_millis(10)));
         let mut comm = CommManager::new();
-        comm.send(SimTime::ZERO, &mut host, msg("a"));
-        comm.send(SimTime::ZERO, &mut host, msg("a"));
+        comm.send(&mut host, msg("a"));
+        comm.send(&mut host, msg("a"));
         assert_eq!(comm.queued_for("a"), 2);
         let returned = host.tick(SimTime::from_millis(10));
-        let redelivered = comm.flush_returned(SimTime::from_millis(10), &mut host, &returned);
+        let redelivered = comm.flush_returned(&mut host, &returned);
         assert_eq!(redelivered, 2);
         assert_eq!(comm.queued_for("a"), 0);
     }
@@ -152,7 +147,7 @@ mod tests {
     fn unknown_destination_dropped_even_with_queue_policy() {
         let mut host = UnitHost::new();
         let mut comm = CommManager::new();
-        comm.send(SimTime::ZERO, &mut host, msg("ghost"));
+        comm.send(&mut host, msg("ghost"));
         assert_eq!(comm.stats().dropped, 1);
     }
 
@@ -164,7 +159,6 @@ mod tests {
         let mut comm = CommManager::new();
         // "ping" to a replies to b, which counts it.
         let delivered = comm.send(
-            SimTime::ZERO,
             &mut host,
             UnitMessage {
                 to: "a".into(),

@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn restart_unit_resets_and_times_out() {
         let mut host = host_with(&["a", "b"]);
-        host.deliver(SimTime::ZERO, &msg("a"));
+        host.deliver(&msg("a"));
         let mut rm = RecoveryManager::with_defaults();
         let outage = rm
             .recover(

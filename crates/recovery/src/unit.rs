@@ -74,9 +74,9 @@ impl UnitHost {
 
     /// Delivers a message to a *running* unit, returning its responses;
     /// `None` if the unit is absent or not running.
-    pub fn deliver(&mut self, now: SimTime, message: &UnitMessage) -> Option<Vec<UnitMessage>> {
+    pub fn deliver(&mut self, message: &UnitMessage) -> Option<Vec<UnitMessage>> {
         match self.units.get_mut(&message.to) {
-            Some((unit, UnitStatus::Running)) => Some(unit.handle(now, message)),
+            Some((unit, UnitStatus::Running)) => Some(unit.handle(message)),
             _ => None,
         }
     }
@@ -119,7 +119,7 @@ impl CounterUnit {
     }
 
     /// Handles an application message, possibly responding.
-    fn handle(&mut self, _now: SimTime, message: &UnitMessage) -> Vec<UnitMessage> {
+    fn handle(&mut self, message: &UnitMessage) -> Vec<UnitMessage> {
         self.count += 1.0;
         if message.topic == "ping" {
             vec![UnitMessage {
@@ -152,7 +152,7 @@ mod tests {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("audio"));
         assert!(host.is_running("audio"));
-        let responses = host.deliver(SimTime::ZERO, &msg("audio", "ping")).unwrap();
+        let responses = host.deliver(&msg("audio", "ping")).unwrap();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].topic, "pong");
         assert_eq!(responses[0].to, "tester");
@@ -163,7 +163,7 @@ mod tests {
         let mut host = UnitHost::new();
         host.register(CounterUnit::new("audio"));
         assert!(host.restart(Some("audio"), SimTime::from_millis(100)));
-        assert!(host.deliver(SimTime::ZERO, &msg("audio", "ping")).is_none());
+        assert!(host.deliver(&msg("audio", "ping")).is_none());
         assert!(host.tick(SimTime::from_millis(50)).is_empty());
         let back = host.tick(SimTime::from_millis(100));
         assert_eq!(back, vec!["audio".to_owned()]);
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn unknown_unit_returns_none() {
         let mut host = UnitHost::new();
-        assert!(host.deliver(SimTime::ZERO, &msg("ghost", "ping")).is_none());
+        assert!(host.deliver(&msg("ghost", "ping")).is_none());
         assert!(host.status("ghost").is_none());
     }
 

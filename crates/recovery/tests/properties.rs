@@ -53,7 +53,7 @@ proptest! {
             now += SimDuration::from_millis(gap);
             match op {
                 0 => {
-                    comm.send(now, &mut host, msg("u"));
+                    comm.send(&mut host, msg("u"));
                     sent += 1;
                 }
                 1 => {
@@ -64,7 +64,7 @@ proptest! {
                 }
                 _ => {
                     let back = host.tick(now);
-                    comm.flush_returned(now, &mut host, &back);
+                    comm.flush_returned(&mut host, &back);
                 }
             }
         }

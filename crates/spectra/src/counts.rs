@@ -311,6 +311,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "block count mismatch")]
+    fn snapshot_size_mismatch_panics() {
+        let mut cov = BlockCoverage::new(32);
+        cov.hit(1);
+        let snap = cov.snapshot_and_reset();
+        let mut m = CountsMatrix::new(64);
+        m.add_snapshot(&snap, false);
+    }
+
+    #[test]
     #[should_panic(expected = "need at least one block")]
     fn zero_blocks_rejected() {
         let _ = CountsMatrix::new(0);

@@ -1,120 +1,58 @@
-//! The end-to-end diagnosers: coverage snapshots + verdicts in, report out.
+//! The end-to-end diagnoser: coverage steps + verdicts in, suspects out.
 //!
-//! Two flavours:
-//!
-//! * [`Diagnoser`] — post-mortem, dense. Retains the full
-//!   [`SpectrumMatrix`] (the oracle layout) and ranks once at the end.
-//! * [`IncrementalDiagnoser`] — streaming. Folds each step into a
-//!   columnar [`CountsMatrix`] in O(hits) and scores a bounded top-k
-//!   window whenever it is read, so the awareness loop can diagnose
-//!   *while running* instead of after the fact.
+//! [`Diagnoser`] folds each step into a columnar [`CountsMatrix`] in
+//! O(hits) and keeps no per-step rows. Two reads score the same counts:
+//! the Ochiai top-k window the awareness loop reads *while running*
+//! ([`Diagnoser::top_k`]), and the full report under any coefficient
+//! that the paper's experiment ranks at the end
+//! ([`Diagnoser::diagnose`]).
 
 use crate::counts::CountsMatrix;
-use crate::matrix::SpectrumMatrix;
 use crate::report::DiagnosisReport;
 use crate::similarity::Coefficient;
 use crate::topk::{score_top_k, TopK};
 use observe::{BlockSnapshot, CoverageRuns};
 
-/// Accumulates scenario steps and produces a [`DiagnosisReport`].
+/// Accumulates scenario steps; scores a suspect window or a full report
+/// on read.
 ///
 /// The intended flow mirrors the paper's experiment: after each key press,
 /// snapshot the [`observe::BlockCoverage`] of the instrumented system, attach the
-/// error detector's verdict, and finally diagnose.
+/// error detector's verdict, and diagnose — at any step, mid-run, or once
+/// at the end. Memory is O(blocks) and a step costs O(hits): it only
+/// bumps counters.
 ///
 /// ```
 /// use spectra::{Diagnoser, Coefficient};
 /// use observe::BlockCoverage;
 ///
 /// let mut cov = BlockCoverage::new(50);
-/// let mut diag = Diagnoser::new(50);
+/// let mut diag = Diagnoser::new(50).with_top_k(3);
 ///
 /// // Step 1: blocks 1,2 run; no error.
 /// cov.hit(1); cov.hit(2);
-/// diag.record_step(cov.snapshot_and_reset(), false);
+/// diag.append_snapshot(&cov.snapshot_and_reset(), false);
 /// // Step 2: blocks 2,7 run; error detected (7 is the fault).
 /// cov.hit(2); cov.hit(7);
-/// diag.record_step(cov.snapshot_and_reset(), true);
+/// diag.append_snapshot(&cov.snapshot_and_reset(), true);
 ///
-/// let report = diag.diagnose(Coefficient::Ochiai);
+/// assert_eq!(diag.top_k().prime_suspect(), Some(7)); // the loop's window
+/// let report = diag.diagnose(Coefficient::Ochiai); // the full ranking
 /// assert_eq!(report.ranking.entries()[0].block, 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Diagnoser {
-    matrix: SpectrumMatrix,
-}
-
-impl Diagnoser {
-    /// Creates a diagnoser over `n_blocks` instrumented blocks.
-    pub fn new(n_blocks: u32) -> Self {
-        Diagnoser {
-            matrix: SpectrumMatrix::new(n_blocks),
-        }
-    }
-
-    /// Records one scenario step.
-    pub fn record_step(&mut self, snapshot: BlockSnapshot, failed: bool) {
-        self.matrix.add_snapshot(&snapshot, failed);
-    }
-
-    /// Records a step directly from hit ids (testing convenience).
-    pub fn record_hits(&mut self, hits: impl IntoIterator<Item = u32>, failed: bool) {
-        self.matrix.add_step(hits, failed);
-    }
-
-    /// The accumulated matrix.
-    pub fn matrix(&self) -> &SpectrumMatrix {
-        &self.matrix
-    }
-
-    /// Number of steps recorded.
-    pub fn steps(&self) -> usize {
-        self.matrix.steps()
-    }
-
-    /// Ranks blocks and assembles the report.
-    pub fn diagnose(&self, coefficient: Coefficient) -> DiagnosisReport {
-        let ranking = self.matrix.rank(coefficient);
-        DiagnosisReport {
-            n_blocks: self.matrix.n_blocks(),
-            steps: self.matrix.steps(),
-            failing_steps: self.matrix.failing_steps(),
-            blocks_touched: self.matrix.blocks_touched(),
-            ranking,
-        }
-    }
-}
-
-/// A streaming diagnoser whose suspect window is scored on read.
-///
-/// Memory is O(blocks) — steps are folded into the columnar
-/// [`CountsMatrix`] and discarded — and an append costs O(hits): it
-/// only bumps counters. [`top_k`](Self::top_k) scores the accumulated
-/// counts when asked, so the current best suspects are available
-/// mid-scenario at any step, and a caller that reads once per scenario
-/// pays for one scoring pass, not one per step:
-///
-/// ```
-/// use spectra::IncrementalDiagnoser;
-///
-/// let mut diag = IncrementalDiagnoser::new(1000).with_top_k(3);
-/// diag.append_step([1, 2].iter().copied(), false);
-/// diag.append_step([2, 7].iter().copied(), true);
-/// assert_eq!(diag.top_k().prime_suspect(), Some(7)); // mid-run, after step 2
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalDiagnoser {
     counts: CountsMatrix,
     k: usize,
 }
 
-impl IncrementalDiagnoser {
-    /// Creates a streaming diagnoser over `n_blocks` blocks.
+impl Diagnoser {
+    /// Creates a diagnoser over `n_blocks` instrumented blocks.
     ///
-    /// It scores with Ochiai (the coefficient the Trader work found most
-    /// effective) over a top-10 window by default.
+    /// Its window scores with Ochiai (the coefficient the Trader work
+    /// found most effective) over the top 10 by default.
     pub fn new(n_blocks: u32) -> Self {
-        IncrementalDiagnoser {
+        Diagnoser {
             counts: CountsMatrix::new(n_blocks),
             k: 10,
         }
@@ -146,12 +84,12 @@ impl IncrementalDiagnoser {
         self.counts.add_runs(runs, failed);
     }
 
-    /// Scores the steps appended so far and returns the top-k window
-    /// (empty before the first step). Each call is one O(blocks) pass
-    /// on the calling thread — a read is too short for scoring shards to
-    /// pay for their threads — that scores a run of equal counts the
-    /// window turns away once, and the result equals the dense ranking's
-    /// `top(k)` over the same steps.
+    /// Scores the steps appended so far and returns the Ochiai top-k
+    /// window (empty before the first step). Each call is one O(blocks)
+    /// pass on the calling thread — a read is too short for scoring
+    /// shards to pay for their threads — that scores a run of equal
+    /// counts the window turns away once, and the result equals the
+    /// full ranking's `top(k)` over the same steps.
     pub fn top_k(&self) -> TopK {
         if self.counts.steps() == 0 {
             return TopK::empty(self.counts.n_blocks());
@@ -169,16 +107,16 @@ impl IncrementalDiagnoser {
         self.counts.steps()
     }
 
-    /// Ranks *all* blocks and assembles a full report (O(blocks log
-    /// blocks) — intended for end-of-scenario summaries, not the
-    /// per-step hot path).
-    pub fn diagnose(&self) -> DiagnosisReport {
+    /// Ranks *all* blocks under `coefficient` and assembles the report
+    /// (O(blocks log blocks): an end-of-scenario summary, not a
+    /// per-step read).
+    pub fn diagnose(&self, coefficient: Coefficient) -> DiagnosisReport {
         DiagnosisReport {
             n_blocks: self.counts.n_blocks(),
             steps: self.counts.steps(),
             failing_steps: self.counts.failing_steps(),
             blocks_touched: self.counts.blocks_touched(),
-            ranking: self.counts.rank(Coefficient::Ochiai),
+            ranking: self.counts.rank(coefficient),
         }
     }
 }
@@ -186,6 +124,7 @@ impl IncrementalDiagnoser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::SpectrumMatrix;
     use observe::BlockCoverage;
 
     #[test]
@@ -204,7 +143,7 @@ mod tests {
             if touches_fault {
                 cov.hit(500);
             }
-            diag.record_step(cov.snapshot_and_reset(), touches_fault);
+            diag.append_snapshot(&cov.snapshot_and_reset(), touches_fault);
         }
         assert_eq!(diag.steps(), 20);
         let report = diag.diagnose(Coefficient::Ochiai);
@@ -218,8 +157,8 @@ mod tests {
     #[test]
     fn record_hits_convenience() {
         let mut diag = Diagnoser::new(10);
-        diag.record_hits([1, 2], false);
-        diag.record_hits([2, 3], true);
+        diag.append_step([1, 2], false);
+        diag.append_step([2, 3], true);
         let report = diag.diagnose(Coefficient::Jaccard);
         assert_eq!(report.steps, 2);
         assert_eq!(report.failing_steps, 1);
@@ -240,28 +179,28 @@ mod tests {
                 (hits, failed)
             })
             .collect();
-        let mut dense = Diagnoser::new(200);
-        let mut inc = IncrementalDiagnoser::new(200).with_top_k(8);
+        let mut dense = SpectrumMatrix::new(200);
+        let mut inc = Diagnoser::new(200).with_top_k(8);
         for (hits, failed) in &steps {
-            dense.record_hits(hits.iter().copied(), *failed);
+            dense.add_step(hits.iter().copied(), *failed);
             inc.append_step(hits.iter().copied(), *failed);
             // After every step: window == dense oracle's top slice.
-            let oracle = dense.matrix().rank(Coefficient::Ochiai);
+            let oracle = dense.rank(Coefficient::Ochiai);
             assert_eq!(inc.top_k().entries(), oracle.top(8));
         }
         assert_eq!(inc.steps(), steps.len());
         assert_eq!(inc.top_k().prime_suspect(), Some(150));
         // Full report agrees with the dense diagnosis byte for byte.
         assert_eq!(
-            inc.diagnose().ranking,
-            dense.diagnose(Coefficient::Ochiai).ranking
+            inc.diagnose(Coefficient::Ochiai).ranking,
+            dense.rank(Coefficient::Ochiai)
         );
     }
 
     #[test]
     fn incremental_snapshot_flow() {
         let mut cov = BlockCoverage::new(500);
-        let mut inc = IncrementalDiagnoser::new(500).with_top_k(2);
+        let mut inc = Diagnoser::new(500).with_top_k(2);
         assert!(inc.top_k().entries().is_empty());
         cov.hit(3);
         cov.hit(4);
@@ -271,6 +210,6 @@ mod tests {
         inc.append_snapshot(&cov.snapshot_and_reset(), true);
         assert_eq!(inc.top_k().prime_suspect(), Some(99));
         assert_eq!(inc.counts().blocks_touched(), 3);
-        assert_eq!(inc.diagnose().failing_steps, 1);
+        assert_eq!(inc.diagnose(Coefficient::Ochiai).failing_steps, 1);
     }
 }

@@ -15,26 +15,26 @@
 //! scenario executing 13 796 blocks, injected fault ranked **#1**. The E1
 //! bench regenerates that setup.
 //!
-//! Two engines implement the technique:
-//!
-//! * the dense [`SpectrumMatrix`] oracle (row per step, faithful to the
-//!   paper, O(steps × blocks) memory), and
-//! * the scalable path — streaming [`CountsMatrix`] columnar counters
-//!   fed step by step, scored by the sharded [`score_top_k`] scorer,
-//!   driven incrementally by [`IncrementalDiagnoser`] — which reproduces
-//!   the oracle's rankings exactly at millions of blocks (the E14 bench
-//!   sweeps 60 k → 4 M).
+//! One engine implements the technique: the [`Diagnoser`] folds each
+//! step into streaming [`CountsMatrix`] columnar counters (O(blocks)
+//! memory, O(hits) per step) and scores them on read — the loop's top-k
+//! window with the [`score_top_k`] scorer, the paper's full ranking under
+//! any coefficient with [`CountsMatrix::rank`]. The dense
+//! [`SpectrumMatrix`] (row per step, faithful to the paper, O(steps ×
+//! blocks) memory) is kept as the oracle the counts are tested against:
+//! they reproduce its rankings exactly at millions of blocks (the E14
+//! bench sweeps 60 k → 4 M).
 //!
 //! ```
-//! use spectra::{SpectrumMatrix, Coefficient};
+//! use spectra::{Diagnoser, Coefficient};
 //!
 //! // 4 blocks, 3 steps. Block 2 is hit exactly when the step fails.
-//! let mut m = SpectrumMatrix::new(4);
-//! m.add_step([0, 1].iter().copied(), false);
-//! m.add_step([0, 2].iter().copied(), true);
-//! m.add_step([0, 2, 3].iter().copied(), true);
-//! let ranking = m.rank(Coefficient::Ochiai);
-//! assert_eq!(ranking.entries()[0].block, 2);
+//! let mut d = Diagnoser::new(4);
+//! d.append_step([0, 1], false);
+//! d.append_step([0, 2], true);
+//! d.append_step([0, 2, 3], true);
+//! let report = d.diagnose(Coefficient::Ochiai);
+//! assert_eq!(report.ranking.entries()[0].block, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +49,7 @@ pub mod similarity;
 pub mod topk;
 
 pub use counts::CountsMatrix;
-pub use diagnosis::{Diagnoser, IncrementalDiagnoser};
+pub use diagnosis::Diagnoser;
 pub use matrix::SpectrumMatrix;
 pub use ranking::{Ranking, RankingEntry};
 pub use report::DiagnosisReport;

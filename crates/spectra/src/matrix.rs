@@ -4,7 +4,6 @@
 use crate::counts::EMPTY_BLOCKS_MSG;
 use crate::ranking::Ranking;
 use crate::similarity::{Coefficient, Counts};
-use observe::BlockSnapshot;
 
 /// Block-hit spectra for a whole scenario.
 ///
@@ -14,9 +13,10 @@ use observe::BlockSnapshot;
 ///
 /// This dense row-retaining layout is the reproduction's **oracle**: it
 /// mirrors the paper's matrix literally and every other layout is tested
-/// against it. Memory is O(steps × blocks); for production-scale
-/// matrices use the streaming [`crate::CountsMatrix`] plus the sharded
-/// [`crate::score_top_k`] scorer, which reproduce its rankings exactly.
+/// against it. Memory is O(steps × blocks), so diagnosis itself runs on
+/// the [`crate::Diagnoser`]'s streaming [`crate::CountsMatrix`] and the
+/// sharded [`crate::score_top_k`] scorer, which reproduce its rankings
+/// exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpectrumMatrix {
     n_blocks: u32,
@@ -56,11 +56,6 @@ impl SpectrumMatrix {
         self.verdicts.iter().filter(|v| **v).count()
     }
 
-    /// The error vector: one pass/fail flag per step.
-    pub fn error_vector(&self) -> &[bool] {
-        &self.verdicts
-    }
-
     /// Adds a step from an iterator of hit block ids.
     ///
     /// `failed` is the error detector's verdict for the step.
@@ -83,30 +78,6 @@ impl SpectrumMatrix {
         }
         self.rows.push(row);
         self.verdicts.push(failed);
-    }
-
-    /// Adds a step from an [`observe::BlockSnapshot`] (zero-copy of the
-    /// snapshot's words).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot covers a different number of blocks.
-    pub fn add_snapshot(&mut self, snapshot: &BlockSnapshot, failed: bool) {
-        assert_eq!(
-            snapshot.n_blocks(),
-            self.n_blocks,
-            "snapshot block count mismatch"
-        );
-        self.rows.push(snapshot.words().to_vec());
-        self.verdicts.push(failed);
-    }
-
-    /// True if `block` was hit in `step`.
-    pub fn is_hit(&self, step: usize, block: u32) -> bool {
-        if step >= self.rows.len() || block >= self.n_blocks {
-            return false;
-        }
-        self.rows[step][(block / 64) as usize] & (1u64 << (block % 64)) != 0
     }
 
     /// Number of distinct blocks hit in at least one step.
@@ -153,7 +124,6 @@ impl SpectrumMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use observe::BlockCoverage;
 
     #[test]
     fn add_and_query_steps() {
@@ -162,12 +132,7 @@ mod tests {
         m.add_step([3, 4].iter().copied(), true);
         assert_eq!(m.steps(), 2);
         assert_eq!(m.failing_steps(), 1);
-        assert!(m.is_hit(0, 2));
-        assert!(!m.is_hit(1, 2));
-        assert!(m.is_hit(1, 4));
-        assert!(!m.is_hit(5, 1)); // out-of-range step
         assert_eq!(m.blocks_touched(), 4);
-        assert_eq!(m.error_vector(), &[false, true]);
     }
 
     #[test]
@@ -179,27 +144,6 @@ mod tests {
         m.add_step([].iter().copied(), false); // block0: miss/pass
         let c = m.counts(0);
         assert_eq!((c.a11, c.a10, c.a01, c.a00), (1, 1, 1, 1));
-    }
-
-    #[test]
-    fn snapshot_integration() {
-        let mut cov = BlockCoverage::new(64);
-        cov.hit(7);
-        let snap = cov.snapshot_and_reset();
-        let mut m = SpectrumMatrix::new(64);
-        m.add_snapshot(&snap, true);
-        assert!(m.is_hit(0, 7));
-        assert_eq!(m.counts(7).a11, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "block count mismatch")]
-    fn snapshot_size_mismatch_panics() {
-        let mut cov = BlockCoverage::new(32);
-        cov.hit(1);
-        let snap = cov.snapshot_and_reset();
-        let mut m = SpectrumMatrix::new(64);
-        m.add_snapshot(&snap, false);
     }
 
     #[test]

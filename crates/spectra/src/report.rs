@@ -65,8 +65,8 @@ mod tests {
     #[test]
     fn summary_mentions_key_numbers() {
         let mut d = Diagnoser::new(100);
-        d.record_hits([1, 2, 50], true);
-        d.record_hits([1, 2], false);
+        d.append_step([1, 2, 50], true);
+        d.append_step([1, 2], false);
         let r = d.diagnose(Coefficient::Ochiai);
         let s = r.summary();
         assert!(s.contains("100 blocks"));

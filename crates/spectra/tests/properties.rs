@@ -1,13 +1,14 @@
 //! Property-based tests of spectrum-matrix and ranking invariants, and
 //! the equivalence suite for the scalable diagnosis engine: the
-//! streaming columnar [`CountsMatrix`] and the sharded top-k scorer
-//! must reproduce the dense [`SpectrumMatrix`] oracle exactly — same
-//! counts, same scores, same tie order — for every coefficient.
+//! streaming columnar [`CountsMatrix`], the sharded top-k scorer and the
+//! [`Diagnoser`]'s two reads must reproduce the dense [`SpectrumMatrix`]
+//! oracle exactly — same counts, same scores, same tie order — for
+//! every coefficient.
 
 use observe::{BlockCoverage, CoverageRuns};
 use proptest::prelude::*;
 use spectra::{
-    score_top_k, Coefficient, CountsMatrix, IncrementalDiagnoser, Ranking, SpectrumMatrix,
+    score_top_k, Coefficient, CountsMatrix, Diagnoser, DiagnosisReport, Ranking, SpectrumMatrix,
 };
 
 /// A generated scenario: per step, a de-duplicated in-range hit list
@@ -223,7 +224,7 @@ proptest! {
         }
     }
 
-    /// The incremental diagnoser scores its window on read: a read after
+    /// The diagnoser scores its window on read: a read after
     /// any step — chosen by `read_mask` bit i after step i, or none
     /// before the last step when `lazy` — equals the dense oracle's top
     /// slice over the steps seen so far, however many reads came before.
@@ -234,7 +235,7 @@ proptest! {
         lazy in any::<bool>()
     ) {
         let mut dense = SpectrumMatrix::new(32);
-        let mut inc = IncrementalDiagnoser::new(32).with_top_k(6);
+        let mut inc = Diagnoser::new(32).with_top_k(6);
         prop_assert!(inc.top_k().entries().is_empty());
         for (i, (hits, failed)) in steps.iter().enumerate() {
             dense.add_step(hits.iter().copied(), *failed);
@@ -243,6 +244,29 @@ proptest! {
             if last || (!lazy && read_mask & (1 << i) != 0) {
                 let (window, oracle) = (inc.top_k(), dense.rank(Coefficient::Ochiai));
                 prop_assert_eq!(window.entries(), oracle.top(6), "read after step {}", i);
+            }
+        }
+    }
+
+    /// The diagnoser's full report equals the one the dense oracle gives
+    /// over the same steps, after every step and for every coefficient:
+    /// block count, steps, failing steps, blocks touched and ranking.
+    #[test]
+    fn diagnose_equals_dense_report(steps in scenario_strategy(40, 12)) {
+        let mut dense = SpectrumMatrix::new(40);
+        let mut diag = Diagnoser::new(40);
+        for (i, (hits, failed)) in steps.iter().enumerate() {
+            dense.add_step(hits.iter().copied(), *failed);
+            diag.append_step(hits.iter().copied(), *failed);
+            for coef in Coefficient::ALL {
+                let oracle = DiagnosisReport {
+                    n_blocks: dense.n_blocks(),
+                    steps: dense.steps(),
+                    failing_steps: dense.failing_steps(),
+                    blocks_touched: dense.blocks_touched(),
+                    ranking: dense.rank(coef),
+                };
+                prop_assert_eq!(diag.diagnose(coef), oracle, "coef={} after step {}", coef, i);
             }
         }
     }

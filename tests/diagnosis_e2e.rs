@@ -34,7 +34,7 @@ fn diagnose(fault: TvFault, presses: usize, target_block: u32) -> (usize, Option
                 })
             })
         });
-        diagnoser.record_step(tv.take_coverage(), failed);
+        diagnoser.append_snapshot(&tv.take_coverage(), failed);
     }
     let report = diagnoser.diagnose(Coefficient::Ochiai);
     let rank = report.fault_rank(target_block);
@@ -93,7 +93,7 @@ fn healthy_run_has_no_failing_steps() {
                 })
             })
         });
-        diagnoser.record_step(tv.take_coverage(), failed);
+        diagnoser.append_snapshot(&tv.take_coverage(), failed);
     }
     let report = diagnoser.diagnose(Coefficient::Ochiai);
     assert_eq!(report.failing_steps, 0);
@@ -134,7 +134,7 @@ fn all_coefficients_put_fault_block_in_front_region() {
                     })
                 })
             });
-            diagnoser.record_step(tv.take_coverage(), failed);
+            diagnoser.append_snapshot(&tv.take_coverage(), failed);
         }
         let report = diagnoser.diagnose(coefficient);
         let wasted = report.ranking.wasted_effort(block).unwrap();

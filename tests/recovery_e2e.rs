@@ -27,8 +27,8 @@ fn fault_detect_recover_resume_cycle() {
 
     // Steady state.
     for _ in 0..10 {
-        comm.send(SimTime::ZERO, &mut host, msg("audio"));
-        comm.send(SimTime::ZERO, &mut host, msg("video"));
+        comm.send(&mut host, msg("audio"));
+        comm.send(&mut host, msg("video"));
     }
 
     // The video unit self-reports corruption; restart it.
@@ -40,14 +40,14 @@ fn fault_detect_recover_resume_cycle() {
     assert!(host.is_running("audio"), "independent recovery");
 
     // Traffic during the restart queues.
-    comm.send(t, &mut host, msg("video"));
-    comm.send(t, &mut host, msg("audio"));
+    comm.send(&mut host, msg("video"));
+    comm.send(&mut host, msg("audio"));
     assert_eq!(comm.queued_for("video"), 1);
 
     // Restart completes; queued traffic flows.
     let back = host.tick(t + SimDuration::from_millis(200));
     assert_eq!(back, vec!["video".to_owned()]);
-    comm.flush_returned(t + SimDuration::from_millis(200), &mut host, &back);
+    comm.flush_returned(&mut host, &back);
     assert_eq!(comm.queued_for("video"), 0);
     assert_eq!(comm.stats().dropped, 0);
     // The restarted unit lost its in-memory count (cold restart).
